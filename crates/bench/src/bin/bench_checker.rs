@@ -1,27 +1,25 @@
 //! Engine-level checker benchmark → `BENCH_checker.json`.
 //!
 //! Measures raw model-checking throughput (states explored per second)
-//! and peak RSS on Table 1 workloads, comparing five engine
-//! configurations on the *same* resolved candidate: the compile-once
-//! candidate layer driving the undo-log engine with both reductions
-//! (`compiled-por`, the default configuration — the candidate is
-//! sealed into a hole-free micro-op program once per workload, as
-//! CEGIS seals it once per iteration and reuses it across prescreen,
-//! sampler and exhaustive check; the one-time sealing cost is
-//! reported in the `compile_us` column), the interpreted
-//! zero-clone undo-log engine with ample-set partial-order reduction
-//! and thread-symmetry canonicalization (`undo-por`), the same
-//! interpreter with only symmetry (`undo-sym`), with full
-//! interleaving expansion and identity canonicalization (`undo`), and
-//! the reference clone-per-transition engine (`clone`).
-//! The `undo` and `clone` rows sweep the identical state space end to
-//! end; the `undo-por` and `undo-sym` rows visit provably sufficient
-//! subsets of it, and the `states` / `states_pruned` / `sym_collapses`
-//! columns quantify each reduction. The Table 1 workers all read
-//! their fork index (senses, fork slots), so on those rows the sound
-//! asymmetry fallback keeps `undo-sym` identical to `undo`; the
-//! `symcounter` workload is genuinely symmetric and shows the orbit
-//! collapse.
+//! and peak RSS on Table 1 workloads, comparing the one checking
+//! engine in three configurations with the reference oracle on the
+//! *same* resolved candidate. The candidate is sealed into a
+//! hole-free micro-op program once per workload, as CEGIS seals it
+//! once per iteration and reuses it across prescreen, sampler and
+//! exhaustive check (the one-time sealing cost is the `compile_us`
+//! column). The engine then sweeps it with ample-set partial-order
+//! reduction and thread-symmetry canonicalization (`compiled-por`, the
+//! default configuration), with symmetry only (`compiled-sym`), and
+//! with full interleaving expansion and identity canonicalization
+//! (`compiled`); the reference clone-per-transition engine (`clone`)
+//! interprets the unsealed program. The `compiled` and `clone` rows
+//! sweep the identical state space end to end; the `compiled-por` and
+//! `compiled-sym` rows visit provably sufficient subsets of it, and
+//! the `states` / `states_pruned` / `sym_collapses` columns quantify
+//! each reduction. The Table 1 workers all read their fork index
+//! (senses, fork slots), so on those rows the sound asymmetry fallback
+//! keeps `compiled-sym` identical to `compiled`; the `symcounter`
+//! workload is genuinely symmetric and shows the orbit collapse.
 //!
 //! Each workload is first synthesised to completion; the winning
 //! candidate's exhaustive verification — the hot path of every CEGIS
@@ -40,8 +38,8 @@
 use psketch_bench::{Harness, JsonValue, JsonWriter};
 use psketch_core::{mem, Options, Synthesis};
 use psketch_exec::{
-    check_compiled, check_with_limits, reference::check_ref_with_limit, CheckOutcome,
-    CompiledProgram, SearchLimits, Verdict,
+    check_compiled, reference::check_ref_with_limit, CheckOutcome, CompiledProgram, SearchLimits,
+    Verdict,
 };
 use psketch_ir::{Assignment, Config};
 use psketch_suite::barrier::{barrier_source, BarrierVariant};
@@ -160,53 +158,30 @@ fn main() {
         // timed sweep.
         let cp = CompiledProgram::compile(lowered, &candidate);
 
-        type Engine<'a> = (&'static str, Box<dyn Fn() -> CheckOutcome + 'a>);
-        let engines: [Engine; 5] = [
-            (
-                "compiled-por",
-                Box::new(|| check_compiled(black_box(&cp), &SearchLimits::states(MAX_STATES))),
-            ),
-            (
-                "undo-por",
-                Box::new(|| {
-                    let limits = SearchLimits {
-                        compile: false,
-                        ..SearchLimits::states(MAX_STATES)
-                    };
-                    check_with_limits(black_box(lowered), black_box(&candidate), &limits)
-                }),
-            ),
-            (
-                "undo-sym",
-                Box::new(|| {
-                    let limits = SearchLimits {
-                        por: false,
-                        compile: false,
-                        ..SearchLimits::states(MAX_STATES)
-                    };
-                    check_with_limits(black_box(lowered), black_box(&candidate), &limits)
-                }),
-            ),
-            (
-                "undo",
-                Box::new(|| {
-                    let limits = SearchLimits {
-                        por: false,
-                        symmetry: false,
-                        compile: false,
-                        ..SearchLimits::states(MAX_STATES)
-                    };
-                    check_with_limits(black_box(lowered), black_box(&candidate), &limits)
-                }),
-            ),
+        let cp = &cp;
+        let sweep = |por: bool, symmetry: bool| {
+            let limits = SearchLimits {
+                por,
+                symmetry,
+                ..SearchLimits::states(MAX_STATES)
+            };
+            move || check_compiled(black_box(cp), &limits)
+        };
+        // (engine, runs the sealed artifact, timed search)
+        type Engine<'a> = (&'static str, bool, Box<dyn Fn() -> CheckOutcome + 'a>);
+        let engines: [Engine; 4] = [
+            ("compiled-por", true, Box::new(sweep(true, true))),
+            ("compiled-sym", true, Box::new(sweep(false, true))),
+            ("compiled", true, Box::new(sweep(false, false))),
             (
                 "clone",
+                false,
                 Box::new(|| {
                     check_ref_with_limit(black_box(lowered), black_box(&candidate), MAX_STATES)
                 }),
             ),
         ];
-        for (engine, check) in engines {
+        for (engine, sealed, check) in engines {
             let id = format!("checker/{}/{engine}", load.name);
             let last = RefCell::new(None);
             // Peak RSS is process-wide and monotonic, so it can't
@@ -230,6 +205,9 @@ fn main() {
                 .map(|(after, before)| after.saturating_sub(before));
             let out = last.into_inner().expect("ran at least once");
             let states_per_sec = out.stats.states as f64 / m.median.as_secs_f64();
+            // The sealing columns describe the artifact the row ran;
+            // the reference engine runs none.
+            let artifact = |v: u64| JsonValue::Int(if sealed { v as i64 } else { 0 });
             w.record(&[
                 ("sketch", JsonValue::Str(load.name.clone())),
                 ("engine", JsonValue::Str(engine.into())),
@@ -266,16 +244,10 @@ fn main() {
                     "sym_collapses",
                     JsonValue::Int(out.stats.sym_collapses as i64),
                 ),
-                ("compile_us", JsonValue::Int(out.stats.compile_us as i64)),
-                (
-                    "sharpened_masks",
-                    JsonValue::Int(out.stats.sharpened_masks as i64),
-                ),
-                ("reseal_us", JsonValue::Int(out.stats.reseal_us as i64)),
-                (
-                    "threads_reused",
-                    JsonValue::Int(out.stats.threads_reused as i64),
-                ),
+                ("compile_us", artifact(cp.compile_us())),
+                ("sharpened_masks", artifact(cp.sharpened_masks())),
+                ("reseal_us", artifact(cp.reseal_us())),
+                ("threads_reused", artifact(cp.threads_reused())),
                 (
                     "rss_delta_bytes",
                     match rss_delta {
@@ -321,7 +293,7 @@ fn main() {
             .expect("no filter in use");
         let rcp = resealed.into_inner().expect("ran at least once");
         assert!(
-            rcp.artifact_eq(&cp),
+            rcp.artifact_eq(cp),
             "{}: resealed artifact must be identical to the fresh seal",
             load.name
         );
@@ -356,25 +328,25 @@ fn main() {
         (
             "note",
             JsonValue::Str(
-                "undo and clone sweep the identical state space of the \
-                 resolved candidate; undo-por (ample-set reduction + \
-                 thread-symmetry canonicalization) and undo-sym \
-                 (symmetry only) explore sound subsets. compiled-por \
-                 is the default configuration: the candidate is sealed \
-                 once into a hole-free micro-op program — as CEGIS \
-                 seals once per iteration and reuses the artifact \
-                 across prescreen, sampler and exhaustive check — \
-                 with candidate-sharpened POR masks (sharpened_masks) \
-                 and then swept with both reductions; the one-time \
-                 sealing cost is the compile_us column, outside the \
-                 timed sweep. When sharpened_masks is 0 the \
-                 compiled-por state count matches undo-por exactly. \
+                "compiled and clone sweep the identical state space of \
+                 the resolved candidate; compiled-por (ample-set \
+                 reduction + thread-symmetry canonicalization, the \
+                 default configuration) and compiled-sym (symmetry \
+                 only) explore sound subsets. The compiled rows run \
+                 the candidate sealed once into a hole-free micro-op \
+                 program — as CEGIS seals once per iteration and \
+                 reuses the artifact across prescreen, sampler and \
+                 exhaustive check — with candidate-sharpened POR masks \
+                 (sharpened_masks); the one-time sealing cost is the \
+                 compile_us column, outside the timed sweep. clone is \
+                 the reference engine, which interprets the unsealed \
+                 program and reports 0 in the sealing columns. \
                  Table 1 workers read their fork index, so the sound \
-                 deferred-sort fallback keeps undo-sym state counts \
-                 equal to undo there (nonzero sym_collapses on the \
-                 barrier rows are noncanonical revisits, not orbit \
-                 merges); the symcounter row is genuinely symmetric \
-                 and shows the real orbit collapse. \
+                 deferred-sort fallback keeps compiled-sym state \
+                 counts equal to compiled there (nonzero sym_collapses \
+                 on the barrier rows are noncanonical revisits, not \
+                 orbit merges); the symcounter row is genuinely \
+                 symmetric and shows the real orbit collapse. \
                  rss_delta_bytes is the resident-set growth sampled \
                  around each cell's runs (0 when the allocator reused \
                  earlier capacity), replacing the old process-wide \

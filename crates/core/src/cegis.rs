@@ -3,9 +3,8 @@
 use crate::mem;
 use crate::telemetry::{BudgetKind, BudgetTrip, IterationRecord, RunReport};
 use psketch_exec::{
-    check_compiled, check_parallel_compiled, check_parallel_limits, check_with_limits, random_run,
-    random_run_compiled, CexTrace, CompiledProgram, FailureKind, Interrupt, ScheduleBank,
-    SearchLimits, Verdict,
+    check_parallel_compiled, random_run_compiled, CexTrace, CompiledProgram, FailureKind,
+    Interrupt, ScheduleBank, SearchLimits, Verdict,
 };
 use psketch_ir::{desugar, lower, resolve, Assignment, Config, Lowered};
 use psketch_lang::ast::Program;
@@ -76,10 +75,10 @@ pub struct Options {
     /// run ([`Options::max_states`] bounds each single call). When the
     /// total reaches it, the run returns unknown with a [`BudgetTrip`].
     pub state_budget: Option<usize>,
-    /// Resident-set budget in bytes, polled by a watchdog thread via
-    /// `/proc/self/status`. Exceeding it cancels the run cooperatively
-    /// (unknown + [`BudgetTrip`]). Ignored where `/proc` is
-    /// unavailable.
+    /// Resident-set budget in bytes, read from `/proc/self/status` by
+    /// a watchdog thread and at the top of every CEGIS iteration.
+    /// Exceeding it cancels the run cooperatively (unknown +
+    /// [`BudgetTrip`]). Ignored where `/proc` is unavailable.
     pub memory_budget: Option<u64>,
     /// Ample-set partial-order reduction inside the exhaustive checker
     /// (on by default). Sound for every verdict the checker reports;
@@ -101,12 +100,10 @@ pub struct Options {
     /// Maximum schedules the bank retains before evicting the entry
     /// with the fewest kills (`--bank-cap`).
     pub bank_capacity: usize,
-    /// Compile each candidate once into a sealed
-    /// [`psketch_exec::CompiledProgram`] (on by default) and hand the
-    /// artifact to the prescreen, the sampler and the exhaustive
-    /// checker, instead of re-interpreting the hole tables in every
-    /// pass. Semantics-preserving; `--no-compile` keeps the
-    /// tree-walking interpreter reachable for differential debugging.
+    /// Unused: every candidate is sealed into a
+    /// [`psketch_exec::CompiledProgram`]. Kept so existing struct
+    /// literals that name the field still compile.
+    #[doc(hidden)]
     pub compile: bool,
 }
 
@@ -217,11 +214,11 @@ pub struct CegisStats {
     /// Schedule-bank occupancy after the last verification call.
     pub bank_size: u64,
     /// Microseconds spent compiling candidates into sealed execution
-    /// artifacts (cumulative; 0 with `--no-compile`).
+    /// artifacts (cumulative).
     pub compile_us: u64,
     /// POR footprint masks the compiled candidates' constants made
     /// strictly tighter than the static analysis (cumulative over
-    /// verification calls; 0 with `--no-compile`).
+    /// verification calls).
     pub sharpened_masks: u64,
     /// Microseconds spent in incremental reseals (cumulative; included
     /// in `compile_us`, broken out so the fresh-vs-reseal ablation
@@ -419,19 +416,8 @@ impl Synthesis {
                                 return;
                             }
                         }
-                        if let Some(budget) = memory_budget {
-                            if mem::current_rss_bytes().is_some_and(|rss| rss > budget) {
-                                set_trip(
-                                    trip,
-                                    BudgetTrip::new(
-                                        BudgetKind::Memory,
-                                        "watchdog",
-                                        format!("resident set exceeded {budget} bytes"),
-                                    ),
-                                );
-                                cancel.store(true, Ordering::Relaxed);
-                                return;
-                            }
+                        if memory_tripped(memory_budget, trip, cancel) {
+                            return;
                         }
                         std::thread::sleep(Duration::from_millis(5));
                     }
@@ -440,7 +426,13 @@ impl Synthesis {
 
             let mut batch_no = 0usize;
             'cegis: while stats.iterations < self.options.max_iterations {
-                if cancel.load(Ordering::Relaxed) {
+                // The watchdog polls every few milliseconds, but a run
+                // can conclude between two polls; checking here too
+                // means an over-budget run never starts another
+                // iteration.
+                if cancel.load(Ordering::Relaxed)
+                    || memory_tripped(self.options.memory_budget, &trip, &cancel)
+                {
                     break;
                 }
                 // Each call's state limit is the per-call max, shrunk
@@ -470,7 +462,7 @@ impl Synthesis {
                     cancel: Some(cancel.clone()),
                     por: self.options.por,
                     symmetry: self.options.symmetry,
-                    compile: self.options.compile,
+                    ..SearchLimits::default()
                 };
                 let k = width.min(self.options.max_iterations - stats.iterations);
                 let candidates = match synth.next_candidates(k) {
@@ -709,7 +701,6 @@ impl Synthesis {
         SearchLimits {
             por: self.options.por,
             symmetry: self.options.symmetry,
-            compile: self.options.compile,
             ..SearchLimits::states(self.options.max_states)
         }
     }
@@ -770,38 +761,29 @@ impl Synthesis {
             Mode::Harness => {
                 // Seal once per candidate: the prescreen, the sampler
                 // and the exhaustive checker below all share this one
-                // artifact instead of re-interpreting the hole table
-                // per pass. When a previous iteration's artifact is
+                // artifact. When a previous iteration's artifact is
                 // available, reseal incrementally — only threads whose
                 // hole values changed re-emit; clones in and out of the
                 // slot are Arc-cheap pointer bumps.
-                let compiled = self.options.compile.then(|| {
-                    let base = prev
-                        .and_then(|m| m.lock().expect("previous-artifact slot poisoned").clone());
-                    let cp = match &base {
-                        Some(p) => CompiledProgram::reseal(p, &self.lowered, candidate),
-                        None => CompiledProgram::compile(&self.lowered, candidate),
-                    };
-                    if let Some(m) = prev {
-                        *m.lock().expect("previous-artifact slot poisoned") = Some(cp.clone());
-                    }
-                    cp
-                });
-                if let Some(cp) = &compiled {
-                    effort.compile_us = cp.compile_us();
-                    effort.reseal_us = cp.reseal_us();
-                    effort.threads_reused = cp.threads_reused();
-                    effort.sharpened_masks = cp.sharpened_masks();
+                let base =
+                    prev.and_then(|m| m.lock().expect("previous-artifact slot poisoned").clone());
+                let cp = match &base {
+                    Some(p) => CompiledProgram::reseal(p, &self.lowered, candidate),
+                    None => CompiledProgram::compile(&self.lowered, candidate),
+                };
+                if let Some(m) = prev {
+                    *m.lock().expect("previous-artifact slot poisoned") = Some(cp.clone());
                 }
+                effort.compile_us = cp.compile_us();
+                effort.reseal_us = cp.reseal_us();
+                effort.threads_reused = cp.threads_reused();
+                effort.sharpened_masks = cp.sharpened_masks();
                 // Prescreen: replay the schedules that killed earlier
                 // candidates before paying for any search. A hit is a
                 // real execution of *this* candidate, so returning its
                 // trace is sound; a miss just falls through.
                 if let Some(bank) = bank {
-                    let (hit, bs) = match &compiled {
-                        Some(cp) => bank.prescreen_compiled(cp),
-                        None => bank.prescreen(&self.lowered, candidate),
-                    };
+                    let (hit, bs) = bank.prescreen_compiled(&cp);
                     effort.prescreen_replays = bs.replays;
                     effort.bank_size = bs.size;
                     if let Some(cex) = hit {
@@ -811,14 +793,9 @@ impl Synthesis {
                     }
                 }
                 if let VerifierKind::Hybrid { samples } = self.options.verifier {
-                    if let Some(cex) = self.sample_schedules(
-                        compiled.as_ref(),
-                        candidate,
-                        iteration,
-                        samples,
-                        threads,
-                        limits,
-                    ) {
+                    if let Some(cex) =
+                        self.sample_schedules(&cp, iteration, samples, threads, limits)
+                    {
                         effort.sampled_refutation = true;
                         effort.duration = t0.elapsed();
                         if let Some(bank) = bank {
@@ -828,14 +805,7 @@ impl Synthesis {
                         return (VerifyResult::Trace(cex), effort);
                     }
                 }
-                let out = match (&compiled, threads > 1) {
-                    (Some(cp), true) => check_parallel_compiled(cp, limits, threads),
-                    (Some(cp), false) => check_compiled(cp, limits),
-                    (None, true) => {
-                        check_parallel_limits(&self.lowered, candidate, limits, threads)
-                    }
-                    (None, false) => check_with_limits(&self.lowered, candidate, limits),
-                };
+                let out = check_parallel_compiled(&cp, limits, threads);
                 effort.states = out.stats.states;
                 effort.transitions = out.stats.transitions;
                 effort.terminal_states = out.stats.terminal_states;
@@ -892,18 +862,14 @@ impl Synthesis {
     /// schedule set.
     fn sample_schedules(
         &self,
-        compiled: Option<&CompiledProgram>,
-        candidate: &Assignment,
+        cp: &CompiledProgram,
         iteration: usize,
         samples: usize,
         threads: usize,
         limits: &SearchLimits,
     ) -> Option<CexTrace> {
         let seed = |k: usize| (iteration as u64) << 16 | k as u64;
-        let run = |k: usize| match compiled {
-            Some(cp) => random_run_compiled(cp, seed(k)),
-            None => random_run(&self.lowered, candidate, seed(k)),
-        };
+        let run = |k: usize| random_run_compiled(cp, seed(k));
         // Over-budget sampling gives up (returning "no refutation");
         // the exhaustive pass that follows trips immediately and
         // reports the interrupt.
@@ -1059,6 +1025,32 @@ fn set_trip(slot: &Mutex<Option<BudgetTrip>>, t: BudgetTrip) {
     if s.is_none() {
         *s = Some(t);
     }
+}
+
+/// The memory-budget check shared by the watchdog thread and the CEGIS
+/// thread: when the resident set exceeds `budget`, records the memory
+/// trip, raises `cancel` and returns true.
+fn memory_tripped(
+    budget: Option<u64>,
+    trip: &Mutex<Option<BudgetTrip>>,
+    cancel: &AtomicBool,
+) -> bool {
+    let Some(budget) = budget else {
+        return false;
+    };
+    let over = mem::current_rss_bytes().is_some_and(|rss| rss > budget);
+    if over {
+        set_trip(
+            trip,
+            BudgetTrip::new(
+                BudgetKind::Memory,
+                "watchdog",
+                format!("resident set exceeded {budget} bytes"),
+            ),
+        );
+        cancel.store(true, Ordering::Relaxed);
+    }
+    over
 }
 
 impl CegisStats {
@@ -1273,11 +1265,6 @@ mod tests {
         }
         let opts = Options {
             memory_budget: Some(1), // Any process exceeds one byte.
-            // Full expansion on the interpreted engine keeps the search
-            // running long enough for the 5ms-polling watchdog to
-            // observe and cancel it.
-            por: false,
-            compile: false,
             ..Options::default()
         };
         let out = Synthesis::new(

@@ -119,10 +119,10 @@ pub struct IterationRecord {
     /// Schedule-bank occupancy observed by this verification call.
     pub bank_size: u64,
     /// Microseconds spent compiling this candidate into its sealed
-    /// execution artifact (0 with `--no-compile`).
+    /// execution artifact.
     pub compile_us: u64,
     /// POR footprint masks this candidate's constants made strictly
-    /// tighter than the static analysis (0 with `--no-compile`).
+    /// tighter than the static analysis.
     pub sharpened_masks: u64,
     /// Microseconds spent resealing a previous artifact for this
     /// candidate (included in `compile_us`; 0 when sealed fresh).
@@ -206,11 +206,10 @@ pub struct RunReport {
     /// Schedule-bank occupancy at the end of the run.
     pub bank_size: u64,
     /// Microseconds spent compiling candidates into sealed execution
-    /// artifacts, cumulative (0 with `--no-compile`).
+    /// artifacts, cumulative.
     pub compile_us: u64,
     /// POR footprint masks the compiled candidates' constants made
-    /// strictly tighter than the static analysis, cumulative (0 with
-    /// `--no-compile`).
+    /// strictly tighter than the static analysis, cumulative.
     pub sharpened_masks: u64,
     /// Microseconds spent resealing previous artifacts, cumulative
     /// (included in `compile_us`; broken out for the ablation).

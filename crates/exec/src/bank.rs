@@ -6,10 +6,10 @@
 //! still there — so instead of discarding each schedule after its trace
 //! is encoded, the bank keeps a bounded, deduplicated collection of
 //! them ordered by kill count and recency. Prescreening a new candidate
-//! replays the banked schedules deterministically on the undo engine
-//! ([`crate::replay`]): a hit refutes the candidate in O(trace) time
-//! with zero state-space exploration; only survivors pay for the
-//! exhaustive search.
+//! replays the banked schedules deterministically on its sealed code
+//! ([`crate::replay_compiled`]): a hit refutes the candidate in
+//! O(trace) time with zero state-space exploration; only survivors pay
+//! for the exhaustive search.
 //!
 //! Soundness: a replay executes the candidate's own code under a fixed
 //! interleaving, so any failure it reports is a real execution of that
@@ -26,9 +26,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use psketch_ir::{Assignment, Lowered};
-
-use crate::checker::{replay, replay_with, Checker};
+use crate::checker::{replay_with, Checker};
 use crate::compiled::CompiledProgram;
 use crate::store::CexTrace;
 
@@ -135,29 +133,15 @@ impl ScheduleBank {
         });
     }
 
-    /// Replays the banked schedules against `candidate`, best first
-    /// (most kills, then most recently used). Returns the refuting
-    /// trace on the first hit, plus the pass's counters. The trace's
-    /// own `schedule` field records the workers that actually fired,
-    /// which may be a prefix-with-skips of the banked schedule when the
-    /// candidate disables some of its entries.
-    pub fn prescreen(&self, l: &Lowered, candidate: &Assignment) -> (Option<CexTrace>, BankStats) {
-        self.prescreen_with(|order| replay(l, candidate, order))
-    }
-
-    /// As [`ScheduleBank::prescreen`], over an already-compiled
-    /// candidate. One checker is built from the artifact and reused
-    /// across every banked replay, instead of a fresh analysis pass
-    /// per replay.
+    /// Replays the banked schedules against a sealed candidate, best
+    /// first (most kills, then most recently used). Returns the
+    /// refuting trace on the first hit, plus the pass's counters. The
+    /// trace's own `schedule` field records the workers that actually
+    /// fired, which may be a prefix-with-skips of the banked schedule
+    /// when the candidate disables some of its entries. One checker is
+    /// built from the artifact and reused across every banked replay.
     pub fn prescreen_compiled(&self, cp: &CompiledProgram) -> (Option<CexTrace>, BankStats) {
         let ck = Checker::from_compiled(cp, false);
-        self.prescreen_with(|order| replay_with(&ck, order))
-    }
-
-    fn prescreen_with(
-        &self,
-        mut replay_one: impl FnMut(&[usize]) -> Option<CexTrace>,
-    ) -> (Option<CexTrace>, BankStats) {
         let snapshot: Vec<(u64, Vec<u32>)> = {
             let mut bank = self.inner.lock().expect("schedule bank poisoned");
             bank.sort_by_key(|e| std::cmp::Reverse((e.kills, e.last_used)));
@@ -170,7 +154,7 @@ impl ScheduleBank {
         for (fp, schedule) in &snapshot {
             stats.replays += 1;
             let order: Vec<usize> = schedule.iter().map(|&w| w as usize).collect();
-            if let Some(cex) = replay_one(&order) {
+            if let Some(cex) = replay_with(&ck, &order) {
                 stats.hits = 1;
                 let now = self.tick();
                 let mut bank = self.inner.lock().expect("schedule bank poisoned");
@@ -192,7 +176,12 @@ impl ScheduleBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psketch_ir::{desugar, lower, Config};
+    use psketch_ir::{desugar, lower, Config, Lowered};
+
+    /// Seals `l`'s identity candidate and prescreens it.
+    fn prescreen(bank: &ScheduleBank, l: &Lowered) -> (Option<CexTrace>, BankStats) {
+        bank.prescreen_compiled(&CompiledProgram::compile(l, &l.holes.identity_assignment()))
+    }
 
     fn lowered(src: &str) -> Lowered {
         let cfg = Config::default();
@@ -230,8 +219,7 @@ mod tests {
         let bank = ScheduleBank::new(8);
         bank.record(&sched);
         assert_eq!(bank.len(), 1);
-        let a = l.holes.identity_assignment();
-        let (cex, stats) = bank.prescreen(&l, &a);
+        let (cex, stats) = prescreen(&bank, &l);
         let cex = cex.expect("banked schedule must refute the candidate");
         assert!(!cex.schedule.is_empty());
         assert_eq!(stats.hits, 1);
@@ -255,14 +243,13 @@ mod tests {
         let bank = ScheduleBank::new(2);
         bank.record(&killer);
         // Credit the killer with a hit so it outranks fillers.
-        let a = l.holes.identity_assignment();
-        let (hit, _) = bank.prescreen(&l, &a);
+        let (hit, _) = prescreen(&bank, &l);
         assert!(hit.is_some());
         bank.record(&[9, 9, 9]);
         // Bank full: the zero-kill filler is evicted, not the killer.
         bank.record(&[8, 8, 8]);
         assert_eq!(bank.len(), 2);
-        let (still_hit, stats) = bank.prescreen(&l, &a);
+        let (still_hit, stats) = prescreen(&bank, &l);
         assert!(still_hit.is_some(), "killer must survive eviction");
         // Killer is ordered first (most kills), so one replay suffices.
         assert_eq!(stats.replays, 1);
@@ -273,9 +260,7 @@ mod tests {
         let bank = ScheduleBank::new(0);
         bank.record(&[0, 1]);
         assert!(bank.is_empty());
-        let l = racy();
-        let a = l.holes.identity_assignment();
-        let (cex, stats) = bank.prescreen(&l, &a);
+        let (cex, stats) = prescreen(&bank, &racy());
         assert!(cex.is_none());
         assert_eq!(stats, BankStats::default());
     }
@@ -295,8 +280,7 @@ mod tests {
         let sched = find_killing_schedule(&racy_l);
         let bank = ScheduleBank::new(8);
         bank.record(&sched);
-        let a = safe.holes.identity_assignment();
-        let (cex, stats) = bank.prescreen(&safe, &a);
+        let (cex, stats) = prescreen(&bank, &safe);
         assert!(cex.is_none(), "prescreen must not refute a safe program");
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.replays, 1);

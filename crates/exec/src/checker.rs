@@ -1,9 +1,15 @@
 //! The explicit-state model checker.
 //!
 //! Depth-first search over all interleavings of the workers'
-//! shared-state steps, with state hashing (dead thread-locals are
-//! masked out of the canonical state to merge equivalent paths) and
-//! exact counterexample-trace extraction.
+//! shared-state steps of one sealed candidate ([`CompiledProgram`]),
+//! with state hashing (dead thread-locals are masked out of the
+//! canonical state to merge equivalent paths) and exact
+//! counterexample-trace extraction. The checker has exactly one
+//! constructor, `Checker::from_compiled`: the sequential DFS, the
+//! parallel search, replay, random sampling and the schedule-bank
+//! prescreen all execute the artifact's micro-op code, so one step
+//! semantics drives every engine, and [`crate::reference`] is the
+//! independent oracle they are tested against.
 //!
 //! The search is **zero-clone**: one live [`StateBuf`] is mutated in
 //! place as transitions fire, every write is recorded in an
@@ -11,18 +17,13 @@
 //! mark instead of restoring a per-frame snapshot. Visited states are
 //! reduced to streaming 64-bit fingerprints hashed directly off the
 //! flat buffer ([`Checker::fingerprint_state`]), so steady-state
-//! exploration allocates nothing per state. The previous
-//! clone-per-transition engine survives as [`crate::reference`] for
-//! differential testing and benchmarking.
+//! exploration allocates nothing per state.
 
-use crate::compiled::{exec_cop, COp, CompiledProgram, ThreadCode};
+use crate::compiled::{exec_cop, COp, CStep, CompiledProgram, ThreadCode};
 use crate::fingerprint::{cell_hash, combine_fp, FpHasher, FpSet};
 use crate::por::PorTable;
-use crate::store::{
-    eval_rv, exec_op, CexTrace, EvalResult, Failure, FailureKind, StateBuf, StateLayout,
-    UndoJournal,
-};
-use psketch_ir::symmetry::{symmetry_classes, SymClass, SymmetryClasses};
+use crate::store::{CexTrace, Failure, FailureKind, StateBuf, StateLayout, UndoJournal};
+use psketch_ir::symmetry::{SymClass, SymmetryClasses};
 use psketch_ir::{Assignment, Lowered, Lv, Op, Rv, Thread, ThreadId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -85,14 +86,9 @@ pub struct SearchLimits {
     /// ids. Workers detected as asymmetric fall back soundly to
     /// identity canonicalization.
     pub symmetry: bool,
-    /// Compile the candidate into a [`crate::CompiledProgram`] before
-    /// searching (on by default): holes substituted, guards folded,
-    /// steps flattened to micro-op arrays, POR masks sharpened by the
-    /// candidate's constants. Semantics-preserving — verdicts, state
-    /// counts and schedules match the interpreted engine (POR may
-    /// prune *more* states when sharpening helps). Turn off
-    /// (`--no-compile` in the CLIs) to keep the tree-walking
-    /// interpreter reachable for differential debugging.
+    /// Unused: every search runs a sealed [`CompiledProgram`]. Kept so
+    /// existing struct literals that name the field still compile.
+    #[doc(hidden)]
     pub compile: bool,
 }
 
@@ -183,28 +179,9 @@ pub struct CheckStats {
     /// too); the exact merge count is the visited-state difference
     /// against a symmetry-off search.
     pub sym_collapses: u64,
-    /// Microseconds spent compiling the candidate into its sealed
-    /// execution artifact (0 on the interpreted path).
-    pub compile_us: u64,
-    /// (worker, pc) POR footprint masks the candidate's constants made
-    /// strictly tighter than the static analysis (0 on the interpreted
-    /// path, which always uses the static masks).
-    pub sharpened_masks: u64,
-    /// Per-run owned POR-table materializations: the interpreted paths
-    /// build one static table per run; engines running a shared
-    /// [`CompiledProgram`] borrow the artifact's tables and report 0.
-    /// The shared-table differential test pins this at zero.
-    pub table_clones: u64,
-    /// Microseconds the incremental reseal took when the artifact was
-    /// produced by [`CompiledProgram::reseal`] (0 for fresh compiles
-    /// and the interpreted path).
-    pub reseal_us: u64,
-    /// Threads whose micro-op arrays the reseal reused by reference (0
-    /// for fresh compiles and the interpreted path).
-    pub threads_reused: u64,
 }
 
-/// Result of [`check`].
+/// Result of [`check_compiled`].
 #[derive(Clone, Debug)]
 pub struct CheckOutcome {
     /// Pass / fail / unknown.
@@ -232,47 +209,25 @@ impl CheckOutcome {
     }
 }
 
-/// Model-checks `candidate` over every interleaving.
+/// Seals `candidate` and model-checks it over every interleaving.
 pub fn check(l: &Lowered, candidate: &Assignment) -> CheckOutcome {
     check_with_limit(l, candidate, 50_000_000)
 }
 
 /// As [`check`], bounding the number of distinct states explored.
 pub fn check_with_limit(l: &Lowered, candidate: &Assignment, max_states: usize) -> CheckOutcome {
-    check_with_limits(l, candidate, &SearchLimits::states(max_states))
+    let cp = CompiledProgram::compile(l, candidate);
+    check_compiled(&cp, &SearchLimits::states(max_states))
 }
 
-/// As [`check`], under full cooperative [`SearchLimits`] (state bound,
-/// wall deadline, external cancellation). Partial statistics are
-/// reported on every exit path.
-pub fn check_with_limits(
-    l: &Lowered,
-    candidate: &Assignment,
-    limits: &SearchLimits,
-) -> CheckOutcome {
-    if limits.compile {
-        let cp = CompiledProgram::compile(l, candidate);
-        return check_compiled(&cp, limits);
-    }
-    if limits.symmetry {
-        Checker::with_symmetry(l, candidate).run(limits)
-    } else {
-        Checker::new(l, candidate).run(limits)
-    }
-}
-
-/// As [`check_with_limits`], over an already-compiled candidate.
-/// Compile once per candidate and share the artifact between the
-/// prescreen, the sampler and the exhaustive search — this is the
+/// Model-checks a sealed candidate over every interleaving, under full
+/// cooperative [`SearchLimits`] (state bound, wall deadline, external
+/// cancellation, reductions). Partial statistics are reported on every
+/// exit path. Seal once per candidate and share the artifact between
+/// the prescreen, the sampler and the exhaustive search — this is the
 /// entry point the CEGIS loop uses.
 pub fn check_compiled(cp: &CompiledProgram, limits: &SearchLimits) -> CheckOutcome {
-    let ck = Checker::from_compiled(cp, limits.symmetry);
-    let mut out = ck.run(limits);
-    out.stats.compile_us += cp.compile_us();
-    out.stats.sharpened_masks = cp.sharpened_masks();
-    out.stats.reseal_us += cp.reseal_us();
-    out.stats.threads_reused += cp.threads_reused();
-    out
+    Checker::from_compiled(cp, limits.symmetry).run(limits)
 }
 
 /// Stats for a run that failed before the interleaving search began
@@ -288,29 +243,27 @@ pub(crate) fn early_failure_stats(steps: &[(ThreadId, usize)]) -> CheckStats {
     }
 }
 
-/// Replays a specific schedule: after the prologue, fires workers in
-/// the order given by `schedule` (worker indices, 0-based); remaining
-/// enabled workers then run round-robin; the epilogue follows. Returns
-/// the failure trace, if the schedule hits one.
+/// Replays a specific schedule on a sealed candidate: after the
+/// prologue, fires workers in the order given by `schedule` (worker
+/// indices, 0-based); remaining enabled workers then run round-robin;
+/// the epilogue follows. Returns the failure trace, if the schedule
+/// hits one.
 ///
-/// Fully deterministic: the same lowered program, candidate and
-/// schedule always produce the same execution. A returned trace
-/// carries the workers *actually* fired as its own `schedule`, so it
-/// replays exactly even when the input schedule skipped disabled
-/// entries. Used by tests, counterexample double-checking and the
-/// schedule-bank prescreen ([`crate::ScheduleBank`]).
-pub fn replay(l: &Lowered, candidate: &Assignment, schedule: &[usize]) -> Option<CexTrace> {
-    replay_fp(l, candidate, schedule).0
-}
-
-/// As [`replay`], over an already-compiled candidate. Schedules and
-/// traces are identical to the interpreted replay's; only the step
-/// execution runs on the micro-op code.
+/// Fully deterministic: the same candidate and schedule always produce
+/// the same execution. A returned trace carries the workers *actually*
+/// fired as its own `schedule`, so it replays exactly even when the
+/// input schedule skipped disabled entries. Used by tests,
+/// counterexample double-checking and the schedule-bank prescreen
+/// ([`crate::ScheduleBank`]).
 pub fn replay_compiled(cp: &CompiledProgram, schedule: &[usize]) -> Option<CexTrace> {
     replay_fp_compiled(cp, schedule).0
 }
 
-/// As [`replay_fp`], over an already-compiled candidate.
+/// As [`replay_compiled`], additionally returning the fingerprint of
+/// the final state the execution reached (after the epilogue on clean
+/// runs, at the failing state otherwise). The fingerprint pins replay
+/// determinism in tests: two replays of one schedule must end in
+/// states that fingerprint identically.
 pub fn replay_fp_compiled(cp: &CompiledProgram, schedule: &[usize]) -> (Option<CexTrace>, u64) {
     replay_fp_with(&Checker::from_compiled(cp, false), schedule)
 }
@@ -320,19 +273,6 @@ pub fn replay_fp_compiled(cp: &CompiledProgram, schedule: &[usize]) -> (Option<C
 /// candidate.
 pub(crate) fn replay_with(ck: &Checker<'_>, schedule: &[usize]) -> Option<CexTrace> {
     replay_fp_with(ck, schedule).0
-}
-
-/// As [`replay`], additionally returning the fingerprint of the final
-/// state the execution reached (after the epilogue on clean runs, at
-/// the failing state otherwise). The fingerprint pins replay
-/// determinism in tests: two replays of one schedule must end in
-/// states that fingerprint identically.
-pub fn replay_fp(
-    l: &Lowered,
-    candidate: &Assignment,
-    schedule: &[usize],
-) -> (Option<CexTrace>, u64) {
-    replay_fp_with(&Checker::new(l, candidate), schedule)
 }
 
 fn replay_fp_with(ck: &Checker<'_>, schedule: &[usize]) -> (Option<CexTrace>, u64) {
@@ -439,25 +379,15 @@ fn replay_fp_with(ck: &Checker<'_>, schedule: &[usize]) -> (Option<CexTrace>, u6
     }
 }
 
-/// Runs one execution under a pseudo-random scheduler (uniform choice
-/// among enabled workers, seeded xorshift). Returns the failure trace
-/// if that schedule hits one.
+/// Runs one execution of a sealed candidate under a pseudo-random
+/// scheduler (uniform choice among enabled workers, seeded xorshift).
+/// Returns the failure trace if that schedule hits one.
 ///
 /// Cheap, *incomplete* verification: used by the hybrid strategy that
 /// samples schedules before paying for the exhaustive search. A `None`
 /// result says nothing about other interleavings.
-pub fn random_run(l: &Lowered, candidate: &Assignment, seed: u64) -> Option<CexTrace> {
-    random_run_with(&Checker::new(l, candidate), seed)
-}
-
-/// As [`random_run`], over an already-compiled candidate. The seeded
-/// scheduler and the resulting schedule are identical to the
-/// interpreted sampler's.
 pub fn random_run_compiled(cp: &CompiledProgram, seed: u64) -> Option<CexTrace> {
-    random_run_with(&Checker::from_compiled(cp, false), seed)
-}
-
-fn random_run_with(ck: &Checker<'_>, seed: u64) -> Option<CexTrace> {
+    let ck = Checker::from_compiled(cp, false);
     let l = ck.l;
     let mut rng = seed.wrapping_mul(0x9e3779b97f4a7c15).max(1);
     let mut next = move || {
@@ -542,10 +472,8 @@ fn random_run_with(ck: &Checker<'_>, seed: u64) -> Option<CexTrace> {
 
 pub(crate) struct Checker<'a> {
     pub(crate) l: &'a Lowered,
-    holes: &'a Assignment,
-    /// Segment table of the flat state. Shared by reference with the
-    /// sealed artifact (and every sibling engine) when built via
-    /// [`Checker::from_compiled`]; owned only on the interpreted path.
+    /// Segment table of the flat state, shared by reference with the
+    /// sealed artifact and every sibling engine.
     pub(crate) lay: Arc<StateLayout>,
     /// Words before the first worker record (globals + heap + allocs):
     /// hashed as one contiguous slice.
@@ -556,51 +484,30 @@ pub(crate) struct Checker<'a> {
     /// `live[w][pc]` = bitmask words of locals read at step >= pc.
     live: Arc<Vec<Vec<Vec<u64>>>>,
     /// Thread-symmetry classes (empty = identity canonicalization).
-    /// Only the search constructors ([`Checker::with_symmetry`])
-    /// populate this; replay and sampling always run symmetry-free so
-    /// recorded schedules and fingerprints stay engine-independent.
+    /// Only searches asking for the reduction populate this; replay
+    /// and sampling always run symmetry-free so recorded schedules and
+    /// fingerprints stay independent of it.
     sym: Arc<SymmetryClasses>,
-    /// Per-thread micro-op arrays when this checker runs a
-    /// [`CompiledProgram`] (`None` = interpret the `Rv`/`Op` trees).
-    /// Indexed by trace thread id, like `l`'s threads.
-    code: Option<&'a [Arc<ThreadCode>]>,
-    /// Candidate-sharpened POR tables borrowed from the artifact;
-    /// `run` uses these instead of building static tables.
-    por_pre: Option<&'a PorTable>,
+    /// The artifact's per-thread micro-op arrays, indexed by trace
+    /// thread id like `l`'s threads.
+    code: &'a [Arc<ThreadCode>],
+    /// The artifact's candidate-sharpened POR table (`None` outside the
+    /// 2..=64 worker range the reduction supports).
+    pub(crate) por: Option<&'a PorTable>,
 }
 
 pub(crate) type FireResult = Result<Vec<(ThreadId, usize)>, (Vec<(ThreadId, usize)>, Failure)>;
 
 impl<'a> Checker<'a> {
-    pub(crate) fn new(l: &'a Lowered, holes: &'a Assignment) -> Checker<'a> {
-        let lay = Arc::new(StateLayout::new(l));
-        let shared_len = lay.worker_off.first().copied().unwrap_or(lay.state_len());
-        let match_end = Arc::new(l.workers.iter().map(compute_match_end).collect());
-        let live = Arc::new(l.workers.iter().map(compute_liveness).collect());
-        Checker {
-            l,
-            holes,
-            lay,
-            shared_len,
-            match_end,
-            live,
-            sym: Arc::new(SymmetryClasses::default()),
-            code: None,
-            por_pre: None,
-        }
-    }
-
     /// A checker over a sealed [`CompiledProgram`]: the hot path runs
     /// the artifact's micro-op arrays, POR uses its candidate-sharpened
     /// masks, and the precomputed layout/liveness/symmetry analyses are
     /// shared by `Arc` — construction performs zero deep table copies.
-    /// Liveness and symmetry come from the *original* program, so
-    /// fingerprints, canonical vectors and state counts are bit-for-bit
-    /// the interpreted engine's.
+    /// `symmetry` selects the candidate's thread-symmetry classes
+    /// (searches) or identity canonicalization (replay, sampling).
     pub(crate) fn from_compiled(cp: &'a CompiledProgram<'a>, symmetry: bool) -> Checker<'a> {
         Checker {
             l: cp.program(),
-            holes: cp.assignment(),
             lay: Arc::clone(&cp.lay),
             shared_len: cp.shared_len,
             match_end: Arc::clone(&cp.match_end),
@@ -610,21 +517,9 @@ impl<'a> Checker<'a> {
             } else {
                 Arc::new(SymmetryClasses::default())
             },
-            code: Some(&cp.code),
-            por_pre: cp.por_table(),
+            code: &cp.code,
+            por: cp.por_table(),
         }
-    }
-
-    /// As [`Checker::new`], additionally computing the candidate's
-    /// thread-symmetry classes so fingerprints and canonical vectors
-    /// identify permutations of interchangeable workers. Used by the
-    /// search engines when [`SearchLimits::symmetry`] is on; replay
-    /// paths keep [`Checker::new`] so schedules and replay fingerprints
-    /// never depend on the reduction.
-    pub(crate) fn with_symmetry(l: &'a Lowered, holes: &'a Assignment) -> Checker<'a> {
-        let mut ck = Checker::new(l, holes);
-        ck.sym = Arc::new(symmetry_classes(l, holes));
-        ck
     }
 
     /// True when some workers are interchangeable (non-identity
@@ -661,62 +556,25 @@ impl<'a> Checker<'a> {
         worker + 1
     }
 
-    /// Evaluates the guard of step `ix` of thread `tid`: the
-    /// artifact's micro-op code when this checker is compiled, tree
-    /// interpretation otherwise. `tid` is the trace thread id (0 =
-    /// prologue, `w + 1` = worker `w`, `n + 1` = epilogue), which is
-    /// also the artifact's code index.
+    /// The compiled step `ix` of thread `tid` (the trace thread id: 0 =
+    /// prologue, `w + 1` = worker `w`, `n + 1` = epilogue, which is
+    /// also the artifact's code index).
     #[inline]
-    fn eval_guard(
-        &self,
-        tid: ThreadId,
-        ix: usize,
-        guard: &Rv,
-        buf: &StateBuf,
-        lb: usize,
-    ) -> EvalResult {
-        match self.code {
-            Some(code) => code[tid].steps[ix].guard.eval(buf, lb, &self.l.config),
-            None => eval_rv(guard, buf, &self.lay, lb, self.holes, self.l),
-        }
+    fn cstep(&self, tid: ThreadId, ix: usize) -> &'a CStep {
+        &self.code[tid].steps[ix]
     }
 
-    /// Evaluates the blocking condition of the `AtomicBegin` at step
-    /// `ix` of thread `tid` (see [`Checker::eval_guard`]).
-    #[inline]
-    fn eval_atomic_cond(
-        &self,
-        tid: ThreadId,
-        ix: usize,
-        cond: &Rv,
-        buf: &StateBuf,
-        lb: usize,
-    ) -> EvalResult {
-        match self.code {
-            Some(code) => match &code[tid].steps[ix].op {
-                COp::AtomicBegin(Some(c)) => c.eval(buf, lb, &self.l.config),
-                _ => unreachable!("source step is AtomicBegin(Some(_))"),
-            },
-            None => eval_rv(cond, buf, &self.lay, lb, self.holes, self.l),
-        }
-    }
-
-    /// Executes the operation of step `ix` of thread `tid` (see
-    /// [`Checker::eval_guard`]).
+    /// Executes the operation of step `ix` of thread `tid`.
     #[inline]
     fn exec_step(
         &self,
         tid: ThreadId,
         ix: usize,
-        op: &Op,
         buf: &mut StateBuf,
         lb: usize,
         j: &mut UndoJournal,
     ) -> Result<(), FailureKind> {
-        match self.code {
-            Some(code) => exec_cop(&code[tid].steps[ix].op, buf, lb, j, &self.l.config),
-            None => exec_op(op, buf, &self.lay, lb, j, self.holes, self.l),
-        }
+        exec_cop(&self.cstep(tid, ix).op, buf, lb, j, &self.l.config)
     }
 
     /// Runs a sequential phase (prologue/epilogue) to completion. The
@@ -748,11 +606,12 @@ impl<'a> Checker<'a> {
     ) -> FireResult {
         let mut steps = Vec::new();
         for (ix, step) in thread.steps.iter().enumerate() {
+            let cs = self.cstep(tid, ix);
             // On failure the failing step itself is appended to the
             // trace: the projection must replay the witness statement
             // at its observed position so that `fail(Sk_t[c])` fires
             // for the candidate that produced the trace.
-            let g = match self.eval_guard(tid, ix, &step.guard, buf, lb) {
+            let g = match cs.guard.eval(buf, lb, &self.l.config) {
                 Ok(v) => v != 0,
                 Err(kind) => {
                     steps.push((tid, ix));
@@ -770,8 +629,8 @@ impl<'a> Checker<'a> {
             if !g {
                 continue;
             }
-            if let Op::AtomicBegin(Some(cond)) = &step.op {
-                let c = match self.eval_atomic_cond(tid, ix, cond, buf, lb) {
+            if let COp::AtomicBegin(Some(cond)) = &cs.op {
+                let c = match cond.eval(buf, lb, &self.l.config) {
                     Ok(v) => v != 0,
                     Err(kind) => {
                         steps.push((tid, ix));
@@ -799,7 +658,7 @@ impl<'a> Checker<'a> {
                     ));
                 }
             }
-            if let Err(kind) = self.exec_step(tid, ix, &step.op, buf, lb, j) {
+            if let Err(kind) = exec_cop(&cs.op, buf, lb, j, &self.l.config) {
                 steps.push((tid, ix));
                 return Err((
                     steps,
@@ -828,7 +687,9 @@ impl<'a> Checker<'a> {
                 return Ok(executed);
             };
             let g = self
-                .eval_guard(tid, pc, &step.guard, buf, lb)
+                .cstep(tid, pc)
+                .guard
+                .eval(buf, lb, &self.l.config)
                 .map_err(|kind| {
                     let mut with_witness = executed.clone();
                     with_witness.push((tid, pc));
@@ -849,20 +710,19 @@ impl<'a> Checker<'a> {
             if step.shared || !self.l.config.reduce_local_steps {
                 return Ok(executed);
             }
-            self.exec_step(tid, pc, &step.op, buf, lb, j)
-                .map_err(|kind| {
-                    let mut with_witness = executed.clone();
-                    with_witness.push((tid, pc));
-                    (
-                        with_witness,
-                        Failure {
-                            kind,
-                            tid,
-                            step: pc,
-                            span: step.span,
-                        },
-                    )
-                })?;
+            self.exec_step(tid, pc, buf, lb, j).map_err(|kind| {
+                let mut with_witness = executed.clone();
+                with_witness.push((tid, pc));
+                (
+                    with_witness,
+                    Failure {
+                        kind,
+                        tid,
+                        step: pc,
+                        span: step.span,
+                    },
+                )
+            })?;
             executed.push((tid, pc));
             self.set_pc(buf, w, pc + 1, j);
         }
@@ -917,16 +777,9 @@ impl<'a> Checker<'a> {
             return false;
         }
         let pc = self.pc(buf, w);
-        let step = &self.l.workers[w].steps[pc];
-        match &step.op {
-            Op::AtomicBegin(Some(cond)) => matches!(
-                self.eval_atomic_cond(
-                    self.trace_tid(w),
-                    pc,
-                    cond,
-                    buf,
-                    self.lay.worker_locals(w)
-                ),
+        match &self.cstep(self.trace_tid(w), pc).op {
+            COp::AtomicBegin(Some(cond)) => matches!(
+                cond.eval(buf, self.lay.worker_locals(w), &self.l.config),
                 Ok(v) if v != 0
             ),
             _ => true,
@@ -961,14 +814,15 @@ impl<'a> Checker<'a> {
                 executed.push((tid, pc));
                 let end = self.match_end[w][pc];
                 for ix in pc + 1..end {
-                    let s = &thread.steps[ix];
                     let g = self
-                        .eval_guard(tid, ix, &s.guard, buf, lb)
+                        .cstep(tid, ix)
+                        .guard
+                        .eval(buf, lb, &self.l.config)
                         .map_err(|k| fail(executed.clone(), k, ix))?;
                     if g == 0 {
                         continue;
                     }
-                    self.exec_step(tid, ix, &s.op, buf, lb, j)
+                    self.exec_step(tid, ix, buf, lb, j)
                         .map_err(|k| fail(executed.clone(), k, ix))?;
                     executed.push((tid, ix));
                 }
@@ -976,7 +830,7 @@ impl<'a> Checker<'a> {
                 self.set_pc(buf, w, end + 1, j);
             }
             _ => {
-                self.exec_step(tid, pc, &step.op, buf, lb, j)
+                self.exec_step(tid, pc, buf, lb, j)
                     .map_err(|k| fail(executed.clone(), k, pc))?;
                 executed.push((tid, pc));
                 self.set_pc(buf, w, pc + 1, j);
@@ -1241,11 +1095,8 @@ impl<'a> Checker<'a> {
                 pre.extend(steps);
                 // The root state is permanent: nothing undoes past it.
                 j.reset();
-                let wants = self.wants_por(limits);
-                let owned_por = (wants && self.por_pre.is_none()).then(|| PorTable::new(self.l));
-                stats.table_clones += u64::from(owned_por.is_some());
-                let por = if wants {
-                    self.por_pre.or(owned_por.as_ref())
+                let por = if self.wants_por(limits) {
+                    self.por
                 } else {
                     None
                 };
@@ -1841,7 +1692,8 @@ mod tests {
         // The trace carries its exact transition-level schedule:
         // replaying it must reproduce the identical execution.
         let order: Vec<usize> = cex.schedule.iter().map(|&w| w as usize).collect();
-        let replayed = replay(&l, &a, &order).expect("replay fails too");
+        let cp = CompiledProgram::compile(&l, &a);
+        let replayed = replay_compiled(&cp, &order).expect("replay fails too");
         assert_eq!(replayed.failure.kind, cex.failure.kind);
         assert_eq!(replayed.failure.tid, cex.failure.tid);
         assert_eq!(replayed.steps, cex.steps, "replay must be exact");
@@ -1914,7 +1766,7 @@ mod tests {
                 symmetry: false,
                 ..SearchLimits::default()
             };
-            let new = check_with_limits(&l, &a, &nosym);
+            let new = check_compiled(&CompiledProgram::compile(&l, &a), &nosym);
             let old = crate::reference::check_ref(&l, &a);
             assert_eq!(new.is_ok(), old.is_ok(), "verdict differs on {src}");
             assert_eq!(new.stats.states, old.stats.states, "states differ");
@@ -1980,18 +1832,18 @@ mod tests {
                  fork (i; 3) { g = g + 1; g = g + 1; }
              }",
         );
-        let a = l.holes.identity_assignment();
+        let cp = CompiledProgram::compile(&l, &l.holes.identity_assignment());
         let past = SearchLimits {
             deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
             ..SearchLimits::default()
         };
-        let out = check_with_limits(&l, &a, &past);
+        let out = check_compiled(&cp, &past);
         assert!(matches!(out.verdict, Verdict::Unknown(Interrupt::Deadline)));
         let cancelled = SearchLimits {
             cancel: Some(Arc::new(AtomicBool::new(true))),
             ..SearchLimits::default()
         };
-        let out = check_with_limits(&l, &a, &cancelled);
+        let out = check_compiled(&cp, &cancelled);
         assert!(matches!(
             out.verdict,
             Verdict::Unknown(Interrupt::Cancelled)
@@ -2057,8 +1909,8 @@ mod tests {
                  assert g >= 1;
              }",
         );
-        let a = l.holes.identity_assignment();
-        let ck = Checker::with_symmetry(&l, &a);
+        let cp = CompiledProgram::compile(&l, &l.holes.identity_assignment());
+        let ck = Checker::from_compiled(&cp, true);
         assert!(ck.has_symmetry(), "fork of one body must be symmetric");
         let mut buf = ck.initial_buf();
         let mut j = UndoJournal::new();
@@ -2079,7 +1931,7 @@ mod tests {
             ck.materialize_canonical(&permuted),
             "symmetric permutation must share one canonical vector"
         );
-        let plain = Checker::new(&l, &a);
+        let plain = Checker::from_compiled(&cp, false);
         assert_ne!(
             plain.fingerprint_state(&buf),
             plain.fingerprint_state(&permuted),
@@ -2099,11 +1951,11 @@ mod tests {
                  assert owner >= 1;
              }",
         );
-        let a = l.holes.identity_assignment();
-        let ck = Checker::with_symmetry(&l, &a);
+        let cp = CompiledProgram::compile(&l, &l.holes.identity_assignment());
+        let ck = Checker::from_compiled(&cp, true);
         assert!(!ck.has_symmetry(), "pid() write must break symmetry");
         let buf = ck.initial_buf();
-        let plain = Checker::new(&l, &a);
+        let plain = Checker::from_compiled(&cp, false);
         assert_eq!(ck.fingerprint_state(&buf), plain.fingerprint_state(&buf));
         assert_eq!(
             ck.materialize_canonical(&buf),
@@ -2120,11 +1972,10 @@ mod tests {
                  assert g >= 1;
              }",
         );
-        let a = l.holes.identity_assignment();
-        let on = check_with_limits(&l, &a, &SearchLimits::default());
-        let off = check_with_limits(
-            &l,
-            &a,
+        let cp = CompiledProgram::compile(&l, &l.holes.identity_assignment());
+        let on = check_compiled(&cp, &SearchLimits::default());
+        let off = check_compiled(
+            &cp,
             &SearchLimits {
                 symmetry: false,
                 ..SearchLimits::default()

@@ -1,18 +1,27 @@
-//! The compile-once candidate layer.
+//! The sealed candidate: the only input a checker runs on.
 //!
-//! Every engine in this crate used to pay for a candidate on each use:
-//! tree-walking `Rv`/`Op` with a hole-table lookup per `eval_rv` call,
-//! candidate-independent POR footprints, and a fresh analysis pass
-//! (layout, liveness, symmetry) per `Checker::new`. A
-//! [`CompiledProgram`] seals one `(Lowered, Assignment)` pair into a
-//! shared execution artifact instead:
+//! A [`CompiledProgram`] seals one `(Lowered, Assignment)` pair into a
+//! shared execution artifact. The sequential DFS, the parallel search,
+//! replay, sampling and the schedule-bank prescreen all build their
+//! checker from it with `Checker::from_compiled`:
 //!
-//! - holes are substituted and folded *at emit time*: one walk over
-//!   the original trees streams micro-ops out while resolving holes
-//!   and folding constants in place (mirroring the whole-program
-//!   [`psketch_ir::specialize`] oracle's fold rules case for case), so
-//!   neither a substituted tree nor a specialized `Lowered` is ever
-//!   materialized;
+//! - holes are substituted and constants folded *at emit time*: one
+//!   walk over the original trees streams micro-ops out while
+//!   resolving holes and folding in place, so neither a substituted
+//!   tree nor a specialized `Lowered` is ever materialized. The fold
+//!   is exact with respect to the step semantics, laziness included:
+//!   - const ∘ const folds through the lowering's wrapping arithmetic
+//!     (`Div`/`Mod` by zero are left unfolded);
+//!   - `0 && b` folds to `0` and `c || b` (c ≠ 0) to `1` — `b` is never
+//!     demanded there, so dropping it cannot suppress a failure;
+//!   - `c && b` (c ≠ 0) and `0 || b` fold to `b` normalized to 0/1;
+//!   - `?:` with a constant condition folds to the demanded branch;
+//!   - everything else — in particular `a && 0` with non-constant `a`
+//!     — is emitted unchanged, because evaluating `a` may fail.
+//!
+//!   Step structure is untouched (same step counts and indices, same
+//!   spans, each step's original `shared` flag), so pcs, scheduling
+//!   points and trace step indices are those of the lowered program;
 //! - each thread's step list is flattened into dense pc-indexed
 //!   micro-op arrays ([`Ins`]): a tiny stack machine with short-circuit
 //!   jumps, no tree recursion and no hole table on the hot path;
@@ -27,14 +36,14 @@
 //!   built on first diagnostic use, shared across the reseal family —
 //!   and surfaced via [`CompiledProgram::footprint_refines_static`]);
 //! - thread-symmetry classes and per-worker liveness masks are
-//!   computed from the *original* program, so compiled fingerprints,
-//!   canonical vectors and state counts are bit-for-bit those of the
-//!   interpreted engine — and they are computed *lazily*, on the
-//!   first checker construction that needs them: sealing a candidate
-//!   never pays for them, candidates rejected by replay prescreening
-//!   never build symmetry classes at all, and the
-//!   candidate-independent liveness masks are shared across the whole
-//!   reseal family;
+//!   computed from the original program — the liveness masks are the
+//!   ones the reference engine masks dead locals with, so with both
+//!   reductions off a search visits exactly the reference engine's
+//!   states. Both are computed *lazily*, on the first checker
+//!   construction that needs them: sealing a candidate never pays for
+//!   them, candidates rejected by replay prescreening never build
+//!   symmetry classes at all, and the candidate-independent liveness
+//!   masks are shared across the whole reseal family;
 //! - every shared table (layout, liveness, match-end, symmetry, POR,
 //!   per-thread code) lives behind an [`Arc`], so engines built from
 //!   the artifact — and clones of the artifact itself — pay zero deep
@@ -44,22 +53,19 @@
 //!   their micro-op arrays and footprints over by reference, dirty
 //!   threads re-emit only the steps that reference a changed hole
 //!   (the rest bump their `Arc`ed instruction arrays), and identical
-//!   recomputed footprints carry the POR table over too — the CEGIS
-//!   loop's common case (a CDCL model nudging a few holes) costs a
-//!   fraction of a fresh seal.
+//!   recomputed footprints carry the POR table over too.
 //!
-//! The sequential DFS, the parallel engine, replay, sampling and the
-//! schedule-bank prescreen all consume the same artifact via
-//! `Checker::from_compiled`; [`crate::reference`] stays the uncompiled
-//! oracle.
+//! [`crate::reference`] shares none of this code: it interprets the
+//! original trees against a hole table, which makes it an independent
+//! oracle for the whole layer.
 
 use crate::checker::{compute_liveness, compute_match_end};
 use crate::por::PorTable;
 use crate::store::{EvalResult, FailureKind, StateBuf, StateLayout, UndoJournal};
 use psketch_ir::symmetry::{symmetry_classes, SymmetryClasses};
 use psketch_ir::{
-    boolean_result, fold_const_binop, fold_const_unop, step_holes, thread_footprints_sharpened,
-    Assignment, Footprint, HoleId, Lowered, Lv, Op, Rv, Thread,
+    fold_const_binop, fold_const_unop, step_holes, thread_footprints_sharpened, Assignment,
+    Footprint, HoleId, Lowered, Lv, Op, Rv, Thread,
 };
 use psketch_lang::ast::{BinOp, UnOp};
 use std::sync::{Arc, OnceLock};
@@ -144,8 +150,10 @@ pub(crate) struct Code {
 }
 
 impl Code {
-    /// Evaluates the code against the current state. Mirrors
-    /// `store::eval_rv` exactly, failure for failure.
+    /// Evaluates the code against the current state. `&&`/`||`/`?:`
+    /// are lazy, so memory failures in undemanded subexpressions do
+    /// not fire — matching the symbolic evaluator's demand-conditioned
+    /// failures.
     #[inline]
     pub(crate) fn eval(
         &self,
@@ -399,7 +407,6 @@ pub(crate) struct ThreadCode {
 }
 
 /// Resolves a compiled write destination to its flat buffer offset.
-/// Mirrors `store::resolve_lv` exactly.
 fn resolve_clv(
     lv: &CLv,
     buf: &StateBuf,
@@ -444,9 +451,8 @@ fn resolve_clv(
 }
 
 /// Executes one compiled operation (guard already known true),
-/// journaling every write. Mirrors `store::exec_op` operation for
-/// operation, in the same evaluation order, so failures and journal
-/// contents are identical to the interpreted engine's.
+/// journaling every write. `AtomicBegin`/`AtomicEnd` are no-ops here;
+/// the checker interprets them for scheduling.
 pub(crate) fn exec_cop(
     op: &COp,
     buf: &mut StateBuf,
@@ -506,7 +512,7 @@ pub(crate) fn exec_cop(
                 buf.set(base + fid, default, j);
             }
             // Evaluate overrides before publishing the reference (they
-            // see the freshly written defaults, as in the interpreter).
+            // see the freshly written defaults).
             let mut vals = Vec::with_capacity(inits.len());
             for (fid, rv) in inits.iter() {
                 vals.push((*fid, rv.eval(buf, lb, config)?));
@@ -551,19 +557,16 @@ fn field_ins(sid: usize, fid: usize, l: &Lowered, lay: &StateLayout) -> Ins {
 /// deferral is what makes short-circuit pruning and constant binops
 /// free), or an expression whose instructions are already in `out`,
 /// tagged with the stack depth its folded tree needs and whether its
-/// folded top node already yields 0/1 (the shapes `normalize_bool`
-/// passes through unchanged).
+/// folded top node already yields 0/1 (the shapes
+/// [`emit_normalized_bool`] passes through unchanged).
 enum Folded {
     Const(i64),
     Expr { depth: u32, boolean: bool },
 }
 
 /// Emits `rv`'s micro-ops with holes resolved and constants folded in
-/// stream: the instructions pushed to `out` are exactly those
-/// [`emit_rv`] would produce for the substituted-and-folded tree, but
-/// that tree is never materialized. Mirrors `fold_rv` (the folder
-/// behind the whole-program [`psketch_ir::specialize`] oracle) case
-/// for case; the oracle test holds the two in lockstep.
+/// stream, following the fold rules in the module docs: the
+/// substituted-and-folded tree is never materialized.
 fn emit_fold(
     rv: &Rv,
     holes: &Assignment,
@@ -674,14 +677,13 @@ fn emit_fold(
             let va = emit_fold(a, holes, l, lay, out);
             let mark = out.len();
             let vb = emit_fold(b, holes, l, lay, out);
-            let boolean = boolean_result(*op);
+            let boolean = op.is_boolean_result();
             match (va, vb) {
                 (Folded::Const(x), Folded::Const(y)) => {
                     match fold_const_binop(*op, x, y, &l.config) {
                         Some(v) => Folded::Const(v),
-                        // Unfoldable (division by zero): left to fail
-                        // at run time, exactly as the oracle compiles
-                        // the unfolded constant pair.
+                        // Unfoldable (division by zero): the constant
+                        // pair is emitted and left to the run time.
                         None => {
                             out.push(Ins::Const(x));
                             out.push(Ins::Const(y));
@@ -757,10 +759,10 @@ fn emit_fold_operand(
     }
 }
 
-/// `normalize_bool` over the folded right operand of an `&&`/`||`
-/// whose left folded to a constant, streamed: constants collapse to
-/// 0/1, expressions already producing 0/1 pass through, anything else
-/// gets a `!= 0` appended.
+/// Normalizes the folded right operand of an `&&`/`||` whose left
+/// folded to a constant to 0/1, as the evaluated `&&`/`||` would:
+/// constants collapse to 0/1, expressions already producing 0/1 pass
+/// through, anything else gets a `!= 0` appended.
 fn emit_normalized_bool(
     b: &Rv,
     holes: &Assignment,
@@ -806,10 +808,8 @@ fn insert_before(out: &mut Vec<Ins>, at: usize, ins: Ins) {
 }
 
 /// Compiles one expression to a [`Code`], resolving holes and folding
-/// constants in stream — producing exactly the `Code` that compiling
-/// the substituted-and-folded tree would: same instructions, same
-/// `max_stack`, same `const_val`. `scratch` is a reusable emission
-/// buffer (cleared here) so per-expression allocation is exactly one
+/// constants in stream. `scratch` is a reusable emission buffer
+/// (cleared here) so per-expression allocation is exactly one
 /// right-sized `Arc<[Ins]>`.
 fn compile_code_folded(
     rv: &Rv,
@@ -833,7 +833,7 @@ fn compile_code_folded(
 
 /// Compiles an l-value with emit-time hole substitution in the index
 /// and object expressions (the only l-value positions holes can
-/// occupy), mirroring `fold_lv`.
+/// occupy).
 fn compile_lv_folded(
     lv: &Lv,
     holes: &Assignment,
@@ -868,7 +868,7 @@ fn compile_lv_folded(
 }
 
 /// Compiles an operation with emit-time hole substitution in every
-/// r-value and l-value position, mirroring `fold_op`.
+/// r-value and l-value position.
 fn compile_op_folded(
     op: &Op,
     holes: &Assignment,
@@ -922,9 +922,7 @@ fn compile_op_folded(
 
 /// Compiles one thread's step list through the streaming folder.
 /// Every step — hole-bearing or not — goes through the same
-/// fold-as-you-emit walk, so the emitted code is identical to what
-/// compiling the materialized specialized program would produce,
-/// without ever cloning the `Lowered`.
+/// fold-as-you-emit walk, without ever cloning the `Lowered`.
 fn compile_thread(t: &Thread, l: &Lowered, lay: &StateLayout, holes: &Assignment) -> ThreadCode {
     let mut scratch: Vec<Ins> = Vec::new();
     ThreadCode {
@@ -1033,9 +1031,8 @@ pub struct CompiledProgram<'l> {
     /// The original (hole-bearing) program the artifact was sealed
     /// from. Kept borrowed: emit-time substitution never materializes
     /// a specialized copy. Trees are used for control decisions (step
-    /// structure, `shared` flags, spans); the hot path runs the
-    /// micro-op code, and any tree evaluation resolves holes through
-    /// `holes`.
+    /// structure, `shared` flags, spans); every evaluation runs the
+    /// micro-op code.
     l: &'l Lowered,
     /// The candidate this artifact was compiled from.
     holes: Assignment,
@@ -1047,8 +1044,8 @@ pub struct CompiledProgram<'l> {
     /// (candidate-independent: substitution preserves op kinds).
     pub(crate) match_end: Arc<Vec<Vec<usize>>>,
     /// Per-worker liveness masks, computed from the *original* program
-    /// so compiled fingerprints and state counts match the interpreted
-    /// engine's exactly. Lazy and candidate-independent: built on the
+    /// so fingerprints and state counts match the reference engine's
+    /// exactly. Lazy and candidate-independent: built on the
     /// first checker construction and shared across the whole reseal
     /// family through the cell, so sealing a candidate never pays for
     /// it and no artifact recomputes it after any family member has.
@@ -1413,105 +1410,315 @@ mod tests {
         lower_program(&sk, holes, &cfg).unwrap()
     }
 
-    fn eval_both(rv: &Rv, l: &Lowered) -> (EvalResult, EvalResult) {
-        let lay = StateLayout::new(l);
-        let mut buf = StateBuf::initial(&lay, l);
-        let lb = buf.push_scratch(4);
-        let holes = l.holes.identity_assignment();
-        let interp = crate::store::eval_rv(rv, &buf, &lay, lb, &holes, l);
-        let code = compile_code_folded(rv, &holes, l, &lay, &mut Vec::new());
-        let compiled = code.eval(&buf, lb, &l.config);
-        (interp, compiled)
+    fn b(rv: Rv) -> Box<Rv> {
+        Box::new(rv)
     }
 
-    #[test]
-    fn compiled_expressions_match_interpreter() {
-        let l = lowered("int g = 5; int[3] a; struct N { int v = 2; } harness void main() { }");
-        let deref_null = Rv::Field {
+    /// `null.v` for the first struct pool.
+    fn deref_null() -> Rv {
+        Rv::Field {
             sid: 0,
             fid: 0,
-            obj: Box::new(Rv::Const(0)),
-        };
+            obj: b(Rv::Const(0)),
+        }
+    }
+
+    /// A buffer with `nlocals` scratch locals pushed, plus the pieces
+    /// every evaluator test needs.
+    fn scratch_state(l: &Lowered, nlocals: usize) -> (StateLayout, StateBuf, usize) {
+        let lay = StateLayout::new(l);
+        let mut buf = StateBuf::initial(&lay, l);
+        let lb = buf.push_scratch(nlocals);
+        (lay, buf, lb)
+    }
+
+    /// Seals `rv` under `l`'s identity candidate.
+    fn code(rv: &Rv, l: &Lowered, lay: &StateLayout) -> Code {
+        compile_code_folded(rv, &l.holes.identity_assignment(), l, lay, &mut Vec::new())
+    }
+
+    /// Seals `op` under `l`'s identity candidate.
+    fn cop(op: &Op, l: &Lowered, lay: &StateLayout) -> COp {
+        compile_op_folded(op, &l.holes.identity_assignment(), l, lay, &mut Vec::new())
+    }
+
+    /// Seals `rv` and evaluates it on `l`'s initial state.
+    fn eval(rv: &Rv, l: &Lowered) -> EvalResult {
+        let (lay, buf, lb) = scratch_state(l, 4);
+        code(rv, l, &lay).eval(&buf, lb, &l.config)
+    }
+
+    #[test]
+    fn expressions_evaluate_to_expected_values() {
+        // Globals: g = 5 at 0, a[3] at 1..=3; ints are 8 bits wide.
+        let l = lowered("int g = 5; int[3] a; struct N { int v = 2; } harness void main() { }");
         let cases = vec![
-            Rv::Const(7),
-            Rv::Global(0),
-            Rv::Binary(
-                BinOp::Add,
-                Box::new(Rv::Global(0)),
-                Box::new(Rv::Const(100)),
+            (Rv::Const(7), Ok(7)),
+            (Rv::Global(0), Ok(5)),
+            (
+                Rv::Binary(BinOp::Add, b(Rv::Global(0)), b(Rv::Const(100))),
+                Ok(105),
             ),
-            Rv::Binary(
-                BinOp::And,
-                Box::new(Rv::Const(0)),
-                Box::new(deref_null.clone()),
+            (
+                Rv::Binary(BinOp::And, b(Rv::Const(0)), b(deref_null())),
+                Ok(0),
             ),
-            Rv::Binary(
-                BinOp::Or,
-                Box::new(Rv::Const(1)),
-                Box::new(deref_null.clone()),
+            (
+                Rv::Binary(BinOp::Or, b(Rv::Const(1)), b(deref_null())),
+                Ok(1),
             ),
-            Rv::Binary(BinOp::And, Box::new(Rv::Global(0)), Box::new(Rv::Global(0))),
-            deref_null.clone(),
-            Rv::GlobalDyn {
-                base: 1,
-                len: 3,
-                ix: Box::new(Rv::Const(5)),
-            },
-            Rv::GlobalDyn {
-                base: 1,
-                len: 3,
-                ix: Box::new(Rv::Const(-1)),
-            },
-            Rv::Ite(
-                Box::new(Rv::Global(0)),
-                Box::new(Rv::Const(10)),
-                Box::new(deref_null),
+            (
+                Rv::Binary(BinOp::And, b(Rv::Global(0)), b(Rv::Global(0))),
+                Ok(1),
             ),
-            Rv::Unary(UnOp::Not, Box::new(Rv::Global(0))),
-            Rv::Unary(UnOp::Neg, Box::new(Rv::Const(i64::from(i8::MIN)))),
-            Rv::Binary(BinOp::Mod, Box::new(Rv::Const(7)), Box::new(Rv::Const(3))),
+            (deref_null(), Err(FailureKind::NullDeref)),
+            (
+                Rv::GlobalDyn {
+                    base: 1,
+                    len: 3,
+                    ix: b(Rv::Const(5)),
+                },
+                Err(FailureKind::OutOfBounds),
+            ),
+            (
+                Rv::GlobalDyn {
+                    base: 1,
+                    len: 3,
+                    ix: b(Rv::Const(-1)),
+                },
+                Err(FailureKind::OutOfBounds),
+            ),
+            (
+                Rv::Ite(b(Rv::Global(0)), b(Rv::Const(10)), b(deref_null())),
+                Ok(10),
+            ),
+            (Rv::Unary(UnOp::Not, b(Rv::Global(0))), Ok(0)),
+            (
+                Rv::Unary(UnOp::Neg, b(Rv::Const(i64::from(i8::MIN)))),
+                Ok(i64::from(i8::MIN)),
+            ),
+            (
+                Rv::Binary(BinOp::Mod, b(Rv::Const(7)), b(Rv::Const(3))),
+                Ok(1),
+            ),
         ];
-        for rv in cases {
-            let (interp, compiled) = eval_both(&rv, &l);
-            assert_eq!(interp, compiled, "divergence on {rv:?}");
+        for (rv, want) in cases {
+            assert_eq!(eval(&rv, &l), want, "on {rv:?}");
         }
     }
 
     #[test]
-    fn emit_time_substitution_matches_specialize_oracle() {
-        // Compiling the original program with per-step emit-time
-        // substitution must produce exactly the micro-op code and POR
-        // masks that compiling the materialized specialized program
-        // would — `specialize` stays as the oracle.
-        let l = lowered(
-            "int[4] a; int g;
-             harness void main() {
-                 int x = ??(3);
-                 fork (i; 2) {
-                     int k = ??(2);
-                     a[k + i] = g + x;
-                     if (x == 1) { g = 2; }
-                 }
-                 assert g >= ??(2);
-             }",
-        );
-        let n = l.holes.num_holes();
-        for seed in 0..3u64 {
-            let cand = Assignment::from_values((0..n).map(|h| (seed + h as u64) % 2).collect());
-            let cp = CompiledProgram::compile(&l, &cand);
-            let spec = psketch_ir::specialize(&l, &cand);
-            let none = Assignment::from_values(vec![0; n]);
-            let cps = CompiledProgram::compile(&spec, &none);
-            assert_eq!(cp.code.len(), cps.code.len());
-            for (tid, (a, b)) in cp.code.iter().zip(&cps.code).enumerate() {
-                assert_eq!(**a, **b, "thread {tid} code diverges from oracle");
-            }
-            match (cp.por_table(), cps.por_table()) {
-                (Some(a), Some(b)) => assert_eq!(*a, *b, "POR masks diverge from oracle"),
-                (None, None) => {}
-                _ => panic!("POR presence diverges from oracle"),
-            }
+    fn lazy_and_suppresses_null_deref() {
+        let l = lowered("struct N { int v; } int z; harness void main() { }");
+        assert_eq!(eval(&deref_null(), &l), Err(FailureKind::NullDeref));
+        // false && null.v / true || null.v: folded away when the left
+        // side is a constant, short-circuited at run time otherwise.
+        for (left_false, left_true) in [
+            (Rv::Const(0), Rv::Const(1)),
+            (Rv::Global(0), Rv::Unary(UnOp::Not, b(Rv::Global(0)))),
+        ] {
+            let guarded = Rv::Binary(BinOp::And, b(left_false), b(deref_null()));
+            assert_eq!(eval(&guarded, &l), Ok(0), "{guarded:?}");
+            let guarded_or = Rv::Binary(BinOp::Or, b(left_true), b(deref_null()));
+            assert_eq!(eval(&guarded_or, &l), Ok(1), "{guarded_or:?}");
         }
+    }
+
+    #[test]
+    fn arithmetic_wraps_at_width() {
+        let l = lowered("int g = 127; harness void main() { }");
+        for left in [Rv::Const(127), Rv::Global(0)] {
+            let add = Rv::Binary(BinOp::Add, b(left), b(Rv::Const(1)));
+            assert_eq!(eval(&add, &l), Ok(-128), "{add:?}");
+        }
+    }
+
+    #[test]
+    fn out_of_bounds_detected() {
+        let l = lowered("int[4] a; harness void main() { }");
+        for ix in [4, -1] {
+            let read = Rv::GlobalDyn {
+                base: 0,
+                len: 4,
+                ix: b(Rv::Const(ix)),
+            };
+            assert_eq!(eval(&read, &l), Err(FailureKind::OutOfBounds), "a[{ix}]");
+        }
+    }
+
+    #[test]
+    fn alloc_initializes_and_exhausts() {
+        let l = lowered("struct N { int v = 9; N next; } harness void main() { }");
+        let (lay, mut buf, lb) = scratch_state(&l, 1);
+        let mut j = UndoJournal::new();
+        let op = cop(
+            &Op::Alloc {
+                dst: Lv::Local(0),
+                sid: 0,
+                inits: vec![(0, Rv::Const(5))],
+            },
+            &l,
+            &lay,
+        );
+        for k in 0..l.config.pool {
+            exec_cop(&op, &mut buf, lb, &mut j, &l.config).unwrap();
+            assert_eq!(buf.get(lb), (k + 1) as i64);
+        }
+        // v overridden to 5, default for next is 0.
+        assert_eq!(buf.get(lay.heap_cell(0, 0)), 5);
+        assert_eq!(buf.get(lay.heap_cell(0, 1)), 0);
+        assert_eq!(
+            exec_cop(&op, &mut buf, lb, &mut j, &l.config),
+            Err(FailureKind::PoolExhausted)
+        );
+    }
+
+    #[test]
+    fn swap_cas_fetchadd_semantics() {
+        let l = lowered("int g = 3; harness void main() { }");
+        let (lay, mut buf, lb) = scratch_state(&l, 1);
+        let mut j = UndoJournal::new();
+        let mut run = |op: Op, buf: &mut StateBuf| {
+            exec_cop(&cop(&op, &l, &lay), buf, lb, &mut j, &l.config).unwrap()
+        };
+        run(
+            Op::Swap {
+                dst: Lv::Local(0),
+                loc: Lv::Global(0),
+                val: Rv::Const(10),
+            },
+            &mut buf,
+        );
+        assert_eq!((buf.get(lb), buf.get(0)), (3, 10));
+
+        run(
+            Op::Cas {
+                dst: Lv::Local(0),
+                loc: Lv::Global(0),
+                old: Rv::Const(10),
+                new: Rv::Const(11),
+            },
+            &mut buf,
+        );
+        assert_eq!((buf.get(lb), buf.get(0)), (1, 11));
+
+        run(
+            Op::Cas {
+                dst: Lv::Local(0),
+                loc: Lv::Global(0),
+                old: Rv::Const(10),
+                new: Rv::Const(12),
+            },
+            &mut buf,
+        );
+        assert_eq!((buf.get(lb), buf.get(0)), (0, 11));
+
+        run(
+            Op::FetchAdd {
+                dst: Lv::Local(0),
+                loc: Lv::Global(0),
+                delta: -1,
+            },
+            &mut buf,
+        );
+        assert_eq!((buf.get(lb), buf.get(0)), (11, 10));
+    }
+
+    #[test]
+    fn undo_restores_exact_prior_state() {
+        let l = lowered("int g = 3; int h; harness void main() { }");
+        let lay = StateLayout::new(&l);
+        let mut buf = StateBuf::initial(&lay, &l);
+        let mut j = UndoJournal::new();
+        let before = buf.clone();
+        let mark = j.mark();
+        // A swap writes two cells; a second op overwrites one again.
+        let lb = buf.push_scratch(1);
+        let swap = Op::Swap {
+            dst: Lv::Global(1),
+            loc: Lv::Global(0),
+            val: Rv::Const(10),
+        };
+        let assign = Op::Assign(Lv::Global(0), Rv::Const(99));
+        for op in [swap, assign] {
+            exec_cop(&cop(&op, &l, &lay), &mut buf, lb, &mut j, &l.config).unwrap();
+        }
+        buf.pop_scratch(lb);
+        assert_ne!(buf, before);
+        j.undo_to(mark, &mut buf);
+        assert_eq!(buf, before, "undo must restore the exact prior state");
+        assert_eq!(j.total_writes(), 3, "all live writes were journaled");
+    }
+
+    #[test]
+    fn scratch_writes_are_not_journaled() {
+        let l = lowered("int g; harness void main() { }");
+        let lay = StateLayout::new(&l);
+        let mut buf = StateBuf::initial(&lay, &l);
+        let mut j = UndoJournal::new();
+        let lb = buf.push_scratch(2);
+        let mark = j.mark();
+        let op = cop(&Op::Assign(Lv::Local(0), Rv::Const(7)), &l, &lay);
+        exec_cop(&op, &mut buf, lb, &mut j, &l.config).unwrap();
+        assert_eq!(j.mark(), mark, "scratch write journaled nothing");
+        assert_eq!(j.total_writes(), 0);
+        buf.pop_scratch(lb);
+        // Undoing past the scratch phase is a no-op and must not touch
+        // out-of-range offsets.
+        j.undo_to(mark, &mut buf);
+        assert_eq!(buf.get(0), 0);
+    }
+
+    #[test]
+    fn folding_preserves_lazy_failure_semantics() {
+        let l = lowered("struct N { int v; } harness void main() { }");
+        let lay = StateLayout::new(&l);
+        // 0 && null.v folds to 0: the deref is never demanded.
+        let lazy = Rv::Binary(BinOp::And, b(Rv::Const(0)), b(deref_null()));
+        assert_eq!(code(&lazy, &l, &lay).const_val, Some(0));
+        // null.v && 0 must not fold: the left side is evaluated first
+        // and fails.
+        let strict = Rv::Binary(BinOp::And, b(deref_null()), b(Rv::Const(0)));
+        assert_eq!(code(&strict, &l, &lay).const_val, None);
+        assert_eq!(eval(&strict, &l), Err(FailureKind::NullDeref));
+        // 1 || null.v folds to 1.
+        let lazy_or = Rv::Binary(BinOp::Or, b(Rv::Const(1)), b(deref_null()));
+        assert_eq!(code(&lazy_or, &l, &lay).const_val, Some(1));
+        // ?: with a constant condition keeps only the demanded branch.
+        let ite = Rv::Ite(b(Rv::Const(0)), b(deref_null()), b(Rv::Const(7)));
+        assert_eq!(code(&ite, &l, &lay).const_val, Some(7));
+    }
+
+    #[test]
+    fn and_with_true_constant_normalizes_to_boolean() {
+        let l = lowered("harness void main() { }");
+        let lay = StateLayout::new(&l);
+        // 2 && x must emit (x != 0), not x: && yields 0/1.
+        let e = Rv::Binary(BinOp::And, b(Rv::Const(2)), b(Rv::Local(0)));
+        assert_eq!(
+            *code(&e, &l, &lay).ins,
+            [Ins::Local(0), Ins::Const(0), Ins::Bin(BinOp::Ne)]
+        );
+        // ...but a comparison result passes through unchanged.
+        let cmp = Rv::Binary(BinOp::Lt, b(Rv::Local(0)), b(Rv::Const(3)));
+        let e = Rv::Binary(BinOp::And, b(Rv::Const(1)), b(cmp));
+        assert_eq!(
+            *code(&e, &l, &lay).ins,
+            [Ins::Local(0), Ins::Const(3), Ins::Bin(BinOp::Lt)]
+        );
+    }
+
+    #[test]
+    fn const_arithmetic_folds_with_wrapping() {
+        let l = lowered("harness void main() { }");
+        let lay = StateLayout::new(&l);
+        let e = Rv::Binary(BinOp::Add, b(Rv::Const(127)), b(Rv::Const(1)));
+        assert_eq!(code(&e, &l, &lay).const_val, Some(l.config.wrap(128)));
+        // Division by zero is left unfolded.
+        let d = Rv::Binary(BinOp::Div, b(Rv::Const(4)), b(Rv::Const(0)));
+        let c = code(&d, &l, &lay);
+        assert_eq!(c.const_val, None);
+        assert_eq!(*c.ins, [Ins::Const(4), Ins::Const(0), Ins::Bin(BinOp::Div)]);
     }
 
     #[test]
@@ -1578,6 +1785,13 @@ mod tests {
             "folded hole index must tighten the whole-array footprint"
         );
         assert_eq!(cp.code.len(), l.workers.len() + 2);
+        for (tid, tc) in cp.code.iter().enumerate() {
+            assert_eq!(
+                tc.steps.len(),
+                l.thread(tid).steps.len(),
+                "thread {tid}: sealing must keep the step structure"
+            );
+        }
         assert!(cp.compile_us() < 10_000_000, "compile time is measured");
     }
 }

@@ -12,6 +12,13 @@
 //! executed `(thread, step)` pairs plus the deadlock set — which
 //! `psketch-symbolic` projects onto the whole candidate space.
 //!
+//! Every search runs a sealed [`CompiledProgram`]: [`check`] seals the
+//! candidate itself, while the CEGIS loop seals once per iteration and
+//! shares the artifact between [`ScheduleBank::prescreen_compiled`],
+//! [`random_run_compiled`] and [`check_parallel_compiled`].
+//! [`mod@reference`] is the independent oracle the engine is tested
+//! against.
+//!
 //! # Examples
 //!
 //! ```
@@ -48,11 +55,10 @@ pub mod walker;
 
 pub use bank::{BankStats, ScheduleBank};
 pub use checker::{
-    check, check_compiled, check_with_limit, check_with_limits, random_run, random_run_compiled,
-    replay, replay_compiled, replay_fp, replay_fp_compiled, CheckOutcome, CheckStats, Interrupt,
-    SearchLimits, Verdict,
+    check, check_compiled, check_with_limit, random_run_compiled, replay_compiled,
+    replay_fp_compiled, CheckOutcome, CheckStats, Interrupt, SearchLimits, Verdict,
 };
 pub use compiled::CompiledProgram;
-pub use parallel::{check_parallel, check_parallel_compiled, check_parallel_limits};
+pub use parallel::check_parallel_compiled;
 pub use store::{CexTrace, Failure, FailureKind, StateBuf, StateLayout, UndoJournal};
 pub use trace_fmt::{format_lowered, format_trace};

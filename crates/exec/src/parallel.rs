@@ -1,7 +1,7 @@
 //! Parallel explicit-state search.
 //!
-//! Splits the interleaving exploration of [`crate::check`] across
-//! worker threads. The search space is a DAG of canonical states; each
+//! Splits the interleaving exploration of [`crate::check_compiled`]
+//! across worker threads. The search space is a DAG of canonical states; each
 //! worker repeatedly takes a frontier node, fires every enabled
 //! transition through the undo engine (fire, fingerprint, revert),
 //! claims the newly discovered successors through a sharded
@@ -45,7 +45,7 @@ use crate::compiled::CompiledProgram;
 use crate::fingerprint::ShardedFpSet;
 use crate::por::PorTable;
 use crate::store::{CexTrace, Failure, StateBuf, UndoJournal};
-use psketch_ir::{Assignment, Lowered, ThreadId};
+use psketch_ir::ThreadId;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
@@ -65,13 +65,11 @@ struct QueueState {
 struct Shared<'a> {
     ck: Checker<'a>,
     limits: &'a SearchLimits,
-    /// Partial-order reduction tables (`None` = full expansion),
-    /// borrowed from the caller: the engine's own static tables on the
-    /// interpreted path, the artifact's candidate-sharpened ones on
-    /// the compiled path. Ample sets are a deterministic function of
-    /// the state, so every thread — and every thread *count* — reduces
-    /// to the same state graph, keeping the claim-based limit
-    /// semantics exact.
+    /// The artifact's candidate-sharpened partial-order reduction
+    /// table (`None` = full expansion). Ample sets are a deterministic
+    /// function of the state, so every thread — and every thread
+    /// *count* — reduces to the same state graph, keeping the
+    /// claim-based limit semantics exact.
     por: Option<&'a PorTable>,
     /// The post-prologue root state every steal re-clones.
     init: StateBuf,
@@ -145,52 +143,19 @@ impl<'a> Shared<'a> {
     }
 }
 
-/// Model-checks `candidate` over every interleaving using `threads`
-/// search threads, bounding the number of distinct states explored.
-///
-/// `threads <= 1` runs the sequential [`crate::check_with_limit`]
-/// unchanged. The parallel verdict agrees with the sequential one on
-/// pass/fail/unknown-at-the-same-limit, but a failing run may return a
-/// different (equally valid) counterexample.
-pub fn check_parallel(
-    l: &Lowered,
-    candidate: &Assignment,
-    max_states: usize,
-    threads: usize,
-) -> CheckOutcome {
-    check_parallel_limits(l, candidate, &SearchLimits::states(max_states), threads)
-}
-
-/// As [`check_parallel`], under full cooperative [`SearchLimits`]:
+/// Model-checks a sealed candidate over every interleaving using
+/// `threads` search threads, under full cooperative [`SearchLimits`]:
 /// every worker polls the cancellation flag on each node and the wall
 /// deadline every 64 nodes, so an over-budget search halts promptly
 /// with [`Verdict::Unknown`] and partial stats instead of running on.
-pub fn check_parallel_limits(
-    l: &Lowered,
-    candidate: &Assignment,
-    limits: &SearchLimits,
-    threads: usize,
-) -> CheckOutcome {
-    if threads <= 1 {
-        return crate::check_with_limits(l, candidate, limits);
-    }
-    if limits.compile {
-        let cp = CompiledProgram::compile(l, candidate);
-        return check_parallel_compiled(&cp, limits, threads);
-    }
-    let ck = if limits.symmetry {
-        Checker::with_symmetry(l, candidate)
-    } else {
-        Checker::new(l, candidate)
-    };
-    let owned_por = ck.wants_por(limits).then(|| PorTable::new(l));
-    let table_clones = u64::from(owned_por.is_some());
-    run_parallel(ck, owned_por.as_ref(), limits, threads, table_clones)
-}
-
-/// As [`check_parallel_limits`], over an already-compiled candidate:
-/// the workers replay and expand on the artifact's micro-op code, and
-/// POR uses its candidate-sharpened masks.
+/// The workers replay and expand on the artifact's micro-op code, and
+/// POR uses its candidate-sharpened masks, borrowed — never copied —
+/// from the artifact.
+///
+/// `threads <= 1` runs the sequential [`crate::check_compiled`]
+/// unchanged. The parallel verdict agrees with the sequential one on
+/// pass/fail/unknown-at-the-same-limit, but a failing run may return a
+/// different (equally valid) counterexample.
 pub fn check_parallel_compiled(
     cp: &CompiledProgram,
     limits: &SearchLimits,
@@ -200,18 +165,8 @@ pub fn check_parallel_compiled(
         return crate::check_compiled(cp, limits);
     }
     let ck = Checker::from_compiled(cp, limits.symmetry);
-    let por = if ck.wants_por(limits) {
-        cp.por_table()
-    } else {
-        None
-    };
-    // Tables are borrowed from the shared artifact — zero clones.
-    let mut out = run_parallel(ck, por, limits, threads, 0);
-    out.stats.compile_us += cp.compile_us();
-    out.stats.sharpened_masks = cp.sharpened_masks();
-    out.stats.reseal_us += cp.reseal_us();
-    out.stats.threads_reused += cp.threads_reused();
-    out
+    let por = if ck.wants_por(limits) { ck.por } else { None };
+    run_parallel(ck, por, limits, threads)
 }
 
 fn run_parallel<'a>(
@@ -219,7 +174,6 @@ fn run_parallel<'a>(
     por: Option<&'a PorTable>,
     limits: &'a SearchLimits,
     threads: usize,
-    table_clones: u64,
 ) -> CheckOutcome {
     let l = ck.l;
 
@@ -320,11 +274,6 @@ fn run_parallel<'a>(
         por_fallbacks: tallies.iter().map(|t| t.por_fallbacks).sum(),
         states_pruned: tallies.iter().map(|t| t.states_pruned).sum(),
         sym_collapses: tallies.iter().map(|t| t.sym_collapses).sum(),
-        compile_us: 0,
-        sharpened_masks: 0,
-        table_clones,
-        reseal_us: 0,
-        threads_reused: 0,
     };
     if interrupt == Some(Interrupt::StateLimit) {
         // Clamp the post-halt insert overshoot (see module docs).

@@ -1,21 +1,24 @@
-//! The previous clone-per-transition engine, kept verbatim as a
-//! reference implementation.
+//! The reference engine: the one oracle for the checking engine.
 //!
-//! This is the engine the undo-log checker replaced: nested stores
-//! (`Vec<Vec<i64>>` heap), a full [`RefStore`]/locals clone on every
-//! fired transition, and a per-state canonical `Vec<i64>` allocation.
-//! It is retained — not feature-gated, so it always compiles and its
-//! semantics cannot rot — for two consumers:
+//! A clone-per-transition checker over nested stores (`Vec<Vec<i64>>`
+//! heap), with a full [`RefStore`]/locals clone on every fired
+//! transition and a per-state canonical `Vec<i64>` allocation. It
+//! interprets the unsealed `(Lowered, Assignment)` pair directly — its
+//! own tree-walking evaluator with a hole table — and shares no
+//! execution code with the sealed [`crate::CompiledProgram`] the
+//! engine runs, which is what makes it an independent oracle. It is
+//! not feature-gated, so it always compiles and its semantics cannot
+//! rot, and it has two consumers:
 //!
-//! * `tests/engine_differential.rs` runs every example sketch through
-//!   both engines and asserts identical verdicts, state counts and
-//!   counterexample traces;
+//! * `tests/engine_differential.rs` and `tests/compiled_differential.rs`
+//!   run every example sketch through both engines and assert
+//!   identical verdicts, state counts and counterexample traces;
 //! * the `bench_checker` binary measures states/sec of both engines on
-//!   Table-1 workloads to quantify the undo engine's win.
+//!   Table-1 workloads.
 //!
-//! It is sequential only and must not grow features: when the main
-//! engine's observable semantics change deliberately, change this one
-//! to match (and say so in the differential test).
+//! It is sequential, full-expansion only and must not grow features:
+//! when the engine's observable semantics change deliberately, change
+//! this one to match (and say so in the differential test).
 
 use crate::checker::{
     compute_liveness, compute_match_end, early_failure_stats, CheckOutcome, CheckStats, Interrupt,

@@ -1,5 +1,4 @@
-//! Flat state buffers, the undo journal, and expression/step
-//! evaluation.
+//! Flat state buffers and the undo journal.
 //!
 //! The execution state of a candidate lives in a single contiguous
 //! [`StateBuf`] (`Vec<i64>`) described by a [`StateLayout`] segment
@@ -13,12 +12,12 @@
 //! Every mutation goes through [`StateBuf::set`], which records the
 //! old value in an [`UndoJournal`]. Reverting a fired transition is
 //! then O(writes) — pop journal entries back to a mark — instead of
-//! the O(state) clone the previous engine paid per transition. Scratch
-//! writes are not journaled: scratch is discarded wholesale, so there
-//! is nothing to restore.
+//! an O(state) clone per transition. Scratch writes are not journaled:
+//! scratch is discarded wholesale, so there is nothing to restore. The
+//! micro-op evaluator that performs those writes lives with the sealed
+//! candidate code in [`crate::CompiledProgram`]'s module.
 
-use psketch_ir::{Assignment, Lowered, Lv, Op, Rv, ThreadId};
-use psketch_lang::ast::{BinOp, UnOp};
+use psketch_ir::{Lowered, ThreadId};
 use psketch_lang::error::Span;
 use std::fmt;
 
@@ -90,7 +89,7 @@ pub struct CexTrace {
     /// the 0-based worker index of every `fire` after the prologue and
     /// initial local-step absorption, in order. Unlike [`Self::steps`]
     /// (one entry per executed step, several per transition), this is
-    /// exactly what [`crate::replay`] consumes, so feeding it back
+    /// exactly what [`crate::replay_compiled`] consumes, so feeding it back
     /// deterministically reproduces the failing execution. Empty for
     /// failures before the interleaving search starts (prologue /
     /// initial advance), which replay reproduces unconditionally.
@@ -316,227 +315,6 @@ impl UndoJournal {
 /// Evaluation error (failure kind only; position added by the caller).
 pub(crate) type EvalResult = Result<i64, FailureKind>;
 
-/// Evaluates a pure r-value. `lb` is the flat offset of the active
-/// thread's locals (a worker record's locals, or scratch).
-///
-/// `&&`/`||` and `Ite` are lazy, so memory failures in undemanded
-/// subexpressions do not fire — matching the symbolic evaluator's
-/// demand-conditioned failures.
-pub(crate) fn eval_rv(
-    rv: &Rv,
-    buf: &StateBuf,
-    lay: &StateLayout,
-    lb: usize,
-    holes: &Assignment,
-    l: &Lowered,
-) -> EvalResult {
-    let wrap = |v: i64| l.config.wrap(v);
-    Ok(match rv {
-        Rv::Const(c) => *c,
-        Rv::Global(g) => buf.get(*g),
-        Rv::Local(x) => buf.get(lb + *x),
-        Rv::Hole(h) => holes.value(*h) as i64,
-        Rv::GlobalDyn { base, len, ix } => {
-            let i = eval_rv(ix, buf, lay, lb, holes, l)?;
-            if i < 0 || i as usize >= *len {
-                return Err(FailureKind::OutOfBounds);
-            }
-            buf.get(base + i as usize)
-        }
-        Rv::LocalDyn { base, len, ix } => {
-            let i = eval_rv(ix, buf, lay, lb, holes, l)?;
-            if i < 0 || i as usize >= *len {
-                return Err(FailureKind::OutOfBounds);
-            }
-            buf.get(lb + base + i as usize)
-        }
-        Rv::Field { sid, fid, obj } => {
-            let o = eval_rv(obj, buf, lay, lb, holes, l)?;
-            let cell = field_cell(*sid, *fid, o, l)?;
-            buf.get(lay.heap_cell(*sid, cell))
-        }
-        Rv::Unary(op, a) => {
-            let v = eval_rv(a, buf, lay, lb, holes, l)?;
-            match op {
-                UnOp::Not => i64::from(v == 0),
-                UnOp::Neg => wrap(-v),
-                UnOp::BitsToInt => v,
-            }
-        }
-        Rv::Binary(BinOp::And, a, b) => {
-            if eval_rv(a, buf, lay, lb, holes, l)? == 0 {
-                0
-            } else {
-                i64::from(eval_rv(b, buf, lay, lb, holes, l)? != 0)
-            }
-        }
-        Rv::Binary(BinOp::Or, a, b) => {
-            if eval_rv(a, buf, lay, lb, holes, l)? != 0 {
-                1
-            } else {
-                i64::from(eval_rv(b, buf, lay, lb, holes, l)? != 0)
-            }
-        }
-        Rv::Binary(op, a, b) => {
-            let x = eval_rv(a, buf, lay, lb, holes, l)?;
-            let y = eval_rv(b, buf, lay, lb, holes, l)?;
-            match op {
-                BinOp::Add => wrap(x + y),
-                BinOp::Sub => wrap(x - y),
-                BinOp::Mul => wrap(x.wrapping_mul(y)),
-                BinOp::Div => {
-                    debug_assert!(y != 0, "lowering guarantees constant non-zero divisors");
-                    wrap(x.wrapping_div(y))
-                }
-                BinOp::Mod => {
-                    debug_assert!(y != 0);
-                    wrap(x.wrapping_rem(y))
-                }
-                BinOp::Eq => i64::from(x == y),
-                BinOp::Ne => i64::from(x != y),
-                BinOp::Lt => i64::from(x < y),
-                BinOp::Le => i64::from(x <= y),
-                BinOp::Gt => i64::from(x > y),
-                BinOp::Ge => i64::from(x >= y),
-                BinOp::And | BinOp::Or => unreachable!("handled above"),
-            }
-        }
-        Rv::Ite(c, a, b) => {
-            if eval_rv(c, buf, lay, lb, holes, l)? != 0 {
-                eval_rv(a, buf, lay, lb, holes, l)?
-            } else {
-                eval_rv(b, buf, lay, lb, holes, l)?
-            }
-        }
-    })
-}
-
-/// Heap cell index for `obj.field` (relative to the pool's segment);
-/// fails on null.
-fn field_cell(sid: usize, fid: usize, obj: i64, l: &Lowered) -> Result<usize, FailureKind> {
-    if obj == 0 {
-        return Err(FailureKind::NullDeref);
-    }
-    let layout = &l.structs[sid];
-    let ix = (obj - 1) as usize;
-    if ix >= layout.capacity {
-        return Err(FailureKind::OutOfBounds);
-    }
-    Ok(ix * layout.fields.len() + fid)
-}
-
-/// Resolves a write destination to its flat buffer offset.
-pub(crate) fn resolve_lv(
-    lv: &Lv,
-    buf: &StateBuf,
-    lay: &StateLayout,
-    lb: usize,
-    holes: &Assignment,
-    l: &Lowered,
-) -> Result<usize, FailureKind> {
-    Ok(match lv {
-        Lv::Global(g) => *g,
-        Lv::Local(x) => lb + *x,
-        Lv::GlobalDyn { base, len, ix } => {
-            let i = eval_rv(ix, buf, lay, lb, holes, l)?;
-            if i < 0 || i as usize >= *len {
-                return Err(FailureKind::OutOfBounds);
-            }
-            base + i as usize
-        }
-        Lv::LocalDyn { base, len, ix } => {
-            let i = eval_rv(ix, buf, lay, lb, holes, l)?;
-            if i < 0 || i as usize >= *len {
-                return Err(FailureKind::OutOfBounds);
-            }
-            lb + base + i as usize
-        }
-        Lv::Field { sid, fid, obj } => {
-            let o = eval_rv(obj, buf, lay, lb, holes, l)?;
-            lay.heap_cell(*sid, field_cell(*sid, *fid, o, l)?)
-        }
-    })
-}
-
-/// Executes one step's operation (guard already known true), recording
-/// every write in the journal. `AtomicBegin`/`AtomicEnd` are no-ops
-/// here; the checker interprets them for scheduling.
-pub(crate) fn exec_op(
-    op: &Op,
-    buf: &mut StateBuf,
-    lay: &StateLayout,
-    lb: usize,
-    j: &mut UndoJournal,
-    holes: &Assignment,
-    l: &Lowered,
-) -> Result<(), FailureKind> {
-    match op {
-        Op::Assign(lv, rv) => {
-            let v = eval_rv(rv, buf, lay, lb, holes, l)?;
-            let off = resolve_lv(lv, buf, lay, lb, holes, l)?;
-            buf.set(off, v, j);
-        }
-        Op::Swap { dst, loc, val } => {
-            let v = eval_rv(val, buf, lay, lb, holes, l)?;
-            let loc_off = resolve_lv(loc, buf, lay, lb, holes, l)?;
-            let old = buf.get(loc_off);
-            buf.set(loc_off, v, j);
-            let dst_off = resolve_lv(dst, buf, lay, lb, holes, l)?;
-            buf.set(dst_off, old, j);
-        }
-        Op::Cas { dst, loc, old, new } => {
-            let ov = eval_rv(old, buf, lay, lb, holes, l)?;
-            let nv = eval_rv(new, buf, lay, lb, holes, l)?;
-            let loc_off = resolve_lv(loc, buf, lay, lb, holes, l)?;
-            let cur = buf.get(loc_off);
-            let ok = cur == ov;
-            if ok {
-                buf.set(loc_off, nv, j);
-            }
-            let dst_off = resolve_lv(dst, buf, lay, lb, holes, l)?;
-            buf.set(dst_off, i64::from(ok), j);
-        }
-        Op::FetchAdd { dst, loc, delta } => {
-            let loc_off = resolve_lv(loc, buf, lay, lb, holes, l)?;
-            let old = buf.get(loc_off);
-            buf.set(loc_off, l.config.wrap(old + delta), j);
-            let dst_off = resolve_lv(dst, buf, lay, lb, holes, l)?;
-            buf.set(dst_off, old, j);
-        }
-        Op::Alloc { dst, sid, inits } => {
-            let layout = &l.structs[*sid];
-            let slot = lay.alloc_slot(*sid);
-            let obj = buf.get(slot);
-            if obj as usize >= layout.capacity {
-                return Err(FailureKind::PoolExhausted);
-            }
-            buf.set(slot, obj + 1, j);
-            let nf = layout.fields.len();
-            let base = lay.heap_cell(*sid, obj as usize * nf);
-            for (fid, (_, _, default)) in layout.fields.iter().enumerate() {
-                buf.set(base + fid, *default, j);
-            }
-            // Evaluate overrides before publishing the reference.
-            let mut vals = Vec::with_capacity(inits.len());
-            for (fid, rv) in inits {
-                vals.push((*fid, eval_rv(rv, buf, lay, lb, holes, l)?));
-            }
-            for (fid, v) in vals {
-                buf.set(base + fid, v, j);
-            }
-            let dst_off = resolve_lv(dst, buf, lay, lb, holes, l)?;
-            buf.set(dst_off, obj + 1, j);
-        }
-        Op::Assert(c) => {
-            if eval_rv(c, buf, lay, lb, holes, l)? == 0 {
-                return Err(FailureKind::AssertFailed);
-            }
-        }
-        Op::AtomicBegin(_) | Op::AtomicEnd => {}
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,15 +325,6 @@ mod tests {
         let p = psketch_lang::check_program(src).unwrap();
         let (sk, holes) = desugar_program(&p, &cfg).unwrap();
         lower_program(&sk, holes, &cfg).unwrap()
-    }
-
-    /// A buffer with `n` scratch locals pushed, plus the pieces every
-    /// test needs.
-    fn scratch_state(l: &Lowered, nlocals: usize) -> (StateLayout, StateBuf, usize) {
-        let lay = StateLayout::new(l);
-        let mut buf = StateBuf::initial(&lay, l);
-        let lb = buf.push_scratch(nlocals);
-        (lay, buf, lb)
     }
 
     #[test]
@@ -571,198 +340,5 @@ mod tests {
         assert_eq!(lay.allocs_off, 2 + 2 * l.config.pool);
         assert_eq!(buf.get(lay.alloc_slot(0)), 0);
         assert_eq!(lay.state_len, lay.allocs_off + 1, "no workers");
-    }
-
-    #[test]
-    fn lazy_and_suppresses_null_deref() {
-        let l = lowered("struct N { int v; } harness void main() { }");
-        let (lay, buf, lb) = scratch_state(&l, 0);
-        let holes = l.holes.identity_assignment();
-        // null.v demanded: fails.
-        let bad = Rv::Field {
-            sid: 0,
-            fid: 0,
-            obj: Box::new(Rv::Const(0)),
-        };
-        assert_eq!(
-            eval_rv(&bad, &buf, &lay, lb, &holes, &l),
-            Err(FailureKind::NullDeref)
-        );
-        // false && null.v: lazy, ok.
-        let guarded = Rv::Binary(BinOp::And, Box::new(Rv::Const(0)), Box::new(bad.clone()));
-        assert_eq!(eval_rv(&guarded, &buf, &lay, lb, &holes, &l), Ok(0));
-        // true || null.v: lazy, ok.
-        let guarded_or = Rv::Binary(BinOp::Or, Box::new(Rv::Const(1)), Box::new(bad));
-        assert_eq!(eval_rv(&guarded_or, &buf, &lay, lb, &holes, &l), Ok(1));
-    }
-
-    #[test]
-    fn arithmetic_wraps_at_width() {
-        let l = lowered("harness void main() { }");
-        let (lay, buf, lb) = scratch_state(&l, 0);
-        let holes = l.holes.identity_assignment();
-        let add = Rv::Binary(BinOp::Add, Box::new(Rv::Const(127)), Box::new(Rv::Const(1)));
-        assert_eq!(eval_rv(&add, &buf, &lay, lb, &holes, &l), Ok(-128));
-    }
-
-    #[test]
-    fn out_of_bounds_detected() {
-        let l = lowered("int[4] a; harness void main() { }");
-        let (lay, buf, lb) = scratch_state(&l, 0);
-        let holes = l.holes.identity_assignment();
-        let read = Rv::GlobalDyn {
-            base: 0,
-            len: 4,
-            ix: Box::new(Rv::Const(4)),
-        };
-        assert_eq!(
-            eval_rv(&read, &buf, &lay, lb, &holes, &l),
-            Err(FailureKind::OutOfBounds)
-        );
-        let neg = Rv::GlobalDyn {
-            base: 0,
-            len: 4,
-            ix: Box::new(Rv::Const(-1)),
-        };
-        assert_eq!(
-            eval_rv(&neg, &buf, &lay, lb, &holes, &l),
-            Err(FailureKind::OutOfBounds)
-        );
-    }
-
-    #[test]
-    fn alloc_initializes_and_exhausts() {
-        let l = lowered("struct N { int v = 9; N next; } harness void main() { }");
-        let (lay, mut buf, lb) = scratch_state(&l, 1);
-        let mut j = UndoJournal::new();
-        let holes = l.holes.identity_assignment();
-        let op = Op::Alloc {
-            dst: Lv::Local(0),
-            sid: 0,
-            inits: vec![(0, Rv::Const(5))],
-        };
-        for k in 0..l.config.pool {
-            exec_op(&op, &mut buf, &lay, lb, &mut j, &holes, &l).unwrap();
-            assert_eq!(buf.get(lb), (k + 1) as i64);
-        }
-        // v overridden to 5, default for next is 0.
-        assert_eq!(buf.get(lay.heap_cell(0, 0)), 5);
-        assert_eq!(buf.get(lay.heap_cell(0, 1)), 0);
-        assert_eq!(
-            exec_op(&op, &mut buf, &lay, lb, &mut j, &holes, &l),
-            Err(FailureKind::PoolExhausted)
-        );
-    }
-
-    #[test]
-    fn swap_cas_fetchadd_semantics() {
-        let l = lowered("int g = 3; harness void main() { }");
-        let (lay, mut buf, lb) = scratch_state(&l, 1);
-        let mut j = UndoJournal::new();
-        let holes = l.holes.identity_assignment();
-        macro_rules! run {
-            ($op:expr) => {
-                exec_op(&$op, &mut buf, &lay, lb, &mut j, &holes, &l).unwrap()
-            };
-        }
-        run!(Op::Swap {
-            dst: Lv::Local(0),
-            loc: Lv::Global(0),
-            val: Rv::Const(10),
-        });
-        assert_eq!((buf.get(lb), buf.get(0)), (3, 10));
-
-        run!(Op::Cas {
-            dst: Lv::Local(0),
-            loc: Lv::Global(0),
-            old: Rv::Const(10),
-            new: Rv::Const(11),
-        });
-        assert_eq!((buf.get(lb), buf.get(0)), (1, 11));
-
-        run!(Op::Cas {
-            dst: Lv::Local(0),
-            loc: Lv::Global(0),
-            old: Rv::Const(10),
-            new: Rv::Const(12),
-        });
-        assert_eq!((buf.get(lb), buf.get(0)), (0, 11));
-
-        run!(Op::FetchAdd {
-            dst: Lv::Local(0),
-            loc: Lv::Global(0),
-            delta: -1,
-        });
-        assert_eq!((buf.get(lb), buf.get(0)), (11, 10));
-    }
-
-    #[test]
-    fn undo_restores_exact_prior_state() {
-        let l = lowered("int g = 3; int h; harness void main() { }");
-        let lay = StateLayout::new(&l);
-        let mut buf = StateBuf::initial(&lay, &l);
-        let mut j = UndoJournal::new();
-        let before = buf.clone();
-        let mark = j.mark();
-        let holes = l.holes.identity_assignment();
-        // A swap writes two cells; a second op overwrites one again.
-        let lb = buf.push_scratch(1);
-        exec_op(
-            &Op::Swap {
-                dst: Lv::Global(1),
-                loc: Lv::Global(0),
-                val: Rv::Const(10),
-            },
-            &mut buf,
-            &lay,
-            lb,
-            &mut j,
-            &holes,
-            &l,
-        )
-        .unwrap();
-        exec_op(
-            &Op::Assign(Lv::Global(0), Rv::Const(99)),
-            &mut buf,
-            &lay,
-            lb,
-            &mut j,
-            &holes,
-            &l,
-        )
-        .unwrap();
-        buf.pop_scratch(lb);
-        assert_ne!(buf, before);
-        j.undo_to(mark, &mut buf);
-        assert_eq!(buf, before, "undo must restore the exact prior state");
-        assert_eq!(j.total_writes(), 3, "all live writes were journaled");
-    }
-
-    #[test]
-    fn scratch_writes_are_not_journaled() {
-        let l = lowered("int g; harness void main() { }");
-        let lay = StateLayout::new(&l);
-        let mut buf = StateBuf::initial(&lay, &l);
-        let mut j = UndoJournal::new();
-        let holes = l.holes.identity_assignment();
-        let lb = buf.push_scratch(2);
-        let mark = j.mark();
-        exec_op(
-            &Op::Assign(Lv::Local(0), Rv::Const(7)),
-            &mut buf,
-            &lay,
-            lb,
-            &mut j,
-            &holes,
-            &l,
-        )
-        .unwrap();
-        assert_eq!(j.mark(), mark, "scratch write journaled nothing");
-        assert_eq!(j.total_writes(), 0);
-        buf.pop_scratch(lb);
-        // Undoing past the scratch phase is a no-op and must not touch
-        // out-of-range offsets.
-        j.undo_to(mark, &mut buf);
-        assert_eq!(buf.get(0), 0);
     }
 }

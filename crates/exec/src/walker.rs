@@ -3,46 +3,40 @@
 //!
 //! Exposes just enough of the engine to state the footprint-soundness
 //! property externally: from any reachable state, two enabled workers
-//! whose current transitions are classified *independent* by the
-//! effect-footprint layer must commute — firing them in either order
-//! yields the same canonical state, the same fingerprint, the same
-//! enabled set, and the same failure behavior. The property test in
-//! `tests/footprint_commutation.rs` drives this over the whole example
-//! suite.
+//! whose current transitions are classified *independent* by the POR
+//! table the engines actually use — the sealed candidate's
+//! candidate-sharpened masks — must commute: firing them in either
+//! order yields the same canonical state, the same fingerprint, the
+//! same enabled set, and the same failure behavior. The property test
+//! in `tests/footprint_commutation.rs` drives this over the whole
+//! example suite.
 
 use crate::checker::Checker;
-use crate::por::PorTable;
+use crate::compiled::CompiledProgram;
 use crate::store::{Failure, StateBuf, UndoJournal};
-use psketch_ir::{Assignment, Lowered};
 
 /// A single live execution state that can fire worker transitions,
 /// snapshot, and rewind — the unit the commutation property is checked
 /// on.
 pub struct Walker<'a> {
     ck: Checker<'a>,
-    por: PorTable,
     buf: StateBuf,
     journal: UndoJournal,
 }
 
 impl<'a> Walker<'a> {
-    /// Builds the initial post-prologue state (prologue executed,
-    /// initial invisible steps absorbed). `Err` when the candidate
-    /// already fails sequentially before any interleaving exists.
-    pub fn new(l: &'a Lowered, candidate: &'a Assignment) -> Result<Walker<'a>, Failure> {
-        let ck = Checker::new(l, candidate);
-        let por = PorTable::new(l);
+    /// Builds the initial post-prologue state of a sealed candidate
+    /// (prologue executed, initial invisible steps absorbed). `Err`
+    /// when the candidate already fails sequentially before any
+    /// interleaving exists.
+    pub fn new(cp: &'a CompiledProgram<'a>) -> Result<Walker<'a>, Failure> {
+        let ck = Checker::from_compiled(cp, false);
         let mut buf = ck.initial_buf();
         let mut journal = UndoJournal::new();
-        ck.run_seq(0, &l.prologue, &mut buf, &mut journal)
+        ck.run_seq(0, &ck.l.prologue, &mut buf, &mut journal)
             .map_err(|(_, f)| f)?;
         ck.advance_all(&mut buf, &mut journal).map_err(|(_, f)| f)?;
-        Ok(Walker {
-            ck,
-            por,
-            buf,
-            journal,
-        })
+        Ok(Walker { ck, buf, journal })
     }
 
     /// Workers able to take a transition now.
@@ -52,13 +46,18 @@ impl<'a> Walker<'a> {
             .collect()
     }
 
-    /// Does the footprint layer classify the *current* transitions of
-    /// workers `a` and `b` as independent (may not conflict)?
+    /// Does the candidate's POR table classify the *current*
+    /// transitions of workers `a` and `b` as independent (may not
+    /// conflict)? Always false when the candidate has no table (fewer
+    /// than two or more than 64 workers): no pair is ever reduced.
     pub fn independent(&self, a: usize, b: usize) -> bool {
+        let Some(por) = self.ck.por else {
+            return false;
+        };
         let pcs: Vec<usize> = (0..self.ck.nworkers())
             .map(|w| self.ck.worker_pc(&self.buf, w))
             .collect();
-        self.por.independent(&pcs, a, b)
+        por.independent(&pcs, a, b)
     }
 
     /// Fires worker `w`'s transition. `Err` carries the failure; the

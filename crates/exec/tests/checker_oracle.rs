@@ -1,7 +1,7 @@
 //! Checker vs. a hand-rolled interleaving oracle on three-thread
 //! programs, plus schedule-replay consistency.
 
-use psketch_exec::{check, random_run, replay};
+use psketch_exec::{check, random_run_compiled, replay_compiled, CompiledProgram};
 use psketch_ir::{desugar::desugar_program, lower::lower_program, Config, Lowered};
 use std::collections::BTreeSet;
 
@@ -122,8 +122,9 @@ fn replay_and_random_run_agree_with_checker_on_pass() {
     );
     let a = l.holes.identity_assignment();
     assert!(check(&l, &a).is_ok());
+    let cp = CompiledProgram::compile(&l, &a);
     for seed in 0..32 {
-        assert!(random_run(&l, &a, seed).is_none(), "seed {seed}");
+        assert!(random_run_compiled(&cp, seed).is_none(), "seed {seed}");
     }
     for sched in [
         vec![0, 1, 2],
@@ -131,7 +132,7 @@ fn replay_and_random_run_agree_with_checker_on_pass() {
         vec![1, 1, 1],
         vec![0, 2, 0, 2],
     ] {
-        assert!(replay(&l, &a, &sched).is_none(), "{sched:?}");
+        assert!(replay_compiled(&cp, &sched).is_none(), "{sched:?}");
     }
 }
 

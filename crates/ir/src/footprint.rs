@@ -246,7 +246,7 @@ fn eval_static(
 /// Walks expressions and operations, adding locations to a footprint.
 /// Carries the constant environment used to resolve dynamic indices to
 /// exact cells, and — on the candidate-sharpened path — the hole
-/// assignment used to prune branches the interpreter never demands.
+/// assignment used to prune branches evaluation never demands.
 struct Collector<'a> {
     env: &'a [Option<i64>],
     config: Option<&'a Config>,

@@ -45,7 +45,6 @@ pub mod footprint;
 pub mod hole;
 pub mod lower;
 pub mod resolve;
-pub mod specialize;
 pub mod step;
 pub mod symmetry;
 
@@ -53,9 +52,7 @@ pub use config::{Config, ReorderEncoding};
 pub use footprint::{thread_footprints_sharpened, Footprint, FootprintTable, Loc};
 pub use hole::{Assignment, HoleId, HoleTable, SiteId, SiteKind};
 pub use lower::{fold_const_binop, fold_const_unop};
-pub use specialize::{
-    boolean_result, lv_has_hole, op_has_hole, rv_has_hole, rv_holes, specialize, specialize_op,
-    specialize_rv, step_has_hole, step_holes,
+pub use step::{
+    step_holes, GlobalSlot, Lowered, Lv, Op, Rv, ScalarKind, Step, StructLayout, Thread, ThreadId,
 };
-pub use step::{GlobalSlot, Lowered, Lv, Op, Rv, ScalarKind, Step, StructLayout, Thread, ThreadId};
 pub use symmetry::{symmetry_classes, SymClass, SymmetryClasses};

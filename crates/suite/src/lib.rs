@@ -36,9 +36,8 @@ use workload::Workload;
 
 /// Checker and prescreen knobs shared by every suite binary
 /// (`psketch`, `fig9`, `fig10`, `table1`): `--no-por`,
-/// `--no-symmetry`, `--no-prescreen`, `--no-compile` and
-/// `--bank-cap N`. Parsed once here so the ablation flags stay in
-/// lockstep across the bins.
+/// `--no-symmetry`, `--no-prescreen` and `--bank-cap N`. Parsed once
+/// here so the ablation flags stay in lockstep across the bins.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckerArgs {
     /// Ample-set partial-order reduction ([`Options::por`]).
@@ -47,8 +46,6 @@ pub struct CheckerArgs {
     pub symmetry: bool,
     /// Schedule-bank prescreening ([`Options::prescreen`]).
     pub prescreen: bool,
-    /// Compile-once candidate programs ([`Options::compile`]).
-    pub compile: bool,
     /// Schedule-bank capacity ([`Options::bank_capacity`]).
     pub bank_capacity: usize,
 }
@@ -60,7 +57,6 @@ impl Default for CheckerArgs {
             por: d.por,
             symmetry: d.symmetry,
             prescreen: d.prescreen,
-            compile: d.compile,
             bank_capacity: d.bank_capacity,
         }
     }
@@ -68,8 +64,7 @@ impl Default for CheckerArgs {
 
 impl CheckerArgs {
     /// Usage-string fragment naming the shared flags.
-    pub const USAGE: &'static str =
-        "[--no-por] [--no-symmetry] [--no-prescreen] [--no-compile] [--bank-cap N]";
+    pub const USAGE: &'static str = "[--no-por] [--no-symmetry] [--no-prescreen] [--bank-cap N]";
 
     /// Extracts the shared flags from `args`, removing the consumed
     /// entries and leaving binary-specific arguments in place.
@@ -89,10 +84,6 @@ impl CheckerArgs {
                 }
                 "--no-prescreen" => {
                     out.prescreen = false;
-                    args.remove(i);
-                }
-                "--no-compile" => {
-                    out.compile = false;
                     args.remove(i);
                 }
                 "--bank-cap" => {
@@ -124,7 +115,6 @@ impl CheckerArgs {
         options.por = self.por;
         options.symmetry = self.symmetry;
         options.prescreen = self.prescreen;
-        options.compile = self.compile;
         options.bank_capacity = self.bank_capacity;
     }
 }
@@ -433,7 +423,6 @@ mod tests {
             "--no-prescreen",
             "--report-json",
             "out",
-            "--no-compile",
             "--no-symmetry",
         ]
         .iter()
@@ -446,7 +435,6 @@ mod tests {
                 por: false,
                 symmetry: false,
                 prescreen: false,
-                compile: false,
                 bank_capacity: 7,
             }
         );
@@ -454,27 +442,8 @@ mod tests {
         assert_eq!(args, ["queueE1", "--report-json", "out"]);
         let mut opts = Options::default();
         parsed.apply(&mut opts);
-        assert!(!opts.por && !opts.symmetry && !opts.prescreen && !opts.compile);
+        assert!(!opts.por && !opts.symmetry && !opts.prescreen);
         assert_eq!(opts.bank_capacity, 7);
-    }
-
-    #[test]
-    fn checker_args_no_compile_alone_disables_only_compile() {
-        let mut args: Vec<String> = vec!["queueE1".into(), "--no-compile".into()];
-        let parsed = CheckerArgs::try_extract(&mut args).expect("flag parses");
-        assert_eq!(args, ["queueE1"], "--no-compile is consumed");
-        let d = CheckerArgs::default();
-        assert_eq!(
-            parsed,
-            CheckerArgs {
-                compile: false,
-                ..d
-            }
-        );
-        let mut opts = Options::default();
-        parsed.apply(&mut opts);
-        assert!(!opts.compile);
-        assert_eq!(opts.por, Options::default().por);
     }
 
     #[test]
@@ -485,7 +454,6 @@ mod tests {
         assert_eq!(parsed.por, d.por);
         assert_eq!(parsed.symmetry, d.symmetry);
         assert_eq!(parsed.prescreen, d.prescreen);
-        assert_eq!(parsed.compile, d.compile);
         assert_eq!(parsed.bank_capacity, d.bank_capacity);
     }
 

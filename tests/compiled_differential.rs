@@ -1,34 +1,34 @@
-//! Differential testing of the compile-once candidate layer against
-//! the interpreted undo engine and the clone-per-transition reference
-//! engine, across the example suite.
+//! Differential testing of the sealed candidate artifact against the
+//! clone-per-transition reference engine, across the example suite.
 //!
 //! A [`CompiledProgram`] substitutes the candidate's hole values,
 //! constant-folds guards and operands, and flattens each worker into a
 //! dense pc-indexed micro-op array — but it must be *observationally
 //! identical* to interpreting the `(Lowered, Assignment)` pair it was
-//! compiled from. With partial-order reduction off, both engines are
-//! deterministic depth-first searches over the same canonical state
-//! set in the same worker order, so the comparison is exact: identical
-//! verdicts, state and transition counts, and counterexample
-//! schedules, with or without symmetry reduction (the symmetry classes
-//! are computed from the original program, so the canonical
-//! fingerprint function is shared too).
+//! sealed from, which is what the reference engine
+//! (`psketch_exec::reference`) does with its own evaluator. With
+//! partial-order reduction and symmetry off, both are deterministic
+//! depth-first searches over the same canonical state set in the same
+//! worker order, so the comparison is exact: identical verdicts, state
+//! and transition counts, and counterexample traces and schedules. The
+//! reference's counterexample schedule must replay to the identical
+//! execution on the artifact, and every trace the artifact's seeded
+//! random sampler finds must replay to itself and refute the candidate
+//! symbolically.
 //!
-//! With reduction **on** the compiled artifact carries
-//! candidate-sharpened footprint masks: folded hole values may resolve
-//! fork-indexed cells the static analysis had to treat as
-//! whole-array. Sharper masks can legally change which ample sets are
-//! chosen, so the contract weakens to verdict equivalence plus
-//! cex-replays — except when the artifact reports zero sharpened
-//! masks, in which case the tables are identical and the searches must
-//! match exactly. The sharpening's soundness side condition — every
-//! specialized mask is a subset of its static counterpart — is checked
-//! as a property over many random candidates.
+//! With reduction **on** the artifact carries candidate-sharpened
+//! footprint masks: folded hole values may resolve fork-indexed cells
+//! the static analysis had to treat as whole-array. The sharpening's
+//! soundness side condition — every sharpened mask is a subset of its
+//! static counterpart — is checked as a property over many random
+//! candidates, and on a hole-indexed workload the sharpened reduction
+//! must actually prune. The reduced and parallel searches' verdicts
+//! are checked in `tests/engine_differential.rs`.
 
 use psketch_repro::exec::reference::check_ref_with_limit;
 use psketch_repro::exec::{
-    check_compiled, check_parallel_limits, check_with_limits, random_run, random_run_compiled,
-    replay, replay_compiled, CheckOutcome, CompiledProgram, Interrupt, SearchLimits, Verdict,
+    check_compiled, random_run_compiled, replay_compiled, CheckOutcome, CompiledProgram, Interrupt,
+    SearchLimits, Verdict,
 };
 use psketch_repro::ir::{desugar, lower, Assignment, Lowered};
 use psketch_repro::suite::figure9_runs;
@@ -38,11 +38,11 @@ use psketch_testutil::Rng;
 /// Bounds each exploration so the whole suite stays test-sized.
 const MAX_STATES: usize = 10_000;
 
-fn limits(por: bool, symmetry: bool, compile: bool) -> SearchLimits {
+fn limits(por: bool) -> SearchLimits {
+    // Symmetry off: the reference engine never canonicalizes.
     SearchLimits {
         por,
-        symmetry,
-        compile,
+        symmetry: false,
         ..SearchLimits::states(MAX_STATES)
     }
 }
@@ -67,64 +67,38 @@ fn candidates(l: &Lowered, extra: usize, rng: &mut Rng) -> Vec<Assignment> {
 
 /// Exact equivalence: verdict, state/transition counts, and
 /// counterexample step sequences and schedules all match.
-fn assert_exact(a: &CheckOutcome, b: &CheckOutcome, label: &str) {
+fn assert_exact(reference: &CheckOutcome, sealed: &CheckOutcome, label: &str) {
     assert_eq!(
-        a.stats.states, b.stats.states,
+        reference.stats.states, sealed.stats.states,
         "{label}: state counts differ"
     );
     assert_eq!(
-        a.stats.transitions, b.stats.transitions,
+        reference.stats.transitions, sealed.stats.transitions,
         "{label}: transition counts differ"
     );
-    match (&a.verdict, &b.verdict) {
+    match (&reference.verdict, &sealed.verdict) {
         (Verdict::Pass, Verdict::Pass) => {
-            assert_eq!(a.stats.terminal_states, b.stats.terminal_states, "{label}");
-        }
-        (Verdict::Fail(ca), Verdict::Fail(cb)) => {
-            assert_eq!(ca.steps, cb.steps, "{label}: counterexample traces differ");
             assert_eq!(
-                ca.schedule, cb.schedule,
+                reference.stats.terminal_states, sealed.stats.terminal_states,
+                "{label}"
+            );
+        }
+        (Verdict::Fail(rc), Verdict::Fail(sc)) => {
+            assert_eq!(rc.steps, sc.steps, "{label}: counterexample traces differ");
+            assert_eq!(
+                rc.schedule, sc.schedule,
                 "{label}: counterexample schedules differ"
             );
             assert_eq!(
-                ca.failure.kind, cb.failure.kind,
+                rc.failure.kind, sc.failure.kind,
                 "{label}: failure kinds differ"
             );
         }
-        (Verdict::Unknown(wa), Verdict::Unknown(wb)) => {
-            assert_eq!(*wa, Interrupt::StateLimit, "{label}: no deadline installed");
-            assert_eq!(wa, wb, "{label}");
+        (Verdict::Unknown(rw), Verdict::Unknown(sw)) => {
+            assert_eq!(*rw, Interrupt::StateLimit, "{label}: no deadline installed");
+            assert_eq!(rw, sw, "{label}");
         }
-        (va, vb) => panic!("{label}: interpreted verdict {va:?}, compiled verdict {vb:?}"),
-    }
-}
-
-/// Verdict-level equivalence for configurations where the compiled
-/// search may legitimately explore a different (still sound) subgraph.
-fn assert_equiv(l: &Lowered, a: &Assignment, base: &Verdict, got: &CheckOutcome, label: &str) {
-    match (base, &got.verdict) {
-        (Verdict::Pass, Verdict::Pass) => {}
-        (Verdict::Pass, v) => panic!("{label}: baseline passes, compiled {v:?}"),
-        (Verdict::Fail(_), Verdict::Fail(cex)) => {
-            assert!(
-                trace_reproduces(l, cex, a),
-                "{label}: compiled cex does not refute candidate"
-            );
-        }
-        (Verdict::Fail(_), v) => panic!("{label}: baseline fails, compiled {v:?}"),
-        (Verdict::Unknown(why), v) => {
-            assert_eq!(*why, Interrupt::StateLimit, "{label}");
-            match v {
-                Verdict::Fail(cex) => {
-                    assert!(trace_reproduces(l, cex, a), "{label}: invalid compiled cex");
-                }
-                Verdict::Unknown(w) => assert_eq!(*w, Interrupt::StateLimit, "{label}"),
-                // A state-limited baseline cannot certify a pass, but a
-                // *reduced* compiled search visits fewer states and may
-                // legitimately finish under the limit.
-                Verdict::Pass => {}
-            }
-        }
+        (r, s) => panic!("{label}: reference verdict {r:?}, compiled verdict {s:?}"),
     }
 }
 
@@ -135,113 +109,42 @@ fn compare(l: &Lowered, a: &Assignment, label: &str) {
         "{label}: sharpened masks must refine the static analysis"
     );
 
-    // POR off, symmetry off/on: interpreted vs compiled (via the
-    // SearchLimits flag and via the artifact directly) are the same
-    // deterministic DFS — everything matches exactly.
-    for symmetry in [false, true] {
-        let tag = format!("{label} sym={symmetry}");
-        let interp = check_with_limits(l, a, &limits(false, symmetry, false));
-        assert_eq!(
-            interp.stats.compile_us, 0,
-            "{tag}: interpreter path must not compile"
-        );
-        let flagged = check_with_limits(l, a, &limits(false, symmetry, true));
-        let direct = check_compiled(&cp, &limits(false, symmetry, true));
-        assert_exact(&interp, &flagged, &format!("{tag} (flag)"));
-        assert_exact(&interp, &direct, &format!("{tag} (artifact)"));
-    }
-
-    // And against the reference engine, which never compiles.
-    let interp = check_with_limits(l, a, &limits(false, false, false));
+    // Both reductions off: the sealed search and the reference engine
+    // are the same deterministic DFS — everything matches exactly.
     let reference = check_ref_with_limit(l, a, MAX_STATES);
-    let direct = check_compiled(&cp, &limits(false, false, true));
-    assert_exact(&reference, &direct, &format!("{label} (reference)"));
+    let sealed = check_compiled(&cp, &limits(false));
+    assert_exact(&reference, &sealed, label);
 
-    // POR on: sharper masks may pick different ample sets, so the
-    // contract is verdict equivalence — unless nothing was sharpened,
-    // in which case the tables coincide and the searches must too.
-    let interp_por = check_with_limits(l, a, &limits(true, false, false));
-    let direct_por = check_compiled(&cp, &limits(true, false, true));
-    if cp.sharpened_masks() == 0 {
-        assert_exact(
-            &interp_por,
-            &direct_por,
-            &format!("{label} por=on unsharpened"),
-        );
-    } else {
-        assert_equiv(
-            l,
-            a,
-            &interp_por.verdict,
-            &direct_por,
-            &format!("{label} por=on"),
-        );
-    }
-    // Either way the reduced compiled search preserves the full
-    // search's verdict.
-    assert_equiv(
-        l,
-        a,
-        &interp.verdict,
-        &direct_por,
-        &format!("{label} por=on vs full"),
-    );
-
-    // 2 and 4 checker threads on the compiled path: verdicts agree
-    // with the sequential compiled baseline and passing state counts
-    // match it exactly (the explored graph is a deterministic function
-    // of the artifact, only the visit order differs).
-    for threads in [2usize, 4] {
-        for (por, base) in [(false, &direct), (true, &direct_por)] {
-            let par = check_parallel_limits(l, a, &limits(por, false, true), threads);
-            let tag = format!("{label} threads={threads} por={por}");
-            match (&base.verdict, &par.verdict) {
-                (Verdict::Pass, Verdict::Pass) => {
-                    assert_eq!(base.stats.states, par.stats.states, "{tag}: state counts");
-                }
-                (Verdict::Fail(_), Verdict::Fail(cex)) => {
-                    assert!(trace_reproduces(l, cex, a), "{tag}: invalid parallel cex");
-                }
-                (Verdict::Unknown(_), Verdict::Fail(cex)) => {
-                    assert!(trace_reproduces(l, cex, a), "{tag}: invalid parallel cex");
-                }
-                (Verdict::Unknown(_), Verdict::Unknown(w)) => {
-                    assert_eq!(*w, Interrupt::StateLimit, "{tag}");
-                }
-                (b, p) => panic!("{tag}: sequential {b:?}, parallel {p:?}"),
-            }
-        }
-    }
-
-    // Replay: any counterexample schedule found by the interpreted
-    // search must replay to the same trace through the compiled
-    // artifact, and vice versa.
-    if let Verdict::Fail(cex) = &interp.verdict {
+    // Replay: the reference's counterexample schedule replays on the
+    // sealed artifact to the identical execution.
+    if let Verdict::Fail(cex) = &reference.verdict {
         let order: Vec<usize> = cex.schedule.iter().map(|&w| w as usize).collect();
-        let ri = replay(l, a, &order).unwrap_or_else(|| panic!("{label}: interpreted replay"));
-        let rc = replay_compiled(&cp, &order).unwrap_or_else(|| panic!("{label}: compiled replay"));
-        assert_eq!(ri.steps, rc.steps, "{label}: replayed traces differ");
+        let replayed =
+            replay_compiled(&cp, &order).unwrap_or_else(|| panic!("{label}: replay must fail"));
+        assert_eq!(replayed.steps, cex.steps, "{label}: replayed trace differs");
         assert_eq!(
-            ri.failure.kind, rc.failure.kind,
-            "{label}: replayed failure kinds differ"
+            replayed.failure.kind, cex.failure.kind,
+            "{label}: replayed failure kind differs"
         );
     }
 
-    // Random sampling: same seed, same walk, same outcome.
+    // Random sampling: every sampled failure replays to itself on the
+    // artifact and refutes the candidate.
     for seed in 0..8u64 {
-        let wi = random_run(l, a, seed);
-        let wc = random_run_compiled(&cp, seed);
-        match (&wi, &wc) {
-            (None, None) => {}
-            (Some(ci), Some(cc)) => {
-                assert_eq!(ci.steps, cc.steps, "{label} seed={seed}: sampled traces");
-                assert_eq!(
-                    ci.schedule, cc.schedule,
-                    "{label} seed={seed}: sampled schedules"
-                );
-            }
-            (i, c) => panic!("{label} seed={seed}: interpreted {i:?} vs compiled {c:?}"),
-        }
+        let Some(cex) = random_run_compiled(&cp, seed) else {
+            continue;
+        };
+        let tag = format!("{label} seed={seed}");
+        let order: Vec<usize> = cex.schedule.iter().map(|&w| w as usize).collect();
+        let again = replay_compiled(&cp, &order)
+            .unwrap_or_else(|| panic!("{tag}: sampled schedule must replay to a failure"));
+        assert_eq!(again.steps, cex.steps, "{tag}: sampled trace must replay");
+        assert_eq!(again.schedule, cex.schedule, "{tag}: sampled schedule");
+        assert_eq!(again.failure.kind, cex.failure.kind, "{tag}");
+        assert!(
+            trace_reproduces(l, &cex, a),
+            "{tag}: sampled cex does not refute candidate"
+        );
     }
 }
 
@@ -343,9 +246,9 @@ fn sharpened_footprints_always_refine_static() {
 }
 
 /// On the hole-indexed-array workload the sharpening must actually
-/// fire: the artifact reports strictly-tightened masks, and the
-/// reduced compiled search visits no more states than the reduced
-/// interpreted search driven by the coarse static table.
+/// fire: the artifact reports strictly-tightened masks, which make the
+/// two workers' writes independent, so the reduced search prunes
+/// states the full search visits — with the same verdict.
 #[test]
 fn sharpening_fires_on_hole_indexed_cells() {
     let cfg = psketch_repro::ir::Config::default();
@@ -357,20 +260,20 @@ fn sharpening_fires_on_hole_indexed_cells() {
          }",
         &cfg,
     );
-    let cand = l.holes.identity_assignment();
-    let cp = CompiledProgram::compile(&l, &cand);
+    let cp = CompiledProgram::compile(&l, &l.holes.identity_assignment());
     assert!(
         cp.sharpened_masks() > 0,
         "folded hole must resolve the array index"
     );
     assert!(cp.footprint_refines_static());
-    let interp = check_with_limits(&l, &cand, &limits(true, false, false));
-    let comp = check_compiled(&cp, &limits(true, false, true));
-    assert!(interp.is_ok() && comp.is_ok());
+    let full = check_compiled(&cp, &limits(false));
+    let red = check_compiled(&cp, &limits(true));
+    assert!(full.is_ok() && red.is_ok());
     assert!(
-        comp.stats.states <= interp.stats.states,
-        "sharper masks must not blow up the reduced search: {} > {}",
-        comp.stats.states,
-        interp.stats.states
+        red.stats.states < full.stats.states,
+        "sharpened masks must let the reduction prune: {} vs {}",
+        red.stats.states,
+        full.stats.states
     );
+    assert!(red.stats.por_ample_hits > 0);
 }

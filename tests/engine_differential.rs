@@ -1,35 +1,36 @@
-//! Differential testing of the zero-clone undo engine against the
+//! Differential testing of the checking engine against the
 //! clone-per-transition reference engine, across the example suite.
 //!
-//! For every suite sketch and a handful of candidates (the identity
-//! assignment plus seeded random hole values), the reference engine
-//! (`psketch_exec::reference`) and the undo engine must agree. At one
-//! thread with partial-order reduction off, both engines are
-//! deterministic depth-first searches over the same canonical state
-//! set, so the comparison is exact: identical verdicts, state and
-//! transition counts, and counterexample traces. At 2 and 4 threads
-//! the parallel undo engine may find a *different* interleaving of a
-//! failure, so the trace assertion weakens to "the counterexample
-//! actually refutes the candidate" (symbolic replay reproduces the
-//! failure) while verdicts and passing state counts stay exact.
+//! The engine runs a sealed [`CompiledProgram`]; the reference engine
+//! (`psketch_exec::reference`) interprets the unsealed
+//! `(Lowered, Assignment)` pair and shares none of its code, which
+//! makes it an independent oracle. For every suite sketch and a
+//! handful of candidates (the identity assignment plus seeded random
+//! hole values) the two must agree. At one thread with partial-order
+//! reduction and symmetry off, both are deterministic depth-first
+//! searches over the same canonical state set in the same worker
+//! order, so the comparison is exact: identical verdicts, state and
+//! transition counts, and counterexample traces and schedules. At 2
+//! and 4 threads the parallel engine may find a *different*
+//! interleaving of a failure, so the trace assertion weakens to "the
+//! counterexample actually refutes the candidate" (symbolic replay
+//! reproduces the failure) while verdicts and passing state counts
+//! stay exact.
 //!
-//! With reduction **on**, the undo engine explores a provably
-//! sufficient subset of each state's enabled workers, so the contract
-//! weakens to verdict equivalence: identical pass/fail classification
-//! at 1, 2 and 4 threads, every counterexample still refutes the
-//! candidate, and — whenever the full search completed — the reduced
-//! search never visits more states than full expansion did.
-//!
-//! The shared-table test additionally audits the zero-copy artifact
-//! contract: every checker spun up from a sealed [`CompiledProgram`]
-//! — sequential or parallel — shares its tables by reference
-//! (`table_clones == 0`), while the interpreted reduced paths own
-//! their POR table (`table_clones == 1` per run that searches).
+//! With reduction **on**, the engine explores a provably sufficient
+//! subset of each state's enabled workers, chosen with the artifact's
+//! candidate-sharpened footprint masks, so the contract weakens to
+//! verdict equivalence: identical pass/fail classification at 1, 2
+//! and 4 threads, every counterexample still refutes the candidate,
+//! and — whenever the full search completed — the reduced search never
+//! visits more states than full expansion did. The artifact-level
+//! contracts (replay, sampling, sharpened-footprint refinement) are
+//! checked in `tests/compiled_differential.rs`.
 
 use psketch_repro::exec::reference::check_ref_with_limit;
 use psketch_repro::exec::{
-    check_compiled, check_parallel_compiled, check_parallel_limits, check_with_limits,
-    CheckOutcome, CompiledProgram, Interrupt, SearchLimits, Verdict,
+    check_compiled, check_parallel_compiled, CheckOutcome, CompiledProgram, Interrupt,
+    SearchLimits, Verdict,
 };
 use psketch_repro::ir::{desugar, lower, Assignment, Lowered};
 use psketch_repro::suite::figure9_runs;
@@ -37,7 +38,7 @@ use psketch_repro::symbolic::trace_reproduces;
 use psketch_testutil::Rng;
 
 /// Bounds each exploration so the whole suite stays test-sized. Both
-/// engines dedup by canonical state identity, so (reduction off) they
+/// engines dedup by canonical state identity, so (reductions off) they
 /// reach the limit or finish under it on exactly the same searches.
 const MAX_STATES: usize = 10_000;
 
@@ -77,51 +78,62 @@ fn candidates(l: &Lowered, extra: usize, rng: &mut Rng) -> Vec<Assignment> {
     out
 }
 
+/// Exact equivalence: verdict, state/transition counts, and
+/// counterexample step sequences and schedules all match.
+fn assert_exact(reference: &CheckOutcome, got: &CheckOutcome, label: &str) {
+    assert_eq!(
+        reference.stats.states, got.stats.states,
+        "{label}: engines disagree on the state count"
+    );
+    assert_eq!(
+        reference.stats.transitions, got.stats.transitions,
+        "{label}: engines disagree on the transition count"
+    );
+    match (&reference.verdict, &got.verdict) {
+        (Verdict::Pass, Verdict::Pass) => {
+            assert_eq!(
+                reference.stats.terminal_states, got.stats.terminal_states,
+                "{label}"
+            );
+        }
+        (Verdict::Fail(rc), Verdict::Fail(gc)) => {
+            assert_eq!(rc.steps, gc.steps, "{label}: counterexample traces differ");
+            assert_eq!(
+                rc.schedule, gc.schedule,
+                "{label}: counterexample schedules differ"
+            );
+            assert_eq!(
+                rc.failure.kind, gc.failure.kind,
+                "{label}: failure kinds differ"
+            );
+        }
+        (Verdict::Unknown(rw), Verdict::Unknown(gw)) => {
+            assert_eq!(*rw, Interrupt::StateLimit, "{label}: no deadline installed");
+            assert_eq!(rw, gw, "{label}");
+        }
+        (r, g) => panic!("{label}: reference verdict {r:?}, engine verdict {g:?}"),
+    }
+}
+
 fn compare(l: &Lowered, a: &Assignment, label: &str) {
+    let cp = CompiledProgram::compile(l, a);
     let old = check_ref_with_limit(l, a, MAX_STATES);
 
     // One thread, reduction off: both engines are deterministic DFS
     // over the same canonical state set in the same worker order, so
     // everything — verdict, counts, counterexample — must match
     // exactly.
-    let new = check_with_limits(l, a, &limits(false));
-    assert_eq!(
-        old.stats.states, new.stats.states,
-        "{label}: engines disagree on the state count"
-    );
-    assert_eq!(
-        old.stats.transitions, new.stats.transitions,
-        "{label}: engines disagree on the transition count"
-    );
-    match (&old.verdict, &new.verdict) {
-        (Verdict::Pass, Verdict::Pass) => {
-            assert_eq!(
-                old.stats.terminal_states, new.stats.terminal_states,
-                "{label}"
-            );
-        }
-        (Verdict::Fail(oc), Verdict::Fail(nc)) => {
-            assert_eq!(oc.steps, nc.steps, "{label}: counterexample traces differ");
-            assert_eq!(
-                oc.failure.kind, nc.failure.kind,
-                "{label}: failure kinds differ"
-            );
-        }
-        (Verdict::Unknown(ow), Verdict::Unknown(nw)) => {
-            assert_eq!(*ow, Interrupt::StateLimit, "{label}: no deadline installed");
-            assert_eq!(ow, nw, "{label}");
-        }
-        (o, n) => panic!("{label}: reference verdict {o:?}, undo engine verdict {n:?}"),
-    }
+    let new = check_compiled(&cp, &limits(false));
+    assert_exact(&old, &new, label);
     // A full-expansion run must never report reduction activity.
     assert_eq!(new.stats.por_ample_hits, 0, "{label}: por off yet active");
     assert_eq!(new.stats.states_pruned, 0, "{label}: por off yet pruning");
 
-    // 2 and 4 threads, reduction off: the parallel undo engine against
-    // the reference verdict. Failure interleavings may differ;
-    // validity may not.
+    // 2 and 4 threads, reduction off: the parallel engine against the
+    // reference verdict. Failure interleavings may differ; validity
+    // may not.
     for threads in [2usize, 4] {
-        let par = check_parallel_limits(l, a, &limits(false), threads);
+        let par = check_parallel_compiled(&cp, &limits(false), threads);
         check_against(l, a, &old.verdict, Some(old.stats.states), &par, {
             &format!("{label} threads={threads} por=off")
         });
@@ -130,7 +142,7 @@ fn compare(l: &Lowered, a: &Assignment, label: &str) {
     // Reduction on, 1 thread: verdict equivalence against the full
     // search, plus the cost contract — when the full search completed,
     // the reduced one never visits more states.
-    let por_seq = check_with_limits(l, a, &limits(true));
+    let por_seq = check_compiled(&cp, &limits(true));
     match (&old.verdict, &por_seq.verdict) {
         (Verdict::Pass, Verdict::Pass) => {
             assert!(
@@ -171,7 +183,7 @@ fn compare(l: &Lowered, a: &Assignment, label: &str) {
     // the same reduced graph as the sequential one — passing state
     // counts must match it exactly.
     for threads in [2usize, 4] {
-        let par = check_parallel_limits(l, a, &limits(true), threads);
+        let par = check_parallel_compiled(&cp, &limits(true), threads);
         check_against(l, a, &por_seq.verdict, Some(por_seq.stats.states), &par, {
             &format!("{label} threads={threads} por=on")
         });
@@ -238,8 +250,9 @@ fn check_against(
 /// the parallel reduced search must match the sequential reduced
 /// state count exactly on passing runs.
 fn compare_symmetry(l: &Lowered, a: &Assignment, label: &str) {
-    let off = check_with_limits(l, a, &sym_limits(false));
-    let on = check_with_limits(l, a, &sym_limits(true));
+    let cp = CompiledProgram::compile(l, a);
+    let off = check_compiled(&cp, &sym_limits(false));
+    let on = check_compiled(&cp, &sym_limits(true));
     assert_eq!(
         off.stats.sym_collapses, 0,
         "{label}: symmetry off yet collapses reported"
@@ -272,16 +285,15 @@ fn compare_symmetry(l: &Lowered, a: &Assignment, label: &str) {
         (Verdict::Unknown(_), Verdict::Pass) => {}
     }
     for threads in [2usize, 4] {
-        let par = check_parallel_limits(l, a, &sym_limits(true), threads);
+        let par = check_parallel_compiled(&cp, &sym_limits(true), threads);
         check_against(l, a, &on.verdict, Some(on.stats.states), &par, {
             &format!("{label} threads={threads} symmetry=on")
         });
     }
     // Symmetry composes with the ample-set reduction: the combined
     // configuration (both defaults on) must preserve the verdict too.
-    let both = check_with_limits(
-        l,
-        a,
+    let both = check_compiled(
+        &cp,
         &SearchLimits {
             por: true,
             symmetry: true,
@@ -376,9 +388,9 @@ fn symmetry_collapses_symmetric_counter() {
          }",
         &cfg,
     );
-    let a = l.holes.identity_assignment();
-    let off = check_with_limits(&l, &a, &sym_limits(false));
-    let on = check_with_limits(&l, &a, &sym_limits(true));
+    let cp = CompiledProgram::compile(&l, &l.holes.identity_assignment());
+    let off = check_compiled(&cp, &sym_limits(false));
+    let on = check_compiled(&cp, &sym_limits(true));
     assert!(off.is_ok() && on.is_ok());
     assert!(
         on.stats.states < off.stats.states,
@@ -452,6 +464,22 @@ fn engines_agree_on_small_programs() {
              }
              assert a == 2 && b == 2;
          }",
+        // Hole-guarded branching: folding eliminates one arm.
+        "int g;
+         harness void main() {
+             fork (i; 2) {
+                 if (??(1) == 0) { int old = AtomicReadAndIncr(g); }
+                 else { g = g + 1; }
+             }
+             assert g == 2;
+         }",
+        // Hole-indexed array writes: the static footprint is the whole
+        // array, the candidate-sharpened one a single cell.
+        "int[4] a;
+         harness void main() {
+             fork (i; 2) { a[??(2) + i] = 1; }
+             assert a[0] >= 0;
+         }",
     ];
     let cfg = psketch_repro::ir::Config::default();
     let mut rng = Rng::new(17);
@@ -481,9 +509,9 @@ fn reduction_prunes_disjoint_updates() {
          }",
         &cfg,
     );
-    let a = l.holes.identity_assignment();
-    let full = check_with_limits(&l, &a, &limits(false));
-    let red = check_with_limits(&l, &a, &limits(true));
+    let cp = CompiledProgram::compile(&l, &l.holes.identity_assignment());
+    let full = check_compiled(&cp, &limits(false));
+    let red = check_compiled(&cp, &limits(true));
     assert!(full.is_ok() && red.is_ok());
     assert!(
         red.stats.states < full.stats.states,
@@ -496,107 +524,8 @@ fn reduction_prunes_disjoint_updates() {
     assert_eq!(full.stats.por_ample_hits, 0);
 }
 
-/// A sealed artifact's tables (state layout, liveness, POR masks,
-/// symmetry classes) live behind `Arc` and are shared by reference
-/// with every checker spun up from it — sequential or parallel —
-/// while the interpreted paths materialize an owned POR table per
-/// run. `table_clones` audits exactly that: zero on every artifact
-/// path, at least one on every interpreted reduced run. Sharing must
-/// also be observationally free: with reduction off, a parallel run
-/// over the shared artifact matches the interpreted sequential
-/// baseline's verdict and passing state count, and any counterexample
-/// schedule it finds still refutes the candidate.
-#[test]
-fn shared_tables_run_parallel_without_cloning() {
-    let mut seen = std::collections::HashSet::new();
-    let mut rng = Rng::new(19);
-    let mut interpreted_clones = 0u64;
-    for run in figure9_runs() {
-        if !seen.insert(run.benchmark) {
-            continue;
-        }
-        let l = lowered(&run.source, &run.options.config);
-        for (ix, a) in candidates(&l, 1, &mut rng).iter().enumerate() {
-            let label = format!("{} candidate {ix}", run.benchmark);
-            let cp = CompiledProgram::compile(&l, a);
-            let off = SearchLimits {
-                por: false,
-                symmetry: false,
-                compile: true,
-                ..SearchLimits::states(MAX_STATES)
-            };
-            let on = SearchLimits {
-                por: true,
-                ..off.clone()
-            };
-
-            // Reduction off: the shared-artifact parallel search
-            // against the interpreted sequential baseline.
-            let base = check_with_limits(
-                &l,
-                a,
-                &SearchLimits {
-                    compile: false,
-                    ..off.clone()
-                },
-            );
-            for threads in [2usize, 4] {
-                let par = check_parallel_compiled(&cp, &off, threads);
-                check_against(&l, a, &base.verdict, Some(base.stats.states), &par, {
-                    &format!("{label} threads={threads} shared artifact")
-                });
-                assert_eq!(
-                    par.stats.table_clones, 0,
-                    "{label}: artifact path must not clone tables"
-                );
-            }
-
-            // Every artifact-driven engine reports zero table clones…
-            let comp_seq = check_compiled(&cp, &on);
-            assert_eq!(comp_seq.stats.table_clones, 0, "{label}: sequential");
-            let comp_par = check_parallel_compiled(&cp, &on, 2);
-            assert_eq!(comp_par.stats.table_clones, 0, "{label}: parallel");
-
-            // …and so does the default configuration, which seals the
-            // candidate internally and checks through the artifact.
-            let flagged = check_with_limits(&l, a, &on);
-            assert_eq!(flagged.stats.table_clones, 0, "{label}: compile flag");
-
-            // The interpreted reduced paths materialize their own
-            // owned POR table, once per run (the reduction only
-            // engages between 2 and 64 workers, and a candidate that
-            // dies in the prologue never reaches the search).
-            if (2..=64).contains(&l.workers.len()) {
-                let int_on = SearchLimits {
-                    compile: false,
-                    ..on.clone()
-                };
-                let int_seq = check_with_limits(&l, a, &int_on);
-                assert!(int_seq.stats.table_clones <= 1, "{label}: interpreted");
-                let int_par = check_parallel_limits(&l, a, &int_on, 2);
-                assert_eq!(
-                    int_seq.stats.table_clones, int_par.stats.table_clones,
-                    "{label}: sequential and parallel interpreted runs \
-                     materialize the same tables"
-                );
-                if int_seq.stats.por_ample_hits + int_seq.stats.por_fallbacks > 0 {
-                    assert_eq!(
-                        int_seq.stats.table_clones, 1,
-                        "{label}: a reduced interpreted search owns its table"
-                    );
-                }
-                interpreted_clones += int_seq.stats.table_clones;
-            }
-        }
-    }
-    assert!(
-        interpreted_clones > 0,
-        "the interpreted paths must have materialized at least one table"
-    );
-}
-
-/// The undo engine's accounting must reflect its zero-clone design:
-/// a sequential search journals writes and never clones, while the
+/// The engine's accounting must reflect its zero-clone design: a
+/// sequential search journals writes and never clones, while the
 /// reference engine clones per transition and journals nothing.
 #[test]
 fn accounting_reflects_engine_design() {
@@ -610,13 +539,13 @@ fn accounting_reflects_engine_design() {
         &cfg,
     );
     let a = l.holes.identity_assignment();
-    let new = check_with_limits(&l, &a, &limits(false));
+    let new = check_compiled(&CompiledProgram::compile(&l, &a), &limits(false));
     assert!(new.is_ok());
-    assert!(new.stats.journal_writes > 0, "undo engine records writes");
-    assert_eq!(
-        new.stats.state_clones, 0,
-        "sequential undo search never clones"
+    assert!(
+        new.stats.journal_writes > 0,
+        "the engine journals its writes"
     );
+    assert_eq!(new.stats.state_clones, 0, "sequential search never clones");
     let old = check_ref_with_limit(&l, &a, MAX_STATES);
     assert!(old.is_ok());
     assert!(

@@ -154,7 +154,7 @@ fn hybrid_verifier_agrees_with_exhaustive() {
 
 #[test]
 fn random_runs_are_real_executions() {
-    use psketch_repro::exec::random_run;
+    use psketch_repro::exec::{random_run_compiled, CompiledProgram};
     use psketch_repro::ir::{desugar::desugar_program, lower::lower_program};
     // A program where half the schedules fail: random runs must find a
     // failure within a few seeds, and every reported failure must also
@@ -169,7 +169,8 @@ fn random_runs_are_real_executions() {
     let (sk, holes) = desugar_program(&p, &cfg).unwrap();
     let l = lower_program(&sk, holes, &cfg).unwrap();
     let a = l.holes.identity_assignment();
-    let found = (0..64).any(|seed| random_run(&l, &a, seed).is_some());
+    let cp = CompiledProgram::compile(&l, &a);
+    let found = (0..64).any(|seed| random_run_compiled(&cp, seed).is_some());
     assert!(found, "64 random schedules should hit the race");
     assert!(
         psketch_repro::exec::check(&l, &a)

@@ -1,18 +1,21 @@
 //! Footprint-soundness property: independence really means
 //! commutation.
 //!
-//! The partial-order reduction is sound only if the static effect
-//! footprints over-approximate the dynamic behavior of every
-//! transition: whenever two enabled workers' current transitions are
-//! classified independent (`Footprint::may_conflict` is false), firing
-//! them in either order from the same state must produce *identical*
-//! outcomes — the same canonical state vector, the same Zobrist
-//! fingerprint, or the same failure. This test drives that property
-//! over every suite workload with seeded random walks through the real
+//! The partial-order reduction is sound only if the effect footprints
+//! over-approximate the dynamic behavior of every transition: whenever
+//! two enabled workers' current transitions are classified independent
+//! by the POR table the engines search with — the sealed candidate's
+//! candidate-sharpened masks, which claim more independence than the
+//! static hole-agnostic analysis — firing them in either order from
+//! the same state must produce *identical* outcomes: the same
+//! canonical state vector, the same Zobrist fingerprint, or the same
+//! failure. This test drives that property over every suite workload
+//! and random candidates with seeded random walks through the real
 //! transition system, checking every independent enabled pair at every
 //! visited state.
 
 use psketch_repro::exec::walker::Walker;
+use psketch_repro::exec::CompiledProgram;
 use psketch_repro::ir::{desugar, lower, Assignment, Lowered};
 use psketch_repro::suite::figure9_runs;
 use psketch_testutil::Rng;
@@ -50,7 +53,8 @@ fn run_order(w: &mut Walker, first: usize, second: usize) -> Result<(Vec<i64>, u
 /// visited state, checks that each enabled pair the footprint layer
 /// calls independent commutes. Returns the number of pairs checked.
 fn walk(l: &Lowered, a: &Assignment, rng: &mut Rng, label: &str) -> usize {
-    let Ok(mut w) = Walker::new(l, a) else {
+    let cp = CompiledProgram::compile(l, a);
+    let Ok(mut w) = Walker::new(&cp) else {
         // The candidate fails in the prologue before any interleaving
         // exists; there is nothing to commute.
         return 0;

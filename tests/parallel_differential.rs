@@ -9,7 +9,10 @@
 //! we assert that the parallel trace actually refutes the candidate
 //! (symbolic replay reproduces the failure).
 
-use psketch_repro::exec::{check_parallel, check_with_limit, Interrupt, Verdict};
+use psketch_repro::exec::{
+    check_parallel_compiled, check_with_limit, CheckOutcome, CompiledProgram, Interrupt,
+    SearchLimits, Verdict,
+};
 use psketch_repro::ir::{desugar, lower, Assignment, Lowered};
 use psketch_repro::suite::figure9_runs;
 use psketch_repro::symbolic::trace_reproduces;
@@ -19,6 +22,17 @@ use psketch_testutil::Rng;
 /// checkers visit the same canonical state set, so when the sequential
 /// search completes under the limit the parallel one does too.
 const MAX_STATES: usize = 10_000;
+
+/// Seals `candidate` and checks it with `threads` search threads.
+fn check_parallel(
+    l: &Lowered,
+    candidate: &Assignment,
+    max_states: usize,
+    threads: usize,
+) -> CheckOutcome {
+    let cp = CompiledProgram::compile(l, candidate);
+    check_parallel_compiled(&cp, &SearchLimits::states(max_states), threads)
+}
 
 fn lowered(source: &str, config: &psketch_repro::ir::Config) -> Lowered {
     let p = psketch_repro::lang::check_program(source).unwrap();

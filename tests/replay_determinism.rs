@@ -10,7 +10,7 @@
 //! partial-order reduction both on and off.
 
 use psketch_repro::exec::{
-    check_parallel_limits, check_with_limits, replay_fp, SearchLimits, Verdict,
+    check_parallel_compiled, replay_fp_compiled, CompiledProgram, SearchLimits, Verdict,
 };
 use psketch_repro::ir::{desugar, lower, Assignment, Lowered};
 use psketch_repro::suite::figure9_runs;
@@ -39,19 +39,18 @@ fn candidates(l: &Lowered, extra: usize, rng: &mut Rng) -> Vec<Assignment> {
 
 /// Replays `schedule` twice and checks both runs fail identically.
 fn assert_replay_deterministic(
-    l: &Lowered,
-    a: &Assignment,
+    cp: &CompiledProgram,
     cex: &psketch_repro::exec::CexTrace,
     label: &str,
 ) {
     let order: Vec<usize> = cex.schedule.iter().map(|&w| w as usize).collect();
-    let (first, fp1) = replay_fp(l, a, &order);
+    let (first, fp1) = replay_fp_compiled(cp, &order);
     let first = first.unwrap_or_else(|| panic!("{label}: replaying the schedule must fail"));
     assert_eq!(
         first.failure.kind, cex.failure.kind,
         "{label}: replay must land the reported failure kind"
     );
-    let (second, fp2) = replay_fp(l, a, &order);
+    let (second, fp2) = replay_fp_compiled(cp, &order);
     let second = second.unwrap_or_else(|| panic!("{label}: second replay must fail too"));
     assert_eq!(
         fp1, fp2,
@@ -62,7 +61,7 @@ fn assert_replay_deterministic(
     // The trace's own schedule records the workers that actually
     // fired; replaying it must converge (a fixed point of replay).
     let again: Vec<usize> = first.schedule.iter().map(|&w| w as usize).collect();
-    let (third, fp3) = replay_fp(l, a, &again);
+    let (third, fp3) = replay_fp_compiled(cp, &again);
     assert!(third.is_some(), "{label}: the fired schedule must refute");
     assert_eq!(fp1, fp3, "{label}: fired-schedule replay must agree");
 }
@@ -78,24 +77,21 @@ fn replay_reproduces_suite_counterexamples() {
         }
         let l = lowered(&run.source, &run.options.config);
         for (ix, a) in candidates(&l, 2, &mut rng).iter().enumerate() {
+            let cp = CompiledProgram::compile(&l, a);
             for por in [true, false] {
                 let limits = SearchLimits {
                     por,
                     ..SearchLimits::states(MAX_STATES)
                 };
                 for threads in [1usize, 2, 4] {
-                    let out = if threads > 1 {
-                        check_parallel_limits(&l, a, &limits, threads)
-                    } else {
-                        check_with_limits(&l, a, &limits)
-                    };
+                    let out = check_parallel_compiled(&cp, &limits, threads);
                     if let Verdict::Fail(cex) = &out.verdict {
                         refuted += 1;
                         let label = format!(
                             "{} candidate {ix} threads={threads} por={por}",
                             run.benchmark
                         );
-                        assert_replay_deterministic(&l, a, cex, &label);
+                        assert_replay_deterministic(&cp, cex, &label);
                     }
                 }
             }

@@ -34,7 +34,6 @@ fn limits(por: bool, symmetry: bool) -> SearchLimits {
     SearchLimits {
         por,
         symmetry,
-        compile: true,
         ..SearchLimits::states(MAX_STATES)
     }
 }
