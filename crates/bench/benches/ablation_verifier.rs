@@ -41,7 +41,7 @@ fn main() {
                 .unwrap()
                 .run();
             assert!(out.resolved());
-            black_box((out.stats.iterations, out.stats.sampled_refutations));
+            black_box((out.stats.iterations, out.stats.cost.sampled_refutations));
         });
     }
 

@@ -2,20 +2,26 @@
 //!
 //! Runs a small/medium/large trio of Figure 9 sketches through the
 //! full CEGIS loop at `threads` ∈ {1, 2, 4, 8} (plus a portfolio-width
-//! series at `portfolio` ∈ {1, 3}) and records per-run wall-clock,
-//! explored states and iteration counts. Thread scaling is bounded by
-//! the host's available cores — the `cores` field in the meta block
-//! records how many were present when the numbers were taken.
+//! series at `portfolio` ∈ {1, 3}) and records per-run wall-clock
+//! next to the last sample's run totals — every column of the run
+//! report's run-level object (`iterations`, the Figure 9 phase times
+//! `s_solve_secs` / `s_model_secs` / `v_solve_secs` / `v_model_secs`,
+//! `peak_memory`, the SAT counters and the summed verification cost),
+//! written by the same [`psketch_core::CegisStats::write_json`]. Thread
+//! scaling is bounded by the host's available cores — the `cores`
+//! field in the meta block records how many were present when the
+//! numbers were taken.
 //!
 //! Every cell also carries a `prescreen` column: the sequential and
 //! portfolio baselines are measured twice, once with the schedule-bank
 //! prescreen (the default) and once with `prescreen: false`, so the
-//! report doubles as the prescreen ablation. `prescreen_hits` /
-//! `checker_calls_avoided` count the full checker invocations the bank
-//! turned into O(trace) replays. The `compile_us` / `reseal_us` /
-//! `threads_reused` columns surface the incremental-sealing layer:
-//! after the first iteration every candidate reseals the previous
-//! artifact, re-emitting only the threads whose hole values changed.
+//! report doubles as the prescreen ablation. `prescreen_hits` counts
+//! the full checker invocations the bank turned into O(trace) replays.
+//! The `compile_us` / `reseal_us` / `threads_reused` columns surface
+//! the incremental-sealing layer: after the first iteration every
+//! candidate reseals the previous artifact, re-emitting only the
+//! threads whose hole values changed. The peak-RSS mark is reset
+//! before each cell, so `peak_memory` is that cell's own peak.
 //!
 //! Usage: `cargo run --release -p psketch-bench --bin bench_cegis
 //! [--smoke] [output.json]` (default `BENCH_cegis.json` in the current
@@ -23,8 +29,8 @@
 //! CI uses it to validate that the harness runs and the report parses,
 //! not to take publishable numbers.
 
-use psketch_bench::{Harness, JsonValue, JsonWriter};
-use psketch_core::{Options, Synthesis};
+use psketch_bench::{field, write_report, Harness};
+use psketch_core::{mem, Json, Options, Synthesis};
 use psketch_suite::figure9_runs;
 use std::cell::RefCell;
 use std::hint::black_box;
@@ -64,7 +70,7 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     let h = Harness::unfiltered(if smoke { 1 } else { 3 });
-    let mut w = JsonWriter::new();
+    let mut rows = Vec::new();
 
     let runs = figure9_runs();
     for (benchmark, test) in SKETCHES {
@@ -82,6 +88,7 @@ fn main() {
             let tag = if prescreen { "" } else { "-nopre" };
             let id = format!("cegis/{benchmark}/{test}/t{threads}p{portfolio}{tag}");
             let last = RefCell::new(None);
+            mem::reset_peak_rss();
             let m = h
                 .bench(&id, || {
                     let s =
@@ -92,92 +99,44 @@ fn main() {
                 })
                 .expect("no filter in use");
             let out = last.into_inner().expect("ran at least once");
-            w.record(&[
-                ("sketch", JsonValue::Str(format!("{benchmark}/{test}"))),
-                ("threads", JsonValue::Int(threads as i64)),
-                ("portfolio", JsonValue::Int(portfolio as i64)),
-                ("prescreen", JsonValue::Bool(prescreen)),
-                ("secs_median", JsonValue::Num(m.median.as_secs_f64())),
-                ("secs_min", JsonValue::Num(m.min.as_secs_f64())),
-                ("states", JsonValue::Int(out.stats.states as i64)),
-                ("transitions", JsonValue::Int(out.stats.transitions as i64)),
-                (
-                    "terminal_states",
-                    JsonValue::Int(out.stats.terminal_states as i64),
-                ),
-                ("iterations", JsonValue::Int(out.stats.iterations as i64)),
-                (
-                    "portfolio_width",
-                    JsonValue::Int(out.stats.portfolio_width as i64),
-                ),
-                (
-                    "prescreen_hits",
-                    JsonValue::Int(out.stats.prescreen_hits as i64),
-                ),
-                (
-                    "prescreen_replays",
-                    JsonValue::Int(out.stats.prescreen_replays as i64),
-                ),
-                (
-                    "checker_calls_avoided",
-                    JsonValue::Int(out.stats.checker_calls_avoided as i64),
-                ),
-                ("bank_size", JsonValue::Int(out.stats.bank_size as i64)),
-                ("compile_us", JsonValue::Int(out.stats.compile_us as i64)),
-                ("reseal_us", JsonValue::Int(out.stats.reseal_us as i64)),
-                (
-                    "threads_reused",
-                    JsonValue::Int(out.stats.threads_reused as i64),
-                ),
-                (
-                    "sat_decisions",
-                    JsonValue::Int(out.stats.sat_decisions as i64),
-                ),
-                (
-                    "sat_conflicts",
-                    JsonValue::Int(out.stats.sat_conflicts as i64),
-                ),
-                (
-                    "s_solve_secs",
-                    JsonValue::Num(out.stats.s_solve.as_secs_f64()),
-                ),
-                (
-                    "v_solve_secs",
-                    JsonValue::Num(out.stats.v_solve.as_secs_f64()),
-                ),
-                (
-                    "peak_memory_bytes",
-                    match out.stats.peak_memory {
-                        Some(b) => JsonValue::Int(b as i64),
-                        None => JsonValue::Str("n/a".into()),
-                    },
-                ),
-                ("resolved", JsonValue::Bool(out.resolved())),
-            ]);
+            let mut row = vec![
+                field("sketch", Json::Str(format!("{benchmark}/{test}"))),
+                field("threads", Json::from(threads as i64)),
+                field("portfolio", Json::from(portfolio as i64)),
+                field("prescreen", Json::Bool(prescreen)),
+                field("secs_median", Json::Num(m.median.as_secs_f64())),
+                field("secs_min", Json::Num(m.min.as_secs_f64())),
+                field("resolved", Json::Bool(out.resolved())),
+            ];
+            out.stats.write_json(&mut row);
+            rows.push(Json::Obj(row));
         }
     }
 
-    let doc = w.render(&[
-        ("schema", JsonValue::Int(4)),
-        ("suite", JsonValue::Str("cegis_thread_scaling".into())),
-        ("cores", JsonValue::Int(cores as i64)),
-        ("samples", JsonValue::Int(h.samples as i64)),
-        ("smoke", JsonValue::Bool(smoke)),
-        (
+    let meta = vec![
+        field("schema", Json::from(5)),
+        field("suite", Json::Str("cegis_thread_scaling".into())),
+        field("cores", Json::from(cores as i64)),
+        field("samples", Json::from(h.samples as i64)),
+        field("smoke", Json::Bool(smoke)),
+        field(
             "note",
-            JsonValue::Str(
+            Json::Str(
                 "speedup from threads > cores is not expected; compare \
                  against the cores field. prescreen=false rows are the \
                  schedule-bank ablation: compare them against the \
                  prescreen=true row with the same threads/portfolio. \
-                 compile_us is the cumulative candidate-sealing time; \
-                 reseal_us (included in compile_us) and threads_reused \
-                 count the incremental reseals that reused the previous \
-                 iteration's artifact instead of sealing from scratch"
+                 secs_median/secs_min time the whole run; every other \
+                 column is the last sample's run totals, named as in the \
+                 run report (schema 5). compile_us is the cumulative \
+                 candidate-sealing time; reseal_us (included in \
+                 compile_us) and threads_reused count the incremental \
+                 reseals that reused the previous iteration's artifact \
+                 instead of sealing from scratch. peak_memory is the \
+                 cell's own peak RSS: the mark is reset before each cell"
                     .into(),
             ),
         ),
-    ]);
-    std::fs::write(&out_path, doc).expect("write BENCH_cegis.json");
-    println!("wrote {out_path}");
+    ];
+    write_report(&out_path, meta, &rows);
 }

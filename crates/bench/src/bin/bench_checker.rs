@@ -35,8 +35,8 @@
 //! five: CI uses it to validate that the harness runs and the report
 //! parses, not to take publishable numbers.
 
-use psketch_bench::{Harness, JsonValue, JsonWriter};
-use psketch_core::{mem, Options, Synthesis};
+use psketch_bench::{field, write_report, Harness};
+use psketch_core::{mem, Json, Options, Synthesis, VerifyCost};
 use psketch_exec::{
     check_compiled, reference::check_ref_with_limit, CheckOutcome, CompiledProgram, SearchLimits,
     Verdict,
@@ -139,7 +139,7 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     let h = Harness::unfiltered(if smoke { 1 } else { 5 });
-    let mut w = JsonWriter::new();
+    let mut rows = Vec::new();
 
     for load in workloads() {
         let synthesis =
@@ -206,56 +206,30 @@ fn main() {
             let out = last.into_inner().expect("ran at least once");
             let states_per_sec = out.stats.states as f64 / m.median.as_secs_f64();
             // The sealing columns describe the artifact the row ran;
-            // the reference engine runs none.
-            let artifact = |v: u64| JsonValue::Int(if sealed { v as i64 } else { 0 });
-            w.record(&[
-                ("sketch", JsonValue::Str(load.name.clone())),
-                ("engine", JsonValue::Str(engine.into())),
-                ("secs_median", JsonValue::Num(m.median.as_secs_f64())),
-                ("secs_min", JsonValue::Num(m.min.as_secs_f64())),
-                ("states", JsonValue::Int(out.stats.states as i64)),
-                ("transitions", JsonValue::Int(out.stats.transitions as i64)),
-                (
-                    "terminal_states",
-                    JsonValue::Int(out.stats.terminal_states as i64),
-                ),
-                ("states_per_sec", JsonValue::Num(states_per_sec)),
-                (
-                    "journal_writes",
-                    JsonValue::Int(out.stats.journal_writes as i64),
-                ),
-                (
-                    "state_clones",
-                    JsonValue::Int(out.stats.state_clones as i64),
-                ),
-                (
-                    "por_ample_hits",
-                    JsonValue::Int(out.stats.por_ample_hits as i64),
-                ),
-                (
-                    "por_fallbacks",
-                    JsonValue::Int(out.stats.por_fallbacks as i64),
-                ),
-                (
-                    "states_pruned",
-                    JsonValue::Int(out.stats.states_pruned as i64),
-                ),
-                (
-                    "sym_collapses",
-                    JsonValue::Int(out.stats.sym_collapses as i64),
-                ),
-                ("compile_us", artifact(cp.compile_us())),
-                ("sharpened_masks", artifact(cp.sharpened_masks())),
-                ("reseal_us", artifact(cp.reseal_us())),
-                ("threads_reused", artifact(cp.threads_reused())),
-                (
+            // the reference engine runs none. A bare sweep has no
+            // prescreen, sampler or bank, so those columns read 0.
+            let cost = VerifyCost {
+                check: out.stats,
+                per_thread_states: out.per_thread_states,
+                ..if sealed {
+                    VerifyCost::sealed(cp)
+                } else {
+                    VerifyCost::default()
+                }
+            };
+            let mut row = vec![
+                field("sketch", Json::Str(load.name.clone())),
+                field("engine", Json::Str(engine.into())),
+                field("secs_median", Json::Num(m.median.as_secs_f64())),
+                field("secs_min", Json::Num(m.min.as_secs_f64())),
+                field("states_per_sec", Json::Num(states_per_sec)),
+                field(
                     "rss_delta_bytes",
-                    match rss_delta {
-                        Some(b) => JsonValue::Int(b as i64),
-                        None => JsonValue::Str("n/a".into()),
-                    },
+                    rss_delta.map_or_else(|| Json::Str("n/a".into()), |b| Json::from(b as i64)),
                 ),
-            ]);
+            ];
+            cost.write_json(&mut row);
+            rows.push(Json::Obj(row));
         }
 
         // Reseal ablation: the CEGIS-iteration pattern. Perturb the
@@ -297,37 +271,31 @@ fn main() {
             "{}: resealed artifact must be identical to the fresh seal",
             load.name
         );
-        w.record(&[
-            ("sketch", JsonValue::Str(load.name.clone())),
-            ("engine", JsonValue::Str("seal-ablation".into())),
-            (
+        rows.push(Json::Obj(vec![
+            field("sketch", Json::Str(load.name.clone())),
+            field("engine", Json::Str("seal-ablation".into())),
+            field(
                 "fresh_seal_us",
-                JsonValue::Int(fresh_m.median.as_micros() as i64),
+                Json::from(fresh_m.median.as_micros() as i64),
             ),
-            (
-                "reseal_us",
-                JsonValue::Int(reseal_m.median.as_micros() as i64),
-            ),
-            (
-                "threads_reused",
-                JsonValue::Int(rcp.threads_reused() as i64),
-            ),
-            (
+            field("reseal_us", Json::from(reseal_m.median.as_micros() as i64)),
+            field("threads_reused", Json::from(rcp.threads_reused() as i64)),
+            field(
                 "threads_total",
-                JsonValue::Int(lowered.workers.len() as i64 + 2),
+                Json::from(lowered.workers.len() as i64 + 2),
             ),
-        ]);
+        ]));
     }
 
-    let doc = w.render(&[
-        ("schema", JsonValue::Int(4)),
-        ("suite", JsonValue::Str("checker_engine_throughput".into())),
-        ("cores", JsonValue::Int(cores as i64)),
-        ("samples", JsonValue::Int(h.samples as i64)),
-        ("smoke", JsonValue::Bool(smoke)),
-        (
+    let meta = vec![
+        field("schema", Json::from(4)),
+        field("suite", Json::Str("checker_engine_throughput".into())),
+        field("cores", Json::from(cores as i64)),
+        field("samples", Json::from(h.samples as i64)),
+        field("smoke", Json::Bool(smoke)),
+        field(
             "note",
-            JsonValue::Str(
+            Json::Str(
                 "compiled and clone sweep the identical state space of \
                  the resolved candidate; compiled-por (ample-set \
                  reduction + thread-symmetry canonicalization, the \
@@ -357,11 +325,13 @@ fn main() {
                  whose first hole was flipped, threads_reused counts \
                  the threads (of threads_total: prologue + workers + \
                  epilogue) carried over verbatim; the resealed \
-                 artifact is asserted bit-identical to the fresh seal"
+                 artifact is asserted bit-identical to the fresh seal. \
+                 The search and sealing columns are written by the run \
+                 report's cost writer, so the prescreen, sampler and \
+                 bank columns of a bare sweep read 0"
                     .into(),
             ),
         ),
-    ]);
-    std::fs::write(&out_path, doc).expect("write BENCH_checker.json");
-    println!("wrote {out_path}");
+    ];
+    write_report(&out_path, meta, &rows);
 }

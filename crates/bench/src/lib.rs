@@ -6,11 +6,13 @@
 //! has no crates.io access, so Criterion is unavailable). Each
 //! measurement reports min/median/mean over a fixed sample count.
 //!
-//! [`JsonWriter`] emits the machine-readable `BENCH_cegis.json`
-//! consumed by the perf-trajectory tooling (see the `bench_cegis`
-//! binary).
+//! The `bench_cegis` and `bench_checker` binaries write their
+//! machine-readable reports with [`write_report`], naming every
+//! counter through the run report's own JSON writers
+//! ([`psketch_core::CegisStats::write_json`],
+//! [`psketch_core::VerifyCost::write_json`]).
 
-use std::fmt::Write as _;
+use psketch_core::Json;
 use std::time::{Duration, Instant};
 
 /// A named collection of timed measurements.
@@ -97,71 +99,26 @@ impl Harness {
     }
 }
 
-/// Hand-rolled JSON emitter (objects of scalar fields only — exactly
-/// what the bench records need; no serde available offline).
-#[derive(Default)]
-pub struct JsonWriter {
-    rows: Vec<String>,
+/// One named field of a bench report row or meta block.
+pub fn field(key: &str, value: Json) -> (String, Json) {
+    (key.to_string(), value)
 }
 
-impl JsonWriter {
-    /// A fresh writer.
-    pub fn new() -> JsonWriter {
-        JsonWriter::default()
-    }
-
-    /// Appends one record; `fields` are (key, value).
-    pub fn record(&mut self, fields: &[(&str, JsonValue)]) {
-        let mut row = String::from("    {");
-        for (i, (k, v)) in fields.iter().enumerate() {
-            if i > 0 {
-                row.push_str(", ");
-            }
-            let _ = write!(row, "\"{k}\": {v}");
-        }
-        row.push('}');
-        self.rows.push(row);
-    }
-
-    /// Renders the whole document: `{"meta": {...}, "runs": [...]}`.
-    pub fn render(&self, meta: &[(&str, JsonValue)]) -> String {
-        let mut out = String::from("{\n  \"meta\": {");
-        for (i, (k, v)) in meta.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{k}\": {v}");
-        }
-        out.push_str("},\n  \"runs\": [\n");
-        out.push_str(&self.rows.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-}
-
-/// A JSON scalar.
-pub enum JsonValue {
-    /// A string (escaped on output).
-    Str(String),
-    /// An integer.
-    Int(i64),
-    /// A float (rendered with 6 decimals).
-    Num(f64),
-    /// A boolean.
-    Bool(bool),
-}
-
-impl std::fmt::Display for JsonValue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JsonValue::Str(s) => {
-                write!(f, "\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
-            }
-            JsonValue::Int(v) => write!(f, "{v}"),
-            JsonValue::Num(v) => write!(f, "{v:.6}"),
-            JsonValue::Bool(b) => write!(f, "{b}"),
-        }
-    }
+/// Writes a bench report, `{"meta": {...}, "runs": [...]}`, to `path`,
+/// one run per line.
+///
+/// # Panics
+///
+/// When the file cannot be written.
+pub fn write_report(path: &str, meta: Vec<(String, Json)>, runs: &[Json]) {
+    let runs: Vec<String> = runs.iter().map(|r| format!("    {}", r.render())).collect();
+    let doc = format!(
+        "{{\n  \"meta\": {},\n  \"runs\": [\n{}\n  ]\n}}\n",
+        Json::Obj(meta).render(),
+        runs.join(",\n")
+    );
+    std::fs::write(path, doc).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    println!("wrote {path}");
 }
 
 #[cfg(test)]
@@ -177,20 +134,5 @@ mod tests {
             })
             .unwrap();
         assert!(m.min <= m.median);
-    }
-
-    #[test]
-    fn json_renders_valid_shape() {
-        let mut w = JsonWriter::new();
-        w.record(&[
-            ("sketch", JsonValue::Str("queueE1".into())),
-            ("threads", JsonValue::Int(4)),
-            ("secs", JsonValue::Num(0.25)),
-            ("resolved", JsonValue::Bool(true)),
-        ]);
-        let doc = w.render(&[("schema", JsonValue::Int(1))]);
-        assert!(doc.contains("\"sketch\": \"queueE1\""));
-        assert!(doc.contains("\"schema\": 1"));
-        assert!(doc.starts_with('{') && doc.trim_end().ends_with('}'));
     }
 }

@@ -1,7 +1,9 @@
 //! The CEGIS driver.
 
 use crate::mem;
-use crate::telemetry::{BudgetKind, BudgetTrip, IterationRecord, RunReport};
+use crate::telemetry::{
+    BudgetKind, BudgetTrip, CegisStats, IterationRecord, RunReport, VerifyCost,
+};
 use psketch_exec::{
     check_parallel_compiled, random_run_compiled, CexTrace, CompiledProgram, FailureKind,
     Interrupt, ScheduleBank, SearchLimits, Verdict,
@@ -129,106 +131,6 @@ impl Default for Options {
     }
 }
 
-/// Timing and size statistics matching the paper's Figure 9 columns.
-#[derive(Clone, Debug, Default)]
-pub struct CegisStats {
-    /// Number of observations (verifier calls that produced a
-    /// counterexample) — the paper's `Itns` counts candidates tried.
-    pub iterations: usize,
-    /// Synthesizer SAT-solving time (`Ssolve`).
-    pub s_solve: Duration,
-    /// Synthesizer encoding time (`Smodel`).
-    pub s_model: Duration,
-    /// Verifier search time (`Vsolve`).
-    pub v_solve: Duration,
-    /// Front-end + lowering time (`Vmodel`: the paper's model
-    /// generation/compilation).
-    pub v_model: Duration,
-    /// Wall-clock total.
-    pub total: Duration,
-    /// |C|, the candidate-space size.
-    pub candidate_space: u128,
-    /// log10 |C| (Figure 10's x axis).
-    pub log10_space: f64,
-    /// States explored by the model checker (cumulative).
-    pub states: usize,
-    /// Transitions fired by the model checker (cumulative).
-    pub transitions: usize,
-    /// Terminal states the model checker reached (cumulative).
-    pub terminal_states: usize,
-    /// Peak RSS observed at the end of the run, bytes; `None` when the
-    /// platform exposes no `/proc/self/status` (report it as "n/a",
-    /// not as zero).
-    pub peak_memory: Option<u64>,
-    /// Synthesizer SAT decisions (cumulative).
-    pub sat_decisions: u64,
-    /// Synthesizer SAT unit propagations (cumulative).
-    pub sat_propagations: u64,
-    /// Synthesizer SAT conflicts (cumulative).
-    pub sat_conflicts: u64,
-    /// Synthesizer SAT restarts (cumulative).
-    pub sat_restarts: u64,
-    /// Circuit nodes in the synthesizer at the end.
-    pub synth_nodes: usize,
-    /// Candidates refuted by a sampled schedule before any exhaustive
-    /// search (hybrid verifier only).
-    pub sampled_refutations: usize,
-    /// States first discovered by each checker thread, summed over all
-    /// verification calls (one entry for sequential runs).
-    pub per_thread_states: Vec<usize>,
-    /// Widest batch of candidates verified concurrently in one
-    /// iteration (1 for classic CEGIS).
-    pub portfolio_width: usize,
-    /// Undo-journal cell writes recorded by the checker (cumulative).
-    /// The zero-clone engine's analogue of "bytes copied".
-    pub journal_writes: u64,
-    /// Whole-state copies the checker made (cumulative): one per
-    /// stolen work item in parallel searches, zero sequentially.
-    pub state_clones: usize,
-    /// States whose successor expansion used a proper ample subset of
-    /// the enabled workers (partial-order reduction, cumulative).
-    pub por_ample_hits: u64,
-    /// States where the ample-set construction failed and the checker
-    /// fell back to full expansion (cumulative).
-    pub por_fallbacks: u64,
-    /// Worker expansions skipped at ample states — successors the
-    /// reduction proved redundant without visiting (cumulative).
-    pub states_pruned: u64,
-    /// Duplicate-state hits that arrived with symmetric worker blocks
-    /// out of canonical order — revisits the symmetry reduction folded
-    /// onto an orbit representative (cumulative). An upper bound on
-    /// cross-permutation merges, not an exact merge count.
-    pub sym_collapses: u64,
-    /// States explored per second of verifier search time
-    /// (`states / v_solve`); `0.0` when no search ran.
-    pub states_per_sec: f64,
-    /// Candidates refuted by a banked schedule before any sampling or
-    /// exhaustive search (prescreen hits, cumulative).
-    pub prescreen_hits: u64,
-    /// Banked schedules replayed by the prescreen pass (cumulative).
-    pub prescreen_replays: u64,
-    /// Full checker invocations the prescreen made unnecessary —
-    /// exactly the hit count; kept as its own column so the ablation
-    /// reads directly off the report.
-    pub checker_calls_avoided: u64,
-    /// Schedule-bank occupancy after the last verification call.
-    pub bank_size: u64,
-    /// Microseconds spent compiling candidates into sealed execution
-    /// artifacts (cumulative).
-    pub compile_us: u64,
-    /// POR footprint masks the compiled candidates' constants made
-    /// strictly tighter than the static analysis (cumulative over
-    /// verification calls).
-    pub sharpened_masks: u64,
-    /// Microseconds spent in incremental reseals (cumulative; included
-    /// in `compile_us`, broken out so the fresh-vs-reseal ablation
-    /// reads off the report).
-    pub reseal_us: u64,
-    /// Threads whose sealed micro-op arrays were reused by reference
-    /// across iterations instead of recompiled (cumulative).
-    pub threads_reused: u64,
-}
-
 /// A successful resolution.
 #[derive(Clone, Debug)]
 pub struct Resolution {
@@ -259,6 +161,17 @@ impl Outcome {
     /// Did the sketch resolve?
     pub fn resolved(&self) -> bool {
         self.resolution.is_some()
+    }
+
+    /// Figure 9's Resolvable column: `"yes"`, `"NO"` or `"unknown"`.
+    pub fn resolvable(&self) -> &'static str {
+        if self.resolved() {
+            "yes"
+        } else if self.definitely_unresolvable {
+            "NO"
+        } else {
+            "unknown"
+        }
     }
 }
 
@@ -425,7 +338,7 @@ impl Synthesis {
             }
 
             let mut batch_no = 0usize;
-            'cegis: while stats.iterations < self.options.max_iterations {
+            while stats.iterations < self.options.max_iterations {
                 // The watchdog polls every few milliseconds, but a run
                 // can conclude between two polls; checking here too
                 // means an over-budget run never starts another
@@ -440,7 +353,7 @@ impl Synthesis {
                 let remaining = self
                     .options
                     .state_budget
-                    .map(|b| b.saturating_sub(stats.states));
+                    .map(|b| b.saturating_sub(stats.cost.check.states));
                 if remaining == Some(0) {
                     set_trip(
                         &trip,
@@ -498,19 +411,19 @@ impl Synthesis {
                     Some(&prev_artifact),
                 );
                 stats.v_solve += tv.elapsed();
-                for (_, effort) in &results {
-                    stats.merge_effort(effort);
-                }
                 // A correct candidate wins; otherwise every trace
                 // feeds back as one observation batch. Portfolio
                 // siblings often die on the same interleaving, and the
                 // trace projection is candidate-independent, so
                 // identical traces within the batch are encoded once.
+                // Every candidate of the batch was verified, so every
+                // one is recorded, siblings after the winner included.
                 let mut unknown: Option<Interrupt> = None;
                 let mut fed: std::collections::HashSet<TraceKey> = std::collections::HashSet::new();
-                for (ix, (candidate, (result, effort))) in
+                for (ix, (candidate, (result, cost, took))) in
                     candidates.into_iter().zip(results).enumerate()
                 {
+                    stats.cost.add(&cost);
                     records.push(IterationRecord {
                         iteration: base + ix + 1,
                         batch: batch_no,
@@ -523,26 +436,12 @@ impl Synthesis {
                             VerifyResult::Unknown(why) => format!("unknown:{}", why.label()),
                         },
                         trace_set,
-                        v_solve_secs: effort.duration.as_secs_f64(),
-                        states: effort.states,
-                        transitions: effort.transitions,
-                        terminal_states: effort.terminal_states,
-                        sampled_refutation: effort.sampled_refutation,
-                        per_thread_states: effort.per_thread_states,
-                        journal_writes: effort.journal_writes,
-                        state_clones: effort.state_clones,
-                        por_ample_hits: effort.por_ample_hits,
-                        por_fallbacks: effort.por_fallbacks,
-                        states_pruned: effort.states_pruned,
-                        sym_collapses: effort.sym_collapses,
-                        prescreen_hit: effort.prescreen_hit,
-                        prescreen_replays: effort.prescreen_replays,
-                        bank_size: effort.bank_size,
-                        compile_us: effort.compile_us,
-                        sharpened_masks: effort.sharpened_masks,
-                        reseal_us: effort.reseal_us,
-                        threads_reused: effort.threads_reused,
+                        v_solve_secs: took.as_secs_f64(),
+                        cost,
                     });
+                    if resolution.is_some() {
+                        continue;
+                    }
                     match result {
                         VerifyResult::Correct => {
                             let resolved = resolve::resolve_program(&self.sketch, &candidate);
@@ -550,7 +449,6 @@ impl Synthesis {
                                 assignment: candidate,
                                 source: psketch_lang::pretty::print_program(&resolved),
                             });
-                            break 'cegis;
                         }
                         VerifyResult::Trace(cex) => {
                             if fed.insert(trace_key(&cex)) {
@@ -561,12 +459,15 @@ impl Synthesis {
                         VerifyResult::Unknown(why) => unknown = Some(why),
                     }
                 }
+                if resolution.is_some() {
+                    break;
+                }
                 if let Some(why) = unknown {
                     set_trip(&trip, self.interrupt_trip(why, &limits));
                     break;
                 }
                 if let Some(budget) = self.options.state_budget {
-                    if stats.states >= budget {
+                    if stats.cost.check.states >= budget {
                         set_trip(
                             &trip,
                             BudgetTrip::new(
@@ -585,26 +486,16 @@ impl Synthesis {
         stats.s_solve = synth.stats.solve_time;
         stats.s_model = synth.stats.encode_time;
         stats.synth_nodes = synth.stats.nodes;
-        let sat = synth.solver_stats();
-        stats.sat_decisions = sat.decisions;
-        stats.sat_propagations = sat.propagations;
-        stats.sat_conflicts = sat.conflicts;
-        stats.sat_restarts = sat.restarts;
+        stats.sat = synth.solver_stats();
         stats.total = t0.elapsed();
         stats.peak_memory = mem::peak_rss_bytes();
-        let v_secs = stats.v_solve.as_secs_f64();
-        stats.states_per_sec = if v_secs > 0.0 {
-            stats.states as f64 / v_secs
-        } else {
-            0.0
-        };
         // A budget that tripped while the run nonetheless concluded
         // (resolved, or proved unresolvable) did not stop anything:
         // the trip is only reported on unknown outcomes.
         let budget_trip = if resolution.is_some() || definitely_unresolvable {
             None
         } else {
-            trip.into_inner().unwrap()
+            trip.into_inner().expect("budget-trip slot poisoned")
         };
         let outcome = Outcome {
             resolution,
@@ -612,7 +503,17 @@ impl Synthesis {
             budget_trip,
             stats,
         };
-        let report = self.build_report(&outcome, records);
+        let report = RunReport {
+            schema: RunReport::SCHEMA,
+            resolvable: outcome.resolvable().to_string(),
+            resolution: outcome
+                .resolution
+                .as_ref()
+                .map(|r| r.assignment.values().to_vec()),
+            budget_trip: outcome.budget_trip.clone(),
+            stats: outcome.stats.clone(),
+            records,
+        };
         (outcome, report)
     }
 
@@ -639,62 +540,6 @@ impl Synthesis {
         }
     }
 
-    fn build_report(&self, outcome: &Outcome, records: Vec<IterationRecord>) -> RunReport {
-        let st = &outcome.stats;
-        RunReport {
-            schema: RunReport::SCHEMA,
-            resolvable: if outcome.resolved() {
-                "yes"
-            } else if outcome.definitely_unresolvable {
-                "NO"
-            } else {
-                "unknown"
-            }
-            .to_string(),
-            resolution: outcome
-                .resolution
-                .as_ref()
-                .map(|r| r.assignment.values().to_vec()),
-            budget_trip: outcome.budget_trip.clone(),
-            iterations: st.iterations,
-            total_secs: st.total.as_secs_f64(),
-            s_solve_secs: st.s_solve.as_secs_f64(),
-            s_model_secs: st.s_model.as_secs_f64(),
-            v_solve_secs: st.v_solve.as_secs_f64(),
-            v_model_secs: st.v_model.as_secs_f64(),
-            candidate_space: st.candidate_space.to_string(),
-            log10_space: st.log10_space,
-            states: st.states,
-            transitions: st.transitions,
-            terminal_states: st.terminal_states,
-            peak_memory: st.peak_memory,
-            synth_nodes: st.synth_nodes,
-            sampled_refutations: st.sampled_refutations,
-            portfolio_width: st.portfolio_width,
-            per_thread_states: st.per_thread_states.clone(),
-            journal_writes: st.journal_writes,
-            state_clones: st.state_clones,
-            por_ample_hits: st.por_ample_hits,
-            por_fallbacks: st.por_fallbacks,
-            states_pruned: st.states_pruned,
-            sym_collapses: st.sym_collapses,
-            states_per_sec: st.states_per_sec,
-            prescreen_hits: st.prescreen_hits,
-            prescreen_replays: st.prescreen_replays,
-            checker_calls_avoided: st.checker_calls_avoided,
-            bank_size: st.bank_size,
-            compile_us: st.compile_us,
-            sharpened_masks: st.sharpened_masks,
-            reseal_us: st.reseal_us,
-            threads_reused: st.threads_reused,
-            sat_decisions: st.sat_decisions,
-            sat_propagations: st.sat_propagations,
-            sat_conflicts: st.sat_conflicts,
-            sat_restarts: st.sat_restarts,
-            records,
-        }
-    }
-
     /// Limits for verification calls made outside [`Synthesis::run`]
     /// (no wall deadline, no cancellation — just the per-call cap).
     fn base_limits(&self) -> SearchLimits {
@@ -718,8 +563,9 @@ impl Synthesis {
     }
 
     /// Verifies a batch of candidates, concurrently when the batch has
-    /// more than one. `base` is the iteration count before this batch
-    /// (seeds the hybrid sampler exactly as sequential CEGIS would).
+    /// more than one, returning each one's result, cost and wall time.
+    /// `base` is the iteration count before this batch (seeds the
+    /// hybrid sampler exactly as sequential CEGIS would).
     fn verify_batch<'s>(
         &'s self,
         candidates: &[Assignment],
@@ -727,16 +573,19 @@ impl Synthesis {
         limits: &SearchLimits,
         bank: Option<&ScheduleBank>,
         prev: Option<&Mutex<Option<CompiledProgram<'s>>>>,
-    ) -> Vec<(VerifyResult, VerifyEffort)> {
+    ) -> Vec<(VerifyResult, VerifyCost, Duration)> {
+        let timed = |ix: usize, c: &Assignment| {
+            let t0 = Instant::now();
+            let (result, cost) = self.verify_once(c, base + ix + 1, limits, bank, prev);
+            (result, cost, t0.elapsed())
+        };
         match candidates {
-            [one] => vec![self.verify_once(one, base + 1, limits, bank, prev)],
+            [one] => vec![timed(0, one)],
             many => std::thread::scope(|scope| {
                 let handles: Vec<_> = many
                     .iter()
                     .enumerate()
-                    .map(|(ix, c)| {
-                        scope.spawn(move || self.verify_once(c, base + ix + 1, limits, bank, prev))
-                    })
+                    .map(|(ix, c)| scope.spawn(move || timed(ix, c)))
                     .collect();
                 handles
                     .into_iter()
@@ -753,11 +602,9 @@ impl Synthesis {
         limits: &SearchLimits,
         bank: Option<&ScheduleBank>,
         prev: Option<&Mutex<Option<CompiledProgram<'s>>>>,
-    ) -> (VerifyResult, VerifyEffort) {
-        let t0 = Instant::now();
-        let mut effort = VerifyEffort::default();
+    ) -> (VerifyResult, VerifyCost) {
         let threads = self.options.threads.max(1);
-        let result = match &self.mode {
+        match &self.mode {
             Mode::Harness => {
                 // Seal once per candidate: the prescreen, the sampler
                 // and the exhaustive checker below all share this one
@@ -774,62 +621,50 @@ impl Synthesis {
                 if let Some(m) = prev {
                     *m.lock().expect("previous-artifact slot poisoned") = Some(cp.clone());
                 }
-                effort.compile_us = cp.compile_us();
-                effort.reseal_us = cp.reseal_us();
-                effort.threads_reused = cp.threads_reused();
-                effort.sharpened_masks = cp.sharpened_masks();
+                let mut cost = VerifyCost::sealed(&cp);
                 // Prescreen: replay the schedules that killed earlier
                 // candidates before paying for any search. A hit is a
                 // real execution of *this* candidate, so returning its
                 // trace is sound; a miss just falls through.
                 if let Some(bank) = bank {
                     let (hit, bs) = bank.prescreen_compiled(&cp);
-                    effort.prescreen_replays = bs.replays;
-                    effort.bank_size = bs.size;
+                    cost.prescreen_replays = bs.replays;
+                    cost.bank_size = bs.size;
                     if let Some(cex) = hit {
-                        effort.prescreen_hit = true;
-                        effort.duration = t0.elapsed();
-                        return (VerifyResult::Trace(cex), effort);
+                        cost.prescreen_hits = 1;
+                        return (VerifyResult::Trace(cex), cost);
                     }
                 }
                 if let VerifierKind::Hybrid { samples } = self.options.verifier {
                     if let Some(cex) =
                         self.sample_schedules(&cp, iteration, samples, threads, limits)
                     {
-                        effort.sampled_refutation = true;
-                        effort.duration = t0.elapsed();
+                        cost.sampled_refutations = 1;
                         if let Some(bank) = bank {
                             bank.record(&cex.schedule);
-                            effort.bank_size = bank.len() as u64;
+                            cost.bank_size = bank.len() as u64;
                         }
-                        return (VerifyResult::Trace(cex), effort);
+                        return (VerifyResult::Trace(cex), cost);
                     }
                 }
                 let out = check_parallel_compiled(&cp, limits, threads);
-                effort.states = out.stats.states;
-                effort.transitions = out.stats.transitions;
-                effort.terminal_states = out.stats.terminal_states;
-                effort.journal_writes = out.stats.journal_writes;
-                effort.state_clones = out.stats.state_clones;
-                effort.por_ample_hits = out.stats.por_ample_hits;
-                effort.por_fallbacks = out.stats.por_fallbacks;
-                effort.states_pruned = out.stats.states_pruned;
-                effort.sym_collapses = out.stats.sym_collapses;
-                effort.per_thread_states = out.per_thread_states;
-                match out.verdict {
+                cost.check = out.stats;
+                cost.per_thread_states = out.per_thread_states;
+                let result = match out.verdict {
                     Verdict::Pass => VerifyResult::Correct,
                     Verdict::Fail(cex) => {
                         if let Some(bank) = bank {
                             bank.record(&cex.schedule);
-                            effort.bank_size = bank.len() as u64;
+                            cost.bank_size = bank.len() as u64;
                         }
                         VerifyResult::Trace(cex)
                     }
                     Verdict::Unknown(why) => VerifyResult::Unknown(why),
-                }
+                };
+                (result, cost)
             }
             Mode::Equivalence(_) => {
-                match verify_sequential_limits(
+                let result = match verify_sequential_limits(
                     &self.lowered,
                     candidate,
                     limits.deadline,
@@ -848,11 +683,10 @@ impl Synthesis {
                             Interrupt::Deadline
                         })
                     }
-                }
+                };
+                (result, VerifyCost::default())
             }
-        };
-        effort.duration = t0.elapsed();
-        (result, effort)
+        }
     }
 
     /// Hybrid pre-pass: runs `samples` random schedules, fanned across
@@ -906,7 +740,7 @@ impl Synthesis {
                         }
                         if let Some(cex) = run(k) {
                             stop.store(true, Ordering::Relaxed);
-                            let mut slot = found.lock().unwrap();
+                            let mut slot = found.lock().expect("sampler found slot poisoned");
                             if slot.is_none() {
                                 *slot = Some(cex);
                             }
@@ -916,7 +750,7 @@ impl Synthesis {
                 });
             }
         });
-        found.into_inner().unwrap()
+        found.into_inner().expect("sampler found slot poisoned")
     }
 
     /// Enumerates up to `limit` *distinct* correct resolutions.
@@ -973,30 +807,6 @@ enum VerifyResult {
     Unknown(Interrupt),
 }
 
-/// Search effort of one verification call.
-#[derive(Default)]
-struct VerifyEffort {
-    states: usize,
-    transitions: usize,
-    terminal_states: usize,
-    duration: Duration,
-    per_thread_states: Vec<usize>,
-    sampled_refutation: bool,
-    journal_writes: u64,
-    state_clones: usize,
-    por_ample_hits: u64,
-    por_fallbacks: u64,
-    states_pruned: u64,
-    sym_collapses: u64,
-    prescreen_hit: bool,
-    prescreen_replays: u64,
-    bank_size: u64,
-    compile_us: u64,
-    sharpened_masks: u64,
-    reseal_us: u64,
-    threads_reused: u64,
-}
-
 /// Identity of a counterexample for within-batch deduplication: the
 /// executed steps, the failure site and the deadlock set pin the
 /// symbolic projection completely (the projection is independent of
@@ -1021,7 +831,7 @@ fn trace_key(cex: &CexTrace) -> TraceKey {
 
 /// Records the first budget trip; later trips lose.
 fn set_trip(slot: &Mutex<Option<BudgetTrip>>, t: BudgetTrip) {
-    let mut s = slot.lock().unwrap();
+    let mut s = slot.lock().expect("budget-trip slot poisoned");
     if s.is_none() {
         *s = Some(t);
     }
@@ -1051,44 +861,6 @@ fn memory_tripped(
         cancel.store(true, Ordering::Relaxed);
     }
     over
-}
-
-impl CegisStats {
-    fn merge_effort(&mut self, effort: &VerifyEffort) {
-        self.states += effort.states;
-        self.transitions += effort.transitions;
-        self.terminal_states += effort.terminal_states;
-        self.journal_writes += effort.journal_writes;
-        self.state_clones += effort.state_clones;
-        self.por_ample_hits += effort.por_ample_hits;
-        self.por_fallbacks += effort.por_fallbacks;
-        self.states_pruned += effort.states_pruned;
-        self.sym_collapses += effort.sym_collapses;
-        if effort.sampled_refutation {
-            self.sampled_refutations += 1;
-        }
-        if effort.prescreen_hit {
-            self.prescreen_hits += 1;
-            self.checker_calls_avoided += 1;
-        }
-        self.prescreen_replays += effort.prescreen_replays;
-        self.bank_size = self.bank_size.max(effort.bank_size);
-        self.compile_us += effort.compile_us;
-        self.sharpened_masks += effort.sharpened_masks;
-        self.reseal_us += effort.reseal_us;
-        self.threads_reused += effort.threads_reused;
-        if self.per_thread_states.len() < effort.per_thread_states.len() {
-            self.per_thread_states
-                .resize(effort.per_thread_states.len(), 0);
-        }
-        for (acc, n) in self
-            .per_thread_states
-            .iter_mut()
-            .zip(&effort.per_thread_states)
-        {
-            *acc += n;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1183,11 +955,20 @@ mod tests {
         if cfg!(target_os = "linux") {
             assert!(st.peak_memory.unwrap_or(0) > 0);
         }
-        assert!(st.transitions > 0, "checker must fire transitions");
-        assert!(st.sat_propagations > 0, "solver counters must flow through");
-        assert!(st.journal_writes > 0, "undo engine must record writes");
-        assert_eq!(st.state_clones, 0, "sequential search never clones");
-        assert!(st.states_per_sec > 0.0, "throughput must be derived");
+        assert!(
+            st.cost.check.transitions > 0,
+            "checker must fire transitions"
+        );
+        assert!(st.sat.propagations > 0, "solver counters must flow through");
+        assert!(
+            st.cost.check.journal_writes > 0,
+            "undo engine must record writes"
+        );
+        assert_eq!(
+            st.cost.check.state_clones, 0,
+            "sequential search never clones"
+        );
+        assert!(st.states_per_sec() > 0.0, "throughput must be derived");
     }
 
     #[test]
@@ -1255,7 +1036,10 @@ mod tests {
         let trip = out.budget_trip.expect("state budget must trip");
         assert_eq!(trip.budget, BudgetKind::States);
         assert_eq!(trip.phase, "verify");
-        assert!(out.stats.states <= 2, "partial stats respect the budget");
+        assert!(
+            out.stats.cost.check.states <= 2,
+            "partial stats respect the budget"
+        );
     }
 
     #[test]
@@ -1388,7 +1172,7 @@ mod tests {
                 assert!(out.stats.portfolio_width > 1);
             }
             if threads > 1 {
-                assert!(out.stats.per_thread_states.len() >= threads);
+                assert!(out.stats.cost.per_thread_states.len() >= threads);
             }
         }
     }
@@ -1470,13 +1254,13 @@ mod tests {
         let a = on.resolution.expect("resolvable with prescreen");
         let b = off.resolution.expect("resolvable without prescreen");
         assert_eq!(a.assignment, b.assignment);
-        assert!(on.stats.prescreen_replays > 0, "bank must be consulted");
-        assert!(on.stats.prescreen_hits > 0, "repeat offenders must hit");
-        assert_eq!(on.stats.checker_calls_avoided, on.stats.prescreen_hits);
-        assert!(on.stats.bank_size > 0);
-        assert_eq!(off.stats.prescreen_hits, 0);
-        assert_eq!(off.stats.prescreen_replays, 0);
-        assert_eq!(off.stats.bank_size, 0);
+        let (on, off) = (&on.stats.cost, &off.stats.cost);
+        assert!(on.prescreen_replays > 0, "bank must be consulted");
+        assert!(on.prescreen_hits > 0, "repeat offenders must hit");
+        assert!(on.bank_size > 0);
+        assert_eq!(off.prescreen_hits, 0);
+        assert_eq!(off.prescreen_replays, 0);
+        assert_eq!(off.bank_size, 0);
     }
 
     #[test]

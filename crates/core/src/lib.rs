@@ -45,9 +45,11 @@ pub mod mem;
 mod report;
 pub mod telemetry;
 
-pub use cegis::{CegisStats, Mode, Options, Outcome, Resolution, Synthesis, VerifierKind};
-pub use report::{render_stats, render_tsv_row};
-pub use telemetry::{BudgetKind, BudgetTrip, IterationRecord, Json, RunReport};
+pub use cegis::{Mode, Options, Outcome, Resolution, Synthesis, VerifierKind};
+pub use report::render_stats;
+pub use telemetry::{
+    BudgetKind, BudgetTrip, CegisStats, IterationRecord, Json, RunReport, VerifyCost,
+};
 
 pub use psketch_exec::FailureKind;
 pub use psketch_ir::{Assignment, Config, ReorderEncoding};

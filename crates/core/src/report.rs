@@ -1,6 +1,6 @@
 //! Rendering statistics in the paper's Figure 9 format.
 
-use crate::cegis::{CegisStats, Outcome};
+use crate::cegis::Outcome;
 use std::fmt::Write as _;
 
 /// Peak memory as MiB text, or `"n/a"` when the platform gave no
@@ -15,17 +15,12 @@ fn mem_mib(peak_memory: Option<u64>) -> String {
 /// Renders an outcome as one Figure-9-style row block.
 pub fn render_stats(name: &str, test: &str, outcome: &Outcome) -> String {
     let st = &outcome.stats;
+    let cost = &st.cost;
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{name} [{test}]  Resolvable: {}  Itns: {}",
-        if outcome.resolved() {
-            "yes"
-        } else if outcome.definitely_unresolvable {
-            "NO"
-        } else {
-            "unknown"
-        },
+        outcome.resolvable(),
         st.iterations
     );
     let _ = writeln!(
@@ -41,28 +36,32 @@ pub fn render_stats(name: &str, test: &str, outcome: &Outcome) -> String {
         out,
         "  |C| = {:.3e}  states = {}  peak mem = {} MiB",
         st.candidate_space as f64,
-        st.states,
+        cost.check.states,
         mem_mib(st.peak_memory)
     );
     let _ = writeln!(
         out,
         "  checker: transitions = {}  terminal = {}  sampled refutations = {}",
-        st.transitions, st.terminal_states, st.sampled_refutations
+        cost.check.transitions, cost.check.terminal_states, cost.sampled_refutations
     );
-    if st.prescreen_replays > 0 {
+    if cost.prescreen_replays > 0 {
         let _ = writeln!(
             out,
-            "  prescreen: hits = {}  replays = {}  checker calls avoided = {}  bank = {}",
-            st.prescreen_hits, st.prescreen_replays, st.checker_calls_avoided, st.bank_size
+            "  prescreen: hits = {}  replays = {}  bank = {}",
+            cost.prescreen_hits, cost.prescreen_replays, cost.bank_size
         );
     }
     let _ = writeln!(
         out,
         "  sat: decisions = {}  propagations = {}  conflicts = {}  restarts = {}",
-        st.sat_decisions, st.sat_propagations, st.sat_conflicts, st.sat_restarts
+        st.sat.decisions, st.sat.propagations, st.sat.conflicts, st.sat.restarts
     );
-    if !st.per_thread_states.is_empty() {
-        let per: Vec<String> = st.per_thread_states.iter().map(usize::to_string).collect();
+    if !cost.per_thread_states.is_empty() {
+        let per: Vec<String> = cost
+            .per_thread_states
+            .iter()
+            .map(usize::to_string)
+            .collect();
         let _ = writeln!(
             out,
             "  threads: per-thread states = [{}]  portfolio width = {}",
@@ -82,38 +81,13 @@ pub fn render_stats(name: &str, test: &str, outcome: &Outcome) -> String {
     out
 }
 
-/// Renders a compact single-line TSV row (machine-readable; used by the
-/// fig9 generator).
-pub fn render_tsv_row(name: &str, test: &str, outcome: &Outcome) -> String {
-    let st: &CegisStats = &outcome.stats;
-    format!(
-        "{name}\t{test}\t{}\t{}\t{:.3}\t{:.3}\t{:.3}\t{:.3}\t{:.3}\t{:.2}\t{}\t{}",
-        if outcome.resolved() {
-            "yes"
-        } else if outcome.definitely_unresolvable {
-            "NO"
-        } else {
-            "unknown"
-        },
-        st.iterations,
-        st.total.as_secs_f64(),
-        st.s_solve.as_secs_f64(),
-        st.s_model.as_secs_f64(),
-        st.v_solve.as_secs_f64(),
-        st.v_model.as_secs_f64(),
-        st.log10_space,
-        st.states,
-        mem_mib(st.peak_memory),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cegis::{Options, Synthesis};
 
     #[test]
-    fn renders_both_formats() {
+    fn renders_figure9_block() {
         let out = Synthesis::new(
             "int g; harness void main() { g = ??(2); assert g == 1; }",
             Options::default(),
@@ -123,7 +97,5 @@ mod tests {
         let pretty = render_stats("demo", "t0", &out);
         assert!(pretty.contains("Resolvable: yes"));
         assert!(pretty.contains("Ssolve"));
-        let tsv = render_tsv_row("demo", "t0", &out);
-        assert_eq!(tsv.split('\t').count(), 12);
     }
 }

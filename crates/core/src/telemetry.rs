@@ -2,16 +2,22 @@
 //! trips, and a machine-readable JSON run report.
 //!
 //! Every CEGIS iteration appends one [`IterationRecord`] — the
-//! candidate tried, the verifier's verdict and effort, and the size of
-//! the observation set that produced the candidate. The whole run is
-//! summarised by a [`RunReport`], which serialises to JSON with
-//! [`RunReport::to_json`] (schema-stable: see [`RunReport::SCHEMA`])
-//! and is emitted by the `psketch` CLI under `--report-json`.
+//! candidate tried, the verifier's verdict, the size of the
+//! observation set that produced the candidate, and a [`VerifyCost`].
+//! The run's [`CegisStats`] hold the Figure 9 columns and the same
+//! [`VerifyCost`] summed over the records. A [`RunReport`] bundles
+//! both and serialises to JSON with [`RunReport::to_json`]
+//! (schema-stable: see [`RunReport::SCHEMA`]); the `psketch` CLI emits
+//! it under `--report-json`, and the bench reports write their rows
+//! with the same [`CegisStats::write_json`] and
+//! [`VerifyCost::write_json`].
 //!
-//! The container has no JSON dependency, so this module carries its
+//! The workspace has no JSON dependency, so this module carries its
 //! own emitter and a minimal parser ([`Json`]) — enough to round-trip
 //! the report in tests and to let downstream tooling validate keys.
 
+use psketch_exec::{CheckStats, CompiledProgram};
+use psketch_sat::SolverStats;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -63,8 +69,189 @@ impl BudgetTrip {
     }
 }
 
-/// One CEGIS iteration: a candidate, its verdict, and the effort the
-/// verifier spent on it.
+/// What verifying candidates cost: the checker's search counters plus
+/// the sealing, prescreen, schedule-bank and sampler counters around
+/// the search. An [`IterationRecord`] holds one candidate's cost and
+/// [`CegisStats`] the run's sum; [`VerifyCost::add`] is the one place
+/// costs are summed and [`VerifyCost::write_json`] the one place they
+/// are named in JSON.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct VerifyCost {
+    /// Exhaustive-search counters (zero when the prescreen or the
+    /// sampler refuted the candidate first).
+    pub check: CheckStats,
+    /// States first discovered per checker thread.
+    pub per_thread_states: Vec<usize>,
+    /// Candidates refuted by a sampled schedule (hybrid verifier) —
+    /// the exhaustive search was skipped.
+    pub sampled_refutations: u64,
+    /// Candidates refuted by a banked schedule — both the sampling and
+    /// the exhaustive search were skipped.
+    pub prescreen_hits: u64,
+    /// Banked schedules replayed while prescreening.
+    pub prescreen_replays: u64,
+    /// Schedule-bank occupancy (the maximum, when summed).
+    pub bank_size: u64,
+    /// Microseconds spent sealing candidates into execution artifacts.
+    pub compile_us: u64,
+    /// POR footprint masks the candidates' constants made strictly
+    /// tighter than the static analysis.
+    pub sharpened_masks: u64,
+    /// Microseconds spent resealing a previous artifact (included in
+    /// `compile_us`; 0 when sealed fresh).
+    pub reseal_us: u64,
+    /// Threads whose micro-op code and footprints were reused verbatim
+    /// from the previous artifact (0 when sealed fresh).
+    pub threads_reused: u64,
+}
+
+/// One numeric JSON field per named struct field, keyed by the field's
+/// own name (after an optional prefix), so a key is never spelled apart
+/// from the field it reads.
+macro_rules! nums {
+    ($prefix:literal, $s:expr; $($field:ident),+ $(,)?) => {
+        [$((
+            concat!($prefix, stringify!($field)).to_string(),
+            Json::Num($s.$field as f64),
+        )),+]
+    };
+}
+
+impl VerifyCost {
+    /// The sealing counters of a freshly sealed (or resealed) artifact.
+    pub fn sealed(cp: &CompiledProgram) -> VerifyCost {
+        VerifyCost {
+            compile_us: cp.compile_us(),
+            sharpened_masks: cp.sharpened_masks(),
+            reseal_us: cp.reseal_us(),
+            threads_reused: cp.threads_reused(),
+            ..VerifyCost::default()
+        }
+    }
+
+    /// Adds `other` to this cost: every counter sums, except
+    /// `bank_size`, which keeps the maximum, and `per_thread_states`,
+    /// which sums thread by thread.
+    pub fn add(&mut self, other: &VerifyCost) {
+        self.check.add(&other.check);
+        if self.per_thread_states.len() < other.per_thread_states.len() {
+            self.per_thread_states
+                .resize(other.per_thread_states.len(), 0);
+        }
+        for (acc, n) in self
+            .per_thread_states
+            .iter_mut()
+            .zip(&other.per_thread_states)
+        {
+            *acc += n;
+        }
+        self.sampled_refutations += other.sampled_refutations;
+        self.prescreen_hits += other.prescreen_hits;
+        self.prescreen_replays += other.prescreen_replays;
+        self.bank_size = self.bank_size.max(other.bank_size);
+        self.compile_us += other.compile_us;
+        self.sharpened_masks += other.sharpened_masks;
+        self.reseal_us += other.reseal_us;
+        self.threads_reused += other.threads_reused;
+    }
+
+    /// Appends this cost's JSON fields to `out`.
+    pub fn write_json(&self, out: &mut Vec<(String, Json)>) {
+        out.extend(nums!("", self.check;
+            states, transitions, terminal_states, journal_writes, state_clones,
+            por_ample_hits, por_fallbacks, states_pruned, sym_collapses));
+        out.push((
+            "per_thread_states".to_string(),
+            Json::usize_array(&self.per_thread_states),
+        ));
+        out.extend(nums!("", self;
+            sampled_refutations, prescreen_hits, prescreen_replays, bank_size,
+            compile_us, sharpened_masks, reseal_us, threads_reused));
+    }
+}
+
+/// Timing and size statistics matching the paper's Figure 9 columns,
+/// plus the run's summed [`VerifyCost`].
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct CegisStats {
+    /// Candidates tried (the paper's `Itns`).
+    pub iterations: usize,
+    /// Synthesizer SAT-solving time (`Ssolve`).
+    pub s_solve: Duration,
+    /// Synthesizer encoding time (`Smodel`).
+    pub s_model: Duration,
+    /// Verifier wall time (`Vsolve`); a portfolio batch counts once.
+    pub v_solve: Duration,
+    /// Front-end + lowering time (`Vmodel`: the paper's model
+    /// generation/compilation).
+    pub v_model: Duration,
+    /// Wall-clock total.
+    pub total: Duration,
+    /// |C|, the candidate-space size.
+    pub candidate_space: u128,
+    /// log10 |C| (Figure 10's x axis).
+    pub log10_space: f64,
+    /// Peak RSS observed at the end of the run, bytes; `None` when the
+    /// platform exposes no `/proc/self/status` (report it as "n/a",
+    /// not as zero). This is the process high-water mark: a process
+    /// that runs several sketches calls [`crate::mem::reset_peak_rss`]
+    /// between them.
+    pub peak_memory: Option<u64>,
+    /// Synthesizer SAT counters at the end of the run.
+    pub sat: SolverStats,
+    /// Circuit nodes in the synthesizer at the end.
+    pub synth_nodes: usize,
+    /// Widest batch of candidates verified concurrently in one
+    /// iteration (1 for classic CEGIS).
+    pub portfolio_width: usize,
+    /// Verification cost summed over every candidate tried.
+    pub cost: VerifyCost,
+}
+
+impl CegisStats {
+    /// States explored per second of verifier time; `0.0` when no
+    /// search ran.
+    pub fn states_per_sec(&self) -> f64 {
+        let secs = self.v_solve.as_secs_f64();
+        if secs > 0.0 {
+            self.cost.check.states as f64 / secs
+        } else {
+            0.0
+        }
+    }
+
+    /// Appends the run totals' JSON fields to `out`.
+    pub fn write_json(&self, out: &mut Vec<(String, Json)>) {
+        out.extend(nums!("", self; iterations, synth_nodes, portfolio_width));
+        for (key, d) in [
+            ("total_secs", self.total),
+            ("s_solve_secs", self.s_solve),
+            ("s_model_secs", self.s_model),
+            ("v_solve_secs", self.v_solve),
+            ("v_model_secs", self.v_model),
+        ] {
+            out.push((key.to_string(), Json::Num(d.as_secs_f64())));
+        }
+        out.push((
+            "states_per_sec".to_string(),
+            Json::Num(self.states_per_sec()),
+        ));
+        out.push((
+            "candidate_space".to_string(),
+            Json::Str(self.candidate_space.to_string()),
+        ));
+        out.push(("log10_space".to_string(), Json::Num(self.log10_space)));
+        out.push((
+            "peak_memory".to_string(),
+            self.peak_memory.map_or(Json::Null, |b| Json::Num(b as f64)),
+        ));
+        out.extend(nums!("sat_", self.sat; decisions, propagations, conflicts, restarts));
+        self.cost.write_json(out);
+    }
+}
+
+/// One CEGIS iteration: a candidate, its verdict, and what verifying
+/// it cost.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct IterationRecord {
     /// 1-based candidate index (the paper's `Itns` counter).
@@ -82,58 +269,25 @@ pub struct IterationRecord {
     pub trace_set: usize,
     /// Wall time of this candidate's verification call, seconds.
     pub v_solve_secs: f64,
-    /// States the verifier explored for this candidate.
-    pub states: usize,
-    /// Transitions the verifier fired for this candidate.
-    pub transitions: usize,
-    /// Terminal states the verifier reached for this candidate.
-    pub terminal_states: usize,
-    /// Candidate refuted by a sampled schedule (hybrid verifier) —
-    /// the exhaustive search was skipped.
-    pub sampled_refutation: bool,
-    /// States first discovered per checker thread.
-    pub per_thread_states: Vec<usize>,
-    /// Undo-journal cell writes the checker recorded for this
-    /// candidate (the zero-clone engine's "bytes copied" analogue).
-    pub journal_writes: u64,
-    /// Whole-state copies the checker made for this candidate (one
-    /// per stolen work item; zero in sequential searches).
-    pub state_clones: usize,
-    /// States expanded with a proper ample subset of the enabled
-    /// workers (partial-order reduction).
-    pub por_ample_hits: u64,
-    /// States where the ample-set construction failed and the checker
-    /// expanded every enabled worker.
-    pub por_fallbacks: u64,
-    /// Worker expansions the reduction skipped at ample states.
-    pub states_pruned: u64,
-    /// Duplicate-state hits that arrived with symmetric worker blocks
-    /// out of canonical order — revisits the thread-symmetry reduction
-    /// folded onto an orbit representative.
-    pub sym_collapses: u64,
-    /// Candidate refuted by a banked schedule — both the sampling and
-    /// the exhaustive search were skipped.
-    pub prescreen_hit: bool,
-    /// Banked schedules replayed while prescreening this candidate.
-    pub prescreen_replays: u64,
-    /// Schedule-bank occupancy observed by this verification call.
-    pub bank_size: u64,
-    /// Microseconds spent compiling this candidate into its sealed
-    /// execution artifact.
-    pub compile_us: u64,
-    /// POR footprint masks this candidate's constants made strictly
-    /// tighter than the static analysis.
-    pub sharpened_masks: u64,
-    /// Microseconds spent resealing a previous artifact for this
-    /// candidate (included in `compile_us`; 0 when sealed fresh).
-    pub reseal_us: u64,
-    /// Threads whose micro-op code and footprints were reused verbatim
-    /// from the previous artifact (0 when sealed fresh).
-    pub threads_reused: u64,
+    /// What verifying this candidate cost.
+    pub cost: VerifyCost,
 }
 
-/// The machine-readable run report: run-level summary plus one
-/// [`IterationRecord`] per candidate tried.
+impl IterationRecord {
+    fn to_json(&self) -> Json {
+        let mut out = Vec::from(nums!("", self; iteration, batch, batch_width, trace_set));
+        out.push(("candidate".to_string(), Json::u64_array(&self.candidate)));
+        out.push(("verdict".to_string(), Json::Str(self.verdict.clone())));
+        out.push(("v_solve_secs".to_string(), Json::Num(self.v_solve_secs)));
+        self.cost.write_json(&mut out);
+        Json::Obj(out)
+    }
+}
+
+/// The machine-readable run report: the run's verdict and
+/// [`CegisStats`] plus one [`IterationRecord`] per candidate tried.
+/// The report dereferences to its stats, so `report.iterations` reads
+/// `report.stats.iterations`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunReport {
     /// Schema version ([`RunReport::SCHEMA`]).
@@ -144,89 +298,19 @@ pub struct RunReport {
     pub resolution: Option<Vec<u64>>,
     /// The budget that stopped the run, if any.
     pub budget_trip: Option<BudgetTrip>,
-    /// Candidates tried.
-    pub iterations: usize,
-    /// Wall-clock total, seconds.
-    pub total_secs: f64,
-    /// Synthesizer SAT time, seconds (`Ssolve`).
-    pub s_solve_secs: f64,
-    /// Synthesizer encoding time, seconds (`Smodel`).
-    pub s_model_secs: f64,
-    /// Verifier search time, seconds (`Vsolve`).
-    pub v_solve_secs: f64,
-    /// Front-end + lowering time, seconds (`Vmodel`).
-    pub v_model_secs: f64,
-    /// |C| as a decimal string (may exceed `u64`).
-    pub candidate_space: String,
-    /// log10 |C|.
-    pub log10_space: f64,
-    /// States explored, cumulative over all verification calls.
-    pub states: usize,
-    /// Transitions fired, cumulative.
-    pub transitions: usize,
-    /// Terminal states reached, cumulative.
-    pub terminal_states: usize,
-    /// Peak RSS in bytes; `None` when `/proc` is unavailable.
-    pub peak_memory: Option<u64>,
-    /// Circuit nodes in the synthesizer at the end.
-    pub synth_nodes: usize,
-    /// Candidates refuted by a sampled schedule (hybrid verifier).
-    pub sampled_refutations: usize,
-    /// Widest concurrent candidate batch.
-    pub portfolio_width: usize,
-    /// States first discovered per checker thread, summed over calls.
-    pub per_thread_states: Vec<usize>,
-    /// Undo-journal cell writes, cumulative over all checker searches.
-    pub journal_writes: u64,
-    /// Whole-state copies the checker made, cumulative (clone-on-steal
-    /// in parallel searches; zero for sequential runs).
-    pub state_clones: usize,
-    /// States expanded with a proper ample subset of the enabled
-    /// workers, cumulative (partial-order reduction).
-    pub por_ample_hits: u64,
-    /// States where the ample-set construction failed and the checker
-    /// fell back to full expansion, cumulative.
-    pub por_fallbacks: u64,
-    /// Worker expansions the reduction skipped at ample states,
-    /// cumulative.
-    pub states_pruned: u64,
-    /// Duplicate-state hits that arrived with symmetric worker blocks
-    /// out of canonical order — revisits the thread-symmetry reduction
-    /// folded onto an orbit representative, cumulative.
-    pub sym_collapses: u64,
-    /// States explored per second of verifier search time.
-    pub states_per_sec: f64,
-    /// Candidates refuted by a banked schedule before any search.
-    pub prescreen_hits: u64,
-    /// Banked schedules replayed across all prescreen passes.
-    pub prescreen_replays: u64,
-    /// Full checker invocations made unnecessary by the prescreen
-    /// (equals `prescreen_hits`; kept as its own ablation column).
-    pub checker_calls_avoided: u64,
-    /// Schedule-bank occupancy at the end of the run.
-    pub bank_size: u64,
-    /// Microseconds spent compiling candidates into sealed execution
-    /// artifacts, cumulative.
-    pub compile_us: u64,
-    /// POR footprint masks the compiled candidates' constants made
-    /// strictly tighter than the static analysis, cumulative.
-    pub sharpened_masks: u64,
-    /// Microseconds spent resealing previous artifacts, cumulative
-    /// (included in `compile_us`; broken out for the ablation).
-    pub reseal_us: u64,
-    /// Threads reused verbatim from previous artifacts across all
-    /// reseals, cumulative.
-    pub threads_reused: u64,
-    /// Synthesizer SAT decisions.
-    pub sat_decisions: u64,
-    /// Synthesizer SAT unit propagations.
-    pub sat_propagations: u64,
-    /// Synthesizer SAT conflicts.
-    pub sat_conflicts: u64,
-    /// Synthesizer SAT restarts.
-    pub sat_restarts: u64,
-    /// Per-iteration records, in order.
+    /// Run totals.
+    pub stats: CegisStats,
+    /// Per-iteration records, in order; their costs sum to
+    /// `stats.cost`.
     pub records: Vec<IterationRecord>,
+}
+
+impl std::ops::Deref for RunReport {
+    type Target = CegisStats;
+
+    fn deref(&self) -> &CegisStats {
+        &self.stats
+    }
 }
 
 impl RunReport {
@@ -234,142 +318,53 @@ impl RunReport {
     /// removed; adding fields is backward compatible.
     ///
     /// v2: schedule-bank prescreen counters (`prescreen_hits`,
-    /// `prescreen_replays`, `checker_calls_avoided`, `bank_size` at
-    /// run level; `prescreen_hit`, `prescreen_replays`, `bank_size`
-    /// per iteration).
+    /// `prescreen_replays`, `bank_size`).
     ///
     /// v3: compile-once candidate layer counters (`compile_us`,
-    /// `sharpened_masks` at both run and iteration level).
+    /// `sharpened_masks`).
     ///
-    /// v4: incremental reseal counters (`reseal_us`, `threads_reused`
-    /// at both run and iteration level).
-    pub const SCHEMA: u32 = 4;
+    /// v4: incremental reseal counters (`reseal_us`, `threads_reused`).
+    ///
+    /// v5: run totals and records share one cost record, so every
+    /// cost key means the same at both levels: the per-record booleans
+    /// `prescreen_hit` and `sampled_refutation` became the 0/1 counts
+    /// `prescreen_hits` and `sampled_refutations`, and the run-level
+    /// `checker_calls_avoided` (always equal to `prescreen_hits`) is
+    /// gone.
+    pub const SCHEMA: u32 = 5;
 
     /// Serialises the report as a JSON object (two-space indented).
     pub fn to_json(&self) -> String {
-        let mut o = ObjWriter::new(0);
-        o.field("schema", Json::from(self.schema as i64));
-        o.field("resolvable", Json::Str(self.resolvable.clone()));
-        o.field(
-            "resolution",
-            match &self.resolution {
-                Some(v) => Json::u64_array(v),
-                None => Json::Null,
-            },
-        );
-        o.field(
-            "budget_trip",
-            match &self.budget_trip {
-                Some(t) => {
-                    let mut b = ObjWriter::new(1);
-                    b.field("budget", Json::Str(t.budget.label().to_string()));
-                    b.field("phase", Json::Str(t.phase.clone()));
-                    b.field("detail", Json::Str(t.detail.clone()));
-                    Json::Raw(b.finish())
-                }
-                None => Json::Null,
-            },
-        );
-        o.field("iterations", Json::from(self.iterations as i64));
-        o.field("total_secs", Json::Num(self.total_secs));
-        o.field("s_solve_secs", Json::Num(self.s_solve_secs));
-        o.field("s_model_secs", Json::Num(self.s_model_secs));
-        o.field("v_solve_secs", Json::Num(self.v_solve_secs));
-        o.field("v_model_secs", Json::Num(self.v_model_secs));
-        o.field("candidate_space", Json::Str(self.candidate_space.clone()));
-        o.field("log10_space", Json::Num(self.log10_space));
-        o.field("states", Json::from(self.states as i64));
-        o.field("transitions", Json::from(self.transitions as i64));
-        o.field("terminal_states", Json::from(self.terminal_states as i64));
-        o.field(
-            "peak_memory",
-            match self.peak_memory {
-                Some(b) => Json::from(b as i64),
-                None => Json::Null,
-            },
-        );
-        o.field("synth_nodes", Json::from(self.synth_nodes as i64));
-        o.field(
-            "sampled_refutations",
-            Json::from(self.sampled_refutations as i64),
-        );
-        o.field("portfolio_width", Json::from(self.portfolio_width as i64));
-        o.field(
-            "per_thread_states",
-            Json::usize_array(&self.per_thread_states),
-        );
-        o.field("journal_writes", Json::from(self.journal_writes as i64));
-        o.field("state_clones", Json::from(self.state_clones as i64));
-        o.field("por_ample_hits", Json::from(self.por_ample_hits as i64));
-        o.field("por_fallbacks", Json::from(self.por_fallbacks as i64));
-        o.field("states_pruned", Json::from(self.states_pruned as i64));
-        o.field("sym_collapses", Json::from(self.sym_collapses as i64));
-        o.field("states_per_sec", Json::Num(self.states_per_sec));
-        o.field("prescreen_hits", Json::from(self.prescreen_hits as i64));
-        o.field(
-            "prescreen_replays",
-            Json::from(self.prescreen_replays as i64),
-        );
-        o.field(
-            "checker_calls_avoided",
-            Json::from(self.checker_calls_avoided as i64),
-        );
-        o.field("bank_size", Json::from(self.bank_size as i64));
-        o.field("compile_us", Json::from(self.compile_us as i64));
-        o.field("sharpened_masks", Json::from(self.sharpened_masks as i64));
-        o.field("reseal_us", Json::from(self.reseal_us as i64));
-        o.field("threads_reused", Json::from(self.threads_reused as i64));
-        o.field("sat_decisions", Json::from(self.sat_decisions as i64));
-        o.field("sat_propagations", Json::from(self.sat_propagations as i64));
-        o.field("sat_conflicts", Json::from(self.sat_conflicts as i64));
-        o.field("sat_restarts", Json::from(self.sat_restarts as i64));
-        let records: Vec<String> = self.records.iter().map(|r| r.to_json(2)).collect();
-        o.raw_field("records", &array_of_raw(&records, 1));
-        o.finish()
+        let mut out = vec![
+            ("schema".to_string(), Json::from(i64::from(self.schema))),
+            ("resolvable".to_string(), Json::Str(self.resolvable.clone())),
+            (
+                "resolution".to_string(),
+                self.resolution
+                    .as_deref()
+                    .map_or(Json::Null, Json::u64_array),
+            ),
+            (
+                "budget_trip".to_string(),
+                self.budget_trip.as_ref().map_or(Json::Null, |t| {
+                    Json::Obj(vec![
+                        (
+                            "budget".to_string(),
+                            Json::Str(t.budget.label().to_string()),
+                        ),
+                        ("phase".to_string(), Json::Str(t.phase.clone())),
+                        ("detail".to_string(), Json::Str(t.detail.clone())),
+                    ])
+                }),
+            ),
+        ];
+        self.stats.write_json(&mut out);
+        out.push((
+            "records".to_string(),
+            Json::Arr(self.records.iter().map(IterationRecord::to_json).collect()),
+        ));
+        Json::Obj(out).render_pretty()
     }
-}
-
-impl IterationRecord {
-    fn to_json(&self, indent: usize) -> String {
-        let mut o = ObjWriter::new(indent);
-        o.field("iteration", Json::from(self.iteration as i64));
-        o.field("batch", Json::from(self.batch as i64));
-        o.field("batch_width", Json::from(self.batch_width as i64));
-        o.field("candidate", Json::u64_array(&self.candidate));
-        o.field("verdict", Json::Str(self.verdict.clone()));
-        o.field("trace_set", Json::from(self.trace_set as i64));
-        o.field("v_solve_secs", Json::Num(self.v_solve_secs));
-        o.field("states", Json::from(self.states as i64));
-        o.field("transitions", Json::from(self.transitions as i64));
-        o.field("terminal_states", Json::from(self.terminal_states as i64));
-        o.field("sampled_refutation", Json::Bool(self.sampled_refutation));
-        o.field(
-            "per_thread_states",
-            Json::usize_array(&self.per_thread_states),
-        );
-        o.field("journal_writes", Json::from(self.journal_writes as i64));
-        o.field("state_clones", Json::from(self.state_clones as i64));
-        o.field("por_ample_hits", Json::from(self.por_ample_hits as i64));
-        o.field("por_fallbacks", Json::from(self.por_fallbacks as i64));
-        o.field("states_pruned", Json::from(self.states_pruned as i64));
-        o.field("sym_collapses", Json::from(self.sym_collapses as i64));
-        o.field("prescreen_hit", Json::Bool(self.prescreen_hit));
-        o.field(
-            "prescreen_replays",
-            Json::from(self.prescreen_replays as i64),
-        );
-        o.field("bank_size", Json::from(self.bank_size as i64));
-        o.field("compile_us", Json::from(self.compile_us as i64));
-        o.field("sharpened_masks", Json::from(self.sharpened_masks as i64));
-        o.field("reseal_us", Json::from(self.reseal_us as i64));
-        o.field("threads_reused", Json::from(self.threads_reused as i64));
-        o.finish()
-    }
-}
-
-/// Seconds with enough digits to round-trip loop timings.
-pub fn secs(d: Duration) -> f64 {
-    d.as_secs_f64()
 }
 
 // ---------------------------------------------------------------------
@@ -394,8 +389,6 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, in insertion order.
     Obj(Vec<(String, Json)>),
-    /// Pre-rendered JSON spliced in verbatim (emission only).
-    Raw(String),
 }
 
 impl From<i64> for Json {
@@ -450,7 +443,55 @@ impl Json {
                 }
                 out.push('}');
             }
-            Json::Raw(s) => out.push_str(s),
+        }
+    }
+
+    /// Renders this value as indented JSON: every object field, and
+    /// every element of an array that holds objects or arrays, on its
+    /// own line; arrays of scalars stay on one line.
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.pretty_into(&mut out, 0);
+        out
+    }
+
+    fn pretty_into(&self, out: &mut String, depth: usize) {
+        let newline = |out: &mut String, depth: usize| {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth));
+        };
+        match self {
+            Json::Obj(fields) if !fields.is_empty() => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, depth + 1);
+                    escape_into(k, out);
+                    out.push_str(": ");
+                    v.pretty_into(out, depth + 1);
+                }
+                newline(out, depth);
+                out.push('}');
+            }
+            Json::Arr(items)
+                if items
+                    .iter()
+                    .any(|v| matches!(v, Json::Obj(_) | Json::Arr(_))) =>
+            {
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, depth + 1);
+                    v.pretty_into(out, depth + 1);
+                }
+                newline(out, depth);
+                out.push(']');
+            }
+            flat => flat.render_into(out),
         }
     }
 
@@ -538,66 +579,6 @@ fn escape_into(s: &str, out: &mut String) {
         }
     }
     out.push('"');
-}
-
-/// Incremental writer for an indented JSON object.
-struct ObjWriter {
-    out: String,
-    pad: String,
-    first: bool,
-}
-
-impl ObjWriter {
-    fn new(indent: usize) -> ObjWriter {
-        ObjWriter {
-            out: String::from("{"),
-            pad: "  ".repeat(indent + 1),
-            first: true,
-        }
-    }
-
-    fn field(&mut self, key: &str, value: Json) {
-        self.raw_field(key, &value.render());
-    }
-
-    fn raw_field(&mut self, key: &str, rendered: &str) {
-        if !self.first {
-            self.out.push(',');
-        }
-        self.first = false;
-        self.out.push('\n');
-        self.out.push_str(&self.pad);
-        escape_into(key, &mut self.out);
-        self.out.push_str(": ");
-        self.out.push_str(rendered);
-    }
-
-    fn finish(mut self) -> String {
-        self.out.push('\n');
-        let closing = &self.pad[..self.pad.len() - 2];
-        self.out.push_str(closing);
-        self.out.push('}');
-        self.out
-    }
-}
-
-fn array_of_raw(items: &[String], indent: usize) -> String {
-    if items.is_empty() {
-        return String::from("[]");
-    }
-    let pad = "  ".repeat(indent + 1);
-    let mut out = String::from("[\n");
-    for (i, item) in items.iter().enumerate() {
-        out.push_str(&pad);
-        out.push_str(item);
-        if i + 1 < items.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str(&"  ".repeat(indent));
-    out.push(']');
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -793,6 +774,7 @@ fn utf8_len(first: u8) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Options, Synthesis};
 
     #[test]
     fn json_parses_what_it_renders() {
@@ -805,8 +787,8 @@ mod tests {
             ),
             ("d".into(), Json::Obj(vec![])),
         ]);
-        let text = v.render();
-        assert_eq!(Json::parse(&text).unwrap(), v);
+        assert_eq!(Json::parse(&v.render()).unwrap(), v);
+        assert_eq!(Json::parse(&v.render_pretty()).unwrap(), v);
     }
 
     #[test]
@@ -825,128 +807,83 @@ mod tests {
         assert_eq!(fmt_num(-3.0), "-3");
     }
 
+    /// Every numeric key the run object shares with its records is the
+    /// records' sum (`bank_size`: their maximum), and `per_thread_states`
+    /// sums thread by thread. `v_solve_secs` is left out: a portfolio
+    /// batch verifies its candidates concurrently, so the run's
+    /// verifier time is the batch's wall time, not the records' sum.
     #[test]
-    fn report_round_trips_through_json() {
-        let report = RunReport {
-            schema: RunReport::SCHEMA,
-            resolvable: "unknown".into(),
-            resolution: None,
-            budget_trip: Some(BudgetTrip::new(
-                BudgetKind::Wall,
-                "verify",
-                "wall timeout 5s exceeded",
-            )),
-            iterations: 2,
-            total_secs: 5.25,
-            s_solve_secs: 0.5,
-            s_model_secs: 0.25,
-            v_solve_secs: 4.0,
-            v_model_secs: 0.125,
-            candidate_space: "340282366920938463463374607431768211456".into(),
-            log10_space: 38.5,
-            states: 100,
-            transitions: 250,
-            terminal_states: 7,
-            peak_memory: Some(1024 * 1024),
-            synth_nodes: 33,
-            sampled_refutations: 1,
-            portfolio_width: 2,
-            per_thread_states: vec![60, 40],
-            journal_writes: 512,
-            state_clones: 4,
-            por_ample_hits: 12,
-            por_fallbacks: 3,
-            states_pruned: 20,
-            sym_collapses: 9,
-            states_per_sec: 25.0,
-            prescreen_hits: 5,
-            prescreen_replays: 17,
-            checker_calls_avoided: 5,
-            bank_size: 6,
-            compile_us: 420,
-            sharpened_masks: 11,
-            reseal_us: 95,
-            threads_reused: 3,
-            sat_decisions: 9,
-            sat_propagations: 101,
-            sat_conflicts: 3,
-            sat_restarts: 1,
-            records: vec![IterationRecord {
-                iteration: 1,
-                batch: 1,
-                batch_width: 2,
-                candidate: vec![3, 0],
-                verdict: "trace".into(),
-                trace_set: 0,
-                v_solve_secs: 2.5,
-                states: 60,
-                transitions: 150,
-                terminal_states: 4,
-                sampled_refutation: true,
-                per_thread_states: vec![40, 20],
-                journal_writes: 300,
-                state_clones: 2,
-                por_ample_hits: 8,
-                por_fallbacks: 1,
-                states_pruned: 13,
-                sym_collapses: 7,
-                prescreen_hit: true,
-                prescreen_replays: 3,
-                bank_size: 2,
-                compile_us: 210,
-                sharpened_masks: 4,
-                reseal_us: 45,
-                threads_reused: 2,
-            }],
+    fn run_totals_equal_the_sum_of_their_records() {
+        let src = "struct Lock { int owner = -1; }
+             Lock lk; int g;
+             void lock(Lock l) { atomic (l.owner == -1) { l.owner = pid(); } }
+             void unlock(Lock l) { assert l.owner == pid(); l.owner = -1; }
+             harness void main() {
+                 lk = new Lock();
+                 fork (i; 2) {
+                     int t = 0;
+                     reorder { lock(lk); t = g; g = t + 1; unlock(lk); }
+                 }
+                 assert g == 2;
+             }";
+        let portfolio = Options {
+            portfolio: 3,
+            prescreen: true,
+            ..Options::default()
         };
-        let text = report.to_json();
-        let v = Json::parse(&text).expect("report must be valid JSON");
-        assert_eq!(v.get("schema").unwrap().as_f64(), Some(4.0));
-        assert_eq!(v.get("resolvable").unwrap().as_str(), Some("unknown"));
-        assert_eq!(v.get("resolution"), Some(&Json::Null));
-        let trip = v.get("budget_trip").unwrap();
-        assert_eq!(trip.get("budget").unwrap().as_str(), Some("wall"));
-        assert_eq!(trip.get("phase").unwrap().as_str(), Some("verify"));
-        assert_eq!(
-            v.get("candidate_space").unwrap().as_str(),
-            Some("340282366920938463463374607431768211456")
-        );
-        assert_eq!(v.get("peak_memory").unwrap().as_f64(), Some(1048576.0));
-        assert_eq!(v.get("total_secs").unwrap().as_f64(), Some(5.25));
-        assert_eq!(v.get("journal_writes").unwrap().as_f64(), Some(512.0));
-        assert_eq!(v.get("state_clones").unwrap().as_f64(), Some(4.0));
-        assert_eq!(v.get("por_ample_hits").unwrap().as_f64(), Some(12.0));
-        assert_eq!(v.get("por_fallbacks").unwrap().as_f64(), Some(3.0));
-        assert_eq!(v.get("states_pruned").unwrap().as_f64(), Some(20.0));
-        assert_eq!(v.get("sym_collapses").unwrap().as_f64(), Some(9.0));
-        assert_eq!(v.get("states_per_sec").unwrap().as_f64(), Some(25.0));
-        assert_eq!(v.get("prescreen_hits").unwrap().as_f64(), Some(5.0));
-        assert_eq!(v.get("prescreen_replays").unwrap().as_f64(), Some(17.0));
-        assert_eq!(v.get("checker_calls_avoided").unwrap().as_f64(), Some(5.0));
-        assert_eq!(v.get("bank_size").unwrap().as_f64(), Some(6.0));
-        assert_eq!(v.get("compile_us").unwrap().as_f64(), Some(420.0));
-        assert_eq!(v.get("sharpened_masks").unwrap().as_f64(), Some(11.0));
-        assert_eq!(v.get("reseal_us").unwrap().as_f64(), Some(95.0));
-        assert_eq!(v.get("threads_reused").unwrap().as_f64(), Some(3.0));
-        let recs = v.get("records").unwrap().as_arr().unwrap();
-        assert_eq!(recs.len(), 1);
-        let r = &recs[0];
-        assert_eq!(r.get("verdict").unwrap().as_str(), Some("trace"));
-        assert_eq!(r.get("sampled_refutation").unwrap().as_bool(), Some(true));
-        assert_eq!(r.get("journal_writes").unwrap().as_f64(), Some(300.0));
-        assert_eq!(r.get("state_clones").unwrap().as_f64(), Some(2.0));
-        assert_eq!(r.get("por_ample_hits").unwrap().as_f64(), Some(8.0));
-        assert_eq!(r.get("states_pruned").unwrap().as_f64(), Some(13.0));
-        assert_eq!(r.get("sym_collapses").unwrap().as_f64(), Some(7.0));
-        assert_eq!(r.get("prescreen_hit").unwrap().as_bool(), Some(true));
-        assert_eq!(r.get("prescreen_replays").unwrap().as_f64(), Some(3.0));
-        assert_eq!(r.get("bank_size").unwrap().as_f64(), Some(2.0));
-        assert_eq!(r.get("compile_us").unwrap().as_f64(), Some(210.0));
-        assert_eq!(r.get("sharpened_masks").unwrap().as_f64(), Some(4.0));
-        assert_eq!(r.get("reseal_us").unwrap().as_f64(), Some(45.0));
-        assert_eq!(r.get("threads_reused").unwrap().as_f64(), Some(2.0));
-        let per = r.get("per_thread_states").unwrap().as_arr().unwrap();
-        assert_eq!(per.iter().filter_map(Json::as_f64).sum::<f64>(), 60.0);
+        let threads = Options {
+            threads: 2,
+            ..Options::default()
+        };
+        for options in [portfolio, threads] {
+            let label = format!(
+                "threads={} portfolio={}",
+                options.threads, options.portfolio
+            );
+            let (out, report) = Synthesis::new(src, options).unwrap().run_report();
+            assert!(out.resolved(), "{label}");
+            let run = Json::parse(&report.to_json()).unwrap();
+            let records = run.get("records").and_then(Json::as_arr).unwrap();
+            assert_eq!(records.len(), report.iterations, "{label}");
+            assert!(records.len() > 1, "{label}: needs a refuted candidate");
+            let Json::Obj(fields) = &run else {
+                panic!("the report is an object")
+            };
+            let mut checked = Vec::new();
+            for (key, total) in fields {
+                let per: Option<Vec<&Json>> = records.iter().map(|r| r.get(key)).collect();
+                let Some(per) = per.filter(|_| key != "v_solve_secs") else {
+                    continue;
+                };
+                match total {
+                    Json::Num(total) => {
+                        let nums = per.iter().map(|v| v.as_f64().unwrap());
+                        let expected = if key == "bank_size" {
+                            nums.fold(0.0, f64::max)
+                        } else {
+                            nums.sum()
+                        };
+                        assert_eq!(*total, expected, "{label}: {key}");
+                    }
+                    Json::Arr(total) => {
+                        let mut expected = vec![0.0; total.len()];
+                        for v in &per {
+                            for (acc, n) in expected.iter_mut().zip(v.as_arr().unwrap()) {
+                                *acc += n.as_f64().unwrap();
+                            }
+                        }
+                        let total: Vec<f64> = total.iter().map(|n| n.as_f64().unwrap()).collect();
+                        assert_eq!(total, expected, "{label}: {key}");
+                    }
+                    _ => continue,
+                }
+                checked.push(key.as_str());
+            }
+            for key in ["states", "prescreen_hits", "bank_size", "per_thread_states"] {
+                assert!(checked.contains(&key), "{label}: {key} not checked");
+            }
+            assert!(report.cost.check.states > 0, "{label}");
+        }
     }
 
     #[test]

@@ -146,8 +146,10 @@ pub enum Verdict {
     Unknown(Interrupt),
 }
 
-/// Search-effort counters.
-#[derive(Clone, Copy, Debug, Default)]
+/// Search-effort counters: the one record of what a checker search
+/// did, summed across workers and verification calls by
+/// [`CheckStats::add`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckStats {
     /// Distinct states visited.
     pub states: usize,
@@ -179,6 +181,21 @@ pub struct CheckStats {
     /// too); the exact merge count is the visited-state difference
     /// against a symmetry-off search.
     pub sym_collapses: u64,
+}
+
+impl CheckStats {
+    /// Adds `other`'s counters to these.
+    pub fn add(&mut self, other: &CheckStats) {
+        self.states += other.states;
+        self.transitions += other.transitions;
+        self.terminal_states += other.terminal_states;
+        self.journal_writes += other.journal_writes;
+        self.state_clones += other.state_clones;
+        self.por_ample_hits += other.por_ample_hits;
+        self.por_fallbacks += other.por_fallbacks;
+        self.states_pruned += other.states_pruned;
+        self.sym_collapses += other.sym_collapses;
+    }
 }
 
 /// Result of [`check_compiled`].

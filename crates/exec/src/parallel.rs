@@ -46,7 +46,7 @@ use crate::fingerprint::ShardedFpSet;
 use crate::por::PorTable;
 use crate::store::{CexTrace, Failure, StateBuf, UndoJournal};
 use psketch_ir::ThreadId;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 
 /// A frontier node: the worker-index schedule that reaches it from the
@@ -82,8 +82,6 @@ struct Shared<'a> {
     /// First limit that tripped (`None` while the search runs clean).
     interrupt: Mutex<Option<Interrupt>>,
     failure: Mutex<Option<CexTrace>>,
-    transitions: AtomicUsize,
-    terminal_states: AtomicUsize,
     thread_count: usize,
 }
 
@@ -242,8 +240,6 @@ fn run_parallel<'a>(
         stop: AtomicBool::new(false),
         interrupt: Mutex::new(None),
         failure: Mutex::new(None),
-        transitions: AtomicUsize::new(0),
-        terminal_states: AtomicUsize::new(0),
         thread_count: threads,
     };
     if initial_claim > limits.max_states {
@@ -264,17 +260,15 @@ fn run_parallel<'a>(
         .interrupt
         .lock()
         .expect("parallel checker interrupt slot poisoned");
+    // States are claimed in the shared visited set, not per worker.
     let mut stats = CheckStats {
         states: shared.visited.len(),
-        transitions: shared.transitions.load(Ordering::Relaxed),
-        terminal_states: shared.terminal_states.load(Ordering::Relaxed),
-        journal_writes: root_journal_writes + tallies.iter().map(|t| t.journal_writes).sum::<u64>(),
-        state_clones: tallies.iter().map(|t| t.clones).sum(),
-        por_ample_hits: tallies.iter().map(|t| t.por_ample_hits).sum(),
-        por_fallbacks: tallies.iter().map(|t| t.por_fallbacks).sum(),
-        states_pruned: tallies.iter().map(|t| t.states_pruned).sum(),
-        sym_collapses: tallies.iter().map(|t| t.sym_collapses).sum(),
+        journal_writes: root_journal_writes,
+        ..CheckStats::default()
     };
+    for t in &tallies {
+        stats.add(&t.stats);
+    }
     if interrupt == Some(Interrupt::StateLimit) {
         // Clamp the post-halt insert overshoot (see module docs).
         stats.states = stats.states.min(limits.max_states);
@@ -298,25 +292,15 @@ fn run_parallel<'a>(
     }
 }
 
-/// Per-thread effort counters returned by [`worker`].
+/// Per-thread effort returned by [`worker`].
 #[derive(Default)]
 struct Tally {
     /// States this thread discovered first.
     discovered: usize,
-    /// Writes journaled by this thread (replays included).
-    journal_writes: u64,
-    /// Initial-state clones paid on steals.
-    clones: usize,
-    /// States where an ample subset replaced full expansion.
-    por_ample_hits: u64,
-    /// Multi-enabled states where reduction fell back to full
-    /// expansion.
-    por_fallbacks: u64,
-    /// Enabled transitions never fired thanks to reduction.
-    states_pruned: u64,
-    /// Duplicate inserts of non-canonical symmetry-orbit
-    /// representatives (see [`CheckStats::sym_collapses`]).
-    sym_collapses: u64,
+    /// This thread's search counters (`states` stays 0: the shared
+    /// visited set counts states). `journal_writes` includes replays;
+    /// `state_clones` counts the initial-state clones paid on steals.
+    stats: CheckStats,
 }
 
 /// What [`expand`] did with the current node.
@@ -335,7 +319,7 @@ fn worker(shared: &Shared<'_>) -> Tally {
     let mut tally = Tally::default();
     let mut j = UndoJournal::new();
     worker_loop(shared, &mut j, &mut tally);
-    tally.journal_writes = j.total_writes();
+    tally.stats.journal_writes = j.total_writes();
     tally
 }
 
@@ -372,7 +356,7 @@ fn worker_loop(shared: &Shared<'_>, j: &mut UndoJournal, tally: &mut Tally) {
         // Clone-on-steal: the engine's only state copy. Rebuild the
         // stolen node by replaying its schedule prefix from the root.
         let mut buf = shared.init.clone();
-        tally.clones += 1;
+        tally.stats.state_clones += 1;
         j.reset();
         let mut trace = shared.prefix.clone();
         for (i, &w) in sched.iter().enumerate() {
@@ -443,7 +427,7 @@ fn expand(
     };
     if !any_enabled {
         if ck.all_finished(buf) {
-            shared.terminal_states.fetch_add(1, Ordering::Relaxed);
+            tally.stats.terminal_states += 1;
             // The epilogue mutates buf, but the node is abandoned
             // afterwards (the worker re-clones on its next steal), so
             // no undo is needed.
@@ -469,11 +453,12 @@ fn expand(
         if enabled_mask.count_ones() >= 2 {
             match ck.ample(buf, enabled_mask, por) {
                 Some(a) => {
-                    tally.por_ample_hits += 1;
-                    tally.states_pruned += u64::from(enabled_mask.count_ones() - a.count_ones());
+                    tally.stats.por_ample_hits += 1;
+                    tally.stats.states_pruned +=
+                        u64::from(enabled_mask.count_ones() - a.count_ones());
                     expand_mask = a;
                 }
-                None => tally.por_fallbacks += 1,
+                None => tally.stats.por_fallbacks += 1,
             }
         }
     }
@@ -488,7 +473,7 @@ fn expand(
             continue;
         }
         let mark = j.mark();
-        shared.transitions.fetch_add(1, Ordering::Relaxed);
+        tally.stats.transitions += 1;
         match ck.fire(buf, j, w) {
             Ok(_) => {
                 let claim = shared
@@ -497,7 +482,7 @@ fn expand(
                         ck.materialize_canonical(buf)
                     });
                 if claim.is_none() && ck.has_symmetry() && ck.orbit_noncanonical(buf) {
-                    tally.sym_collapses += 1;
+                    tally.stats.sym_collapses += 1;
                 }
                 j.undo_to(mark, buf);
                 let Some(claim) = claim else {

@@ -21,7 +21,7 @@ pub enum SolveResult {
 }
 
 /// Counters describing the work a solver has performed.
-#[derive(Clone, Copy, Default, Debug)]
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct SolverStats {
     /// Number of decisions taken.
     pub decisions: u64,

@@ -3,7 +3,9 @@
 //!
 //! Prints one block per test with the same quantities the paper
 //! reports (Resolvable, Itns, Total, Ssolve, Smodel, Vsolve, Vmodel,
-//! memory) plus a trailing machine-readable TSV table.
+//! memory) plus a trailing machine-readable TSV table. The peak-RSS
+//! mark is reset before each row, so its memory column is that row's
+//! own peak.
 //!
 //! Usage: `cargo run --release -p psketch-suite --bin fig9 [filter]
 //! [--report-json DIR] [--no-por] [--no-symmetry] [--no-prescreen]
@@ -15,7 +17,7 @@
 //! canonicalization, and `--no-prescreen`/`--bank-cap` control the
 //! schedule-bank prescreen ablation.
 
-use psketch_core::{render_stats, Synthesis};
+use psketch_core::{mem, render_stats, Synthesis};
 use psketch_suite::{figure9_runs, CheckerArgs};
 
 const USAGE: &str = "fig9 [filter] [--report-json DIR] [--no-por] [--no-symmetry] \
@@ -56,6 +58,7 @@ fn main() {
         }
         let mut options = run.options.clone();
         checker.apply(&mut options);
+        mem::reset_peak_rss();
         let s = match Synthesis::new(&run.source, options) {
             Ok(s) => s,
             Err(e) => {
@@ -92,13 +95,7 @@ fn main() {
             "{}\t{}\t{}\t{}\t{}\t{}\t{:.3}\t{:.1}\t{:.3}\t{:.3}\t{:.3}\t{:.3}\t{:.2}\t{}\t{}\t{}",
             run.benchmark,
             run.test,
-            if out.resolved() {
-                "yes"
-            } else if out.definitely_unresolvable {
-                "NO"
-            } else {
-                "unknown"
-            },
+            out.resolvable(),
             if run.expected_resolvable { "yes" } else { "NO" },
             st.iterations,
             run.paper_iterations.unwrap_or(0),
@@ -109,8 +106,8 @@ fn main() {
             st.v_solve.as_secs_f64(),
             st.v_model.as_secs_f64(),
             st.log10_space,
-            st.states,
-            st.states_pruned,
+            st.cost.check.states,
+            st.cost.check.states_pruned,
             st.peak_memory.map_or_else(
                 || "n/a".to_string(),
                 |b| format!("{:.1}", b as f64 / (1024.0 * 1024.0))

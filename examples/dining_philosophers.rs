@@ -28,7 +28,7 @@ fn main() {
         let resolution = outcome.resolution.expect("a policy exists");
         println!(
             "P={p}, T={t}: resolved in {} iterations over {} states",
-            outcome.stats.iterations, outcome.stats.states
+            outcome.stats.iterations, outcome.stats.cost.check.states
         );
         let eat = synthesis
             .resolve_function("eat", &resolution.assignment)

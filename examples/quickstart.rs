@@ -49,7 +49,7 @@ fn main() {
         Some(resolution) => {
             println!(
                 "resolved after {} iteration(s), {} model-checker states\n",
-                outcome.stats.iterations, outcome.stats.states
+                outcome.stats.iterations, outcome.stats.cost.check.states
             );
             println!(
                 "{}",

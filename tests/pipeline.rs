@@ -163,6 +163,6 @@ fn statistics_are_consistent() {
     assert!(st.iterations >= 2, "needs at least one counterexample");
     assert!(st.total >= st.s_solve);
     assert!(st.total >= st.v_solve);
-    assert!(st.states > 0);
+    assert!(st.cost.check.states > 0);
     assert_eq!(st.candidate_space, 2);
 }
