@@ -114,7 +114,7 @@ fn main() {
     }
 
     let meta = vec![
-        field("schema", Json::from(5)),
+        field("schema", Json::from(6)),
         field("suite", Json::Str("cegis_thread_scaling".into())),
         field("cores", Json::from(cores as i64)),
         field("samples", Json::from(h.samples as i64)),
@@ -128,7 +128,7 @@ fn main() {
                  prescreen=true row with the same threads/portfolio. \
                  secs_median/secs_min time the whole run; every other \
                  column is the last sample's run totals, named as in the \
-                 run report (schema 5). compile_us is the cumulative \
+                 run report (schema 6). compile_us is the cumulative \
                  candidate-sealing time; reseal_us (included in \
                  compile_us) and threads_reused count the incremental \
                  reseals that reused the previous iteration's artifact \

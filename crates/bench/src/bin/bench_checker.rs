@@ -2,32 +2,29 @@
 //!
 //! Measures raw model-checking throughput (states explored per second)
 //! and peak RSS on Table 1 workloads, comparing the one checking
-//! engine in three configurations with the reference oracle on the
+//! engine in two configurations with the reference oracle on the
 //! *same* resolved candidate. The candidate is sealed into a
 //! hole-free micro-op program once per workload, as CEGIS seals it
 //! once per iteration and reuses it across prescreen, sampler and
 //! exhaustive check (the one-time sealing cost is the `compile_us`
 //! column). The engine then sweeps it with ample-set partial-order
-//! reduction and thread-symmetry canonicalization (`compiled-por`, the
-//! default configuration), with symmetry only (`compiled-sym`), and
-//! with full interleaving expansion and identity canonicalization
-//! (`compiled`); the reference clone-per-transition engine (`clone`)
-//! interprets the unsealed program. The `compiled` and `clone` rows
-//! sweep the identical state space end to end; the `compiled-por` and
-//! `compiled-sym` rows visit provably sufficient subsets of it, and
-//! the `states` / `states_pruned` / `sym_collapses` columns quantify
-//! each reduction. The Table 1 workers all read their fork index
-//! (senses, fork slots), so on those rows the sound asymmetry fallback
-//! keeps `compiled-sym` identical to `compiled`; the `symcounter`
-//! workload is genuinely symmetric and shows the orbit collapse.
+//! reduction (`compiled-por`, the default configuration) and with full
+//! interleaving expansion (`compiled`); the reference
+//! clone-per-transition engine (`clone`) interprets the unsealed
+//! program. The `compiled` and `clone` rows sweep the identical state
+//! space end to end; the `compiled-por` row visits a provably
+//! sufficient subset of it, and the `states` / `states_pruned` columns
+//! quantify the reduction.
 //!
 //! Each workload is first synthesised to completion; the winning
 //! candidate's exhaustive verification — the hot path of every CEGIS
 //! run, since a correct candidate's search cannot stop early — is then
-//! timed for each engine. A `seal-ablation` row per workload times
-//! sealing the winner from scratch against resealing it incrementally
-//! from a one-hole-perturbed artifact (the CEGIS-iteration pattern)
-//! and asserts the two artifacts are bit-identical.
+//! timed for each engine. A `seal-ablation` row per workload replays
+//! the run's own candidate sequence: for each consecutive pair it
+//! times sealing the later candidate from scratch against resealing it
+//! from the earlier candidate's artifact (both forcing the POR tables,
+//! as the CEGIS loop does) and asserts the two artifacts are
+//! bit-identical.
 //!
 //! Usage: `cargo run --release -p psketch-bench --bin bench_checker
 //! [--smoke] [output.json]` (default `BENCH_checker.json` in the
@@ -47,6 +44,7 @@ use psketch_suite::dinphilo::{dinphilo_source, PhiloVariant};
 use psketch_suite::figure9_runs;
 use std::cell::RefCell;
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 /// The Figure 9 `(benchmark, test)` rows measured. Both resolve, so
 /// the timed search is a full Pass-verdict state-space sweep.
@@ -109,20 +107,28 @@ fn workloads() -> Vec<Load> {
             ..Options::default()
         },
     });
-    // Interchangeable workers with no fork-index dependence: the
-    // thread-symmetry reduction's best case (up to 4! states per
-    // orbit collapse to one).
-    out.push(Load {
-        name: "symcounter/N=4".into(),
-        source: "int g;
-                 harness void main() {
-                     fork (i; 4) { int t = g; g = t + 1; }
-                     assert g >= 1;
-                 }"
-        .into(),
-        options: Options::default(),
-    });
     out
+}
+
+/// `cp` with its POR tables built, as the CEGIS loop builds them when
+/// it reads the artifact's sharpening counter.
+fn forced(cp: CompiledProgram<'_>) -> CompiledProgram<'_> {
+    black_box(cp.sharpened_masks());
+    cp
+}
+
+/// The fastest of `samples` timed calls of `f`, and the last call's
+/// result (dropped outside the timed interval).
+fn fastest<T>(samples: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
+    let mut best = Duration::MAX;
+    let mut last = None;
+    for _ in 0..samples.max(1) {
+        let t0 = Instant::now();
+        let out = f();
+        best = best.min(t0.elapsed());
+        last = Some(out);
+    }
+    (best, last.expect("at least one sample"))
 }
 
 fn main() {
@@ -144,7 +150,7 @@ fn main() {
     for load in workloads() {
         let synthesis =
             Synthesis::new(&load.source, load.options.clone()).expect("workload lowers");
-        let outcome = synthesis.run();
+        let (outcome, report) = synthesis.run_report();
         let candidate = outcome
             .resolution
             .expect("Table 1 workload resolves")
@@ -159,20 +165,18 @@ fn main() {
         let cp = CompiledProgram::compile(lowered, &candidate);
 
         let cp = &cp;
-        let sweep = |por: bool, symmetry: bool| {
+        let sweep = |por: bool| {
             let limits = SearchLimits {
                 por,
-                symmetry,
                 ..SearchLimits::states(MAX_STATES)
             };
             move || check_compiled(black_box(cp), &limits)
         };
         // (engine, runs the sealed artifact, timed search)
         type Engine<'a> = (&'static str, bool, Box<dyn Fn() -> CheckOutcome + 'a>);
-        let engines: [Engine; 4] = [
-            ("compiled-por", true, Box::new(sweep(true, true))),
-            ("compiled-sym", true, Box::new(sweep(false, true))),
-            ("compiled", true, Box::new(sweep(false, false))),
+        let engines: [Engine; 3] = [
+            ("compiled-por", true, Box::new(sweep(true))),
+            ("compiled", true, Box::new(sweep(false))),
             (
                 "clone",
                 false,
@@ -232,54 +236,46 @@ fn main() {
             rows.push(Json::Obj(row));
         }
 
-        // Reseal ablation: the CEGIS-iteration pattern. Perturb the
-        // winner's first hole (flip the low bit — every hole is at
-        // least one bit wide, so the value stays in domain), seal the
-        // perturbed candidate fresh, then reseal it back to the
-        // winner. Threads that never read the flipped hole keep their
-        // micro-op arrays and footprints verbatim; the fresh vs
-        // reseal medians quantify the incremental-sealing win. The
-        // hole-free symcounter row degenerates to the identity reseal
-        // (every thread reused).
-        let mut vals = candidate.values().to_vec();
-        if let Some(v) = vals.first_mut() {
-            *v ^= 1;
+        // Seal ablation on the run's own deltas: for each consecutive
+        // pair of candidates the run tried, seal the later one from
+        // scratch and reseal it from the earlier one's artifact, both
+        // forcing the POR tables as the CEGIS loop does when it reads
+        // sharpened_masks. The reseal chain follows the run's, so each
+        // step starts from an artifact whose tables are already built.
+        let tried: Vec<Assignment> = report
+            .records
+            .iter()
+            .map(|r| Assignment::from_values(r.candidate.clone()))
+            .collect();
+        let (mut fresh_total, mut reseal_total) = (Duration::ZERO, Duration::ZERO);
+        let mut threads_reused = 0;
+        if let Some((first, rest)) = tried.split_first() {
+            let mut prev = forced(CompiledProgram::compile(lowered, first));
+            for next in rest {
+                let (fresh_t, fresh) = fastest(h.samples, || {
+                    forced(CompiledProgram::compile(lowered, black_box(next)))
+                });
+                let (reseal_t, resealed) = fastest(h.samples, || {
+                    forced(CompiledProgram::reseal(&prev, lowered, black_box(next)))
+                });
+                assert!(
+                    resealed.artifact_eq(&fresh),
+                    "{}: resealed artifact must be identical to the fresh seal",
+                    load.name
+                );
+                fresh_total += fresh_t;
+                reseal_total += reseal_t;
+                threads_reused += resealed.threads_reused();
+                prev = resealed;
+            }
         }
-        let perturbed = Assignment::from_values(vals);
-        let fresh_m = h
-            .bench(&format!("checker/{}/seal-fresh", load.name), || {
-                black_box(CompiledProgram::compile(
-                    black_box(lowered),
-                    black_box(&candidate),
-                ));
-            })
-            .expect("no filter in use");
-        let prev = CompiledProgram::compile(lowered, &perturbed);
-        let resealed = RefCell::new(None);
-        let reseal_m = h
-            .bench(&format!("checker/{}/seal-reseal", load.name), || {
-                *resealed.borrow_mut() = Some(CompiledProgram::reseal(
-                    black_box(&prev),
-                    lowered,
-                    black_box(&candidate),
-                ));
-            })
-            .expect("no filter in use");
-        let rcp = resealed.into_inner().expect("ran at least once");
-        assert!(
-            rcp.artifact_eq(cp),
-            "{}: resealed artifact must be identical to the fresh seal",
-            load.name
-        );
         rows.push(Json::Obj(vec![
             field("sketch", Json::Str(load.name.clone())),
             field("engine", Json::Str("seal-ablation".into())),
-            field(
-                "fresh_seal_us",
-                Json::from(fresh_m.median.as_micros() as i64),
-            ),
-            field("reseal_us", Json::from(reseal_m.median.as_micros() as i64)),
-            field("threads_reused", Json::from(rcp.threads_reused() as i64)),
+            field("deltas", Json::from(tried.len().saturating_sub(1) as i64)),
+            field("fresh_seal_us", Json::from(fresh_total.as_micros() as i64)),
+            field("reseal_us", Json::from(reseal_total.as_micros() as i64)),
+            field("threads_reused", Json::from(threads_reused as i64)),
             field(
                 "threads_total",
                 Json::from(lowered.workers.len() as i64 + 2),
@@ -288,7 +284,7 @@ fn main() {
     }
 
     let meta = vec![
-        field("schema", Json::from(4)),
+        field("schema", Json::from(5)),
         field("suite", Json::Str("checker_engine_throughput".into())),
         field("cores", Json::from(cores as i64)),
         field("samples", Json::from(h.samples as i64)),
@@ -298,37 +294,32 @@ fn main() {
             Json::Str(
                 "compiled and clone sweep the identical state space of \
                  the resolved candidate; compiled-por (ample-set \
-                 reduction + thread-symmetry canonicalization, the \
-                 default configuration) and compiled-sym (symmetry \
-                 only) explore sound subsets. The compiled rows run \
-                 the candidate sealed once into a hole-free micro-op \
-                 program — as CEGIS seals once per iteration and \
-                 reuses the artifact across prescreen, sampler and \
-                 exhaustive check — with candidate-sharpened POR masks \
-                 (sharpened_masks); the one-time sealing cost is the \
-                 compile_us column, outside the timed sweep. clone is \
-                 the reference engine, which interprets the unsealed \
-                 program and reports 0 in the sealing columns. \
-                 Table 1 workers read their fork index, so the sound \
-                 deferred-sort fallback keeps compiled-sym state \
-                 counts equal to compiled there (nonzero sym_collapses \
-                 on the barrier rows are noncanonical revisits, not \
-                 orbit merges); the symcounter row is genuinely \
-                 symmetric and shows the real orbit collapse. \
-                 rss_delta_bytes is the resident-set growth sampled \
-                 around each cell's runs (0 when the allocator reused \
-                 earlier capacity), replacing the old process-wide \
-                 monotonic peak that later rows inherited. The \
-                 seal-ablation row per sketch is the incremental-\
-                 sealing ablation: fresh_seal_us seals the winner \
-                 from scratch, reseal_us reseals it from an artifact \
-                 whose first hole was flipped, threads_reused counts \
-                 the threads (of threads_total: prologue + workers + \
-                 epilogue) carried over verbatim; the resealed \
-                 artifact is asserted bit-identical to the fresh seal. \
-                 The search and sealing columns are written by the run \
-                 report's cost writer, so the prescreen, sampler and \
-                 bank columns of a bare sweep read 0"
+                 reduction, the default configuration) explores a \
+                 sound subset. The compiled rows run the candidate \
+                 sealed once into a hole-free micro-op program — as \
+                 CEGIS seals once per iteration and reuses the artifact \
+                 across prescreen, sampler and exhaustive check — with \
+                 candidate-sharpened POR masks (sharpened_masks); the \
+                 one-time sealing cost is the compile_us column, \
+                 outside the timed sweep. clone is the reference \
+                 engine, which interprets the unsealed program and \
+                 reports 0 in the sealing columns. rss_delta_bytes is \
+                 the resident-set growth sampled around each cell's \
+                 runs (0 when the allocator reused earlier capacity). \
+                 The seal-ablation row per sketch replays the run's \
+                 own candidate sequence: for each of its deltas \
+                 (consecutive candidate pairs) the later candidate is \
+                 sealed from scratch and resealed from the earlier \
+                 candidate's artifact, both forcing the POR tables as \
+                 the CEGIS loop does; fresh_seal_us and reseal_us sum \
+                 the fastest sample of each delta, threads_reused sums \
+                 the threads each reseal carried over verbatim (of \
+                 threads_total per artifact: prologue + workers + \
+                 epilogue), and every resealed artifact is asserted \
+                 bit-identical to its fresh seal. The search and \
+                 sealing columns are written by the run report's cost \
+                 writer, so the prescreen, sampler and bank columns of \
+                 a bare sweep read 0"
                     .into(),
             ),
         ),

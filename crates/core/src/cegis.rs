@@ -92,12 +92,9 @@ pub struct Options {
     /// A hit refutes in O(trace) time; prescreening never accepts, so
     /// turning it off (`--no-prescreen`) changes cost, not verdicts.
     pub prescreen: bool,
-    /// Thread-symmetry reduction inside the exhaustive checker (on by
-    /// default): permutations of interchangeable workers collapse to
-    /// one visited-set entry. Verdict-preserving; counterexample
-    /// schedules stay in original thread ids. Sketches with
-    /// fork-index-dependent behaviour fall back to identity
-    /// canonicalization automatically (`--no-symmetry` forces it).
+    /// Unused: the checker has no symmetry reduction. Kept so existing
+    /// readers of the field still compile.
+    #[doc(hidden)]
     pub symmetry: bool,
     /// Maximum schedules the bank retains before evicting the entry
     /// with the fewest kills (`--bank-cap`).
@@ -303,8 +300,8 @@ impl Synthesis {
         // models differ in few hole values, so each verification
         // reseals against this instead of compiling from scratch —
         // threads whose holes kept their values reuse their micro-op
-        // arrays, footprints and (when no worker changed) POR and
-        // symmetry tables by reference. Cloning in/out is Arc-cheap.
+        // arrays, footprints and (when no worker changed) the POR
+        // table by reference. Cloning in/out is Arc-cheap.
         let prev_artifact: Mutex<Option<CompiledProgram<'_>>> = Mutex::new(None);
 
         std::thread::scope(|scope| {
@@ -374,7 +371,6 @@ impl Synthesis {
                     deadline,
                     cancel: Some(cancel.clone()),
                     por: self.options.por,
-                    symmetry: self.options.symmetry,
                     ..SearchLimits::default()
                 };
                 let k = width.min(self.options.max_iterations - stats.iterations);
@@ -545,7 +541,6 @@ impl Synthesis {
     fn base_limits(&self) -> SearchLimits {
         SearchLimits {
             por: self.options.por,
-            symmetry: self.options.symmetry,
             ..SearchLimits::states(self.options.max_states)
         }
     }

@@ -159,7 +159,7 @@ impl VerifyCost {
     pub fn write_json(&self, out: &mut Vec<(String, Json)>) {
         out.extend(nums!("", self.check;
             states, transitions, terminal_states, journal_writes, state_clones,
-            por_ample_hits, por_fallbacks, states_pruned, sym_collapses));
+            por_ample_hits, por_fallbacks, states_pruned));
         out.push((
             "per_thread_states".to_string(),
             Json::usize_array(&self.per_thread_states),
@@ -331,7 +331,9 @@ impl RunReport {
     /// `prescreen_hits` and `sampled_refutations`, and the run-level
     /// `checker_calls_avoided` (always equal to `prescreen_hits`) is
     /// gone.
-    pub const SCHEMA: u32 = 5;
+    ///
+    /// v6: `sym_collapses` is gone with the thread-symmetry reduction.
+    pub const SCHEMA: u32 = 6;
 
     /// Serialises the report as a JSON object (two-space indented).
     pub fn to_json(&self) -> String {

@@ -141,7 +141,7 @@ impl ScheduleBank {
     /// when the candidate disables some of its entries. One checker is
     /// built from the artifact and reused across every banked replay.
     pub fn prescreen_compiled(&self, cp: &CompiledProgram) -> (Option<CexTrace>, BankStats) {
-        let ck = Checker::from_compiled(cp, false);
+        let ck = Checker::from_compiled(cp);
         let snapshot: Vec<(u64, Vec<u32>)> = {
             let mut bank = self.inner.lock().expect("schedule bank poisoned");
             bank.sort_by_key(|e| std::cmp::Reverse((e.kills, e.last_used)));

@@ -20,10 +20,9 @@
 //! exploration allocates nothing per state.
 
 use crate::compiled::{exec_cop, COp, CStep, CompiledProgram, ThreadCode};
-use crate::fingerprint::{cell_hash, combine_fp, FpHasher, FpSet};
+use crate::fingerprint::{cell_hash, combine_fp, FpSet};
 use crate::por::PorTable;
 use crate::store::{CexTrace, Failure, FailureKind, StateBuf, StateLayout, UndoJournal};
-use psketch_ir::symmetry::{SymClass, SymmetryClasses};
 use psketch_ir::{Assignment, Lowered, Lv, Op, Rv, Thread, ThreadId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -78,13 +77,9 @@ pub struct SearchLimits {
     /// cannot change — but a failing run may report a different
     /// (equally real) counterexample, and fewer states are explored.
     pub por: bool,
-    /// Thread-symmetry reduction (on by default): canonicalize
-    /// interchangeable workers' `(pc, locals)` records at fingerprint
-    /// time so permutation-equivalent states collapse to one
-    /// visited-set entry (see [`psketch_ir::symmetry`]). Verdict-
-    /// preserving; counterexample schedules stay in original worker
-    /// ids. Workers detected as asymmetric fall back soundly to
-    /// identity canonicalization.
+    /// Unused: the checker has no symmetry reduction. Kept so existing
+    /// struct literals that name the field still compile.
+    #[doc(hidden)]
     pub symmetry: bool,
     /// Unused: every search runs a sealed [`CompiledProgram`]. Kept so
     /// existing struct literals that name the field still compile.
@@ -173,13 +168,9 @@ pub struct CheckStats {
     /// Enabled transitions skipped by partial-order reduction (summed
     /// over ample hits) — successors never fired at all.
     pub states_pruned: u64,
-    /// Duplicate-insert events where the fired successor arrived with
-    /// a symmetric class's records out of canonical order — revisits
-    /// the canonicalization folded onto the orbit representative. An
-    /// activity indicator and upper bound on cross-permutation merges
-    /// (a non-canonical state re-reached via a different path counts
-    /// too); the exact merge count is the visited-state difference
-    /// against a symmetry-off search.
+    /// Always 0: the checker has no symmetry reduction. Kept so
+    /// existing readers of the field still compile.
+    #[doc(hidden)]
     pub sym_collapses: u64,
 }
 
@@ -194,7 +185,6 @@ impl CheckStats {
         self.por_ample_hits += other.por_ample_hits;
         self.por_fallbacks += other.por_fallbacks;
         self.states_pruned += other.states_pruned;
-        self.sym_collapses += other.sym_collapses;
     }
 }
 
@@ -239,12 +229,12 @@ pub fn check_with_limit(l: &Lowered, candidate: &Assignment, max_states: usize) 
 
 /// Model-checks a sealed candidate over every interleaving, under full
 /// cooperative [`SearchLimits`] (state bound, wall deadline, external
-/// cancellation, reductions). Partial statistics are reported on every
+/// cancellation, reduction). Partial statistics are reported on every
 /// exit path. Seal once per candidate and share the artifact between
 /// the prescreen, the sampler and the exhaustive search — this is the
 /// entry point the CEGIS loop uses.
 pub fn check_compiled(cp: &CompiledProgram, limits: &SearchLimits) -> CheckOutcome {
-    Checker::from_compiled(cp, limits.symmetry).run(limits)
+    Checker::from_compiled(cp).run(limits)
 }
 
 /// Stats for a run that failed before the interleaving search began
@@ -282,7 +272,7 @@ pub fn replay_compiled(cp: &CompiledProgram, schedule: &[usize]) -> Option<CexTr
 /// determinism in tests: two replays of one schedule must end in
 /// states that fingerprint identically.
 pub fn replay_fp_compiled(cp: &CompiledProgram, schedule: &[usize]) -> (Option<CexTrace>, u64) {
-    replay_fp_with(&Checker::from_compiled(cp, false), schedule)
+    replay_fp_with(&Checker::from_compiled(cp), schedule)
 }
 
 /// Replay over a prebuilt checker — lets the schedule bank reuse one
@@ -404,7 +394,7 @@ fn replay_fp_with(ck: &Checker<'_>, schedule: &[usize]) -> (Option<CexTrace>, u6
 /// samples schedules before paying for the exhaustive search. A `None`
 /// result says nothing about other interleavings.
 pub fn random_run_compiled(cp: &CompiledProgram, seed: u64) -> Option<CexTrace> {
-    let ck = Checker::from_compiled(cp, false);
+    let ck = Checker::from_compiled(cp);
     let l = ck.l;
     let mut rng = seed.wrapping_mul(0x9e3779b97f4a7c15).max(1);
     let mut next = move || {
@@ -500,11 +490,6 @@ pub(crate) struct Checker<'a> {
     match_end: Arc<Vec<Vec<usize>>>,
     /// `live[w][pc]` = bitmask words of locals read at step >= pc.
     live: Arc<Vec<Vec<Vec<u64>>>>,
-    /// Thread-symmetry classes (empty = identity canonicalization).
-    /// Only searches asking for the reduction populate this; replay
-    /// and sampling always run symmetry-free so recorded schedules and
-    /// fingerprints stay independent of it.
-    sym: Arc<SymmetryClasses>,
     /// The artifact's per-thread micro-op arrays, indexed by trace
     /// thread id like `l`'s threads.
     code: &'a [Arc<ThreadCode>],
@@ -518,31 +503,18 @@ pub(crate) type FireResult = Result<Vec<(ThreadId, usize)>, (Vec<(ThreadId, usiz
 impl<'a> Checker<'a> {
     /// A checker over a sealed [`CompiledProgram`]: the hot path runs
     /// the artifact's micro-op arrays, POR uses its candidate-sharpened
-    /// masks, and the precomputed layout/liveness/symmetry analyses are
-    /// shared by `Arc` — construction performs zero deep table copies.
-    /// `symmetry` selects the candidate's thread-symmetry classes
-    /// (searches) or identity canonicalization (replay, sampling).
-    pub(crate) fn from_compiled(cp: &'a CompiledProgram<'a>, symmetry: bool) -> Checker<'a> {
+    /// masks, and the precomputed layout/liveness analyses are shared
+    /// by `Arc` — construction performs zero deep table copies.
+    pub(crate) fn from_compiled(cp: &'a CompiledProgram<'a>) -> Checker<'a> {
         Checker {
             l: cp.program(),
             lay: Arc::clone(&cp.lay),
             shared_len: cp.shared_len,
             match_end: Arc::clone(&cp.match_end),
             live: Arc::clone(cp.live_masks()),
-            sym: if symmetry {
-                Arc::clone(cp.sym_classes())
-            } else {
-                Arc::new(SymmetryClasses::default())
-            },
             code: &cp.code,
             por: cp.por_table(),
         }
-    }
-
-    /// True when some workers are interchangeable (non-identity
-    /// canonicalization is active).
-    pub(crate) fn has_symmetry(&self) -> bool {
-        !self.sym.is_trivial()
     }
 
     /// The initial flat state (workers at pc 0, locals zeroed).
@@ -914,7 +886,7 @@ impl<'a> Checker<'a> {
 
     /// Zobrist-style fingerprint of the live state: the XOR of
     /// position-keyed cell hashes over the shared segment plus every
-    /// worker's contribution, canonicalized by [`Checker::finish_fp`].
+    /// worker's contribution, finished by [`Checker::finish_fp`].
     /// Dead locals are masked to 0 during hashing; no canonical vector
     /// is ever materialized. Being a XOR of per-cell terms, the
     /// sequential DFS maintains it *incrementally* from the undo
@@ -928,147 +900,25 @@ impl<'a> Checker<'a> {
         for w in 0..self.nworkers() {
             acc ^= self.worker_contrib(buf, w);
         }
-        self.finish_fp(buf, acc)
+        self.finish_fp(acc)
     }
 
-    /// Finishes a raw XOR accumulator of `buf`'s cell hashes into the
-    /// state fingerprint: applies symmetry canonicalization (when
-    /// classes exist) and the final avalanche. Shared by the
+    /// Finishes a raw XOR accumulator of a state's cell hashes into
+    /// the state fingerprint (the final avalanche). Shared by the
     /// incremental DFS (which maintains the accumulator from the
     /// journal) and [`Checker::fingerprint_state`] (which rebuilds it).
-    pub(crate) fn finish_fp(&self, buf: &StateBuf, acc: u64) -> u64 {
-        let acc = if self.sym.is_trivial() {
-            acc
-        } else {
-            self.sym_adjust(buf, acc)
-        };
+    pub(crate) fn finish_fp(&self, acc: u64) -> u64 {
         combine_fp(acc, self.lay.state_len() as u64)
-    }
-
-    /// Rewrites the accumulator so interchangeable workers' records
-    /// contribute order-independently: for every *eligible* class (all
-    /// members past its `sort_from`), the members' position-keyed
-    /// contributions are XORed out and replaced by a class term hashed
-    /// over the member records in sorted order. Sorting before the
-    /// sequential fold is essential — a plain XOR of record hashes
-    /// would cancel identical records pairwise and collide orbits of
-    /// different sizes. Ineligible classes leave the accumulator
-    /// untouched (identity canonicalization).
-    fn sym_adjust(&self, buf: &StateBuf, mut acc: u64) -> u64 {
-        let mut blocks: Vec<u64> = Vec::new();
-        for (ci, c) in self.sym.classes.iter().enumerate() {
-            if !self.class_eligible(buf, c) {
-                continue;
-            }
-            blocks.clear();
-            blocks.extend(c.members.iter().map(|&m| self.block_hash(buf, m)));
-            blocks.sort_unstable();
-            let mut h = FpHasher::new();
-            h.write(ci as i64);
-            for &b in &blocks {
-                h.write(b as i64);
-            }
-            for &m in &c.members {
-                acc ^= self.worker_contrib(buf, m);
-            }
-            acc ^= h.finish();
-        }
-        acc
-    }
-
-    /// Are the members of `c` interchangeable in the current state?
-    /// Every member must have executed past the class's differing
-    /// prefix (fork-index initializations), so the remaining code is
-    /// identical and swapping whole records is a bisimulation.
-    fn class_eligible(&self, buf: &StateBuf, c: &SymClass) -> bool {
-        c.members.iter().all(|&m| self.pc(buf, m) >= c.sort_from)
-    }
-
-    /// Position-independent hash of worker `w`'s record (pc followed by
-    /// dead-masked locals): equal records hash equally regardless of
-    /// which class member holds them, unlike [`Checker::worker_contrib`]
-    /// whose cell hashes are keyed by absolute buffer offsets.
-    fn block_hash(&self, buf: &StateBuf, w: usize) -> u64 {
-        let pc = self.pc(buf, w);
-        let mut h = FpHasher::new();
-        h.write(pc as i64);
-        let live = &self.live[w];
-        let mask = live.get(pc).or_else(|| live.last());
-        let locals = buf.slice(self.lay.worker_locals(w), self.l.workers[w].locals.len());
-        for (i, &val) in locals.iter().enumerate() {
-            let alive = mask
-                .map(|m| m[i / 64] & (1u64 << (i % 64)) != 0)
-                .unwrap_or(false);
-            h.write(if alive { val } else { 0 });
-        }
-        h.finish()
-    }
-
-    /// Lexicographic order on two workers' dead-masked records
-    /// (pc first, then locals). Defines the canonical member order
-    /// within an eligible class.
-    fn block_cmp(&self, buf: &StateBuf, a: usize, b: usize) -> std::cmp::Ordering {
-        let alive = |mask: Option<&Vec<u64>>, i: usize| {
-            mask.map(|m| m[i / 64] & (1u64 << (i % 64)) != 0)
-                .unwrap_or(false)
-        };
-        let pa = self.pc(buf, a);
-        let pb = self.pc(buf, b);
-        match pa.cmp(&pb) {
-            std::cmp::Ordering::Equal => {}
-            o => return o,
-        }
-        let ma = self.live[a].get(pa).or_else(|| self.live[a].last());
-        let mb = self.live[b].get(pb).or_else(|| self.live[b].last());
-        let la = buf.slice(self.lay.worker_locals(a), self.l.workers[a].locals.len());
-        let lb = buf.slice(self.lay.worker_locals(b), self.l.workers[b].locals.len());
-        for i in 0..la.len() {
-            let va = if alive(ma, i) { la[i] } else { 0 };
-            let vb = if alive(mb, i) { lb[i] } else { 0 };
-            match va.cmp(&vb) {
-                std::cmp::Ordering::Equal => {}
-                o => return o,
-            }
-        }
-        std::cmp::Ordering::Equal
-    }
-
-    /// Is `buf` a *non-canonical* representative of its symmetry orbit
-    /// — some eligible class's records out of sorted order? Checked on
-    /// duplicate inserts only, to attribute the revisit to symmetry
-    /// reduction ([`CheckStats::sym_collapses`]) rather than a plain
-    /// re-reached state.
-    pub(crate) fn orbit_noncanonical(&self, buf: &StateBuf) -> bool {
-        self.sym.classes.iter().any(|c| {
-            self.class_eligible(buf, c)
-                && c.members
-                    .windows(2)
-                    .any(|p| self.block_cmp(buf, p[0], p[1]) == std::cmp::Ordering::Greater)
-        })
     }
 
     /// The canonical vector behind [`Checker::fingerprint_state`] —
     /// only built under `exact-visited` (via the visited sets' state
-    /// closures) and in tests. Eligible symmetry classes emit their
-    /// member records in sorted order, so every state of an orbit
-    /// materializes to the identical vector (matching the class terms
-    /// folded into the fingerprint).
+    /// closures) and in tests: the shared segment, then each worker's
+    /// pc and dead-masked locals.
     pub(crate) fn materialize_canonical(&self, buf: &StateBuf) -> Vec<i64> {
-        // order[slot] = worker whose record is emitted at `slot`.
-        let mut order: Vec<usize> = (0..self.nworkers()).collect();
-        for c in &self.sym.classes {
-            if !self.class_eligible(buf, c) {
-                continue;
-            }
-            let mut sorted = c.members.clone();
-            sorted.sort_by(|&a, &b| self.block_cmp(buf, a, b));
-            for (&slot, src) in c.members.iter().zip(sorted) {
-                order[slot] = src;
-            }
-        }
         let mut v = Vec::with_capacity(self.lay.state_len());
         v.extend_from_slice(buf.slice(0, self.shared_len));
-        for &w in &order {
+        for w in 0..self.nworkers() {
             let pc = self.pc(buf, w);
             v.push(pc as i64);
             let live = &self.live[w];
@@ -1202,9 +1052,7 @@ impl<'a> Checker<'a> {
             .map(|w| self.worker_contrib(&buf, w))
             .collect();
         let mut acc = self.shared_acc(&buf) ^ worker_acc.iter().fold(0, |a, &c| a ^ c);
-        visited.insert_fp_with(self.finish_fp(&buf, acc), || {
-            self.materialize_canonical(&buf)
-        });
+        visited.insert_fp_with(self.finish_fp(acc), || self.materialize_canonical(&buf));
         stats.states = visited.len();
         if visited.len() > limits.max_states {
             return unknown(Interrupt::StateLimit, stats);
@@ -1357,7 +1205,7 @@ impl<'a> Checker<'a> {
                         }
                         let new_contrib = self.worker_contrib(&buf, w);
                         let child_acc = acc ^ delta ^ worker_acc[w] ^ new_contrib;
-                        let fresh = visited.insert_fp_with(self.finish_fp(&buf, child_acc), || {
+                        let fresh = visited.insert_fp_with(self.finish_fp(child_acc), || {
                             self.materialize_canonical(&buf)
                         });
                         if fresh {
@@ -1381,13 +1229,6 @@ impl<'a> Checker<'a> {
                             worker_acc[w] = new_contrib;
                             fired = true;
                             break;
-                        }
-                        // Duplicate: attribute it to symmetry when the
-                        // child is a non-canonical orbit representative
-                        // — the canonicalization folded it onto the
-                        // orbit's visited entry.
-                        if self.has_symmetry() && self.orbit_noncanonical(&buf) {
-                            stats.sym_collapses += 1;
                         }
                         j.undo_to(mark, &mut buf);
                     }
@@ -1756,8 +1597,6 @@ mod tests {
         // In-crate differential sanity check (the suite-wide version
         // lives in tests/engine_differential.rs): same verdict, state
         // count, transition count and trace as the clone engine.
-        // Symmetry reduction is off — the reference engine is the
-        // full-expansion oracle and these assertions are exact.
         for src in [
             "int g;
              harness void main() {
@@ -1779,11 +1618,7 @@ mod tests {
         ] {
             let l = lowered(src);
             let a = l.holes.identity_assignment();
-            let nosym = SearchLimits {
-                symmetry: false,
-                ..SearchLimits::default()
-            };
-            let new = check_compiled(&CompiledProgram::compile(&l, &a), &nosym);
+            let new = check(&l, &a);
             let old = crate::reference::check_ref(&l, &a);
             assert_eq!(new.is_ok(), old.is_ok(), "verdict differs on {src}");
             assert_eq!(new.stats.states, old.stats.states, "states differ");
@@ -1894,120 +1729,5 @@ mod tests {
         let fail = Assignment::from_values(vec![4]);
         assert!(check(&l, &pass).is_ok());
         assert!(!check(&l, &fail).is_ok());
-    }
-
-    /// Swaps workers `a` and `b`'s records (pc + locals) in a copy of
-    /// `buf`. Only valid for workers with identical local layouts.
-    fn permute_workers(ck: &Checker<'_>, buf: &StateBuf, a: usize, b: usize) -> StateBuf {
-        let mut out = buf.clone();
-        let mut j = UndoJournal::new();
-        let len = 1 + ck.l.workers[a].locals.len();
-        for k in 0..len {
-            let oa = ck.lay.worker_pc(a) + k;
-            let ob = ck.lay.worker_pc(b) + k;
-            let va = buf.get(oa);
-            let vb = buf.get(ob);
-            out.set(oa, vb, &mut j);
-            out.set(ob, va, &mut j);
-        }
-        out
-    }
-
-    #[test]
-    fn permutation_fidelity_on_symmetric_workers() {
-        // Permuting interchangeable workers' records of a reachable
-        // state must not change the canonical fingerprint or the
-        // canonical vector; the identity (symmetry-free) checker must
-        // still distinguish the permutation.
-        let l = lowered(
-            "int g;
-             harness void main() {
-                 fork (i; 2) { int t = g; g = t + 1; }
-                 assert g >= 1;
-             }",
-        );
-        let cp = CompiledProgram::compile(&l, &l.holes.identity_assignment());
-        let ck = Checker::from_compiled(&cp, true);
-        assert!(ck.has_symmetry(), "fork of one body must be symmetric");
-        let mut buf = ck.initial_buf();
-        let mut j = UndoJournal::new();
-        ck.run_seq(0, &l.prologue, &mut buf, &mut j)
-            .expect("prologue must not fail");
-        ck.advance_all(&mut buf, &mut j)
-            .expect("initial advance must not fail");
-        ck.fire(&mut buf, &mut j, 0).expect("worker 0 fires");
-        let permuted = permute_workers(&ck, &buf, 0, 1);
-        assert_ne!(buf, permuted, "the permutation must move real data");
-        assert_eq!(
-            ck.fingerprint_state(&buf),
-            ck.fingerprint_state(&permuted),
-            "symmetric permutation must fingerprint identically"
-        );
-        assert_eq!(
-            ck.materialize_canonical(&buf),
-            ck.materialize_canonical(&permuted),
-            "symmetric permutation must share one canonical vector"
-        );
-        let plain = Checker::from_compiled(&cp, false);
-        assert_ne!(
-            plain.fingerprint_state(&buf),
-            plain.fingerprint_state(&permuted),
-            "identity canonicalization must distinguish the permutation"
-        );
-    }
-
-    #[test]
-    fn asymmetric_sketch_keeps_identity_canonicalization() {
-        // pid() inlined into a shared write makes the workers
-        // structurally different: no classes, and the symmetry-aware
-        // checker fingerprints exactly like the plain one.
-        let l = lowered(
-            "int owner;
-             harness void main() {
-                 fork (i; 2) { owner = pid(); }
-                 assert owner >= 1;
-             }",
-        );
-        let cp = CompiledProgram::compile(&l, &l.holes.identity_assignment());
-        let ck = Checker::from_compiled(&cp, true);
-        assert!(!ck.has_symmetry(), "pid() write must break symmetry");
-        let buf = ck.initial_buf();
-        let plain = Checker::from_compiled(&cp, false);
-        assert_eq!(ck.fingerprint_state(&buf), plain.fingerprint_state(&buf));
-        assert_eq!(
-            ck.materialize_canonical(&buf),
-            plain.materialize_canonical(&buf)
-        );
-    }
-
-    #[test]
-    fn symmetry_collapses_states_and_preserves_verdict() {
-        let l = lowered(
-            "int g;
-             harness void main() {
-                 fork (i; 3) { int t = g; g = t + 1; }
-                 assert g >= 1;
-             }",
-        );
-        let cp = CompiledProgram::compile(&l, &l.holes.identity_assignment());
-        let on = check_compiled(&cp, &SearchLimits::default());
-        let off = check_compiled(
-            &cp,
-            &SearchLimits {
-                symmetry: false,
-                ..SearchLimits::default()
-            },
-        );
-        assert!(on.is_ok());
-        assert!(off.is_ok());
-        assert!(
-            on.stats.states < off.stats.states,
-            "symmetry must strictly collapse interchangeable-worker states \
-             ({} vs {})",
-            on.stats.states,
-            off.stats.states
-        );
-        assert!(on.stats.sym_collapses > 0, "collapses must be counted");
-        assert_eq!(off.stats.sym_collapses, 0, "no collapses with symmetry off");
     }
 }

@@ -35,17 +35,15 @@
 //!   ones (the static table and the refinement check are lazy —
 //!   built on first diagnostic use, shared across the reseal family —
 //!   and surfaced via [`CompiledProgram::footprint_refines_static`]);
-//! - thread-symmetry classes and per-worker liveness masks are
-//!   computed from the original program — the liveness masks are the
-//!   ones the reference engine masks dead locals with, so with both
-//!   reductions off a search visits exactly the reference engine's
-//!   states. Both are computed *lazily*, on the first checker
-//!   construction that needs them: sealing a candidate never pays for
-//!   them, candidates rejected by replay prescreening never build
-//!   symmetry classes at all, and the candidate-independent liveness
-//!   masks are shared across the whole reseal family;
-//! - every shared table (layout, liveness, match-end, symmetry, POR,
-//!   per-thread code) lives behind an [`Arc`], so engines built from
+//! - per-worker liveness masks are computed from the original program
+//!   — they are the ones the reference engine masks dead locals with,
+//!   so with the reduction off a search visits exactly the reference
+//!   engine's states. They are computed *lazily*, on the first checker
+//!   construction: sealing a candidate never pays for them, and being
+//!   candidate-independent they are shared across the whole reseal
+//!   family;
+//! - every shared table (layout, liveness, match-end, POR, per-thread
+//!   code) lives behind an [`Arc`], so engines built from
 //!   the artifact — and clones of the artifact itself — pay zero deep
 //!   table copies;
 //! - [`CompiledProgram::reseal`] diffs a new candidate against the
@@ -62,7 +60,6 @@
 use crate::checker::{compute_liveness, compute_match_end};
 use crate::por::PorTable;
 use crate::store::{EvalResult, FailureKind, StateBuf, StateLayout, UndoJournal};
-use psketch_ir::symmetry::{symmetry_classes, SymmetryClasses};
 use psketch_ir::{
     fold_const_binop, fold_const_unop, step_holes, thread_footprints_sharpened, Assignment,
     Footprint, HoleId, Lowered, Lv, Op, Rv, Thread,
@@ -1050,13 +1047,6 @@ pub struct CompiledProgram<'l> {
     /// family through the cell, so sealing a candidate never pays for
     /// it and no artifact recomputes it after any family member has.
     live: Arc<OnceLock<Arc<LiveMasks>>>,
-    /// Thread-symmetry classes of the *original* program under this
-    /// candidate (same reason). Lazy: only the search engines consult
-    /// them (replay prescreening runs without the reduction), so
-    /// candidates rejected before a full check never pay for the
-    /// pairwise worker comparison. Shared by reference when a reseal
-    /// finds no worker dirty.
-    sym: Arc<OnceLock<Arc<SymmetryClasses>>>,
     /// Candidate-sharpened per-worker footprints and the POR table
     /// built from them (one cell: the table is a deterministic
     /// function of the footprints, so they force together). Lazy —
@@ -1107,7 +1097,6 @@ impl<'l> CompiledProgram<'l> {
             shared_len,
             match_end,
             live: Arc::new(OnceLock::new()),
-            sym: Arc::new(OnceLock::new()),
             fps_por: Arc::new(OnceLock::new()),
             static_por: Arc::new(OnceLock::new()),
             por_diag: Arc::new(OnceLock::new()),
@@ -1129,9 +1118,9 @@ impl<'l> CompiledProgram<'l> {
     /// const-propagates locals across the thread), and when the dirty
     /// workers' recomputed footprints come out identical the POR table
     /// carries over too. When no *worker* thread is dirty the POR
-    /// masks and symmetry classes carry over wholesale. Falls back to
-    /// a fresh [`CompiledProgram::compile`] when `l` is not the
-    /// program `prev` was sealed from.
+    /// masks carry over wholesale. Falls back to a fresh
+    /// [`CompiledProgram::compile`] when `l` is not the program `prev`
+    /// was sealed from.
     pub fn reseal(
         prev: &CompiledProgram<'l>,
         l: &'l Lowered,
@@ -1186,14 +1175,6 @@ impl<'l> CompiledProgram<'l> {
             })
             .collect();
         let any_worker_dirty = (0..l.workers.len()).any(|w| dirty[w + 1]);
-        // Symmetry classes read only worker step lists (hole-aware), so
-        // they can change exactly when a worker is dirty: a fresh lazy
-        // cell makes the next search engine recompute them.
-        let sym = if any_worker_dirty {
-            Arc::new(OnceLock::new())
-        } else {
-            Arc::clone(&prev.sym)
-        };
         let (fps_por_cell, por_diag) = if !any_worker_dirty {
             // Clean workers ⇒ identical footprints ⇒ identical table:
             // share the cell itself, forced or not.
@@ -1245,7 +1226,6 @@ impl<'l> CompiledProgram<'l> {
             shared_len: prev.shared_len,
             match_end: Arc::clone(&prev.match_end),
             live: Arc::clone(&prev.live),
-            sym,
             fps_por: fps_por_cell,
             static_por: Arc::clone(&prev.static_por),
             por_diag,
@@ -1300,15 +1280,6 @@ impl<'l> CompiledProgram<'l> {
     pub(crate) fn live_masks(&self) -> &Arc<LiveMasks> {
         self.live
             .get_or_init(|| Arc::new(self.l.workers.iter().map(compute_liveness).collect()))
-    }
-
-    /// Thread-symmetry classes of this candidate, built when a search
-    /// engine first asks for them — replay prescreening never does, so
-    /// candidates the schedule bank rejects skip the pairwise worker
-    /// comparison entirely.
-    pub(crate) fn sym_classes(&self) -> &Arc<SymmetryClasses> {
-        self.sym
-            .get_or_init(|| Arc::new(symmetry_classes(self.l, &self.holes)))
     }
 
     /// The static (candidate-independent) POR table, built on first
@@ -1369,10 +1340,9 @@ impl<'l> CompiledProgram<'l> {
     }
 
     /// Bit-for-bit artifact equality: candidate, micro-op code, POR
-    /// masks, footprints, symmetry classes and derived counters all
-    /// equal. Used by the reseal differential test to prove an
-    /// incremental reseal produces exactly the artifact a fresh seal
-    /// would.
+    /// masks, footprints and derived counters all equal. Used by the
+    /// reseal differential test to prove an incremental reseal
+    /// produces exactly the artifact a fresh seal would.
     #[doc(hidden)]
     pub fn artifact_eq(&self, other: &CompiledProgram<'_>) -> bool {
         std::ptr::eq(self.l, other.l)
@@ -1380,7 +1350,6 @@ impl<'l> CompiledProgram<'l> {
             && self.shared_len == other.shared_len
             && self.match_end == other.match_end
             && *self.live_masks() == *other.live_masks()
-            && **self.sym_classes() == **other.sym_classes()
             && match (self.por_table(), other.por_table()) {
                 (Some(a), Some(b)) => *a == *b,
                 (None, None) => true,

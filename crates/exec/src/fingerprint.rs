@@ -23,9 +23,6 @@
 //!   [`FpSet::insert_fp_with`] / [`ShardedFpSet::insert_claim_fp_with`];
 //!   the state closure is only invoked under `exact-visited`, which is
 //!   the one mode that still materializes full states.
-//!
-//! [`FpHasher`] (a sequential streaming hasher) remains as a utility
-//! for one-pass hashing of data that is already in canonical order.
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -77,54 +74,6 @@ pub fn cell_hash(pos: u64, val: i64) -> u64 {
 #[inline]
 pub fn combine_fp(acc: u64, len: u64) -> u64 {
     mix(acc, len as i64)
-}
-
-/// Streaming state fingerprinter: hashes words as they are fed in, so
-/// a flat state buffer can be fingerprinted segment by segment without
-/// materializing a canonical vector. The word count is folded in at
-/// [`FpHasher::finish`], so prefixes of different lengths never
-/// collide trivially (`[0]` vs `[0, 0]`).
-#[derive(Clone, Copy, Debug)]
-pub struct FpHasher {
-    h: u64,
-    n: u64,
-}
-
-impl Default for FpHasher {
-    fn default() -> FpHasher {
-        FpHasher::new()
-    }
-}
-
-impl FpHasher {
-    /// A fresh hasher.
-    pub fn new() -> FpHasher {
-        FpHasher {
-            h: 0x243f_6a88_85a3_08d3,
-            n: 0,
-        }
-    }
-
-    /// Feeds one word.
-    #[inline]
-    pub fn write(&mut self, x: i64) {
-        self.h = mix(self.h, x);
-        self.n += 1;
-    }
-
-    /// Feeds a contiguous segment.
-    #[inline]
-    pub fn write_slice(&mut self, xs: &[i64]) {
-        for &x in xs {
-            self.h = mix(self.h, x);
-        }
-        self.n += xs.len() as u64;
-    }
-
-    /// The fingerprint of everything written so far.
-    pub fn finish(&self) -> u64 {
-        mix(self.h, self.n as i64)
-    }
 }
 
 /// Pass-through hasher for keys that are already fingerprints.
@@ -303,38 +252,6 @@ mod tests {
         assert_ne!(fingerprint(&[1, 2]), fingerprint(&[2, 1]));
         assert_ne!(fingerprint(&[0]), fingerprint(&[0, 0]));
         assert_eq!(fingerprint(&[7, -3]), fingerprint(&[7, -3]));
-    }
-
-    #[test]
-    fn streaming_hasher_is_segment_invariant() {
-        // Feeding word-by-word, slice-at-once, or split across
-        // segments must produce the same fingerprint: the checker
-        // hashes its buffer segment by segment.
-        let words = [3i64, -7, 0, 42, i64::MIN, i64::MAX];
-        let mut a = FpHasher::new();
-        for &w in &words {
-            a.write(w);
-        }
-        let mut b = FpHasher::new();
-        b.write_slice(&words);
-        let mut c = FpHasher::new();
-        c.write_slice(&words[..2]);
-        c.write_slice(&words[2..]);
-        assert_eq!(a.finish(), b.finish());
-        assert_eq!(b.finish(), c.finish());
-    }
-
-    #[test]
-    fn streaming_hasher_differs_on_order_and_length() {
-        let fp = |xs: &[i64]| {
-            let mut h = FpHasher::new();
-            h.write_slice(xs);
-            h.finish()
-        };
-        assert_ne!(fp(&[1, 2]), fp(&[2, 1]));
-        assert_ne!(fp(&[0]), fp(&[0, 0]));
-        assert_ne!(fp(&[]), fp(&[0]));
-        assert_eq!(fp(&[7, -3]), fp(&[7, -3]));
     }
 
     #[test]

@@ -162,7 +162,7 @@ pub fn check_parallel_compiled(
     if threads <= 1 {
         return crate::check_compiled(cp, limits);
     }
-    let ck = Checker::from_compiled(cp, limits.symmetry);
+    let ck = Checker::from_compiled(cp);
     let por = if ck.wants_por(limits) { ck.por } else { None };
     run_parallel(ck, por, limits, threads)
 }
@@ -481,9 +481,6 @@ fn expand(
                     .insert_claim_fp_with(ck.fingerprint_state(buf), || {
                         ck.materialize_canonical(buf)
                     });
-                if claim.is_none() && ck.has_symmetry() && ck.orbit_noncanonical(buf) {
-                    tally.stats.sym_collapses += 1;
-                }
                 j.undo_to(mark, buf);
                 let Some(claim) = claim else {
                     continue;

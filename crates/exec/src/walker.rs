@@ -30,7 +30,7 @@ impl<'a> Walker<'a> {
     /// when the candidate already fails sequentially before any
     /// interleaving exists.
     pub fn new(cp: &'a CompiledProgram<'a>) -> Result<Walker<'a>, Failure> {
-        let ck = Checker::from_compiled(cp, false);
+        let ck = Checker::from_compiled(cp);
         let mut buf = ck.initial_buf();
         let mut journal = UndoJournal::new();
         ck.run_seq(0, &ck.l.prologue, &mut buf, &mut journal)

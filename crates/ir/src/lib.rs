@@ -46,7 +46,6 @@ pub mod hole;
 pub mod lower;
 pub mod resolve;
 pub mod step;
-pub mod symmetry;
 
 pub use config::{Config, ReorderEncoding};
 pub use footprint::{thread_footprints_sharpened, Footprint, FootprintTable, Loc};
@@ -55,4 +54,3 @@ pub use lower::{fold_const_binop, fold_const_unop};
 pub use step::{
     step_holes, GlobalSlot, Lowered, Lv, Op, Rv, ScalarKind, Step, StructLayout, Thread, ThreadId,
 };
-pub use symmetry::{symmetry_classes, SymClass, SymmetryClasses};

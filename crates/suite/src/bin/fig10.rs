@@ -5,15 +5,13 @@
 //! scatter plot; the paper observes an approximately linear
 //! correlation. `--json PATH` additionally writes the series as a JSON
 //! array of `{test, log10_space, iterations}` objects; `--no-por`
-//! disables the checker's partial-order reduction, `--no-symmetry`
-//! its thread-symmetry canonicalization, and
+//! disables the checker's partial-order reduction, and
 //! `--no-prescreen`/`--bank-cap` control the schedule-bank prescreen.
 
 use psketch_core::{Json, Synthesis};
 use psketch_suite::{figure9_runs, CheckerArgs};
 
-const USAGE: &str =
-    "fig10 [--json PATH] [--no-por] [--no-symmetry] [--no-prescreen] [--bank-cap N]";
+const USAGE: &str = "fig10 [--json PATH] [--no-por] [--no-prescreen] [--bank-cap N]";
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();

@@ -8,20 +8,19 @@
 //! own peak.
 //!
 //! Usage: `cargo run --release -p psketch-suite --bin fig9 [filter]
-//! [--report-json DIR] [--no-por] [--no-symmetry] [--no-prescreen]
-//! [--bank-cap N]` where `filter` restricts to benchmarks whose name
-//! contains it, `--report-json` writes one machine-readable run
-//! report per row into `DIR` as `<benchmark>_<test>.json`, `--no-por`
-//! disables the checker's partial-order reduction (full interleaving
-//! expansion), `--no-symmetry` disables thread-symmetry
-//! canonicalization, and `--no-prescreen`/`--bank-cap` control the
-//! schedule-bank prescreen ablation.
+//! [--report-json DIR] [--no-por] [--no-prescreen] [--bank-cap N]`
+//! where `filter` restricts to benchmarks whose name contains it,
+//! `--report-json` writes one machine-readable run report per row
+//! into `DIR` as `<benchmark>_<test>.json`, `--no-por` disables the
+//! checker's partial-order reduction (full interleaving expansion),
+//! and `--no-prescreen`/`--bank-cap` control the schedule-bank
+//! prescreen ablation. Any other argument starting with `-` is
+//! rejected with the usage line and exit status 2.
 
 use psketch_core::{mem, render_stats, Synthesis};
 use psketch_suite::{figure9_runs, CheckerArgs};
 
-const USAGE: &str = "fig9 [filter] [--report-json DIR] [--no-por] [--no-symmetry] \
-     [--no-prescreen] [--bank-cap N]";
+const USAGE: &str = "fig9 [filter] [--report-json DIR] [--no-por] [--no-prescreen] [--bank-cap N]";
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -39,7 +38,12 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            other => filter = other.to_string(),
+            other if !other.starts_with('-') => filter = other.to_string(),
+            other => {
+                eprintln!("unknown argument {other}");
+                eprintln!("usage: {USAGE}");
+                std::process::exit(2);
+            }
         }
     }
     if let Some(dir) = &report_dir {

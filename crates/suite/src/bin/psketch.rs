@@ -4,8 +4,8 @@
 //! psketch <file.psk> [--unroll N] [--pool N] [--hole-width N]
 //!         [--int-width N] [--reorder quad|exp] [--max-iters N]
 //!         [--hybrid N] [--threads N] [--portfolio N] [--no-por]
-//!         [--no-symmetry] [--no-prescreen] [--bank-cap N]
-//!         [--timeout SECS] [--state-budget N] [--memory-budget MIB]
+//!         [--no-prescreen] [--bank-cap N] [--timeout SECS]
+//!         [--state-budget N] [--memory-budget MIB]
 //!         [--report-json PATH] [--dump-ir] [--explain]
 //! ```
 //!
@@ -23,8 +23,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: psketch <file.psk> [--unroll N] [--pool N] [--hole-width N] \
          [--int-width N] [--reorder quad|exp] [--max-iters N] [--hybrid N] \
-         [--threads N] [--portfolio N] [--no-por] [--no-symmetry] \
-         [--no-prescreen] [--bank-cap N] [--timeout SECS] \
+         [--threads N] [--portfolio N] [--no-por] [--no-prescreen] \
+         [--bank-cap N] [--timeout SECS] \
          [--state-budget N] [--memory-budget MIB] [--report-json PATH] \
          [--dump-ir] [--explain]"
     );

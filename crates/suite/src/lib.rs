@@ -36,14 +36,12 @@ use workload::Workload;
 
 /// Checker and prescreen knobs shared by every suite binary
 /// (`psketch`, `fig9`, `fig10`, `table1`): `--no-por`,
-/// `--no-symmetry`, `--no-prescreen` and `--bank-cap N`. Parsed once
-/// here so the ablation flags stay in lockstep across the bins.
+/// `--no-prescreen` and `--bank-cap N`. Parsed once here so the
+/// ablation flags stay in lockstep across the bins.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckerArgs {
     /// Ample-set partial-order reduction ([`Options::por`]).
     pub por: bool,
-    /// Thread-symmetry reduction ([`Options::symmetry`]).
-    pub symmetry: bool,
     /// Schedule-bank prescreening ([`Options::prescreen`]).
     pub prescreen: bool,
     /// Schedule-bank capacity ([`Options::bank_capacity`]).
@@ -55,7 +53,6 @@ impl Default for CheckerArgs {
         let d = Options::default();
         CheckerArgs {
             por: d.por,
-            symmetry: d.symmetry,
             prescreen: d.prescreen,
             bank_capacity: d.bank_capacity,
         }
@@ -64,7 +61,7 @@ impl Default for CheckerArgs {
 
 impl CheckerArgs {
     /// Usage-string fragment naming the shared flags.
-    pub const USAGE: &'static str = "[--no-por] [--no-symmetry] [--no-prescreen] [--bank-cap N]";
+    pub const USAGE: &'static str = "[--no-por] [--no-prescreen] [--bank-cap N]";
 
     /// Extracts the shared flags from `args`, removing the consumed
     /// entries and leaving binary-specific arguments in place.
@@ -76,10 +73,6 @@ impl CheckerArgs {
             match args[i].as_str() {
                 "--no-por" => {
                     out.por = false;
-                    args.remove(i);
-                }
-                "--no-symmetry" => {
-                    out.symmetry = false;
                     args.remove(i);
                 }
                 "--no-prescreen" => {
@@ -113,7 +106,6 @@ impl CheckerArgs {
     /// Applies the flags to a benchmark's options.
     pub fn apply(&self, options: &mut Options) {
         options.por = self.por;
-        options.symmetry = self.symmetry;
         options.prescreen = self.prescreen;
         options.bank_capacity = self.bank_capacity;
     }
@@ -423,7 +415,6 @@ mod tests {
             "--no-prescreen",
             "--report-json",
             "out",
-            "--no-symmetry",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -433,7 +424,6 @@ mod tests {
             parsed,
             CheckerArgs {
                 por: false,
-                symmetry: false,
                 prescreen: false,
                 bank_capacity: 7,
             }
@@ -442,7 +432,7 @@ mod tests {
         assert_eq!(args, ["queueE1", "--report-json", "out"]);
         let mut opts = Options::default();
         parsed.apply(&mut opts);
-        assert!(!opts.por && !opts.symmetry && !opts.prescreen);
+        assert!(!opts.por && !opts.prescreen);
         assert_eq!(opts.bank_capacity, 7);
     }
 
@@ -452,7 +442,6 @@ mod tests {
         let parsed = CheckerArgs::try_extract(&mut args).expect("no flags is fine");
         let d = Options::default();
         assert_eq!(parsed.por, d.por);
-        assert_eq!(parsed.symmetry, d.symmetry);
         assert_eq!(parsed.prescreen, d.prescreen);
         assert_eq!(parsed.bank_capacity, d.bank_capacity);
     }

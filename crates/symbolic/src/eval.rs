@@ -16,7 +16,7 @@ use crate::bv::Bv;
 use crate::circuit::{Circuit, NodeRef};
 use psketch_ir::{Lowered, Lv, Op, Rv, ThreadId};
 use psketch_lang::ast::{BinOp, UnOp};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 /// Symbolic execution of one projected trace.
 pub struct SymEval<'a> {
@@ -90,12 +90,14 @@ impl<'a> SymEval<'a> {
     /// deadlock is re-checked: the projection fails a candidate for
     /// deadlock only when *every* step of `D` is blocked simultaneously
     /// in the replayed end state (a candidate that takes a different
-    /// path through, or finds a condition true, is not refuted).
+    /// path through, or finds a condition true, is not refuted). `D`
+    /// is an ordered set so the conjunction, and with it the encoded
+    /// clauses and the SAT search, are the same on every run.
     pub fn run(
         self,
         c: &mut Circuit,
         order: &[(ThreadId, usize)],
-        deadlock: &HashSet<(ThreadId, usize)>,
+        deadlock: &BTreeSet<(ThreadId, usize)>,
         deadlock_at: usize,
     ) -> NodeRef {
         self.run_with_probe(c, order, deadlock, deadlock_at, |_, _, _, _| {})
@@ -108,7 +110,7 @@ impl<'a> SymEval<'a> {
         mut self,
         c: &mut Circuit,
         order: &[(ThreadId, usize)],
-        deadlock: &HashSet<(ThreadId, usize)>,
+        deadlock: &BTreeSet<(ThreadId, usize)>,
         deadlock_at: usize,
         mut probe: impl FnMut(&mut Circuit, NodeRef, NodeRef, usize),
     ) -> NodeRef {
@@ -127,7 +129,7 @@ impl<'a> SymEval<'a> {
 
     /// `fail |= running ∧ ⋀_{(t,i) ∈ D} blocked(t, i)` evaluated in
     /// the current (trace-end) state.
-    fn check_deadlock(&mut self, c: &mut Circuit, deadlock: &HashSet<(ThreadId, usize)>) {
+    fn check_deadlock(&mut self, c: &mut Circuit, deadlock: &BTreeSet<(ThreadId, usize)>) {
         if deadlock.is_empty() {
             return;
         }

@@ -7,7 +7,7 @@
 //! identical* to interpreting the `(Lowered, Assignment)` pair it was
 //! sealed from, which is what the reference engine
 //! (`psketch_exec::reference`) does with its own evaluator. With
-//! partial-order reduction and symmetry off, both are deterministic
+//! partial-order reduction off, both are deterministic
 //! depth-first searches over the same canonical state set in the same
 //! worker order, so the comparison is exact: identical verdicts, state
 //! and transition counts, and counterexample traces and schedules. The
@@ -39,10 +39,8 @@ use psketch_testutil::Rng;
 const MAX_STATES: usize = 10_000;
 
 fn limits(por: bool) -> SearchLimits {
-    // Symmetry off: the reference engine never canonicalizes.
     SearchLimits {
         por,
-        symmetry: false,
         ..SearchLimits::states(MAX_STATES)
     }
 }
@@ -109,7 +107,7 @@ fn compare(l: &Lowered, a: &Assignment, label: &str) {
         "{label}: sharpened masks must refine the static analysis"
     );
 
-    // Both reductions off: the sealed search and the reference engine
+    // Reduction off: the sealed search and the reference engine
     // are the same deterministic DFS — everything matches exactly.
     let reference = check_ref_with_limit(l, a, MAX_STATES);
     let sealed = check_compiled(&cp, &limits(false));

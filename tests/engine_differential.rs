@@ -7,7 +7,7 @@
 //! makes it an independent oracle. For every suite sketch and a
 //! handful of candidates (the identity assignment plus seeded random
 //! hole values) the two must agree. At one thread with partial-order
-//! reduction and symmetry off, both are deterministic depth-first
+//! reduction off, both are deterministic depth-first
 //! searches over the same canonical state set in the same worker
 //! order, so the comparison is exact: identical verdicts, state and
 //! transition counts, and counterexample traces and schedules. At 2
@@ -38,24 +38,13 @@ use psketch_repro::symbolic::trace_reproduces;
 use psketch_testutil::Rng;
 
 /// Bounds each exploration so the whole suite stays test-sized. Both
-/// engines dedup by canonical state identity, so (reductions off) they
+/// engines dedup by canonical state identity, so (reduction off) they
 /// reach the limit or finish under it on exactly the same searches.
 const MAX_STATES: usize = 10_000;
 
 fn limits(por: bool) -> SearchLimits {
-    // Symmetry off: the exact-comparison contracts below count states
-    // against the reference engine, which never canonicalizes.
     SearchLimits {
         por,
-        symmetry: false,
-        ..SearchLimits::states(MAX_STATES)
-    }
-}
-
-fn sym_limits(symmetry: bool) -> SearchLimits {
-    SearchLimits {
-        por: false,
-        symmetry,
         ..SearchLimits::states(MAX_STATES)
     }
 }
@@ -242,166 +231,6 @@ fn check_against(
     }
 }
 
-/// Symmetry on vs off, 1/2/4 checker threads: identical verdicts,
-/// every counterexample still refutes the candidate, and — whenever
-/// the identity-canonicalization search completed — the symmetry-
-/// reduced search visits a subset of its states (never more). The
-/// canonical fingerprint is a deterministic function of the state, so
-/// the parallel reduced search must match the sequential reduced
-/// state count exactly on passing runs.
-fn compare_symmetry(l: &Lowered, a: &Assignment, label: &str) {
-    let cp = CompiledProgram::compile(l, a);
-    let off = check_compiled(&cp, &sym_limits(false));
-    let on = check_compiled(&cp, &sym_limits(true));
-    assert_eq!(
-        off.stats.sym_collapses, 0,
-        "{label}: symmetry off yet collapses reported"
-    );
-    match (&off.verdict, &on.verdict) {
-        (Verdict::Pass, Verdict::Pass) => {
-            assert!(
-                on.stats.states <= off.stats.states,
-                "{label}: symmetry explored more states ({} > {})",
-                on.stats.states,
-                off.stats.states
-            );
-        }
-        (Verdict::Pass, v) => panic!("{label}: symmetry off passes, on {v:?}"),
-        (Verdict::Fail(_), Verdict::Fail(cex)) => {
-            assert!(
-                trace_reproduces(l, cex, a),
-                "{label}: symmetry-on cex does not refute candidate"
-            );
-        }
-        (Verdict::Fail(_), v) => panic!("{label}: symmetry off fails, on {v:?}"),
-        // Full search hit the state limit: the reduced search visits a
-        // subset of the orbits, so it may legitimately finish first.
-        (Verdict::Unknown(_), Verdict::Fail(cex)) => {
-            assert!(trace_reproduces(l, cex, a), "{label}: invalid sym cex");
-        }
-        (Verdict::Unknown(_), Verdict::Unknown(w)) => {
-            assert_eq!(*w, Interrupt::StateLimit, "{label}");
-        }
-        (Verdict::Unknown(_), Verdict::Pass) => {}
-    }
-    for threads in [2usize, 4] {
-        let par = check_parallel_compiled(&cp, &sym_limits(true), threads);
-        check_against(l, a, &on.verdict, Some(on.stats.states), &par, {
-            &format!("{label} threads={threads} symmetry=on")
-        });
-    }
-    // Symmetry composes with the ample-set reduction: the combined
-    // configuration (both defaults on) must preserve the verdict too.
-    let both = check_compiled(
-        &cp,
-        &SearchLimits {
-            por: true,
-            symmetry: true,
-            ..SearchLimits::states(MAX_STATES)
-        },
-    );
-    match (&off.verdict, &both.verdict) {
-        (Verdict::Pass, Verdict::Pass) => {}
-        (Verdict::Pass, v) => panic!("{label}: full search passes, por+sym {v:?}"),
-        (Verdict::Fail(_), Verdict::Fail(cex)) | (Verdict::Unknown(_), Verdict::Fail(cex)) => {
-            assert!(
-                trace_reproduces(l, cex, a),
-                "{label}: por+sym cex does not refute candidate"
-            );
-        }
-        (Verdict::Fail(_), v) => panic!("{label}: full search fails, por+sym {v:?}"),
-        (Verdict::Unknown(_), Verdict::Unknown(w)) => {
-            assert_eq!(*w, Interrupt::StateLimit, "{label}");
-        }
-        (Verdict::Unknown(_), Verdict::Pass) => {}
-    }
-}
-
-#[test]
-fn symmetry_agrees_on_suite_sketches() {
-    let mut seen = std::collections::HashSet::new();
-    let mut rng = Rng::new(29);
-    for run in figure9_runs() {
-        if !seen.insert(run.benchmark) {
-            continue;
-        }
-        let l = lowered(&run.source, &run.options.config);
-        for (ix, a) in candidates(&l, 2, &mut rng).iter().enumerate() {
-            compare_symmetry(&l, a, &format!("{} candidate {ix}", run.benchmark));
-        }
-    }
-}
-
-#[test]
-fn symmetry_agrees_on_small_programs() {
-    let programs = [
-        // Symmetric lost-update race: fails, and the symmetric-state
-        // collapse must not mask the failing interleaving.
-        "int g;
-         harness void main() {
-             fork (i; 2) { int t = g; g = t + 1; }
-             assert g == 2;
-         }",
-        // Symmetric and passing: the reduction's best case.
-        "int g;
-         harness void main() {
-             fork (i; 3) { int old = AtomicReadAndIncr(g); }
-             assert g == 3;
-         }",
-        // Fork-index-dependent branching: asymmetric, must fall back
-        // to identity canonicalization and still agree.
-        "int a; int b;
-         harness void main() {
-             fork (i; 2) {
-                 if (i == 0) { a = a + 1; } else { b = b + 1; }
-             }
-             assert a == 1 && b == 1;
-         }",
-        // pid() escapes into shared state: asymmetric.
-        "int owner;
-         harness void main() {
-             fork (i; 2) { owner = pid(); }
-             assert owner >= 1;
-         }",
-    ];
-    let cfg = psketch_repro::ir::Config::default();
-    let mut rng = Rng::new(31);
-    for (px, src) in programs.iter().enumerate() {
-        let l = lowered(src, &cfg);
-        for (ix, a) in candidates(&l, 3, &mut rng).iter().enumerate() {
-            compare_symmetry(&l, a, &format!("program {px} candidate {ix}"));
-        }
-    }
-}
-
-/// On a genuinely symmetric workload the reduction must actually fire:
-/// strictly fewer states than identity canonicalization, collapses
-/// reported, same verdict.
-#[test]
-fn symmetry_collapses_symmetric_counter() {
-    let cfg = psketch_repro::ir::Config::default();
-    let l = lowered(
-        "int g;
-         harness void main() {
-             fork (i; 3) { int t = g; g = t + 1; }
-             assert g >= 1;
-         }",
-        &cfg,
-    );
-    let cp = CompiledProgram::compile(&l, &l.holes.identity_assignment());
-    let off = check_compiled(&cp, &sym_limits(false));
-    let on = check_compiled(&cp, &sym_limits(true));
-    assert!(off.is_ok() && on.is_ok());
-    assert!(
-        on.stats.states < off.stats.states,
-        "symmetry did not collapse: {} vs {}",
-        on.stats.states,
-        off.stats.states
-    );
-    assert!(on.stats.sym_collapses > 0);
-    assert_eq!(off.stats.sym_collapses, 0);
-}
-
 #[test]
 fn engines_agree_on_suite_sketches() {
     // One run per distinct benchmark keeps the test tractable; the
@@ -479,6 +308,13 @@ fn engines_agree_on_small_programs() {
          harness void main() {
              fork (i; 2) { a[??(2) + i] = 1; }
              assert a[0] >= 0;
+         }",
+        // pid() written to a shared global: the workers differ only
+        // in the value they store.
+        "int owner;
+         harness void main() {
+             fork (i; 2) { owner = pid(); }
+             assert owner >= 1;
          }",
     ];
     let cfg = psketch_repro::ir::Config::default();

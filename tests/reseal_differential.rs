@@ -5,10 +5,10 @@
 //! against the previous artifact's per-thread hole lists and re-emits
 //! only the threads whose holes changed, reusing every clean thread's
 //! micro-op arrays and footprints by reference (and, when no worker is
-//! dirty, the symmetry classes and POR tables wholesale). That reuse
-//! is only sound if the resealed artifact is *bit-identical* to
-//! sealing the same candidate from scratch — same micro-op code, same
-//! sharpened footprints, same POR masks, same symmetry classes.
+//! dirty, the POR table wholesale). That reuse is only sound if the
+//! resealed artifact is *bit-identical* to sealing the same candidate
+//! from scratch — same micro-op code, same sharpened footprints, same
+//! POR masks.
 //!
 //! This test walks a random sequence of candidates per suite sketch —
 //! mostly single-hole flips (the CEGIS-neighbourhood case reseal is
@@ -16,8 +16,8 @@
 //! artifact from its predecessor and asserting structural equality
 //! with a fresh seal via `artifact_eq`. On a subset of steps it also
 //! drives both artifacts through the checker at 1, 2 and 4 threads
-//! with the reductions off and on, demanding identical verdicts and
-//! (for deterministic configurations) identical searches.
+//! with partial-order reduction off and on, demanding identical
+//! verdicts and (for deterministic configurations) identical searches.
 
 use psketch_repro::exec::{
     check_compiled, check_parallel_compiled, CheckOutcome, CompiledProgram, SearchLimits, Verdict,
@@ -30,10 +30,9 @@ use psketch_testutil::Rng;
 /// Bounds each exploration so the whole suite stays test-sized.
 const MAX_STATES: usize = 10_000;
 
-fn limits(por: bool, symmetry: bool) -> SearchLimits {
+fn limits(por: bool) -> SearchLimits {
     SearchLimits {
         por,
-        symmetry,
         ..SearchLimits::states(MAX_STATES)
     }
 }
@@ -133,12 +132,12 @@ fn walk(l: &Lowered, steps: usize, rng: &mut Rng, label: &str) {
         );
 
         // Sweep both artifacts on a subset of steps: the sequential
-        // searches must be indistinguishable with the reductions off
+        // searches must be indistinguishable with the reduction off
         // and on; the parallel ones verdict-equivalent.
         if step % 4 == 0 {
-            for (por, symmetry) in [(false, false), (true, true)] {
-                let lim = limits(por, symmetry);
-                let tag = format!("{label} step {step} por={por} sym={symmetry}");
+            for por in [false, true] {
+                let lim = limits(por);
+                let tag = format!("{label} step {step} por={por}");
                 let a = check_compiled(&fresh, &lim);
                 let b = check_compiled(&resealed, &lim);
                 assert_same_search(&a, &b, &tag);
@@ -227,8 +226,8 @@ fn reseal_with_unchanged_candidate_is_free_and_identical() {
             "{}: all threads (prologue + workers + epilogue) must be reused",
             run.benchmark
         );
-        let a = check_compiled(&cp, &limits(true, true));
-        let b = check_compiled(&rs, &limits(true, true));
+        let a = check_compiled(&cp, &limits(true));
+        let b = check_compiled(&rs, &limits(true));
         assert_same_search(&a, &b, run.benchmark);
     }
 }
