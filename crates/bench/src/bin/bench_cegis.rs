@@ -17,11 +17,9 @@
 //! prescreen (the default) and once with `prescreen: false`, so the
 //! report doubles as the prescreen ablation. `prescreen_hits` counts
 //! the full checker invocations the bank turned into O(trace) replays.
-//! The `compile_us` / `reseal_us` / `threads_reused` columns surface
-//! the incremental-sealing layer: after the first iteration every
-//! candidate reseals the previous artifact, re-emitting only the
-//! threads whose hole values changed. The peak-RSS mark is reset
-//! before each cell, so `peak_memory` is that cell's own peak.
+//! `compile_us` is the time spent sealing candidates, each one fresh.
+//! The peak-RSS mark is reset before each cell, so `peak_memory` is
+//! that cell's own peak.
 //!
 //! Usage: `cargo run --release -p psketch-bench --bin bench_cegis
 //! [--smoke] [output.json]` (default `BENCH_cegis.json` in the current
@@ -114,7 +112,7 @@ fn main() {
     }
 
     let meta = vec![
-        field("schema", Json::from(6)),
+        field("schema", Json::from(7)),
         field("suite", Json::Str("cegis_thread_scaling".into())),
         field("cores", Json::from(cores as i64)),
         field("samples", Json::from(h.samples as i64)),
@@ -128,12 +126,10 @@ fn main() {
                  prescreen=true row with the same threads/portfolio. \
                  secs_median/secs_min time the whole run; every other \
                  column is the last sample's run totals, named as in the \
-                 run report (schema 6). compile_us is the cumulative \
-                 candidate-sealing time; reseal_us (included in \
-                 compile_us) and threads_reused count the incremental \
-                 reseals that reused the previous iteration's artifact \
-                 instead of sealing from scratch. peak_memory is the \
-                 cell's own peak RSS: the mark is reset before each cell"
+                 run report (schema 7). compile_us is the cumulative \
+                 candidate-sealing time, every candidate sealed fresh. \
+                 peak_memory is the cell's own peak RSS: the mark is \
+                 reset before each cell"
                     .into(),
             ),
         ),

@@ -19,12 +19,7 @@
 //! Each workload is first synthesised to completion; the winning
 //! candidate's exhaustive verification — the hot path of every CEGIS
 //! run, since a correct candidate's search cannot stop early — is then
-//! timed for each engine. A `seal-ablation` row per workload replays
-//! the run's own candidate sequence: for each consecutive pair it
-//! times sealing the later candidate from scratch against resealing it
-//! from the earlier candidate's artifact (both forcing the POR tables,
-//! as the CEGIS loop does) and asserts the two artifacts are
-//! bit-identical.
+//! timed for each engine.
 //!
 //! Usage: `cargo run --release -p psketch-bench --bin bench_checker
 //! [--smoke] [output.json]` (default `BENCH_checker.json` in the
@@ -38,13 +33,12 @@ use psketch_exec::{
     check_compiled, reference::check_ref_with_limit, CheckOutcome, CompiledProgram, SearchLimits,
     Verdict,
 };
-use psketch_ir::{Assignment, Config};
+use psketch_ir::Config;
 use psketch_suite::barrier::{barrier_source, BarrierVariant};
 use psketch_suite::dinphilo::{dinphilo_source, PhiloVariant};
 use psketch_suite::figure9_runs;
 use std::cell::RefCell;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
 /// The Figure 9 `(benchmark, test)` rows measured. Both resolve, so
 /// the timed search is a full Pass-verdict state-space sweep.
@@ -110,27 +104,6 @@ fn workloads() -> Vec<Load> {
     out
 }
 
-/// `cp` with its POR tables built, as the CEGIS loop builds them when
-/// it reads the artifact's sharpening counter.
-fn forced(cp: CompiledProgram<'_>) -> CompiledProgram<'_> {
-    black_box(cp.sharpened_masks());
-    cp
-}
-
-/// The fastest of `samples` timed calls of `f`, and the last call's
-/// result (dropped outside the timed interval).
-fn fastest<T>(samples: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
-    let mut best = Duration::MAX;
-    let mut last = None;
-    for _ in 0..samples.max(1) {
-        let t0 = Instant::now();
-        let out = f();
-        best = best.min(t0.elapsed());
-        last = Some(out);
-    }
-    (best, last.expect("at least one sample"))
-}
-
 fn main() {
     let mut smoke = false;
     let mut out_path = "BENCH_checker.json".to_string();
@@ -150,7 +123,7 @@ fn main() {
     for load in workloads() {
         let synthesis =
             Synthesis::new(&load.source, load.options.clone()).expect("workload lowers");
-        let (outcome, report) = synthesis.run_report();
+        let outcome = synthesis.run();
         let candidate = outcome
             .resolution
             .expect("Table 1 workload resolves")
@@ -161,8 +134,10 @@ fn main() {
         // seals it once and reuses the artifact across prescreen,
         // sampler and exhaustive check. The one-time sealing cost is
         // surfaced in the compile_us column, not folded into the
-        // timed sweep.
+        // timed sweep; so is the sharpening diagnostic, which builds
+        // the POR tables here rather than in the first timed sample.
         let cp = CompiledProgram::compile(lowered, &candidate);
+        let sharpened_masks = cp.sharpened_masks();
 
         let cp = &cp;
         let sweep = |por: bool| {
@@ -233,58 +208,14 @@ fn main() {
                 ),
             ];
             cost.write_json(&mut row);
+            let sharpened = if sealed { sharpened_masks } else { 0 };
+            row.push(field("sharpened_masks", Json::from(sharpened as i64)));
             rows.push(Json::Obj(row));
         }
-
-        // Seal ablation on the run's own deltas: for each consecutive
-        // pair of candidates the run tried, seal the later one from
-        // scratch and reseal it from the earlier one's artifact, both
-        // forcing the POR tables as the CEGIS loop does when it reads
-        // sharpened_masks. The reseal chain follows the run's, so each
-        // step starts from an artifact whose tables are already built.
-        let tried: Vec<Assignment> = report
-            .records
-            .iter()
-            .map(|r| Assignment::from_values(r.candidate.clone()))
-            .collect();
-        let (mut fresh_total, mut reseal_total) = (Duration::ZERO, Duration::ZERO);
-        let mut threads_reused = 0;
-        if let Some((first, rest)) = tried.split_first() {
-            let mut prev = forced(CompiledProgram::compile(lowered, first));
-            for next in rest {
-                let (fresh_t, fresh) = fastest(h.samples, || {
-                    forced(CompiledProgram::compile(lowered, black_box(next)))
-                });
-                let (reseal_t, resealed) = fastest(h.samples, || {
-                    forced(CompiledProgram::reseal(&prev, lowered, black_box(next)))
-                });
-                assert!(
-                    resealed.artifact_eq(&fresh),
-                    "{}: resealed artifact must be identical to the fresh seal",
-                    load.name
-                );
-                fresh_total += fresh_t;
-                reseal_total += reseal_t;
-                threads_reused += resealed.threads_reused();
-                prev = resealed;
-            }
-        }
-        rows.push(Json::Obj(vec![
-            field("sketch", Json::Str(load.name.clone())),
-            field("engine", Json::Str("seal-ablation".into())),
-            field("deltas", Json::from(tried.len().saturating_sub(1) as i64)),
-            field("fresh_seal_us", Json::from(fresh_total.as_micros() as i64)),
-            field("reseal_us", Json::from(reseal_total.as_micros() as i64)),
-            field("threads_reused", Json::from(threads_reused as i64)),
-            field(
-                "threads_total",
-                Json::from(lowered.workers.len() as i64 + 2),
-            ),
-        ]));
     }
 
     let meta = vec![
-        field("schema", Json::from(5)),
+        field("schema", Json::from(6)),
         field("suite", Json::Str("checker_engine_throughput".into())),
         field("cores", Json::from(cores as i64)),
         field("samples", Json::from(h.samples as i64)),
@@ -306,20 +237,9 @@ fn main() {
                  reports 0 in the sealing columns. rss_delta_bytes is \
                  the resident-set growth sampled around each cell's \
                  runs (0 when the allocator reused earlier capacity). \
-                 The seal-ablation row per sketch replays the run's \
-                 own candidate sequence: for each of its deltas \
-                 (consecutive candidate pairs) the later candidate is \
-                 sealed from scratch and resealed from the earlier \
-                 candidate's artifact, both forcing the POR tables as \
-                 the CEGIS loop does; fresh_seal_us and reseal_us sum \
-                 the fastest sample of each delta, threads_reused sums \
-                 the threads each reseal carried over verbatim (of \
-                 threads_total per artifact: prologue + workers + \
-                 epilogue), and every resealed artifact is asserted \
-                 bit-identical to its fresh seal. The search and \
-                 sealing columns are written by the run report's cost \
-                 writer, so the prescreen, sampler and bank columns of \
-                 a bare sweep read 0"
+                 The search and sealing columns are written by the run \
+                 report's cost writer, so the prescreen, sampler and \
+                 bank columns of a bare sweep read 0"
                     .into(),
             ),
         ),

@@ -296,14 +296,6 @@ impl Synthesis {
         let done = AtomicBool::new(false);
         synth.set_limits(deadline, Some(cancel.clone()));
 
-        // The most recent iteration's sealed artifact. Successive CDCL
-        // models differ in few hole values, so each verification
-        // reseals against this instead of compiling from scratch —
-        // threads whose holes kept their values reuse their micro-op
-        // arrays, footprints and (when no worker changed) the POR
-        // table by reference. Cloning in/out is Arc-cheap.
-        let prev_artifact: Mutex<Option<CompiledProgram<'_>>> = Mutex::new(None);
-
         std::thread::scope(|scope| {
             if deadline.is_some() || self.options.memory_budget.is_some() {
                 let cancel = &cancel;
@@ -399,13 +391,7 @@ impl Synthesis {
                 stats.portfolio_width = stats.portfolio_width.max(batch_width);
                 let trace_set = synth.stats.observations;
                 let tv = Instant::now();
-                let results = self.verify_batch(
-                    &candidates,
-                    base,
-                    &limits,
-                    bank.as_ref(),
-                    Some(&prev_artifact),
-                );
+                let results = self.verify_batch(&candidates, base, &limits, bank.as_ref());
                 stats.v_solve += tv.elapsed();
                 // A correct candidate wins; otherwise every trace
                 // feeds back as one observation batch. Portfolio
@@ -548,10 +534,7 @@ impl Synthesis {
     /// Verifies one candidate, returning its counterexample if any.
     /// Exposed for tests and tooling.
     pub fn verify_candidate(&self, candidate: &Assignment) -> Option<CexTrace> {
-        match self
-            .verify_once(candidate, 0, &self.base_limits(), None, None)
-            .0
-        {
+        match self.verify_once(candidate, 0, &self.base_limits(), None).0 {
             VerifyResult::Trace(t) => Some(t),
             _ => None,
         }
@@ -561,17 +544,16 @@ impl Synthesis {
     /// more than one, returning each one's result, cost and wall time.
     /// `base` is the iteration count before this batch (seeds the
     /// hybrid sampler exactly as sequential CEGIS would).
-    fn verify_batch<'s>(
-        &'s self,
+    fn verify_batch(
+        &self,
         candidates: &[Assignment],
         base: usize,
         limits: &SearchLimits,
         bank: Option<&ScheduleBank>,
-        prev: Option<&Mutex<Option<CompiledProgram<'s>>>>,
     ) -> Vec<(VerifyResult, VerifyCost, Duration)> {
         let timed = |ix: usize, c: &Assignment| {
             let t0 = Instant::now();
-            let (result, cost) = self.verify_once(c, base + ix + 1, limits, bank, prev);
+            let (result, cost) = self.verify_once(c, base + ix + 1, limits, bank);
             (result, cost, t0.elapsed())
         };
         match candidates {
@@ -590,32 +572,20 @@ impl Synthesis {
         }
     }
 
-    fn verify_once<'s>(
-        &'s self,
+    fn verify_once(
+        &self,
         candidate: &Assignment,
         iteration: usize,
         limits: &SearchLimits,
         bank: Option<&ScheduleBank>,
-        prev: Option<&Mutex<Option<CompiledProgram<'s>>>>,
     ) -> (VerifyResult, VerifyCost) {
         let threads = self.options.threads.max(1);
         match &self.mode {
             Mode::Harness => {
                 // Seal once per candidate: the prescreen, the sampler
                 // and the exhaustive checker below all share this one
-                // artifact. When a previous iteration's artifact is
-                // available, reseal incrementally — only threads whose
-                // hole values changed re-emit; clones in and out of the
-                // slot are Arc-cheap pointer bumps.
-                let base =
-                    prev.and_then(|m| m.lock().expect("previous-artifact slot poisoned").clone());
-                let cp = match &base {
-                    Some(p) => CompiledProgram::reseal(p, &self.lowered, candidate),
-                    None => CompiledProgram::compile(&self.lowered, candidate),
-                };
-                if let Some(m) = prev {
-                    *m.lock().expect("previous-artifact slot poisoned") = Some(cp.clone());
-                }
+                // artifact.
+                let cp = CompiledProgram::compile(&self.lowered, candidate);
                 let mut cost = VerifyCost::sealed(&cp);
                 // Prescreen: replay the schedules that killed earlier
                 // candidates before paying for any search. A hit is a
@@ -765,7 +735,7 @@ impl Synthesis {
                 break;
             };
             match self
-                .verify_once(&candidate, iterations, &self.base_limits(), None, None)
+                .verify_once(&candidate, iterations, &self.base_limits(), None)
                 .0
             {
                 VerifyResult::Correct => {

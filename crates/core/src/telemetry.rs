@@ -94,15 +94,6 @@ pub struct VerifyCost {
     pub bank_size: u64,
     /// Microseconds spent sealing candidates into execution artifacts.
     pub compile_us: u64,
-    /// POR footprint masks the candidates' constants made strictly
-    /// tighter than the static analysis.
-    pub sharpened_masks: u64,
-    /// Microseconds spent resealing a previous artifact (included in
-    /// `compile_us`; 0 when sealed fresh).
-    pub reseal_us: u64,
-    /// Threads whose micro-op code and footprints were reused verbatim
-    /// from the previous artifact (0 when sealed fresh).
-    pub threads_reused: u64,
 }
 
 /// One numeric JSON field per named struct field, keyed by the field's
@@ -118,13 +109,10 @@ macro_rules! nums {
 }
 
 impl VerifyCost {
-    /// The sealing counters of a freshly sealed (or resealed) artifact.
+    /// The sealing cost of a freshly sealed artifact.
     pub fn sealed(cp: &CompiledProgram) -> VerifyCost {
         VerifyCost {
             compile_us: cp.compile_us(),
-            sharpened_masks: cp.sharpened_masks(),
-            reseal_us: cp.reseal_us(),
-            threads_reused: cp.threads_reused(),
             ..VerifyCost::default()
         }
     }
@@ -150,9 +138,6 @@ impl VerifyCost {
         self.prescreen_replays += other.prescreen_replays;
         self.bank_size = self.bank_size.max(other.bank_size);
         self.compile_us += other.compile_us;
-        self.sharpened_masks += other.sharpened_masks;
-        self.reseal_us += other.reseal_us;
-        self.threads_reused += other.threads_reused;
     }
 
     /// Appends this cost's JSON fields to `out`.
@@ -166,7 +151,7 @@ impl VerifyCost {
         ));
         out.extend(nums!("", self;
             sampled_refutations, prescreen_hits, prescreen_replays, bank_size,
-            compile_us, sharpened_masks, reseal_us, threads_reused));
+            compile_us));
     }
 }
 
@@ -323,7 +308,7 @@ impl RunReport {
     /// v3: compile-once candidate layer counters (`compile_us`,
     /// `sharpened_masks`).
     ///
-    /// v4: incremental reseal counters (`reseal_us`, `threads_reused`).
+    /// v4: incremental reseal counters (reseal time, threads reused).
     ///
     /// v5: run totals and records share one cost record, so every
     /// cost key means the same at both levels: the per-record booleans
@@ -333,7 +318,11 @@ impl RunReport {
     /// gone.
     ///
     /// v6: `sym_collapses` is gone with the thread-symmetry reduction.
-    pub const SCHEMA: u32 = 6;
+    ///
+    /// v7: every candidate is sealed fresh, so the v4 reseal counters
+    /// are gone, and so is the POR diagnostic `sharpened_masks`, which
+    /// made every candidate build its POR tables before the prescreen.
+    pub const SCHEMA: u32 = 7;
 
     /// Serialises the report as a JSON object (two-space indented).
     pub fn to_json(&self) -> String {

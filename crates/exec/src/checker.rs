@@ -19,7 +19,7 @@
 //! flat buffer ([`Checker::fingerprint_state`]), so steady-state
 //! exploration allocates nothing per state.
 
-use crate::compiled::{exec_cop, COp, CStep, CompiledProgram, ThreadCode};
+use crate::compiled::{exec_cop, COp, CStep, CompiledProgram, LiveMasks, ThreadCode};
 use crate::fingerprint::{cell_hash, combine_fp, FpSet};
 use crate::por::PorTable;
 use crate::store::{CexTrace, Failure, FailureKind, StateBuf, StateLayout, UndoJournal};
@@ -479,47 +479,46 @@ pub fn random_run_compiled(cp: &CompiledProgram, seed: u64) -> Option<CexTrace> 
 
 pub(crate) struct Checker<'a> {
     pub(crate) l: &'a Lowered,
-    /// Segment table of the flat state, shared by reference with the
-    /// sealed artifact and every sibling engine.
-    pub(crate) lay: Arc<StateLayout>,
+    /// The sealed artifact the checker runs; its POR table is read
+    /// (and so built) only by searches that reduce and by the walker.
+    pub(crate) cp: &'a CompiledProgram<'a>,
+    /// Segment table of the flat state.
+    pub(crate) lay: &'a StateLayout,
     /// Words before the first worker record (globals + heap + allocs):
     /// hashed as one contiguous slice.
     shared_len: usize,
     /// `match_end[w][pc]` = index of the AtomicEnd matching an
     /// AtomicBegin at `pc`.
-    match_end: Arc<Vec<Vec<usize>>>,
+    match_end: &'a [Vec<usize>],
     /// `live[w][pc]` = bitmask words of locals read at step >= pc.
-    live: Arc<Vec<Vec<Vec<u64>>>>,
+    live: &'a LiveMasks,
     /// The artifact's per-thread micro-op arrays, indexed by trace
     /// thread id like `l`'s threads.
-    code: &'a [Arc<ThreadCode>],
-    /// The artifact's candidate-sharpened POR table (`None` outside the
-    /// 2..=64 worker range the reduction supports).
-    pub(crate) por: Option<&'a PorTable>,
+    code: &'a [ThreadCode],
 }
 
 pub(crate) type FireResult = Result<Vec<(ThreadId, usize)>, (Vec<(ThreadId, usize)>, Failure)>;
 
 impl<'a> Checker<'a> {
     /// A checker over a sealed [`CompiledProgram`]: the hot path runs
-    /// the artifact's micro-op arrays, POR uses its candidate-sharpened
-    /// masks, and the precomputed layout/liveness analyses are shared
-    /// by `Arc` — construction performs zero deep table copies.
+    /// the artifact's micro-op arrays and borrows its layout and
+    /// liveness tables — construction copies no table and builds no
+    /// POR table.
     pub(crate) fn from_compiled(cp: &'a CompiledProgram<'a>) -> Checker<'a> {
         Checker {
             l: cp.program(),
-            lay: Arc::clone(&cp.lay),
+            cp,
+            lay: &cp.lay,
             shared_len: cp.shared_len,
-            match_end: Arc::clone(&cp.match_end),
-            live: Arc::clone(cp.live_masks()),
+            match_end: &cp.match_end,
+            live: cp.live_masks(),
             code: &cp.code,
-            por: cp.por_table(),
         }
     }
 
     /// The initial flat state (workers at pc 0, locals zeroed).
     pub(crate) fn initial_buf(&self) -> StateBuf {
-        StateBuf::initial(&self.lay, self.l)
+        StateBuf::initial(self.lay, self.l)
     }
 
     pub(crate) fn nworkers(&self) -> usize {
@@ -751,11 +750,17 @@ impl<'a> Checker<'a> {
         por.ample(&pcs[..n], enabled, active)
     }
 
-    /// Should this search build a [`PorTable`]? Reduction needs at
-    /// least two workers to ever trim anything, and the enabled
-    /// bitmask representation caps it at 64.
-    pub(crate) fn wants_por(&self, limits: &SearchLimits) -> bool {
-        limits.por && (2..=64).contains(&self.nworkers())
+    /// The POR table a search under `limits` reduces with, built on
+    /// first use: `None` when reduction is off or cannot apply (it
+    /// needs at least two workers to ever trim anything, and the
+    /// enabled bitmask caps it at 64), so such searches never pay the
+    /// footprint pass.
+    pub(crate) fn por_table(&self, limits: &SearchLimits) -> Option<&'a PorTable> {
+        if limits.por && (2..=64).contains(&self.nworkers()) {
+            self.cp.por_table()
+        } else {
+            None
+        }
     }
 
     /// Is worker `w` able to take a transition? Its pc rests on a
@@ -962,11 +967,7 @@ impl<'a> Checker<'a> {
                 pre.extend(steps);
                 // The root state is permanent: nothing undoes past it.
                 j.reset();
-                let por = if self.wants_por(limits) {
-                    self.por
-                } else {
-                    None
-                };
+                let por = self.por_table(limits);
                 let mut out = self.dfs(buf, &mut j, pre, limits, por, &mut stats);
                 out.stats.journal_writes = j.total_writes();
                 out

@@ -1,9 +1,10 @@
 //! The sealed candidate: the only input a checker runs on.
 //!
-//! A [`CompiledProgram`] seals one `(Lowered, Assignment)` pair into a
-//! shared execution artifact. The sequential DFS, the parallel search,
-//! replay, sampling and the schedule-bank prescreen all build their
-//! checker from it with `Checker::from_compiled`:
+//! A [`CompiledProgram`] seals one `(Lowered, Assignment)` pair into an
+//! execution artifact; [`CompiledProgram::compile`] seals every
+//! candidate fresh. The sequential DFS, the parallel search, replay,
+//! sampling and the schedule-bank prescreen all build their checker
+//! from it with `Checker::from_compiled`:
 //!
 //! - holes are substituted and constants folded *at emit time*: one
 //!   walk over the original trees streams micro-ops out while
@@ -32,26 +33,19 @@
 //!   resolve to exact locations the static
 //!   [`psketch_ir::FootprintTable`] had to widen —
 //!   candidate-sharpened ample sets, never coarser than the static
-//!   ones (the static table and the refinement check are lazy —
-//!   built on first diagnostic use, shared across the reseal family —
-//!   and surfaced via [`CompiledProgram::footprint_refines_static`]);
+//!   ones. The footprint pass and the table are lazy: only a search
+//!   that reduces builds them, so a candidate the prescreen, the
+//!   sampler or a `por: false` search disposes of never pays for them.
+//!   The static table and the refinement check are diagnostics, built
+//!   only when [`CompiledProgram::sharpened_masks`] or
+//!   [`CompiledProgram::footprint_refines_static`] asks;
 //! - per-worker liveness masks are computed from the original program
 //!   — they are the ones the reference engine masks dead locals with,
 //!   so with the reduction off a search visits exactly the reference
 //!   engine's states. They are computed *lazily*, on the first checker
-//!   construction: sealing a candidate never pays for them, and being
-//!   candidate-independent they are shared across the whole reseal
-//!   family;
-//! - every shared table (layout, liveness, match-end, POR, per-thread
-//!   code) lives behind an [`Arc`], so engines built from
-//!   the artifact — and clones of the artifact itself — pay zero deep
-//!   table copies;
-//! - [`CompiledProgram::reseal`] diffs a new candidate against the
-//!   previous artifact per thread *and per step*: clean threads carry
-//!   their micro-op arrays and footprints over by reference, dirty
-//!   threads re-emit only the steps that reference a changed hole
-//!   (the rest bump their `Arc`ed instruction arrays), and identical
-//!   recomputed footprints carry the POR table over too.
+//!   construction, so sealing a candidate never pays for them;
+//! - every table belongs to one artifact, and the engines built from
+//!   it borrow them: constructing a checker copies no table.
 //!
 //! [`crate::reference`] shares none of this code: it interprets the
 //! original trees against a hole table, which makes it an independent
@@ -61,11 +55,11 @@ use crate::checker::{compute_liveness, compute_match_end};
 use crate::por::PorTable;
 use crate::store::{EvalResult, FailureKind, StateBuf, StateLayout, UndoJournal};
 use psketch_ir::{
-    fold_const_binop, fold_const_unop, step_holes, thread_footprints_sharpened, Assignment,
-    Footprint, HoleId, Lowered, Lv, Op, Rv, Thread,
+    fold_const_binop, fold_const_unop, thread_footprints_sharpened, Assignment, Footprint, Lowered,
+    Lv, Op, Rv, Thread,
 };
 use psketch_lang::ast::{BinOp, UnOp};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Stack slots kept inline on the eval stack frame; expressions deeper
@@ -138,10 +132,7 @@ pub(crate) enum Ins {
 /// short-circuits through `const_val` without touching the stack.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Code {
-    // `Arc`, not `Box`: a reseal deep-copies the clean steps of a
-    // dirty thread's `ThreadCode`, and the refcount bump keeps that
-    // copy allocation-free (the arrays are immutable once sealed).
-    ins: Arc<[Ins]>,
+    ins: Box<[Ins]>,
     max_stack: u32,
     const_val: Option<i64>,
 }
@@ -807,7 +798,7 @@ fn insert_before(out: &mut Vec<Ins>, at: usize, ins: Ins) {
 /// Compiles one expression to a [`Code`], resolving holes and folding
 /// constants in stream. `scratch` is a reusable emission buffer
 /// (cleared here) so per-expression allocation is exactly one
-/// right-sized `Arc<[Ins]>`.
+/// right-sized `Box<[Ins]>`.
 fn compile_code_folded(
     rv: &Rv,
     holes: &Assignment,
@@ -934,95 +925,38 @@ fn compile_thread(t: &Thread, l: &Lowered, lay: &StateLayout, holes: &Assignment
     }
 }
 
-/// Sorted, deduplicated hole ids referenced by each trace thread and
-/// by each step — conservative: holes in `?:` branches the candidate
-/// folds away still count. Candidate-independent, so it is computed
-/// lazily (on the first reseal) and shared across the artifact family.
-///
-/// The two granularities back the two reuse levels of
-/// [`CompiledProgram::reseal`]. A *thread* whose listed holes all keep
-/// their values compiles to bit-identical code **and footprints** (the
-/// footprint pass const-propagates locals across the whole thread, so
-/// it can only be reused wholesale). A *step* whose listed holes all
-/// keep their values emits bit-identical micro-ops (emission is a pure
-/// per-step function of the trees and the referenced hole values), so
-/// inside a dirty thread only the steps touching changed holes
-/// re-emit; the rest memcpy their arrays over.
-struct HoleIndex {
-    /// Per trace thread (prologue, workers, epilogue).
-    per_thread: Vec<Vec<HoleId>>,
-    /// `per_step[tid][i]`: holes referenced by step `i` of thread
-    /// `tid` (empty for the vast hole-free majority).
-    per_step: Vec<Vec<Vec<HoleId>>>,
-}
-
-fn hole_index(l: &Lowered) -> HoleIndex {
-    let mut per_thread = Vec::with_capacity(l.num_threads());
-    let mut per_step = Vec::with_capacity(l.num_threads());
-    for tid in 0..l.num_threads() {
-        let mut th: Vec<HoleId> = Vec::new();
-        let steps: Vec<Vec<HoleId>> = l
-            .thread(tid)
-            .steps
-            .iter()
-            .map(|s| {
-                let mut hs = Vec::new();
-                step_holes(s, &mut hs);
-                hs.sort_unstable();
-                hs.dedup();
-                th.extend_from_slice(&hs);
-                hs
-            })
-            .collect();
-        th.sort_unstable();
-        th.dedup();
-        per_thread.push(th);
-        per_step.push(steps);
-    }
-    HoleIndex {
-        per_thread,
-        per_step,
-    }
-}
-
-/// Candidate-sharpened POR table over per-worker footprints, `None`
-/// outside the 2..=64 worker range POR supports (the mask words are
-/// `u64`).
-fn sharp_por(l: &Lowered, thread_fps: &[Arc<Vec<Footprint>>]) -> Option<Arc<PorTable>> {
-    (2..=64).contains(&l.workers.len()).then(|| {
-        let slices: Vec<&[Footprint]> = thread_fps.iter().map(|f| f.as_slice()).collect();
-        Arc::new(PorTable::from_footprints(l, &slices))
-    })
-}
-
 /// Candidate-sharpened per-worker footprints (`thread_fps[w]` = worker
 /// `w`, one [`Footprint`] per step) and the POR table derived from
-/// them. Kept as one unit so the lazy cell forces both together.
+/// them (`None` outside the 2..=64 worker range POR supports: the mask
+/// words are `u64`). Kept as one unit so the lazy cell forces both
+/// together.
+#[derive(Clone)]
 struct FpsPor {
-    thread_fps: Vec<Arc<Vec<Footprint>>>,
-    por: Option<Arc<PorTable>>,
+    thread_fps: Vec<Vec<Footprint>>,
+    por: Option<PorTable>,
 }
 
 fn fps_por(l: &Lowered, candidate: &Assignment) -> FpsPor {
-    let thread_fps: Vec<Arc<Vec<Footprint>>> = l
+    let thread_fps: Vec<Vec<Footprint>> = l
         .workers
         .iter()
-        .map(|w| Arc::new(thread_footprints_sharpened(w, &l.config, candidate)))
+        .map(|w| thread_footprints_sharpened(w, &l.config, candidate))
         .collect();
-    let por = sharp_por(l, &thread_fps);
+    let por = (2..=64).contains(&l.workers.len()).then(|| {
+        let slices: Vec<&[Footprint]> = thread_fps.iter().map(Vec::as_slice).collect();
+        PorTable::from_footprints(l, &slices)
+    });
     FpsPor { thread_fps, por }
 }
 
 /// Per-worker liveness masks: `masks[w][pc]` is the bitmask vector of
 /// worker `w`'s live locals entering step `pc`.
-type LiveMasks = Vec<Vec<Vec<u64>>>;
+pub(crate) type LiveMasks = Vec<Vec<Vec<u64>>>;
 
 /// The sealed, hole-substituted execution artifact of one candidate:
 /// compiled once, shared by the sequential DFS, the parallel engine,
-/// replay, sampling and the schedule-bank prescreen. Every table lives
-/// behind an [`Arc`], so `Clone` and `Checker::from_compiled` are
-/// pointer-bump cheap — engines share the artifact, they never copy
-/// it.
+/// replay, sampling and the schedule-bank prescreen. Engines borrow
+/// its tables; they never copy them.
 #[derive(Clone)]
 pub struct CompiledProgram<'l> {
     /// The original (hole-bearing) program the artifact was sealed
@@ -1034,61 +968,46 @@ pub struct CompiledProgram<'l> {
     /// The candidate this artifact was compiled from.
     holes: Assignment,
     /// Flat-state segment table (candidate-independent).
-    pub(crate) lay: Arc<StateLayout>,
+    pub(crate) lay: StateLayout,
     /// Words before the first worker record.
     pub(crate) shared_len: usize,
     /// Per-worker AtomicBegin→AtomicEnd pairing
     /// (candidate-independent: substitution preserves op kinds).
-    pub(crate) match_end: Arc<Vec<Vec<usize>>>,
+    pub(crate) match_end: Vec<Vec<usize>>,
     /// Per-worker liveness masks, computed from the *original* program
     /// so fingerprints and state counts match the reference engine's
-    /// exactly. Lazy and candidate-independent: built on the
-    /// first checker construction and shared across the whole reseal
-    /// family through the cell, so sealing a candidate never pays for
-    /// it and no artifact recomputes it after any family member has.
-    live: Arc<OnceLock<Arc<LiveMasks>>>,
+    /// exactly. Lazy: built on the first checker construction, so
+    /// sealing a candidate never pays for it.
+    live: OnceLock<LiveMasks>,
     /// Candidate-sharpened per-worker footprints and the POR table
     /// built from them (one cell: the table is a deterministic
     /// function of the footprints, so they force together). Lazy —
-    /// only a POR-enabled search engine consults the table, so
-    /// candidates rejected by replay prescreening never pay the
-    /// footprint pass. A reseal reuses clean workers' footprints and
-    /// carries the table over when the recomputed footprints come out
-    /// identical; when no worker is dirty the cell itself is shared.
-    fps_por: Arc<OnceLock<FpsPor>>,
-    /// The static (candidate-independent) POR table, built lazily on
-    /// first diagnostic use and shared across the whole reseal family
-    /// through the cell — sealing never pays for it, and no artifact
-    /// recomputes it after any family member has.
-    static_por: Arc<OnceLock<Option<Arc<PorTable>>>>,
+    /// only a search that reduces reads the table, so candidates the
+    /// prescreen or the sampler refutes, and `por: false` searches,
+    /// never pay the footprint pass.
+    fps_por: OnceLock<FpsPor>,
+    /// The static (candidate-independent) POR table, built on first
+    /// diagnostic use — the engines never consult it.
+    static_por: OnceLock<Option<PorTable>>,
     /// Sharpening diagnostics — `(sharpened_masks, refines_static)` —
     /// comparing this artifact's sharp table against the static one.
-    /// Lazy: the engines never consult them to run, only telemetry
-    /// and the differential tests do. Shared by reference when a
-    /// reseal reuses the POR table wholesale.
-    por_diag: Arc<OnceLock<(u64, bool)>>,
+    /// Lazy: only the bench and the differential tests ask.
+    por_diag: OnceLock<(u64, bool)>,
     /// Per-thread micro-op arrays, indexed by trace thread id
     /// (0 = prologue, `1..=n` = workers, `n + 1` = epilogue).
-    pub(crate) code: Vec<Arc<ThreadCode>>,
-    /// Per-thread and per-step sorted hole ids (trace thread
-    /// indexing), the reseal diff's domain. Candidate-independent, so
-    /// it is built lazily on the first reseal and shared across the
-    /// artifact family through the cell.
-    thread_holes: Arc<OnceLock<HoleIndex>>,
+    pub(crate) code: Vec<ThreadCode>,
     compile_us: u64,
-    reseal_us: u64,
-    threads_reused: u64,
 }
 
 impl<'l> CompiledProgram<'l> {
     /// Compiles `candidate` into a sealed execution artifact.
     pub fn compile(l: &'l Lowered, candidate: &Assignment) -> CompiledProgram<'l> {
         let t0 = Instant::now();
-        let lay = Arc::new(StateLayout::new(l));
+        let lay = StateLayout::new(l);
         let shared_len = lay.worker_off.first().copied().unwrap_or(lay.state_len());
-        let match_end = Arc::new(l.workers.iter().map(compute_match_end).collect());
+        let match_end = l.workers.iter().map(compute_match_end).collect();
         let code = (0..l.num_threads())
-            .map(|tid| Arc::new(compile_thread(l.thread(tid), l, &lay, candidate)))
+            .map(|tid| compile_thread(l.thread(tid), l, &lay, candidate))
             .collect();
         CompiledProgram {
             l,
@@ -1096,145 +1015,25 @@ impl<'l> CompiledProgram<'l> {
             lay,
             shared_len,
             match_end,
-            live: Arc::new(OnceLock::new()),
-            fps_por: Arc::new(OnceLock::new()),
-            static_por: Arc::new(OnceLock::new()),
-            por_diag: Arc::new(OnceLock::new()),
+            live: OnceLock::new(),
+            fps_por: OnceLock::new(),
+            static_por: OnceLock::new(),
+            por_diag: OnceLock::new(),
             code,
-            thread_holes: Arc::new(OnceLock::new()),
             compile_us: t0.elapsed().as_micros() as u64,
-            reseal_us: 0,
-            threads_reused: 0,
         }
     }
 
-    /// Seals `candidate` incrementally against a previous artifact of
-    /// the *same* program. Threads none of whose holes changed value
-    /// reuse their micro-op arrays and footprints by reference; inside
-    /// a dirty thread, only the steps that reference a changed hole
-    /// re-emit (emission is a pure per-step function of the trees and
-    /// the referenced hole values) — the rest copy their arrays over.
-    /// Footprints reuse at thread granularity only (the footprint pass
-    /// const-propagates locals across the thread), and when the dirty
-    /// workers' recomputed footprints come out identical the POR table
-    /// carries over too. When no *worker* thread is dirty the POR
-    /// masks carry over wholesale. Falls back to a fresh
-    /// [`CompiledProgram::compile`] when `l` is not the program `prev`
-    /// was sealed from.
+    /// Seals `candidate` fresh, ignoring `_prev`: the same as
+    /// [`CompiledProgram::compile`]. Kept only because
+    /// `perfbench/src/trace.rs` calls it.
+    #[doc(hidden)]
     pub fn reseal(
-        prev: &CompiledProgram<'l>,
+        _prev: &CompiledProgram<'l>,
         l: &'l Lowered,
         candidate: &Assignment,
     ) -> CompiledProgram<'l> {
-        if !std::ptr::eq(prev.l, l) {
-            return CompiledProgram::compile(l, candidate);
-        }
-        let t0 = Instant::now();
-        let idx = prev.hole_index();
-        let changed: Vec<bool> = (0..l.holes.num_holes())
-            .map(|h| prev.holes.value(h as HoleId) != candidate.value(h as HoleId))
-            .collect();
-        let dirty: Vec<bool> = idx
-            .per_thread
-            .iter()
-            .map(|hs| hs.iter().any(|&h| changed[h as usize]))
-            .collect();
-        let threads_reused = dirty.iter().filter(|d| !**d).count() as u64;
-        let mut scratch: Vec<Ins> = Vec::new();
-        let code: Vec<Arc<ThreadCode>> = dirty
-            .iter()
-            .enumerate()
-            .map(|(tid, &d)| {
-                if !d {
-                    return Arc::clone(&prev.code[tid]);
-                }
-                let steps = l
-                    .thread(tid)
-                    .steps
-                    .iter()
-                    .enumerate()
-                    .zip(prev.code[tid].steps.iter())
-                    .map(|((i, s), pcs)| {
-                        if idx.per_step[tid][i].iter().any(|&h| changed[h as usize]) {
-                            CStep {
-                                guard: compile_code_folded(
-                                    &s.guard,
-                                    candidate,
-                                    l,
-                                    &prev.lay,
-                                    &mut scratch,
-                                ),
-                                op: compile_op_folded(&s.op, candidate, l, &prev.lay, &mut scratch),
-                            }
-                        } else {
-                            pcs.clone()
-                        }
-                    })
-                    .collect();
-                Arc::new(ThreadCode { steps })
-            })
-            .collect();
-        let any_worker_dirty = (0..l.workers.len()).any(|w| dirty[w + 1]);
-        let (fps_por_cell, por_diag) = if !any_worker_dirty {
-            // Clean workers ⇒ identical footprints ⇒ identical table:
-            // share the cell itself, forced or not.
-            (Arc::clone(&prev.fps_por), Arc::clone(&prev.por_diag))
-        } else if let Some(pf) = prev.fps_por.get() {
-            // The previous artifact already paid the footprint pass:
-            // recompute only dirty workers, and since the POR table is
-            // a deterministic function of the program and the
-            // footprints, identical footprints carry the table (and
-            // its sharpening diagnostics) over even when a worker's
-            // code changed.
-            let thread_fps: Vec<Arc<Vec<Footprint>>> = (0..l.workers.len())
-                .map(|w| {
-                    if dirty[w + 1] {
-                        Arc::new(thread_footprints_sharpened(
-                            &l.workers[w],
-                            &l.config,
-                            candidate,
-                        ))
-                    } else {
-                        Arc::clone(&pf.thread_fps[w])
-                    }
-                })
-                .collect();
-            let fps_unchanged = thread_fps
-                .iter()
-                .zip(&pf.thread_fps)
-                .all(|(a, b)| Arc::ptr_eq(a, b) || **a == **b);
-            let (por, por_diag) = if fps_unchanged {
-                (pf.por.clone(), Arc::clone(&prev.por_diag))
-            } else {
-                (sharp_por(l, &thread_fps), Arc::new(OnceLock::new()))
-            };
-            (
-                Arc::new(OnceLock::from(FpsPor { thread_fps, por })),
-                por_diag,
-            )
-        } else {
-            // The previous artifact never forced its footprints (it
-            // was rejected before any POR-enabled check): nothing to
-            // reuse, stay lazy.
-            (Arc::new(OnceLock::new()), Arc::new(OnceLock::new()))
-        };
-        let reseal_us = t0.elapsed().as_micros() as u64;
-        CompiledProgram {
-            l,
-            holes: candidate.clone(),
-            lay: Arc::clone(&prev.lay),
-            shared_len: prev.shared_len,
-            match_end: Arc::clone(&prev.match_end),
-            live: Arc::clone(&prev.live),
-            fps_por: fps_por_cell,
-            static_por: Arc::clone(&prev.static_por),
-            por_diag,
-            code,
-            thread_holes: Arc::clone(&prev.thread_holes),
-            compile_us: reseal_us,
-            reseal_us,
-            threads_reused,
-        }
+        CompiledProgram::compile(l, candidate)
     }
 
     /// The program this artifact executes (the original, hole-bearing
@@ -1249,53 +1048,39 @@ impl<'l> CompiledProgram<'l> {
         &self.holes
     }
 
-    /// Wall-clock microseconds spent sealing this artifact (the fresh
-    /// compile, or the incremental reseal that produced it).
+    /// Wall-clock microseconds spent sealing this artifact.
     pub fn compile_us(&self) -> u64 {
         self.compile_us
     }
 
-    /// Wall-clock microseconds the incremental reseal took (0 for a
-    /// fresh compile).
-    pub fn reseal_us(&self) -> u64 {
-        self.reseal_us
-    }
-
-    /// Threads whose micro-op arrays were reused by reference from the
-    /// previous artifact (0 for a fresh compile).
+    /// Always 0: no artifact reuses another's code. Kept only because
+    /// `perfbench/src/trace.rs` reads it.
+    #[doc(hidden)]
     pub fn threads_reused(&self) -> u64 {
-        self.threads_reused
-    }
-
-    /// Per-thread and per-step hole lists, built on first reseal and
-    /// shared across every artifact resealed from this one.
-    fn hole_index(&self) -> &HoleIndex {
-        self.thread_holes.get_or_init(|| hole_index(self.l))
+        0
     }
 
     /// Per-worker liveness masks, built on the first checker
-    /// construction and shared across every artifact resealed from
-    /// this one (they depend only on the program, never the
-    /// candidate).
-    pub(crate) fn live_masks(&self) -> &Arc<LiveMasks> {
+    /// construction.
+    pub(crate) fn live_masks(&self) -> &LiveMasks {
         self.live
-            .get_or_init(|| Arc::new(self.l.workers.iter().map(compute_liveness).collect()))
+            .get_or_init(|| self.l.workers.iter().map(compute_liveness).collect())
     }
 
     /// The static (candidate-independent) POR table, built on first
-    /// use and shared across every artifact resealed from this one.
-    fn static_por_table(&self) -> Option<&Arc<PorTable>> {
+    /// use.
+    fn static_por_table(&self) -> Option<&PorTable> {
         self.static_por
             .get_or_init(|| {
                 (2..=64)
                     .contains(&self.l.workers.len())
-                    .then(|| Arc::new(PorTable::new(self.l)))
+                    .then(|| PorTable::new(self.l))
             })
             .as_ref()
     }
 
     /// The candidate-sharpened footprints and POR table, built on
-    /// first use by a POR-enabled engine (or telemetry).
+    /// first use by a search that reduces (or by a diagnostic).
     fn fps_por_forced(&self) -> &FpsPor {
         self.fps_por.get_or_init(|| fps_por(self.l, &self.holes))
     }
@@ -1304,15 +1089,16 @@ impl<'l> CompiledProgram<'l> {
     /// worker range POR supports), forcing the footprint pass on first
     /// use.
     pub(crate) fn por_table(&self) -> Option<&PorTable> {
-        self.fps_por_forced().por.as_deref()
+        self.fps_por_forced().por.as_ref()
     }
 
     /// `(sharpened_masks, refines_static)`, computed on first request:
     /// the engines never consult the static table to run, so sealing
-    /// defers the comparison until telemetry or a test asks.
+    /// defers the comparison until a diagnostic asks.
     fn por_diag(&self) -> (u64, bool) {
-        *self.por_diag.get_or_init(
-            || match (&self.fps_por_forced().por, self.static_por_table()) {
+        *self
+            .por_diag
+            .get_or_init(|| match (self.por_table(), self.static_por_table()) {
                 (Some(sharp), Some(base)) => {
                     let sharpened = sharp.sharpened_vs(base);
                     let refines = sharp.refines(base);
@@ -1320,8 +1106,7 @@ impl<'l> CompiledProgram<'l> {
                     (sharpened, refines)
                 }
                 _ => (0, true),
-            },
-        )
+            })
     }
 
     /// Number of (worker, pc) transition footprint masks the
@@ -1340,29 +1125,19 @@ impl<'l> CompiledProgram<'l> {
     }
 
     /// Bit-for-bit artifact equality: candidate, micro-op code, POR
-    /// masks, footprints and derived counters all equal. Used by the
-    /// reseal differential test to prove an incremental reseal
-    /// produces exactly the artifact a fresh seal would.
+    /// masks, footprints and derived counters all equal. Forces every
+    /// lazy table of both artifacts. `perfbench/src/trace.rs` calls it
+    /// to compare two seals of one candidate.
     #[doc(hidden)]
     pub fn artifact_eq(&self, other: &CompiledProgram<'_>) -> bool {
         std::ptr::eq(self.l, other.l)
             && self.holes.values() == other.holes.values()
             && self.shared_len == other.shared_len
             && self.match_end == other.match_end
-            && *self.live_masks() == *other.live_masks()
-            && match (self.por_table(), other.por_table()) {
-                (Some(a), Some(b)) => *a == *b,
-                (None, None) => true,
-                _ => false,
-            }
-            && self.code.len() == other.code.len()
-            && self.code.iter().zip(&other.code).all(|(a, b)| **a == **b)
-            && self
-                .fps_por_forced()
-                .thread_fps
-                .iter()
-                .zip(&other.fps_por_forced().thread_fps)
-                .all(|(a, b)| **a == **b)
+            && self.live_masks() == other.live_masks()
+            && self.code == other.code
+            && self.fps_por_forced().thread_fps == other.fps_por_forced().thread_fps
+            && self.por_table() == other.por_table()
             && self.por_diag() == other.por_diag()
     }
 }
@@ -1691,50 +1466,47 @@ mod tests {
     }
 
     #[test]
-    fn reseal_reuses_clean_threads_and_matches_fresh_compile() {
+    fn only_reducing_searches_build_the_por_table() {
+        use crate::{check_compiled, random_run_compiled, ScheduleBank, SearchLimits, Verdict};
         let l = lowered(
             "int g;
              harness void main() {
-                 int x = ??(3);
-                 fork (i; 2) { g = g + x; }
-                 assert g >= ??(3);
+                 fork (i; 2) { int t = g; g = t + 1; }
+                 assert g == 2;
              }",
         );
-        let n = l.holes.num_holes();
-        assert_eq!(n, 2, "sketch should lower to two holes");
-        let a0 = Assignment::from_values(vec![1, 0]);
-        let cp0 = CompiledProgram::compile(&l, &a0);
-        assert_eq!(cp0.threads_reused(), 0);
-        assert_eq!(cp0.reseal_us(), 0);
+        let a = l.holes.identity_assignment();
+        let Verdict::Fail(cex) =
+            check_compiled(&CompiledProgram::compile(&l, &a), &SearchLimits::default()).verdict
+        else {
+            panic!("the lost update must fail");
+        };
+        let bank = ScheduleBank::new(4);
+        bank.record(&cex.schedule);
 
-        // Unchanged candidate: every thread reuses by reference.
-        let same = CompiledProgram::reseal(&cp0, &l, &a0);
-        assert_eq!(same.threads_reused(), l.workers.len() as u64 + 2);
-        for (tid, (a, b)) in same.code.iter().zip(&cp0.code).enumerate() {
-            assert!(
-                Arc::ptr_eq(a, b),
-                "thread {tid} must be shared by reference"
-            );
-        }
-        assert!(same.artifact_eq(&CompiledProgram::compile(&l, &a0)));
-
-        // The workers read x through a hoisted global, so they carry no
-        // holes themselves: flipping either hole leaves them clean.
-        for flipped in [
-            Assignment::from_values(vec![2, 0]),
-            Assignment::from_values(vec![1, 2]),
-        ] {
-            let rs = CompiledProgram::reseal(&cp0, &l, &flipped);
-            assert!(
-                rs.threads_reused() >= l.workers.len() as u64,
-                "workers must be reused when only prologue/epilogue holes change"
-            );
-            let fresh = CompiledProgram::compile(&l, &flipped);
-            assert!(
-                rs.artifact_eq(&fresh),
-                "resealed artifact must be bit-identical to a fresh seal"
-            );
-        }
+        let cp = CompiledProgram::compile(&l, &a);
+        assert!(
+            bank.prescreen_compiled(&cp).0.is_some(),
+            "the banked schedule refutes"
+        );
+        random_run_compiled(&cp, 1);
+        let full = SearchLimits {
+            por: false,
+            ..SearchLimits::default()
+        };
+        assert!(matches!(
+            check_compiled(&cp, &full).verdict,
+            Verdict::Fail(_)
+        ));
+        assert!(
+            cp.fps_por.get().is_none(),
+            "prescreen, sampling and a por: false search must not build footprints"
+        );
+        check_compiled(&cp, &SearchLimits::default());
+        assert!(
+            cp.fps_por.get().is_some_and(|f| f.por.is_some()),
+            "a reducing search builds the candidate's POR table"
+        );
     }
 
     #[test]

@@ -163,7 +163,7 @@ pub fn check_parallel_compiled(
         return crate::check_compiled(cp, limits);
     }
     let ck = Checker::from_compiled(cp);
-    let por = if ck.wants_por(limits) { ck.por } else { None };
+    let por = ck.por_table(limits);
     run_parallel(ck, por, limits, threads)
 }
 

@@ -43,7 +43,7 @@ use crate::checker::compute_match_end;
 use psketch_ir::{Footprint, FootprintTable, Loc, Lowered, Op};
 
 /// One transition's read/write bit sets.
-#[derive(Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 struct Mask {
     r: Box<[u64]>,
     w: Box<[u64]>,
@@ -107,7 +107,7 @@ impl LocBits {
 /// lowered program (candidate-independent) or once per sealed
 /// candidate (from sharpened footprints, via
 /// [`PorTable::from_footprints`]).
-#[derive(Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct PorTable {
     nwords: usize,
     /// `cur[w][pc]`: masks of the transition a worker fires from `pc`

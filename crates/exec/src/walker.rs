@@ -51,7 +51,7 @@ impl<'a> Walker<'a> {
     /// conflict)? Always false when the candidate has no table (fewer
     /// than two or more than 64 workers): no pair is ever reduced.
     pub fn independent(&self, a: usize, b: usize) -> bool {
-        let Some(por) = self.ck.por else {
+        let Some(por) = self.ck.cp.por_table() else {
             return false;
         };
         let pcs: Vec<usize> = (0..self.ck.nworkers())

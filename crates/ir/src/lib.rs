@@ -51,6 +51,4 @@ pub use config::{Config, ReorderEncoding};
 pub use footprint::{thread_footprints_sharpened, Footprint, FootprintTable, Loc};
 pub use hole::{Assignment, HoleId, HoleTable, SiteId, SiteKind};
 pub use lower::{fold_const_binop, fold_const_unop};
-pub use step::{
-    step_holes, GlobalSlot, Lowered, Lv, Op, Rv, ScalarKind, Step, StructLayout, Thread, ThreadId,
-};
+pub use step::{GlobalSlot, Lowered, Lv, Op, Rv, ScalarKind, Step, StructLayout, Thread, ThreadId};

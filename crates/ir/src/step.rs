@@ -270,70 +270,6 @@ impl Step {
     }
 }
 
-/// Collects every hole id a step mentions into `out` (duplicates
-/// included; callers sort and dedup). Conservative: holes in `?:`
-/// branches a candidate folds away still count. The reseal diff uses
-/// these lists: a step or thread whose holes all kept their values
-/// compiles to bit-identical code.
-pub fn step_holes(step: &Step, out: &mut Vec<HoleId>) {
-    rv_holes(&step.guard, out);
-    match &step.op {
-        Op::Assign(lv, rv) => {
-            lv_holes(lv, out);
-            rv_holes(rv, out);
-        }
-        Op::Swap { dst, loc, val } => {
-            lv_holes(dst, out);
-            lv_holes(loc, out);
-            rv_holes(val, out);
-        }
-        Op::Cas { dst, loc, old, new } => {
-            lv_holes(dst, out);
-            lv_holes(loc, out);
-            rv_holes(old, out);
-            rv_holes(new, out);
-        }
-        Op::FetchAdd { dst, loc, .. } => {
-            lv_holes(dst, out);
-            lv_holes(loc, out);
-        }
-        Op::Alloc { dst, inits, .. } => {
-            lv_holes(dst, out);
-            for (_, rv) in inits {
-                rv_holes(rv, out);
-            }
-        }
-        Op::Assert(c) | Op::AtomicBegin(Some(c)) => rv_holes(c, out),
-        Op::AtomicBegin(None) | Op::AtomicEnd => {}
-    }
-}
-
-fn rv_holes(rv: &Rv, out: &mut Vec<HoleId>) {
-    match rv {
-        Rv::Hole(h) => out.push(*h),
-        Rv::Const(_) | Rv::Global(_) | Rv::Local(_) => {}
-        Rv::GlobalDyn { ix, .. } | Rv::LocalDyn { ix, .. } => rv_holes(ix, out),
-        Rv::Field { obj, .. } | Rv::Unary(_, obj) => rv_holes(obj, out),
-        Rv::Binary(_, a, b) => {
-            rv_holes(a, out);
-            rv_holes(b, out);
-        }
-        Rv::Ite(c, a, b) => {
-            rv_holes(c, out);
-            rv_holes(a, out);
-            rv_holes(b, out);
-        }
-    }
-}
-
-fn lv_holes(lv: &Lv, out: &mut Vec<HoleId>) {
-    match lv {
-        Lv::Global(_) | Lv::Local(_) => {}
-        Lv::GlobalDyn { ix, .. } | Lv::LocalDyn { ix, .. } => rv_holes(ix, out),
-        Lv::Field { obj, .. } => rv_holes(obj, out),
-    }
-}
-
 /// Identifies a thread in the lowered program: `0` is the prologue,
 /// `1..=n` are the forked workers, `n + 1` is the epilogue.
 pub type ThreadId = usize;
@@ -423,34 +359,6 @@ impl fmt::Display for Rv {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn step_holes_lists_every_hole_position() {
-        let h = |id| Box::new(Rv::Hole(id));
-        // Guard, index expression and both Cas operands.
-        let step = Step::new(
-            Rv::Binary(BinOp::Eq, h(0), Box::new(Rv::Const(1))),
-            Op::Cas {
-                dst: Lv::Local(0),
-                loc: Lv::GlobalDyn {
-                    base: 0,
-                    len: 4,
-                    ix: Rv::Hole(1),
-                },
-                old: Rv::Ite(h(2), h(3), h(3)),
-                new: Rv::Unary(UnOp::Neg, h(4)),
-            },
-            Span::default(),
-        );
-        let mut holes = Vec::new();
-        step_holes(&step, &mut holes);
-        holes.sort_unstable();
-        assert_eq!(holes, [0, 1, 2, 3, 3, 4]);
-        let plain = Step::new(Rv::Const(1), Op::AtomicEnd, Span::default());
-        let mut none = Vec::new();
-        step_holes(&plain, &mut none);
-        assert!(none.is_empty());
-    }
 
     #[test]
     fn shared_classification() {
