@@ -1,50 +1,15 @@
-//! Ablation: verification strategies and the local-step reduction.
-//!
-//! * `exhaustive` vs `hybrid(k)`: the hybrid verifier refutes most
-//!   candidates with a handful of random schedules and pays for the
-//!   exhaustive search only to confirm survivors — same answers,
-//!   less state-space work per iteration (dinphilo N=5 explores ~195k
-//!   states exhaustively).
-//! * `por_on` vs `por_off`: how much the sound absorb-local-steps
-//!   reduction shrinks the explicit search.
+//! Ablation: the local-step reduction. `por_on` vs `por_off`: how
+//! much the sound absorb-local-steps reduction shrinks the explicit
+//! search.
 
 use psketch_bench::Harness;
-use psketch_core::{Config, Options, Synthesis, VerifierKind};
+use psketch_core::Config;
 use psketch_exec::check;
 use psketch_ir::{desugar::desugar_program, lower::lower_program};
-use psketch_suite::dinphilo::{dinphilo_source, PhiloVariant};
 use std::hint::black_box;
-
-fn philo_options(verifier: VerifierKind) -> Options {
-    Options {
-        config: Config {
-            hole_width: 3,
-            unroll: 4,
-            pool: 2,
-            ..Config::default()
-        },
-        verifier,
-        ..Options::default()
-    }
-}
 
 fn main() {
     let h = Harness::with_samples(10);
-    let src = dinphilo_source(PhiloVariant::Sketch, 4, 3);
-    for (name, kind) in [
-        ("exhaustive", VerifierKind::Exhaustive),
-        ("hybrid16", VerifierKind::Hybrid { samples: 16 }),
-        ("hybrid64", VerifierKind::Hybrid { samples: 64 }),
-    ] {
-        h.bench(&format!("ablation/verifier/{name}"), || {
-            let out = Synthesis::new(black_box(&src), philo_options(kind))
-                .unwrap()
-                .run();
-            assert!(out.resolved());
-            black_box((out.stats.iterations, out.stats.cost.sampled_refutations));
-        });
-    }
-
     let src = "
         int g;
         harness void main() {

@@ -112,7 +112,7 @@ fn main() {
     }
 
     let meta = vec![
-        field("schema", Json::from(7)),
+        field("schema", Json::from(8)),
         field("suite", Json::Str("cegis_thread_scaling".into())),
         field("cores", Json::from(cores as i64)),
         field("samples", Json::from(h.samples as i64)),
@@ -126,7 +126,7 @@ fn main() {
                  prescreen=true row with the same threads/portfolio. \
                  secs_median/secs_min time the whole run; every other \
                  column is the last sample's run totals, named as in the \
-                 run report (schema 7). compile_us is the cumulative \
+                 run report (schema 8). compile_us is the cumulative \
                  candidate-sealing time, every candidate sealed fresh. \
                  peak_memory is the cell's own peak RSS: the mark is \
                  reset before each cell"

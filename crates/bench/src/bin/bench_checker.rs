@@ -5,10 +5,10 @@
 //! engine in two configurations with the reference oracle on the
 //! *same* resolved candidate. The candidate is sealed into a
 //! hole-free micro-op program once per workload, as CEGIS seals it
-//! once per iteration and reuses it across prescreen, sampler and
-//! exhaustive check (the one-time sealing cost is the `compile_us`
-//! column). The engine then sweeps it with ample-set partial-order
-//! reduction (`compiled-por`, the default configuration) and with full
+//! once per iteration and reuses it across prescreen and exhaustive
+//! check (the one-time sealing cost is the `compile_us` column). The
+//! engine then sweeps it with ample-set partial-order reduction
+//! (`compiled-por`, the default configuration) and with full
 //! interleaving expansion (`compiled`); the reference
 //! clone-per-transition engine (`clone`) interprets the unsealed
 //! program. The `compiled` and `clone` rows sweep the identical state
@@ -131,8 +131,8 @@ fn main() {
         let lowered = synthesis.lowered();
 
         // Sealed once per candidate, exactly as a CEGIS iteration
-        // seals it once and reuses the artifact across prescreen,
-        // sampler and exhaustive check. The one-time sealing cost is
+        // seals it once and reuses the artifact across prescreen and
+        // exhaustive check. The one-time sealing cost is
         // surfaced in the compile_us column, not folded into the
         // timed sweep; so is the sharpening diagnostic, which builds
         // the POR tables here rather than in the first timed sample.
@@ -186,7 +186,7 @@ fn main() {
             let states_per_sec = out.stats.states as f64 / m.median.as_secs_f64();
             // The sealing columns describe the artifact the row ran;
             // the reference engine runs none. A bare sweep has no
-            // prescreen, sampler or bank, so those columns read 0.
+            // prescreen or bank, so those columns read 0.
             let cost = VerifyCost {
                 check: out.stats,
                 per_thread_states: out.per_thread_states,
@@ -215,7 +215,7 @@ fn main() {
     }
 
     let meta = vec![
-        field("schema", Json::from(6)),
+        field("schema", Json::from(7)),
         field("suite", Json::Str("checker_engine_throughput".into())),
         field("cores", Json::from(cores as i64)),
         field("samples", Json::from(h.samples as i64)),
@@ -229,7 +229,7 @@ fn main() {
                  sound subset. The compiled rows run the candidate \
                  sealed once into a hole-free micro-op program — as \
                  CEGIS seals once per iteration and reuses the artifact \
-                 across prescreen, sampler and exhaustive check — with \
+                 across prescreen and exhaustive check — with \
                  candidate-sharpened POR masks (sharpened_masks); the \
                  one-time sealing cost is the compile_us column, \
                  outside the timed sweep. clone is the reference \
@@ -238,8 +238,8 @@ fn main() {
                  the resident-set growth sampled around each cell's \
                  runs (0 when the allocator reused earlier capacity). \
                  The search and sealing columns are written by the run \
-                 report's cost writer, so the prescreen, sampler and \
-                 bank columns of a bare sweep read 0"
+                 report's cost writer, so the prescreen and bank \
+                 columns of a bare sweep read 0"
                     .into(),
             ),
         ),

@@ -5,8 +5,8 @@ use crate::telemetry::{
     BudgetKind, BudgetTrip, CegisStats, IterationRecord, RunReport, VerifyCost,
 };
 use psketch_exec::{
-    check_parallel_compiled, random_run_compiled, CexTrace, CompiledProgram, FailureKind,
-    Interrupt, ScheduleBank, SearchLimits, Verdict,
+    check_parallel_compiled, CexTrace, CompiledProgram, FailureKind, Interrupt, ScheduleBank,
+    SearchLimits, Verdict,
 };
 use psketch_ir::{desugar, lower, resolve, Assignment, Config, Lowered};
 use psketch_lang::ast::Program;
@@ -29,19 +29,14 @@ pub enum Mode {
     Equivalence(String),
 }
 
-/// How candidates are verified in harness mode.
+/// Unused: every candidate is checked exhaustively. Kept so
+/// `perfbench/src/workload.rs`, which names its one variant, still
+/// compiles.
+#[doc(hidden)]
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum VerifierKind {
     /// Exhaustive explicit-state search over all interleavings.
     Exhaustive,
-    /// Hybrid: try `samples` random schedules first (cheap
-    /// refutation), then confirm survivors exhaustively. Never accepts
-    /// a wrong candidate; on large state spaces most CEGIS iterations
-    /// skip the exhaustive search.
-    Hybrid {
-        /// Random schedules per candidate before the exhaustive pass.
-        samples: usize,
-    },
 }
 
 /// Synthesis options.
@@ -56,22 +51,24 @@ pub struct Options {
     /// Explicit mode; `None` auto-detects (harness if present,
     /// otherwise the unique `implements` function).
     pub mode: Option<Mode>,
-    /// Verification strategy for harness mode.
+    /// Unused: every candidate is checked exhaustively. Kept so
+    /// `perfbench/src/workload.rs`, which sets the field, still
+    /// compiles.
+    #[doc(hidden)]
     pub verifier: VerifierKind,
     /// Search threads inside one verification call: the exhaustive
-    /// checker splits its frontier across this many workers, and the
-    /// hybrid sampler fans its random schedules across them. `1` (the
-    /// default) runs the exact sequential paths.
+    /// checker splits its frontier across this many workers. `1` (the
+    /// default) runs the exact sequential search.
     pub threads: usize,
     /// Candidates proposed and verified concurrently per CEGIS
     /// iteration (portfolio width). Every refuted candidate's trace is
     /// fed back in one batch. `1` (the default) is classic CEGIS.
     pub portfolio: usize,
     /// Wall-clock budget for the whole run. When it expires, the run
-    /// stops cooperatively — the SAT solver, the sequential DFS, the
-    /// parallel workers and the schedule sampler all poll the deadline
-    /// — and returns unknown with a [`BudgetTrip`] naming the wall
-    /// budget. `None` (the default) never times out.
+    /// stops cooperatively — the SAT solver, the sequential DFS and the
+    /// parallel workers all poll the deadline — and returns unknown
+    /// with a [`BudgetTrip`] naming the wall budget. `None` (the
+    /// default) never times out.
     pub wall_timeout: Option<Duration>,
     /// Cumulative state budget across *all* verification calls of the
     /// run ([`Options::max_states`] bounds each single call). When the
@@ -86,8 +83,8 @@ pub struct Options {
     /// (on by default). Sound for every verdict the checker reports;
     /// turn off to force full interleaving expansion (`--no-por`).
     pub por: bool,
-    /// Schedule-bank prescreening (on by default): before any sampling
-    /// or exhaustive search, each candidate is replayed against the
+    /// Schedule-bank prescreening (on by default): before the
+    /// exhaustive search, each candidate is replayed against the
     /// interleavings that killed earlier candidates ([`ScheduleBank`]).
     /// A hit refutes in O(trace) time; prescreening never accepts, so
     /// turning it off (`--no-prescreen`) changes cost, not verdicts.
@@ -391,7 +388,7 @@ impl Synthesis {
                 stats.portfolio_width = stats.portfolio_width.max(batch_width);
                 let trace_set = synth.stats.observations;
                 let tv = Instant::now();
-                let results = self.verify_batch(&candidates, base, &limits, bank.as_ref());
+                let results = self.verify_batch(&candidates, &limits, bank.as_ref());
                 stats.v_solve += tv.elapsed();
                 // A correct candidate wins; otherwise every trace
                 // feeds back as one observation batch. Portfolio
@@ -534,7 +531,7 @@ impl Synthesis {
     /// Verifies one candidate, returning its counterexample if any.
     /// Exposed for tests and tooling.
     pub fn verify_candidate(&self, candidate: &Assignment) -> Option<CexTrace> {
-        match self.verify_once(candidate, 0, &self.base_limits(), None).0 {
+        match self.verify_once(candidate, &self.base_limits(), None).0 {
             VerifyResult::Trace(t) => Some(t),
             _ => None,
         }
@@ -542,28 +539,21 @@ impl Synthesis {
 
     /// Verifies a batch of candidates, concurrently when the batch has
     /// more than one, returning each one's result, cost and wall time.
-    /// `base` is the iteration count before this batch (seeds the
-    /// hybrid sampler exactly as sequential CEGIS would).
     fn verify_batch(
         &self,
         candidates: &[Assignment],
-        base: usize,
         limits: &SearchLimits,
         bank: Option<&ScheduleBank>,
     ) -> Vec<(VerifyResult, VerifyCost, Duration)> {
-        let timed = |ix: usize, c: &Assignment| {
+        let timed = |c: &Assignment| {
             let t0 = Instant::now();
-            let (result, cost) = self.verify_once(c, base + ix + 1, limits, bank);
+            let (result, cost) = self.verify_once(c, limits, bank);
             (result, cost, t0.elapsed())
         };
         match candidates {
-            [one] => vec![timed(0, one)],
+            [one] => vec![timed(one)],
             many => std::thread::scope(|scope| {
-                let handles: Vec<_> = many
-                    .iter()
-                    .enumerate()
-                    .map(|(ix, c)| scope.spawn(move || timed(ix, c)))
-                    .collect();
+                let handles: Vec<_> = many.iter().map(|c| scope.spawn(move || timed(c))).collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("portfolio verifier thread panicked"))
@@ -572,19 +562,18 @@ impl Synthesis {
         }
     }
 
+    /// Verifies one candidate. In harness mode this is one straight
+    /// line: seal, prescreen against the bank, exhaustive check.
     fn verify_once(
         &self,
         candidate: &Assignment,
-        iteration: usize,
         limits: &SearchLimits,
         bank: Option<&ScheduleBank>,
     ) -> (VerifyResult, VerifyCost) {
-        let threads = self.options.threads.max(1);
         match &self.mode {
             Mode::Harness => {
-                // Seal once per candidate: the prescreen, the sampler
-                // and the exhaustive checker below all share this one
-                // artifact.
+                // Seal once per candidate: the prescreen and the
+                // exhaustive checker below share this one artifact.
                 let cp = CompiledProgram::compile(&self.lowered, candidate);
                 let mut cost = VerifyCost::sealed(&cp);
                 // Prescreen: replay the schedules that killed earlier
@@ -600,19 +589,7 @@ impl Synthesis {
                         return (VerifyResult::Trace(cex), cost);
                     }
                 }
-                if let VerifierKind::Hybrid { samples } = self.options.verifier {
-                    if let Some(cex) =
-                        self.sample_schedules(&cp, iteration, samples, threads, limits)
-                    {
-                        cost.sampled_refutations = 1;
-                        if let Some(bank) = bank {
-                            bank.record(&cex.schedule);
-                            cost.bank_size = bank.len() as u64;
-                        }
-                        return (VerifyResult::Trace(cex), cost);
-                    }
-                }
-                let out = check_parallel_compiled(&cp, limits, threads);
+                let out = check_parallel_compiled(&cp, limits, self.options.threads.max(1));
                 cost.check = out.stats;
                 cost.per_thread_states = out.per_thread_states;
                 let result = match out.verdict {
@@ -654,70 +631,6 @@ impl Synthesis {
         }
     }
 
-    /// Hybrid pre-pass: runs `samples` random schedules, fanned across
-    /// `threads` workers, cancelling the pack as soon as any schedule
-    /// refutes the candidate. Seeds are identical to the sequential
-    /// sampler, so `threads = 1` and `threads = N` try the same
-    /// schedule set.
-    fn sample_schedules(
-        &self,
-        cp: &CompiledProgram,
-        iteration: usize,
-        samples: usize,
-        threads: usize,
-        limits: &SearchLimits,
-    ) -> Option<CexTrace> {
-        let seed = |k: usize| (iteration as u64) << 16 | k as u64;
-        let run = |k: usize| random_run_compiled(cp, seed(k));
-        // Over-budget sampling gives up (returning "no refutation");
-        // the exhaustive pass that follows trips immediately and
-        // reports the interrupt.
-        let tripped = |k: usize| {
-            limits
-                .cancel
-                .as_ref()
-                .is_some_and(|c| c.load(Ordering::Relaxed))
-                || (k & 7 == 0 && limits.deadline.is_some_and(|d| Instant::now() >= d))
-        };
-        if threads <= 1 || samples <= 1 {
-            for k in 0..samples {
-                if tripped(k) {
-                    return None;
-                }
-                if let Some(cex) = run(k) {
-                    return Some(cex);
-                }
-            }
-            return None;
-        }
-        let stop = AtomicBool::new(false);
-        let found: Mutex<Option<CexTrace>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for t in 0..threads.min(samples) {
-                let stop = &stop;
-                let found = &found;
-                let tripped = &tripped;
-                let run = &run;
-                scope.spawn(move || {
-                    for k in (t..samples).step_by(threads) {
-                        if stop.load(Ordering::Relaxed) || tripped(k) {
-                            return;
-                        }
-                        if let Some(cex) = run(k) {
-                            stop.store(true, Ordering::Relaxed);
-                            let mut slot = found.lock().expect("sampler found slot poisoned");
-                            if slot.is_none() {
-                                *slot = Some(cex);
-                            }
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        found.into_inner().expect("sampler found slot poisoned")
-    }
-
     /// Enumerates up to `limit` *distinct* correct resolutions.
     ///
     /// The paper (§8.3.1) notes that CEGIS "can trivially produce
@@ -734,10 +647,7 @@ impl Synthesis {
             let Some(candidate) = synth.next_candidate() else {
                 break;
             };
-            match self
-                .verify_once(&candidate, iterations, &self.base_limits(), None)
-                .0
-            {
+            match self.verify_once(&candidate, &self.base_limits(), None).0 {
                 VerifyResult::Correct => {
                     let resolved = resolve::resolve_program(&self.sketch, &candidate);
                     synth.block(&candidate);
@@ -1156,30 +1066,6 @@ mod tests {
         .run();
         assert!(!out.resolved());
         assert!(out.definitely_unresolvable);
-    }
-
-    #[test]
-    fn hybrid_sampling_parallel_still_resolves() {
-        let opts = Options {
-            threads: 4,
-            verifier: VerifierKind::Hybrid { samples: 16 },
-            ..Options::default()
-        };
-        let out = Synthesis::new(
-            "int g;
-             harness void main() {
-                 fork (i; 2) {
-                     if (??(1) == 0) { int t = g; g = t + 1; }
-                     else { int old = AtomicReadAndIncr(g); }
-                 }
-                 assert g == 2;
-             }",
-            opts,
-        )
-        .unwrap()
-        .run();
-        let r = out.resolution.expect("resolvable");
-        assert_eq!(r.assignment.value(0), 1);
     }
 
     #[test]

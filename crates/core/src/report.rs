@@ -41,8 +41,8 @@ pub fn render_stats(name: &str, test: &str, outcome: &Outcome) -> String {
     );
     let _ = writeln!(
         out,
-        "  checker: transitions = {}  terminal = {}  sampled refutations = {}",
-        cost.check.transitions, cost.check.terminal_states, cost.sampled_refutations
+        "  checker: transitions = {}  terminal = {}",
+        cost.check.transitions, cost.check.terminal_states
     );
     if cost.prescreen_replays > 0 {
         let _ = writeln!(

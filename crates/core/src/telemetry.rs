@@ -70,23 +70,20 @@ impl BudgetTrip {
 }
 
 /// What verifying candidates cost: the checker's search counters plus
-/// the sealing, prescreen, schedule-bank and sampler counters around
-/// the search. An [`IterationRecord`] holds one candidate's cost and
+/// the sealing, prescreen and schedule-bank counters around the
+/// search. An [`IterationRecord`] holds one candidate's cost and
 /// [`CegisStats`] the run's sum; [`VerifyCost::add`] is the one place
 /// costs are summed and [`VerifyCost::write_json`] the one place they
 /// are named in JSON.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct VerifyCost {
-    /// Exhaustive-search counters (zero when the prescreen or the
-    /// sampler refuted the candidate first).
+    /// Exhaustive-search counters (zero when the prescreen refuted the
+    /// candidate first).
     pub check: CheckStats,
     /// States first discovered per checker thread.
     pub per_thread_states: Vec<usize>,
-    /// Candidates refuted by a sampled schedule (hybrid verifier) —
-    /// the exhaustive search was skipped.
-    pub sampled_refutations: u64,
-    /// Candidates refuted by a banked schedule — both the sampling and
-    /// the exhaustive search were skipped.
+    /// Candidates refuted by a banked schedule — the exhaustive search
+    /// was skipped.
     pub prescreen_hits: u64,
     /// Banked schedules replayed while prescreening.
     pub prescreen_replays: u64,
@@ -133,7 +130,6 @@ impl VerifyCost {
         {
             *acc += n;
         }
-        self.sampled_refutations += other.sampled_refutations;
         self.prescreen_hits += other.prescreen_hits;
         self.prescreen_replays += other.prescreen_replays;
         self.bank_size = self.bank_size.max(other.bank_size);
@@ -150,8 +146,7 @@ impl VerifyCost {
             Json::usize_array(&self.per_thread_states),
         ));
         out.extend(nums!("", self;
-            sampled_refutations, prescreen_hits, prescreen_replays, bank_size,
-            compile_us));
+            prescreen_hits, prescreen_replays, bank_size, compile_us));
     }
 }
 
@@ -312,17 +307,20 @@ impl RunReport {
     ///
     /// v5: run totals and records share one cost record, so every
     /// cost key means the same at both levels: the per-record booleans
-    /// `prescreen_hit` and `sampled_refutation` became the 0/1 counts
-    /// `prescreen_hits` and `sampled_refutations`, and the run-level
-    /// `checker_calls_avoided` (always equal to `prescreen_hits`) is
-    /// gone.
+    /// (prescreen hit, sampler refutation) became 0/1 counts, and the
+    /// run-level `checker_calls_avoided` (always equal to
+    /// `prescreen_hits`) is gone.
     ///
     /// v6: `sym_collapses` is gone with the thread-symmetry reduction.
     ///
     /// v7: every candidate is sealed fresh, so the v4 reseal counters
     /// are gone, and so is the POR diagnostic `sharpened_masks`, which
     /// made every candidate build its POR tables before the prescreen.
-    pub const SCHEMA: u32 = 7;
+    ///
+    /// v8: the sampler's refutation count is gone with the
+    /// random-schedule sampler: every candidate the prescreen passes
+    /// is checked exhaustively.
+    pub const SCHEMA: u32 = 8;
 
     /// Serialises the report as a JSON object (two-space indented).
     pub fn to_json(&self) -> String {

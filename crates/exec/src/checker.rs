@@ -6,10 +6,11 @@
 //! canonical state to merge equivalent paths) and exact
 //! counterexample-trace extraction. The checker has exactly one
 //! constructor, `Checker::from_compiled`: the sequential DFS, the
-//! parallel search, replay, random sampling and the schedule-bank
-//! prescreen all execute the artifact's micro-op code, so one step
-//! semantics drives every engine, and [`crate::reference`] is the
-//! independent oracle they are tested against.
+//! parallel search, replay and the schedule-bank prescreen all execute
+//! the artifact's micro-op code, so one step semantics drives every
+//! engine, and [`crate::reference`] is the independent oracle they are
+//! tested against. Every driver starts an execution at
+//! [`Checker::root`] and ends it at [`Checker::terminal`].
 //!
 //! The search is **zero-clone**: one live [`StateBuf`] is mutated in
 //! place as transitions fire, every write is recorded in an
@@ -231,8 +232,8 @@ pub fn check_with_limit(l: &Lowered, candidate: &Assignment, max_states: usize) 
 /// cooperative [`SearchLimits`] (state bound, wall deadline, external
 /// cancellation, reduction). Partial statistics are reported on every
 /// exit path. Seal once per candidate and share the artifact between
-/// the prescreen, the sampler and the exhaustive search — this is the
-/// entry point the CEGIS loop uses.
+/// the prescreen and the exhaustive search — this is the entry point
+/// the CEGIS loop uses.
 pub fn check_compiled(cp: &CompiledProgram, limits: &SearchLimits) -> CheckOutcome {
     Checker::from_compiled(cp).run(limits)
 }
@@ -283,168 +284,30 @@ pub(crate) fn replay_with(ck: &Checker<'_>, schedule: &[usize]) -> Option<CexTra
 }
 
 fn replay_fp_with(ck: &Checker<'_>, schedule: &[usize]) -> (Option<CexTrace>, u64) {
-    let l = ck.l;
-    let mut buf = ck.initial_buf();
     let mut j = UndoJournal::new();
-    let mut trace: Vec<(ThreadId, usize)> = Vec::new();
+    let (mut buf, root) = ck.root(&mut j);
+    let mut trace = match root {
+        Ok(steps) => steps,
+        Err(cex) => return (Some(cex), ck.fingerprint_state(&buf)),
+    };
     let mut fired: Vec<u32> = Vec::new();
-    match ck.run_seq(0, &l.prologue, &mut buf, &mut j) {
-        Ok(steps) => trace.extend(steps),
-        Err((steps, failure)) => {
-            trace.extend(steps);
-            let fp = ck.fingerprint_state(&buf);
-            return (
-                Some(CexTrace {
-                    steps: trace,
-                    failure,
-                    deadlock: vec![],
-                    schedule: vec![],
-                }),
-                fp,
-            );
-        }
-    }
-    match ck.advance_all(&mut buf, &mut j) {
-        Ok(steps) => trace.extend(steps),
-        Err((steps, failure)) => {
-            trace.extend(steps);
-            let fp = ck.fingerprint_state(&buf);
-            return (
-                Some(CexTrace {
-                    steps: trace,
-                    failure,
-                    deadlock: vec![],
-                    schedule: vec![],
-                }),
-                fp,
-            );
-        }
-    }
     let mut queue: Vec<usize> = schedule.to_vec();
-    loop {
+    let cex = loop {
         let pick = queue
             .iter()
             .position(|&t| ck.enabled(&buf, t))
             .map(|ix| queue.remove(ix))
             .or_else(|| (0..ck.nworkers()).find(|&t| ck.enabled(&buf, t)));
-        match pick {
-            Some(t) => {
-                fired.push(t as u32);
-                match ck.fire(&mut buf, &mut j, t) {
-                    Ok(steps) => trace.extend(steps),
-                    Err((steps, failure)) => {
-                        trace.extend(steps);
-                        let fp = ck.fingerprint_state(&buf);
-                        return (
-                            Some(CexTrace {
-                                steps: trace,
-                                failure,
-                                deadlock: vec![],
-                                schedule: fired,
-                            }),
-                            fp,
-                        );
-                    }
-                }
-            }
-            None => break,
-        }
-    }
-    if !ck.all_finished(&buf) {
-        let deadlock = ck.blocked_positions(&buf);
-        let failure = ck.deadlock_failure(&buf);
-        let fp = ck.fingerprint_state(&buf);
-        return (
-            Some(CexTrace {
-                steps: trace,
-                failure,
-                deadlock,
-                schedule: fired,
-            }),
-            fp,
-        );
-    }
-    match ck.run_seq(l.epilogue_tid(), &l.epilogue, &mut buf, &mut j) {
-        Ok(steps) => {
-            trace.extend(steps);
-            let fp = ck.fingerprint_state(&buf);
-            (None, fp)
-        }
-        Err((steps, failure)) => {
-            trace.extend(steps);
-            let fp = ck.fingerprint_state(&buf);
-            (
-                Some(CexTrace {
-                    steps: trace,
-                    failure,
-                    deadlock: vec![],
-                    schedule: fired,
-                }),
-                fp,
-            )
-        }
-    }
-}
-
-/// Runs one execution of a sealed candidate under a pseudo-random
-/// scheduler (uniform choice among enabled workers, seeded xorshift).
-/// Returns the failure trace if that schedule hits one.
-///
-/// Cheap, *incomplete* verification: used by the hybrid strategy that
-/// samples schedules before paying for the exhaustive search. A `None`
-/// result says nothing about other interleavings.
-pub fn random_run_compiled(cp: &CompiledProgram, seed: u64) -> Option<CexTrace> {
-    let ck = Checker::from_compiled(cp);
-    let l = ck.l;
-    let mut rng = seed.wrapping_mul(0x9e3779b97f4a7c15).max(1);
-    let mut next = move || {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        rng
-    };
-    let mut trace: Vec<(ThreadId, usize)> = Vec::new();
-    let mut fired: Vec<u32> = Vec::new();
-    let mut buf = ck.initial_buf();
-    let mut j = UndoJournal::new();
-    match ck.run_seq(0, &l.prologue, &mut buf, &mut j) {
-        Ok(steps) => trace.extend(steps),
-        Err((steps, failure)) => {
-            trace.extend(steps);
-            return Some(CexTrace {
-                steps: trace,
-                failure,
-                deadlock: vec![],
-                schedule: vec![],
-            });
-        }
-    }
-    match ck.advance_all(&mut buf, &mut j) {
-        Ok(steps) => trace.extend(steps),
-        Err((steps, failure)) => {
-            trace.extend(steps);
-            return Some(CexTrace {
-                steps: trace,
-                failure,
-                deadlock: vec![],
-                schedule: vec![],
-            });
-        }
-    }
-    loop {
-        let enabled: Vec<usize> = (0..ck.nworkers())
-            .filter(|&w| ck.enabled(&buf, w))
-            .collect();
-        if enabled.is_empty() {
-            break;
-        }
-        let w = enabled[(next() as usize) % enabled.len()];
-        fired.push(w as u32);
-        match ck.fire(&mut buf, &mut j, w) {
+        let Some(t) = pick else {
+            let end = ck.terminal(&mut buf, &mut j, &mut CheckStats::default());
+            break end.map(|stuck| stuck.cex(trace, fired));
+        };
+        fired.push(t as u32);
+        match ck.fire(&mut buf, &mut j, t) {
             Ok(steps) => trace.extend(steps),
             Err((steps, failure)) => {
                 trace.extend(steps);
-                return Some(CexTrace {
+                break Some(CexTrace {
                     steps: trace,
                     failure,
                     deadlock: vec![],
@@ -452,27 +315,30 @@ pub fn random_run_compiled(cp: &CompiledProgram, seed: u64) -> Option<CexTrace> 
                 });
             }
         }
-    }
-    if !ck.all_finished(&buf) {
-        let deadlock = ck.blocked_positions(&buf);
-        let failure = ck.deadlock_failure(&buf);
-        return Some(CexTrace {
+    };
+    (cex, ck.fingerprint_state(&buf))
+}
+
+/// A failure where no worker is enabled (see [`Checker::terminal`]).
+pub(crate) struct Stuck {
+    /// Epilogue steps executed, the failing one included (empty for a
+    /// deadlock).
+    steps: Vec<(ThreadId, usize)>,
+    failure: Failure,
+    /// The blocked workers' positions (empty when the epilogue failed).
+    deadlock: Vec<(ThreadId, usize)>,
+}
+
+impl Stuck {
+    /// The counterexample of an execution that ran `trace` under
+    /// `schedule` and got stuck here.
+    pub(crate) fn cex(self, mut trace: Vec<(ThreadId, usize)>, schedule: Vec<u32>) -> CexTrace {
+        trace.extend(self.steps);
+        CexTrace {
             steps: trace,
-            failure,
-            deadlock,
-            schedule: fired,
-        });
-    }
-    match ck.run_seq(l.epilogue_tid(), &l.epilogue, &mut buf, &mut j) {
-        Ok(_) => None,
-        Err((steps, failure)) => {
-            trace.extend(steps);
-            Some(CexTrace {
-                steps: trace,
-                failure,
-                deadlock: vec![],
-                schedule: fired,
-            })
+            failure: self.failure,
+            deadlock: self.deadlock,
+            schedule,
         }
     }
 }
@@ -517,7 +383,7 @@ impl<'a> Checker<'a> {
     }
 
     /// The initial flat state (workers at pc 0, locals zeroed).
-    pub(crate) fn initial_buf(&self) -> StateBuf {
+    fn initial_buf(&self) -> StateBuf {
         StateBuf::initial(self.lay, self.l)
     }
 
@@ -570,14 +436,13 @@ impl<'a> Checker<'a> {
     /// duration of the call; shared-state writes are journaled, so the
     /// caller can undo the phase (the terminal-state epilogue) or keep
     /// it (the prologue).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn run_seq(
+    fn run_seq(
         &self,
         tid: ThreadId,
         thread: &Thread,
         buf: &mut StateBuf,
         j: &mut UndoJournal,
-    ) -> Result<Vec<(ThreadId, usize)>, (Vec<(ThreadId, usize)>, Failure)> {
+    ) -> FireResult {
         let lb = buf.push_scratch(thread.locals.len());
         let r = self.run_seq_at(tid, thread, buf, j, lb);
         buf.pop_scratch(lb);
@@ -716,7 +581,7 @@ impl<'a> Checker<'a> {
         }
     }
 
-    pub(crate) fn advance_all(&self, buf: &mut StateBuf, j: &mut UndoJournal) -> FireResult {
+    fn advance_all(&self, buf: &mut StateBuf, j: &mut UndoJournal) -> FireResult {
         let mut all = Vec::new();
         for w in 0..self.nworkers() {
             all.extend(self.advance(buf, j, w)?);
@@ -724,11 +589,91 @@ impl<'a> Checker<'a> {
         Ok(all)
     }
 
+    /// The root of every execution: a fresh state with the prologue
+    /// run and each worker's leading local steps absorbed, and the
+    /// steps executed to reach it. `Err` is the counterexample of a
+    /// candidate that fails before any interleaving exists (the
+    /// prologue's steps, then the failing worker's); the state is then
+    /// the failing one.
+    pub(crate) fn root(
+        &self,
+        j: &mut UndoJournal,
+    ) -> (StateBuf, Result<Vec<(ThreadId, usize)>, CexTrace>) {
+        let mut buf = self.initial_buf();
+        let root = self
+            .run_seq(0, &self.l.prologue, &mut buf, j)
+            .and_then(|mut steps| match self.advance_all(&mut buf, j) {
+                Ok(more) => {
+                    steps.extend(more);
+                    Ok(steps)
+                }
+                Err((more, failure)) => {
+                    steps.extend(more);
+                    Err((steps, failure))
+                }
+            })
+            .map_err(|(steps, failure)| CexTrace {
+                steps,
+                failure,
+                deadlock: vec![],
+                schedule: vec![],
+            });
+        (buf, root)
+    }
+
+    /// The step at a state where no worker is enabled. When every
+    /// worker has finished, counts a terminal state and runs the
+    /// epilogue, whose writes stay in `buf` for the caller to undo or
+    /// abandon; otherwise the blocked workers deadlock. `None` when
+    /// the epilogue passes.
+    pub(crate) fn terminal(
+        &self,
+        buf: &mut StateBuf,
+        j: &mut UndoJournal,
+        stats: &mut CheckStats,
+    ) -> Option<Stuck> {
+        if !self.all_finished(buf) {
+            return Some(Stuck {
+                steps: vec![],
+                failure: self.deadlock_failure(buf),
+                deadlock: self.blocked_positions(buf),
+            });
+        }
+        stats.terminal_states += 1;
+        let (steps, failure) = self
+            .run_seq(self.l.epilogue_tid(), &self.l.epilogue, buf, j)
+            .err()?;
+        Some(Stuck {
+            steps,
+            failure,
+            deadlock: vec![],
+        })
+    }
+
+    /// The outcome of a search whose candidate failed at
+    /// [`Checker::root`]: the work was real, so it is reported (see
+    /// [`early_failure_stats`]).
+    pub(crate) fn early_failure(
+        cex: CexTrace,
+        j: &UndoJournal,
+        per_thread_states: Vec<usize>,
+    ) -> CheckOutcome {
+        let stats = CheckStats {
+            journal_writes: j.total_writes(),
+            ..early_failure_stats(&cex.steps)
+        };
+        CheckOutcome {
+            verdict: Verdict::Fail(cex),
+            stats,
+            per_thread_states,
+        }
+    }
+
     fn finished(&self, buf: &StateBuf, w: usize) -> bool {
         self.pc(buf, w) >= self.l.workers[w].steps.len()
     }
 
-    pub(crate) fn all_finished(&self, buf: &StateBuf) -> bool {
+    fn all_finished(&self, buf: &StateBuf) -> bool {
         (0..self.nworkers()).all(|w| self.finished(buf, w))
     }
 
@@ -838,14 +783,14 @@ impl<'a> Checker<'a> {
         Ok(executed)
     }
 
-    pub(crate) fn blocked_positions(&self, buf: &StateBuf) -> Vec<(ThreadId, usize)> {
+    fn blocked_positions(&self, buf: &StateBuf) -> Vec<(ThreadId, usize)> {
         (0..self.nworkers())
             .filter(|&w| !self.finished(buf, w))
             .map(|w| (self.trace_tid(w), self.pc(buf, w)))
             .collect()
     }
 
-    pub(crate) fn deadlock_failure(&self, buf: &StateBuf) -> Failure {
+    fn deadlock_failure(&self, buf: &StateBuf) -> Failure {
         let (tid, step) = *self
             .blocked_positions(buf)
             .first()
@@ -940,55 +885,18 @@ impl<'a> Checker<'a> {
     }
 
     fn run(&self, limits: &SearchLimits) -> CheckOutcome {
-        let mut stats = CheckStats::default();
-        let mut buf = self.initial_buf();
         let mut j = UndoJournal::new();
-        let prologue_steps = match self.run_seq(0, &self.l.prologue, &mut buf, &mut j) {
+        let (buf, root) = self.root(&mut j);
+        let prefix = match root {
             Ok(steps) => steps,
-            Err((steps, failure)) => {
-                let mut stats = early_failure_stats(&steps);
-                stats.journal_writes = j.total_writes();
-                return CheckOutcome {
-                    verdict: Verdict::Fail(CexTrace {
-                        steps,
-                        failure,
-                        deadlock: vec![],
-                        schedule: vec![],
-                    }),
-                    stats,
-                    per_thread_states: vec![stats.states],
-                };
-            }
+            Err(cex) => return Checker::early_failure(cex, &j, vec![1]),
         };
-        match self.advance_all(&mut buf, &mut j) {
-            Ok(steps) => {
-                // Initial invisible steps become part of every trace.
-                let mut pre = prologue_steps;
-                pre.extend(steps);
-                // The root state is permanent: nothing undoes past it.
-                j.reset();
-                let por = self.por_table(limits);
-                let mut out = self.dfs(buf, &mut j, pre, limits, por, &mut stats);
-                out.stats.journal_writes = j.total_writes();
-                out
-            }
-            Err((steps, failure)) => {
-                let mut all = prologue_steps;
-                all.extend(steps);
-                let mut stats = early_failure_stats(&all);
-                stats.journal_writes = j.total_writes();
-                CheckOutcome {
-                    verdict: Verdict::Fail(CexTrace {
-                        steps: all,
-                        failure,
-                        deadlock: vec![],
-                        schedule: vec![],
-                    }),
-                    stats,
-                    per_thread_states: vec![stats.states],
-                }
-            }
-        }
+        // The root state is permanent: nothing undoes past it.
+        j.reset();
+        let mut stats = CheckStats::default();
+        let mut out = self.dfs(buf, &mut j, prefix, limits, &mut stats);
+        out.stats.journal_writes = j.total_writes();
+        out
     }
 
     /// Fire/undo DFS. Invariant: `buf` always holds exactly the state
@@ -1002,7 +910,6 @@ impl<'a> Checker<'a> {
         j: &mut UndoJournal,
         prefix: Vec<(ThreadId, usize)>,
         limits: &SearchLimits,
-        por: Option<&PorTable>,
         stats: &mut CheckStats,
     ) -> CheckOutcome {
         struct Frame {
@@ -1023,17 +930,19 @@ impl<'a> Checker<'a> {
             fired: usize,
             prev_contrib: u64,
         }
+        let outcome = |verdict, stats: &CheckStats| CheckOutcome {
+            verdict,
+            stats: *stats,
+            per_thread_states: vec![stats.states],
+        };
         let unknown = |why: Interrupt, stats: &mut CheckStats| {
             // Clamp: an over-limit search consumed exactly its budget.
             if why == Interrupt::StateLimit {
                 stats.states = stats.states.min(limits.max_states);
             }
-            CheckOutcome {
-                verdict: Verdict::Unknown(why),
-                stats: *stats,
-                per_thread_states: vec![stats.states],
-            }
+            outcome(Verdict::Unknown(why), stats)
         };
+        let por = self.por_table(limits);
         let mut visited = FpSet::new();
         let mut stack = vec![Frame {
             mark: j.mark(),
@@ -1117,51 +1026,15 @@ impl<'a> Checker<'a> {
                 }
                 stack[top_ix].enabled = mask;
                 if !any_enabled {
-                    if self.all_finished(&buf) {
-                        stats.terminal_states += 1;
-                        let emark = j.mark();
-                        match self.run_seq(self.l.epilogue_tid(), &self.l.epilogue, &mut buf, j) {
-                            Ok(_) => {
-                                j.undo_to(emark, &mut buf);
-                                let f = stack.pop().expect("top frame exists");
-                                j.undo_to(f.mark, &mut buf);
-                                acc = f.prev_acc;
-                                if let Some(c) = worker_acc.get_mut(f.fired) {
-                                    *c = f.prev_contrib;
-                                }
-                                continue;
-                            }
-                            Err((esteps, failure)) => {
-                                let steps = build_trace(&stack, esteps);
-                                let schedule = build_schedule(&stack, None);
-                                return CheckOutcome {
-                                    verdict: Verdict::Fail(CexTrace {
-                                        steps,
-                                        failure,
-                                        deadlock: vec![],
-                                        schedule,
-                                    }),
-                                    stats: *stats,
-                                    per_thread_states: vec![stats.states],
-                                };
-                            }
-                        }
-                    } else {
-                        let failure = self.deadlock_failure(&buf);
-                        let deadlock = self.blocked_positions(&buf);
-                        let steps = build_trace(&stack, vec![]);
-                        let schedule = build_schedule(&stack, None);
-                        return CheckOutcome {
-                            verdict: Verdict::Fail(CexTrace {
-                                steps,
-                                failure,
-                                deadlock,
-                                schedule,
-                            }),
-                            stats: *stats,
-                            per_thread_states: vec![stats.states],
-                        };
+                    // A passing epilogue is undone at once; the frame,
+                    // with no choice to try, is then popped below.
+                    let emark = j.mark();
+                    if let Some(stuck) = self.terminal(&mut buf, j, stats) {
+                        let cex =
+                            stuck.cex(build_trace(&stack, vec![]), build_schedule(&stack, None));
+                        return outcome(Verdict::Fail(cex), stats);
                     }
+                    j.undo_to(emark, &mut buf);
                 }
             }
             // Try the next enabled worker: fire in place, keep the
@@ -1234,18 +1107,13 @@ impl<'a> Checker<'a> {
                         j.undo_to(mark, &mut buf);
                     }
                     Err((executed, failure)) => {
-                        let steps = build_trace(&stack, executed);
-                        let schedule = build_schedule(&stack, Some(w));
-                        return CheckOutcome {
-                            verdict: Verdict::Fail(CexTrace {
-                                steps,
-                                failure,
-                                deadlock: vec![],
-                                schedule,
-                            }),
-                            stats: *stats,
-                            per_thread_states: vec![stats.states],
+                        let cex = CexTrace {
+                            steps: build_trace(&stack, executed),
+                            failure,
+                            deadlock: vec![],
+                            schedule: build_schedule(&stack, Some(w)),
                         };
+                        return outcome(Verdict::Fail(cex), stats);
                     }
                 }
             }
@@ -1259,11 +1127,7 @@ impl<'a> Checker<'a> {
             }
         }
         stats.states = visited.len();
-        CheckOutcome {
-            verdict: Verdict::Pass,
-            stats: *stats,
-            per_thread_states: vec![stats.states],
-        }
+        outcome(Verdict::Pass, stats)
     }
 }
 
@@ -1615,6 +1479,12 @@ mod tests {
                      if (i == 0) { atomic (a == 1) { } b = 1; }
                      else { atomic (b == 1) { } a = 1; }
                  }
+             }",
+            // Worker 1 fails while its leading local steps are
+            // absorbed, after worker 0's were.
+            "int g;
+             harness void main() {
+                 fork (i; 2) { int t = i; assert t == 0; }
              }",
         ] {
             let l = lowered(src);

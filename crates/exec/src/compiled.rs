@@ -2,9 +2,9 @@
 //!
 //! A [`CompiledProgram`] seals one `(Lowered, Assignment)` pair into an
 //! execution artifact; [`CompiledProgram::compile`] seals every
-//! candidate fresh. The sequential DFS, the parallel search, replay,
-//! sampling and the schedule-bank prescreen all build their checker
-//! from it with `Checker::from_compiled`:
+//! candidate fresh. The sequential DFS, the parallel search, replay
+//! and the schedule-bank prescreen all build their checker from it
+//! with `Checker::from_compiled`:
 //!
 //! - holes are substituted and constants folded *at emit time*: one
 //!   walk over the original trees streams micro-ops out while
@@ -34,8 +34,8 @@
 //!   [`psketch_ir::FootprintTable`] had to widen —
 //!   candidate-sharpened ample sets, never coarser than the static
 //!   ones. The footprint pass and the table are lazy: only a search
-//!   that reduces builds them, so a candidate the prescreen, the
-//!   sampler or a `por: false` search disposes of never pays for them.
+//!   that reduces builds them, so a candidate the prescreen or a
+//!   `por: false` search disposes of never pays for them.
 //!   The static table and the refinement check are diagnostics, built
 //!   only when [`CompiledProgram::sharpened_masks`] or
 //!   [`CompiledProgram::footprint_refines_static`] asks;
@@ -564,7 +564,7 @@ fn emit_fold(
 ) -> Folded {
     match rv {
         Rv::Const(c) => Folded::Const(*c),
-        Rv::Hole(h) => Folded::Const(holes.value(*h) as i64),
+        Rv::Hole(h) => Folded::Const(l.config.wrap(holes.value(*h) as i64)),
         Rv::Global(g) => {
             out.push(Ins::Global(*g as u32));
             Folded::Expr {
@@ -955,7 +955,7 @@ pub(crate) type LiveMasks = Vec<Vec<Vec<u64>>>;
 
 /// The sealed, hole-substituted execution artifact of one candidate:
 /// compiled once, shared by the sequential DFS, the parallel engine,
-/// replay, sampling and the schedule-bank prescreen. Engines borrow
+/// replay and the schedule-bank prescreen. Engines borrow
 /// its tables; they never copy them.
 #[derive(Clone)]
 pub struct CompiledProgram<'l> {
@@ -983,8 +983,8 @@ pub struct CompiledProgram<'l> {
     /// built from them (one cell: the table is a deterministic
     /// function of the footprints, so they force together). Lazy —
     /// only a search that reduces reads the table, so candidates the
-    /// prescreen or the sampler refutes, and `por: false` searches,
-    /// never pay the footprint pass.
+    /// prescreen refutes, and `por: false` searches, never pay the
+    /// footprint pass.
     fps_por: OnceLock<FpsPor>,
     /// The static (candidate-independent) POR table, built on first
     /// diagnostic use — the engines never consult it.
@@ -1467,7 +1467,7 @@ mod tests {
 
     #[test]
     fn only_reducing_searches_build_the_por_table() {
-        use crate::{check_compiled, random_run_compiled, ScheduleBank, SearchLimits, Verdict};
+        use crate::{check_compiled, ScheduleBank, SearchLimits, Verdict};
         let l = lowered(
             "int g;
              harness void main() {
@@ -1489,7 +1489,6 @@ mod tests {
             bank.prescreen_compiled(&cp).0.is_some(),
             "the banked schedule refutes"
         );
-        random_run_compiled(&cp, 1);
         let full = SearchLimits {
             por: false,
             ..SearchLimits::default()
@@ -1500,7 +1499,7 @@ mod tests {
         ));
         assert!(
             cp.fps_por.get().is_none(),
-            "prescreen, sampling and a por: false search must not build footprints"
+            "the prescreen and a por: false search must not build footprints"
         );
         check_compiled(&cp, &SearchLimits::default());
         assert!(

@@ -14,8 +14,8 @@
 //!
 //! Every search runs a sealed [`CompiledProgram`]: [`check`] seals the
 //! candidate itself, while the CEGIS loop seals once per iteration and
-//! shares the artifact between [`ScheduleBank::prescreen_compiled`],
-//! [`random_run_compiled`] and [`check_parallel_compiled`].
+//! shares the artifact between [`ScheduleBank::prescreen_compiled`]
+//! and [`check_parallel_compiled`].
 //! [`mod@reference`] is the independent oracle the engine is tested
 //! against.
 //!
@@ -55,8 +55,8 @@ pub mod walker;
 
 pub use bank::{BankStats, ScheduleBank};
 pub use checker::{
-    check, check_compiled, check_with_limit, random_run_compiled, replay_compiled,
-    replay_fp_compiled, CheckOutcome, CheckStats, Interrupt, SearchLimits, Verdict,
+    check, check_compiled, check_with_limit, replay_compiled, replay_fp_compiled, CheckOutcome,
+    CheckStats, Interrupt, SearchLimits, Verdict,
 };
 pub use compiled::CompiledProgram;
 pub use parallel::check_parallel_compiled;

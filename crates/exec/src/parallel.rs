@@ -38,9 +38,7 @@
 //! branching-factor` states); reported stats are clamped to the limit,
 //! and [`ShardedFpSet::len`] documents the raw overshoot bound.
 
-use crate::checker::{
-    early_failure_stats, CheckOutcome, CheckStats, Checker, Interrupt, SearchLimits, Verdict,
-};
+use crate::checker::{CheckOutcome, CheckStats, Checker, Interrupt, SearchLimits, Verdict};
 use crate::compiled::CompiledProgram;
 use crate::fingerprint::ShardedFpSet;
 use crate::por::PorTable;
@@ -86,30 +84,39 @@ struct Shared<'a> {
 }
 
 impl<'a> Shared<'a> {
-    /// Records the first failure and halts the search. `schedule` is
-    /// the transition-level worker sequence that reached the failure
-    /// from the root (the frontier node's prefix plus the descent).
-    fn fail(
-        &self,
-        steps: Vec<(ThreadId, usize)>,
-        failure: Failure,
-        deadlock: Vec<(ThreadId, usize)>,
-        schedule: Sched,
-    ) {
+    /// Records the first failure and halts the search. The trace's
+    /// `schedule` is the transition-level worker sequence that reached
+    /// the failure from the root (the frontier node's prefix plus the
+    /// descent).
+    fn fail(&self, cex: CexTrace) {
         let mut slot = self
             .failure
             .lock()
             .expect("parallel checker failure slot poisoned");
         if slot.is_none() {
-            *slot = Some(CexTrace {
-                steps,
-                failure,
-                deadlock,
-                schedule,
-            });
+            *slot = Some(cex);
         }
         drop(slot);
         self.halt();
+    }
+
+    /// Records a fire of worker `w` that failed after executing
+    /// `executed`, from the node that `trace` and `sched` reach.
+    fn fail_fire(
+        &self,
+        mut trace: Vec<(ThreadId, usize)>,
+        executed: Vec<(ThreadId, usize)>,
+        failure: Failure,
+        sched: &[u32],
+        w: u32,
+    ) {
+        trace.extend(executed);
+        self.fail(CexTrace {
+            steps: trace,
+            failure,
+            deadlock: vec![],
+            schedule: [sched, &[w]].concat(),
+        });
     }
 
     /// Records the first tripped limit and halts the search.
@@ -164,58 +171,15 @@ pub fn check_parallel_compiled(
     }
     let ck = Checker::from_compiled(cp);
     let por = ck.por_table(limits);
-    run_parallel(ck, por, limits, threads)
-}
 
-fn run_parallel<'a>(
-    ck: Checker<'a>,
-    por: Option<&'a PorTable>,
-    limits: &'a SearchLimits,
-    threads: usize,
-) -> CheckOutcome {
-    let l = ck.l;
-
-    // Prologue and initial local-step absorption run once, up front,
-    // exactly as in the sequential checker. Failures here report the
-    // executed work (see `early_failure_stats`), not zeroed counters.
-    let mut buf = ck.initial_buf();
+    // The root runs once, up front, exactly as in the sequential
+    // checker; a failure there reports the executed work.
     let mut j = UndoJournal::new();
-    let mut prefix: Vec<(ThreadId, usize)> = Vec::new();
-    match ck.run_seq(0, &l.prologue, &mut buf, &mut j) {
-        Ok(steps) => prefix.extend(steps),
-        Err((steps, failure)) => {
-            let mut stats = early_failure_stats(&steps);
-            stats.journal_writes = j.total_writes();
-            return CheckOutcome {
-                verdict: Verdict::Fail(CexTrace {
-                    steps,
-                    failure,
-                    deadlock: vec![],
-                    schedule: vec![],
-                }),
-                stats,
-                per_thread_states: vec![0; threads],
-            };
-        }
-    }
-    match ck.advance_all(&mut buf, &mut j) {
-        Ok(steps) => prefix.extend(steps),
-        Err((steps, failure)) => {
-            prefix.extend(steps);
-            let mut stats = early_failure_stats(&prefix);
-            stats.journal_writes = j.total_writes();
-            return CheckOutcome {
-                verdict: Verdict::Fail(CexTrace {
-                    steps: prefix,
-                    failure,
-                    deadlock: vec![],
-                    schedule: vec![],
-                }),
-                stats,
-                per_thread_states: vec![0; threads],
-            };
-        }
-    }
+    let (buf, root) = ck.root(&mut j);
+    let prefix = match root {
+        Ok(steps) => steps,
+        Err(cex) => return Checker::early_failure(cex, &j, vec![0; threads]),
+    };
     let root_journal_writes = j.total_writes();
 
     let visited = ShardedFpSet::new(threads * 16);
@@ -366,9 +330,7 @@ fn worker_loop(shared: &Shared<'_>, j: &mut UndoJournal, tally: &mut Tally) {
                     // Unreachable: the publisher fired this exact
                     // prefix without failure and fire is deterministic.
                     // Report rather than panic in a worker thread.
-                    trace.extend(executed);
-                    let schedule = sched[..=i].to_vec();
-                    shared.fail(trace, failure, vec![], schedule);
+                    shared.fail_fire(trace, executed, failure, &sched[..i], w);
                     return;
                 }
             }
@@ -426,21 +388,11 @@ fn expand(
         (0..nworkers).any(|w| ck.enabled(buf, w))
     };
     if !any_enabled {
-        if ck.all_finished(buf) {
-            tally.stats.terminal_states += 1;
-            // The epilogue mutates buf, but the node is abandoned
-            // afterwards (the worker re-clones on its next steal), so
-            // no undo is needed.
-            if let Err((esteps, failure)) = ck.run_seq(ck.l.epilogue_tid(), &ck.l.epilogue, buf, j)
-            {
-                let mut steps = std::mem::take(trace);
-                steps.extend(esteps);
-                shared.fail(steps, failure, vec![], sched.clone());
-            }
-        } else {
-            let failure = ck.deadlock_failure(buf);
-            let deadlock = ck.blocked_positions(buf);
-            shared.fail(std::mem::take(trace), failure, deadlock, sched.clone());
+        // A passing epilogue leaves its writes in buf, but the node is
+        // abandoned afterwards (the worker re-clones on its next
+        // steal), so no undo is needed.
+        if let Some(stuck) = ck.terminal(buf, j, &mut tally.stats) {
+            shared.fail(stuck.cex(std::mem::take(trace), sched.clone()));
         }
         return Step::Exhausted;
     }
@@ -508,11 +460,7 @@ fn expand(
                 }
             }
             Err((executed, failure)) => {
-                let mut steps = std::mem::take(trace);
-                steps.extend(executed);
-                let mut schedule = sched.clone();
-                schedule.push(w as u32);
-                shared.fail(steps, failure, vec![], schedule);
+                shared.fail_fire(std::mem::take(trace), executed, failure, sched, w as u32);
                 return Step::Halt;
             }
         }
@@ -530,11 +478,7 @@ fn expand(
             Step::Descend
         }
         Err((executed, failure)) => {
-            let mut steps = std::mem::take(trace);
-            steps.extend(executed);
-            let mut schedule = sched.clone();
-            schedule.push(w);
-            shared.fail(steps, failure, vec![], schedule);
+            shared.fail_fire(std::mem::take(trace), executed, failure, sched, w);
             Step::Halt
         }
     }

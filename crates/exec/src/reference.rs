@@ -71,7 +71,7 @@ fn eval_rv(
         Rv::Const(c) => *c,
         Rv::Global(g) => store.globals[*g],
         Rv::Local(x) => locals[*x],
-        Rv::Hole(h) => holes.value(*h) as i64,
+        Rv::Hole(h) => wrap(holes.value(*h) as i64),
         Rv::GlobalDyn { base, len, ix } => {
             let i = eval_rv(ix, store, locals, holes, l)?;
             if i < 0 || i as usize >= *len {

@@ -31,11 +31,9 @@ impl<'a> Walker<'a> {
     /// interleaving exists.
     pub fn new(cp: &'a CompiledProgram<'a>) -> Result<Walker<'a>, Failure> {
         let ck = Checker::from_compiled(cp);
-        let mut buf = ck.initial_buf();
         let mut journal = UndoJournal::new();
-        ck.run_seq(0, &ck.l.prologue, &mut buf, &mut journal)
-            .map_err(|(_, f)| f)?;
-        ck.advance_all(&mut buf, &mut journal).map_err(|(_, f)| f)?;
+        let (buf, root) = ck.root(&mut journal);
+        root.map_err(|cex| cex.failure)?;
         Ok(Walker { ck, buf, journal })
     }
 

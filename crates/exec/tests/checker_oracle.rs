@@ -1,7 +1,7 @@
 //! Checker vs. a hand-rolled interleaving oracle on three-thread
 //! programs, plus schedule-replay consistency.
 
-use psketch_exec::{check, random_run_compiled, replay_compiled, CompiledProgram};
+use psketch_exec::{check, replay_compiled, CompiledProgram};
 use psketch_ir::{desugar::desugar_program, lower::lower_program, Config, Lowered};
 use std::collections::BTreeSet;
 
@@ -111,7 +111,7 @@ fn every_possible_outcome_is_reachable_by_some_replay() {
 }
 
 #[test]
-fn replay_and_random_run_agree_with_checker_on_pass() {
+fn replay_agrees_with_checker_on_pass() {
     // On a correct program no schedule may fail.
     let l = lowered(
         "int g;
@@ -123,17 +123,11 @@ fn replay_and_random_run_agree_with_checker_on_pass() {
     let a = l.holes.identity_assignment();
     assert!(check(&l, &a).is_ok());
     let cp = CompiledProgram::compile(&l, &a);
-    for seed in 0..32 {
-        assert!(random_run_compiled(&cp, seed).is_none(), "seed {seed}");
-    }
-    for sched in [
-        vec![0, 1, 2],
-        vec![2, 1, 0],
-        vec![1, 1, 1],
-        vec![0, 2, 0, 2],
-    ] {
+    for k in 0..27 {
+        let sched = [k % 3, k / 3 % 3, k / 9];
         assert!(replay_compiled(&cp, &sched).is_none(), "{sched:?}");
     }
+    assert!(replay_compiled(&cp, &[0, 2, 0, 2]).is_none());
 }
 
 #[test]

@@ -20,7 +20,7 @@
 //! sketch semantics (every thread runs the same resolved method).
 
 use crate::config::{Config, ReorderEncoding};
-use crate::hole::{HoleTable, SiteKind};
+use crate::hole::{HoleId, HoleTable, SiteKind};
 use psketch_lang::ast::*;
 use psketch_lang::error::{Phase, SourceError, SourceResult, Span};
 use psketch_lang::typecheck::{assignable, generator_alternatives, infer_expr, Scope, TypeEnv};
@@ -36,6 +36,19 @@ use psketch_lang::typecheck::{assignable, generator_alternatives, infer_expr, Sc
 /// declarations directly inside `reorder`, and non-constant `repeat`
 /// counts that are not holes.
 pub fn desugar_program(program: &Program, config: &Config) -> SourceResult<(Program, HoleTable)> {
+    // `1i64 << int_width` must be exact, and a bare `??` takes the
+    // parser's `??(n)` range.
+    for (what, width, max) in [
+        ("int", config.int_width, 62),
+        ("hole", config.hole_width, 30),
+    ] {
+        if !(1..=max).contains(&width) {
+            return Err(derr(
+                Span::default(),
+                format!("{what} width {width} is outside 1..={max}"),
+            ));
+        }
+    }
     let env = TypeEnv::from_program(program)?;
     let mut out = Program {
         structs: program.structs.clone(),
@@ -64,6 +77,21 @@ pub fn desugar_program(program: &Program, config: &Config) -> SourceResult<(Prog
             body: one(body),
             ..f.clone()
         });
+    }
+    // A hole value means what a literal means: both are wrapped to
+    // `int_width` bits, so a wider domain would alias candidates.
+    for h in 0..table.num_holes() as HoleId {
+        let domain = table.domain(h);
+        if domain > 1 << config.int_width {
+            let bits = 64 - (domain - 1).leading_zeros();
+            return Err(derr(
+                table.span(h),
+                format!(
+                    "hole of {domain} values needs {bits} bits, wider than the int width {}",
+                    config.int_width
+                ),
+            ));
+        }
     }
     Ok((out, table))
 }

@@ -193,8 +193,9 @@ fn overlaps_any(a: &[Loc], b: &[Loc]) -> bool {
 /// per-local constant environment. `Some(v)` guarantees every runtime
 /// evaluation (any schedule — and, when `holes` is `None`, any
 /// candidate) yields `v` without failing; shared reads never fold.
-/// With `holes` set, `Rv::Hole` resolves to that one candidate's
-/// constant, so the guarantee narrows to executions of that candidate.
+/// With `holes` and `config` set, `Rv::Hole` resolves to that one
+/// candidate's constant, wrapped like a literal, so the guarantee
+/// narrows to executions of that candidate.
 /// Folding of operators requires a [`Config`] (for integer wrapping)
 /// and reuses the lowering-time folder, so compile-time and
 /// footprint-time folding share one semantics.
@@ -207,7 +208,7 @@ fn eval_static(
     match rv {
         Rv::Const(c) => Some(*c),
         Rv::Local(l) => env.get(*l).copied().flatten(),
-        Rv::Hole(h) => holes.map(|a| a.value(*h) as i64),
+        Rv::Hole(h) => Some(config?.wrap(holes?.value(*h) as i64)),
         Rv::Unary(op, a) => {
             let cfg = config?;
             let v = eval_static(a, env, config, holes)?;

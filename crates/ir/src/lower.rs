@@ -14,7 +14,7 @@
 //!   threads and lets a trace be projected onto every candidate.
 
 use crate::config::Config;
-use crate::hole::HoleTable;
+use crate::hole::{HoleId, HoleTable};
 use crate::step::*;
 use psketch_lang::ast::{BinOp, Expr, FnDef, Program, Stmt, Type, UnOp};
 use psketch_lang::error::{Phase, SourceError, SourceResult, Span};
@@ -777,7 +777,7 @@ impl<'a> Lowerer<'a> {
                 span,
             ));
             for (j, alt) in alts.iter().enumerate() {
-                let g = Rv::and(guard.clone(), Rv::eq(Rv::Hole(*hole), Rv::Const(j as i64)));
+                let g = Rv::and(guard.clone(), self.choice_guard(*hole, j));
                 let place = self.place(ctx, alt, nthreads)?;
                 let Place::Cell(lv) = place else {
                     return Err(lerr(span, "l-value alternative is not a scalar location"));
@@ -815,6 +815,13 @@ impl<'a> Lowerer<'a> {
                 Ok(())
             }
         }
+    }
+
+    /// The guard selecting alternative `j` of a choice on `hole`: the
+    /// index is wrapped like a literal, as the engines wrap the hole's
+    /// value.
+    fn choice_guard(&self, hole: HoleId, j: usize) -> Rv {
+        Rv::eq(Rv::Hole(hole), Rv::Const(self.config.wrap(j as i64)))
     }
 
     // ----- places -----
@@ -1058,7 +1065,7 @@ impl<'a> Lowerer<'a> {
                 let (_, mut acc) = it.next().ok_or_else(|| lerr(*span, "empty choice"))?;
                 for (j, v) in it {
                     acc = Rv::Ite(
-                        Box::new(Rv::eq(Rv::Hole(*hole), Rv::Const(j as i64))),
+                        Box::new(self.choice_guard(*hole, j)),
                         Box::new(v),
                         Box::new(acc),
                     );
@@ -1320,7 +1327,7 @@ impl<'a> Lowerer<'a> {
         match loc {
             Expr::Choice(hole, alts, _) => {
                 for (j, alt) in alts.iter().enumerate() {
-                    let g = Rv::and(guard.clone(), Rv::eq(Rv::Hole(*hole), Rv::Const(j as i64)));
+                    let g = Rv::and(guard.clone(), self.choice_guard(*hole, j));
                     let place = self.place(ctx, alt, nthreads)?;
                     let Place::Cell(lv) = place else {
                         return Err(lerr(span, "atomic location must be scalar"));

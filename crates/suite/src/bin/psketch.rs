@@ -3,7 +3,7 @@
 //! ```text
 //! psketch <file.psk> [--unroll N] [--pool N] [--hole-width N]
 //!         [--int-width N] [--reorder quad|exp] [--max-iters N]
-//!         [--hybrid N] [--threads N] [--portfolio N] [--no-por]
+//!         [--threads N] [--portfolio N] [--no-por]
 //!         [--no-prescreen] [--bank-cap N] [--timeout SECS]
 //!         [--state-budget N] [--memory-budget MIB]
 //!         [--report-json PATH] [--dump-ir] [--explain]
@@ -15,14 +15,14 @@
 //! record per CEGIS iteration). The budget flags bound the run: an
 //! over-budget run exits 4 ("unknown") and names the tripped budget.
 
-use psketch_core::{render_stats, Config, Options, ReorderEncoding, Synthesis, VerifierKind};
+use psketch_core::{render_stats, Config, Options, ReorderEncoding, Synthesis};
 use psketch_suite::CheckerArgs;
 use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
         "usage: psketch <file.psk> [--unroll N] [--pool N] [--hole-width N] \
-         [--int-width N] [--reorder quad|exp] [--max-iters N] [--hybrid N] \
+         [--int-width N] [--reorder quad|exp] [--max-iters N] \
          [--threads N] [--portfolio N] [--no-por] [--no-prescreen] \
          [--bank-cap N] [--timeout SECS] \
          [--state-budget N] [--memory-budget MIB] [--report-json PATH] \
@@ -43,7 +43,6 @@ fn main() {
     let mut file = None;
     let mut config = Config::default();
     let mut max_iterations = 200;
-    let mut verifier = VerifierKind::Exhaustive;
     let mut threads = 1;
     let mut portfolio = 1;
     let mut wall_timeout = None;
@@ -73,11 +72,6 @@ fn main() {
                     _ => usage(),
                 }
             }
-            "--hybrid" => {
-                verifier = VerifierKind::Hybrid {
-                    samples: num("--hybrid"),
-                }
-            }
             "--threads" => threads = num("--threads").max(1),
             "--portfolio" => portfolio = num("--portfolio").max(1),
             "--timeout" => wall_timeout = Some(Duration::from_secs(num("--timeout") as u64)),
@@ -105,7 +99,6 @@ fn main() {
     let mut opts = Options {
         config,
         max_iterations,
-        verifier,
         threads,
         portfolio,
         wall_timeout,

@@ -123,6 +123,33 @@ fn cross_validation_constants() {
     cross_validate("int g; harness void main() { g = ??(3); assert g == 6; }");
     cross_validate("int g; harness void main() { g = ??(2); assert g == 9; }"); // NO
     cross_validate("int g; harness void main() { g = ??(2) + ??(2); assert g == 5 && g > 4; }");
+    // A full-width hole: candidate 200 means -56 at int width 8, as
+    // the literal 200 does, in the synthesizer and the checker alike.
+    cross_validate("int g; harness void main() { g = ??(8); assert g == -56; }");
+}
+
+#[test]
+fn holes_wider_than_int_width_are_rejected() {
+    // Each sketch has a correct candidate only beyond the 2^8 values
+    // an 8-bit int can tell apart; answering NO would be unsound.
+    for src in [
+        "int g; harness void main() { g = ??(9); assert g == 5; }",
+        "int g;
+         harness void main() {
+             int a = 1; int b = 2; int c = 3; int d = 4;
+             g = {| (a|b|c|d|1|2|3) (+|-) (a|b|c|d|1|2|3) (+|-) (a|b|c|d|1|2|3) |};
+             assert g == 12;
+         }",
+    ] {
+        let err = match Synthesis::new(src, Options::default()) {
+            Ok(s) => panic!(
+                "answered {} instead of an error:\n{src}",
+                s.run().resolvable()
+            ),
+            Err(e) => e,
+        };
+        assert!(err.message.contains("int width 8"), "{err}");
+    }
 }
 
 #[test]

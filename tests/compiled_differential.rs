@@ -12,9 +12,9 @@
 //! worker order, so the comparison is exact: identical verdicts, state
 //! and transition counts, and counterexample traces and schedules. The
 //! reference's counterexample schedule must replay to the identical
-//! execution on the artifact, and every trace the artifact's seeded
-//! random sampler finds must replay to itself and refute the candidate
-//! symbolically.
+//! execution on the artifact, and every failure that a replay of a
+//! random schedule reaches must replay to itself from the workers it
+//! fired and refute the candidate symbolically.
 //!
 //! With reduction **on** the artifact carries candidate-sharpened
 //! footprint masks: folded hole values may resolve fork-indexed cells
@@ -27,8 +27,8 @@
 
 use psketch_repro::exec::reference::check_ref_with_limit;
 use psketch_repro::exec::{
-    check_compiled, random_run_compiled, replay_compiled, CheckOutcome, CompiledProgram, Interrupt,
-    SearchLimits, Verdict,
+    check_compiled, replay_compiled, CheckOutcome, CompiledProgram, Interrupt, SearchLimits,
+    Verdict,
 };
 use psketch_repro::ir::{desugar, lower, Assignment, Lowered};
 use psketch_repro::suite::figure9_runs;
@@ -126,22 +126,28 @@ fn compare(l: &Lowered, a: &Assignment, label: &str) {
         );
     }
 
-    // Random sampling: every sampled failure replays to itself on the
-    // artifact and refutes the candidate.
-    for seed in 0..8u64 {
-        let Some(cex) = random_run_compiled(&cp, seed) else {
+    // Random schedules: a failing replay reports the workers it
+    // actually fired; they replay to the identical execution, and its
+    // trace refutes the candidate.
+    if l.workers.is_empty() {
+        return;
+    }
+    let mut rng = Rng::new(7);
+    for k in 0..8 {
+        let order: Vec<usize> = (0..16).map(|_| rng.below(l.workers.len())).collect();
+        let Some(cex) = replay_compiled(&cp, &order) else {
             continue;
         };
-        let tag = format!("{label} seed={seed}");
-        let order: Vec<usize> = cex.schedule.iter().map(|&w| w as usize).collect();
-        let again = replay_compiled(&cp, &order)
-            .unwrap_or_else(|| panic!("{tag}: sampled schedule must replay to a failure"));
-        assert_eq!(again.steps, cex.steps, "{tag}: sampled trace must replay");
-        assert_eq!(again.schedule, cex.schedule, "{tag}: sampled schedule");
+        let tag = format!("{label} schedule {k}");
+        let fired: Vec<usize> = cex.schedule.iter().map(|&w| w as usize).collect();
+        let again = replay_compiled(&cp, &fired)
+            .unwrap_or_else(|| panic!("{tag}: fired schedule must replay to a failure"));
+        assert_eq!(again.steps, cex.steps, "{tag}: fired trace must replay");
+        assert_eq!(again.schedule, cex.schedule, "{tag}: fired schedule");
         assert_eq!(again.failure.kind, cex.failure.kind, "{tag}");
         assert!(
             trace_reproduces(l, &cex, a),
-            "{tag}: sampled cex does not refute candidate"
+            "{tag}: replayed cex does not refute candidate"
         );
     }
 }

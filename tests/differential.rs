@@ -353,3 +353,23 @@ fn int_width_is_configurable() {
         assert!(out.resolved(), "width {width}: wrap-around must hold");
     }
 }
+
+#[test]
+fn out_of_range_widths_are_source_errors() {
+    let src = "int g; harness void main() { g = ??; assert g == 2; }";
+    for (int_width, hole_width) in [(0, 3), (63, 3), (64, 3), (8, 0), (8, 31), (8, 64)] {
+        let opts = Options {
+            config: Config {
+                int_width,
+                hole_width,
+                ..Config::default()
+            },
+            ..Options::default()
+        };
+        let err = match Synthesis::new(src, opts) {
+            Ok(_) => panic!("int width {int_width}, hole width {hole_width} accepted"),
+            Err(e) => e,
+        };
+        assert!(err.message.contains("width"), "{err}");
+    }
+}

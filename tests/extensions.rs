@@ -114,73 +114,6 @@ fn exponential_encoding_reaches_every_permutation() {
 }
 
 #[test]
-fn hybrid_verifier_agrees_with_exhaustive() {
-    use psketch_repro::core::VerifierKind;
-    // Resolvable case: hybrid must find the same (verified) answer.
-    let src = "int g;
-         harness void main() {
-             fork (i; 2) {
-                 if (??(1) == 0) { int t = g; g = t + 1; }
-                 else { int old = AtomicReadAndIncr(g); }
-             }
-             assert g == 2;
-         }";
-    for kind in [
-        VerifierKind::Exhaustive,
-        VerifierKind::Hybrid { samples: 8 },
-    ] {
-        let opts = Options {
-            verifier: kind,
-            ..Options::default()
-        };
-        let out = Synthesis::new(src, opts).unwrap().run();
-        let r = out.resolution.unwrap_or_else(|| panic!("{kind:?} failed"));
-        assert_eq!(r.assignment.value(0), 1, "{kind:?}");
-    }
-    // Unresolvable case: hybrid must still answer NO (the exhaustive
-    // confirmation pass keeps it sound).
-    let bad = "int g;
-         harness void main() {
-             fork (i; 2) { int t = g; g = t + 1; }
-             assert g == 2;
-         }";
-    let opts = Options {
-        verifier: VerifierKind::Hybrid { samples: 4 },
-        ..Options::default()
-    };
-    let out = Synthesis::new(bad, opts).unwrap().run();
-    assert!(out.definitely_unresolvable);
-}
-
-#[test]
-fn random_runs_are_real_executions() {
-    use psketch_repro::exec::{random_run_compiled, CompiledProgram};
-    use psketch_repro::ir::{desugar::desugar_program, lower::lower_program};
-    // A program where half the schedules fail: random runs must find a
-    // failure within a few seeds, and every reported failure must also
-    // be found by the exhaustive checker.
-    let src = "int g;
-         harness void main() {
-             fork (i; 2) { int t = g; g = t + 1; }
-             assert g == 2;
-         }";
-    let cfg = psketch_repro::ir::Config::default();
-    let p = psketch_repro::lang::check_program(src).unwrap();
-    let (sk, holes) = desugar_program(&p, &cfg).unwrap();
-    let l = lower_program(&sk, holes, &cfg).unwrap();
-    let a = l.holes.identity_assignment();
-    let cp = CompiledProgram::compile(&l, &a);
-    let found = (0..64).any(|seed| random_run_compiled(&cp, seed).is_some());
-    assert!(found, "64 random schedules should hit the race");
-    assert!(
-        psketch_repro::exec::check(&l, &a)
-            .counterexample()
-            .is_some(),
-        "exhaustive agrees"
-    );
-}
-
-#[test]
 fn reduction_toggle_preserves_verdicts() {
     use psketch_repro::ir::{desugar::desugar_program, lower::lower_program};
     let cases = [

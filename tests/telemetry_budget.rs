@@ -4,7 +4,7 @@
 //! human-readable report covers every new field.
 
 use psketch_repro::core::telemetry::{BudgetKind, Json, RunReport};
-use psketch_repro::core::{render_stats, Options, Synthesis, VerifierKind};
+use psketch_repro::core::{render_stats, Options, Synthesis};
 use std::time::Duration;
 
 const RACY_SKETCH: &str = "int g;
@@ -45,7 +45,6 @@ fn run_report_json_round_trips() {
         "terminal_states",
         "peak_memory",
         "synth_nodes",
-        "sampled_refutations",
         "portfolio_width",
         "per_thread_states",
         "sat_decisions",
@@ -148,27 +147,21 @@ fn state_budget_trips_to_unknown_with_partial_stats() {
 }
 
 #[test]
-fn wall_budget_trips_parallel_and_hybrid_verifiers() {
-    for (threads, verifier) in [
-        (4, VerifierKind::Exhaustive),
-        (4, VerifierKind::Hybrid { samples: 8 }),
-    ] {
-        let out = Synthesis::new(
-            RACY_SKETCH,
-            Options {
-                threads,
-                portfolio: 2,
-                verifier,
-                wall_timeout: Some(Duration::ZERO),
-                ..Options::default()
-            },
-        )
-        .unwrap()
-        .run();
-        assert!(!out.resolved());
-        let trip = out.budget_trip.expect("wall trip");
-        assert_eq!(trip.budget, BudgetKind::Wall, "verifier={verifier:?}");
-    }
+fn wall_budget_trips_parallel_verifier() {
+    let out = Synthesis::new(
+        RACY_SKETCH,
+        Options {
+            threads: 4,
+            portfolio: 2,
+            wall_timeout: Some(Duration::ZERO),
+            ..Options::default()
+        },
+    )
+    .unwrap()
+    .run();
+    assert!(!out.resolved());
+    let trip = out.budget_trip.expect("wall trip");
+    assert_eq!(trip.budget, BudgetKind::Wall);
 }
 
 #[test]
@@ -208,7 +201,6 @@ fn pretty_report_covers_new_fields() {
         "peak mem",
         "transitions",
         "terminal",
-        "sampled refutations",
         "decisions",
         "propagations",
         "conflicts",
