@@ -11,7 +11,9 @@ use psketch_exec::{
 use psketch_ir::{desugar, lower, resolve, Assignment, Config, Lowered};
 use psketch_lang::ast::Program;
 use psketch_lang::{SourceError, SourceResult};
-use psketch_symbolic::{verify_sequential_limits, CandidateBatch, SeqVerify, Synthesizer};
+use psketch_symbolic::{
+    verify_sequential_limits, CandidateBatch, Observation, SeqVerify, Synthesizer,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -403,40 +405,46 @@ impl Synthesis {
                     candidates.into_iter().zip(results).enumerate()
                 {
                     stats.cost.add(&cost);
+                    let values = candidate.values().to_vec();
+                    let verdict = match &result {
+                        VerifyResult::Correct => "correct".to_string(),
+                        VerifyResult::Trace(_) => "trace".to_string(),
+                        VerifyResult::Input(_) => "input".to_string(),
+                        VerifyResult::Unknown(why) => format!("unknown:{}", why.label()),
+                    };
+                    let mut observed = Observation::default();
+                    if resolution.is_none() {
+                        match result {
+                            VerifyResult::Correct => {
+                                let resolved = resolve::resolve_program(&self.sketch, &candidate);
+                                resolution = Some(Resolution {
+                                    assignment: candidate,
+                                    source: psketch_lang::pretty::print_program(&resolved),
+                                });
+                            }
+                            VerifyResult::Trace(cex) => {
+                                if fed.insert(trace_key(&cex)) {
+                                    observed = synth.add_trace(&cex);
+                                }
+                            }
+                            VerifyResult::Input(x) => observed = synth.add_input(&x),
+                            VerifyResult::Unknown(why) => unknown = Some(why),
+                        }
+                    }
                     records.push(IterationRecord {
                         iteration: base + ix + 1,
                         batch: batch_no,
                         batch_width,
-                        candidate: candidate.values().to_vec(),
-                        verdict: match &result {
-                            VerifyResult::Correct => "correct".to_string(),
-                            VerifyResult::Trace(_) => "trace".to_string(),
-                            VerifyResult::Input(_) => "input".to_string(),
-                            VerifyResult::Unknown(why) => format!("unknown:{}", why.label()),
-                        },
+                        candidate: values,
+                        verdict,
                         trace_set,
                         v_solve_secs: took.as_secs_f64(),
+                        s_model_secs: observed.encode_time.as_secs_f64(),
+                        projected_steps: observed.projected_steps,
+                        resumed_steps: observed.resumed_steps,
+                        new_nodes: observed.new_nodes,
                         cost,
                     });
-                    if resolution.is_some() {
-                        continue;
-                    }
-                    match result {
-                        VerifyResult::Correct => {
-                            let resolved = resolve::resolve_program(&self.sketch, &candidate);
-                            resolution = Some(Resolution {
-                                assignment: candidate,
-                                source: psketch_lang::pretty::print_program(&resolved),
-                            });
-                        }
-                        VerifyResult::Trace(cex) => {
-                            if fed.insert(trace_key(&cex)) {
-                                synth.add_trace(&cex);
-                            }
-                        }
-                        VerifyResult::Input(x) => synth.add_input(&x),
-                        VerifyResult::Unknown(why) => unknown = Some(why),
-                    }
                 }
                 if resolution.is_some() {
                     break;
@@ -656,8 +664,12 @@ impl Synthesis {
                         source: psketch_lang::pretty::print_program(&resolved),
                     });
                 }
-                VerifyResult::Trace(cex) => synth.add_trace(&cex),
-                VerifyResult::Input(x) => synth.add_input(&x),
+                VerifyResult::Trace(cex) => {
+                    synth.add_trace(&cex);
+                }
+                VerifyResult::Input(x) => {
+                    synth.add_input(&x);
+                }
                 VerifyResult::Unknown(_) => break,
             }
         }

@@ -249,6 +249,18 @@ pub struct IterationRecord {
     pub trace_set: usize,
     /// Wall time of this candidate's verification call, seconds.
     pub v_solve_secs: f64,
+    /// Time spent encoding the observation this candidate fed back to
+    /// the synthesizer, seconds. This and the next three are 0 when
+    /// it fed none (a correct candidate, or a portfolio sibling whose
+    /// trace duplicated an earlier one of its batch).
+    pub s_model_secs: f64,
+    /// Steps in that observation's projected order.
+    pub projected_steps: usize,
+    /// Leading steps of that order resumed from the previous trace's
+    /// symbolic evaluation instead of evaluated again.
+    pub resumed_steps: usize,
+    /// Circuit nodes the observation added.
+    pub new_nodes: usize,
     /// What verifying this candidate cost.
     pub cost: VerifyCost,
 }
@@ -259,6 +271,8 @@ impl IterationRecord {
         out.push(("candidate".to_string(), Json::u64_array(&self.candidate)));
         out.push(("verdict".to_string(), Json::Str(self.verdict.clone())));
         out.push(("v_solve_secs".to_string(), Json::Num(self.v_solve_secs)));
+        out.push(("s_model_secs".to_string(), Json::Num(self.s_model_secs)));
+        out.extend(nums!("", self; projected_steps, resumed_steps, new_nodes));
         self.cost.write_json(&mut out);
         Json::Obj(out)
     }
@@ -320,7 +334,11 @@ impl RunReport {
     /// v8: the sampler's refutation count is gone with the
     /// random-schedule sampler: every candidate the prescreen passes
     /// is checked exhaustively.
-    pub const SCHEMA: u32 = 8;
+    ///
+    /// v9: each record carries its observation's Smodel facts
+    /// (`s_model_secs`, `projected_steps`, `resumed_steps`,
+    /// `new_nodes`).
+    pub const SCHEMA: u32 = 9;
 
     /// Serialises the report as a JSON object (two-space indented).
     pub fn to_json(&self) -> String {
@@ -801,6 +819,8 @@ mod tests {
     /// sums thread by thread. `v_solve_secs` is left out: a portfolio
     /// batch verifies its candidates concurrently, so the run's
     /// verifier time is the batch's wall time, not the records' sum.
+    /// `s_model_secs` is at least the records' sum: the run's also
+    /// counts encoding the sketch's static constraints.
     #[test]
     fn run_totals_equal_the_sum_of_their_records() {
         let src = "struct Lock { int owner = -1; }
@@ -844,6 +864,12 @@ mod tests {
                 let Some(per) = per.filter(|_| key != "v_solve_secs") else {
                     continue;
                 };
+                if key == "s_model_secs" {
+                    let sum: f64 = per.iter().map(|v| v.as_f64().unwrap()).sum();
+                    assert!(total.as_f64().unwrap() >= sum, "{label}: {key}");
+                    checked.push(key.as_str());
+                    continue;
+                }
                 match total {
                     Json::Num(total) => {
                         let nums = per.iter().map(|v| v.as_f64().unwrap());
@@ -868,7 +894,13 @@ mod tests {
                 }
                 checked.push(key.as_str());
             }
-            for key in ["states", "prescreen_hits", "bank_size", "per_thread_states"] {
+            for key in [
+                "states",
+                "prescreen_hits",
+                "bank_size",
+                "per_thread_states",
+                "s_model_secs",
+            ] {
                 assert!(checked.contains(&key), "{label}: {key} not checked");
             }
             assert!(report.cost.check.states > 0, "{label}");

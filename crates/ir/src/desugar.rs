@@ -33,8 +33,10 @@ use psketch_lang::typecheck::{assignable, generator_alternatives, infer_expr, Sc
 /// # Errors
 ///
 /// Reports ill-formed generator functions, empty generator languages,
-/// declarations directly inside `reorder`, and non-constant `repeat`
-/// counts that are not holes.
+/// declarations directly inside `reorder`, non-constant `repeat`
+/// counts that are not holes, widths out of range, holes wider than
+/// the int width, and heap pools whose references the int width
+/// cannot hold.
 pub fn desugar_program(program: &Program, config: &Config) -> SourceResult<(Program, HoleTable)> {
     // `1i64 << int_width` must be exact, and a bare `??` takes the
     // parser's `??(n)` range.
@@ -48,6 +50,19 @@ pub fn desugar_program(program: &Program, config: &Config) -> SourceResult<(Prog
                 format!("{what} width {width} is outside 1..={max}"),
             ));
         }
+    }
+    // A reference is the 1-based index of its object, held in
+    // `int_width` bits like any int: a pool of 2^int_width objects
+    // reads as full before its first `new`, and a larger one aliases
+    // references.
+    if !program.structs.is_empty() && config.pool as u64 >= 1 << config.int_width {
+        return Err(derr(
+            Span::default(),
+            format!(
+                "pool of {} objects needs references wider than the int width {}",
+                config.pool, config.int_width
+            ),
+        ));
     }
     let env = TypeEnv::from_program(program)?;
     let mut out = Program {

@@ -1,34 +1,71 @@
 //! Fixed-width two's-complement bitvectors over the circuit.
 
 use crate::circuit::{Circuit, NodeRef};
+use std::fmt;
+
+/// The widest bitvector: the widest `int` the front end accepts.
+const MAX_WIDTH: usize = 62;
 
 /// A bitvector, least-significant bit first.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Bv(pub Vec<NodeRef>);
+///
+/// The bits live inline, so a `Bv` is `Copy` and building one never
+/// allocates. Slots past the width hold `NodeRef::FALSE`, so two
+/// bitvectors are equal exactly when their bits are.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Bv {
+    bits: [NodeRef; MAX_WIDTH],
+    width: u8,
+}
+
+impl fmt::Debug for Bv {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Bv").field(&self.bits()).finish()
+    }
+}
 
 impl Bv {
+    /// A bitvector of `width` bits whose bit `k` is `bit(k)`, asked
+    /// for in order from bit 0.
+    pub(crate) fn from_fn(width: usize, mut bit: impl FnMut(usize) -> NodeRef) -> Bv {
+        assert!(
+            width <= MAX_WIDTH,
+            "bitvector of {width} bits is wider than {MAX_WIDTH}"
+        );
+        let mut bits = [NodeRef::FALSE; MAX_WIDTH];
+        for (k, b) in bits[..width].iter_mut().enumerate() {
+            *b = bit(k);
+        }
+        Bv {
+            bits,
+            width: width as u8,
+        }
+    }
+
+    /// The bits, least-significant first.
+    pub fn bits(&self) -> &[NodeRef] {
+        &self.bits[..self.width()]
+    }
+
     /// Width in bits.
     pub fn width(&self) -> usize {
-        self.0.len()
+        usize::from(self.width)
     }
 
     /// A constant bitvector of `width` bits (two's complement,
     /// truncating).
     pub fn constant(c: &mut Circuit, value: i64, width: usize) -> Bv {
-        Bv((0..width)
-            .map(|k| c.constant((value >> k) & 1 == 1))
-            .collect())
+        Bv::from_fn(width, |k| c.constant((value >> k) & 1 == 1))
     }
 
     /// Fresh unconstrained inputs.
     pub fn input(c: &mut Circuit, width: usize) -> Bv {
-        Bv((0..width).map(|_| c.input()).collect())
+        Bv::from_fn(width, |_| c.input())
     }
 
     /// The constant value, if all bits are constants.
     pub fn as_const(&self) -> Option<i64> {
         let mut v: i64 = 0;
-        for (k, b) in self.0.iter().enumerate() {
+        for (k, b) in self.bits().iter().enumerate() {
             match b.as_const() {
                 Some(true) => v |= 1 << k,
                 Some(false) => {}
@@ -45,45 +82,38 @@ impl Bv {
 
     /// A single-bit boolean lifted to this width (0 or 1).
     pub fn from_bool(c: &mut Circuit, b: NodeRef, width: usize) -> Bv {
-        let mut bits = vec![b];
-        bits.resize(width, c.constant(false));
-        Bv(bits)
+        Bv::from_fn(width, |k| if k == 0 { b } else { c.constant(false) })
     }
 
     /// Is the value non-zero?
     pub fn nonzero(&self, c: &mut Circuit) -> NodeRef {
-        c.or_all(self.0.iter().copied())
+        c.or_all(self.bits().iter().copied())
     }
 
     /// Bitwise mux: `cond ? a : b` (widths must match).
     pub fn mux(c: &mut Circuit, cond: NodeRef, a: &Bv, b: &Bv) -> Bv {
         assert_eq!(a.width(), b.width());
-        Bv(a.0
-            .iter()
-            .zip(&b.0)
-            .map(|(&x, &y)| c.ite(cond, x, y))
-            .collect())
+        Bv::from_fn(a.width(), |k| c.ite(cond, a.bits[k], b.bits[k]))
     }
 
     /// Addition (wrapping).
     pub fn add(c: &mut Circuit, a: &Bv, b: &Bv) -> Bv {
         assert_eq!(a.width(), b.width());
         let mut carry = c.constant(false);
-        let mut out = Vec::with_capacity(a.width());
-        for (&x, &y) in a.0.iter().zip(&b.0) {
+        Bv::from_fn(a.width(), |k| {
+            let (x, y) = (a.bits[k], b.bits[k]);
             let xy = c.xor(x, y);
             let s = c.xor(xy, carry);
             let c1 = c.and(x, y);
             let c2 = c.and(xy, carry);
             carry = c.or(c1, c2);
-            out.push(s);
-        }
-        Bv(out)
+            s
+        })
     }
 
     /// Negation (two's complement).
     pub fn neg(c: &mut Circuit, a: &Bv) -> Bv {
-        let inverted = Bv(a.0.iter().map(|&b| b.not()).collect());
+        let inverted = Bv::from_fn(a.width(), |k| a.bits[k].not());
         let one = Bv::constant(c, 1, a.width());
         Bv::add(c, &inverted, &one)
     }
@@ -100,9 +130,14 @@ impl Bv {
         let mut acc = Bv::constant(c, 0, w);
         for k in 0..w {
             // acc += (b[k] ? a << k : 0)
-            let mut shifted = vec![c.constant(false); k];
-            shifted.extend(a.0.iter().take(w - k).copied());
-            let gated = Bv(shifted.into_iter().map(|bit| c.and(bit, b.0[k])).collect());
+            let gated = Bv::from_fn(w, |j| {
+                let bit = if j < k {
+                    c.constant(false)
+                } else {
+                    a.bits[j - k]
+                };
+                c.and(bit, b.bits[k])
+            });
             acc = Bv::add(c, &acc, &gated);
         }
         acc
@@ -111,8 +146,8 @@ impl Bv {
     /// Equality.
     pub fn eq(c: &mut Circuit, a: &Bv, b: &Bv) -> NodeRef {
         assert_eq!(a.width(), b.width());
-        let bits: Vec<NodeRef> = a.0.iter().zip(&b.0).map(|(&x, &y)| c.iff(x, y)).collect();
-        c.and_all(bits)
+        let same = Bv::from_fn(a.width(), |k| c.iff(a.bits[k], b.bits[k]));
+        c.and_all(same.bits().iter().copied())
     }
 
     /// Signed less-than.
@@ -121,10 +156,10 @@ impl Bv {
         // compute via sign comparison: if signs differ, a<b iff a
         // negative; else compare magnitude via subtraction sign.
         let w = a.width();
-        let sa = a.0[w - 1];
-        let sb = b.0[w - 1];
+        let sa = a.bits[w - 1];
+        let sb = b.bits[w - 1];
         let diff = Bv::sub(c, a, b);
-        let sd = diff.0[w - 1];
+        let sd = diff.bits[w - 1];
         let signs_differ = c.xor(sa, sb);
         // signs differ: a<b iff sa; same signs: no overflow, a<b iff
         // diff negative.
@@ -141,7 +176,7 @@ impl Bv {
         let w = a.width();
         let mut lt = c.constant(false);
         for k in 0..w {
-            let (x, y) = (a.0[k], b.0[k]);
+            let (x, y) = (a.bits[k], b.bits[k]);
             let same = c.iff(x, y);
             let xlty = c.and(x.not(), y);
             lt = c.ite(same, lt, xlty);
@@ -165,7 +200,7 @@ impl Bv {
         assert!(divisor != 0, "constant divisor must be non-zero");
         let w = a.width();
         // |a| via conditional negation.
-        let sa = a.0[w - 1];
+        let sa = a.bits[w - 1];
         let na = Bv::neg(c, a);
         let abs_a = Bv::mux(c, sa, &na, a);
         let abs_d = divisor.unsigned_abs() as i64;
@@ -173,19 +208,22 @@ impl Bv {
         // Unsigned restoring division of abs_a by abs_d, bit by bit
         // from the MSB.
         let mut rem = Bv::constant(c, 0, w);
-        let mut quo = vec![c.constant(false); w];
+        let mut quo = Bv::constant(c, 0, w);
         for k in (0..w).rev() {
             // rem = (rem << 1) | a[k]
-            let mut shifted = vec![abs_a.0[k]];
-            shifted.extend(rem.0.iter().take(w - 1).copied());
-            rem = Bv(shifted);
+            rem = Bv::from_fn(w, |j| {
+                if j == 0 {
+                    abs_a.bits[k]
+                } else {
+                    rem.bits[j - 1]
+                }
+            });
             let dconst = Bv::constant(c, abs_d, w);
             let ge = Bv::ult(c, &rem, &dconst).not();
             let sub = Bv::sub(c, &rem, &dconst);
             rem = Bv::mux(c, ge, &sub, &rem);
-            quo[k] = ge;
+            quo.bits[k] = ge;
         }
-        let quo = Bv(quo);
         // Apply signs: quotient negative iff signs differ; remainder
         // takes the dividend's sign.
         let sd = divisor < 0;
@@ -218,7 +256,7 @@ mod tests {
     /// Evaluates a Bv whose bits came from inputs set by `vals`.
     fn eval_bv(c: &Circuit, bv: &Bv, inputs: &HashMap<u32, bool>) -> i64 {
         let mut v: i64 = 0;
-        for (k, &b) in bv.0.iter().enumerate() {
+        for (k, &b) in bv.bits().iter().enumerate() {
             if c.eval(b, inputs) {
                 v |= 1 << k;
             }
@@ -230,7 +268,7 @@ mod tests {
     }
 
     fn set_input(c: &Circuit, bv: &Bv, value: i64, inputs: &mut HashMap<u32, bool>) {
-        for (k, &b) in bv.0.iter().enumerate() {
+        for (k, &b) in bv.bits().iter().enumerate() {
             inputs.insert(c.input_index(b), (value >> k) & 1 == 1);
         }
     }

@@ -11,6 +11,13 @@
 //! Memory-safety failures are *demand-conditioned*: a null dereference
 //! inside an undemanded `&&`/`||`/mux arm does not fire, mirroring the
 //! concrete evaluator's laziness.
+//!
+//! Successive projections of one sketch share long prefixes. The
+//! evaluator journals each position of the order it evaluated, so
+//! `SymEval::resume` evaluates a new order only from where it leaves
+//! the old one: the state is rolled back to the common prefix and
+//! `fail` is rebuilt from the logged disjuncts. Hash-consing makes the
+//! result the circuit a fresh evaluation builds, node for node.
 
 use crate::bv::Bv;
 use crate::circuit::{Circuit, NodeRef};
@@ -18,18 +25,44 @@ use psketch_ir::{Lowered, Lv, Op, Rv, ThreadId};
 use psketch_lang::ast::{BinOp, UnOp};
 use std::collections::{BTreeSet, HashMap};
 
-/// Symbolic execution of one projected trace.
+/// The journal's record of one position of the evaluated order: the
+/// journal lengths and `running` just before the step at it ran.
+#[derive(Clone, Copy)]
+struct Mark {
+    writes: usize,
+    disjuncts: usize,
+    running: NodeRef,
+}
+
+/// Symbolic execution of projected traces.
 pub struct SymEval<'a> {
     l: &'a Lowered,
     w: usize,
     /// Hole values, one W-wide bitvector per hole.
-    holes: &'a [Bv],
-    globals: Vec<Bv>,
-    heap: Vec<Vec<Bv>>,
-    allocs: Vec<Bv>,
-    locals: Vec<Vec<Bv>>,
+    holes: Vec<Bv>,
+    /// The whole state: the globals, then each struct's pool (object
+    /// by object, field by field), then each struct's allocation
+    /// count, then each thread's locals.
+    slots: Vec<Bv>,
+    /// First slot of each struct's pool.
+    heap_base: Vec<usize>,
+    /// Slot of struct 0's allocation count.
+    alloc_base: usize,
+    /// First slot of each thread's locals.
+    local_base: Vec<usize>,
     running: NodeRef,
     fail: NodeRef,
+    /// The order evaluated so far.
+    order: Vec<(ThreadId, usize)>,
+    /// One mark per position of `order`, plus one for its end.
+    marks: Vec<Mark>,
+    /// Each write that changed a slot, with the slot's old value.
+    writes: Vec<(usize, Bv)>,
+    /// Each non-false failure disjunct a step ORed into `fail`.
+    disjuncts: Vec<NodeRef>,
+    /// Field values of the object an `Alloc` step creates (kept to
+    /// reuse its buffer).
+    fields: Vec<Bv>,
 }
 
 impl<'a> SymEval<'a> {
@@ -42,44 +75,51 @@ impl<'a> SymEval<'a> {
     pub fn new(
         c: &mut Circuit,
         l: &'a Lowered,
-        holes: &'a [Bv],
+        holes: &[Bv],
         inputs: &HashMap<usize, Bv>,
     ) -> SymEval<'a> {
         let w = l.config.int_width as usize;
-        let globals = l
+        let zero = Bv::constant(c, 0, w);
+        let mut slots: Vec<Bv> = l
             .globals
             .iter()
             .enumerate()
             .map(|(ix, g)| match inputs.get(&ix) {
-                Some(bv) => bv.clone(),
+                Some(bv) => *bv,
                 None => Bv::constant(c, g.init, w),
             })
             .collect();
-        let heap = l
-            .structs
-            .iter()
-            .map(|s| {
-                let zero = Bv::constant(c, 0, w);
-                vec![zero; s.fields.len() * s.capacity]
-            })
-            .collect();
-        let allocs = l.structs.iter().map(|_| Bv::constant(c, 0, w)).collect();
-        let locals = (0..l.num_threads())
-            .map(|t| {
-                let zero = Bv::constant(c, 0, w);
-                vec![zero; l.thread(t).locals.len()]
-            })
-            .collect();
+        let mut heap_base = Vec::with_capacity(l.structs.len());
+        for s in &l.structs {
+            heap_base.push(slots.len());
+            slots.resize(slots.len() + s.fields.len() * s.capacity, zero);
+        }
+        let alloc_base = slots.len();
+        slots.resize(alloc_base + l.structs.len(), zero);
+        let mut local_base = Vec::with_capacity(l.num_threads());
+        for t in 0..l.num_threads() {
+            local_base.push(slots.len());
+            slots.resize(slots.len() + l.thread(t).locals.len(), zero);
+        }
         SymEval {
             l,
             w,
-            holes,
-            globals,
-            heap,
-            allocs,
-            locals,
+            holes: holes.to_vec(),
+            slots,
+            heap_base,
+            alloc_base,
+            local_base,
             running: NodeRef::TRUE,
             fail: NodeRef::FALSE,
+            order: Vec::new(),
+            marks: vec![Mark {
+                writes: 0,
+                disjuncts: 0,
+                running: NodeRef::TRUE,
+            }],
+            writes: Vec::new(),
+            disjuncts: Vec::new(),
+            fields: Vec::new(),
         }
     }
 
@@ -93,38 +133,111 @@ impl<'a> SymEval<'a> {
     /// path through, or finds a condition true, is not refuted). `D`
     /// is an ordered set so the conjunction, and with it the encoded
     /// clauses and the SAT search, are the same on every run.
+    ///
+    /// This is the evaluation `Synthesizer::add_trace` resumes, started
+    /// from the empty prefix.
     pub fn run(
-        self,
-        c: &mut Circuit,
-        order: &[(ThreadId, usize)],
-        deadlock: &BTreeSet<(ThreadId, usize)>,
-        deadlock_at: usize,
-    ) -> NodeRef {
-        self.run_with_probe(c, order, deadlock, deadlock_at, |_, _, _, _| {})
-    }
-
-    /// As [`SymEval::run`], invoking `probe(circuit, fail, running,
-    /// position)` after every step — used by debugging tools and tests
-    /// to locate the step that first sets `fail` or clears `running`.
-    pub fn run_with_probe(
         mut self,
         c: &mut Circuit,
         order: &[(ThreadId, usize)],
         deadlock: &BTreeSet<(ThreadId, usize)>,
         deadlock_at: usize,
-        mut probe: impl FnMut(&mut Circuit, NodeRef, NodeRef, usize),
     ) -> NodeRef {
-        for (pos, &(tid, ix)) in order.iter().enumerate() {
+        self.resume(c, order, deadlock, deadlock_at);
+        self.fail
+    }
+
+    /// As [`SymEval::run`], but keeps the evaluator for the next order
+    /// and evaluates only the steps past the longest common prefix
+    /// with the previous one. Returns the length of that prefix; the
+    /// new `fail` node is [`SymEval::fail`].
+    ///
+    /// The state after a prefix does not depend on where a deadlock is
+    /// re-checked, since the check only ORs into `fail`. So the state
+    /// is rolled back to the prefix, and `fail` is rebuilt by ORing
+    /// the logged disjuncts in order, with this order's deadlock check
+    /// evaluated where it falls. Every step inside the prefix would
+    /// re-derive nodes that already exist, so the circuit gains
+    /// exactly the nodes a fresh evaluation adds, in the same order.
+    pub(crate) fn resume(
+        &mut self,
+        c: &mut Circuit,
+        order: &[(ThreadId, usize)],
+        deadlock: &BTreeSet<(ThreadId, usize)>,
+        deadlock_at: usize,
+    ) -> usize {
+        let k = self
+            .order
+            .iter()
+            .zip(order)
+            .take_while(|(a, b)| a == b)
+            .count();
+        let at_k = self.marks[k];
+        self.undo_writes(at_k.writes, self.writes.len());
+        self.writes.truncate(at_k.writes);
+        self.disjuncts.truncate(at_k.disjuncts);
+        self.marks.truncate(k + 1);
+        self.order.truncate(k);
+
+        self.fail = NodeRef::FALSE;
+        if deadlock_at < k {
+            let at_d = self.marks[deadlock_at];
+            self.replay_disjuncts(c, 0, at_d.disjuncts);
+            self.undo_writes(at_d.writes, at_k.writes);
+            self.running = at_d.running;
+            self.check_deadlock(c, deadlock);
+            self.redo_writes(at_d.writes, at_k.writes);
+            self.replay_disjuncts(c, at_d.disjuncts, at_k.disjuncts);
+        } else {
+            self.replay_disjuncts(c, 0, at_k.disjuncts);
+        }
+        self.running = at_k.running;
+
+        for (pos, &(tid, ix)) in order.iter().enumerate().skip(k) {
             if pos == deadlock_at {
                 self.check_deadlock(c, deadlock);
             }
             self.step(c, tid, ix);
-            probe(c, self.fail, self.running, pos);
+            self.order.push((tid, ix));
+            self.marks.push(Mark {
+                writes: self.writes.len(),
+                disjuncts: self.disjuncts.len(),
+                running: self.running,
+            });
         }
         if deadlock_at >= order.len() {
             self.check_deadlock(c, deadlock);
         }
+        k
+    }
+
+    /// The `fail` node of the last order evaluated.
+    pub(crate) fn fail(&self) -> NodeRef {
         self.fail
+    }
+
+    /// ORs the logged disjuncts `from..to` into `fail`, in order.
+    fn replay_disjuncts(&mut self, c: &mut Circuit, from: usize, to: usize) {
+        for &d in &self.disjuncts[from..to] {
+            self.fail = c.or(self.fail, d);
+        }
+    }
+
+    /// Takes back the journaled writes `from..to`, last first. Each
+    /// entry keeps the value it displaces, so [`SymEval::redo_writes`]
+    /// over the same range puts them back.
+    fn undo_writes(&mut self, from: usize, to: usize) {
+        for (slot, v) in self.writes[from..to].iter_mut().rev() {
+            std::mem::swap(&mut self.slots[*slot], v);
+        }
+    }
+
+    /// Reapplies the journaled writes `from..to` that
+    /// [`SymEval::undo_writes`] took back, first first.
+    fn redo_writes(&mut self, from: usize, to: usize) {
+        for (slot, v) in &mut self.writes[from..to] {
+            std::mem::swap(&mut self.slots[*slot], v);
+        }
     }
 
     /// `fail |= running ∧ ⋀_{(t,i) ∈ D} blocked(t, i)` evaluated in
@@ -133,6 +246,7 @@ impl<'a> SymEval<'a> {
         if deadlock.is_empty() {
             return;
         }
+        let logged = self.disjuncts.len();
         let mut all_blocked = NodeRef::TRUE;
         for &(tid, ix) in deadlock {
             let step = &self.l.thread(tid).steps[ix];
@@ -155,17 +269,16 @@ impl<'a> SymEval<'a> {
         }
         let failing = c.and(self.running, all_blocked);
         self.record_fail(c, failing);
-    }
-
-    /// The final value of a global slot (after `run` semantics would
-    /// be wrong — use only for inspection in tests before `run`
-    /// consumes self).
-    pub fn global(&self, ix: usize) -> &Bv {
-        &self.globals[ix]
+        // The check belongs to this trace alone: keep it out of the
+        // journal the next order replays.
+        self.disjuncts.truncate(logged);
     }
 
     fn record_fail(&mut self, c: &mut Circuit, cond: NodeRef) {
-        self.fail = c.or(self.fail, cond);
+        if cond != NodeRef::FALSE {
+            self.disjuncts.push(cond);
+            self.fail = c.or(self.fail, cond);
+        }
     }
 
     fn step(&mut self, c: &mut Circuit, tid: ThreadId, ix: usize) {
@@ -201,8 +314,10 @@ impl<'a> SymEval<'a> {
                 self.write(c, tid, dst, &old, eff);
             }
             Op::Alloc { dst, sid, inits } => {
-                let cnt = self.allocs[*sid].clone();
-                let cap = Bv::constant(c, self.l.structs[*sid].capacity as i64, self.w);
+                let s = &self.l.structs[*sid];
+                let count = self.alloc_base + *sid;
+                let cnt = self.slots[count];
+                let cap = Bv::constant(c, s.capacity as i64, self.w);
                 let full = Bv::eq(c, &cnt, &cap);
                 let failing = c.and(eff, full);
                 self.record_fail(c, failing);
@@ -210,29 +325,24 @@ impl<'a> SymEval<'a> {
                 let refv = Bv::add(c, &cnt, &one);
                 // Initialize fields of the new object (defaults, then
                 // positional overrides).
-                let nf = self.l.structs[*sid].fields.len();
-                let cap_n = self.l.structs[*sid].capacity;
-                let defaults: Vec<Bv> = self.l.structs[*sid]
-                    .fields
-                    .iter()
-                    .map(|(_, _, d)| Bv::constant(c, *d, self.w))
-                    .collect();
-                let mut values = defaults;
+                let mut fields = std::mem::take(&mut self.fields);
+                fields.clear();
+                fields.extend(s.fields.iter().map(|(_, _, d)| Bv::constant(c, *d, self.w)));
                 for (fid, rv) in inits {
-                    values[*fid] = self.eval_rv(c, tid, rv, eff);
+                    fields[*fid] = self.eval_rv(c, tid, rv, eff);
                 }
-                for k in 0..cap_n {
+                let base = self.heap_base[*sid];
+                for k in 0..s.capacity {
                     let kk = Bv::constant(c, k as i64, self.w);
                     let here = Bv::eq(c, &cnt, &kk);
                     let cond = c.and(eff, here);
-                    for (fid, v) in values.iter().enumerate() {
-                        let old = self.heap[*sid][k * nf + fid].clone();
-                        self.heap[*sid][k * nf + fid] = Bv::mux(c, cond, v, &old);
+                    for (fid, v) in fields.iter().enumerate() {
+                        self.write_slot(c, base + k * fields.len() + fid, v, cond);
                     }
                 }
-                let not_full = full.not();
-                let bump = c.and(eff, not_full);
-                self.allocs[*sid] = Bv::mux(c, bump, &refv, &cnt);
+                self.fields = fields;
+                let bump = c.and(eff, full.not());
+                self.write_slot(c, count, &refv, bump);
                 self.write(c, tid, dst, &refv, eff);
             }
             Op::Assert(cond) => {
@@ -262,37 +372,15 @@ impl<'a> SymEval<'a> {
     fn eval_rv(&mut self, c: &mut Circuit, tid: ThreadId, rv: &Rv, demand: NodeRef) -> Bv {
         match rv {
             Rv::Const(v) => Bv::constant(c, *v, self.w),
-            Rv::Global(g) => self.globals[*g].clone(),
-            Rv::Local(x) => self.locals[tid][*x].clone(),
-            Rv::Hole(h) => self.holes[*h as usize].clone(),
-            Rv::GlobalDyn { base, len, ix } => {
-                let i = self.eval_rv(c, tid, ix, demand);
-                self.bounds_fail(c, &i, *len, demand);
-                let cells: Vec<Bv> = (0..*len).map(|k| self.globals[base + k].clone()).collect();
-                self.select(c, &i, &cells)
-            }
+            Rv::Global(g) => self.slots[*g],
+            Rv::Local(x) => self.slots[self.local_base[tid] + x],
+            Rv::Hole(h) => self.holes[*h as usize],
+            Rv::GlobalDyn { base, len, ix } => self.read_dyn(c, tid, *base, *len, ix, demand),
             Rv::LocalDyn { base, len, ix } => {
-                let i = self.eval_rv(c, tid, ix, demand);
-                self.bounds_fail(c, &i, *len, demand);
-                let cells: Vec<Bv> = (0..*len)
-                    .map(|k| self.locals[tid][base + k].clone())
-                    .collect();
-                self.select(c, &i, &cells)
+                let first = self.local_base[tid] + base;
+                self.read_dyn(c, tid, first, *len, ix, demand)
             }
-            Rv::Field { sid, fid, obj } => {
-                let o = self.eval_rv(c, tid, obj, demand);
-                self.null_fail(c, &o, demand);
-                let nf = self.l.structs[*sid].fields.len();
-                let cap = self.l.structs[*sid].capacity;
-                let mut acc = Bv::constant(c, 0, self.w);
-                for k in 0..cap {
-                    let kk = Bv::constant(c, (k + 1) as i64, self.w);
-                    let here = Bv::eq(c, &o, &kk);
-                    let cell = self.heap[*sid][k * nf + *fid].clone();
-                    acc = Bv::mux(c, here, &cell, &acc);
-                }
-                acc
-            }
+            Rv::Field { sid, fid, obj } => self.read_field(c, tid, *sid, *fid, obj, demand),
             Rv::Unary(op, a) => match op {
                 UnOp::Not => {
                     let v = self.eval_bool(c, tid, a, demand);
@@ -385,14 +473,48 @@ impl<'a> SymEval<'a> {
         }
     }
 
-    /// Mux-selects `cells[i]`; out-of-range selects 0 (a bounds
-    /// failure was already recorded).
-    fn select(&mut self, c: &mut Circuit, i: &Bv, cells: &[Bv]) -> Bv {
+    /// Reads cell `ix` of the `len` slots from `first`; out of range
+    /// reads 0 (after recording the bounds failure).
+    fn read_dyn(
+        &mut self,
+        c: &mut Circuit,
+        tid: ThreadId,
+        first: usize,
+        len: usize,
+        ix: &Rv,
+        demand: NodeRef,
+    ) -> Bv {
+        let i = self.eval_rv(c, tid, ix, demand);
+        self.bounds_fail(c, &i, len, demand);
         let mut acc = Bv::constant(c, 0, self.w);
-        for (k, cell) in cells.iter().enumerate() {
+        for k in 0..len {
             let kk = Bv::constant(c, k as i64, self.w);
-            let here = Bv::eq(c, i, &kk);
-            acc = Bv::mux(c, here, cell, &acc);
+            let here = Bv::eq(c, &i, &kk);
+            acc = Bv::mux(c, here, &self.slots[first + k], &acc);
+        }
+        acc
+    }
+
+    /// Reads field `fid` of object `obj`; null reads 0 (after
+    /// recording the null failure).
+    fn read_field(
+        &mut self,
+        c: &mut Circuit,
+        tid: ThreadId,
+        sid: usize,
+        fid: usize,
+        obj: &Rv,
+        demand: NodeRef,
+    ) -> Bv {
+        let o = self.eval_rv(c, tid, obj, demand);
+        self.null_fail(c, &o, demand);
+        let nf = self.l.structs[sid].fields.len();
+        let base = self.heap_base[sid];
+        let mut acc = Bv::constant(c, 0, self.w);
+        for k in 0..self.l.structs[sid].capacity {
+            let kk = Bv::constant(c, (k + 1) as i64, self.w);
+            let here = Bv::eq(c, &o, &kk);
+            acc = Bv::mux(c, here, &self.slots[base + k * nf + fid], &acc);
         }
         acc
     }
@@ -413,73 +535,71 @@ impl<'a> SymEval<'a> {
     }
 
     fn read_lv(&mut self, c: &mut Circuit, tid: ThreadId, lv: &Lv, demand: NodeRef) -> Bv {
-        let rv = match lv {
-            Lv::Global(g) => Rv::Global(*g),
-            Lv::Local(x) => Rv::Local(*x),
-            Lv::GlobalDyn { base, len, ix } => Rv::GlobalDyn {
-                base: *base,
-                len: *len,
-                ix: Box::new(ix.clone()),
-            },
-            Lv::LocalDyn { base, len, ix } => Rv::LocalDyn {
-                base: *base,
-                len: *len,
-                ix: Box::new(ix.clone()),
-            },
-            Lv::Field { sid, fid, obj } => Rv::Field {
-                sid: *sid,
-                fid: *fid,
-                obj: Box::new(obj.clone()),
-            },
-        };
-        self.eval_rv(c, tid, &rv, demand)
+        match lv {
+            Lv::Global(g) => self.slots[*g],
+            Lv::Local(x) => self.slots[self.local_base[tid] + x],
+            Lv::GlobalDyn { base, len, ix } => self.read_dyn(c, tid, *base, *len, ix, demand),
+            Lv::LocalDyn { base, len, ix } => {
+                let first = self.local_base[tid] + base;
+                self.read_dyn(c, tid, first, *len, ix, demand)
+            }
+            Lv::Field { sid, fid, obj } => self.read_field(c, tid, *sid, *fid, obj, demand),
+        }
+    }
+
+    /// `slot = cond ? v : slot`, journaling the old value if it
+    /// changed.
+    fn write_slot(&mut self, c: &mut Circuit, slot: usize, v: &Bv, cond: NodeRef) {
+        let new = Bv::mux(c, cond, v, &self.slots[slot]);
+        let old = std::mem::replace(&mut self.slots[slot], new);
+        if old != new {
+            self.writes.push((slot, old));
+        }
     }
 
     fn write(&mut self, c: &mut Circuit, tid: ThreadId, lv: &Lv, v: &Bv, cond: NodeRef) {
         match lv {
-            Lv::Global(g) => {
-                let old = self.globals[*g].clone();
-                self.globals[*g] = Bv::mux(c, cond, v, &old);
-            }
-            Lv::Local(x) => {
-                let old = self.locals[tid][*x].clone();
-                self.locals[tid][*x] = Bv::mux(c, cond, v, &old);
-            }
-            Lv::GlobalDyn { base, len, ix } => {
-                let i = self.eval_rv(c, tid, ix, cond);
-                self.bounds_fail(c, &i, *len, cond);
-                for k in 0..*len {
-                    let kk = Bv::constant(c, k as i64, self.w);
-                    let here = Bv::eq(c, &i, &kk);
-                    let wc = c.and(cond, here);
-                    let old = self.globals[base + k].clone();
-                    self.globals[base + k] = Bv::mux(c, wc, v, &old);
-                }
-            }
+            Lv::Global(g) => self.write_slot(c, *g, v, cond),
+            Lv::Local(x) => self.write_slot(c, self.local_base[tid] + x, v, cond),
+            Lv::GlobalDyn { base, len, ix } => self.write_dyn(c, tid, *base, *len, ix, v, cond),
             Lv::LocalDyn { base, len, ix } => {
-                let i = self.eval_rv(c, tid, ix, cond);
-                self.bounds_fail(c, &i, *len, cond);
-                for k in 0..*len {
-                    let kk = Bv::constant(c, k as i64, self.w);
-                    let here = Bv::eq(c, &i, &kk);
-                    let wc = c.and(cond, here);
-                    let old = self.locals[tid][base + k].clone();
-                    self.locals[tid][base + k] = Bv::mux(c, wc, v, &old);
-                }
+                let first = self.local_base[tid] + base;
+                self.write_dyn(c, tid, first, *len, ix, v, cond)
             }
             Lv::Field { sid, fid, obj } => {
                 let o = self.eval_rv(c, tid, obj, cond);
                 self.null_fail(c, &o, cond);
                 let nf = self.l.structs[*sid].fields.len();
-                let cap = self.l.structs[*sid].capacity;
-                for k in 0..cap {
+                let base = self.heap_base[*sid];
+                for k in 0..self.l.structs[*sid].capacity {
                     let kk = Bv::constant(c, (k + 1) as i64, self.w);
                     let here = Bv::eq(c, &o, &kk);
                     let wc = c.and(cond, here);
-                    let old = self.heap[*sid][k * nf + *fid].clone();
-                    self.heap[*sid][k * nf + *fid] = Bv::mux(c, wc, v, &old);
+                    self.write_slot(c, base + k * nf + fid, v, wc);
                 }
             }
+        }
+    }
+
+    /// Writes `v` to cell `ix` of the `len` slots from `first`.
+    #[allow(clippy::too_many_arguments)]
+    fn write_dyn(
+        &mut self,
+        c: &mut Circuit,
+        tid: ThreadId,
+        first: usize,
+        len: usize,
+        ix: &Rv,
+        v: &Bv,
+        cond: NodeRef,
+    ) {
+        let i = self.eval_rv(c, tid, ix, cond);
+        self.bounds_fail(c, &i, len, cond);
+        for k in 0..len {
+            let kk = Bv::constant(c, k as i64, self.w);
+            let here = Bv::eq(c, &i, &kk);
+            let wc = c.and(cond, here);
+            self.write_slot(c, first + k, v, wc);
         }
     }
 }

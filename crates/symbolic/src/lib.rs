@@ -24,6 +24,6 @@ pub mod synth;
 pub use circuit::{Circuit, NodeRef};
 pub use project::{project, sequential_order};
 pub use synth::{
-    trace_reproduces, verify_sequential, verify_sequential_limits, CandidateBatch, SeqVerify,
-    SynthStats, Synthesizer,
+    trace_reproduces, verify_sequential, verify_sequential_limits, CandidateBatch, Observation,
+    SeqVerify, SynthStats, Synthesizer,
 };

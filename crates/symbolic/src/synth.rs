@@ -39,6 +39,21 @@ pub enum CandidateBatch {
     Interrupted,
 }
 
+/// What adding one observation cost
+/// ([`Synthesizer::add_trace`], [`Synthesizer::add_input`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Observation {
+    /// Time spent encoding it: its share of the paper's `Smodel`.
+    pub encode_time: Duration,
+    /// Steps in the order it evaluated.
+    pub projected_steps: usize,
+    /// Leading steps of that order shared with the previous trace's,
+    /// which were not evaluated again.
+    pub resumed_steps: usize,
+    /// Circuit nodes it added.
+    pub new_nodes: usize,
+}
+
 /// Work counters for one synthesis session.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SynthStats {
@@ -59,6 +74,9 @@ pub struct Synthesizer<'l> {
     solver: Solver,
     hole_bvs: Vec<Bv>,
     hole_vars: Vec<Vec<Var>>,
+    /// Evaluates each counterexample trace from where its projection
+    /// leaves the previous one's.
+    trace_eval: SymEval<'l>,
     /// Statistics.
     pub stats: SynthStats,
 }
@@ -79,19 +97,16 @@ impl<'l> Synthesizer<'l> {
             let domain = l.holes.domain(h as HoleId);
             let nbits = (64 - (domain - 1).leading_zeros()).max(1) as usize;
             let nbits = nbits.min(w);
-            let mut bits = Vec::with_capacity(w);
             let mut vars = Vec::with_capacity(nbits);
-            for _ in 0..nbits {
-                let b = circuit.input();
-                vars.push(solver.new_var());
-                bits.push(b);
-            }
-            // Bind circuit inputs to pre-created solver vars by
-            // encoding them now, in order.
-            while bits.len() < w {
-                bits.push(circuit.constant(false));
-            }
-            let bv = Bv(bits);
+            let bv = Bv::from_fn(w, |k| {
+                if k < nbits {
+                    let b = circuit.input();
+                    vars.push(solver.new_var());
+                    b
+                } else {
+                    circuit.constant(false)
+                }
+            });
             // Domain bound when not a power of two.
             if domain != (1u64 << nbits.min(63)) {
                 let dom = Bv::constant(&mut circuit, domain as i64, w);
@@ -101,12 +116,14 @@ impl<'l> Synthesizer<'l> {
             hole_bvs.push(bv);
             hole_vars.push(vars);
         }
+        let trace_eval = SymEval::new(&mut circuit, l, &hole_bvs, &HashMap::new());
         let mut s = Synthesizer {
             l,
             circuit,
             solver,
             hole_bvs,
             hole_vars,
+            trace_eval,
             stats: SynthStats::default(),
         };
         // Force-encode the hole bits so decoding can read them, and
@@ -148,8 +165,9 @@ impl<'l> Synthesizer<'l> {
         // solver vars for the hole bits up front so the mapping is
         // stable. Encode each input node and link it to the reserved
         // var by equivalence clauses.
-        for (h, bv) in self.hole_bvs.clone().iter().enumerate() {
-            for (k, &bit) in bv.0.iter().enumerate() {
+        for h in 0..self.hole_bvs.len() {
+            let bv = self.hole_bvs[h];
+            for (k, &bit) in bv.bits().iter().enumerate() {
                 if bit.as_const().is_some() {
                     continue;
                 }
@@ -167,7 +185,7 @@ impl<'l> Synthesizer<'l> {
         let w = self.l.config.int_width as usize;
         let c = &mut self.circuit;
         match e {
-            Expr::HoleRef(h, _, _) => self.hole_bvs[*h as usize].clone(),
+            Expr::HoleRef(h, _, _) => self.hole_bvs[*h as usize],
             Expr::Int(v, _) => Bv::constant(c, *v, w),
             Expr::Bool(b, _) => Bv::constant(c, i64::from(*b), w),
             Expr::Unary(UnOp::Not, a, _) => {
@@ -234,24 +252,29 @@ impl<'l> Synthesizer<'l> {
     }
 
     /// Adds a counterexample-trace observation (concurrent CEGIS).
-    pub fn add_trace(&mut self, cex: &CexTrace) {
+    ///
+    /// The projected order is evaluated from its common prefix with
+    /// the previous trace's; the circuit and the clauses are those a
+    /// fresh evaluation would build.
+    pub fn add_trace(&mut self, cex: &CexTrace) -> Observation {
         let t0 = Instant::now();
+        let nodes = self.circuit.len();
         let order = project(self.l, cex);
         let deadlock: BTreeSet<_> = cex.deadlock.iter().copied().collect();
         let deadlock_at = trace_end_position(&order, cex);
-        let inputs = HashMap::new();
-        let ev = SymEval::new(&mut self.circuit, self.l, &self.hole_bvs, &inputs);
-        let fail = ev.run(&mut self.circuit, &order, &deadlock, deadlock_at);
+        let resumed = self
+            .trace_eval
+            .resume(&mut self.circuit, &order, &deadlock, deadlock_at);
+        let fail = self.trace_eval.fail();
         self.circuit.assert_true(fail.not(), &mut self.solver);
-        self.stats.observations += 1;
-        self.stats.nodes = self.circuit.len();
-        self.stats.encode_time += t0.elapsed();
+        self.observed(t0, nodes, order.len(), resumed)
     }
 
     /// Adds a concrete-input observation (sequential CEGIS, §5):
     /// `values[i]` initializes the `i`-th `is_input` global slot.
-    pub fn add_input(&mut self, values: &[i64]) {
+    pub fn add_input(&mut self, values: &[i64]) -> Observation {
         let t0 = Instant::now();
+        let nodes = self.circuit.len();
         let w = self.l.config.int_width as usize;
         let mut inputs = HashMap::new();
         let mut vi = 0;
@@ -266,9 +289,23 @@ impl<'l> Synthesizer<'l> {
         let ev = SymEval::new(&mut self.circuit, self.l, &self.hole_bvs, &inputs);
         let fail = ev.run(&mut self.circuit, &order, &BTreeSet::new(), order.len());
         self.circuit.assert_true(fail.not(), &mut self.solver);
+        self.observed(t0, nodes, order.len(), 0)
+    }
+
+    /// Counts an observation that started at `t0` with `nodes` circuit
+    /// nodes and evaluated `steps` steps, the first `resumed` of them
+    /// shared with the previous trace.
+    fn observed(&mut self, t0: Instant, nodes: usize, steps: usize, resumed: usize) -> Observation {
+        let encode_time = t0.elapsed();
         self.stats.observations += 1;
         self.stats.nodes = self.circuit.len();
-        self.stats.encode_time += t0.elapsed();
+        self.stats.encode_time += encode_time;
+        Observation {
+            encode_time,
+            projected_steps: steps,
+            resumed_steps: resumed,
+            new_nodes: self.stats.nodes - nodes,
+        }
     }
 
     /// Asks for hole values consistent with all observations. `None`
@@ -450,7 +487,7 @@ pub fn verify_sequential_limits(
     for ix in input_slots {
         let bv = &inputs[&ix];
         let mut v: i64 = 0;
-        for (k, &bit) in bv.0.iter().enumerate() {
+        for (k, &bit) in bv.bits().iter().enumerate() {
             let lit = circuit.lit(bit, &mut solver);
             if solver.lit_model_value(lit) == Some(true) {
                 v |= 1 << k;
@@ -486,7 +523,9 @@ mod tests {
             let out = check(l, &cand);
             match out.counterexample() {
                 None => return Some((cand, iter + 1)),
-                Some(cex) => synth.add_trace(cex),
+                Some(cex) => {
+                    synth.add_trace(cex);
+                }
             }
         }
         panic!("mini CEGIS did not converge in 64 iterations");
@@ -601,7 +640,9 @@ mod tests {
             let cand = synth.next_candidate().expect("resolvable");
             match verify_sequential(&l, &cand) {
                 None => break cand,
-                Some(cex_input) => synth.add_input(&cex_input),
+                Some(cex_input) => {
+                    synth.add_input(&cex_input);
+                }
             }
         };
         assert_eq!(solution.value(0), 3);
@@ -631,7 +672,9 @@ mod tests {
                         resolved = true;
                         break;
                     }
-                    Some(cex) => synth.add_input(&cex),
+                    Some(cex) => {
+                        synth.add_input(&cex);
+                    }
                 },
             }
         }
@@ -650,7 +693,9 @@ mod tests {
                     seen.push(cand.value(0));
                     synth.block(&cand);
                 }
-                Some(cex) => synth.add_trace(cex),
+                Some(cex) => {
+                    synth.add_trace(cex);
+                }
             }
             if seen.len() > 4 {
                 break;
@@ -690,6 +735,77 @@ mod tests {
             panic!("expected candidates");
         };
         assert_eq!(batch.len(), 2);
+    }
+
+    /// Feeds a sketch's counterexamples to two synthesizers: one
+    /// resumes each trace's evaluation from the previous trace's, the
+    /// other evaluates every projected order from a fresh evaluator
+    /// on its own circuit. After every trace both must hold the same
+    /// circuit, `fail` node, variables and clauses, and propose the
+    /// same next candidate.
+    #[test]
+    fn resumed_evaluation_equals_fresh_evaluation() {
+        // Two workers lock `a` and `b` twice; the holes choose lock
+        // orders, or which locks are released before they are taken
+        // again. Wrong candidates deadlock at varying points of
+        // projected orders that share long prefixes.
+        const SKETCH: &str = "struct Lock { int owner = -1; }
+             Lock a; Lock b; int g;
+             void lock(Lock l) { atomic (l.owner == -1) { l.owner = pid(); } }
+             void unlock(Lock l) { l.owner = -1; }
+             harness void main() {
+                 a = new Lock(); b = new Lock();
+                 fork (i; 2) { BODY }
+                 assert g == 4;
+             }";
+        let bodies = [
+            "if (i == ??(2)) { lock(a); lock(b); } else { lock(b); lock(a); }
+             g = g + 1;
+             if (??(1) == 1) { unlock(a); unlock(b); }
+             if (i == ??(2)) { lock(a); lock(b); } else { lock(b); lock(a); }
+             g = g + 1;
+             unlock(a); unlock(b);",
+            "lock(a); lock(b);
+             g = g + 1;
+             if (??(1) == 1) { unlock(b); }
+             if (??(1) == 1) { unlock(a); }
+             lock(a); lock(b);
+             g = g + 1;
+             unlock(a); unlock(b);",
+        ];
+        // A first trace; a deadlock re-checked inside the prefix the
+        // trace shares with the previous one; one re-checked at or
+        // after a non-empty shared prefix.
+        let mut cases = [false; 3];
+        for body in bodies {
+            let l = lowered(&SKETCH.replace("BODY", body));
+            let mut resumed = Synthesizer::new(&l);
+            let mut fresh = Synthesizer::new(&l);
+            loop {
+                let candidate = resumed.next_candidate();
+                assert_eq!(candidate, fresh.next_candidate());
+                let candidate = candidate.expect("resolvable");
+                let out = check(&l, &candidate);
+                let Some(cex) = out.counterexample() else {
+                    break;
+                };
+                let k = resumed.add_trace(cex).resumed_steps;
+                fresh.trace_eval =
+                    SymEval::new(&mut fresh.circuit, &l, &fresh.hole_bvs, &HashMap::new());
+                assert_eq!(fresh.add_trace(cex).resumed_steps, 0);
+                assert_eq!(resumed.circuit.len(), fresh.circuit.len(), "{body}");
+                assert_eq!(resumed.trace_eval.fail(), fresh.trace_eval.fail(), "{body}");
+                assert_eq!(resumed.solver.num_vars(), fresh.solver.num_vars(), "{body}");
+                let clauses = |s: &Synthesizer| s.solver.stats().clauses;
+                assert_eq!(clauses(&resumed), clauses(&fresh), "{body}");
+                assert!(!cex.deadlock.is_empty(), "every trace deadlocks");
+                let deadlock_at = trace_end_position(&project(&l, cex), cex);
+                cases[0] |= k == 0;
+                cases[1] |= deadlock_at < k;
+                cases[2] |= k > 0 && deadlock_at >= k;
+            }
+        }
+        assert_eq!(cases, [true; 3], "first, inside, after the prefix");
     }
 
     #[test]

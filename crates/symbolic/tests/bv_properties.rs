@@ -10,7 +10,7 @@ const W: usize = 8;
 
 fn eval_bv(c: &Circuit, bv: &Bv, inputs: &HashMap<u32, bool>) -> i64 {
     let mut v: i64 = 0;
-    for (k, &b) in bv.0.iter().enumerate() {
+    for (k, &b) in bv.bits().iter().enumerate() {
         if c.eval(b, inputs) {
             v |= 1 << k;
         }
@@ -22,7 +22,7 @@ fn eval_bv(c: &Circuit, bv: &Bv, inputs: &HashMap<u32, bool>) -> i64 {
 }
 
 fn set_input(c: &Circuit, bv: &Bv, value: i64, inputs: &mut HashMap<u32, bool>) {
-    for (k, &b) in bv.0.iter().enumerate() {
+    for (k, &b) in bv.bits().iter().enumerate() {
         inputs.insert(c.input_index(b), (value >> k) & 1 == 1);
     }
 }

@@ -357,19 +357,46 @@ fn int_width_is_configurable() {
 #[test]
 fn out_of_range_widths_are_source_errors() {
     let src = "int g; harness void main() { g = ??; assert g == 2; }";
-    for (int_width, hole_width) in [(0, 3), (63, 3), (64, 3), (8, 0), (8, 31), (8, 64)] {
+    // A reference is held in `int_width` bits, so the pool must stay
+    // below 2^int_width.
+    let heap = "struct N { int v = 1; } N p; int g;
+                harness void main() { p = new N(); g = p.v + ??(2); assert g == 3; }";
+    for (src, int_width, hole_width, pool) in [
+        (src, 0, 3, 8),
+        (src, 63, 3, 8),
+        (src, 64, 3, 8),
+        (src, 8, 0, 8),
+        (src, 8, 31, 8),
+        (src, 8, 64, 8),
+        (heap, 4, 3, 16),
+        (heap, 8, 3, 256),
+    ] {
         let opts = Options {
             config: Config {
                 int_width,
                 hole_width,
+                pool,
                 ..Config::default()
             },
             ..Options::default()
         };
         let err = match Synthesis::new(src, opts) {
-            Ok(_) => panic!("int width {int_width}, hole width {hole_width} accepted"),
+            Ok(_) => panic!(
+                "int width {int_width}, hole width {hole_width}, pool {pool} accepted:\n{src}"
+            ),
             Err(e) => e,
         };
         assert!(err.message.contains("width"), "{err}");
     }
+    // The largest pool the width holds still resolves.
+    let opts = Options {
+        config: Config {
+            int_width: 4,
+            pool: 15,
+            ..Config::default()
+        },
+        ..Options::default()
+    };
+    let out = Synthesis::new(heap, opts).unwrap().run();
+    assert_eq!(out.resolution.expect("resolves").assignment.value(0), 2);
 }
