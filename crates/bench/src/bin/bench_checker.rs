@@ -189,7 +189,6 @@ fn main() {
             // prescreen or bank, so those columns read 0.
             let cost = VerifyCost {
                 check: out.stats,
-                per_thread_states: out.per_thread_states,
                 ..if sealed {
                     VerifyCost::sealed(cp)
                 } else {
@@ -215,7 +214,7 @@ fn main() {
     }
 
     let meta = vec![
-        field("schema", Json::from(7)),
+        field("schema", Json::from(8)),
         field("suite", Json::Str("checker_engine_throughput".into())),
         field("cores", Json::from(cores as i64)),
         field("samples", Json::from(h.samples as i64)),

@@ -5,14 +5,13 @@ use crate::telemetry::{
     BudgetKind, BudgetTrip, CegisStats, IterationRecord, RunReport, VerifyCost,
 };
 use psketch_exec::{
-    check_parallel_compiled, CexTrace, CompiledProgram, FailureKind, Interrupt, ScheduleBank,
-    SearchLimits, Verdict,
+    check_compiled, CexTrace, CompiledProgram, Interrupt, ScheduleBank, SearchLimits, Verdict,
 };
 use psketch_ir::{desugar, lower, resolve, Assignment, Config, Lowered};
 use psketch_lang::ast::Program;
 use psketch_lang::{SourceError, SourceResult};
 use psketch_symbolic::{
-    verify_sequential_limits, CandidateBatch, Observation, SeqVerify, Synthesizer,
+    verify_sequential_limits, NoCandidate, Observation, SeqVerify, Synthesizer,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -58,19 +57,21 @@ pub struct Options {
     /// compiles.
     #[doc(hidden)]
     pub verifier: VerifierKind,
-    /// Search threads inside one verification call: the exhaustive
-    /// checker splits its frontier across this many workers. `1` (the
-    /// default) runs the exact sequential search.
+    /// Unused: every candidate is verified on the calling thread. Kept
+    /// so `perfbench/src/workload.rs`, which sets the field, still
+    /// compiles.
+    #[doc(hidden)]
     pub threads: usize,
-    /// Candidates proposed and verified concurrently per CEGIS
-    /// iteration (portfolio width). Every refuted candidate's trace is
-    /// fed back in one batch. `1` (the default) is classic CEGIS.
+    /// Unused: each iteration proposes and verifies one candidate.
+    /// Kept so `perfbench/src/workload.rs`, which sets the field, still
+    /// compiles.
+    #[doc(hidden)]
     pub portfolio: usize,
     /// Wall-clock budget for the whole run. When it expires, the run
-    /// stops cooperatively — the SAT solver, the sequential DFS and the
-    /// parallel workers all poll the deadline — and returns unknown
-    /// with a [`BudgetTrip`] naming the wall budget. `None` (the
-    /// default) never times out.
+    /// stops cooperatively — the SAT solver and the checker both poll
+    /// the deadline — and returns unknown with a [`BudgetTrip`] naming
+    /// the wall budget. `None` (the default) never times out, and so
+    /// does a budget too large for the clock to represent.
     pub wall_timeout: Option<Duration>,
     /// Cumulative state budget across *all* verification calls of the
     /// run ([`Options::max_states`] bounds each single call). When the
@@ -260,7 +261,8 @@ impl Synthesis {
     /// Runs the CEGIS loop to completion and also returns the
     /// machine-readable [`RunReport`]: one [`IterationRecord`] per
     /// candidate tried plus run-level totals, serialisable with
-    /// [`RunReport::to_json`].
+    /// [`RunReport::to_json`]. Each iteration proposes one candidate
+    /// and verifies it on the calling thread.
     ///
     /// Resource budgets ([`Options::wall_timeout`],
     /// [`Options::state_budget`], [`Options::memory_budget`]) are
@@ -282,14 +284,13 @@ impl Synthesis {
         let mut synth = Synthesizer::new(&self.lowered);
         let mut resolution = None;
         let mut definitely_unresolvable = false;
-        let width = self.options.portfolio.max(1);
 
         // One bank for the whole run: schedules found in any iteration
-        // (by any portfolio worker) prescreen every later candidate.
+        // prescreen every later candidate.
         let bank = (self.options.prescreen && self.mode == Mode::Harness)
             .then(|| ScheduleBank::new(self.options.bank_capacity));
 
-        let deadline = self.options.wall_timeout.map(|d| t0 + d);
+        let deadline = self.options.wall_timeout.and_then(|d| t0.checked_add(d));
         let cancel = Arc::new(AtomicBool::new(false));
         let trip: Mutex<Option<BudgetTrip>> = Mutex::new(None);
         let done = AtomicBool::new(false);
@@ -325,7 +326,6 @@ impl Synthesis {
                 });
             }
 
-            let mut batch_no = 0usize;
             while stats.iterations < self.options.max_iterations {
                 // The watchdog polls every few milliseconds, but a run
                 // can conclude between two polls; checking here too
@@ -364,14 +364,15 @@ impl Synthesis {
                     por: self.options.por,
                     ..SearchLimits::default()
                 };
-                let k = width.min(self.options.max_iterations - stats.iterations);
-                let candidates = match synth.next_candidates(k) {
-                    CandidateBatch::Found(v) => v,
-                    CandidateBatch::Exhausted => {
+                let trace_set = synth.stats.observations;
+                let solved = synth.stats.solve_time;
+                let candidate = match synth.next_candidate() {
+                    Ok(candidate) => candidate,
+                    Err(NoCandidate::Exhausted) => {
                         definitely_unresolvable = true;
                         break;
                     }
-                    CandidateBatch::Interrupted => {
+                    Err(NoCandidate::Interrupted) => {
                         set_trip(
                             &trip,
                             BudgetTrip::new(
@@ -383,69 +384,44 @@ impl Synthesis {
                         break;
                     }
                 };
-                let base = stats.iterations;
-                batch_no += 1;
-                let batch_width = candidates.len();
-                stats.iterations += batch_width;
-                stats.portfolio_width = stats.portfolio_width.max(batch_width);
-                let trace_set = synth.stats.observations;
+                let s_solve = synth.stats.solve_time - solved;
+                stats.iterations += 1;
                 let tv = Instant::now();
-                let results = self.verify_batch(&candidates, &limits, bank.as_ref());
-                stats.v_solve += tv.elapsed();
-                // A correct candidate wins; otherwise every trace
-                // feeds back as one observation batch. Portfolio
-                // siblings often die on the same interleaving, and the
-                // trace projection is candidate-independent, so
-                // identical traces within the batch are encoded once.
-                // Every candidate of the batch was verified, so every
-                // one is recorded, siblings after the winner included.
-                let mut unknown: Option<Interrupt> = None;
-                let mut fed: std::collections::HashSet<TraceKey> = std::collections::HashSet::new();
-                for (ix, (candidate, (result, cost, took))) in
-                    candidates.into_iter().zip(results).enumerate()
-                {
-                    stats.cost.add(&cost);
-                    let values = candidate.values().to_vec();
-                    let verdict = match &result {
-                        VerifyResult::Correct => "correct".to_string(),
-                        VerifyResult::Trace(_) => "trace".to_string(),
-                        VerifyResult::Input(_) => "input".to_string(),
-                        VerifyResult::Unknown(why) => format!("unknown:{}", why.label()),
-                    };
-                    let mut observed = Observation::default();
-                    if resolution.is_none() {
-                        match result {
-                            VerifyResult::Correct => {
-                                let resolved = resolve::resolve_program(&self.sketch, &candidate);
-                                resolution = Some(Resolution {
-                                    assignment: candidate,
-                                    source: psketch_lang::pretty::print_program(&resolved),
-                                });
-                            }
-                            VerifyResult::Trace(cex) => {
-                                if fed.insert(trace_key(&cex)) {
-                                    observed = synth.add_trace(&cex);
-                                }
-                            }
-                            VerifyResult::Input(x) => observed = synth.add_input(&x),
-                            VerifyResult::Unknown(why) => unknown = Some(why),
-                        }
+                let (result, cost) = self.verify_once(&candidate, &limits, bank.as_ref());
+                let v_solve = tv.elapsed();
+                stats.v_solve += v_solve;
+                stats.cost.add(&cost);
+                let values = candidate.values().to_vec();
+                let mut unknown = None;
+                let (verdict, observed) = match result {
+                    VerifyResult::Correct => {
+                        let resolved = resolve::resolve_program(&self.sketch, &candidate);
+                        resolution = Some(Resolution {
+                            assignment: candidate,
+                            source: psketch_lang::pretty::print_program(&resolved),
+                        });
+                        ("correct".to_string(), Observation::default())
                     }
-                    records.push(IterationRecord {
-                        iteration: base + ix + 1,
-                        batch: batch_no,
-                        batch_width,
-                        candidate: values,
-                        verdict,
-                        trace_set,
-                        v_solve_secs: took.as_secs_f64(),
-                        s_model_secs: observed.encode_time.as_secs_f64(),
-                        projected_steps: observed.projected_steps,
-                        resumed_steps: observed.resumed_steps,
-                        new_nodes: observed.new_nodes,
-                        cost,
-                    });
-                }
+                    VerifyResult::Trace(cex) => ("trace".to_string(), synth.add_trace(&cex)),
+                    VerifyResult::Input(x) => ("input".to_string(), synth.add_input(&x)),
+                    VerifyResult::Unknown(why) => {
+                        unknown = Some(why);
+                        (format!("unknown:{}", why.label()), Observation::default())
+                    }
+                };
+                records.push(IterationRecord {
+                    iteration: stats.iterations,
+                    candidate: values,
+                    verdict,
+                    trace_set,
+                    s_solve_secs: s_solve.as_secs_f64(),
+                    v_solve_secs: v_solve.as_secs_f64(),
+                    s_model_secs: observed.encode_time.as_secs_f64(),
+                    projected_steps: observed.projected_steps,
+                    resumed_steps: observed.resumed_steps,
+                    new_nodes: observed.new_nodes,
+                    cost,
+                });
                 if resolution.is_some() {
                     break;
                 }
@@ -545,31 +521,6 @@ impl Synthesis {
         }
     }
 
-    /// Verifies a batch of candidates, concurrently when the batch has
-    /// more than one, returning each one's result, cost and wall time.
-    fn verify_batch(
-        &self,
-        candidates: &[Assignment],
-        limits: &SearchLimits,
-        bank: Option<&ScheduleBank>,
-    ) -> Vec<(VerifyResult, VerifyCost, Duration)> {
-        let timed = |c: &Assignment| {
-            let t0 = Instant::now();
-            let (result, cost) = self.verify_once(c, limits, bank);
-            (result, cost, t0.elapsed())
-        };
-        match candidates {
-            [one] => vec![timed(one)],
-            many => std::thread::scope(|scope| {
-                let handles: Vec<_> = many.iter().map(|c| scope.spawn(move || timed(c))).collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("portfolio verifier thread panicked"))
-                    .collect()
-            }),
-        }
-    }
-
     /// Verifies one candidate. In harness mode this is one straight
     /// line: seal, prescreen against the bank, exhaustive check.
     fn verify_once(
@@ -597,9 +548,8 @@ impl Synthesis {
                         return (VerifyResult::Trace(cex), cost);
                     }
                 }
-                let out = check_parallel_compiled(&cp, limits, self.options.threads.max(1));
+                let out = check_compiled(&cp, limits);
                 cost.check = out.stats;
-                cost.per_thread_states = out.per_thread_states;
                 let result = match out.verdict {
                     Verdict::Pass => VerifyResult::Correct,
                     Verdict::Fail(cex) => {
@@ -652,7 +602,7 @@ impl Synthesis {
         let mut iterations = 0;
         while found.len() < limit && iterations < self.options.max_iterations {
             iterations += 1;
-            let Some(candidate) = synth.next_candidate() else {
+            let Ok(candidate) = synth.next_candidate() else {
                 break;
             };
             match self.verify_once(&candidate, &self.base_limits(), None).0 {
@@ -692,28 +642,6 @@ enum VerifyResult {
     Trace(CexTrace),
     Input(Vec<i64>),
     Unknown(Interrupt),
-}
-
-/// Identity of a counterexample for within-batch deduplication: the
-/// executed steps, the failure site and the deadlock set pin the
-/// symbolic projection completely (the projection is independent of
-/// which candidate produced the trace).
-type TraceKey = (
-    Vec<(usize, usize)>,
-    std::mem::Discriminant<FailureKind>,
-    usize,
-    usize,
-    Vec<(usize, usize)>,
-);
-
-fn trace_key(cex: &CexTrace) -> TraceKey {
-    (
-        cex.steps.clone(),
-        std::mem::discriminant(&cex.failure.kind),
-        cex.failure.tid,
-        cex.failure.step,
-        cex.deadlock.clone(),
-    )
 }
 
 /// Records the first budget trip; later trips lose.
@@ -1032,55 +960,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_portfolio_agree_with_sequential() {
-        let src = "int g;
-             harness void main() {
-                 fork (i; 2) {
-                     if (??(1) == 0) { int t = g; g = t + 1; }
-                     else { int old = AtomicReadAndIncr(g); }
-                 }
-                 assert g == 2;
-             }";
-        let sequential = run(src);
-        for (threads, portfolio) in [(4, 1), (1, 3), (4, 3)] {
-            let opts = Options {
-                threads,
-                portfolio,
-                ..Options::default()
-            };
-            let out = Synthesis::new(src, opts).unwrap().run();
-            let r = out.resolution.expect("resolvable with threads/portfolio");
-            assert_eq!(
-                r.assignment,
-                sequential.resolution.as_ref().unwrap().assignment,
-                "threads={threads} portfolio={portfolio}"
-            );
-            if portfolio > 1 {
-                assert!(out.stats.portfolio_width > 1);
-            }
-            if threads > 1 {
-                assert!(out.stats.cost.per_thread_states.len() >= threads);
-            }
-        }
-    }
-
-    #[test]
-    fn portfolio_reports_unresolvable() {
-        let opts = Options {
-            portfolio: 4,
-            ..Options::default()
-        };
-        let out = Synthesis::new(
-            "int g; harness void main() { g = ??(2); assert g == 9; }",
-            opts,
-        )
-        .unwrap()
-        .run();
-        assert!(!out.resolved());
-        assert!(out.definitely_unresolvable);
-    }
-
-    #[test]
     fn prescreen_refutes_repeat_offenders() {
         // Reorder holes change the step sequence, so one candidate's
         // trace projection does not exclude the next candidate — but
@@ -1124,34 +1003,6 @@ mod tests {
         assert_eq!(off.prescreen_hits, 0);
         assert_eq!(off.prescreen_replays, 0);
         assert_eq!(off.bank_size, 0);
-    }
-
-    #[test]
-    fn portfolio_batch_feeds_duplicate_traces_once() {
-        // Every candidate in the batch dies on the identical prologue
-        // trace (the steps don't depend on the hole value), so the
-        // batch must encode one observation, not four.
-        let opts = Options {
-            portfolio: 4,
-            prescreen: false,
-            ..Options::default()
-        };
-        let s = Synthesis::new(
-            "int g; harness void main() { g = ??(3); assert g == 9; }",
-            opts,
-        )
-        .unwrap();
-        let (out, report) = s.run_report();
-        assert!(out.definitely_unresolvable);
-        let first = report.records.iter().find(|r| r.batch == 1).unwrap();
-        assert_eq!(first.batch_width, 4);
-        assert_eq!(first.trace_set, 0);
-        if let Some(second) = report.records.iter().find(|r| r.batch == 2) {
-            assert_eq!(
-                second.trace_set, 1,
-                "four identical batch-1 traces must feed back as one observation"
-            );
-        }
     }
 
     #[test]

@@ -56,19 +56,6 @@ pub fn render_stats(name: &str, test: &str, outcome: &Outcome) -> String {
         "  sat: decisions = {}  propagations = {}  conflicts = {}  restarts = {}",
         st.sat.decisions, st.sat.propagations, st.sat.conflicts, st.sat.restarts
     );
-    if !cost.per_thread_states.is_empty() {
-        let per: Vec<String> = cost
-            .per_thread_states
-            .iter()
-            .map(usize::to_string)
-            .collect();
-        let _ = writeln!(
-            out,
-            "  threads: per-thread states = [{}]  portfolio width = {}",
-            per.join(", "),
-            st.portfolio_width
-        );
-    }
     if let Some(trip) = &outcome.budget_trip {
         let _ = writeln!(
             out,

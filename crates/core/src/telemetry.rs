@@ -80,8 +80,6 @@ pub struct VerifyCost {
     /// Exhaustive-search counters (zero when the prescreen refuted the
     /// candidate first).
     pub check: CheckStats,
-    /// States first discovered per checker thread.
-    pub per_thread_states: Vec<usize>,
     /// Candidates refuted by a banked schedule — the exhaustive search
     /// was skipped.
     pub prescreen_hits: u64,
@@ -115,21 +113,9 @@ impl VerifyCost {
     }
 
     /// Adds `other` to this cost: every counter sums, except
-    /// `bank_size`, which keeps the maximum, and `per_thread_states`,
-    /// which sums thread by thread.
+    /// `bank_size`, which keeps the maximum.
     pub fn add(&mut self, other: &VerifyCost) {
         self.check.add(&other.check);
-        if self.per_thread_states.len() < other.per_thread_states.len() {
-            self.per_thread_states
-                .resize(other.per_thread_states.len(), 0);
-        }
-        for (acc, n) in self
-            .per_thread_states
-            .iter_mut()
-            .zip(&other.per_thread_states)
-        {
-            *acc += n;
-        }
         self.prescreen_hits += other.prescreen_hits;
         self.prescreen_replays += other.prescreen_replays;
         self.bank_size = self.bank_size.max(other.bank_size);
@@ -141,10 +127,6 @@ impl VerifyCost {
         out.extend(nums!("", self.check;
             states, transitions, terminal_states, journal_writes, state_clones,
             por_ample_hits, por_fallbacks, states_pruned));
-        out.push((
-            "per_thread_states".to_string(),
-            Json::usize_array(&self.per_thread_states),
-        ));
         out.extend(nums!("", self;
             prescreen_hits, prescreen_replays, bank_size, compile_us));
     }
@@ -160,7 +142,7 @@ pub struct CegisStats {
     pub s_solve: Duration,
     /// Synthesizer encoding time (`Smodel`).
     pub s_model: Duration,
-    /// Verifier wall time (`Vsolve`); a portfolio batch counts once.
+    /// Verifier wall time (`Vsolve`).
     pub v_solve: Duration,
     /// Front-end + lowering time (`Vmodel`: the paper's model
     /// generation/compilation).
@@ -181,9 +163,6 @@ pub struct CegisStats {
     pub sat: SolverStats,
     /// Circuit nodes in the synthesizer at the end.
     pub synth_nodes: usize,
-    /// Widest batch of candidates verified concurrently in one
-    /// iteration (1 for classic CEGIS).
-    pub portfolio_width: usize,
     /// Verification cost summed over every candidate tried.
     pub cost: VerifyCost,
 }
@@ -202,7 +181,7 @@ impl CegisStats {
 
     /// Appends the run totals' JSON fields to `out`.
     pub fn write_json(&self, out: &mut Vec<(String, Json)>) {
-        out.extend(nums!("", self; iterations, synth_nodes, portfolio_width));
+        out.extend(nums!("", self; iterations, synth_nodes));
         for (key, d) in [
             ("total_secs", self.total),
             ("s_solve_secs", self.s_solve),
@@ -236,10 +215,6 @@ impl CegisStats {
 pub struct IterationRecord {
     /// 1-based candidate index (the paper's `Itns` counter).
     pub iteration: usize,
-    /// 1-based batch number (equals `iteration` for classic CEGIS).
-    pub batch: usize,
-    /// Candidates proposed concurrently in this batch.
-    pub batch_width: usize,
     /// The candidate's hole values, in hole order.
     pub candidate: Vec<u64>,
     /// `"correct"`, `"trace"`, `"input"`, or `"unknown:<reason>"`.
@@ -247,12 +222,13 @@ pub struct IterationRecord {
     /// Observations (|T|) accumulated before this candidate was
     /// proposed.
     pub trace_set: usize,
+    /// Time of the SAT solve that proposed this candidate, seconds.
+    pub s_solve_secs: f64,
     /// Wall time of this candidate's verification call, seconds.
     pub v_solve_secs: f64,
     /// Time spent encoding the observation this candidate fed back to
     /// the synthesizer, seconds. This and the next three are 0 when
-    /// it fed none (a correct candidate, or a portfolio sibling whose
-    /// trace duplicated an earlier one of its batch).
+    /// it fed none (a correct candidate, or an unknown verdict).
     pub s_model_secs: f64,
     /// Steps in that observation's projected order.
     pub projected_steps: usize,
@@ -267,12 +243,11 @@ pub struct IterationRecord {
 
 impl IterationRecord {
     fn to_json(&self) -> Json {
-        let mut out = Vec::from(nums!("", self; iteration, batch, batch_width, trace_set));
+        let mut out = Vec::from(nums!("", self; iteration, trace_set));
         out.push(("candidate".to_string(), Json::u64_array(&self.candidate)));
         out.push(("verdict".to_string(), Json::Str(self.verdict.clone())));
-        out.push(("v_solve_secs".to_string(), Json::Num(self.v_solve_secs)));
-        out.push(("s_model_secs".to_string(), Json::Num(self.s_model_secs)));
-        out.extend(nums!("", self; projected_steps, resumed_steps, new_nodes));
+        out.extend(nums!("", self;
+            s_solve_secs, v_solve_secs, s_model_secs, projected_steps, resumed_steps, new_nodes));
         self.cost.write_json(&mut out);
         Json::Obj(out)
     }
@@ -338,7 +313,13 @@ impl RunReport {
     /// v9: each record carries its observation's Smodel facts
     /// (`s_model_secs`, `projected_steps`, `resumed_steps`,
     /// `new_nodes`).
-    pub const SCHEMA: u32 = 9;
+    ///
+    /// v10: each iteration proposes and verifies one candidate, so the
+    /// records' `batch` and `batch_width`, the run's `portfolio_width`
+    /// and the checker's `per_thread_states` are gone; each record
+    /// carries the time of the SAT solve that proposed it
+    /// (`s_solve_secs`).
+    pub const SCHEMA: u32 = 10;
 
     /// Serialises the report as a JSON object (two-space indented).
     pub fn to_json(&self) -> String {
@@ -406,10 +387,6 @@ impl From<i64> for Json {
 
 impl Json {
     fn u64_array(v: &[u64]) -> Json {
-        Json::Arr(v.iter().map(|&x| Json::Num(x as f64)).collect())
-    }
-
-    fn usize_array(v: &[usize]) -> Json {
         Json::Arr(v.iter().map(|&x| Json::Num(x as f64)).collect())
     }
 
@@ -815,12 +792,11 @@ mod tests {
     }
 
     /// Every numeric key the run object shares with its records is the
-    /// records' sum (`bank_size`: their maximum), and `per_thread_states`
-    /// sums thread by thread. `v_solve_secs` is left out: a portfolio
-    /// batch verifies its candidates concurrently, so the run's
-    /// verifier time is the batch's wall time, not the records' sum.
-    /// `s_model_secs` is at least the records' sum: the run's also
-    /// counts encoding the sketch's static constraints.
+    /// records' sum (`bank_size`: their maximum), except the phase
+    /// times, which are at least the records' sum: the run's
+    /// `s_model_secs` also counts encoding the sketch's static
+    /// constraints, and its `s_solve_secs` the final solve of a run
+    /// that ends unresolvable, which proposes no candidate.
     #[test]
     fn run_totals_equal_the_sum_of_their_records() {
         let src = "struct Lock { int owner = -1; }
@@ -835,76 +811,50 @@ mod tests {
                  }
                  assert g == 2;
              }";
-        let portfolio = Options {
-            portfolio: 3,
-            prescreen: true,
-            ..Options::default()
+        let (out, report) = Synthesis::new(src, Options::default())
+            .unwrap()
+            .run_report();
+        assert!(out.resolved());
+        let run = Json::parse(&report.to_json()).unwrap();
+        let records = run.get("records").and_then(Json::as_arr).unwrap();
+        assert_eq!(records.len(), report.iterations);
+        assert!(records.len() > 1, "needs a refuted candidate");
+        let Json::Obj(fields) = &run else {
+            panic!("the report is an object")
         };
-        let threads = Options {
-            threads: 2,
-            ..Options::default()
-        };
-        for options in [portfolio, threads] {
-            let label = format!(
-                "threads={} portfolio={}",
-                options.threads, options.portfolio
-            );
-            let (out, report) = Synthesis::new(src, options).unwrap().run_report();
-            assert!(out.resolved(), "{label}");
-            let run = Json::parse(&report.to_json()).unwrap();
-            let records = run.get("records").and_then(Json::as_arr).unwrap();
-            assert_eq!(records.len(), report.iterations, "{label}");
-            assert!(records.len() > 1, "{label}: needs a refuted candidate");
-            let Json::Obj(fields) = &run else {
-                panic!("the report is an object")
+        let mut checked = Vec::new();
+        for (key, total) in fields {
+            let per: Option<Vec<f64>> = records
+                .iter()
+                .map(|r| r.get(key).and_then(Json::as_f64))
+                .collect();
+            let (Some(per), Some(total)) = (per, total.as_f64()) else {
+                continue;
             };
-            let mut checked = Vec::new();
-            for (key, total) in fields {
-                let per: Option<Vec<&Json>> = records.iter().map(|r| r.get(key)).collect();
-                let Some(per) = per.filter(|_| key != "v_solve_secs") else {
-                    continue;
-                };
-                if key == "s_model_secs" {
-                    let sum: f64 = per.iter().map(|v| v.as_f64().unwrap()).sum();
-                    assert!(total.as_f64().unwrap() >= sum, "{label}: {key}");
-                    checked.push(key.as_str());
-                    continue;
-                }
-                match total {
-                    Json::Num(total) => {
-                        let nums = per.iter().map(|v| v.as_f64().unwrap());
-                        let expected = if key == "bank_size" {
-                            nums.fold(0.0, f64::max)
-                        } else {
-                            nums.sum()
-                        };
-                        assert_eq!(*total, expected, "{label}: {key}");
-                    }
-                    Json::Arr(total) => {
-                        let mut expected = vec![0.0; total.len()];
-                        for v in &per {
-                            for (acc, n) in expected.iter_mut().zip(v.as_arr().unwrap()) {
-                                *acc += n.as_f64().unwrap();
-                            }
-                        }
-                        let total: Vec<f64> = total.iter().map(|n| n.as_f64().unwrap()).collect();
-                        assert_eq!(total, expected, "{label}: {key}");
-                    }
-                    _ => continue,
-                }
-                checked.push(key.as_str());
+            if key.ends_with("_secs") {
+                // Durations are whole nanoseconds, so they are summed
+                // exactly as such.
+                let ns = |secs: f64| (secs * 1e9).round() as u64;
+                let sum: u64 = per.iter().map(|&secs| ns(secs)).sum();
+                assert!(ns(total) >= sum, "{key}: {total} s < {sum} ns");
+            } else if key == "bank_size" {
+                assert_eq!(total, per.iter().copied().fold(0.0, f64::max), "{key}");
+            } else {
+                assert_eq!(total, per.iter().sum::<f64>(), "{key}");
             }
-            for key in [
-                "states",
-                "prescreen_hits",
-                "bank_size",
-                "per_thread_states",
-                "s_model_secs",
-            ] {
-                assert!(checked.contains(&key), "{label}: {key} not checked");
-            }
-            assert!(report.cost.check.states > 0, "{label}");
+            checked.push(key.as_str());
         }
+        for key in [
+            "states",
+            "prescreen_hits",
+            "bank_size",
+            "s_solve_secs",
+            "s_model_secs",
+            "v_solve_secs",
+        ] {
+            assert!(checked.contains(&key), "{key} not checked");
+        }
+        assert!(report.cost.check.states > 0);
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //! completeness are therefore untouched by the bank's eviction policy,
 //! capacity, or the order schedules are tried in.
 //!
-//! The bank is shared across portfolio verifier threads behind a single
-//! [`Mutex`]. The lock is only held to snapshot the schedule list and
-//! to bump hit counters — the replays themselves run lock-free — so
-//! contention stays negligible next to even one checker call.
+//! The bank sits behind a single [`Mutex`]. The lock is only held to
+//! snapshot the schedule list and to bump hit counters; the replays
+//! themselves run outside it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -55,7 +54,7 @@ pub struct BankStats {
 }
 
 /// A bounded, deduplicated store of counterexample schedules shared
-/// across CEGIS iterations and portfolio workers.
+/// across CEGIS iterations.
 pub struct ScheduleBank {
     inner: Mutex<Vec<Entry>>,
     capacity: usize,

@@ -5,12 +5,12 @@
 //! with state hashing (dead thread-locals are masked out of the
 //! canonical state to merge equivalent paths) and exact
 //! counterexample-trace extraction. The checker has exactly one
-//! constructor, `Checker::from_compiled`: the sequential DFS, the
-//! parallel search, replay and the schedule-bank prescreen all execute
-//! the artifact's micro-op code, so one step semantics drives every
-//! engine, and [`crate::reference`] is the independent oracle they are
-//! tested against. Every driver starts an execution at
-//! [`Checker::root`] and ends it at [`Checker::terminal`].
+//! constructor, `Checker::from_compiled`: the DFS, replay and the
+//! schedule-bank prescreen all execute the artifact's micro-op code,
+//! so one step semantics drives them all, and [`crate::reference`] is
+//! the independent oracle they are tested against. Each of them starts
+//! an execution at [`Checker::root`] and ends it at
+//! [`Checker::terminal`].
 //!
 //! The search is **zero-clone**: one live [`StateBuf`] is mutated in
 //! place as transitions fire, every write is recorded in an
@@ -58,11 +58,10 @@ impl Interrupt {
 /// `max_states` is claim-based: every *fresh* insertion into the
 /// visited set claims one slot, and the search stops with
 /// [`Interrupt::StateLimit`] exactly when slot `max_states + 1` is
-/// claimed. Both the sequential and the parallel checker use the same
-/// rule, so the pass/unknown boundary is deterministic and
-/// thread-count independent: a state space of at most `max_states`
-/// distinct states always passes (absent a failure), one of
-/// `max_states + 1` or more never does.
+/// claimed. The reference engine uses the same rule, so the
+/// pass/unknown boundary is deterministic: a state space of at most
+/// `max_states` distinct states always passes (absent a failure), one
+/// of `max_states + 1` or more never does.
 #[derive(Clone, Debug)]
 pub struct SearchLimits {
     /// Maximum distinct states to explore.
@@ -156,9 +155,8 @@ pub struct CheckStats {
     /// Writes recorded in the undo journal — the undo engine's unit of
     /// per-transition work (the reference clone engine reports 0).
     pub journal_writes: u64,
-    /// Full state snapshots paid. The undo engine clones only where a
-    /// state must outlive the search path (work stealing, epilogue in
-    /// the reference engine); the clone engine pays one per transition.
+    /// Full state snapshots paid. The undo engine never clones; the
+    /// reference clone engine pays one per transition.
     pub state_clones: usize,
     /// States at which partial-order reduction found a proper ample
     /// subset of the enabled workers.
@@ -196,10 +194,6 @@ pub struct CheckOutcome {
     pub verdict: Verdict,
     /// Search counters.
     pub stats: CheckStats,
-    /// States first discovered by each search thread. The sequential
-    /// checker reports a single entry; the parallel checker one entry
-    /// per worker thread (the shared initial state is unattributed).
-    pub per_thread_states: Vec<usize>,
 }
 
 impl CheckOutcome {
@@ -650,25 +644,6 @@ impl<'a> Checker<'a> {
         })
     }
 
-    /// The outcome of a search whose candidate failed at
-    /// [`Checker::root`]: the work was real, so it is reported (see
-    /// [`early_failure_stats`]).
-    pub(crate) fn early_failure(
-        cex: CexTrace,
-        j: &UndoJournal,
-        per_thread_states: Vec<usize>,
-    ) -> CheckOutcome {
-        let stats = CheckStats {
-            journal_writes: j.total_writes(),
-            ..early_failure_stats(&cex.steps)
-        };
-        CheckOutcome {
-            verdict: Verdict::Fail(cex),
-            stats,
-            per_thread_states,
-        }
-    }
-
     fn finished(&self, buf: &StateBuf, w: usize) -> bool {
         self.pc(buf, w) >= self.l.workers[w].steps.len()
     }
@@ -806,7 +781,7 @@ impl<'a> Checker<'a> {
 
     /// XOR accumulator of the shared segment (globals + heap +
     /// allocs): each cell contributes `cell_hash(offset, value)`.
-    pub(crate) fn shared_acc(&self, buf: &StateBuf) -> u64 {
+    fn shared_acc(&self, buf: &StateBuf) -> u64 {
         let mut acc = 0u64;
         for (off, &v) in buf.slice(0, self.shared_len).iter().enumerate() {
             acc ^= cell_hash(off as u64, v);
@@ -818,7 +793,7 @@ impl<'a> Checker<'a> {
     /// end of the state so it collides with no real cell) XORed with
     /// its locals, dead slots hashed as 0 — exactly the values
     /// [`Checker::materialize_canonical`] writes for this worker.
-    pub(crate) fn worker_contrib(&self, buf: &StateBuf, w: usize) -> u64 {
+    fn worker_contrib(&self, buf: &StateBuf, w: usize) -> u64 {
         let pc = self.pc(buf, w);
         let mut acc = cell_hash((self.lay.state_len() + w) as u64, pc as i64);
         let live = &self.live[w];
@@ -857,7 +832,7 @@ impl<'a> Checker<'a> {
     /// the state fingerprint (the final avalanche). Shared by the
     /// incremental DFS (which maintains the accumulator from the
     /// journal) and [`Checker::fingerprint_state`] (which rebuilds it).
-    pub(crate) fn finish_fp(&self, acc: u64) -> u64 {
+    fn finish_fp(&self, acc: u64) -> u64 {
         combine_fp(acc, self.lay.state_len() as u64)
     }
 
@@ -889,7 +864,18 @@ impl<'a> Checker<'a> {
         let (buf, root) = self.root(&mut j);
         let prefix = match root {
             Ok(steps) => steps,
-            Err(cex) => return Checker::early_failure(cex, &j, vec![1]),
+            Err(cex) => {
+                // The candidate failed before any interleaving exists;
+                // the work was real, so it is reported.
+                let stats = CheckStats {
+                    journal_writes: j.total_writes(),
+                    ..early_failure_stats(&cex.steps)
+                };
+                return CheckOutcome {
+                    verdict: Verdict::Fail(cex),
+                    stats,
+                };
+            }
         };
         // The root state is permanent: nothing undoes past it.
         j.reset();
@@ -933,7 +919,6 @@ impl<'a> Checker<'a> {
         let outcome = |verdict, stats: &CheckStats| CheckOutcome {
             verdict,
             stats: *stats,
-            per_thread_states: vec![stats.states],
         };
         let unknown = |why: Interrupt, stats: &mut CheckStats| {
             // Clamp: an over-limit search consumed exactly its budget.

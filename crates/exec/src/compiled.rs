@@ -2,9 +2,8 @@
 //!
 //! A [`CompiledProgram`] seals one `(Lowered, Assignment)` pair into an
 //! execution artifact; [`CompiledProgram::compile`] seals every
-//! candidate fresh. The sequential DFS, the parallel search, replay
-//! and the schedule-bank prescreen all build their checker from it
-//! with `Checker::from_compiled`:
+//! candidate fresh. The DFS, replay and the schedule-bank prescreen
+//! all build their checker from it with `Checker::from_compiled`:
 //!
 //! - holes are substituted and constants folded *at emit time*: one
 //!   walk over the original trees streams micro-ops out while
@@ -954,9 +953,8 @@ fn fps_por(l: &Lowered, candidate: &Assignment) -> FpsPor {
 pub(crate) type LiveMasks = Vec<Vec<Vec<u64>>>;
 
 /// The sealed, hole-substituted execution artifact of one candidate:
-/// compiled once, shared by the sequential DFS, the parallel engine,
-/// replay and the schedule-bank prescreen. Engines borrow
-/// its tables; they never copy them.
+/// compiled once, shared by the DFS, replay and the schedule-bank
+/// prescreen. Engines borrow its tables; they never copy them.
 #[derive(Clone)]
 pub struct CompiledProgram<'l> {
     /// The original (hole-bearing) program the artifact was sealed

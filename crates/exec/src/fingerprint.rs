@@ -1,4 +1,4 @@
-//! 64-bit state fingerprints and the visited sets built on them.
+//! 64-bit state fingerprints and the visited set built on them.
 //!
 //! The checker reduces every canonical state to a 64-bit fingerprint
 //! (a splitmix64-style mix over the words) and stores only that. With
@@ -19,15 +19,13 @@
 //!   journaled shared cells and the fired worker's pc/locals are
 //!   re-hashed, O(writes) instead of O(state) — and dead-local masking
 //!   happens during hashing, so no per-state `Vec` is ever allocated.
-//!   The visited sets accept pre-computed fingerprints via
-//!   [`FpSet::insert_fp_with`] / [`ShardedFpSet::insert_claim_fp_with`];
-//!   the state closure is only invoked under `exact-visited`, which is
-//!   the one mode that still materializes full states.
+//!   The visited set accepts pre-computed fingerprints via
+//!   [`FpSet::insert_fp_with`]; the state closure is only invoked under
+//!   `exact-visited`, which is the one mode that still materializes
+//!   full states.
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 #[cfg(feature = "exact-visited")]
 use std::collections::HashMap;
@@ -109,7 +107,7 @@ fn check_collision(exact: &mut HashMap<u64, Vec<i64>>, fp: u64, state: Vec<i64>,
     }
 }
 
-/// Single-threaded visited set keyed by state fingerprint.
+/// Visited set keyed by state fingerprint.
 #[derive(Default)]
 pub struct FpSet {
     set: FpHashSet,
@@ -153,96 +151,6 @@ impl FpSet {
     }
 }
 
-/// Concurrent visited set: fingerprints spread over lock-striped
-/// shards, so parallel search threads rarely contend on the same lock.
-pub struct ShardedFpSet {
-    shards: Vec<Mutex<FpHashSet>>,
-    count: AtomicUsize,
-    #[cfg(feature = "exact-visited")]
-    exact: Vec<Mutex<HashMap<u64, Vec<i64>>>>,
-}
-
-impl ShardedFpSet {
-    /// A set with at least `min_shards` shards (rounded up to a power
-    /// of two).
-    pub fn new(min_shards: usize) -> ShardedFpSet {
-        let n = min_shards.max(1).next_power_of_two();
-        ShardedFpSet {
-            shards: (0..n).map(|_| Mutex::new(FpHashSet::default())).collect(),
-            count: AtomicUsize::new(0),
-            #[cfg(feature = "exact-visited")]
-            exact: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
-    }
-
-    /// Inserts `state`; true when it was not present. Linearizes on the
-    /// shard lock: two threads inserting the same state race to one
-    /// winner.
-    pub fn insert(&self, state: &[i64]) -> bool {
-        self.insert_claim(state).is_some()
-    }
-
-    /// Inserts `state`; on a fresh insertion returns its 1-based claim
-    /// number (the atomic counter is bumped exactly once per distinct
-    /// state, so claim numbers are unique and dense). Callers enforcing
-    /// a state budget compare the claim against the bound: the thread
-    /// that claims slot `max + 1` trips the limit, deterministically,
-    /// regardless of thread count.
-    pub fn insert_claim(&self, state: &[i64]) -> Option<usize> {
-        self.insert_claim_fp_with(fingerprint(state), || state.to_vec())
-    }
-
-    /// As [`ShardedFpSet::insert_claim`], for a pre-computed
-    /// fingerprint. The `state` closure materializes the canonical
-    /// vector and is only invoked under `exact-visited`.
-    pub fn insert_claim_fp_with<F: FnOnce() -> Vec<i64>>(
-        &self,
-        fp: u64,
-        state: F,
-    ) -> Option<usize> {
-        // Shard on the high bits; the table buckets use the low bits.
-        let ix = (fp >> 48) as usize & (self.shards.len() - 1);
-        let fresh = self.shards[ix]
-            .lock()
-            .expect("visited-set shard poisoned")
-            .insert(fp);
-        #[cfg(feature = "exact-visited")]
-        check_collision(
-            &mut self.exact[ix]
-                .lock()
-                .expect("exact visited-set shard poisoned"),
-            fp,
-            state(),
-            fresh,
-        );
-        #[cfg(not(feature = "exact-visited"))]
-        let _ = state;
-        if fresh {
-            Some(self.count.fetch_add(1, Ordering::Relaxed) + 1)
-        } else {
-            None
-        }
-    }
-
-    /// Number of distinct states inserted (monotone; may lag a racing
-    /// insert by a moment).
-    ///
-    /// When a search halts on a limit, `len()` can *overshoot* the
-    /// limit: workers keep inserting between the tripping claim and
-    /// the stop-flag propagation, bounded by one `expand` call per
-    /// worker — at most `threads × branching-factor` extra states.
-    /// Reported [`crate::CheckStats`] are clamped to the limit; this
-    /// raw count is not.
-    pub fn len(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// True when no state has been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,20 +179,5 @@ mod tests {
         assert!(!s.insert(&[9, 9]));
         assert!(!s.insert_fp_with(fp, || vec![9, 9]));
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn sharded_set_deduplicates_across_threads() {
-        let s = ShardedFpSet::new(8);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for k in 0..1000i64 {
-                        s.insert(&[k, k * 31, -k]);
-                    }
-                });
-            }
-        });
-        assert_eq!(s.len(), 1000);
     }
 }

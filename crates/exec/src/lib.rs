@@ -15,7 +15,7 @@
 //! Every search runs a sealed [`CompiledProgram`]: [`check`] seals the
 //! candidate itself, while the CEGIS loop seals once per iteration and
 //! shares the artifact between [`ScheduleBank::prescreen_compiled`]
-//! and [`check_parallel_compiled`].
+//! and [`check_compiled`].
 //! [`mod@reference`] is the independent oracle the engine is tested
 //! against.
 //!
@@ -46,7 +46,6 @@ mod bank;
 mod checker;
 mod compiled;
 pub mod fingerprint;
-mod parallel;
 mod por;
 pub mod reference;
 mod store;
@@ -59,6 +58,5 @@ pub use checker::{
     CheckStats, Interrupt, SearchLimits, Verdict,
 };
 pub use compiled::CompiledProgram;
-pub use parallel::check_parallel_compiled;
 pub use store::{CexTrace, Failure, FailureKind, StateBuf, StateLayout, UndoJournal};
 pub use trace_fmt::{format_lowered, format_trace};

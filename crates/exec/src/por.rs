@@ -247,8 +247,8 @@ impl PorTable {
     /// enabled-worker bitmask, `active` the not-yet-finished bitmask
     /// (`enabled ⊆ active`; blocked = `active & !enabled`). Requires
     /// at most 64 workers and at least two enabled (the caller
-    /// guards). Deterministic in its arguments, so the sequential and
-    /// the parallel engines reduce to the identical state graph.
+    /// guards). Deterministic in its arguments, so every search of one
+    /// artifact reduces to the identical state graph.
     pub(crate) fn ample(&self, pcs: &[usize], enabled: u64, active: u64) -> Option<u64> {
         let nwords = self.nwords;
         let mut cur_r = vec![0u64; nwords];

@@ -612,7 +612,6 @@ impl<'a> RefChecker<'a> {
                         schedule: vec![],
                     }),
                     stats,
-                    per_thread_states: vec![stats.states],
                 };
             }
         };
@@ -635,7 +634,6 @@ impl<'a> RefChecker<'a> {
                         schedule: vec![],
                     }),
                     stats,
-                    per_thread_states: vec![stats.states],
                 }
             }
         }
@@ -662,7 +660,6 @@ impl<'a> RefChecker<'a> {
             CheckOutcome {
                 verdict: Verdict::Unknown(why),
                 stats: *stats,
-                per_thread_states: vec![stats.states],
             }
         };
         let mut visited = FpSet::new();
@@ -726,7 +723,6 @@ impl<'a> RefChecker<'a> {
                                         schedule,
                                     }),
                                     stats: *stats,
-                                    per_thread_states: vec![stats.states],
                                 };
                             }
                         }
@@ -743,7 +739,6 @@ impl<'a> RefChecker<'a> {
                                 schedule,
                             }),
                             stats: *stats,
-                            per_thread_states: vec![stats.states],
                         };
                     }
                 }
@@ -787,7 +782,6 @@ impl<'a> RefChecker<'a> {
                                 schedule,
                             }),
                             stats: *stats,
-                            per_thread_states: vec![stats.states],
                         };
                     }
                 }
@@ -800,7 +794,6 @@ impl<'a> RefChecker<'a> {
         CheckOutcome {
             verdict: Verdict::Pass,
             stats: *stats,
-            per_thread_states: vec![stats.states],
         }
     }
 }

@@ -184,9 +184,8 @@ impl StateLayout {
 }
 
 /// The flat execution state: one contiguous word vector addressed
-/// through a [`StateLayout`]. Cloning is a single memcpy — the engine
-/// only does it where a state must genuinely outlive the search path
-/// (work stealing in the parallel checker).
+/// through a [`StateLayout`]. The engine mutates one buffer in place
+/// and never clones it.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct StateBuf {
     data: Vec<i64>,

@@ -3,8 +3,7 @@
 //! ```text
 //! psketch <file.psk> [--unroll N] [--pool N] [--hole-width N]
 //!         [--int-width N] [--reorder quad|exp] [--max-iters N]
-//!         [--threads N] [--portfolio N] [--no-por]
-//!         [--no-prescreen] [--bank-cap N] [--timeout SECS]
+//!         [--no-por] [--no-prescreen] [--bank-cap N] [--timeout SECS]
 //!         [--state-budget N] [--memory-budget MIB]
 //!         [--report-json PATH] [--dump-ir] [--explain]
 //! ```
@@ -23,8 +22,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: psketch <file.psk> [--unroll N] [--pool N] [--hole-width N] \
          [--int-width N] [--reorder quad|exp] [--max-iters N] \
-         [--threads N] [--portfolio N] [--no-por] [--no-prescreen] \
-         [--bank-cap N] [--timeout SECS] \
+         [--no-por] [--no-prescreen] [--bank-cap N] [--timeout SECS] \
          [--state-budget N] [--memory-budget MIB] [--report-json PATH] \
          [--dump-ir] [--explain]"
     );
@@ -43,8 +41,6 @@ fn main() {
     let mut file = None;
     let mut config = Config::default();
     let mut max_iterations = 200;
-    let mut threads = 1;
-    let mut portfolio = 1;
     let mut wall_timeout = None;
     let mut state_budget = None;
     let mut memory_budget = None;
@@ -72,11 +68,15 @@ fn main() {
                     _ => usage(),
                 }
             }
-            "--threads" => threads = num("--threads").max(1),
-            "--portfolio" => portfolio = num("--portfolio").max(1),
             "--timeout" => wall_timeout = Some(Duration::from_secs(num("--timeout") as u64)),
             "--state-budget" => state_budget = Some(num("--state-budget")),
-            "--memory-budget" => memory_budget = Some(num("--memory-budget") as u64 * 1024 * 1024),
+            "--memory-budget" => {
+                let bytes = (num("--memory-budget") as u64).checked_mul(1024 * 1024);
+                memory_budget = Some(bytes.unwrap_or_else(|| {
+                    eprintln!("bad value for --memory-budget");
+                    usage()
+                }));
+            }
             "--report-json" => match it.next() {
                 Some(path) => report_json = Some(path.clone()),
                 None => usage(),
@@ -99,8 +99,6 @@ fn main() {
     let mut opts = Options {
         config,
         max_iterations,
-        threads,
-        portfolio,
         wall_timeout,
         state_budget,
         memory_budget,

@@ -1,6 +1,6 @@
 //! Argument handling of the paper reproduction binaries: an unknown
-//! flag is an error (the usage line on stderr, exit status 2), never
-//! silently taken as a benchmark filter or ignored.
+//! flag or a bad value is an error (the usage line on stderr, exit
+//! status 2), never silently taken as a benchmark filter or ignored.
 
 use std::process::{Command, Output};
 
@@ -46,4 +46,29 @@ fn table1_rejects_unknown_flags() {
     let out = run(table1, &["--no-por", "--dump", "queueE1"]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("harness"));
+}
+
+#[test]
+fn psketch_rejects_removed_flags_and_bad_values() {
+    let psketch = env!("CARGO_BIN_EXE_psketch");
+    let sketch = std::env::temp_dir().join(format!("psketch-cli-args-{}.psk", std::process::id()));
+    std::fs::write(
+        &sketch,
+        "int g; harness void main() { g = ??(2); assert g == 1; }",
+    )
+    .expect("cannot write the sketch");
+    let file = sketch.to_str().expect("temp path is UTF-8");
+    let out = run(psketch, &[file]);
+    assert_eq!(out.status.code(), Some(0), "the sketch resolves");
+    // Verification runs on one thread with one candidate per
+    // iteration: the flags that changed either are gone.
+    assert_rejected(psketch, "psketch", &[file, "--threads", "2"]);
+    assert_rejected(psketch, "psketch", &[file, "--portfolio", "3"]);
+    // 2^44 MiB is 2^64 bytes: no budget, not a wrapped one of 0 bytes.
+    assert_rejected(
+        psketch,
+        "psketch",
+        &[file, "--memory-budget", "17592186044416"],
+    );
+    let _ = std::fs::remove_file(&sketch);
 }

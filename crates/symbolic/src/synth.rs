@@ -5,8 +5,8 @@
 //! (sequential `implements` mode) — contributes the constraint
 //! `¬fail(Sk_t[c])`, encoded by symbolically evaluating the projected
 //! trace. [`Synthesizer::next_candidate`] asks the solver for hole
-//! values consistent with every observation so far; `None` means the
-//! sketch cannot be resolved.
+//! values consistent with every observation so far;
+//! [`NoCandidate::Exhausted`] means the sketch cannot be resolved.
 
 use crate::bv::Bv;
 use crate::circuit::{Circuit, NodeRef};
@@ -21,21 +21,29 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Result of asking for a batch of candidates
-/// ([`Synthesizer::next_candidates`]).
-#[derive(Clone, Debug)]
-pub enum CandidateBatch {
-    /// Candidates consistent with every observation so far (possibly
-    /// fewer than requested when the space is nearly exhausted or a
-    /// limit tripped mid-batch).
-    Found(Vec<Assignment>),
+/// Why [`Synthesizer::next_candidate`] proposed no candidate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NoCandidate {
     /// The candidate space is exhausted: the sketch cannot be resolved
     /// under the current observations (and therefore at all, since
     /// observations only shrink the space).
     Exhausted,
     /// A solver limit installed via [`Synthesizer::set_limits`]
-    /// tripped before the first candidate was found. Says nothing
-    /// about resolvability.
+    /// tripped. Says nothing about resolvability.
+    Interrupted,
+}
+
+/// [`Synthesizer::next_candidate`]'s outcome with the candidate in a
+/// one-element `Vec`. Kept so `perfbench/src/trace.rs`, which matches
+/// it, still compiles.
+#[doc(hidden)]
+#[derive(Clone, Debug)]
+pub enum CandidateBatch {
+    /// One candidate.
+    Found(Vec<Assignment>),
+    /// See [`NoCandidate::Exhausted`].
+    Exhausted,
+    /// See [`NoCandidate::Interrupted`].
     Interrupted,
 }
 
@@ -148,8 +156,8 @@ impl<'l> Synthesizer<'l> {
 
     /// Installs cooperative limits on the underlying SAT solver: solve
     /// calls past `deadline` or with `cancel` raised return promptly
-    /// and [`Synthesizer::next_candidates`] reports
-    /// [`CandidateBatch::Interrupted`].
+    /// and [`Synthesizer::next_candidate`] reports
+    /// [`NoCandidate::Interrupted`].
     pub fn set_limits(&mut self, deadline: Option<Instant>, cancel: Option<Arc<AtomicBool>>) {
         self.solver.set_limits(deadline, cancel);
     }
@@ -308,68 +316,33 @@ impl<'l> Synthesizer<'l> {
         }
     }
 
-    /// Asks for hole values consistent with all observations. `None`
-    /// means the sketch cannot be resolved (for these observations —
-    /// and since observations only ever shrink the space, for the
-    /// whole problem) — or, when limits are installed via
-    /// [`Synthesizer::set_limits`], that a limit tripped; use
-    /// [`Synthesizer::next_candidates`] to tell the two apart.
-    pub fn next_candidate(&mut self) -> Option<Assignment> {
+    /// Asks for hole values consistent with all observations.
+    ///
+    /// # Errors
+    ///
+    /// [`NoCandidate::Exhausted`] when no candidate is left, and
+    /// [`NoCandidate::Interrupted`] when a limit installed via
+    /// [`Synthesizer::set_limits`] tripped first.
+    pub fn next_candidate(&mut self) -> Result<Assignment, NoCandidate> {
         let t0 = Instant::now();
         let r = self.solver.solve();
         self.stats.solve_time += t0.elapsed();
-        if r != SolveResult::Sat {
-            return None;
+        match r {
+            SolveResult::Sat => Ok(self.decode_model()),
+            SolveResult::Unsat => Err(NoCandidate::Exhausted),
+            SolveResult::Interrupted => Err(NoCandidate::Interrupted),
         }
-        Some(self.decode_model())
     }
 
-    /// Asks for up to `k` pairwise-distinct candidates consistent with
-    /// all observations so far (portfolio CEGIS). Fewer than `k` are
-    /// returned when the space has fewer remaining candidates.
-    ///
-    /// Diversification uses assumption-guarded blocking clauses: each
-    /// found assignment is excluded by a clause `¬sel ∨ ¬bit…` and the
-    /// selector `sel` is only assumed within this call, so — unlike
-    /// [`Synthesizer::block`] — the candidate space is not permanently
-    /// shrunk.
-    pub fn next_candidates(&mut self, k: usize) -> CandidateBatch {
-        let t0 = Instant::now();
-        let r = self.solver.solve();
-        self.stats.solve_time += t0.elapsed();
-        let mut out = match r {
-            SolveResult::Unsat => return CandidateBatch::Exhausted,
-            SolveResult::Interrupted => return CandidateBatch::Interrupted,
-            SolveResult::Sat => vec![self.decode_model()],
-        };
-        if k <= 1 {
-            return CandidateBatch::Found(out);
+    /// [`Synthesizer::next_candidate`], whatever `k`. Kept so
+    /// `perfbench/src/trace.rs`, which calls it, still compiles.
+    #[doc(hidden)]
+    pub fn next_candidates(&mut self, _k: usize) -> CandidateBatch {
+        match self.next_candidate() {
+            Ok(candidate) => CandidateBatch::Found(vec![candidate]),
+            Err(NoCandidate::Exhausted) => CandidateBatch::Exhausted,
+            Err(NoCandidate::Interrupted) => CandidateBatch::Interrupted,
         }
-        let sel = psketch_sat::Lit::pos(self.solver.new_var());
-        while out.len() < k {
-            // Exclude everything found in this round, under `sel`.
-            let mut clause = vec![!sel];
-            for (h, vars) in self.hole_vars.iter().enumerate() {
-                let v = out.last().unwrap().value(h as HoleId);
-                for (kx, &var) in vars.iter().enumerate() {
-                    let bit = (v >> kx) & 1 == 1;
-                    clause.push(psketch_sat::Lit::new(var, !bit));
-                }
-            }
-            self.solver.add_clause(clause);
-            let t0 = Instant::now();
-            let r = self.solver.solve_with(&[sel]);
-            self.stats.solve_time += t0.elapsed();
-            if r != SolveResult::Sat {
-                // Unsat: space exhausted below k — the partial batch
-                // still carries candidates. Interrupted: return the
-                // partial batch too; the caller's budget check runs
-                // before the next one.
-                break;
-            }
-            out.push(self.decode_model());
-        }
-        CandidateBatch::Found(out)
     }
 
     /// Reads the hole assignment off the solver's current model.
@@ -519,7 +492,7 @@ mod tests {
     fn mini_cegis(l: &Lowered) -> Option<(Assignment, usize)> {
         let mut synth = Synthesizer::new(l);
         for iter in 0..64 {
-            let cand = synth.next_candidate()?;
+            let cand = synth.next_candidate().ok()?;
             let out = check(l, &cand);
             match out.counterexample() {
                 None => return Some((cand, iter + 1)),
@@ -663,11 +636,11 @@ mod tests {
         let mut resolved = false;
         for _ in 0..10 {
             match synth.next_candidate() {
-                None => {
+                Err(_) => {
                     resolved = false;
                     break;
                 }
-                Some(cand) => match verify_sequential(&l, &cand) {
+                Ok(cand) => match verify_sequential(&l, &cand) {
                     None => {
                         resolved = true;
                         break;
@@ -686,7 +659,7 @@ mod tests {
         let l = lowered("int g; harness void main() { g = ??(2); assert g < 2; }");
         let mut synth = Synthesizer::new(&l);
         let mut seen = Vec::new();
-        while let Some(cand) = synth.next_candidate() {
+        while let Ok(cand) = synth.next_candidate() {
             let out = check(&l, &cand);
             match out.counterexample() {
                 None => {
@@ -703,38 +676,6 @@ mod tests {
         }
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1]);
-    }
-
-    #[test]
-    fn portfolio_candidates_distinct_and_nonbinding() {
-        let l = lowered("int g; harness void main() { g = ??(3); assert g < 8; }");
-        let mut synth = Synthesizer::new(&l);
-        let CandidateBatch::Found(batch) = synth.next_candidates(4) else {
-            panic!("expected candidates");
-        };
-        assert_eq!(batch.len(), 4);
-        let distinct: std::collections::HashSet<u64> = batch.iter().map(|a| a.value(0)).collect();
-        assert_eq!(distinct.len(), 4, "portfolio candidates must differ");
-        // The guarded blocking clauses must not shrink the space:
-        // all 8 values remain enumerable afterwards.
-        let mut seen = Vec::new();
-        while let Some(c) = synth.next_candidate() {
-            seen.push(c.value(0));
-            synth.block(&c);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..8).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn portfolio_exhausts_small_spaces() {
-        // Only 2 candidates exist; asking for 5 returns both.
-        let l = lowered("int g; harness void main() { g = ??(1); assert g >= 0; }");
-        let mut synth = Synthesizer::new(&l);
-        let CandidateBatch::Found(batch) = synth.next_candidates(5) else {
-            panic!("expected candidates");
-        };
-        assert_eq!(batch.len(), 2);
     }
 
     /// Feeds a sketch's counterexamples to two synthesizers: one

@@ -78,8 +78,8 @@ fn cross_validate(src: &str) {
     let mut resolved = None;
     for _ in 0..200 {
         match synth.next_candidate() {
-            None => break,
-            Some(cand) => {
+            Err(_) => break,
+            Ok(cand) => {
                 let out = check(l, &cand);
                 match out.counterexample() {
                     None => {

@@ -22,8 +22,8 @@
 //! soundness side condition — every sharpened mask is a subset of its
 //! static counterpart — is checked as a property over many random
 //! candidates, and on a hole-indexed workload the sharpened reduction
-//! must actually prune. The reduced and parallel searches' verdicts
-//! are checked in `tests/engine_differential.rs`.
+//! must actually prune. The reduced searches' verdicts are checked in
+//! `tests/engine_differential.rs`.
 
 use psketch_repro::exec::reference::check_ref_with_limit;
 use psketch_repro::exec::{

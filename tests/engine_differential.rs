@@ -6,31 +6,26 @@
 //! `(Lowered, Assignment)` pair and shares none of its code, which
 //! makes it an independent oracle. For every suite sketch and a
 //! handful of candidates (the identity assignment plus seeded random
-//! hole values) the two must agree. At one thread with partial-order
-//! reduction off, both are deterministic depth-first
-//! searches over the same canonical state set in the same worker
-//! order, so the comparison is exact: identical verdicts, state and
-//! transition counts, and counterexample traces and schedules. At 2
-//! and 4 threads the parallel engine may find a *different*
-//! interleaving of a failure, so the trace assertion weakens to "the
-//! counterexample actually refutes the candidate" (symbolic replay
-//! reproduces the failure) while verdicts and passing state counts
-//! stay exact.
+//! hole values) the two must agree. With partial-order reduction off,
+//! both are deterministic depth-first searches over the same
+//! canonical state set in the same worker order, so the comparison is
+//! exact: identical verdicts, state and transition counts, and
+//! counterexample traces and schedules.
 //!
 //! With reduction **on**, the engine explores a provably sufficient
 //! subset of each state's enabled workers, chosen with the artifact's
 //! candidate-sharpened footprint masks, so the contract weakens to
-//! verdict equivalence: identical pass/fail classification at 1, 2
-//! and 4 threads, every counterexample still refutes the candidate,
-//! and — whenever the full search completed — the reduced search never
-//! visits more states than full expansion did. The artifact-level
+//! verdict equivalence: identical pass/fail classification, every
+//! counterexample still refutes the candidate, and — whenever the full
+//! search completed — the reduced search never visits more states
+//! than full expansion did. The artifact-level
 //! contracts (replay, sampling, sharpened-footprint refinement) are
 //! checked in `tests/compiled_differential.rs`.
 
 use psketch_repro::exec::reference::check_ref_with_limit;
 use psketch_repro::exec::{
-    check_compiled, check_parallel_compiled, CheckOutcome, CompiledProgram, Interrupt,
-    SearchLimits, Verdict,
+    check_compiled, check_with_limit, CheckOutcome, CompiledProgram, Interrupt, SearchLimits,
+    Verdict,
 };
 use psketch_repro::ir::{desugar, lower, Assignment, Lowered};
 use psketch_repro::suite::figure9_runs;
@@ -108,29 +103,18 @@ fn compare(l: &Lowered, a: &Assignment, label: &str) {
     let cp = CompiledProgram::compile(l, a);
     let old = check_ref_with_limit(l, a, MAX_STATES);
 
-    // One thread, reduction off: both engines are deterministic DFS
-    // over the same canonical state set in the same worker order, so
-    // everything — verdict, counts, counterexample — must match
-    // exactly.
+    // Reduction off: both engines are deterministic DFS over the same
+    // canonical state set in the same worker order, so everything —
+    // verdict, counts, counterexample — must match exactly.
     let new = check_compiled(&cp, &limits(false));
     assert_exact(&old, &new, label);
     // A full-expansion run must never report reduction activity.
     assert_eq!(new.stats.por_ample_hits, 0, "{label}: por off yet active");
     assert_eq!(new.stats.states_pruned, 0, "{label}: por off yet pruning");
 
-    // 2 and 4 threads, reduction off: the parallel engine against the
-    // reference verdict. Failure interleavings may differ; validity
-    // may not.
-    for threads in [2usize, 4] {
-        let par = check_parallel_compiled(&cp, &limits(false), threads);
-        check_against(l, a, &old.verdict, Some(old.stats.states), &par, {
-            &format!("{label} threads={threads} por=off")
-        });
-    }
-
-    // Reduction on, 1 thread: verdict equivalence against the full
-    // search, plus the cost contract — when the full search completed,
-    // the reduced one never visits more states.
+    // Reduction on: verdict equivalence against the full search, plus
+    // the cost contract — when the full search completed, the reduced
+    // one never visits more states.
     let por_seq = check_compiled(&cp, &limits(true));
     match (&old.verdict, &por_seq.verdict) {
         (Verdict::Pass, Verdict::Pass) => {
@@ -165,69 +149,6 @@ fn compare(l: &Lowered, a: &Assignment, label: &str) {
             por_seq.stats.por_ample_hits > 0,
             "{label}: pruning without ample hits"
         );
-    }
-
-    // Reduction on, 2 and 4 threads: the ample set is a deterministic
-    // function of the state, so the parallel reduced search explores
-    // the same reduced graph as the sequential one — passing state
-    // counts must match it exactly.
-    for threads in [2usize, 4] {
-        let par = check_parallel_compiled(&cp, &limits(true), threads);
-        check_against(l, a, &por_seq.verdict, Some(por_seq.stats.states), &par, {
-            &format!("{label} threads={threads} por=on")
-        });
-    }
-}
-
-/// Parallel-vs-sequential rules shared by the reduced and full
-/// configurations: verdicts agree, passing state counts match the
-/// sequential baseline, counterexamples replay, and a search that hit
-/// the state limit is never contradicted by a pass.
-fn check_against(
-    l: &Lowered,
-    a: &Assignment,
-    base: &Verdict,
-    base_states: Option<usize>,
-    par: &CheckOutcome,
-    label: &str,
-) {
-    match (base, &par.verdict) {
-        (Verdict::Pass, Verdict::Pass) => {
-            if let Some(states) = base_states {
-                assert_eq!(
-                    states, par.stats.states,
-                    "{label}: passing searches must agree on the state count"
-                );
-            }
-        }
-        (Verdict::Pass, v) => panic!("{label}: baseline passes, parallel {v:?}"),
-        (Verdict::Fail(_), Verdict::Fail(cex)) => {
-            assert!(
-                trace_reproduces(l, cex, a),
-                "{label}: parallel cex does not refute candidate"
-            );
-        }
-        (Verdict::Fail(_), v) => panic!("{label}: baseline fails, parallel {v:?}"),
-        (Verdict::Unknown(why), v) => {
-            assert_eq!(*why, Interrupt::StateLimit, "{label}");
-            // The parallel search explores in a different order, so
-            // before hitting the shared limit it may legitimately
-            // stumble on a (valid) failure — but never a pass.
-            match v {
-                Verdict::Fail(cex) => assert!(
-                    trace_reproduces(l, cex, a),
-                    "{label}: parallel cex does not refute candidate"
-                ),
-                Verdict::Unknown(pw) => {
-                    assert_eq!(*pw, Interrupt::StateLimit, "{label}")
-                }
-                Verdict::Pass => panic!(
-                    "{label}: baseline hit the state limit; a passing parallel \
-                     run would mean the engines disagree on the reachable \
-                     state count"
-                ),
-            }
-        }
     }
 }
 
@@ -388,4 +309,76 @@ fn accounting_reflects_engine_design() {
         old.stats.state_clones >= old.stats.transitions as usize,
         "reference engine clones at least once per transition"
     );
+}
+
+/// The pass/unknown boundary is claim-based in both engines and sits
+/// at exactly the reachable state count: a limit of N (the exact
+/// count) passes, N-1 is unknown with stats clamped to the limit.
+#[test]
+fn state_limit_boundary_is_exact() {
+    let cfg = psketch_repro::ir::Config::default();
+    let l = lowered(
+        "int g;
+         harness void main() {
+             fork (i; 3) { int old = AtomicReadAndIncr(g); }
+             assert g == 3;
+         }",
+        &cfg,
+    );
+    let a = l.holes.identity_assignment();
+    let full = check_with_limit(&l, &a, usize::MAX);
+    assert!(full.is_ok(), "baseline must pass");
+    let n = full.stats.states;
+    assert!(n > 2, "sketch must have a nontrivial state space");
+    let engines: [(&str, &dyn Fn(usize) -> CheckOutcome); 2] = [
+        ("engine", &|max| check_with_limit(&l, &a, max)),
+        ("reference", &|max| check_ref_with_limit(&l, &a, max)),
+    ];
+    for (name, check) in engines {
+        let exact = check(n);
+        assert!(exact.is_ok(), "{name}: limit == reachable count must pass");
+        assert_eq!(exact.stats.states, n, "{name}");
+        let under = check(n - 1);
+        assert!(
+            matches!(under.verdict, Verdict::Unknown(Interrupt::StateLimit)),
+            "{name}: limit == count-1 must be unknown, got {:?}",
+            under.verdict
+        );
+        assert_eq!(under.stats.states, n - 1, "{name}: clamped to the limit");
+    }
+}
+
+/// Failures before the interleaving search starts (prologue assertion,
+/// first local-step absorption) report the work actually done — one
+/// examined state and the executed trace steps — identically in both
+/// engines, not zeroed counters.
+#[test]
+fn early_failures_report_real_counts() {
+    let cfg = psketch_repro::ir::Config::default();
+    // Prologue failure: the assert runs before any fork.
+    let prologue = lowered(
+        "int g;
+         harness void main() {
+             g = 3;
+             assert g == 4;
+             fork (i; 2) { g = g + 1; }
+         }",
+        &cfg,
+    );
+    // Initial-advance failure: each thread's first local burst trips.
+    let advance = lowered(
+        "int g;
+         harness void main() {
+             fork (i; 1) { int t = 1; assert t == 2; }
+         }",
+        &cfg,
+    );
+    for (name, l) in [("prologue", &prologue), ("advance", &advance)] {
+        let a = l.holes.identity_assignment();
+        let got = check_with_limit(l, &a, MAX_STATES);
+        assert!(matches!(got.verdict, Verdict::Fail(_)), "{name}");
+        assert_eq!(got.stats.states, 1, "{name}: one context was examined");
+        assert!(got.stats.transitions > 0, "{name}: steps were executed");
+        assert_exact(&check_ref_with_limit(l, &a, MAX_STATES), &got, name);
+    }
 }

@@ -5,7 +5,7 @@
 //! schedules, so it can only *refute* — never accept — and every trace
 //! it feeds back is a genuine execution of the refuted candidate. The
 //! loop must therefore reach the identical verdict (resolved /
-//! definitely unresolvable / unknown) at 1, 2 and 4 checker threads.
+//! definitely unresolvable / unknown).
 //!
 //! The *assignments* need not be byte-identical when a sketch has
 //! several correct resolutions: a prescreen hit feeds back a different
@@ -48,44 +48,40 @@ fn prescreen_on_off_agree_across_suite() {
             },
         )
         .expect("lowers");
-        for threads in [1usize, 2, 4] {
-            let on = run_with(
-                &run.source,
-                Options {
-                    threads,
-                    prescreen: true,
-                    ..run.options.clone()
-                },
-            );
-            let off = run_with(
-                &run.source,
-                Options {
-                    threads,
-                    prescreen: false,
-                    ..run.options.clone()
-                },
-            );
-            let label = format!("{}/{} threads={threads}", run.benchmark, run.test);
-            assert_eq!(
-                on.0.is_some(),
-                off.0.is_some(),
-                "{label}: prescreen must not change resolvability"
-            );
-            assert_eq!(
-                on.1, off.1,
-                "{label}: prescreen must not change unresolvability proofs"
-            );
-            assert_eq!(on.0.is_some(), run.expected_resolvable, "{label}");
-            // Every winner must survive the other configuration's
-            // exhaustive verification: prescreen never accepts.
-            for (who, values) in [("on", &on.0), ("off", &off.0)] {
-                if let Some(values) = values {
-                    let a = Assignment::from_values(values.clone());
-                    assert!(
-                        referee.verify_candidate(&a).is_none(),
-                        "{label}: prescreen-{who} winner must verify exhaustively"
-                    );
-                }
+        let on = run_with(
+            &run.source,
+            Options {
+                prescreen: true,
+                ..run.options.clone()
+            },
+        );
+        let off = run_with(
+            &run.source,
+            Options {
+                prescreen: false,
+                ..run.options.clone()
+            },
+        );
+        let label = format!("{}/{}", run.benchmark, run.test);
+        assert_eq!(
+            on.0.is_some(),
+            off.0.is_some(),
+            "{label}: prescreen must not change resolvability"
+        );
+        assert_eq!(
+            on.1, off.1,
+            "{label}: prescreen must not change unresolvability proofs"
+        );
+        assert_eq!(on.0.is_some(), run.expected_resolvable, "{label}");
+        // Every winner must survive the other configuration's
+        // exhaustive verification: prescreen never accepts.
+        for (who, values) in [("on", &on.0), ("off", &off.0)] {
+            if let Some(values) = values {
+                let a = Assignment::from_values(values.clone());
+                assert!(
+                    referee.verify_candidate(&a).is_none(),
+                    "{label}: prescreen-{who} winner must verify exhaustively"
+                );
             }
         }
     }
@@ -103,24 +99,20 @@ fn prescreen_preserves_unique_resolutions() {
              }
              assert g == 2;
          }";
-    for threads in [1usize, 2, 4] {
-        let on = run_with(
-            src,
-            Options {
-                threads,
-                prescreen: true,
-                ..Options::default()
-            },
-        );
-        let off = run_with(
-            src,
-            Options {
-                threads,
-                prescreen: false,
-                ..Options::default()
-            },
-        );
-        assert_eq!(on, off, "threads={threads}");
-        assert_eq!(on.0, Some(vec![1]), "threads={threads}");
-    }
+    let on = run_with(
+        src,
+        Options {
+            prescreen: true,
+            ..Options::default()
+        },
+    );
+    let off = run_with(
+        src,
+        Options {
+            prescreen: false,
+            ..Options::default()
+        },
+    );
+    assert_eq!(on, off);
+    assert_eq!(on.0, Some(vec![1]));
 }

@@ -6,11 +6,11 @@
 //! field being faithful: for every suite workload, replaying a
 //! checker-found trace's schedule must reproduce a failure, land the
 //! same failure kind, and reach the identical final-state fingerprint
-//! on repeated replays — at 1, 2 and 4 checker threads and with
-//! partial-order reduction both on and off.
+//! on repeated replays — with partial-order reduction both on and
+//! off.
 
 use psketch_repro::exec::{
-    check_parallel_compiled, replay_fp_compiled, CompiledProgram, SearchLimits, Verdict,
+    check_compiled, replay_fp_compiled, CompiledProgram, SearchLimits, Verdict,
 };
 use psketch_repro::ir::{desugar, lower, Assignment, Lowered};
 use psketch_repro::suite::figure9_runs;
@@ -83,16 +83,11 @@ fn replay_reproduces_suite_counterexamples() {
                     por,
                     ..SearchLimits::states(MAX_STATES)
                 };
-                for threads in [1usize, 2, 4] {
-                    let out = check_parallel_compiled(&cp, &limits, threads);
-                    if let Verdict::Fail(cex) = &out.verdict {
-                        refuted += 1;
-                        let label = format!(
-                            "{} candidate {ix} threads={threads} por={por}",
-                            run.benchmark
-                        );
-                        assert_replay_deterministic(&cp, cex, &label);
-                    }
+                let out = check_compiled(&cp, &limits);
+                if let Verdict::Fail(cex) = &out.verdict {
+                    refuted += 1;
+                    let label = format!("{} candidate {ix} por={por}", run.benchmark);
+                    assert_replay_deterministic(&cp, cex, &label);
                 }
             }
         }
