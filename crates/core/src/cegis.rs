@@ -366,6 +366,7 @@ impl Synthesis {
                 };
                 let trace_set = synth.stats.observations;
                 let solved = synth.stats.solve_time;
+                let before = synth.solver_stats();
                 let candidate = match synth.next_candidate() {
                     Ok(candidate) => candidate,
                     Err(NoCandidate::Exhausted) => {
@@ -385,6 +386,8 @@ impl Synthesis {
                     }
                 };
                 let s_solve = synth.stats.solve_time - solved;
+                let sat = synth.solver_stats();
+                let sat_vars = synth.solver().num_vars();
                 stats.iterations += 1;
                 let tv = Instant::now();
                 let (result, cost) = self.verify_once(&candidate, &limits, bank.as_ref());
@@ -420,6 +423,11 @@ impl Synthesis {
                     projected_steps: observed.projected_steps,
                     resumed_steps: observed.resumed_steps,
                     new_nodes: observed.new_nodes,
+                    sat_vars,
+                    sat_clauses: sat.clauses,
+                    sat_decisions: sat.decisions - before.decisions,
+                    sat_propagations: sat.propagations - before.propagations,
+                    sat_conflicts: sat.conflicts - before.conflicts,
                     cost,
                 });
                 if resolution.is_some() {
@@ -450,6 +458,7 @@ impl Synthesis {
         stats.s_model = synth.stats.encode_time;
         stats.synth_nodes = synth.stats.nodes;
         stats.sat = synth.solver_stats();
+        stats.sat_bytes = synth.solver().heap_bytes();
         stats.total = t0.elapsed();
         stats.peak_memory = mem::peak_rss_bytes();
         // A budget that tripped while the run nonetheless concluded

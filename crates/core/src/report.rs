@@ -56,6 +56,14 @@ pub fn render_stats(name: &str, test: &str, outcome: &Outcome) -> String {
         "  sat: decisions = {}  propagations = {}  conflicts = {}  restarts = {}",
         st.sat.decisions, st.sat.propagations, st.sat.conflicts, st.sat.restarts
     );
+    if st.sat.propagations > 0 {
+        let _ = writeln!(
+            out,
+            "  sat: {:.0} ns per propagation  solver heap = {} MiB",
+            st.s_solve.as_nanos() as f64 / st.sat.propagations as f64,
+            mem_mib(Some(st.sat_bytes as u64))
+        );
+    }
     if let Some(trip) = &outcome.budget_trip {
         let _ = writeln!(
             out,

@@ -161,6 +161,9 @@ pub struct CegisStats {
     pub peak_memory: Option<u64>,
     /// Synthesizer SAT counters at the end of the run.
     pub sat: SolverStats,
+    /// Heap bytes the synthesizer's SAT solver holds after the last
+    /// solve: clause arena, watch lists and per-variable arrays.
+    pub sat_bytes: usize,
     /// Circuit nodes in the synthesizer at the end.
     pub synth_nodes: usize,
     /// Verification cost summed over every candidate tried.
@@ -205,6 +208,7 @@ impl CegisStats {
             self.peak_memory.map_or(Json::Null, |b| Json::Num(b as f64)),
         ));
         out.extend(nums!("sat_", self.sat; decisions, propagations, conflicts, restarts));
+        out.extend(nums!("", self; sat_bytes));
         self.cost.write_json(out);
     }
 }
@@ -237,6 +241,17 @@ pub struct IterationRecord {
     pub resumed_steps: usize,
     /// Circuit nodes the observation added.
     pub new_nodes: usize,
+    /// SAT variables at the solve that proposed this candidate.
+    pub sat_vars: usize,
+    /// Problem clauses (learnt ones excluded) at that solve.
+    pub sat_clauses: u64,
+    /// Decisions of that solve.
+    pub sat_decisions: u64,
+    /// Propagations of that solve. A unit clause also propagates when
+    /// it is added, outside any solve.
+    pub sat_propagations: u64,
+    /// Conflicts of that solve.
+    pub sat_conflicts: u64,
     /// What verifying this candidate cost.
     pub cost: VerifyCost,
 }
@@ -247,7 +262,8 @@ impl IterationRecord {
         out.push(("candidate".to_string(), Json::u64_array(&self.candidate)));
         out.push(("verdict".to_string(), Json::Str(self.verdict.clone())));
         out.extend(nums!("", self;
-            s_solve_secs, v_solve_secs, s_model_secs, projected_steps, resumed_steps, new_nodes));
+            s_solve_secs, v_solve_secs, s_model_secs, projected_steps, resumed_steps, new_nodes,
+            sat_vars, sat_clauses, sat_decisions, sat_propagations, sat_conflicts));
         self.cost.write_json(&mut out);
         Json::Obj(out)
     }
@@ -319,7 +335,12 @@ impl RunReport {
     /// and the checker's `per_thread_states` are gone; each record
     /// carries the time of the SAT solve that proposed it
     /// (`s_solve_secs`).
-    pub const SCHEMA: u32 = 10;
+    ///
+    /// v11: each record carries the SAT solver's size at the solve that
+    /// proposed it and that solve's work (`sat_vars`, `sat_clauses`,
+    /// `sat_decisions`, `sat_propagations`, `sat_conflicts`), and the
+    /// run the solver's heap bytes after its last solve (`sat_bytes`).
+    pub const SCHEMA: u32 = 11;
 
     /// Serialises the report as a JSON object (two-space indented).
     pub fn to_json(&self) -> String {
@@ -793,10 +814,12 @@ mod tests {
 
     /// Every numeric key the run object shares with its records is the
     /// records' sum (`bank_size`: their maximum), except the phase
-    /// times, which are at least the records' sum: the run's
-    /// `s_model_secs` also counts encoding the sketch's static
-    /// constraints, and its `s_solve_secs` the final solve of a run
-    /// that ends unresolvable, which proposes no candidate.
+    /// times and the SAT counters, which are at least the records'
+    /// sum: the run's `s_model_secs` also counts encoding the sketch's
+    /// static constraints, its `s_solve_secs` and SAT counters the
+    /// final solve of a run that ends unresolvable, which proposes no
+    /// candidate, and its `sat_propagations` the unit clauses
+    /// propagated as they were added.
     #[test]
     fn run_totals_equal_the_sum_of_their_records() {
         let src = "struct Lock { int owner = -1; }
@@ -837,6 +860,8 @@ mod tests {
                 let ns = |secs: f64| (secs * 1e9).round() as u64;
                 let sum: u64 = per.iter().map(|&secs| ns(secs)).sum();
                 assert!(ns(total) >= sum, "{key}: {total} s < {sum} ns");
+            } else if key.starts_with("sat_") {
+                assert!(total >= per.iter().sum::<f64>(), "{key}");
             } else if key == "bank_size" {
                 assert_eq!(total, per.iter().copied().fold(0.0, f64::max), "{key}");
             } else {
@@ -851,10 +876,21 @@ mod tests {
             "s_solve_secs",
             "s_model_secs",
             "v_solve_secs",
+            "sat_decisions",
+            "sat_propagations",
+            "sat_conflicts",
         ] {
             assert!(checked.contains(&key), "{key} not checked");
         }
         assert!(report.cost.check.states > 0);
+        // Each solve proposing a candidate sees at least the hole bits,
+        // and the solver only grows.
+        assert!(report.records[0].sat_vars > 0);
+        assert!(report
+            .records
+            .windows(2)
+            .all(|w| w[0].sat_vars <= w[1].sat_vars && w[0].sat_clauses <= w[1].sat_clauses));
+        assert!(report.sat_bytes > 0);
     }
 
     #[test]

@@ -11,7 +11,13 @@
 //! * first-UIP conflict analysis with clause minimization,
 //! * VSIDS-style activity heuristics with phase saving,
 //! * Luby restarts and activity-based clause-database reduction,
-//! * incremental solving under assumptions.
+//! * one flat clause arena, as in MiniSat: each clause is a run of
+//!   `u32` words (header, a learnt clause's activity, literals), and a
+//!   binary clause's watchers carry its other literal, so propagating
+//!   one never reads the arena.
+//!
+//! Clauses may be added between `solve` calls; learnt clauses and
+//! heuristic state carry over, which is how the CEGIS loop uses it.
 //!
 //! # Examples
 //!
@@ -29,8 +35,6 @@
 
 mod lit;
 mod solver;
-
-pub mod dimacs;
 
 pub use lit::{Lit, Var};
 pub use solver::{SolveResult, Solver, SolverStats};

@@ -2,6 +2,7 @@
 
 use crate::lit::{LBool, Lit, Var};
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -11,7 +12,7 @@ use std::time::Instant;
 pub enum SolveResult {
     /// A satisfying assignment was found; query it with [`Solver::value`].
     Sat,
-    /// The formula (under the given assumptions) is unsatisfiable.
+    /// The formula is unsatisfiable.
     Unsat,
     /// The search was stopped by [`Solver::set_limits`] (deadline
     /// passed or cancellation flag raised) before an answer was found.
@@ -52,25 +53,58 @@ impl fmt::Display for SolverStats {
     }
 }
 
-/// Reference to a clause in the arena.
+/// A clause's offset in the arena: the index of its header word.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct ClauseRef(u32);
 
 const CREF_UNDEF: ClauseRef = ClauseRef(u32::MAX);
 
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    activity: f64,
-    deleted: bool,
+/// Header bit of a learnt clause, whose activity follows the header.
+const LEARNT: u32 = 1 << 31;
+/// Header bit of a clause removed by `reduce_db`; its words are
+/// reclaimed by the next `collect_garbage`.
+const DELETED: u32 = 1 << 30;
+/// Header bits holding the clause's length.
+const LEN: u32 = DELETED - 1;
+/// Watcher tag of a binary clause. Arena offsets stay below it.
+const BINARY: u32 = 1 << 31;
+
+/// Words a clause with header `h` takes in the arena.
+#[inline]
+fn clause_words(h: u32) -> usize {
+    1 + if h & LEARNT != 0 { 2 } else { 0 } + (h & LEN) as usize
 }
 
+/// The arena words holding the literals of the clause at `cref`.
+#[inline]
+fn lits_of(arena: &[u32], cref: ClauseRef) -> Range<usize> {
+    let c = cref.0 as usize;
+    let end = c + clause_words(arena[c]);
+    end - (arena[c] & LEN) as usize..end
+}
+
+/// A clause watching a literal. A binary clause's watcher carries
+/// `BINARY` and the clause's other literal as its blocker, so
+/// propagating or refuting it never reads the clause.
 #[derive(Clone, Copy)]
 struct Watcher {
-    cref: ClauseRef,
+    /// The clause's offset, with `BINARY` set for a binary clause.
+    tagged: u32,
     /// Cached "blocker" literal: if true, the clause is satisfied and
     /// need not be inspected.
     blocker: Lit,
+}
+
+impl Watcher {
+    #[inline]
+    fn cref(self) -> ClauseRef {
+        ClauseRef(self.tagged & !BINARY)
+    }
+
+    #[inline]
+    fn is_binary(self) -> bool {
+        self.tagged & BINARY != 0
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -83,9 +117,12 @@ struct VarInfo {
 ///
 /// See the crate docs for an overview and an example.
 pub struct Solver {
-    // Clause storage.
-    clauses: Vec<Clause>,
-    free_clauses: Vec<ClauseRef>,
+    // Clause storage: every clause is a header word (length, learnt
+    // and deleted bits), then a learnt clause's activity as an `f64`
+    // in two words, then its literals.
+    arena: Vec<u32>,
+    // Words of deleted clauses not yet reclaimed.
+    wasted: usize,
 
     // Per-literal watcher lists.
     watches: Vec<Vec<Watcher>>,
@@ -110,10 +147,14 @@ pub struct Solver {
     var_inc: f64,
     cla_inc: f64,
 
+    // Reused buffers: the clause being added, and the clause being
+    // learnt.
+    added: Vec<Lit>,
+    learnt: Vec<Lit>,
+
     // Problem status.
     ok: bool,
     model: Vec<LBool>,
-    conflict_assumptions: Vec<Lit>,
 
     stats: SolverStats,
     max_learnts: f64,
@@ -137,8 +178,8 @@ impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Solver {
         Solver {
-            clauses: Vec::new(),
-            free_clauses: Vec::new(),
+            arena: Vec::new(),
+            wasted: 0,
             watches: Vec::new(),
             assigns: Vec::new(),
             vardata: Vec::new(),
@@ -152,9 +193,10 @@ impl Solver {
             heap_index: Vec::new(),
             var_inc: 1.0,
             cla_inc: 1.0,
+            added: Vec::new(),
+            learnt: Vec::new(),
             ok: true,
             model: Vec::new(),
-            conflict_assumptions: Vec::new(),
             stats: SolverStats::default(),
             max_learnts: 0.0,
             deadline: None,
@@ -206,6 +248,27 @@ impl Solver {
         self.stats
     }
 
+    /// Heap bytes the solver holds: the clause arena, the watch lists
+    /// and the per-variable arrays, counted by capacity.
+    pub fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        bytes(&self.arena)
+            + bytes(&self.watches)
+            + self.watches.iter().map(bytes).sum::<usize>()
+            + bytes(&self.assigns)
+            + bytes(&self.vardata)
+            + bytes(&self.activity)
+            + bytes(&self.polarity)
+            + bytes(&self.seen)
+            + bytes(&self.trail)
+            + bytes(&self.trail_lim)
+            + bytes(&self.heap)
+            + bytes(&self.heap_index)
+            + bytes(&self.model)
+    }
+
     /// Creates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var(self.assigns.len() as u32);
@@ -239,8 +302,17 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let mut c: Vec<Lit> = lits.into_iter().collect();
-        for &l in &c {
+        let mut c = std::mem::take(&mut self.added);
+        c.clear();
+        c.extend(lits);
+        let ok = self.add_collected(&mut c);
+        self.added = c;
+        ok
+    }
+
+    /// [`Solver::add_clause`] on a collected clause.
+    fn add_collected(&mut self, c: &mut Vec<Lit>) -> bool {
+        for &l in c.iter() {
             assert!(
                 l.var().index() < self.num_vars(),
                 "literal {l:?} out of range"
@@ -249,12 +321,8 @@ impl Solver {
         c.sort_unstable();
         c.dedup();
         // Drop tautologies and literals already false at level 0.
-        let mut i = 0;
-        while i + 1 < c.len() {
-            if c[i].var() == c[i + 1].var() {
-                return true; // x | !x: tautology
-            }
-            i += 1;
+        if c.windows(2).any(|w| w[0].var() == w[1].var()) {
+            return true; // x | !x: tautology
         }
         c.retain(|&l| self.lit_value(l) != LBool::False);
         if c.iter().any(|&l| self.lit_value(l) == LBool::True) {
@@ -279,18 +347,10 @@ impl Solver {
         }
     }
 
-    /// Solves the formula with no assumptions.
+    /// Solves the formula. Clauses and learnt clauses are kept, so a
+    /// later call after adding clauses resumes from them.
     pub fn solve(&mut self) -> SolveResult {
-        self.solve_with(&[])
-    }
-
-    /// Solves under the given assumption literals.
-    ///
-    /// On [`SolveResult::Unsat`], [`Solver::unsat_assumptions`] holds
-    /// the subset of assumptions involved in the contradiction.
-    pub fn solve_with(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.model.clear();
-        self.conflict_assumptions.clear();
         self.interrupted = false;
         if !self.ok {
             return SolveResult::Unsat;
@@ -299,25 +359,20 @@ impl Solver {
         // reduce_db (×1.3) would otherwise be thrown away every
         // solve, re-churning the learnt database. Only raise it when
         // the problem itself has grown past the cap.
-        self.max_learnts = self
-            .max_learnts
-            .max((self.num_clauses() as f64 * 0.3).max(1000.0));
+        let clauses = self.stats.clauses + self.stats.learnts;
+        self.max_learnts = self.max_learnts.max((clauses as f64 * 0.3).max(1000.0));
         let mut restarts = 0u32;
         loop {
             let budget = 64.0 * luby(2.0, restarts);
-            match self.search(budget as u64, assumptions) {
+            match self.search(budget as u64) {
                 Some(SolveResult::Sat) => {
-                    self.model = self.assigns.clone();
+                    self.model.clone_from(&self.assigns);
                     self.cancel_until(0);
                     return SolveResult::Sat;
                 }
-                Some(SolveResult::Unsat) => {
+                Some(result) => {
                     self.cancel_until(0);
-                    return SolveResult::Unsat;
-                }
-                Some(SolveResult::Interrupted) => {
-                    self.cancel_until(0);
-                    return SolveResult::Interrupted;
+                    return result;
                 }
                 None => {
                     restarts += 1;
@@ -345,93 +400,102 @@ impl Solver {
         self.value(l.var()).map(|b| b == l.is_positive())
     }
 
-    /// After an UNSAT answer from [`Solver::solve_with`], the failing
-    /// assumption subset (the "final conflict clause" negated).
-    pub fn unsat_assumptions(&self) -> &[Lit] {
-        &self.conflict_assumptions
-    }
-
-    /// Exports the current problem (original clauses plus top-level
-    /// units, excluding learnt clauses) as a [`crate::dimacs::Cnf`],
-    /// for inspection with external tools.
-    pub fn export_cnf(&self) -> crate::dimacs::Cnf {
-        let mut clauses: Vec<Vec<i64>> = Vec::new();
-        if !self.ok {
-            // Top-level contradiction: the empty clause.
-            clauses.push(vec![]);
-        }
-        // Top-level assignments are unit clauses.
-        let root_len = self.trail_lim.first().copied().unwrap_or(self.trail.len());
-        for &l in &self.trail[..root_len] {
-            let v = (l.var().index() + 1) as i64;
-            clauses.push(vec![if l.is_positive() { v } else { -v }]);
-        }
-        for c in &self.clauses {
-            if c.deleted || c.learnt {
-                continue;
-            }
-            clauses.push(
-                c.lits
-                    .iter()
-                    .map(|l| {
-                        let v = (l.var().index() + 1) as i64;
-                        if l.is_positive() {
-                            v
-                        } else {
-                            -v
-                        }
-                    })
-                    .collect(),
-            );
-        }
-        crate::dimacs::Cnf {
-            num_vars: self.num_vars(),
-            clauses,
-        }
-    }
-
-    fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.deleted).count()
-    }
-
     // ----- clause arena -----
 
-    fn alloc_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
-        let clause = Clause {
-            lits,
-            learnt,
-            activity: 0.0,
-            deleted: false,
-        };
-        if let Some(cref) = self.free_clauses.pop() {
-            self.clauses[cref.0 as usize] = clause;
-            cref
-        } else {
-            self.clauses.push(clause);
-            ClauseRef((self.clauses.len() - 1) as u32)
+    fn alloc_clause(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
+        let cref = u32::try_from(self.arena.len())
+            .ok()
+            .filter(|&c| c < BINARY)
+            .expect("clause arena exceeds 2^31 words");
+        let len = u32::try_from(lits.len())
+            .ok()
+            .filter(|&n| n <= LEN)
+            .expect("clause longer than 2^30 literals");
+        self.arena.push(len | if learnt { LEARNT } else { 0 });
+        if learnt {
+            self.arena.extend([0, 0]); // activity 0.0
         }
+        self.arena.extend(lits.iter().map(|l| l.0));
+        ClauseRef(cref)
     }
 
     fn attach_clause(&mut self, cref: ClauseRef) {
-        let (l0, l1) = {
-            let c = &self.clauses[cref.0 as usize];
-            (c.lits[0], c.lits[1])
-        };
-        self.watches[(!l0).index()].push(Watcher { cref, blocker: l1 });
-        self.watches[(!l1).index()].push(Watcher { cref, blocker: l0 });
+        let r = lits_of(&self.arena, cref);
+        let tagged = cref.0 | if r.len() == 2 { BINARY } else { 0 };
+        let (l0, l1) = (Lit(self.arena[r.start]), Lit(self.arena[r.start + 1]));
+        self.watches[(!l0).index()].push(Watcher {
+            tagged,
+            blocker: l1,
+        });
+        self.watches[(!l1).index()].push(Watcher {
+            tagged,
+            blocker: l0,
+        });
     }
 
+    /// Detaches and deletes a clause of three or more literals.
     fn remove_clause(&mut self, cref: ClauseRef) {
-        let (l0, l1) = {
-            let c = &self.clauses[cref.0 as usize];
-            (c.lits[0], c.lits[1])
-        };
-        self.watches[(!l0).index()].retain(|w| w.cref != cref);
-        self.watches[(!l1).index()].retain(|w| w.cref != cref);
-        let c = &mut self.clauses[cref.0 as usize];
-        c.deleted = true;
-        c.lits.clear();
-        self.free_clauses.push(cref);
+        let r = lits_of(&self.arena, cref);
+        for l in [Lit(self.arena[r.start]), Lit(self.arena[r.start + 1])] {
+            self.watches[(!l).index()].retain(|w| w.tagged != cref.0);
+        }
+        let h = &mut self.arena[cref.0 as usize];
+        *h |= DELETED;
+        self.wasted += clause_words(*h);
+    }
+
+    /// Compacts the arena, keeping the clauses in their order, and
+    /// moves every watcher and every reason on the trail with them.
+    fn collect_garbage(&mut self) {
+        let mut old = std::mem::take(&mut self.arena);
+        self.arena.reserve(old.len() - self.wasted);
+        let mut c = 0;
+        while c < old.len() {
+            let words = clause_words(old[c]);
+            if old[c] & DELETED == 0 {
+                let moved = self.arena.len() as u32;
+                self.arena.extend_from_slice(&old[c..c + words]);
+                old[c] = moved; // the forwarding offset
+            }
+            c += words;
+        }
+        for w in self.watches.iter_mut().flatten() {
+            w.tagged = old[w.cref().0 as usize] | (w.tagged & BINARY);
+        }
+        for &l in &self.trail {
+            let r = &mut self.vardata[l.var().index()].reason;
+            if *r != CREF_UNDEF {
+                *r = ClauseRef(old[r.0 as usize]);
+            }
+        }
+        self.wasted = 0;
+    }
+
+    fn activity_of(&self, cref: ClauseRef) -> f64 {
+        let c = cref.0 as usize;
+        f64::from_bits(u64::from(self.arena[c + 1]) | u64::from(self.arena[c + 2]) << 32)
+    }
+
+    fn set_activity(&mut self, cref: ClauseRef, a: f64) {
+        let c = cref.0 as usize;
+        let bits = a.to_bits();
+        self.arena[c + 1] = bits as u32;
+        self.arena[c + 2] = (bits >> 32) as u32;
+    }
+
+    /// The learnt clauses, in arena order.
+    fn learnt_clauses(&self) -> impl Iterator<Item = ClauseRef> + '_ {
+        let mut c = 0;
+        std::iter::from_fn(move || {
+            while c < self.arena.len() {
+                let (cref, h) = (ClauseRef(c as u32), self.arena[c]);
+                c += clause_words(h);
+                if h & (LEARNT | DELETED) == LEARNT {
+                    return Some(cref);
+                }
+            }
+            None
+        })
     }
 
     // ----- assignment & trail -----
@@ -495,86 +559,77 @@ impl Solver {
             let mut ws = std::mem::take(&mut self.watches[p.index()]);
             let mut keep = 0;
             let mut i = 0;
-            'watchers: while i < ws.len() {
+            while i < ws.len() {
                 let w = ws[i];
                 i += 1;
-                if self.lit_value(w.blocker) == LBool::True {
+                let blocker = self.lit_value(w.blocker);
+                if blocker == LBool::True {
                     ws[keep] = w;
                     keep += 1;
                     continue;
                 }
-                let cref = w.cref;
-                // Normalize: false literal (!p) at position 1.
-                let (first, new_watch) = {
-                    let c = &mut self.clauses[cref.0 as usize];
-                    if c.lits[0] == !p {
-                        c.lits.swap(0, 1);
+                let cref = w.cref();
+                let (first, value) = if w.is_binary() {
+                    if blocker == LBool::False {
+                        // Store the conflict as [other, false], the
+                        // order conflict analysis visits it in.
+                        let r = lits_of(&self.arena, cref);
+                        self.arena[r.start] = w.blocker.0;
+                        self.arena[r.start + 1] = (!p).0;
                     }
-                    debug_assert_eq!(c.lits[1], !p);
-                    let first = c.lits[0];
-                    if first != w.blocker
-                        && self.assigns[first.var().index()].under_sign(first.is_positive())
-                            == LBool::True
-                    {
-                        (first, None)
-                    } else {
-                        let mut found = None;
-                        for k in 2..c.lits.len() {
-                            let lk = c.lits[k];
-                            if self.assigns[lk.var().index()].under_sign(lk.is_positive())
+                    (w.blocker, blocker)
+                } else {
+                    // Normalize: false literal (!p) at position 1.
+                    let r = lits_of(&self.arena, cref);
+                    let c = &mut self.arena[r];
+                    if c[0] == (!p).0 {
+                        c.swap(0, 1);
+                    }
+                    debug_assert_eq!(c[1], (!p).0);
+                    let first = Lit(c[0]);
+                    let value = self.assigns[first.var().index()].under_sign(first.is_positive());
+                    if value != LBool::True {
+                        let found = c[2..].iter().position(|&lk| {
+                            let lk = Lit(lk);
+                            self.assigns[lk.var().index()].under_sign(lk.is_positive())
                                 != LBool::False
-                            {
-                                found = Some(k);
-                                break;
-                            }
-                        }
+                        });
                         if let Some(k) = found {
-                            c.lits.swap(1, k);
-                            (first, Some(c.lits[1]))
-                        } else {
-                            (first, None)
+                            c.swap(1, k + 2);
+                            let nw = Lit(c[1]);
+                            self.watches[(!nw).index()].push(Watcher {
+                                tagged: cref.0,
+                                blocker: first,
+                            });
+                            continue;
                         }
                     }
+                    (first, value)
                 };
-                if let Some(nw) = new_watch {
-                    self.watches[(!nw).index()].push(Watcher {
-                        cref,
-                        blocker: first,
-                    });
-                    continue 'watchers;
-                }
-                if self.lit_value(first) == LBool::True {
-                    ws[keep] = Watcher {
-                        cref,
-                        blocker: first,
-                    };
-                    keep += 1;
-                    continue;
-                }
-                // No new watch: clause is unit or conflicting.
                 ws[keep] = Watcher {
-                    cref,
+                    tagged: w.tagged,
                     blocker: first,
                 };
                 keep += 1;
-                if self.lit_value(first) == LBool::False {
-                    conflict = Some(cref);
-                    self.qhead = self.trail.len();
-                    // Keep remaining watchers.
-                    while i < ws.len() {
-                        ws[keep] = ws[i];
-                        keep += 1;
-                        i += 1;
+                match value {
+                    LBool::True => {}
+                    LBool::Undef => self.unchecked_enqueue(first, cref),
+                    LBool::False => {
+                        // No new watch: the clause is conflicting.
+                        conflict = Some(cref);
+                        self.qhead = self.trail.len();
+                        // Keep the remaining watchers.
+                        ws.copy_within(i.., keep);
+                        keep += ws.len() - i;
+                        break;
                     }
-                    break 'watchers;
                 }
-                self.unchecked_enqueue(first, cref);
             }
             ws.truncate(keep);
-            // Re-merge with any watchers added to the (empty) list while
-            // we held the original out.
-            let added = std::mem::replace(&mut self.watches[p.index()], ws);
-            self.watches[p.index()].extend(added);
+            // A new watch is never on `p`'s list: it watches a literal
+            // that is not false, and `!p` is.
+            debug_assert!(self.watches[p.index()].is_empty());
+            self.watches[p.index()] = ws;
             if conflict.is_some() {
                 break;
             }
@@ -584,28 +639,35 @@ impl Solver {
 
     // ----- conflict analysis -----
 
-    fn analyze(&mut self, conflict: ClauseRef) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // placeholder for UIP
+    /// First-UIP analysis of `conflict`: leaves the learnt clause in
+    /// `self.learnt`, asserting literal first, and returns the level
+    /// to backtrack to.
+    fn analyze(&mut self, conflict: ClauseRef) -> u32 {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit(0)); // placeholder for UIP
         let mut counter = 0u32;
         let mut p: Option<Lit> = None;
         let mut cref = conflict;
         let mut index = self.trail.len();
 
         loop {
-            {
-                self.bump_clause(cref);
-                let lits: Vec<Lit> = self.clauses[cref.0 as usize].lits.clone();
-                let skip = usize::from(p.is_some());
-                for &q in lits.iter().skip(skip) {
-                    let v = q.var();
-                    if !self.seen[v.index()] && self.vardata[v.index()].level > 0 {
-                        self.seen[v.index()] = true;
-                        self.bump_var(v);
-                        if self.vardata[v.index()].level >= self.decision_level() {
-                            counter += 1;
-                        } else {
-                            learnt.push(q);
-                        }
+            self.bump_clause(cref);
+            // A reason's implied literal is `p`; a binary reason may
+            // hold it second, so it is skipped by variable.
+            for k in lits_of(&self.arena, cref) {
+                let q = Lit(self.arena[k]);
+                let v = q.var();
+                if p.is_some_and(|p| p.var() == v) {
+                    continue;
+                }
+                if !self.seen[v.index()] && self.vardata[v.index()].level > 0 {
+                    self.seen[v.index()] = true;
+                    self.bump_var(v);
+                    if self.vardata[v.index()].level >= self.decision_level() {
+                        counter += 1;
+                    } else {
+                        learnt.push(q);
                     }
                 }
             }
@@ -628,50 +690,48 @@ impl Solver {
             debug_assert_ne!(cref, CREF_UNDEF);
         }
 
-        // Clause minimization: drop literals implied by the rest.
-        let keep: Vec<Lit> = learnt[1..]
-            .iter()
-            .copied()
-            .filter(|&l| !self.redundant(l))
-            .collect();
-        let mut out = vec![learnt[0]];
-        out.extend(keep);
-
-        // Clear `seen` for all touched vars.
+        // Clause minimization: move the literals not implied by the
+        // rest to the front, in order, then clear `seen` for every
+        // literal and drop the implied ones.
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            if !self.redundant(learnt[i]) {
+                learnt.swap(kept, i);
+                kept += 1;
+            }
+        }
         for &l in &learnt {
             self.seen[l.var().index()] = false;
         }
+        learnt.truncate(kept);
 
-        // Compute backtrack level: max level among out[1..].
-        let bt = if out.len() == 1 {
-            0
-        } else {
-            let (mx_ix, mx_lvl) = out[1..]
-                .iter()
-                .enumerate()
-                .map(|(i, &l)| (i + 1, self.vardata[l.var().index()].level))
-                .max_by_key(|&(_, lvl)| lvl)
-                .unwrap();
-            out.swap(1, mx_ix);
-            mx_lvl
+        // Backtrack level: the highest level among learnt[1..], whose
+        // literal (the last one, on a tie) moves to position 1.
+        let level = |l: Lit| self.vardata[l.var().index()].level;
+        let bt = match (1..learnt.len()).max_by_key(|&i| level(learnt[i])) {
+            Some(mx) => {
+                learnt.swap(1, mx);
+                level(learnt[1])
+            }
+            None => 0,
         };
-        (out, bt)
+        self.learnt = learnt;
+        bt
     }
 
     /// Is `l` redundant in the learnt clause (implied by other marked
     /// literals)? A conservative, non-recursive approximation of
     /// MiniSat's `litRedundant`: redundant iff its reason exists and all
-    /// reason literals are already marked or at level 0.
+    /// other reason literals are already marked or at level 0.
     fn redundant(&self, l: Lit) -> bool {
         let r = self.vardata[l.var().index()].reason;
         if r == CREF_UNDEF {
             return false;
         }
-        self.clauses[r.0 as usize]
-            .lits
-            .iter()
-            .skip(1)
-            .all(|&q| self.seen[q.var().index()] || self.vardata[q.var().index()].level == 0)
+        self.arena[lits_of(&self.arena, r)].iter().all(|&q| {
+            let v = Lit(q).var();
+            v == l.var() || self.seen[v.index()] || self.vardata[v.index()].level == 0
+        })
     }
 
     // ----- heuristics -----
@@ -690,14 +750,19 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, cref: ClauseRef) {
-        let c = &mut self.clauses[cref.0 as usize];
-        if !c.learnt {
+        if self.arena[cref.0 as usize] & LEARNT == 0 {
             return;
         }
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
-            for cl in &mut self.clauses {
-                cl.activity *= 1e-20;
+        let a = self.activity_of(cref) + self.cla_inc;
+        self.set_activity(cref, a);
+        if a > 1e20 {
+            let mut c = 0;
+            while c < self.arena.len() {
+                let (cr, h) = (ClauseRef(c as u32), self.arena[c]);
+                if h & LEARNT != 0 {
+                    self.set_activity(cr, self.activity_of(cr) * 1e-20);
+                }
+                c += clause_words(h);
             }
             self.cla_inc *= 1e-20;
         }
@@ -784,37 +849,27 @@ impl Solver {
 
     // ----- learnt DB reduction -----
 
+    /// Deletes the less active half of the learnt clauses of three or
+    /// more literals, except those that are the reason of a current
+    /// assignment. Ties in activity keep arena order.
     fn reduce_db(&mut self) {
-        let mut learnts: Vec<ClauseRef> = (0..self.clauses.len() as u32)
-            .map(ClauseRef)
-            .filter(|&cr| {
-                let c = &self.clauses[cr.0 as usize];
-                c.learnt && !c.deleted && c.lits.len() > 2
-            })
+        let mut learnts: Vec<ClauseRef> = self
+            .learnt_clauses()
+            .filter(|&cr| lits_of(&self.arena, cr).len() > 2)
             .collect();
-        learnts.sort_by(|&a, &b| {
-            let ca = self.clauses[a.0 as usize].activity;
-            let cb = self.clauses[b.0 as usize].activity;
-            ca.partial_cmp(&cb).unwrap()
-        });
-        let locked: Vec<bool> = learnts
-            .iter()
-            .map(|&cr| {
-                let c = &self.clauses[cr.0 as usize];
-                let l0 = c.lits[0];
-                self.vardata[l0.var().index()].reason == cr && self.lit_value(l0) == LBool::True
-            })
-            .collect();
+        learnts.sort_by(|&a, &b| self.activity_of(a).total_cmp(&self.activity_of(b)));
         let half = learnts.len() / 2;
-        for (i, &cr) in learnts.iter().enumerate() {
-            if i >= half {
-                break;
+        for &cr in &learnts[..half] {
+            let l0 = Lit(self.arena[lits_of(&self.arena, cr).start]);
+            let locked =
+                self.vardata[l0.var().index()].reason == cr && self.lit_value(l0) == LBool::True;
+            if !locked {
+                self.remove_clause(cr);
+                self.stats.learnts -= 1;
             }
-            if locked[i] {
-                continue;
-            }
-            self.remove_clause(cr);
-            self.stats.learnts = self.stats.learnts.saturating_sub(1);
+        }
+        if self.wasted * 5 > self.arena.len() {
+            self.collect_garbage();
         }
     }
 
@@ -822,7 +877,7 @@ impl Solver {
 
     /// Searches up to `conflict_budget` conflicts. Returns `None` to
     /// request a restart.
-    fn search(&mut self, conflict_budget: u64, assumptions: &[Lit]) -> Option<SolveResult> {
+    fn search(&mut self, conflict_budget: u64) -> Option<SolveResult> {
         let mut conflicts = 0u64;
         loop {
             if self.limits_tripped() {
@@ -835,30 +890,20 @@ impl Solver {
                     self.ok = false;
                     return Some(SolveResult::Unsat);
                 }
-                if self.decision_level() <= assumptions.len() as u32 {
-                    // Conflict within assumption levels: extract the
-                    // failing assumption set, then give up.
-                    self.analyze_final(confl, assumptions);
-                    return Some(SolveResult::Unsat);
-                }
-                let (learnt, bt_level) = self.analyze(confl);
-                let bt_level = bt_level.max(assumptions.len() as u32);
+                let bt_level = self.analyze(confl);
                 self.cancel_until(bt_level);
+                // The asserting literal is unassigned below the
+                // conflict's level.
+                let learnt = std::mem::take(&mut self.learnt);
                 if learnt.len() == 1 {
-                    // Asserting unit: must hold from its backtrack level.
-                    if self.lit_value(learnt[0]) == LBool::Undef {
-                        self.unchecked_enqueue(learnt[0], CREF_UNDEF);
-                    } else if self.lit_value(learnt[0]) == LBool::False {
-                        return Some(SolveResult::Unsat);
-                    }
+                    self.unchecked_enqueue(learnt[0], CREF_UNDEF);
                 } else {
-                    let cref = self.alloc_clause(learnt.clone(), true);
+                    let cref = self.alloc_clause(&learnt, true);
                     self.attach_clause(cref);
                     self.stats.learnts += 1;
-                    if self.lit_value(learnt[0]) == LBool::Undef {
-                        self.unchecked_enqueue(learnt[0], cref);
-                    }
+                    self.unchecked_enqueue(learnt[0], cref);
                 }
+                self.learnt = learnt;
                 self.decay();
             } else {
                 if conflicts >= conflict_budget {
@@ -868,76 +913,14 @@ impl Solver {
                     self.reduce_db();
                     self.max_learnts *= 1.3;
                 }
-                // Establish assumptions, one decision level each.
-                let mut next_decision: Option<Lit> = None;
-                while (self.decision_level() as usize) < assumptions.len() {
-                    let a = assumptions[self.decision_level() as usize];
-                    match self.lit_value(a) {
-                        LBool::True => {
-                            self.trail_lim.push(self.trail.len());
-                        }
-                        LBool::False => {
-                            self.conflict_assumptions = self.final_from_assumption(a);
-                            return Some(SolveResult::Unsat);
-                        }
-                        LBool::Undef => {
-                            next_decision = Some(a);
-                            break;
-                        }
-                    }
-                }
-                let dec = match next_decision {
-                    Some(a) => a,
-                    None => match self.pick_branch_var() {
-                        None => return Some(SolveResult::Sat),
-                        Some(v) => {
-                            self.stats.decisions += 1;
-                            Lit::new(v, self.polarity[v.index()])
-                        }
-                    },
+                let Some(v) = self.pick_branch_var() else {
+                    return Some(SolveResult::Sat);
                 };
+                self.stats.decisions += 1;
                 self.trail_lim.push(self.trail.len());
-                self.unchecked_enqueue(dec, CREF_UNDEF);
+                self.unchecked_enqueue(Lit::new(v, self.polarity[v.index()]), CREF_UNDEF);
             }
         }
-    }
-
-    /// Walks reasons backwards from a conflict hit while assumption
-    /// levels are active, collecting the assumptions responsible.
-    fn analyze_final(&mut self, conflict: ClauseRef, assumptions: &[Lit]) {
-        let assumed: std::collections::HashSet<Lit> = assumptions.iter().copied().collect();
-        let mut out = Vec::new();
-        let mut seen = vec![false; self.num_vars()];
-        let mut stack: Vec<Lit> = self.clauses[conflict.0 as usize].lits.clone();
-        while let Some(l) = stack.pop() {
-            let v = l.var();
-            if seen[v.index()] || self.vardata[v.index()].level == 0 {
-                continue;
-            }
-            seen[v.index()] = true;
-            if assumed.contains(&!l) {
-                out.push(!l);
-            } else {
-                let r = self.vardata[v.index()].reason;
-                if r != CREF_UNDEF {
-                    stack.extend(self.clauses[r.0 as usize].lits.iter().copied().skip(1));
-                }
-            }
-        }
-        self.conflict_assumptions = out;
-    }
-
-    /// Failing-assumption set when an assumption is directly false.
-    fn final_from_assumption(&mut self, a: Lit) -> Vec<Lit> {
-        let mut out = vec![a];
-        let r = self.vardata[a.var().index()].reason;
-        if r != CREF_UNDEF {
-            // Best-effort: include the assumption chain.
-            for &q in self.clauses[r.0 as usize].lits.iter().skip(1) {
-                out.push(!q);
-            }
-        }
-        out
     }
 }
 
@@ -996,7 +979,7 @@ mod tests {
 
     #[test]
     fn learnt_cap_persists_across_incremental_solves() {
-        // Under incremental use (one solve_with per CEGIS iteration)
+        // Under incremental use (one solve per CEGIS iteration)
         // the learnt-database cap must keep the ×1.3 growth earned by
         // reduce_db instead of resetting to 0.3 × clauses each call.
         let mut s = Solver::new();
@@ -1015,7 +998,7 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Sat);
         assert!(
             s.max_learnts >= grown,
-            "solve_with reset the learnt cap: {} < {grown}",
+            "solve reset the learnt cap: {} < {grown}",
             s.max_learnts
         );
         // The stats survive the second call unreset too: clause count
@@ -1119,19 +1102,6 @@ mod tests {
     }
 
     #[test]
-    fn assumptions_flip_outcome() {
-        let mut s = Solver::new();
-        let v = lits(&mut s, 2);
-        s.add_clause([v[0], v[1]]);
-        assert_eq!(s.solve_with(&[!v[0], !v[1]]), SolveResult::Unsat);
-        assert!(!s.unsat_assumptions().is_empty());
-        assert_eq!(s.solve_with(&[!v[0]]), SolveResult::Sat);
-        assert_eq!(s.lit_model_value(v[1]), Some(true));
-        // Solver stays usable.
-        assert_eq!(s.solve(), SolveResult::Sat);
-    }
-
-    #[test]
     fn incremental_clause_addition() {
         let mut s = Solver::new();
         let v = lits(&mut s, 3);
@@ -1159,33 +1129,6 @@ mod tests {
     fn luby_sequence_prefix() {
         let seq: Vec<f64> = (0..9).map(|i| luby(2.0, i)).collect();
         assert_eq!(seq, vec![1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 4.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn export_cnf_preserves_satisfiability() {
-        let mut s = Solver::new();
-        let v = lits(&mut s, 4);
-        s.add_clause([v[0], v[1]]);
-        s.add_clause([!v[0], v[2]]);
-        s.add_clause([!v[2], !v[3]]);
-        s.add_clause([v[3]]);
-        let exported = s.export_cnf();
-        assert_eq!(exported.solve(), s.solve());
-        // Roundtrips through DIMACS text too.
-        let text = exported.to_dimacs();
-        let reparsed = crate::dimacs::Cnf::parse(&text).unwrap();
-        assert_eq!(reparsed.solve(), SolveResult::Sat);
-    }
-
-    #[test]
-    fn export_cnf_of_unsat_is_unsat() {
-        let mut s = Solver::new();
-        let v = lits(&mut s, 2);
-        s.add_clause([v[0]]);
-        s.add_clause([!v[0], v[1]]);
-        s.add_clause([!v[1]]);
-        assert_eq!(s.solve(), SolveResult::Unsat);
-        assert_eq!(s.export_cnf().solve(), SolveResult::Unsat);
     }
 
     #[test]

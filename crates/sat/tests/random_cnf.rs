@@ -76,41 +76,6 @@ fn cdcl_agrees_with_brute_force() {
 }
 
 #[test]
-fn assumptions_consistent_with_added_units() {
-    cases(300, |rng| {
-        let num_vars = 2 + rng.below(5);
-        let clauses = random_cnf(rng, num_vars, 16);
-        let assume_var = rng.below(num_vars);
-        let assume_sign = rng.any_bool();
-
-        // Solving under assumption l must match solving with unit clause l.
-        let mut s1 = Solver::new();
-        let v1: Vec<_> = (0..num_vars).map(|_| s1.new_var()).collect();
-        for c in &clauses {
-            s1.add_clause(
-                c.iter()
-                    .map(|&l| Lit::new(v1[(l.unsigned_abs() as usize) - 1], l > 0)),
-            );
-        }
-        let a = Lit::new(v1[assume_var], assume_sign);
-        let with_assumption = s1.solve_with(&[a]);
-
-        let mut s2 = Solver::new();
-        let v2: Vec<_> = (0..num_vars).map(|_| s2.new_var()).collect();
-        for c in &clauses {
-            s2.add_clause(
-                c.iter()
-                    .map(|&l| Lit::new(v2[(l.unsigned_abs() as usize) - 1], l > 0)),
-            );
-        }
-        s2.add_clause([Lit::new(v2[assume_var], assume_sign)]);
-        let with_unit = s2.solve();
-
-        assert_eq!(with_assumption, with_unit, "clauses: {clauses:?}");
-    });
-}
-
-#[test]
 fn hard_random_3sat_instance() {
     // A fixed pseudo-random 3-SAT instance near the phase transition
     // (n=40, m=170): solver must terminate and agree with its own model.

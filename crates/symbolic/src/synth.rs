@@ -168,6 +168,11 @@ impl<'l> Synthesizer<'l> {
         self.solver.stats()
     }
 
+    /// The underlying SAT solver, for its size and memory.
+    pub fn solver(&self) -> &Solver {
+        &self.solver
+    }
+
     fn bind_hole_bits(&mut self) {
         // The circuit allocates Tseitin vars lazily; we reserved
         // solver vars for the hole bits up front so the mapping is
