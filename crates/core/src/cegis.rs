@@ -458,7 +458,8 @@ impl Synthesis {
         stats.s_model = synth.stats.encode_time;
         stats.synth_nodes = synth.stats.nodes;
         stats.sat = synth.solver_stats();
-        stats.sat_bytes = synth.solver().heap_bytes();
+        stats.sat_heap = synth.solver().heap_bytes();
+        stats.circuit_bytes = synth.circuit().heap_bytes();
         stats.total = t0.elapsed();
         stats.peak_memory = mem::peak_rss_bytes();
         // A budget that tripped while the run nonetheless concluded

@@ -59,11 +59,21 @@ pub fn render_stats(name: &str, test: &str, outcome: &Outcome) -> String {
     if st.sat.propagations > 0 {
         let _ = writeln!(
             out,
-            "  sat: {:.0} ns per propagation  solver heap = {} MiB",
+            "  sat: {:.0} ns per propagation",
             st.s_solve.as_nanos() as f64 / st.sat.propagations as f64,
-            mem_mib(Some(st.sat_bytes as u64))
         );
     }
+    let mib = |bytes: usize| mem_mib(Some(bytes as u64));
+    let heap = &st.sat_heap;
+    let _ = writeln!(
+        out,
+        "  heap (MiB): solver {} (clauses {}  watches {}  vars {})  circuit {}",
+        mib(heap.total()),
+        mib(heap.clause_bytes),
+        mib(heap.watch_bytes),
+        mib(heap.var_bytes),
+        mib(st.circuit_bytes)
+    );
     if let Some(trip) = &outcome.budget_trip {
         let _ = writeln!(
             out,

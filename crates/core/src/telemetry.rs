@@ -17,7 +17,7 @@
 //! the report in tests and to let downstream tooling validate keys.
 
 use psketch_exec::{CheckStats, CompiledProgram};
-use psketch_sat::SolverStats;
+use psketch_sat::{HeapBytes, SolverStats};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -162,8 +162,14 @@ pub struct CegisStats {
     /// Synthesizer SAT counters at the end of the run.
     pub sat: SolverStats,
     /// Heap bytes the synthesizer's SAT solver holds after the last
-    /// solve: clause arena, watch lists and per-variable arrays.
-    pub sat_bytes: usize,
+    /// solve, by owner: clause arena, watch lists and per-variable
+    /// arrays. The report names them `sat_clause_bytes`,
+    /// `sat_watch_bytes` and `sat_var_bytes`, and their sum
+    /// `sat_bytes`.
+    pub sat_heap: HeapBytes,
+    /// Heap bytes of the synthesizer's circuit at the end: its nodes,
+    /// Tseitin map and AND table.
+    pub circuit_bytes: usize,
     /// Circuit nodes in the synthesizer at the end.
     pub synth_nodes: usize,
     /// Verification cost summed over every candidate tried.
@@ -208,7 +214,12 @@ impl CegisStats {
             self.peak_memory.map_or(Json::Null, |b| Json::Num(b as f64)),
         ));
         out.extend(nums!("sat_", self.sat; decisions, propagations, conflicts, restarts));
-        out.extend(nums!("", self; sat_bytes));
+        out.push((
+            "sat_bytes".to_string(),
+            Json::Num(self.sat_heap.total() as f64),
+        ));
+        out.extend(nums!("sat_", self.sat_heap; clause_bytes, watch_bytes, var_bytes));
+        out.extend(nums!("", self; circuit_bytes));
         self.cost.write_json(out);
     }
 }
@@ -340,7 +351,11 @@ impl RunReport {
     /// proposed it and that solve's work (`sat_vars`, `sat_clauses`,
     /// `sat_decisions`, `sat_propagations`, `sat_conflicts`), and the
     /// run the solver's heap bytes after its last solve (`sat_bytes`).
-    pub const SCHEMA: u32 = 11;
+    ///
+    /// v12: the run splits `sat_bytes` by owner (`sat_clause_bytes`,
+    /// `sat_watch_bytes`, `sat_var_bytes`) and carries the circuit's
+    /// heap bytes (`circuit_bytes`).
+    pub const SCHEMA: u32 = 12;
 
     /// Serialises the report as a JSON object (two-space indented).
     pub fn to_json(&self) -> String {
@@ -890,7 +905,14 @@ mod tests {
             .records
             .windows(2)
             .all(|w| w[0].sat_vars <= w[1].sat_vars && w[0].sat_clauses <= w[1].sat_clauses));
-        assert!(report.sat_bytes > 0);
+        let bytes = |key| run.get(key).and_then(Json::as_f64).unwrap();
+        assert!(bytes("sat_bytes") > 0.0);
+        assert_eq!(
+            bytes("sat_clause_bytes") + bytes("sat_watch_bytes") + bytes("sat_var_bytes"),
+            bytes("sat_bytes")
+        );
+        assert!(bytes("sat_clause_bytes") > 0.0 && bytes("sat_watch_bytes") > 0.0);
+        assert!(bytes("circuit_bytes") > 0.0);
     }
 
     #[test]

@@ -14,8 +14,13 @@
 //! * one flat clause arena, as in MiniSat: each clause is a run of
 //!   `u32` words (header, a learnt clause's activity, literals), and a
 //!   binary clause's watchers carry its other literal, so propagating
-//!   one never reads the arena.
+//!   one never reads the arena;
+//! * watch lists that hold up to three watchers in place and move to
+//!   a heap block only at the fourth, so most literals of a Tseitin
+//!   encoding own no allocation.
 //!
+//! [`Solver::heap_bytes`] reports the solver's memory by owner: the
+//! clause arena, the watch lists and the per-variable arrays.
 //! Clauses may be added between `solve` calls; learnt clauses and
 //! heuristic state carry over, which is how the CEGIS loop uses it.
 //!
@@ -37,7 +42,7 @@ mod lit;
 mod solver;
 
 pub use lit::{Lit, Var};
-pub use solver::{SolveResult, Solver, SolverStats};
+pub use solver::{HeapBytes, SolveResult, Solver, SolverStats};
 
 #[cfg(test)]
 mod tests {

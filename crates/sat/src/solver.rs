@@ -38,6 +38,27 @@ pub struct SolverStats {
     pub clauses: u64,
 }
 
+/// Heap bytes a [`Solver`] holds, by owner, counted by capacity
+/// ([`Solver::heap_bytes`]).
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
+pub struct HeapBytes {
+    /// The clause arena.
+    pub clause_bytes: usize,
+    /// The watch lists: one in-place list per literal, plus the heap
+    /// blocks of the lists that outgrew it.
+    pub watch_bytes: usize,
+    /// The per-variable arrays, the trail, the decision heap and the
+    /// model.
+    pub var_bytes: usize,
+}
+
+impl HeapBytes {
+    /// All three owners together.
+    pub fn total(&self) -> usize {
+        self.clause_bytes + self.watch_bytes + self.var_bytes
+    }
+}
+
 impl fmt::Display for SolverStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -107,6 +128,65 @@ impl Watcher {
     }
 }
 
+/// One literal's watchers, in the order they were pushed. Up to three
+/// live in place, which covers most literals of a Tseitin encoding;
+/// the fourth moves them to a heap block, which the list keeps.
+enum WatchList {
+    Inline(u8, [Watcher; 3]),
+    Heap(Vec<Watcher>),
+}
+
+impl WatchList {
+    const EMPTY: WatchList = WatchList::Inline(
+        0,
+        [Watcher {
+            tagged: 0,
+            blocker: Lit(0),
+        }; 3],
+    );
+
+    #[inline]
+    fn as_mut_slice(&mut self) -> &mut [Watcher] {
+        match self {
+            WatchList::Inline(n, ws) => &mut ws[..*n as usize],
+            WatchList::Heap(v) => v,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, w: Watcher) {
+        match self {
+            WatchList::Inline(n, ws) if (*n as usize) < ws.len() => {
+                ws[*n as usize] = w;
+                *n += 1;
+            }
+            WatchList::Inline(_, ws) => {
+                let mut v = Vec::with_capacity(6);
+                v.extend_from_slice(ws);
+                v.push(w);
+                *self = WatchList::Heap(v);
+            }
+            WatchList::Heap(v) => v.push(w),
+        }
+    }
+
+    #[inline]
+    fn truncate(&mut self, len: usize) {
+        match self {
+            WatchList::Inline(n, _) => *n = (*n).min(len as u8),
+            WatchList::Heap(v) => v.truncate(len),
+        }
+    }
+
+    /// Bytes of the list's heap block, if it spilled.
+    fn block_bytes(&self) -> usize {
+        match self {
+            WatchList::Inline(..) => 0,
+            WatchList::Heap(v) => v.capacity() * std::mem::size_of::<Watcher>(),
+        }
+    }
+}
+
 #[derive(Clone, Copy)]
 struct VarInfo {
     reason: ClauseRef,
@@ -125,7 +205,7 @@ pub struct Solver {
     wasted: usize,
 
     // Per-literal watcher lists.
-    watches: Vec<Vec<Watcher>>,
+    watches: Vec<WatchList>,
 
     // Per-variable state.
     assigns: Vec<LBool>,
@@ -248,25 +328,26 @@ impl Solver {
         self.stats
     }
 
-    /// Heap bytes the solver holds: the clause arena, the watch lists
-    /// and the per-variable arrays, counted by capacity.
-    pub fn heap_bytes(&self) -> usize {
+    /// Heap bytes the solver holds, by owner, counted by capacity.
+    pub fn heap_bytes(&self) -> HeapBytes {
         fn bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
         }
-        bytes(&self.arena)
-            + bytes(&self.watches)
-            + self.watches.iter().map(bytes).sum::<usize>()
-            + bytes(&self.assigns)
-            + bytes(&self.vardata)
-            + bytes(&self.activity)
-            + bytes(&self.polarity)
-            + bytes(&self.seen)
-            + bytes(&self.trail)
-            + bytes(&self.trail_lim)
-            + bytes(&self.heap)
-            + bytes(&self.heap_index)
-            + bytes(&self.model)
+        let blocks: usize = self.watches.iter().map(WatchList::block_bytes).sum();
+        HeapBytes {
+            clause_bytes: bytes(&self.arena),
+            watch_bytes: bytes(&self.watches) + blocks,
+            var_bytes: bytes(&self.assigns)
+                + bytes(&self.vardata)
+                + bytes(&self.activity)
+                + bytes(&self.polarity)
+                + bytes(&self.seen)
+                + bytes(&self.trail)
+                + bytes(&self.trail_lim)
+                + bytes(&self.heap)
+                + bytes(&self.heap_index)
+                + bytes(&self.model),
+        }
     }
 
     /// Creates a fresh variable.
@@ -280,8 +361,8 @@ impl Solver {
         self.activity.push(0.0);
         self.polarity.push(false);
         self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        self.watches.push(WatchList::EMPTY);
+        self.watches.push(WatchList::EMPTY);
         self.heap_index.push(-1);
         self.heap_insert(v);
         v
@@ -437,7 +518,16 @@ impl Solver {
     fn remove_clause(&mut self, cref: ClauseRef) {
         let r = lits_of(&self.arena, cref);
         for l in [Lit(self.arena[r.start]), Lit(self.arena[r.start + 1])] {
-            self.watches[(!l).index()].retain(|w| w.tagged != cref.0);
+            let list = &mut self.watches[(!l).index()];
+            let ws = list.as_mut_slice();
+            let mut keep = 0;
+            for i in 0..ws.len() {
+                if ws[i].tagged != cref.0 {
+                    ws[keep] = ws[i];
+                    keep += 1;
+                }
+            }
+            list.truncate(keep);
         }
         let h = &mut self.arena[cref.0 as usize];
         *h |= DELETED;
@@ -459,7 +549,7 @@ impl Solver {
             }
             c += words;
         }
-        for w in self.watches.iter_mut().flatten() {
+        for w in self.watches.iter_mut().flat_map(WatchList::as_mut_slice) {
             w.tagged = old[w.cref().0 as usize] | (w.tagged & BINARY);
         }
         for &l in &self.trail {
@@ -556,7 +646,8 @@ impl Solver {
             {
                 self.limits_tripped();
             }
-            let mut ws = std::mem::take(&mut self.watches[p.index()]);
+            let mut list = std::mem::replace(&mut self.watches[p.index()], WatchList::EMPTY);
+            let ws = list.as_mut_slice();
             let mut keep = 0;
             let mut i = 0;
             while i < ws.len() {
@@ -625,11 +716,11 @@ impl Solver {
                     }
                 }
             }
-            ws.truncate(keep);
+            list.truncate(keep);
             // A new watch is never on `p`'s list: it watches a literal
             // that is not false, and `!p` is.
-            debug_assert!(self.watches[p.index()].is_empty());
-            self.watches[p.index()] = ws;
+            debug_assert!(matches!(self.watches[p.index()], WatchList::Inline(0, _)));
+            self.watches[p.index()] = list;
             if conflict.is_some() {
                 break;
             }
@@ -839,6 +930,15 @@ impl Solver {
     }
 
     fn pick_branch_var(&mut self) -> Option<Var> {
+        if self.trail.len() == self.num_vars() {
+            // Every variable is assigned, so the pops below would only
+            // empty the heap: empty it without sifting.
+            for &v in &self.heap {
+                self.heap_index[v.index()] = -1;
+            }
+            self.heap.clear();
+            return None;
+        }
         while let Some(v) = self.heap_pop() {
             if self.assigns[v.index()] == LBool::Undef {
                 return Some(v);
@@ -1123,6 +1223,39 @@ mod tests {
         assert!(s.add_clause([v[0], v[0]]));
         assert_eq!(s.solve(), SolveResult::Sat);
         assert_eq!(s.lit_model_value(v[0]), Some(true));
+    }
+
+    #[test]
+    fn watch_list_keeps_order_inline_spilled_and_shrunk() {
+        // Clauses [a, b, c] with `a` first in literal order: each one
+        // watches `!a` with `b` as the blocker.
+        let mut s = Solver::new();
+        let a = Lit::pos(s.new_var());
+        let list = |s: &mut Solver| -> Vec<(u32, Lit)> {
+            let ws = s.watches[(!a).index()].as_mut_slice();
+            ws.iter().map(|w| (w.tagged, w.blocker)).collect()
+        };
+        let mut model: Vec<(u32, Lit)> = Vec::new();
+        for i in 0..5 {
+            let bc = lits(&mut s, 2);
+            let cref = s.arena.len() as u32;
+            assert!(s.add_clause([a, bc[0], bc[1]]));
+            model.push((cref, bc[0]));
+            assert_eq!(list(&mut s), model);
+            let inline = matches!(s.watches[(!a).index()], WatchList::Inline(..));
+            assert_eq!(inline, i < 3, "after {} pushes", i + 1);
+        }
+        // A spilled list that shrinks below four watchers stays spilled.
+        let crefs: Vec<u32> = model.iter().map(|&(c, _)| c).collect();
+        for k in [1, 3, 0] {
+            let cref = crefs[k];
+            s.remove_clause(ClauseRef(cref));
+            model.retain(|&(c, _)| c != cref);
+            assert_eq!(list(&mut s), model);
+            assert!(matches!(s.watches[(!a).index()], WatchList::Heap(_)));
+        }
+        assert_eq!(model.len(), 2);
+        assert!(std::mem::size_of::<WatchList>() <= 32);
     }
 
     #[test]

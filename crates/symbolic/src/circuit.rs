@@ -6,7 +6,9 @@
 //! decodings, heap muxes) encoded once across all observation traces.
 
 use psketch_sat::{Lit, Solver, Var};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A signed reference to a circuit node (bit 0 = negation).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -48,10 +50,35 @@ enum Node {
     And(NodeRef, NodeRef),
 }
 
+/// Hashes an AND node's key, its two input refs, with a folded
+/// multiply of the two words packed in one `u64`: the two halves of
+/// the 128-bit product XORed, so every key bit reaches the table's
+/// index bits and its tag bits. The keys are node refs the circuit
+/// numbers itself, not outside input, so the table needs no
+/// protection against crafted collisions.
+#[derive(Default)]
+struct AndKeyHasher(u64);
+
+impl Hasher for AndKeyHasher {
+    fn finish(&self) -> u64 {
+        let p = u128::from(self.0) * 0x9e37_79b9_7f4a_7c15;
+        p as u64 ^ (p >> 64) as u64
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("the AND table only hashes u32 pairs")
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.0 = self.0 << 32 | u64::from(word);
+    }
+}
+
 /// The circuit builder.
 pub struct Circuit {
     nodes: Vec<Node>,
-    hash: HashMap<(u32, u32), NodeRef>,
+    /// Structural hashing: an AND's ordered inputs → the node.
+    hash: HashMap<(u32, u32), NodeRef, BuildHasherDefault<AndKeyHasher>>,
     /// Tseitin mapping: node index → solver variable.
     vars: Vec<Option<Var>>,
 }
@@ -67,7 +94,7 @@ impl Circuit {
     pub fn new() -> Circuit {
         Circuit {
             nodes: vec![Node::Input],
-            hash: HashMap::new(),
+            hash: HashMap::default(),
             vars: vec![None],
         }
     }
@@ -80,6 +107,15 @@ impl Circuit {
     /// True when only the constant anchor exists.
     pub fn is_empty(&self) -> bool {
         self.nodes.len() <= 1
+    }
+
+    /// Heap bytes of the nodes, the Tseitin map and the AND table,
+    /// counted by capacity (a table entry with its control byte).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.nodes.capacity() * size_of::<Node>()
+            + self.vars.capacity() * size_of::<Option<Var>>()
+            + self.hash.capacity() * (size_of::<((u32, u32), NodeRef)>() + 1)
     }
 
     /// A fresh unconstrained input.
@@ -114,15 +150,15 @@ impl Circuit {
             return NodeRef::FALSE;
         }
         let (x, y) = if a.0 <= b.0 { (a, b) } else { (b, a) };
-        if let Some(&r) = self.hash.get(&(x.0, y.0)) {
-            return r;
+        match self.hash.entry((x.0, y.0)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let r = NodeRef((self.nodes.len() as u32) << 1);
+                self.nodes.push(Node::And(x, y));
+                self.vars.push(None);
+                *e.insert(r)
+            }
         }
-        let ix = self.nodes.len() as u32;
-        self.nodes.push(Node::And(x, y));
-        self.vars.push(None);
-        let r = NodeRef(ix << 1);
-        self.hash.insert((x.0, y.0), r);
-        r
     }
 
     /// Disjunction.

@@ -173,6 +173,12 @@ impl<'l> Synthesizer<'l> {
         &self.solver
     }
 
+    /// The circuit the observations were encoded through, for its
+    /// memory.
+    pub fn circuit(&self) -> &Circuit {
+        &self.circuit
+    }
+
     fn bind_hole_bits(&mut self) {
         // The circuit allocates Tseitin vars lazily; we reserved
         // solver vars for the hole bits up front so the mapping is

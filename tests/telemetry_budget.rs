@@ -194,6 +194,8 @@ fn pretty_report_covers_new_fields() {
         "propagations",
         "conflicts",
         "restarts",
+        "watches",
+        "circuit",
     ] {
         assert!(pretty.contains(needle), "missing '{needle}' in:\n{pretty}");
     }
