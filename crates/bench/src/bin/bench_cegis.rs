@@ -103,7 +103,7 @@ fn main() {
                  sketch. Every run verifies one candidate per iteration \
                  on one thread. secs_median/secs_min time the whole run; \
                  every other column is the last sample's run totals, \
-                 named as in the run report (schema 12). compile_us is \
+                 named as in the run report (schema 13). compile_us is \
                  the cumulative candidate-sealing time, every candidate \
                  sealed fresh. peak_memory is the cell's own peak RSS: \
                  the mark is reset before each cell"

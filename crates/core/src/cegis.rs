@@ -396,6 +396,10 @@ impl Synthesis {
                 stats.cost.add(&cost);
                 let values = candidate.values().to_vec();
                 let mut unknown = None;
+                let (failure, schedule_len) = match &result {
+                    VerifyResult::Trace(cex) => (Some(cex.failure.kind), cex.schedule.len()),
+                    _ => (None, 0),
+                };
                 let (verdict, observed) = match result {
                     VerifyResult::Correct => {
                         let resolved = resolve::resolve_program(&self.sketch, &candidate);
@@ -423,6 +427,8 @@ impl Synthesis {
                     projected_steps: observed.projected_steps,
                     resumed_steps: observed.resumed_steps,
                     new_nodes: observed.new_nodes,
+                    failure,
+                    schedule_len,
                     sat_vars,
                     sat_clauses: sat.clauses,
                     sat_decisions: sat.decisions - before.decisions,

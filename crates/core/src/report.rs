@@ -67,7 +67,7 @@ pub fn render_stats(name: &str, test: &str, outcome: &Outcome) -> String {
     let heap = &st.sat_heap;
     let _ = writeln!(
         out,
-        "  heap (MiB): solver {} (clauses {}  watches {}  vars {})  circuit {}",
+        "  heap in use (MiB): solver {} (clauses {}  watches {}  vars {})  circuit {}",
         mib(heap.total()),
         mib(heap.clause_bytes),
         mib(heap.watch_bytes),

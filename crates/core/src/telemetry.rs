@@ -16,7 +16,7 @@
 //! own emitter and a minimal parser ([`Json`]) — enough to round-trip
 //! the report in tests and to let downstream tooling validate keys.
 
-use psketch_exec::{CheckStats, CompiledProgram};
+use psketch_exec::{CheckStats, CompiledProgram, FailureKind};
 use psketch_sat::{HeapBytes, SolverStats};
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -161,14 +161,15 @@ pub struct CegisStats {
     pub peak_memory: Option<u64>,
     /// Synthesizer SAT counters at the end of the run.
     pub sat: SolverStats,
-    /// Heap bytes the synthesizer's SAT solver holds after the last
-    /// solve, by owner: clause arena, watch lists and per-variable
-    /// arrays. The report names them `sat_clause_bytes`,
+    /// Heap bytes the synthesizer's SAT solver has in use after the
+    /// last solve, by owner: clause arena, watch lists and
+    /// per-variable arrays. The report names them `sat_clause_bytes`,
     /// `sat_watch_bytes` and `sat_var_bytes`, and their sum
-    /// `sat_bytes`.
+    /// `sat_bytes`. Bytes in use have all been written, so they and
+    /// `circuit_bytes` are resident and sum to at most `peak_memory`.
     pub sat_heap: HeapBytes,
-    /// Heap bytes of the synthesizer's circuit at the end: its nodes,
-    /// Tseitin map and AND table.
+    /// Heap bytes the synthesizer's circuit has in use at the end: its
+    /// nodes, Tseitin map and AND table.
     pub circuit_bytes: usize,
     /// Circuit nodes in the synthesizer at the end.
     pub synth_nodes: usize,
@@ -252,6 +253,12 @@ pub struct IterationRecord {
     pub resumed_steps: usize,
     /// Circuit nodes the observation added.
     pub new_nodes: usize,
+    /// What went wrong in the counterexample trace this candidate fed
+    /// back, `None` when it fed none.
+    pub failure: Option<FailureKind>,
+    /// Transitions in that trace's schedule, 0 when there is no trace
+    /// (or the failure came before the interleaving search).
+    pub schedule_len: usize,
     /// SAT variables at the solve that proposed this candidate.
     pub sat_vars: usize,
     /// Problem clauses (learnt ones excluded) at that solve.
@@ -273,8 +280,14 @@ impl IterationRecord {
         out.push(("candidate".to_string(), Json::u64_array(&self.candidate)));
         out.push(("verdict".to_string(), Json::Str(self.verdict.clone())));
         out.extend(nums!("", self;
-            s_solve_secs, v_solve_secs, s_model_secs, projected_steps, resumed_steps, new_nodes,
-            sat_vars, sat_clauses, sat_decisions, sat_propagations, sat_conflicts));
+            s_solve_secs, v_solve_secs, s_model_secs, projected_steps, resumed_steps, new_nodes));
+        out.push((
+            "failure".to_string(),
+            self.failure
+                .map_or(Json::Null, |kind| Json::Str(kind.label().to_string())),
+        ));
+        out.extend(nums!("", self;
+            schedule_len, sat_vars, sat_clauses, sat_decisions, sat_propagations, sat_conflicts));
         self.cost.write_json(&mut out);
         Json::Obj(out)
     }
@@ -355,7 +368,12 @@ impl RunReport {
     /// v12: the run splits `sat_bytes` by owner (`sat_clause_bytes`,
     /// `sat_watch_bytes`, `sat_var_bytes`) and carries the circuit's
     /// heap bytes (`circuit_bytes`).
-    pub const SCHEMA: u32 = 12;
+    ///
+    /// v13: every byte count is bytes in use, not capacity, so
+    /// `sat_bytes + circuit_bytes` is at most `peak_memory`; each
+    /// record carries its trace's failure kind (`failure`, `null`
+    /// without a trace) and schedule length (`schedule_len`).
+    pub const SCHEMA: u32 = 13;
 
     /// Serialises the report as a JSON object (two-space indented).
     pub fn to_json(&self) -> String {
@@ -913,6 +931,52 @@ mod tests {
         );
         assert!(bytes("sat_clause_bytes") > 0.0 && bytes("sat_watch_bytes") > 0.0);
         assert!(bytes("circuit_bytes") > 0.0);
+        // Bytes in use have been written, so they are resident.
+        if let Some(peak) = run.get("peak_memory").and_then(Json::as_f64) {
+            assert!(bytes("sat_bytes") + bytes("circuit_bytes") <= peak);
+        }
+    }
+
+    /// A record names its trace's failure and schedule length, and a
+    /// candidate that feeds no trace records neither.
+    #[test]
+    fn records_carry_failure_kind_and_schedule_length() {
+        // Hole 0 makes worker 1 take the locks in the other order.
+        let src = "struct Lock { int owner = -1; }
+             Lock a; Lock b;
+             void lock(Lock l) { atomic (l.owner == -1) { l.owner = pid(); } }
+             void unlock(Lock l) { l.owner = -1; }
+             harness void main() {
+                 a = new Lock(); b = new Lock();
+                 fork (i; 2) {
+                     if (i == 0 || ??(1) == 1) { lock(a); lock(b); unlock(b); unlock(a); }
+                     else { lock(b); lock(a); unlock(a); unlock(b); }
+                 }
+             }";
+        let synthesis = Synthesis::new(src, Options::default()).unwrap();
+        let (out, report) = synthesis.run_report();
+        assert!(out.resolved());
+        let first = &report.records[0];
+        assert_eq!(first.candidate, vec![0]);
+        assert_eq!(first.failure, Some(FailureKind::Deadlock));
+        let cex = synthesis
+            .verify_candidate(&crate::Assignment::from_values(vec![0]))
+            .expect("the first candidate deadlocks");
+        assert!(!cex.schedule.is_empty());
+        assert_eq!(first.schedule_len, cex.schedule.len());
+        let last = report.records.last().unwrap();
+        assert_eq!((last.failure, last.schedule_len), (None, 0));
+        let run = Json::parse(&report.to_json()).unwrap();
+        let records = run.get("records").and_then(Json::as_arr).unwrap();
+        assert_eq!(
+            records[0].get("failure"),
+            Some(&Json::Str("deadlock".into()))
+        );
+        assert_eq!(
+            records[0].get("schedule_len").and_then(Json::as_f64),
+            Some(cex.schedule.len() as f64)
+        );
+        assert_eq!(records.last().unwrap().get("failure"), Some(&Json::Null));
     }
 
     #[test]

@@ -18,12 +18,12 @@
 //! completeness are therefore untouched by the bank's eviction policy,
 //! capacity, or the order schedules are tried in.
 //!
-//! The bank sits behind a single [`Mutex`]. The lock is only held to
-//! snapshot the schedule list and to bump hit counters; the replays
-//! themselves run outside it.
+//! One thread owns the bank and runs every replay. Its entries sit in
+//! a [`RefCell`], so `record` and `prescreen_compiled` take `&self`;
+//! a prescreen replays the banked schedules in place and bumps the
+//! hit entry after its replay.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::{Cell, RefCell};
 
 use crate::checker::{replay_with, Checker};
 use crate::compiled::CompiledProgram;
@@ -56,9 +56,9 @@ pub struct BankStats {
 /// A bounded, deduplicated store of counterexample schedules shared
 /// across CEGIS iterations.
 pub struct ScheduleBank {
-    inner: Mutex<Vec<Entry>>,
+    inner: RefCell<Vec<Entry>>,
     capacity: usize,
-    clock: AtomicU64,
+    clock: Cell<u64>,
 }
 
 fn fnv1a(schedule: &[u32]) -> u64 {
@@ -76,19 +76,20 @@ impl ScheduleBank {
     /// makes every prescreen a no-op.
     pub fn new(capacity: usize) -> Self {
         ScheduleBank {
-            inner: Mutex::new(Vec::new()),
+            inner: RefCell::new(Vec::new()),
             capacity,
-            clock: AtomicU64::new(0),
+            clock: Cell::new(0),
         }
     }
 
     fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
+        self.clock.set(self.clock.get() + 1);
+        self.clock.get()
     }
 
     /// Current number of banked schedules.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("schedule bank poisoned").len()
+        self.inner.borrow().len()
     }
 
     /// True when the bank holds no schedules.
@@ -107,7 +108,7 @@ impl ScheduleBank {
         }
         let fp = fnv1a(schedule);
         let now = self.tick();
-        let mut bank = self.inner.lock().expect("schedule bank poisoned");
+        let mut bank = self.inner.borrow_mut();
         if let Some(e) = bank
             .iter_mut()
             .find(|e| e.fp == fp && e.schedule == schedule)
@@ -141,30 +142,21 @@ impl ScheduleBank {
     /// built from the artifact and reused across every banked replay.
     pub fn prescreen_compiled(&self, cp: &CompiledProgram) -> (Option<CexTrace>, BankStats) {
         let ck = Checker::from_compiled(cp);
-        let snapshot: Vec<(u64, Vec<u32>)> = {
-            let mut bank = self.inner.lock().expect("schedule bank poisoned");
-            bank.sort_by_key(|e| std::cmp::Reverse((e.kills, e.last_used)));
-            bank.iter().map(|e| (e.fp, e.schedule.clone())).collect()
-        };
+        let mut bank = self.inner.borrow_mut();
+        bank.sort_by_key(|e| std::cmp::Reverse((e.kills, e.last_used)));
         let mut stats = BankStats {
-            size: snapshot.len() as u64,
+            size: bank.len() as u64,
             ..BankStats::default()
         };
-        for (fp, schedule) in &snapshot {
+        let mut order = Vec::new();
+        for i in 0..bank.len() {
             stats.replays += 1;
-            let order: Vec<usize> = schedule.iter().map(|&w| w as usize).collect();
+            order.clear();
+            order.extend(bank[i].schedule.iter().map(|&w| w as usize));
             if let Some(cex) = replay_with(&ck, &order) {
                 stats.hits = 1;
-                let now = self.tick();
-                let mut bank = self.inner.lock().expect("schedule bank poisoned");
-                if let Some(e) = bank
-                    .iter_mut()
-                    .find(|e| e.fp == *fp && e.schedule == *schedule)
-                {
-                    e.kills += 1;
-                    e.last_used = now;
-                }
-                stats.size = bank.len() as u64;
+                bank[i].kills += 1;
+                bank[i].last_used = self.tick();
                 return (Some(cex), stats);
             }
         }

@@ -37,6 +37,19 @@ pub enum FailureKind {
     Deadlock,
 }
 
+impl FailureKind {
+    /// Stable machine-readable label, as the run report writes it.
+    pub fn label(self) -> &'static str {
+        match self {
+            FailureKind::AssertFailed => "assert_failed",
+            FailureKind::NullDeref => "null_deref",
+            FailureKind::OutOfBounds => "out_of_bounds",
+            FailureKind::PoolExhausted => "pool_exhausted",
+            FailureKind::Deadlock => "deadlock",
+        }
+    }
+}
+
 impl fmt::Display for FailureKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

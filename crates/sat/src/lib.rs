@@ -11,16 +11,20 @@
 //! * first-UIP conflict analysis with clause minimization,
 //! * VSIDS-style activity heuristics with phase saving,
 //! * Luby restarts and activity-based clause-database reduction,
-//! * one flat clause arena, as in MiniSat: each clause is a run of
-//!   `u32` words (header, a learnt clause's activity, literals), and a
-//!   binary clause's watchers carry its other literal, so propagating
-//!   one never reads the arena;
+//! * one flat clause arena, as in MiniSat: each clause of three or
+//!   more literals is a run of `u32` words (header, a learnt clause's
+//!   activity, literals);
+//! * binary clauses, problem or learnt, kept only in their two
+//!   watchers, each carrying the other literal; a literal a binary
+//!   clause implies records that other literal as its reason, so a
+//!   binary clause takes no arena word;
 //! * watch lists that hold up to three watchers in place and move to
 //!   a heap block only at the fourth, so most literals of a Tseitin
 //!   encoding own no allocation.
 //!
-//! [`Solver::heap_bytes`] reports the solver's memory by owner: the
-//! clause arena, the watch lists and the per-variable arrays.
+//! [`Solver::heap_bytes`] reports the bytes the solver has in use, by
+//! owner: the clause arena, the watch lists and the per-variable
+//! arrays.
 //! Clauses may be added between `solve` calls; learnt clauses and
 //! heuristic state carry over, which is how the CEGIS loop uses it.
 //!

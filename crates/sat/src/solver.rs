@@ -38,11 +38,11 @@ pub struct SolverStats {
     pub clauses: u64,
 }
 
-/// Heap bytes a [`Solver`] holds, by owner, counted by capacity
-/// ([`Solver::heap_bytes`]).
+/// Heap bytes a [`Solver`] has in use, by owner ([`Solver::heap_bytes`]).
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct HeapBytes {
-    /// The clause arena.
+    /// The clause arena, which holds the clauses of three or more
+    /// literals.
     pub clause_bytes: usize,
     /// The watch lists: one in-place list per literal, plus the heap
     /// blocks of the lists that outgrew it.
@@ -78,8 +78,6 @@ impl fmt::Display for SolverStats {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct ClauseRef(u32);
 
-const CREF_UNDEF: ClauseRef = ClauseRef(u32::MAX);
-
 /// Header bit of a learnt clause, whose activity follows the header.
 const LEARNT: u32 = 1 << 31;
 /// Header bit of a clause removed by `reduce_db`; its words are
@@ -87,8 +85,12 @@ const LEARNT: u32 = 1 << 31;
 const DELETED: u32 = 1 << 30;
 /// Header bits holding the clause's length.
 const LEN: u32 = DELETED - 1;
-/// Watcher tag of a binary clause. Arena offsets stay below it.
+/// Tag of a binary clause's watcher and of a reason that is a binary
+/// clause. Arena offsets stay below it.
 const BINARY: u32 = 1 << 31;
+/// Variables a solver can hold: a binary reason's literal then stays
+/// below `NO_REASON & !BINARY`.
+const MAX_VARS: usize = LEN as usize;
 
 /// Words a clause with header `h` takes in the arena.
 #[inline]
@@ -104,12 +106,57 @@ fn lits_of(arena: &[u32], cref: ClauseRef) -> Range<usize> {
     end - (arena[c] & LEN) as usize..end
 }
 
-/// A clause watching a literal. A binary clause's watcher carries
-/// `BINARY` and the clause's other literal as its blocker, so
-/// propagating or refuting it never reads the clause.
+/// Why a variable has its value, in one word: `NO_REASON` for a
+/// decision or a top-level unit, the arena offset of the clause that
+/// implied it, or `BINARY` with the other literal of the binary clause
+/// that implied it, which is false.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Reason(u32);
+
+const NO_REASON: Reason = Reason(u32::MAX);
+
+impl Reason {
+    #[inline]
+    fn clause(cref: ClauseRef) -> Reason {
+        Reason(cref.0)
+    }
+
+    #[inline]
+    fn binary(other: Lit) -> Reason {
+        Reason(BINARY | other.0)
+    }
+
+    /// The arena clause, for a reason that is one.
+    #[inline]
+    fn as_clause(self) -> Option<ClauseRef> {
+        (self.0 & BINARY == 0).then_some(ClauseRef(self.0))
+    }
+
+    /// A binary reason's other literal.
+    #[inline]
+    fn other(self) -> Lit {
+        debug_assert!(self != NO_REASON && self.as_clause().is_none());
+        Lit(self.0 & !BINARY)
+    }
+}
+
+/// A clause that `propagate` found false.
+#[derive(Clone, Copy)]
+enum Conflict {
+    /// A clause of three or more literals, in the arena.
+    Clause(ClauseRef),
+    /// A binary clause, as its two literals in the order analysis
+    /// visits them: the watcher's other literal, then the literal that
+    /// was just made false.
+    Binary(Lit, Lit),
+}
+
+/// A clause watching a literal. A binary clause lives only in its two
+/// watchers: each carries `BINARY` and the clause's other literal as
+/// its blocker, so propagating or refuting it never reads the arena.
 #[derive(Clone, Copy)]
 struct Watcher {
-    /// The clause's offset, with `BINARY` set for a binary clause.
+    /// The clause's arena offset, or `BINARY` for a binary clause.
     tagged: u32,
     /// Cached "blocker" literal: if true, the clause is satisfied and
     /// need not be inspected.
@@ -117,11 +164,6 @@ struct Watcher {
 }
 
 impl Watcher {
-    #[inline]
-    fn cref(self) -> ClauseRef {
-        ClauseRef(self.tagged & !BINARY)
-    }
-
     #[inline]
     fn is_binary(self) -> bool {
         self.tagged & BINARY != 0
@@ -189,7 +231,7 @@ impl WatchList {
 
 #[derive(Clone, Copy)]
 struct VarInfo {
-    reason: ClauseRef,
+    reason: Reason,
     level: u32,
 }
 
@@ -197,9 +239,10 @@ struct VarInfo {
 ///
 /// See the crate docs for an overview and an example.
 pub struct Solver {
-    // Clause storage: every clause is a header word (length, learnt
-    // and deleted bits), then a learnt clause's activity as an `f64`
-    // in two words, then its literals.
+    // Clause storage for clauses of three or more literals: each is a
+    // header word (length, learnt and deleted bits), then a learnt
+    // clause's activity as an `f64` in two words, then its literals.
+    // A binary clause is only its two watchers.
     arena: Vec<u32>,
     // Words of deleted clauses not yet reclaimed.
     wasted: usize,
@@ -328,10 +371,12 @@ impl Solver {
         self.stats
     }
 
-    /// Heap bytes the solver holds, by owner, counted by capacity.
+    /// Heap bytes the solver has in use, by owner: each array counts
+    /// its length, not the tail that growth reserved and nothing has
+    /// written, and a spilled watch list its heap block.
     pub fn heap_bytes(&self) -> HeapBytes {
-        fn bytes<T>(v: &Vec<T>) -> usize {
-            v.capacity() * std::mem::size_of::<T>()
+        fn bytes<T>(v: &[T]) -> usize {
+            std::mem::size_of_val(v)
         }
         let blocks: usize = self.watches.iter().map(WatchList::block_bytes).sum();
         HeapBytes {
@@ -352,10 +397,11 @@ impl Solver {
 
     /// Creates a fresh variable.
     pub fn new_var(&mut self) -> Var {
+        assert!(self.num_vars() < MAX_VARS, "more than 2^30 - 1 variables");
         let v = Var(self.assigns.len() as u32);
         self.assigns.push(LBool::Undef);
         self.vardata.push(VarInfo {
-            reason: CREF_UNDEF,
+            reason: NO_REASON,
             level: 0,
         });
         self.activity.push(0.0);
@@ -415,9 +461,14 @@ impl Solver {
                 false
             }
             1 => {
-                self.unchecked_enqueue(c[0], CREF_UNDEF);
+                self.unchecked_enqueue(c[0], NO_REASON);
                 self.ok = self.propagate().is_none();
                 self.ok
+            }
+            2 => {
+                self.stats.clauses += 1;
+                self.watch(BINARY, c[0], c[1]);
+                true
             }
             _ => {
                 self.stats.clauses += 1;
@@ -502,8 +553,13 @@ impl Solver {
 
     fn attach_clause(&mut self, cref: ClauseRef) {
         let r = lits_of(&self.arena, cref);
-        let tagged = cref.0 | if r.len() == 2 { BINARY } else { 0 };
         let (l0, l1) = (Lit(self.arena[r.start]), Lit(self.arena[r.start + 1]));
+        self.watch(cref.0, l0, l1);
+    }
+
+    /// Pushes a clause's two watchers: on `!l0`'s list with `l1` as the
+    /// blocker, then on `!l1`'s with `l0`.
+    fn watch(&mut self, tagged: u32, l0: Lit, l1: Lit) {
         self.watches[(!l0).index()].push(Watcher {
             tagged,
             blocker: l1,
@@ -514,7 +570,7 @@ impl Solver {
         });
     }
 
-    /// Detaches and deletes a clause of three or more literals.
+    /// Detaches and deletes a clause.
     fn remove_clause(&mut self, cref: ClauseRef) {
         let r = lits_of(&self.arena, cref);
         for l in [Lit(self.arena[r.start]), Lit(self.arena[r.start + 1])] {
@@ -535,7 +591,8 @@ impl Solver {
     }
 
     /// Compacts the arena, keeping the clauses in their order, and
-    /// moves every watcher and every reason on the trail with them.
+    /// moves every watcher and every reason on the trail with them;
+    /// binary watchers and reasons hold no offset.
     fn collect_garbage(&mut self) {
         let mut old = std::mem::take(&mut self.arena);
         self.arena.reserve(old.len() - self.wasted);
@@ -550,12 +607,14 @@ impl Solver {
             c += words;
         }
         for w in self.watches.iter_mut().flat_map(WatchList::as_mut_slice) {
-            w.tagged = old[w.cref().0 as usize] | (w.tagged & BINARY);
+            if !w.is_binary() {
+                w.tagged = old[w.tagged as usize];
+            }
         }
         for &l in &self.trail {
             let r = &mut self.vardata[l.var().index()].reason;
-            if *r != CREF_UNDEF {
-                *r = ClauseRef(old[r.0 as usize]);
+            if let Some(cref) = r.as_clause() {
+                *r = Reason(old[cref.0 as usize]);
             }
         }
         self.wasted = 0;
@@ -600,7 +659,7 @@ impl Solver {
         self.trail_lim.len() as u32
     }
 
-    fn unchecked_enqueue(&mut self, l: Lit, reason: ClauseRef) {
+    fn unchecked_enqueue(&mut self, l: Lit, reason: Reason) {
         debug_assert_eq!(self.lit_value(l), LBool::Undef);
         self.assigns[l.var().index()] = LBool::from_bool(l.is_positive());
         self.vardata[l.var().index()] = VarInfo {
@@ -631,7 +690,7 @@ impl Solver {
 
     // ----- propagation -----
 
-    fn propagate(&mut self) -> Option<ClauseRef> {
+    fn propagate(&mut self) -> Option<Conflict> {
         let mut conflict = None;
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
@@ -659,18 +718,11 @@ impl Solver {
                     keep += 1;
                     continue;
                 }
-                let cref = w.cref();
-                let (first, value) = if w.is_binary() {
-                    if blocker == LBool::False {
-                        // Store the conflict as [other, false], the
-                        // order conflict analysis visits it in.
-                        let r = lits_of(&self.arena, cref);
-                        self.arena[r.start] = w.blocker.0;
-                        self.arena[r.start + 1] = (!p).0;
-                    }
-                    (w.blocker, blocker)
+                let (first, value, reason) = if w.is_binary() {
+                    (w.blocker, blocker, Reason::binary(!p))
                 } else {
                     // Normalize: false literal (!p) at position 1.
+                    let cref = ClauseRef(w.tagged);
                     let r = lits_of(&self.arena, cref);
                     let c = &mut self.arena[r];
                     if c[0] == (!p).0 {
@@ -695,7 +747,7 @@ impl Solver {
                             continue;
                         }
                     }
-                    (first, value)
+                    (first, value, Reason::clause(cref))
                 };
                 ws[keep] = Watcher {
                     tagged: w.tagged,
@@ -704,10 +756,13 @@ impl Solver {
                 keep += 1;
                 match value {
                     LBool::True => {}
-                    LBool::Undef => self.unchecked_enqueue(first, cref),
+                    LBool::Undef => self.unchecked_enqueue(first, reason),
                     LBool::False => {
                         // No new watch: the clause is conflicting.
-                        conflict = Some(cref);
+                        conflict = Some(match reason.as_clause() {
+                            Some(cref) => Conflict::Clause(cref),
+                            None => Conflict::Binary(first, !p),
+                        });
                         self.qhead = self.trail.len();
                         // Keep the remaining watchers.
                         ws.copy_within(i.., keep);
@@ -733,34 +788,36 @@ impl Solver {
     /// First-UIP analysis of `conflict`: leaves the learnt clause in
     /// `self.learnt`, asserting literal first, and returns the level
     /// to backtrack to.
-    fn analyze(&mut self, conflict: ClauseRef) -> u32 {
+    fn analyze(&mut self, conflict: Conflict) -> u32 {
         let mut learnt = std::mem::take(&mut self.learnt);
         learnt.clear();
         learnt.push(Lit(0)); // placeholder for UIP
         let mut counter = 0u32;
-        let mut p: Option<Lit> = None;
-        let mut cref = conflict;
         let mut index = self.trail.len();
+        // A binary conflict [a, b] is visited as `a`, then as a binary
+        // reason whose literal is `b`. A reason's implied literal is
+        // skipped: an arena clause holds it first, and a binary reason
+        // holds only the other literal.
+        let mut reason = match conflict {
+            Conflict::Clause(cref) => Reason::clause(cref),
+            Conflict::Binary(a, b) => {
+                self.analyze_lit(a, &mut counter, &mut learnt);
+                Reason::binary(b)
+            }
+        };
+        let mut implied = 0;
 
         loop {
-            self.bump_clause(cref);
-            // A reason's implied literal is `p`; a binary reason may
-            // hold it second, so it is skipped by variable.
-            for k in lits_of(&self.arena, cref) {
-                let q = Lit(self.arena[k]);
-                let v = q.var();
-                if p.is_some_and(|p| p.var() == v) {
-                    continue;
-                }
-                if !self.seen[v.index()] && self.vardata[v.index()].level > 0 {
-                    self.seen[v.index()] = true;
-                    self.bump_var(v);
-                    if self.vardata[v.index()].level >= self.decision_level() {
-                        counter += 1;
-                    } else {
-                        learnt.push(q);
+            match reason.as_clause() {
+                Some(cref) => {
+                    self.bump_clause(cref);
+                    let r = lits_of(&self.arena, cref);
+                    debug_assert!(implied == 0 || self.arena[r.start] == self.trail[index].0);
+                    for k in r.start + implied..r.end {
+                        self.analyze_lit(Lit(self.arena[k]), &mut counter, &mut learnt);
                     }
                 }
+                None => self.analyze_lit(reason.other(), &mut counter, &mut learnt),
             }
             // Select next literal to look at.
             loop {
@@ -770,15 +827,15 @@ impl Solver {
                 }
             }
             let pl = self.trail[index];
-            p = Some(pl);
             self.seen[pl.var().index()] = false;
             counter -= 1;
             if counter == 0 {
                 learnt[0] = !pl;
                 break;
             }
-            cref = self.vardata[pl.var().index()].reason;
-            debug_assert_ne!(cref, CREF_UNDEF);
+            reason = self.vardata[pl.var().index()].reason;
+            implied = 1;
+            debug_assert_ne!(reason, NO_REASON);
         }
 
         // Clause minimization: move the literals not implied by the
@@ -810,19 +867,41 @@ impl Solver {
         bt
     }
 
+    /// Marks `q`, a false literal of the conflict or of a reason, in
+    /// first-UIP analysis: a literal of the conflict's level is
+    /// counted, an earlier one joins the learnt clause, and one of
+    /// level 0 is dropped.
+    #[inline]
+    fn analyze_lit(&mut self, q: Lit, counter: &mut u32, learnt: &mut Vec<Lit>) {
+        let v = q.var();
+        if !self.seen[v.index()] && self.vardata[v.index()].level > 0 {
+            self.seen[v.index()] = true;
+            self.bump_var(v);
+            if self.vardata[v.index()].level >= self.decision_level() {
+                *counter += 1;
+            } else {
+                learnt.push(q);
+            }
+        }
+    }
+
     /// Is `l` redundant in the learnt clause (implied by other marked
     /// literals)? A conservative, non-recursive approximation of
     /// MiniSat's `litRedundant`: redundant iff its reason exists and all
     /// other reason literals are already marked or at level 0.
     fn redundant(&self, l: Lit) -> bool {
         let r = self.vardata[l.var().index()].reason;
-        if r == CREF_UNDEF {
+        let marked = |v: Var| self.seen[v.index()] || self.vardata[v.index()].level == 0;
+        if r == NO_REASON {
             return false;
         }
-        self.arena[lits_of(&self.arena, r)].iter().all(|&q| {
-            let v = Lit(q).var();
-            v == l.var() || self.seen[v.index()] || self.vardata[v.index()].level == 0
-        })
+        match r.as_clause() {
+            Some(cref) => self.arena[lits_of(&self.arena, cref)].iter().all(|&q| {
+                let v = Lit(q).var();
+                v == l.var() || marked(v)
+            }),
+            None => marked(r.other().var()),
+        }
     }
 
     // ----- heuristics -----
@@ -840,6 +919,10 @@ impl Solver {
         }
     }
 
+    /// Bumps a learnt clause's activity. A learnt binary clause has
+    /// none: the only reader of the others' activities besides
+    /// `reduce_db` is the rescale test below, which no activity can
+    /// trip before about 39,000 conflicts (DESIGN.md §4l).
     fn bump_clause(&mut self, cref: ClauseRef) {
         if self.arena[cref.0 as usize] & LEARNT == 0 {
             return;
@@ -949,20 +1032,18 @@ impl Solver {
 
     // ----- learnt DB reduction -----
 
-    /// Deletes the less active half of the learnt clauses of three or
-    /// more literals, except those that are the reason of a current
-    /// assignment. Ties in activity keep arena order.
+    /// Deletes the less active half of the learnt clauses in the arena
+    /// (binary ones live only in their watchers and are kept), except
+    /// those that are the reason of a current assignment. Ties in
+    /// activity keep arena order.
     fn reduce_db(&mut self) {
-        let mut learnts: Vec<ClauseRef> = self
-            .learnt_clauses()
-            .filter(|&cr| lits_of(&self.arena, cr).len() > 2)
-            .collect();
+        let mut learnts: Vec<ClauseRef> = self.learnt_clauses().collect();
         learnts.sort_by(|&a, &b| self.activity_of(a).total_cmp(&self.activity_of(b)));
         let half = learnts.len() / 2;
         for &cr in &learnts[..half] {
             let l0 = Lit(self.arena[lits_of(&self.arena, cr).start]);
-            let locked =
-                self.vardata[l0.var().index()].reason == cr && self.lit_value(l0) == LBool::True;
+            let locked = self.vardata[l0.var().index()].reason == Reason::clause(cr)
+                && self.lit_value(l0) == LBool::True;
             if !locked {
                 self.remove_clause(cr);
                 self.stats.learnts -= 1;
@@ -995,13 +1076,19 @@ impl Solver {
                 // The asserting literal is unassigned below the
                 // conflict's level.
                 let learnt = std::mem::take(&mut self.learnt);
-                if learnt.len() == 1 {
-                    self.unchecked_enqueue(learnt[0], CREF_UNDEF);
-                } else {
-                    let cref = self.alloc_clause(&learnt, true);
-                    self.attach_clause(cref);
-                    self.stats.learnts += 1;
-                    self.unchecked_enqueue(learnt[0], cref);
+                match learnt.len() {
+                    1 => self.unchecked_enqueue(learnt[0], NO_REASON),
+                    2 => {
+                        self.watch(BINARY, learnt[0], learnt[1]);
+                        self.stats.learnts += 1;
+                        self.unchecked_enqueue(learnt[0], Reason::binary(learnt[1]));
+                    }
+                    _ => {
+                        let cref = self.alloc_clause(&learnt, true);
+                        self.attach_clause(cref);
+                        self.stats.learnts += 1;
+                        self.unchecked_enqueue(learnt[0], Reason::clause(cref));
+                    }
                 }
                 self.learnt = learnt;
                 self.decay();
@@ -1018,7 +1105,7 @@ impl Solver {
                 };
                 self.stats.decisions += 1;
                 self.trail_lim.push(self.trail.len());
-                self.unchecked_enqueue(Lit::new(v, self.polarity[v.index()]), CREF_UNDEF);
+                self.unchecked_enqueue(Lit::new(v, self.polarity[v.index()]), NO_REASON);
             }
         }
     }
@@ -1256,6 +1343,33 @@ mod tests {
         }
         assert_eq!(model.len(), 2);
         assert!(std::mem::size_of::<WatchList>() <= 32);
+    }
+
+    #[test]
+    fn binary_clauses_take_no_arena_words() {
+        // Variables x0, y1, y2, x3: decisions take x0, then x3, both
+        // false. Only a longer clause can conflict above level 1 with a
+        // literal of level 1 in it, so the two ternaries make the first
+        // conflict learn the binary [x3, x0].
+        let mut s = Solver::new();
+        let v = lits(&mut s, 4);
+        let (x0, y1, y2, x3) = (v[0], v[1], v[2], v[3]);
+        assert!(s.add_clause([!y1, !y2]));
+        assert!(s.arena.is_empty());
+        assert!(s.add_clause([x0, x3, y1]));
+        assert!(s.add_clause([x0, x3, y2]));
+        let ternaries = s.arena.len();
+        assert_eq!(ternaries, 8);
+        assert_eq!(s.solve(), SolveResult::Sat);
+        let stats = s.stats();
+        assert_eq!((stats.conflicts, stats.learnts, stats.clauses), (1, 1, 3));
+        assert_eq!(s.arena.len(), ternaries, "a binary clause took arena words");
+        assert_eq!(s.heap_bytes().clause_bytes, 4 * ternaries);
+        // The learnt [x3, x0] holds in the model, as do the problem clauses.
+        let val = |l: Lit| s.lit_model_value(l) == Some(true);
+        assert!(val(x3) || val(x0));
+        assert!(!(val(y1) && val(y2)));
+        assert!(val(x0) || val(x3) || (val(y1) && val(y2)));
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! Heap allocations while encoding: a watch list of three watchers or
-//! fewer lives in place, so encoding a Tseitin AND chain, where no
-//! literal gets a fourth watcher, allocates only when the solver's
-//! arrays grow, not once per literal.
+//! Heap allocations and arena words while encoding: a watch list of
+//! three watchers or fewer lives in place, so encoding a Tseitin AND
+//! chain, where no literal gets a fourth watcher, allocates only when
+//! the solver's arrays grow, not once per literal; and a binary clause
+//! lives only in its watchers, so each gate takes arena words for its
+//! ternary clause alone.
 //!
 //! This file is its own test binary, so its counting allocator sees
 //! only this test.
@@ -62,6 +64,13 @@ fn and_chain_encoding_allocates_once_per_growth() {
     assert!(
         allocations < 1_000,
         "encoding {GATES} AND gates made {allocations} allocations"
+    );
+    // Each gate's two binary clauses live only in their watchers: the
+    // arena holds the ternary, a header and three literals.
+    let words = s.heap_bytes().clause_bytes / 4;
+    assert!(
+        words <= 4 * GATES,
+        "encoding {GATES} AND gates took {words} arena words"
     );
     // The chain's output forces every input true.
     s.add_clause([g]);

@@ -6,9 +6,7 @@
 //! decodings, heap muxes) encoded once across all observation traces.
 
 use psketch_sat::{Lit, Solver, Var};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// A signed reference to a circuit node (bit 0 = negation).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -44,43 +42,41 @@ impl NodeRef {
     }
 }
 
-enum Node {
-    /// The constant-true anchor (node 0) and free inputs.
-    Input,
-    And(NodeRef, NodeRef),
-}
+/// A node: the AND of its two inputs, ordered, or `INPUT`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Node(NodeRef, NodeRef);
+
+/// The constant-true anchor (node 0) and every free input. No AND has
+/// this key, because `and` folds constants.
+const INPUT: Node = Node(NodeRef::TRUE, NodeRef::TRUE);
+
+/// A Tseitin map entry for a node with no solver variable yet.
+const NO_VAR: u32 = u32::MAX;
 
 /// Hashes an AND node's key, its two input refs, with a folded
 /// multiply of the two words packed in one `u64`: the two halves of
 /// the 128-bit product XORed, so every key bit reaches the table's
-/// index bits and its tag bits. The keys are node refs the circuit
-/// numbers itself, not outside input, so the table needs no
-/// protection against crafted collisions.
-#[derive(Default)]
-struct AndKeyHasher(u64);
-
-impl Hasher for AndKeyHasher {
-    fn finish(&self) -> u64 {
-        let p = u128::from(self.0) * 0x9e37_79b9_7f4a_7c15;
-        p as u64 ^ (p >> 64) as u64
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("the AND table only hashes u32 pairs")
-    }
-
-    fn write_u32(&mut self, word: u32) {
-        self.0 = self.0 << 32 | u64::from(word);
-    }
+/// index bits. The keys are node refs the circuit numbers itself, not
+/// outside input, so the table needs no protection against crafted
+/// collisions.
+fn and_hash(Node(x, y): Node) -> u64 {
+    let p = u128::from(u64::from(x.0) << 32 | u64::from(y.0)) * 0x9e37_79b9_7f4a_7c15;
+    p as u64 ^ (p >> 64) as u64
 }
 
 /// The circuit builder.
 pub struct Circuit {
     nodes: Vec<Node>,
-    /// Structural hashing: an AND's ordered inputs → the node.
-    hash: HashMap<(u32, u32), NodeRef, BuildHasherDefault<AndKeyHasher>>,
-    /// Tseitin mapping: node index → solver variable.
-    vars: Vec<Option<Var>>,
+    /// Structural hashing: an open-addressing table of AND node ids,
+    /// probed linearly from the hash of the node's key and compared
+    /// against `nodes[id]`. A power of two long; 0, the constant
+    /// anchor's id, marks an empty slot.
+    table: Vec<u32>,
+    /// AND nodes in `table`.
+    ands: usize,
+    /// Tseitin mapping: node index → solver variable index, or
+    /// `NO_VAR`.
+    vars: Vec<u32>,
 }
 
 impl Default for Circuit {
@@ -93,9 +89,10 @@ impl Circuit {
     /// An empty circuit (containing only the constant).
     pub fn new() -> Circuit {
         Circuit {
-            nodes: vec![Node::Input],
-            hash: HashMap::default(),
-            vars: vec![None],
+            nodes: vec![INPUT],
+            table: vec![0; 16],
+            ands: 0,
+            vars: vec![NO_VAR],
         }
     }
 
@@ -109,21 +106,48 @@ impl Circuit {
         self.nodes.len() <= 1
     }
 
-    /// Heap bytes of the nodes, the Tseitin map and the AND table,
-    /// counted by capacity (a table entry with its control byte).
+    /// Heap bytes in use: the nodes and the Tseitin map by length,
+    /// and every slot of the AND table, which probing touches.
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.nodes.capacity() * size_of::<Node>()
-            + self.vars.capacity() * size_of::<Option<Var>>()
-            + self.hash.capacity() * (size_of::<((u32, u32), NodeRef)>() + 1)
+        use std::mem::size_of_val;
+        size_of_val(&self.nodes[..]) + size_of_val(&self.vars[..]) + size_of_val(&self.table[..])
     }
 
     /// A fresh unconstrained input.
     pub fn input(&mut self) -> NodeRef {
+        self.push(INPUT)
+    }
+
+    /// Appends a node with no solver variable yet.
+    fn push(&mut self, node: Node) -> NodeRef {
         let ix = self.nodes.len() as u32;
-        self.nodes.push(Node::Input);
-        self.vars.push(None);
+        self.nodes.push(node);
+        self.vars.push(NO_VAR);
         NodeRef(ix << 1)
+    }
+
+    /// The table slot holding `key`'s node, or the empty slot where it
+    /// belongs.
+    fn slot(&self, key: Node) -> usize {
+        let mask = self.table.len() - 1;
+        let mut i = and_hash(key) as usize & mask;
+        loop {
+            let id = self.table[i];
+            if id == 0 || self.nodes[id as usize] == key {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Doubles the AND table and inserts every id again.
+    fn grow(&mut self) {
+        let doubled = vec![0; self.table.len() * 2];
+        let old = std::mem::replace(&mut self.table, doubled);
+        for id in old.into_iter().filter(|&id| id != 0) {
+            let i = self.slot(self.nodes[id as usize]);
+            self.table[i] = id;
+        }
     }
 
     /// A boolean constant.
@@ -149,16 +173,19 @@ impl Circuit {
         if a == b.not() {
             return NodeRef::FALSE;
         }
-        let (x, y) = if a.0 <= b.0 { (a, b) } else { (b, a) };
-        match self.hash.entry((x.0, y.0)) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let r = NodeRef((self.nodes.len() as u32) << 1);
-                self.nodes.push(Node::And(x, y));
-                self.vars.push(None);
-                *e.insert(r)
-            }
+        let key = if a.0 <= b.0 { Node(a, b) } else { Node(b, a) };
+        let mut i = self.slot(key);
+        if self.table[i] != 0 {
+            return NodeRef(self.table[i] << 1);
         }
+        if (self.ands + 1) * 4 > self.table.len() * 3 {
+            self.grow();
+            i = self.slot(key);
+        }
+        self.ands += 1;
+        let r = self.push(key);
+        self.table[i] = r.node();
+        r
     }
 
     /// Disjunction.
@@ -216,24 +243,23 @@ impl Circuit {
         // Iterative DFS to avoid recursion depth issues.
         let mut stack = vec![r.node()];
         while let Some(&n) = stack.last() {
-            if self.vars[n as usize].is_some() {
+            if self.vars[n as usize] != NO_VAR {
                 stack.pop();
                 continue;
             }
-            match &self.nodes[n as usize] {
-                Node::Input => {
+            match self.nodes[n as usize] {
+                INPUT => {
                     let v = solver.new_var();
                     if n == 0 {
                         // Anchor: constant true.
                         solver.add_clause([Lit::pos(v)]);
                     }
-                    self.vars[n as usize] = Some(v);
+                    self.vars[n as usize] = v.index() as u32;
                     stack.pop();
                 }
-                Node::And(a, b) => {
-                    let (a, b) = (*a, *b);
-                    let need_a = self.vars[a.node() as usize].is_none();
-                    let need_b = self.vars[b.node() as usize].is_none();
+                Node(a, b) => {
+                    let need_a = self.vars[a.node() as usize] == NO_VAR;
+                    let need_b = self.vars[b.node() as usize] == NO_VAR;
                     if need_a {
                         stack.push(a.node());
                     }
@@ -248,7 +274,7 @@ impl Circuit {
                         solver.add_clause([Lit::neg(v), la]);
                         solver.add_clause([Lit::neg(v), lb]);
                         solver.add_clause([Lit::pos(v), !la, !lb]);
-                        self.vars[n as usize] = Some(v);
+                        self.vars[n as usize] = v.index() as u32;
                         stack.pop();
                     }
                 }
@@ -258,8 +284,9 @@ impl Circuit {
     }
 
     fn ref_lit(&self, r: NodeRef) -> Lit {
-        let v = self.vars[r.node() as usize].expect("encoded");
-        Lit::new(v, !r.negated())
+        let v = self.vars[r.node() as usize];
+        debug_assert_ne!(v, NO_VAR, "encoded");
+        Lit::new(Var::from_index(v as usize), !r.negated())
     }
 
     /// Asserts that a node is true.
@@ -291,13 +318,12 @@ impl Circuit {
                 stack.pop();
                 continue;
             }
-            match &self.nodes[n as usize] {
-                Node::Input => {
+            match self.nodes[n as usize] {
+                INPUT => {
                     memo[n as usize] = Some(*inputs.get(&n).unwrap_or(&false));
                     stack.pop();
                 }
-                Node::And(a, b) => {
-                    let (a, b) = (*a, *b);
+                Node(a, b) => {
                     let ma = memo[a.node() as usize];
                     let mb = memo[b.node() as usize];
                     match (ma, mb) {
@@ -324,7 +350,7 @@ impl Circuit {
 
     /// The raw input index of an input node (for [`Circuit::eval`]).
     pub fn input_index(&self, r: NodeRef) -> u32 {
-        debug_assert!(matches!(self.nodes[r.node() as usize], Node::Input));
+        debug_assert!(self.nodes[r.node() as usize] == INPUT);
         r.node()
     }
 }
@@ -357,6 +383,28 @@ mod tests {
         let before = c.len();
         let _ = c.and(x, y);
         assert_eq!(c.len(), before);
+    }
+
+    #[test]
+    fn and_table_finds_every_node_after_growing() {
+        let mut c = Circuit::new();
+        let xs: Vec<NodeRef> = (0..64).map(|_| c.input()).collect();
+        let mut made = Vec::new();
+        for (i, &x) in xs.iter().enumerate() {
+            for &y in &xs[i + 1..] {
+                made.push((x, y.not(), c.and(x, y.not())));
+            }
+        }
+        // 2,016 ANDs grow the 16-slot table to 4,096 slots.
+        assert_eq!(c.table.len(), 4096);
+        let len = c.len();
+        for &(x, y, r) in &made {
+            assert_eq!(c.and(x, y), r);
+            assert_eq!(c.and(y, x), r);
+        }
+        assert_eq!(c.len(), len);
+        assert_eq!(std::mem::size_of::<Node>(), 8);
+        assert!(c.heap_bytes() <= 24 * c.len(), "{} bytes", c.heap_bytes());
     }
 
     #[test]
