@@ -427,6 +427,8 @@ impl Synthesis {
                     projected_steps: observed.projected_steps,
                     resumed_steps: observed.resumed_steps,
                     new_nodes: observed.new_nodes,
+                    traced_steps: observed.traced_steps,
+                    trace_end: observed.trace_end,
                     failure,
                     schedule_len,
                     sat_vars,
@@ -466,6 +468,8 @@ impl Synthesis {
         stats.sat = synth.solver_stats();
         stats.sat_heap = synth.solver().heap_bytes();
         stats.circuit_bytes = synth.circuit().heap_bytes();
+        stats.lowered_bytes = self.lowered.heap_bytes();
+        stats.ir_nodes = self.lowered.expr_nodes();
         stats.total = t0.elapsed();
         stats.peak_memory = mem::peak_rss_bytes();
         // A budget that tripped while the run nonetheless concluded

@@ -7,17 +7,9 @@ pub fn current_rss_bytes() -> Option<u64> {
 
 /// Peak resident set size in bytes, if readable. This is the process
 /// high-water mark: it covers everything the process ran since it
-/// started or since the last [`reset_peak_rss`].
+/// started, so a sketch's own peak needs a process of its own.
 pub fn peak_rss_bytes() -> Option<u64> {
     read_status_field("VmHWM:")
-}
-
-/// Resets the peak resident set size to the current one, so a process
-/// that runs several sketches can read each one's own peak. Writes `5`
-/// to `/proc/self/clear_refs`; returns whether the kernel accepted it
-/// (Linux 4.0 or later).
-pub fn reset_peak_rss() -> bool {
-    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 fn read_status_field(field: &str) -> Option<u64> {

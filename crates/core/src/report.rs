@@ -67,12 +67,13 @@ pub fn render_stats(name: &str, test: &str, outcome: &Outcome) -> String {
     let heap = &st.sat_heap;
     let _ = writeln!(
         out,
-        "  heap in use (MiB): solver {} (clauses {}  watches {}  vars {})  circuit {}",
+        "  heap in use (MiB): solver {} (clauses {}  watches {}  vars {})  circuit {}  program {}",
         mib(heap.total()),
         mib(heap.clause_bytes),
         mib(heap.watch_bytes),
         mib(heap.var_bytes),
-        mib(st.circuit_bytes)
+        mib(st.circuit_bytes),
+        mib(st.lowered_bytes)
     );
     if let Some(trip) = &outcome.budget_trip {
         let _ = writeln!(

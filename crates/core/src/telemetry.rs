@@ -155,9 +155,10 @@ pub struct CegisStats {
     pub log10_space: f64,
     /// Peak RSS observed at the end of the run, bytes; `None` when the
     /// platform exposes no `/proc/self/status` (report it as "n/a",
-    /// not as zero). This is the process high-water mark: a process
-    /// that runs several sketches calls [`crate::mem::reset_peak_rss`]
-    /// between them.
+    /// not as zero). This is the process high-water mark, so it is one
+    /// sketch's own peak only in a process that runs that sketch
+    /// alone: `fig9` and `bench_cegis` run each sketch in a child
+    /// process of its own.
     pub peak_memory: Option<u64>,
     /// Synthesizer SAT counters at the end of the run.
     pub sat: SolverStats,
@@ -165,12 +166,20 @@ pub struct CegisStats {
     /// last solve, by owner: clause arena, watch lists and
     /// per-variable arrays. The report names them `sat_clause_bytes`,
     /// `sat_watch_bytes` and `sat_var_bytes`, and their sum
-    /// `sat_bytes`. Bytes in use have all been written, so they and
-    /// `circuit_bytes` are resident and sum to at most `peak_memory`.
+    /// `sat_bytes`. Bytes in use have all been written, so they,
+    /// `circuit_bytes` and `lowered_bytes` are resident and sum to at
+    /// most `peak_memory`.
     pub sat_heap: HeapBytes,
     /// Heap bytes the synthesizer's circuit has in use at the end: its
     /// nodes, Tseitin map and AND table.
     pub circuit_bytes: usize,
+    /// Heap bytes the lowered program has in use: each expression
+    /// allocation once, and every thread's steps
+    /// ([`psketch_ir::Lowered::heap_bytes`]).
+    pub lowered_bytes: usize,
+    /// Expression allocations in the lowered program: its structurally
+    /// distinct subexpressions ([`psketch_ir::Lowered::expr_nodes`]).
+    pub ir_nodes: usize,
     /// Circuit nodes in the synthesizer at the end.
     pub synth_nodes: usize,
     /// Verification cost summed over every candidate tried.
@@ -220,7 +229,7 @@ impl CegisStats {
             Json::Num(self.sat_heap.total() as f64),
         ));
         out.extend(nums!("sat_", self.sat_heap; clause_bytes, watch_bytes, var_bytes));
-        out.extend(nums!("", self; circuit_bytes));
+        out.extend(nums!("", self; circuit_bytes, lowered_bytes, ir_nodes));
         self.cost.write_json(out);
     }
 }
@@ -243,7 +252,7 @@ pub struct IterationRecord {
     /// Wall time of this candidate's verification call, seconds.
     pub v_solve_secs: f64,
     /// Time spent encoding the observation this candidate fed back to
-    /// the synthesizer, seconds. This and the next three are 0 when
+    /// the synthesizer, seconds. This and the next five are 0 when
     /// it fed none (a correct candidate, or an unknown verdict).
     pub s_model_secs: f64,
     /// Steps in that observation's projected order.
@@ -253,6 +262,12 @@ pub struct IterationRecord {
     pub resumed_steps: usize,
     /// Circuit nodes the observation added.
     pub new_nodes: usize,
+    /// Steps its counterexample trace executed (0 for an input).
+    pub traced_steps: usize,
+    /// Position in the projected order just past the trace's last
+    /// traced step (0 for an input), at most `projected_steps`: the
+    /// steps from here on only add failure disjuncts.
+    pub trace_end: usize,
     /// What went wrong in the counterexample trace this candidate fed
     /// back, `None` when it fed none.
     pub failure: Option<FailureKind>,
@@ -280,7 +295,8 @@ impl IterationRecord {
         out.push(("candidate".to_string(), Json::u64_array(&self.candidate)));
         out.push(("verdict".to_string(), Json::Str(self.verdict.clone())));
         out.extend(nums!("", self;
-            s_solve_secs, v_solve_secs, s_model_secs, projected_steps, resumed_steps, new_nodes));
+            s_solve_secs, v_solve_secs, s_model_secs, projected_steps, resumed_steps, new_nodes,
+            traced_steps, trace_end));
         out.push((
             "failure".to_string(),
             self.failure
@@ -373,7 +389,14 @@ impl RunReport {
     /// `sat_bytes + circuit_bytes` is at most `peak_memory`; each
     /// record carries its trace's failure kind (`failure`, `null`
     /// without a trace) and schedule length (`schedule_len`).
-    pub const SCHEMA: u32 = 13;
+    ///
+    /// v14: the run carries the lowered program's heap bytes
+    /// (`lowered_bytes`, also at most `peak_memory` with `sat_bytes` and
+    /// `circuit_bytes`) and its expression allocations (`ir_nodes`);
+    /// each record carries its trace's executed steps (`traced_steps`)
+    /// and the projected-order position just past the last of them
+    /// (`trace_end`), both 0 without a trace.
+    pub const SCHEMA: u32 = 14;
 
     /// Serialises the report as a JSON object (two-space indented).
     pub fn to_json(&self) -> String {
@@ -931,14 +954,16 @@ mod tests {
         );
         assert!(bytes("sat_clause_bytes") > 0.0 && bytes("sat_watch_bytes") > 0.0);
         assert!(bytes("circuit_bytes") > 0.0);
+        assert!(bytes("lowered_bytes") > 0.0 && bytes("ir_nodes") > 0.0);
         // Bytes in use have been written, so they are resident.
         if let Some(peak) = run.get("peak_memory").and_then(Json::as_f64) {
-            assert!(bytes("sat_bytes") + bytes("circuit_bytes") <= peak);
+            assert!(bytes("sat_bytes") + bytes("circuit_bytes") + bytes("lowered_bytes") <= peak);
         }
     }
 
-    /// A record names its trace's failure and schedule length, and a
-    /// candidate that feeds no trace records neither.
+    /// A record names its trace's failure, schedule length, executed
+    /// steps and end in the projected order, and a candidate that feeds
+    /// no trace records none of them.
     #[test]
     fn records_carry_failure_kind_and_schedule_length() {
         // Hole 0 makes worker 1 take the locks in the other order.
@@ -964,8 +989,17 @@ mod tests {
             .expect("the first candidate deadlocks");
         assert!(!cex.schedule.is_empty());
         assert_eq!(first.schedule_len, cex.schedule.len());
+        assert_eq!(first.traced_steps, cex.steps.len());
+        let order = psketch_symbolic::project(synthesis.lowered(), &cex);
+        assert_eq!(first.projected_steps, order.len());
+        assert_eq!(
+            first.trace_end,
+            psketch_symbolic::project::trace_end_position(&order, &cex)
+        );
+        assert!(0 < first.trace_end && first.trace_end <= first.projected_steps);
         let last = report.records.last().unwrap();
         assert_eq!((last.failure, last.schedule_len), (None, 0));
+        assert_eq!((last.traced_steps, last.trace_end), (0, 0));
         let run = Json::parse(&report.to_json()).unwrap();
         let records = run.get("records").and_then(Json::as_arr).unwrap();
         assert_eq!(
@@ -977,6 +1011,16 @@ mod tests {
             Some(cex.schedule.len() as f64)
         );
         assert_eq!(records.last().unwrap().get("failure"), Some(&Json::Null));
+        let count = |record: &Json, key| record.get(key).and_then(Json::as_f64);
+        assert_eq!(
+            count(&records[0], "traced_steps"),
+            Some(cex.steps.len() as f64)
+        );
+        assert_eq!(
+            count(&records[0], "trace_end"),
+            Some(first.trace_end as f64)
+        );
+        assert_eq!(count(records.last().unwrap(), "trace_end"), Some(0.0));
     }
 
     #[test]

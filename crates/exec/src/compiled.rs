@@ -1144,6 +1144,7 @@ impl<'l> CompiledProgram<'l> {
 mod tests {
     use super::*;
     use psketch_ir::{desugar::desugar_program, lower::lower_program, Config};
+    use std::sync::Arc;
 
     fn lowered(src: &str) -> Lowered {
         let cfg = Config::default();
@@ -1152,8 +1153,8 @@ mod tests {
         lower_program(&sk, holes, &cfg).unwrap()
     }
 
-    fn b(rv: Rv) -> Box<Rv> {
-        Box::new(rv)
+    fn b(rv: Rv) -> Arc<Rv> {
+        Arc::new(rv)
     }
 
     /// `null.v` for the first struct pool.

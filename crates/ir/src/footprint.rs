@@ -35,7 +35,7 @@
 
 use crate::config::Config;
 use crate::hole::Assignment;
-use crate::lower::{fold_binop, fold_unop};
+use crate::lower::{fold_const_binop, fold_const_unop};
 use crate::step::{FieldId, GlobalId, Lowered, Lv, Op, Rv, Step, StructId, Thread, ThreadId};
 use psketch_lang::ast::BinOp;
 
@@ -212,10 +212,7 @@ fn eval_static(
         Rv::Unary(op, a) => {
             let cfg = config?;
             let v = eval_static(a, env, config, holes)?;
-            match fold_unop(*op, Rv::Const(v), cfg) {
-                Rv::Const(c) => Some(c),
-                _ => None,
-            }
+            Some(fold_const_unop(*op, v, cfg))
         }
         Rv::Binary(op, a, b) => {
             let cfg = config?;
@@ -228,10 +225,7 @@ fn eval_static(
                 _ => {}
             }
             let bv = eval_static(b, env, config, holes)?;
-            match fold_binop(*op, Rv::Const(av?), Rv::Const(bv), cfg) {
-                Rv::Const(c) => Some(c),
-                _ => None,
-            }
+            fold_const_binop(*op, av?, bv, cfg)
         }
         Rv::Ite(c, a, b) => {
             if eval_static(c, env, config, holes)? != 0 {
@@ -594,13 +588,18 @@ fn update_env(
 mod tests {
     use super::*;
     use psketch_lang::error::Span;
+    use std::sync::Arc;
 
     fn gdyn_read(base: usize, len: usize, ix: Rv) -> Rv {
         Rv::GlobalDyn {
             base,
             len,
-            ix: Box::new(ix),
+            ix: Arc::new(ix),
         }
+    }
+
+    fn eq(a: Rv, b: Rv) -> Rv {
+        Rv::Binary(BinOp::Eq, Arc::new(a), Arc::new(b))
     }
 
     #[test]
@@ -841,7 +840,7 @@ mod tests {
         let thread = Thread {
             name: "t".into(),
             steps: vec![Step::new(
-                Rv::eq(Rv::Hole(0), Rv::Const(1)),
+                eq(Rv::Hole(0), Rv::Const(1)),
                 Op::Assign(Lv::Local(0), Rv::Global(2)),
                 Span::default(),
             )],
@@ -868,7 +867,7 @@ mod tests {
     fn blocking_atomic_reads_its_condition() {
         let s = Step::new(
             Rv::Const(1),
-            Op::AtomicBegin(Some(Rv::eq(Rv::Global(3), Rv::Const(1)))),
+            Op::AtomicBegin(Some(eq(Rv::Global(3), Rv::Const(1)))),
             Span::default(),
         );
         let fp = Footprint::of_step(&s);

@@ -20,6 +20,7 @@ use psketch_lang::ast::{BinOp, Expr, FnDef, Program, Stmt, Type, UnOp};
 use psketch_lang::error::{Phase, SourceError, SourceResult, Span};
 use psketch_lang::typecheck::TypeEnv;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 fn lerr(span: Span, msg: impl Into<String>) -> SourceError {
     SourceError::new(Phase::Type, span, msg)
@@ -266,6 +267,143 @@ impl ThreadCtx {
     }
 }
 
+/// A node's identity in the [`Interner`]: its variant, its scalars and
+/// the address of each child.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Shape {
+    Const(i64),
+    Global(GlobalId),
+    Local(LocalId),
+    Hole(HoleId),
+    GlobalDyn(GlobalId, usize, *const Rv),
+    LocalDyn(LocalId, usize, *const Rv),
+    Field(StructId, FieldId, *const Rv),
+    Unary(UnOp, *const Rv),
+    Binary(BinOp, *const Rv, *const Rv),
+    Ite(*const Rv, *const Rv, *const Rv),
+}
+
+impl Shape {
+    fn of(rv: &Rv) -> Shape {
+        match rv {
+            Rv::Const(v) => Shape::Const(*v),
+            Rv::Global(g) => Shape::Global(*g),
+            Rv::Local(l) => Shape::Local(*l),
+            Rv::Hole(h) => Shape::Hole(*h),
+            Rv::GlobalDyn { base, len, ix } => Shape::GlobalDyn(*base, *len, Arc::as_ptr(ix)),
+            Rv::LocalDyn { base, len, ix } => Shape::LocalDyn(*base, *len, Arc::as_ptr(ix)),
+            Rv::Field { sid, fid, obj } => Shape::Field(*sid, *fid, Arc::as_ptr(obj)),
+            Rv::Unary(op, a) => Shape::Unary(*op, Arc::as_ptr(a)),
+            Rv::Binary(op, a, b) => Shape::Binary(*op, Arc::as_ptr(a), Arc::as_ptr(b)),
+            Rv::Ite(c, a, b) => Shape::Ite(Arc::as_ptr(c), Arc::as_ptr(a), Arc::as_ptr(b)),
+        }
+    }
+}
+
+/// Hash-conses the lowered program's expressions: every child node the
+/// lowerer builds comes from [`Interner::node`], so each structurally
+/// distinct subexpression is one allocation, shared by every guard,
+/// generator alternative and unrolled copy that uses it (DESIGN.md
+/// §4m). Children are keyed by address, which is sound because the
+/// map keeps every node it handed out alive until lowering ends: no
+/// address in a key is freed and reused meanwhile. A step's root
+/// expressions stay inline in the step; they are interned only when
+/// they become a child.
+#[derive(Default)]
+struct Interner {
+    nodes: HashMap<Shape, Arc<Rv>>,
+}
+
+impl Interner {
+    /// The one allocation of `rv`'s node. Its children must have come
+    /// from this interner.
+    fn node(&mut self, rv: Rv) -> Arc<Rv> {
+        self.nodes
+            .entry(Shape::of(&rv))
+            .or_insert_with(|| Arc::new(rv))
+            .clone()
+    }
+
+    /// `a == b`.
+    fn eq(&mut self, a: Rv, b: Rv) -> Rv {
+        Rv::Binary(BinOp::Eq, self.node(a), self.node(b))
+    }
+
+    /// `a && b` with constant folding.
+    fn and(&mut self, a: Rv, b: Rv) -> Rv {
+        match (&a, &b) {
+            (Rv::Const(0), _) | (_, Rv::Const(0)) => Rv::Const(0),
+            (Rv::Const(_), _) => b,
+            (_, Rv::Const(_)) => a,
+            _ => Rv::Binary(BinOp::And, self.node(a), self.node(b)),
+        }
+    }
+
+    /// `!a` with constant folding.
+    fn not(&mut self, a: Rv) -> Rv {
+        match a {
+            Rv::Const(0) => Rv::Const(1),
+            Rv::Const(_) => Rv::Const(0),
+            other => Rv::Unary(UnOp::Not, self.node(other)),
+        }
+    }
+
+    /// A binary operation with constant folding.
+    fn binop(&mut self, op: BinOp, a: Rv, b: Rv, config: &Config) -> Rv {
+        if let (Rv::Const(x), Rv::Const(y)) = (&a, &b) {
+            if let Some(v) = fold_const_binop(op, *x, *y, config) {
+                return Rv::Const(v);
+            }
+        }
+        match (op, &a, &b) {
+            (BinOp::And, Rv::Const(0), _) | (BinOp::And, _, Rv::Const(0)) => Rv::Const(0),
+            (BinOp::And, Rv::Const(_), _) => b,
+            (BinOp::And, _, Rv::Const(_)) => a,
+            (BinOp::Or, Rv::Const(c), _) if *c != 0 => Rv::Const(1),
+            (BinOp::Or, _, Rv::Const(c)) if *c != 0 => Rv::Const(1),
+            (BinOp::Or, Rv::Const(0), _) => b,
+            (BinOp::Or, _, Rv::Const(0)) => a,
+            (BinOp::Add, Rv::Const(0), _) => b,
+            (BinOp::Add, _, Rv::Const(0)) => a,
+            (BinOp::Mul, Rv::Const(1), _) => b,
+            (BinOp::Mul, _, Rv::Const(1)) => a,
+            (BinOp::Mul, Rv::Const(0), _) | (BinOp::Mul, _, Rv::Const(0)) => Rv::Const(0),
+            _ => Rv::Binary(op, self.node(a), self.node(b)),
+        }
+    }
+
+    /// A unary operation with constant folding.
+    fn unop(&mut self, op: UnOp, a: Rv, config: &Config) -> Rv {
+        if let Rv::Const(c) = a {
+            return Rv::Const(fold_const_unop(op, c, config));
+        }
+        Rv::Unary(op, self.node(a))
+    }
+
+    /// The read of the cell an l-value writes.
+    fn lv_to_rv(&mut self, lv: Lv) -> Rv {
+        match lv {
+            Lv::Global(g) => Rv::Global(g),
+            Lv::Local(l) => Rv::Local(l),
+            Lv::GlobalDyn { base, len, ix } => Rv::GlobalDyn {
+                base,
+                len,
+                ix: self.node(ix),
+            },
+            Lv::LocalDyn { base, len, ix } => Rv::LocalDyn {
+                base,
+                len,
+                ix: self.node(ix),
+            },
+            Lv::Field { sid, fid, obj } => Rv::Field {
+                sid,
+                fid,
+                obj: self.node(obj),
+            },
+        }
+    }
+}
+
 struct Lowerer<'a> {
     program: &'a Program,
     config: &'a Config,
@@ -273,6 +411,7 @@ struct Lowerer<'a> {
     struct_ids: HashMap<String, StructId>,
     globals: Vec<GlobalSlot>,
     global_map: HashMap<String, VarTarget>,
+    exprs: Interner,
 }
 
 impl<'a> Lowerer<'a> {
@@ -347,6 +486,7 @@ impl<'a> Lowerer<'a> {
             struct_ids,
             globals,
             global_map,
+            exprs: Interner::default(),
         })
     }
 
@@ -529,10 +669,11 @@ impl<'a> Lowerer<'a> {
                     Op::Assign(Lv::Local(tslot), cv),
                     *span,
                 ));
-                let gt = Rv::and(guard.clone(), Rv::Local(tslot));
+                let gt = self.exprs.and(guard.clone(), Rv::Local(tslot));
                 self.emit_stmt(ctx, t, gt, nthreads)?;
                 if let Some(e) = e {
-                    let ge = Rv::and(guard, Rv::not(Rv::Local(tslot)));
+                    let not_taken = self.exprs.not(Rv::Local(tslot));
+                    let ge = self.exprs.and(guard, not_taken);
                     self.emit_stmt(ctx, e, ge, nthreads)?;
                 }
                 Ok(())
@@ -618,9 +759,12 @@ impl<'a> Lowerer<'a> {
         Ok(())
     }
 
-    fn live_guard(&self, ctx: &ThreadCtx, guard: Rv) -> Rv {
+    fn live_guard(&mut self, ctx: &ThreadCtx, guard: Rv) -> Rv {
         match ctx.frames.last() {
-            Some(f) if f.may_return => Rv::and(guard, Rv::not(Rv::Local(f.done_slot))),
+            Some(f) if f.may_return => {
+                let live = self.exprs.not(Rv::Local(f.done_slot));
+                self.exprs.and(guard, live)
+            }
             _ => guard,
         }
     }
@@ -640,8 +784,8 @@ impl<'a> Lowerer<'a> {
         let cv = self.eval(ctx, c, guard.clone(), nthreads)?.scalar(span)?;
         if fuel == 0 {
             // Termination bound: if the loop would still run, fail.
-            ctx.steps
-                .push(Step::new(guard, Op::Assert(Rv::not(cv)), span));
+            let exits = self.exprs.not(cv);
+            ctx.steps.push(Step::new(guard, Op::Assert(exits), span));
             return Ok(());
         }
         let tslot = ctx.alloc_local("$while", ScalarKind::Bool, 1);
@@ -650,7 +794,7 @@ impl<'a> Lowerer<'a> {
             Op::Assign(Lv::Local(tslot), cv),
             span,
         ));
-        let g2 = Rv::and(guard, Rv::Local(tslot));
+        let g2 = self.exprs.and(guard, Rv::Local(tslot));
         ctx.scopes.push(HashMap::new());
         self.emit_stmt(ctx, body, g2.clone(), nthreads)?;
         ctx.scopes.pop();
@@ -725,7 +869,9 @@ impl<'a> Lowerer<'a> {
             elems
         };
         for (k, v) in values.into_iter().enumerate() {
-            let ix = fold_binop(BinOp::Add, start.clone(), Rv::Const(k as i64), self.config);
+            let ix = self
+                .exprs
+                .binop(BinOp::Add, start.clone(), Rv::Const(k as i64), self.config);
             let lv = self.cell_lv(global, base, len, ix);
             ctx.steps
                 .push(Step::new(guard.clone(), Op::Assign(lv, v), span));
@@ -741,19 +887,19 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn cell_rv(&self, global: bool, base: usize, len: usize, ix: Rv) -> Rv {
+    fn cell_rv(&mut self, global: bool, base: usize, len: usize, ix: Rv) -> Rv {
         match (&ix, global) {
             (Rv::Const(c), true) if (0..len as i64).contains(c) => Rv::Global(base + *c as usize),
             (Rv::Const(c), false) if (0..len as i64).contains(c) => Rv::Local(base + *c as usize),
             (_, true) => Rv::GlobalDyn {
                 base,
                 len,
-                ix: Box::new(ix),
+                ix: self.exprs.node(ix),
             },
             (_, false) => Rv::LocalDyn {
                 base,
                 len,
-                ix: Box::new(ix),
+                ix: self.exprs.node(ix),
             },
         }
     }
@@ -777,7 +923,8 @@ impl<'a> Lowerer<'a> {
                 span,
             ));
             for (j, alt) in alts.iter().enumerate() {
-                let g = Rv::and(guard.clone(), self.choice_guard(*hole, j));
+                let chosen = self.choice_guard(*hole, j);
+                let g = self.exprs.and(guard.clone(), chosen);
                 let place = self.place(ctx, alt, nthreads)?;
                 let Place::Cell(lv) = place else {
                     return Err(lerr(span, "l-value alternative is not a scalar location"));
@@ -820,8 +967,9 @@ impl<'a> Lowerer<'a> {
     /// The guard selecting alternative `j` of a choice on `hole`: the
     /// index is wrapped like a literal, as the engines wrap the hole's
     /// value.
-    fn choice_guard(&self, hole: HoleId, j: usize) -> Rv {
-        Rv::eq(Rv::Hole(hole), Rv::Const(self.config.wrap(j as i64)))
+    fn choice_guard(&mut self, hole: HoleId, j: usize) -> Rv {
+        let index = Rv::Const(self.config.wrap(j as i64));
+        self.exprs.eq(Rv::Hole(hole), index)
     }
 
     // ----- places -----
@@ -868,7 +1016,7 @@ impl<'a> Lowerer<'a> {
                     return Err(lerr(*span, "indexing a scalar"));
                 };
                 let iv = self.eval(ctx, ix, Rv::Const(1), nthreads)?.scalar(*span)?;
-                let off = fold_binop(BinOp::Add, start, iv, self.config);
+                let off = self.exprs.binop(BinOp::Add, start, iv, self.config);
                 Ok(Place::Cell(self.cell_lv(global, base, len, off)))
             }
             Expr::Slice(base, s, l, span) => {
@@ -884,7 +1032,7 @@ impl<'a> Lowerer<'a> {
                     return Err(lerr(*span, "slicing a scalar"));
                 };
                 let sv = self.eval(ctx, s, Rv::Const(1), nthreads)?.scalar(*span)?;
-                let off = fold_binop(BinOp::Add, start, sv, self.config);
+                let off = self.exprs.binop(BinOp::Add, start, sv, self.config);
                 Ok(Place::Region {
                     global,
                     base,
@@ -1010,11 +1158,11 @@ impl<'a> Lowerer<'a> {
                 Val::S(Rv::Field {
                     sid,
                     fid,
-                    obj: Box::new(ov),
+                    obj: self.exprs.node(ov),
                 })
             }
             Expr::Index(..) | Expr::Slice(..) => match self.place(ctx, e, nthreads)? {
-                Place::Cell(lv) => Val::S(lv_to_rv(lv)),
+                Place::Cell(lv) => Val::S(self.exprs.lv_to_rv(lv)),
                 Place::Region {
                     global,
                     base,
@@ -1024,7 +1172,7 @@ impl<'a> Lowerer<'a> {
                 } => Val::A(
                     (0..count)
                         .map(|k| {
-                            let ix = fold_binop(
+                            let ix = self.exprs.binop(
                                 BinOp::Add,
                                 start.clone(),
                                 Rv::Const(k as i64),
@@ -1043,14 +1191,16 @@ impl<'a> Lowerer<'a> {
                 let mut acc = Rv::Const(0);
                 for (k, b) in elems.into_iter().enumerate() {
                     // Element 0 is the LSB.
-                    let term = fold_binop(BinOp::Mul, b, Rv::Const(1 << k), self.config);
-                    acc = fold_binop(BinOp::Add, acc, term, self.config);
+                    let term = self
+                        .exprs
+                        .binop(BinOp::Mul, b, Rv::Const(1 << k), self.config);
+                    acc = self.exprs.binop(BinOp::Add, acc, term, self.config);
                 }
                 Val::S(acc)
             }
             Expr::Unary(op, inner, span) => {
                 let v = self.eval(ctx, inner, guard, nthreads)?.scalar(*span)?;
-                Val::S(fold_unop(*op, v, self.config))
+                Val::S(self.exprs.unop(*op, v, self.config))
             }
             Expr::Binary(op, l, r, span) => {
                 self.eval_binary(ctx, *op, l, r, guard, nthreads, *span)?
@@ -1064,10 +1214,11 @@ impl<'a> Lowerer<'a> {
                 let mut it = vals.into_iter().enumerate().rev();
                 let (_, mut acc) = it.next().ok_or_else(|| lerr(*span, "empty choice"))?;
                 for (j, v) in it {
+                    let chosen = self.choice_guard(*hole, j);
                     acc = Rv::Ite(
-                        Box::new(self.choice_guard(*hole, j)),
-                        Box::new(v),
-                        Box::new(acc),
+                        self.exprs.node(chosen),
+                        self.exprs.node(v),
+                        self.exprs.node(acc),
                     );
                 }
                 Val::S(acc)
@@ -1132,18 +1283,25 @@ impl<'a> Lowerer<'a> {
                     ctx.steps
                         .push(Step::new(guard.clone(), Op::Assign(Lv::Local(t), lv), span));
                     let inner_guard = match op {
-                        BinOp::And => Rv::and(guard, Rv::Local(t)),
-                        _ => Rv::and(guard, Rv::not(Rv::Local(t))),
+                        BinOp::And => self.exprs.and(guard, Rv::Local(t)),
+                        _ => {
+                            let unset = self.exprs.not(Rv::Local(t));
+                            self.exprs.and(guard, unset)
+                        }
                     };
                     let rv = self.eval(ctx, r, inner_guard, nthreads)?.scalar(span)?;
                     let out = match op {
-                        BinOp::And => Rv::and(Rv::Local(t), rv),
-                        _ => Rv::Binary(BinOp::Or, Box::new(Rv::Local(t)), Box::new(rv)),
+                        BinOp::And => self.exprs.and(Rv::Local(t), rv),
+                        _ => Rv::Binary(
+                            BinOp::Or,
+                            self.exprs.node(Rv::Local(t)),
+                            self.exprs.node(rv),
+                        ),
                     };
                     Ok(Val::S(out))
                 } else {
                     let rv = self.eval(ctx, r, guard, nthreads)?.scalar(span)?;
-                    Ok(Val::S(fold_binop(op, lv, rv, self.config)))
+                    Ok(Val::S(self.exprs.binop(op, lv, rv, self.config)))
                 }
             }
             BinOp::Div | BinOp::Mod => {
@@ -1151,7 +1309,7 @@ impl<'a> Lowerer<'a> {
                 let rv = self.eval(ctx, r, guard, nthreads)?.scalar(span)?;
                 match rv {
                     Rv::Const(c) if c != 0 => {
-                        Ok(Val::S(fold_binop(op, lv, Rv::Const(c), self.config)))
+                        Ok(Val::S(self.exprs.binop(op, lv, Rv::Const(c), self.config)))
                     }
                     Rv::Const(_) => Err(lerr(span, "division by the constant zero")),
                     _ => Err(lerr(span, "division by a non-constant is not supported")),
@@ -1160,7 +1318,7 @@ impl<'a> Lowerer<'a> {
             _ => {
                 let lv = self.eval(ctx, l, guard.clone(), nthreads)?.scalar(span)?;
                 let rv = self.eval(ctx, r, guard, nthreads)?.scalar(span)?;
-                Ok(Val::S(fold_binop(op, lv, rv, self.config)))
+                Ok(Val::S(self.exprs.binop(op, lv, rv, self.config)))
             }
         }
     }
@@ -1327,7 +1485,8 @@ impl<'a> Lowerer<'a> {
         match loc {
             Expr::Choice(hole, alts, _) => {
                 for (j, alt) in alts.iter().enumerate() {
-                    let g = Rv::and(guard.clone(), self.choice_guard(*hole, j));
+                    let chosen = self.choice_guard(*hole, j);
+                    let g = self.exprs.and(guard.clone(), chosen);
                     let place = self.place(ctx, alt, nthreads)?;
                     let Place::Cell(lv) = place else {
                         return Err(lerr(span, "atomic location must be scalar"));
@@ -1363,28 +1522,6 @@ fn contains_nested_fork(stmts: &[Stmt]) -> bool {
         Stmt::Fork(_, _, body, _) => inner(body),
         other => inner(other),
     })
-}
-
-fn lv_to_rv(lv: Lv) -> Rv {
-    match lv {
-        Lv::Global(g) => Rv::Global(g),
-        Lv::Local(l) => Rv::Local(l),
-        Lv::GlobalDyn { base, len, ix } => Rv::GlobalDyn {
-            base,
-            len,
-            ix: Box::new(ix),
-        },
-        Lv::LocalDyn { base, len, ix } => Rv::LocalDyn {
-            base,
-            len,
-            ix: Box::new(ix),
-        },
-        Lv::Field { sid, fid, obj } => Rv::Field {
-            sid,
-            fid,
-            obj: Box::new(obj),
-        },
-    }
 }
 
 /// Scalar kind of a non-array type.
@@ -1471,39 +1608,9 @@ pub fn fold_const_binop(op: BinOp, a: i64, b: i64, config: &Config) -> Option<i6
     })
 }
 
-/// Builds a binary [`Rv`] with constant folding.
-pub(crate) fn fold_binop(op: BinOp, a: Rv, b: Rv, config: &Config) -> Rv {
-    if let (Rv::Const(x), Rv::Const(y)) = (&a, &b) {
-        if let Some(v) = fold_const_binop(op, *x, *y, config) {
-            return Rv::Const(v);
-        }
-    }
-    match (op, &a, &b) {
-        (BinOp::And, Rv::Const(0), _) | (BinOp::And, _, Rv::Const(0)) => Rv::Const(0),
-        (BinOp::And, Rv::Const(_), _) => b,
-        (BinOp::And, _, Rv::Const(_)) => a,
-        (BinOp::Or, Rv::Const(c), _) if *c != 0 => Rv::Const(1),
-        (BinOp::Or, _, Rv::Const(c)) if *c != 0 => Rv::Const(1),
-        (BinOp::Or, Rv::Const(0), _) => b,
-        (BinOp::Or, _, Rv::Const(0)) => a,
-        (BinOp::Add, Rv::Const(0), _) => b,
-        (BinOp::Add, _, Rv::Const(0)) => a,
-        (BinOp::Mul, Rv::Const(1), _) => b,
-        (BinOp::Mul, _, Rv::Const(1)) => a,
-        (BinOp::Mul, Rv::Const(0), _) | (BinOp::Mul, _, Rv::Const(0)) => Rv::Const(0),
-        _ => Rv::Binary(op, Box::new(a), Box::new(b)),
-    }
-}
-
-pub(crate) fn fold_unop(op: UnOp, a: Rv, config: &Config) -> Rv {
-    if let Rv::Const(c) = a {
-        return Rv::Const(fold_const_unop(op, c, config));
-    }
-    Rv::Unary(op, Box::new(a))
-}
-
 /// Folds a unary operator over a constant operand — the constant arm
-/// of `fold_unop`, shared with emit-time folding in the exec crate.
+/// of the lowerer's `Interner::unop`, shared with emit-time folding in
+/// the exec crate.
 pub fn fold_const_unop(op: UnOp, c: i64, config: &Config) -> i64 {
     match op {
         UnOp::Not => i64::from(c == 0),
@@ -1788,6 +1895,65 @@ mod tests {
             .steps
             .iter()
             .any(|s| matches!(s.op, Op::Assert(_))));
+    }
+
+    #[test]
+    fn interner_folds_constants_and_shares_nodes() {
+        let mut exprs = Interner::default();
+        assert_eq!(exprs.and(Rv::Const(0), Rv::Global(1)), Rv::Const(0));
+        assert_eq!(exprs.and(Rv::Const(1), Rv::Local(2)), Rv::Local(2));
+        assert_eq!(exprs.not(Rv::Const(0)), Rv::Const(1));
+        assert_eq!(exprs.not(Rv::Const(7)), Rv::Const(0));
+        let a = exprs.eq(Rv::Hole(0), Rv::Const(1));
+        let b = exprs.eq(Rv::Hole(0), Rv::Const(1));
+        assert!(Arc::ptr_eq(&exprs.node(a), &exprs.node(b)));
+    }
+
+    #[test]
+    fn lowered_expressions_are_shared() {
+        // Both steps under the innermost `if` are guarded by
+        // `(c0 && c1) && c2`, and their guards hold one `c0 && c1`.
+        let l = lower(
+            "int g; int h;
+             harness void main() {
+                 if (g == 1) { if (h == 2) { if (g == h) { g = 3; h = 4; } } }
+             }",
+        );
+        let outer_conjuncts: Vec<&Arc<Rv>> = l
+            .prologue
+            .steps
+            .iter()
+            .filter(|s| matches!(s.op, Op::Assign(Lv::Global(_), Rv::Const(3 | 4))))
+            .map(|s| match &s.guard {
+                Rv::Binary(BinOp::And, outer, _) => outer,
+                other => panic!("guard {other} is not a conjunction"),
+            })
+            .collect();
+        assert_eq!(outer_conjuncts.len(), 2);
+        assert!(matches!(**outer_conjuncts[0], Rv::Binary(BinOp::And, ..)));
+        assert!(Arc::ptr_eq(outer_conjuncts[0], outer_conjuncts[1]));
+
+        // Each unrolled copy of the loop evaluates the generator again,
+        // and every copy's `g + 1` alternative is one allocation.
+        let l = lower(
+            "int g;
+             harness void main() {
+                 int i = 0;
+                 while (i < 2) { g = {| g + 1 | g - 1 |}; i = i + 1; }
+             }",
+        );
+        let alternatives: Vec<&Arc<Rv>> = l
+            .prologue
+            .steps
+            .iter()
+            .filter_map(|s| match &s.op {
+                Op::Assign(Lv::Global(_), Rv::Ite(_, first, _)) => Some(first),
+                _ => None,
+            })
+            .collect();
+        assert!(alternatives.len() >= 2, "{} copies", alternatives.len());
+        assert!(matches!(**alternatives[0], Rv::Binary(BinOp::Add, ..)));
+        assert!(alternatives.iter().all(|a| Arc::ptr_eq(a, alternatives[0])));
     }
 
     #[test]

@@ -12,7 +12,9 @@ use crate::config::Config;
 use crate::hole::{HoleId, HoleTable};
 use psketch_lang::ast::{BinOp, UnOp};
 use psketch_lang::error::Span;
+use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a struct layout.
 pub type StructId = usize;
@@ -71,7 +73,13 @@ pub struct StructLayout {
 }
 
 /// Pure r-value expressions.
-#[derive(Clone, PartialEq, Debug)]
+///
+/// A lowered program's expressions form a DAG: the lowerer
+/// hash-conses every node it builds, so each structurally distinct
+/// subexpression is one shared allocation (DESIGN.md §4m). Consumers
+/// read it as a tree; `Eq` lets `Arc<Rv>` equality compare pointers
+/// first.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Rv {
     /// Constant.
     Const(i64),
@@ -88,7 +96,7 @@ pub enum Rv {
         /// Region length.
         len: usize,
         /// Index expression.
-        ix: Box<Rv>,
+        ix: Arc<Rv>,
     },
     /// Dynamic local array read.
     LocalDyn {
@@ -97,7 +105,7 @@ pub enum Rv {
         /// Region length.
         len: usize,
         /// Index expression.
-        ix: Box<Rv>,
+        ix: Arc<Rv>,
     },
     /// Heap field read; fails when `obj` is null.
     Field {
@@ -106,43 +114,31 @@ pub enum Rv {
         /// Field index.
         fid: FieldId,
         /// Object reference.
-        obj: Box<Rv>,
+        obj: Arc<Rv>,
     },
     /// Unary operation (`Not`, `Neg`; `BitsToInt` is eliminated by
     /// lowering).
-    Unary(UnOp, Box<Rv>),
+    Unary(UnOp, Arc<Rv>),
     /// Binary operation. `Div`/`Mod` only with constant right-hand
     /// sides. `And`/`Or` short-circuit: memory failures in the
     /// right operand are only demanded when reached.
-    Binary(BinOp, Box<Rv>, Box<Rv>),
+    Binary(BinOp, Arc<Rv>, Arc<Rv>),
     /// If-then-else.
-    Ite(Box<Rv>, Box<Rv>, Box<Rv>),
+    Ite(Arc<Rv>, Arc<Rv>, Arc<Rv>),
 }
 
 impl Rv {
-    /// Convenience: `a == b`.
-    pub fn eq(a: Rv, b: Rv) -> Rv {
-        Rv::Binary(BinOp::Eq, Box::new(a), Box::new(b))
-    }
-
-    /// Convenience: `a && b` with constant folding.
-    pub fn and(a: Rv, b: Rv) -> Rv {
-        match (&a, &b) {
-            (Rv::Const(0), _) | (_, Rv::Const(0)) => Rv::Const(0),
-            (Rv::Const(_), _) => b,
-            (_, Rv::Const(_)) => a,
-            _ => Rv::Binary(BinOp::And, Box::new(a), Box::new(b)),
-        }
-    }
-
-    /// Convenience: `!a` with constant folding.
-    #[allow(clippy::should_implement_trait)]
-    pub fn not(a: Rv) -> Rv {
-        match a {
-            Rv::Const(0) => Rv::Const(1),
-            Rv::Const(_) => Rv::Const(0),
-            other => Rv::Unary(UnOp::Not, Box::new(other)),
-        }
+    /// The node's children, left to right.
+    pub fn children(&self) -> impl Iterator<Item = &Arc<Rv>> {
+        let (a, b, c) = match self {
+            Rv::Const(_) | Rv::Global(_) | Rv::Local(_) | Rv::Hole(_) => (None, None, None),
+            Rv::GlobalDyn { ix, .. } | Rv::LocalDyn { ix, .. } => (Some(ix), None, None),
+            Rv::Field { obj, .. } => (Some(obj), None, None),
+            Rv::Unary(_, a) => (Some(a), None, None),
+            Rv::Binary(_, a, b) => (Some(a), Some(b), None),
+            Rv::Ite(c, a, b) => (Some(c), Some(a), Some(b)),
+        };
+        [a, b, c].into_iter().flatten()
     }
 }
 
@@ -255,6 +251,37 @@ pub struct Step {
 }
 
 impl Step {
+    /// Calls `f` on each of the step's root expressions: its guard, its
+    /// operands, and the index or object expression of every l-value
+    /// it names.
+    pub fn for_each_expr<'a>(&'a self, mut f: impl FnMut(&'a Rv)) {
+        f(&self.guard);
+        let (dst, loc) = match &self.op {
+            Op::Assign(dst, _) | Op::Alloc { dst, .. } => (Some(dst), None),
+            Op::Swap { dst, loc, .. }
+            | Op::Cas { dst, loc, .. }
+            | Op::FetchAdd { dst, loc, .. } => (Some(dst), Some(loc)),
+            Op::Assert(_) | Op::AtomicBegin(_) | Op::AtomicEnd => (None, None),
+        };
+        for lv in dst.into_iter().chain(loc) {
+            match lv {
+                Lv::Global(_) | Lv::Local(_) => {}
+                Lv::GlobalDyn { ix, .. } | Lv::LocalDyn { ix, .. } => f(ix),
+                Lv::Field { obj, .. } => f(obj),
+            }
+        }
+        match &self.op {
+            Op::Assign(_, v) | Op::Swap { val: v, .. } | Op::Assert(v) => f(v),
+            Op::AtomicBegin(c) => c.iter().for_each(f),
+            Op::Cas { old, new, .. } => {
+                f(old);
+                f(new);
+            }
+            Op::Alloc { inits, .. } => inits.iter().for_each(|(_, v)| f(v)),
+            Op::FetchAdd { .. } | Op::AtomicEnd => {}
+        }
+    }
+
     /// Builds a step, computing the `shared` flag from the step's
     /// effect footprint (see [`crate::footprint::Footprint`]): a step
     /// is shared exactly when its footprint names a shared location or
@@ -333,6 +360,45 @@ impl Lowered {
             + self.workers.iter().map(|t| t.steps.len()).sum::<usize>()
             + self.epilogue.steps.len()
     }
+
+    /// Expression allocations: the distinct nodes below the steps'
+    /// root expressions, each counted once however many expressions
+    /// share it.
+    pub fn expr_nodes(&self) -> usize {
+        let mut seen: HashSet<*const Rv> = HashSet::new();
+        let mut stack: Vec<&Rv> = Vec::new();
+        for tid in 0..self.num_threads() {
+            for step in &self.thread(tid).steps {
+                step.for_each_expr(|rv| stack.push(rv));
+                while let Some(rv) = stack.pop() {
+                    for child in rv.children() {
+                        if seen.insert(Arc::as_ptr(child)) {
+                            stack.push(child);
+                        }
+                    }
+                }
+            }
+        }
+        seen.len()
+    }
+
+    /// Heap bytes the program has in use: each expression allocation
+    /// once (the node and its two reference counts), and each thread's
+    /// steps and allocation initializers by length.
+    pub fn heap_bytes(&self) -> usize {
+        let node = std::mem::size_of::<Rv>() + 2 * std::mem::size_of::<usize>();
+        let steps: usize = (0..self.num_threads())
+            .flat_map(|tid| &self.thread(tid).steps)
+            .map(|step| {
+                let inits = match &step.op {
+                    Op::Alloc { inits, .. } => inits.len(),
+                    _ => 0,
+                };
+                std::mem::size_of::<Step>() + inits * std::mem::size_of::<(FieldId, Rv)>()
+            })
+            .sum();
+        self.expr_nodes() * node + steps
+    }
 }
 
 impl fmt::Display for Rv {
@@ -399,14 +465,6 @@ mod tests {
             Span::default(),
         );
         assert!(alloc.shared);
-    }
-
-    #[test]
-    fn rv_helpers_fold_constants() {
-        assert_eq!(Rv::and(Rv::Const(0), Rv::Global(1)), Rv::Const(0));
-        assert_eq!(Rv::and(Rv::Const(1), Rv::Local(2)), Rv::Local(2));
-        assert_eq!(Rv::not(Rv::Const(0)), Rv::Const(1));
-        assert_eq!(Rv::not(Rv::Const(7)), Rv::Const(0));
     }
 
     #[test]

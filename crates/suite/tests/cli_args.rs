@@ -32,6 +32,9 @@ fn fig9_rejects_unknown_flags() {
     // A removed flag is unknown too, even next to a filter that
     // selects no row.
     assert_rejected(fig9, "fig9", &["no-such-benchmark", "--no-symmetry"]);
+    // A row number must name a row.
+    assert_rejected(fig9, "fig9", &["--row", "999"]);
+    assert_rejected(fig9, "fig9", &["--row"]);
     // A filter alone is still a filter.
     let out = run(fig9, &["no-such-benchmark"]);
     assert_eq!(out.status.code(), Some(0));

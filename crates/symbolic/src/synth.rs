@@ -60,6 +60,12 @@ pub struct Observation {
     pub resumed_steps: usize,
     /// Circuit nodes it added.
     pub new_nodes: usize,
+    /// Steps the counterexample trace executed (0 for an input).
+    pub traced_steps: usize,
+    /// Position in the projected order just past the trace's last
+    /// traced step, where its deadlock set is checked (0 for an
+    /// input). Steps from here on only add failure disjuncts.
+    pub trace_end: usize,
 }
 
 /// Work counters for one synthesis session.
@@ -286,7 +292,11 @@ impl<'l> Synthesizer<'l> {
             .resume(&mut self.circuit, &order, &deadlock, deadlock_at);
         let fail = self.trace_eval.fail();
         self.circuit.assert_true(fail.not(), &mut self.solver);
-        self.observed(t0, nodes, order.len(), resumed)
+        Observation {
+            traced_steps: cex.steps.len(),
+            trace_end: deadlock_at,
+            ..self.observed(t0, nodes, order.len(), resumed)
+        }
     }
 
     /// Adds a concrete-input observation (sequential CEGIS, §5):
@@ -324,6 +334,7 @@ impl<'l> Synthesizer<'l> {
             projected_steps: steps,
             resumed_steps: resumed,
             new_nodes: self.stats.nodes - nodes,
+            ..Observation::default()
         }
     }
 
