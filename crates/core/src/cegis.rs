@@ -555,32 +555,38 @@ impl Synthesis {
                 // exhaustive checker below share this one artifact.
                 let cp = CompiledProgram::compile(&self.lowered, candidate);
                 let mut cost = VerifyCost::sealed(&cp);
-                // Prescreen: replay the schedules that killed earlier
-                // candidates before paying for any search. A hit is a
-                // real execution of *this* candidate, so returning its
-                // trace is sound; a miss just falls through.
-                if let Some(bank) = bank {
-                    let (hit, bs) = bank.prescreen_compiled(&cp);
-                    cost.prescreen_replays = bs.replays;
-                    cost.bank_size = bs.size;
-                    if let Some(cex) = hit {
-                        cost.prescreen_hits = 1;
-                        return (VerifyResult::Trace(cex), cost);
-                    }
-                }
-                let out = check_compiled(&cp, limits);
-                cost.check = out.stats;
-                let result = match out.verdict {
-                    Verdict::Pass => VerifyResult::Correct,
-                    Verdict::Fail(cex) => {
-                        if let Some(bank) = bank {
-                            bank.record(&cex.schedule);
-                            cost.bank_size = bank.len() as u64;
+                let result = 'verify: {
+                    // Prescreen: replay the schedules that killed
+                    // earlier candidates before paying for any search.
+                    // A hit is a real execution of *this* candidate, so
+                    // returning its trace is sound; a miss just falls
+                    // through.
+                    if let Some(bank) = bank {
+                        let (hit, bs) = bank.prescreen_compiled(&cp);
+                        cost.prescreen_replays = bs.replays;
+                        cost.bank_size = bs.size;
+                        if let Some(cex) = hit {
+                            cost.prescreen_hits = 1;
+                            break 'verify VerifyResult::Trace(cex);
                         }
-                        VerifyResult::Trace(cex)
                     }
-                    Verdict::Unknown(why) => VerifyResult::Unknown(why),
+                    let out = check_compiled(&cp, limits);
+                    cost.check = out.stats;
+                    match out.verdict {
+                        Verdict::Pass => VerifyResult::Correct,
+                        Verdict::Fail(cex) => {
+                            if let Some(bank) = bank {
+                                bank.record(&cex.schedule);
+                                cost.bank_size = bank.len() as u64;
+                            }
+                            VerifyResult::Trace(cex)
+                        }
+                        Verdict::Unknown(why) => VerifyResult::Unknown(why),
+                    }
                 };
+                // Counted after verification: a search that reduced has
+                // built the candidate's footprints and POR table.
+                cost.seal_bytes = cp.heap_bytes();
                 (result, cost)
             }
             Mode::Equivalence(_) => {

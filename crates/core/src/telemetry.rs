@@ -89,6 +89,9 @@ pub struct VerifyCost {
     pub bank_size: u64,
     /// Microseconds spent sealing candidates into execution artifacts.
     pub compile_us: u64,
+    /// Heap bytes of the sealed candidate after its verification
+    /// ([`CompiledProgram::heap_bytes`]; the maximum, when summed).
+    pub seal_bytes: usize,
 }
 
 /// One numeric JSON field per named struct field, keyed by the field's
@@ -113,13 +116,14 @@ impl VerifyCost {
     }
 
     /// Adds `other` to this cost: every counter sums, except
-    /// `bank_size`, which keeps the maximum.
+    /// `bank_size` and `seal_bytes`, which keep the maximum.
     pub fn add(&mut self, other: &VerifyCost) {
         self.check.add(&other.check);
         self.prescreen_hits += other.prescreen_hits;
         self.prescreen_replays += other.prescreen_replays;
         self.bank_size = self.bank_size.max(other.bank_size);
         self.compile_us += other.compile_us;
+        self.seal_bytes = self.seal_bytes.max(other.seal_bytes);
     }
 
     /// Appends this cost's JSON fields to `out`.
@@ -128,7 +132,7 @@ impl VerifyCost {
             states, transitions, terminal_states, journal_writes, state_clones,
             por_ample_hits, por_fallbacks, states_pruned));
         out.extend(nums!("", self;
-            prescreen_hits, prescreen_replays, bank_size, compile_us));
+            prescreen_hits, prescreen_replays, bank_size, compile_us, seal_bytes));
     }
 }
 
@@ -396,7 +400,12 @@ impl RunReport {
     /// each record carries its trace's executed steps (`traced_steps`)
     /// and the projected-order position just past the last of them
     /// (`trace_end`), both 0 without a trace.
-    pub const SCHEMA: u32 = 14;
+    ///
+    /// v15: the run and each record carry the sealed candidate's heap
+    /// bytes after its verification (`seal_bytes`; the run's is the
+    /// records' maximum, also at most `peak_memory` with
+    /// `lowered_bytes`).
+    pub const SCHEMA: u32 = 15;
 
     /// Serialises the report as a JSON object (two-space indented).
     pub fn to_json(&self) -> String {
@@ -918,7 +927,7 @@ mod tests {
                 assert!(ns(total) >= sum, "{key}: {total} s < {sum} ns");
             } else if key.starts_with("sat_") {
                 assert!(total >= per.iter().sum::<f64>(), "{key}");
-            } else if key == "bank_size" {
+            } else if key == "bank_size" || key == "seal_bytes" {
                 assert_eq!(total, per.iter().copied().fold(0.0, f64::max), "{key}");
             } else {
                 assert_eq!(total, per.iter().sum::<f64>(), "{key}");
@@ -929,6 +938,7 @@ mod tests {
             "states",
             "prescreen_hits",
             "bank_size",
+            "seal_bytes",
             "s_solve_secs",
             "s_model_secs",
             "v_solve_secs",
@@ -955,9 +965,14 @@ mod tests {
         assert!(bytes("sat_clause_bytes") > 0.0 && bytes("sat_watch_bytes") > 0.0);
         assert!(bytes("circuit_bytes") > 0.0);
         assert!(bytes("lowered_bytes") > 0.0 && bytes("ir_nodes") > 0.0);
+        // Every record of a harness run sealed its candidate.
+        assert!(records
+            .iter()
+            .all(|r| r.get("seal_bytes").and_then(Json::as_f64) > Some(0.0)));
         // Bytes in use have been written, so they are resident.
         if let Some(peak) = run.get("peak_memory").and_then(Json::as_f64) {
             assert!(bytes("sat_bytes") + bytes("circuit_bytes") + bytes("lowered_bytes") <= peak);
+            assert!(bytes("lowered_bytes") + bytes("seal_bytes") <= peak);
         }
     }
 

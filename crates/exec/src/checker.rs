@@ -20,11 +20,11 @@
 //! flat buffer ([`Checker::fingerprint_state`]), so steady-state
 //! exploration allocates nothing per state.
 
-use crate::compiled::{exec_cop, COp, CStep, CompiledProgram, LiveMasks, ThreadCode};
+use crate::compiled::{exec_cop, COp, CStep, CompiledProgram, ThreadCode};
 use crate::fingerprint::{cell_hash, combine_fp, FpSet};
 use crate::por::PorTable;
 use crate::store::{CexTrace, Failure, FailureKind, StateBuf, StateLayout, UndoJournal};
-use psketch_ir::{Assignment, Lowered, Lv, Op, Rv, Thread, ThreadId};
+use psketch_ir::{Assignment, Lowered, Thread, ThreadId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -258,7 +258,7 @@ pub(crate) fn early_failure_stats(steps: &[(ThreadId, usize)]) -> CheckStats {
 /// counterexample double-checking and the schedule-bank prescreen
 /// ([`crate::ScheduleBank`]).
 pub fn replay_compiled(cp: &CompiledProgram, schedule: &[usize]) -> Option<CexTrace> {
-    replay_fp_compiled(cp, schedule).0
+    replay_with(&Checker::from_compiled(cp), schedule)
 }
 
 /// As [`replay_compiled`], additionally returning the fingerprint of
@@ -267,22 +267,26 @@ pub fn replay_compiled(cp: &CompiledProgram, schedule: &[usize]) -> Option<CexTr
 /// determinism in tests: two replays of one schedule must end in
 /// states that fingerprint identically.
 pub fn replay_fp_compiled(cp: &CompiledProgram, schedule: &[usize]) -> (Option<CexTrace>, u64) {
-    replay_fp_with(&Checker::from_compiled(cp), schedule)
+    let ck = Checker::from_compiled(cp);
+    let (cex, buf) = replay_to_end(&ck, schedule);
+    (cex, ck.fingerprint_state(&buf))
 }
 
 /// Replay over a prebuilt checker — lets the schedule bank reuse one
 /// checker (and one compiled artifact) across every replay of a
 /// candidate.
 pub(crate) fn replay_with(ck: &Checker<'_>, schedule: &[usize]) -> Option<CexTrace> {
-    replay_fp_with(ck, schedule).0
+    replay_to_end(ck, schedule).0
 }
 
-fn replay_fp_with(ck: &Checker<'_>, schedule: &[usize]) -> (Option<CexTrace>, u64) {
+/// Replays `schedule`, returning the counterexample, if any, and the
+/// state the execution ended in.
+fn replay_to_end(ck: &Checker<'_>, schedule: &[usize]) -> (Option<CexTrace>, StateBuf) {
     let mut j = UndoJournal::new();
     let (mut buf, root) = ck.root(&mut j);
     let mut trace = match root {
         Ok(steps) => steps,
-        Err(cex) => return (Some(cex), ck.fingerprint_state(&buf)),
+        Err(cex) => return (Some(cex), buf),
     };
     let mut fired: Vec<u32> = Vec::new();
     let mut queue: Vec<usize> = schedule.to_vec();
@@ -310,7 +314,7 @@ fn replay_fp_with(ck: &Checker<'_>, schedule: &[usize]) -> (Option<CexTrace>, u6
             }
         }
     };
-    (cex, ck.fingerprint_state(&buf))
+    (cex, buf)
 }
 
 /// A failure where no worker is enabled (see [`Checker::terminal`]).
@@ -344,14 +348,6 @@ pub(crate) struct Checker<'a> {
     pub(crate) cp: &'a CompiledProgram<'a>,
     /// Segment table of the flat state.
     pub(crate) lay: &'a StateLayout,
-    /// Words before the first worker record (globals + heap + allocs):
-    /// hashed as one contiguous slice.
-    shared_len: usize,
-    /// `match_end[w][pc]` = index of the AtomicEnd matching an
-    /// AtomicBegin at `pc`.
-    match_end: &'a [Vec<usize>],
-    /// `live[w][pc]` = bitmask words of locals read at step >= pc.
-    live: &'a LiveMasks,
     /// The artifact's per-thread micro-op arrays, indexed by trace
     /// thread id like `l`'s threads.
     code: &'a [ThreadCode],
@@ -361,17 +357,14 @@ pub(crate) type FireResult = Result<Vec<(ThreadId, usize)>, (Vec<(ThreadId, usiz
 
 impl<'a> Checker<'a> {
     /// A checker over a sealed [`CompiledProgram`]: the hot path runs
-    /// the artifact's micro-op arrays and borrows its layout and
-    /// liveness tables — construction copies no table and builds no
-    /// POR table.
+    /// the artifact's micro-op arrays, borrows its layout, and reads
+    /// atomic-section ends and liveness off the program's threads —
+    /// construction copies no table and builds none.
     pub(crate) fn from_compiled(cp: &'a CompiledProgram<'a>) -> Checker<'a> {
         Checker {
             l: cp.program(),
             cp,
             lay: &cp.lay,
-            shared_len: cp.shared_len,
-            match_end: &cp.match_end,
-            live: cp.live_masks(),
             code: &cp.code,
         }
     }
@@ -710,7 +703,6 @@ impl<'a> Checker<'a> {
         let lb = self.lay.worker_locals(w);
         let mut executed = Vec::new();
         let pc = self.pc(buf, w);
-        let step = &thread.steps[pc];
         let fail = |mut executed: Vec<(ThreadId, usize)>, kind, ix: usize| {
             executed.push((tid, ix));
             (
@@ -723,10 +715,9 @@ impl<'a> Checker<'a> {
                 },
             )
         };
-        match &step.op {
-            Op::AtomicBegin(_) => {
+        match thread.atomic_end(pc) {
+            Some(end) => {
                 executed.push((tid, pc));
-                let end = self.match_end[w][pc];
                 for ix in pc + 1..end {
                     let g = self
                         .cstep(tid, ix)
@@ -743,7 +734,7 @@ impl<'a> Checker<'a> {
                 executed.push((tid, end));
                 self.set_pc(buf, w, end + 1, j);
             }
-            _ => {
+            None => {
                 self.exec_step(tid, pc, buf, lb, j)
                     .map_err(|k| fail(executed.clone(), k, pc))?;
                 executed.push((tid, pc));
@@ -783,7 +774,7 @@ impl<'a> Checker<'a> {
     /// allocs): each cell contributes `cell_hash(offset, value)`.
     fn shared_acc(&self, buf: &StateBuf) -> u64 {
         let mut acc = 0u64;
-        for (off, &v) in buf.slice(0, self.shared_len).iter().enumerate() {
+        for (off, &v) in buf.slice(0, self.lay.shared_len()).iter().enumerate() {
             acc ^= cell_hash(off as u64, v);
         }
         acc
@@ -796,15 +787,11 @@ impl<'a> Checker<'a> {
     fn worker_contrib(&self, buf: &StateBuf, w: usize) -> u64 {
         let pc = self.pc(buf, w);
         let mut acc = cell_hash((self.lay.state_len() + w) as u64, pc as i64);
-        let live = &self.live[w];
-        let mask = live.get(pc).or_else(|| live.last());
+        let thread = &self.l.workers[w];
         let lb = self.lay.worker_locals(w);
-        let locals = buf.slice(lb, self.l.workers[w].locals.len());
-        for (i, &val) in locals.iter().enumerate() {
-            let alive = mask
-                .map(|m| m[i / 64] & (1u64 << (i % 64)) != 0)
-                .unwrap_or(false);
-            acc ^= cell_hash((lb + i) as u64, if alive { val } else { 0 });
+        let locals = buf.slice(lb, thread.locals.len());
+        for (i, val) in thread.live_values(pc, locals).enumerate() {
+            acc ^= cell_hash((lb + i) as u64, val);
         }
         acc
     }
@@ -842,19 +829,12 @@ impl<'a> Checker<'a> {
     /// pc and dead-masked locals.
     pub(crate) fn materialize_canonical(&self, buf: &StateBuf) -> Vec<i64> {
         let mut v = Vec::with_capacity(self.lay.state_len());
-        v.extend_from_slice(buf.slice(0, self.shared_len));
-        for w in 0..self.nworkers() {
+        v.extend_from_slice(buf.slice(0, self.lay.shared_len()));
+        for (w, thread) in self.l.workers.iter().enumerate() {
             let pc = self.pc(buf, w);
             v.push(pc as i64);
-            let live = &self.live[w];
-            let mask = live.get(pc).or_else(|| live.last());
-            let locals = buf.slice(self.lay.worker_locals(w), self.l.workers[w].locals.len());
-            for (i, &val) in locals.iter().enumerate() {
-                let alive = mask
-                    .map(|m| m[i / 64] & (1u64 << (i % 64)) != 0)
-                    .unwrap_or(false);
-                v.push(if alive { val } else { 0 });
-            }
+            let locals = buf.slice(self.lay.worker_locals(w), thread.locals.len());
+            v.extend(thread.live_values(pc, locals));
         }
         v
     }
@@ -974,6 +954,7 @@ impl<'a> Checker<'a> {
         };
 
         let nworkers = self.nworkers();
+        let shared_len = self.lay.shared_len();
         let mut tick = 0usize;
         while let Some(top_ix) = stack.len().checked_sub(1) {
             tick += 1;
@@ -1052,7 +1033,7 @@ impl<'a> Checker<'a> {
                         let mut delta = 0u64;
                         'entries: for (i, &(off, old)) in entries.iter().enumerate() {
                             let o = off as usize;
-                            if o >= self.shared_len {
+                            if o >= shared_len {
                                 continue; // worker-region write: re-hashed below
                             }
                             for &(p, _) in &entries[..i] {
@@ -1113,111 +1094,6 @@ impl<'a> Checker<'a> {
         }
         stats.states = visited.len();
         outcome(Verdict::Pass, stats)
-    }
-}
-
-/// Statically pairs AtomicBegin with its AtomicEnd (atomics do not
-/// nest).
-pub(crate) fn compute_match_end(thread: &Thread) -> Vec<usize> {
-    let mut out = vec![usize::MAX; thread.steps.len()];
-    for (ix, s) in thread.steps.iter().enumerate() {
-        if matches!(s.op, Op::AtomicBegin(_)) {
-            let end = thread.steps[ix + 1..]
-                .iter()
-                .position(|t| matches!(t.op, Op::AtomicEnd))
-                .map(|off| ix + 1 + off)
-                .expect("lowering emits matching AtomicEnd");
-            out[ix] = end;
-        }
-    }
-    out
-}
-
-/// `live[pc]` = bitmask of locals read by any step at index >= pc.
-pub(crate) fn compute_liveness(thread: &Thread) -> Vec<Vec<u64>> {
-    let words = thread.locals.len().div_ceil(64);
-    let mut live = vec![vec![0u64; words]; thread.steps.len() + 1];
-    for ix in (0..thread.steps.len()).rev() {
-        let mut mask = live[ix + 1].clone();
-        let mut add = |l: usize| mask[l / 64] |= 1u64 << (l % 64);
-        let s = &thread.steps[ix];
-        collect_rv_reads(&s.guard, &mut add);
-        match &s.op {
-            Op::Assign(lv, rv) => {
-                collect_lv_reads(lv, &mut add);
-                collect_rv_reads(rv, &mut add);
-            }
-            Op::Swap { dst, loc, val } => {
-                collect_lv_reads(dst, &mut add);
-                collect_lv_reads(loc, &mut add);
-                collect_rv_reads(val, &mut add);
-            }
-            Op::Cas { dst, loc, old, new } => {
-                collect_lv_reads(dst, &mut add);
-                collect_lv_reads(loc, &mut add);
-                collect_rv_reads(old, &mut add);
-                collect_rv_reads(new, &mut add);
-            }
-            Op::FetchAdd { dst, loc, .. } => {
-                collect_lv_reads(dst, &mut add);
-                collect_lv_reads(loc, &mut add);
-            }
-            Op::Alloc { dst, inits, .. } => {
-                collect_lv_reads(dst, &mut add);
-                for (_, rv) in inits {
-                    collect_rv_reads(rv, &mut add);
-                }
-            }
-            Op::Assert(c) => collect_rv_reads(c, &mut add),
-            Op::AtomicBegin(Some(c)) => collect_rv_reads(c, &mut add),
-            Op::AtomicBegin(None) | Op::AtomicEnd => {}
-        }
-        live[ix] = mask;
-    }
-    live
-}
-
-fn collect_rv_reads<F: FnMut(usize)>(rv: &Rv, add: &mut F) {
-    match rv {
-        Rv::Local(x) => add(*x),
-        Rv::LocalDyn { base, len, ix } => {
-            // Dynamic: conservatively keep the whole region.
-            for k in 0..*len {
-                add(base + k);
-            }
-            collect_rv_reads(ix, add);
-        }
-        Rv::GlobalDyn { ix, .. } => collect_rv_reads(ix, add),
-        Rv::Field { obj, .. } => collect_rv_reads(obj, add),
-        Rv::Unary(_, a) => collect_rv_reads(a, add),
-        Rv::Binary(_, a, b) => {
-            collect_rv_reads(a, add);
-            collect_rv_reads(b, add);
-        }
-        Rv::Ite(c, a, b) => {
-            collect_rv_reads(c, add);
-            collect_rv_reads(a, add);
-            collect_rv_reads(b, add);
-        }
-        Rv::Const(_) | Rv::Global(_) | Rv::Hole(_) => {}
-    }
-}
-
-/// Locals read while *resolving* an l-value (indices, objects) — and
-/// the written local itself stays live (it is about to hold a value
-/// that later steps may read via the same mask at a later pc; writes
-/// do not read, so only address components are collected).
-fn collect_lv_reads<F: FnMut(usize)>(lv: &Lv, add: &mut F) {
-    match lv {
-        Lv::Local(_) | Lv::Global(_) => {}
-        Lv::LocalDyn { base, len, ix } => {
-            for k in 0..*len {
-                add(base + k);
-            }
-            collect_rv_reads(ix, add);
-        }
-        Lv::GlobalDyn { ix, .. } => collect_rv_reads(ix, add),
-        Lv::Field { obj, .. } => collect_rv_reads(obj, add),
     }
 }
 

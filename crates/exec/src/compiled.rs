@@ -36,13 +36,14 @@
 //!   that reduces builds them, so a candidate the prescreen or a
 //!   `por: false` search disposes of never pays for them.
 //!   The static table and the refinement check are diagnostics, built
-//!   only when [`CompiledProgram::sharpened_masks`] or
-//!   [`CompiledProgram::footprint_refines_static`] asks;
-//! - per-worker liveness masks are computed from the original program
-//!   — they are the ones the reference engine masks dead locals with,
-//!   so with the reduction off a search visits exactly the reference
-//!   engine's states. They are computed *lazily*, on the first checker
-//!   construction, so sealing a candidate never pays for them;
+//!   each time [`CompiledProgram::sharpened_masks`] or
+//!   [`CompiledProgram::footprint_refines_static`] is called;
+//! - what does not depend on the holes is not sealed at all: each
+//!   thread's atomic-section ends and its locals' liveness are facts of
+//!   the lowered [`Thread`], computed once per program. The reference
+//!   engine masks dead locals with the same facts, so with the
+//!   reduction off a search visits exactly the reference engine's
+//!   states;
 //! - every table belongs to one artifact, and the engines built from
 //!   it borrow them: constructing a checker copies no table.
 //!
@@ -50,14 +51,14 @@
 //! original trees against a hole table, which makes it an independent
 //! oracle for the whole layer.
 
-use crate::checker::{compute_liveness, compute_match_end};
 use crate::por::PorTable;
 use crate::store::{EvalResult, FailureKind, StateBuf, StateLayout, UndoJournal};
 use psketch_ir::{
-    fold_const_binop, fold_const_unop, thread_footprints_sharpened, Assignment, Footprint, Lowered,
-    Lv, Op, Rv, Thread,
+    fold_const_binop, fold_const_unop, thread_footprints_sharpened, Assignment, Footprint, Loc,
+    Lowered, Lv, Op, Rv, Thread,
 };
 use psketch_lang::ast::{BinOp, UnOp};
+use std::mem::size_of;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -275,6 +276,11 @@ impl Code {
         debug_assert_eq!(sp, 1, "expression code must leave exactly one value");
         Ok(stack[0])
     }
+
+    /// Heap bytes of the micro-op array.
+    fn heap_bytes(&self) -> usize {
+        self.ins.len() * size_of::<Ins>()
+    }
 }
 
 /// A compiled write destination.
@@ -375,6 +381,45 @@ pub(crate) enum COp {
     AtomicBegin(Option<Code>),
     /// Atomic-section exit (no-op).
     AtomicEnd,
+}
+
+impl CLv {
+    /// Heap bytes of the index or object code.
+    fn heap_bytes(&self) -> usize {
+        match self {
+            CLv::Global(_) | CLv::Local(_) => 0,
+            CLv::GlobalDyn { ix, .. } | CLv::LocalDyn { ix, .. } => ix.heap_bytes(),
+            CLv::Field { obj, .. } => obj.heap_bytes(),
+        }
+    }
+}
+
+impl COp {
+    /// Heap bytes of the operation's code, defaults and initializers.
+    fn heap_bytes(&self) -> usize {
+        match self {
+            COp::Assign(lv, rv) => lv.heap_bytes() + rv.heap_bytes(),
+            COp::Swap { dst, loc, val } => dst.heap_bytes() + loc.heap_bytes() + val.heap_bytes(),
+            COp::Cas { dst, loc, old, new } => {
+                dst.heap_bytes() + loc.heap_bytes() + old.heap_bytes() + new.heap_bytes()
+            }
+            COp::FetchAdd { dst, loc, .. } => dst.heap_bytes() + loc.heap_bytes(),
+            COp::Alloc {
+                dst,
+                defaults,
+                inits,
+                ..
+            } => {
+                let inits: usize = inits
+                    .iter()
+                    .map(|(_, rv)| size_of::<(usize, Code)>() + rv.heap_bytes())
+                    .sum();
+                dst.heap_bytes() + defaults.len() * size_of::<i64>() + inits
+            }
+            COp::Assert(c) | COp::AtomicBegin(Some(c)) => c.heap_bytes(),
+            COp::AtomicBegin(None) | COp::AtomicEnd => 0,
+        }
+    }
 }
 
 /// One compiled step: guard code plus operation.
@@ -948,35 +993,23 @@ fn fps_por(l: &Lowered, candidate: &Assignment) -> FpsPor {
     FpsPor { thread_fps, por }
 }
 
-/// Per-worker liveness masks: `masks[w][pc]` is the bitmask vector of
-/// worker `w`'s live locals entering step `pc`.
-pub(crate) type LiveMasks = Vec<Vec<Vec<u64>>>;
-
 /// The sealed, hole-substituted execution artifact of one candidate:
 /// compiled once, shared by the DFS, replay and the schedule-bank
-/// prescreen. Engines borrow its tables; they never copy them.
+/// prescreen. It holds only what the candidate's holes decide; the
+/// program's own facts stay on its threads. Engines borrow its tables;
+/// they never copy them.
 #[derive(Clone)]
 pub struct CompiledProgram<'l> {
     /// The original (hole-bearing) program the artifact was sealed
     /// from. Kept borrowed: emit-time substitution never materializes
-    /// a specialized copy. Trees are used for control decisions (step
-    /// structure, `shared` flags, spans); every evaluation runs the
-    /// micro-op code.
+    /// a specialized copy. Its threads are used for control decisions
+    /// (step structure, `shared` flags, atomic-section ends, liveness,
+    /// spans); every evaluation runs the micro-op code.
     l: &'l Lowered,
     /// The candidate this artifact was compiled from.
     holes: Assignment,
     /// Flat-state segment table (candidate-independent).
     pub(crate) lay: StateLayout,
-    /// Words before the first worker record.
-    pub(crate) shared_len: usize,
-    /// Per-worker AtomicBegin→AtomicEnd pairing
-    /// (candidate-independent: substitution preserves op kinds).
-    pub(crate) match_end: Vec<Vec<usize>>,
-    /// Per-worker liveness masks, computed from the *original* program
-    /// so fingerprints and state counts match the reference engine's
-    /// exactly. Lazy: built on the first checker construction, so
-    /// sealing a candidate never pays for it.
-    live: OnceLock<LiveMasks>,
     /// Candidate-sharpened per-worker footprints and the POR table
     /// built from them (one cell: the table is a deterministic
     /// function of the footprints, so they force together). Lazy —
@@ -984,13 +1017,6 @@ pub struct CompiledProgram<'l> {
     /// prescreen refutes, and `por: false` searches, never pay the
     /// footprint pass.
     fps_por: OnceLock<FpsPor>,
-    /// The static (candidate-independent) POR table, built on first
-    /// diagnostic use — the engines never consult it.
-    static_por: OnceLock<Option<PorTable>>,
-    /// Sharpening diagnostics — `(sharpened_masks, refines_static)` —
-    /// comparing this artifact's sharp table against the static one.
-    /// Lazy: only the bench and the differential tests ask.
-    por_diag: OnceLock<(u64, bool)>,
     /// Per-thread micro-op arrays, indexed by trace thread id
     /// (0 = prologue, `1..=n` = workers, `n + 1` = epilogue).
     pub(crate) code: Vec<ThreadCode>,
@@ -1002,8 +1028,6 @@ impl<'l> CompiledProgram<'l> {
     pub fn compile(l: &'l Lowered, candidate: &Assignment) -> CompiledProgram<'l> {
         let t0 = Instant::now();
         let lay = StateLayout::new(l);
-        let shared_len = lay.worker_off.first().copied().unwrap_or(lay.state_len());
-        let match_end = l.workers.iter().map(compute_match_end).collect();
         let code = (0..l.num_threads())
             .map(|tid| compile_thread(l.thread(tid), l, &lay, candidate))
             .collect();
@@ -1011,12 +1035,7 @@ impl<'l> CompiledProgram<'l> {
             l,
             holes: candidate.clone(),
             lay,
-            shared_len,
-            match_end,
-            live: OnceLock::new(),
             fps_por: OnceLock::new(),
-            static_por: OnceLock::new(),
-            por_diag: OnceLock::new(),
             code,
             compile_us: t0.elapsed().as_micros() as u64,
         }
@@ -1058,23 +1077,30 @@ impl<'l> CompiledProgram<'l> {
         0
     }
 
-    /// Per-worker liveness masks, built on the first checker
-    /// construction.
-    pub(crate) fn live_masks(&self) -> &LiveMasks {
-        self.live
-            .get_or_init(|| self.l.workers.iter().map(compute_liveness).collect())
-    }
-
-    /// The static (candidate-independent) POR table, built on first
-    /// use.
-    fn static_por_table(&self) -> Option<&PorTable> {
-        self.static_por
-            .get_or_init(|| {
-                (2..=64)
-                    .contains(&self.l.workers.len())
-                    .then(|| PorTable::new(self.l))
-            })
-            .as_ref()
+    /// Heap bytes the artifact has in use, by length: its micro-op
+    /// arrays with the `Alloc` defaults and initializers, and its
+    /// footprints and POR table once a search has built them.
+    pub fn heap_bytes(&self) -> usize {
+        let code: usize = self
+            .code
+            .iter()
+            .flat_map(|tc| tc.steps.iter())
+            .map(|cs| size_of::<CStep>() + cs.guard.heap_bytes() + cs.op.heap_bytes())
+            .sum();
+        let fps_por = self.fps_por.get().map_or(0, |f| {
+            let fps: usize = f
+                .thread_fps
+                .iter()
+                .flatten()
+                .map(|fp| {
+                    size_of::<Footprint>() + (fp.reads.len() + fp.writes.len()) * size_of::<Loc>()
+                })
+                .sum();
+            f.thread_fps.len() * size_of::<Vec<Footprint>>()
+                + fps
+                + f.por.as_ref().map_or(0, PorTable::heap_bytes)
+        });
+        self.code.len() * size_of::<ThreadCode>() + code + fps_por
     }
 
     /// The candidate-sharpened footprints and POR table, built on
@@ -1090,53 +1116,49 @@ impl<'l> CompiledProgram<'l> {
         self.fps_por_forced().por.as_ref()
     }
 
-    /// `(sharpened_masks, refines_static)`, computed on first request:
-    /// the engines never consult the static table to run, so sealing
-    /// defers the comparison until a diagnostic asks.
-    fn por_diag(&self) -> (u64, bool) {
-        *self
-            .por_diag
-            .get_or_init(|| match (self.por_table(), self.static_por_table()) {
-                (Some(sharp), Some(base)) => {
-                    let sharpened = sharp.sharpened_vs(base);
-                    let refines = sharp.refines(base);
-                    debug_assert!(refines, "sharpened footprints must refine static ones");
-                    (sharpened, refines)
-                }
-                _ => (0, true),
-            })
+    /// The candidate-sharpened POR table beside a freshly built static
+    /// (candidate-independent) one, when POR applies. The engines never
+    /// consult the static table, so only these diagnostics build it,
+    /// once per call.
+    fn sharp_and_static(&self) -> Option<(&PorTable, PorTable)> {
+        Some((self.por_table()?, PorTable::new(self.l)))
     }
 
     /// Number of (worker, pc) transition footprint masks the
     /// candidate's constants made strictly tighter than the static
     /// (hole-agnostic) analysis — the sharpening POR benefits from.
+    /// Builds the static table each call: ask once per artifact.
     pub fn sharpened_masks(&self) -> u64 {
-        self.por_diag().0
+        self.sharp_and_static().map_or(0, |(sharp, base)| {
+            debug_assert!(
+                sharp.refines(&base),
+                "sharpened footprints must refine static ones"
+            );
+            sharp.sharpened_vs(&base)
+        })
     }
 
     /// True when every candidate-sharpened footprint mask is a subset
     /// of the corresponding static mask — the soundness side condition
     /// the sharpened POR tables rely on (always expected to hold;
-    /// exposed for the differential property test).
+    /// exposed for the differential property test). Builds the static
+    /// table each call: ask once per artifact.
     pub fn footprint_refines_static(&self) -> bool {
-        self.por_diag().1
+        self.sharp_and_static()
+            .is_none_or(|(sharp, base)| sharp.refines(&base))
     }
 
-    /// Bit-for-bit artifact equality: candidate, micro-op code, POR
-    /// masks, footprints and derived counters all equal. Forces every
-    /// lazy table of both artifacts. `perfbench/src/trace.rs` calls it
-    /// to compare two seals of one candidate.
+    /// Bit-for-bit artifact equality: program, candidate, micro-op
+    /// code, footprints and POR masks all equal. Forces the lazy table
+    /// of both artifacts. `perfbench/src/trace.rs` calls it to compare
+    /// two seals of one candidate.
     #[doc(hidden)]
     pub fn artifact_eq(&self, other: &CompiledProgram<'_>) -> bool {
         std::ptr::eq(self.l, other.l)
             && self.holes.values() == other.holes.values()
-            && self.shared_len == other.shared_len
-            && self.match_end == other.match_end
-            && self.live_masks() == other.live_masks()
             && self.code == other.code
             && self.fps_por_forced().thread_fps == other.fps_por_forced().thread_fps
             && self.por_table() == other.por_table()
-            && self.por_diag() == other.por_diag()
     }
 }
 
@@ -1500,10 +1522,16 @@ mod tests {
             cp.fps_por.get().is_none(),
             "the prescreen and a por: false search must not build footprints"
         );
+        let code_bytes = cp.heap_bytes();
+        assert!(code_bytes > 0, "the micro-op code is counted");
         check_compiled(&cp, &SearchLimits::default());
         assert!(
             cp.fps_por.get().is_some_and(|f| f.por.is_some()),
             "a reducing search builds the candidate's POR table"
+        );
+        assert!(
+            cp.heap_bytes() > code_bytes,
+            "built footprints and POR table are counted"
         );
     }
 

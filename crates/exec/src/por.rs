@@ -39,8 +39,7 @@
 //! preserved; *traces* are not — a reduced search may report a
 //! different (equally real) interleaving of the same failure.
 
-use crate::checker::compute_match_end;
-use psketch_ir::{Footprint, FootprintTable, Loc, Lowered, Op};
+use psketch_ir::{Footprint, FootprintTable, Loc, Lowered};
 
 /// One transition's read/write bit sets.
 #[derive(Clone, Debug, PartialEq)]
@@ -143,7 +142,6 @@ impl PorTable {
         let mut suf = Vec::with_capacity(l.workers.len());
         for (w, thread) in l.workers.iter().enumerate() {
             let n = thread.steps.len();
-            let match_end = compute_match_end(thread);
             let step_mask: Vec<Mask> = (0..n)
                 .map(|ix| {
                     let fp = &fps[w][ix];
@@ -168,11 +166,7 @@ impl PorTable {
             let wcur: Vec<Mask> = (0..n)
                 .map(|ix| {
                     let mut m = empty();
-                    let end = if matches!(thread.steps[ix].op, Op::AtomicBegin(_)) {
-                        match_end[ix]
-                    } else {
-                        ix
-                    };
+                    let end = thread.atomic_end(ix).unwrap_or(ix);
                     for s in &step_mask[ix..=end] {
                         for k in 0..nwords {
                             m.r[k] |= s.r[k];
@@ -186,6 +180,13 @@ impl PorTable {
             suf.push(wsuf);
         }
         PorTable { nwords, cur, suf }
+    }
+
+    /// Heap bytes of the table's masks, by length.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let per_mask = std::mem::size_of::<Mask>() + 2 * self.nwords * std::mem::size_of::<u64>();
+        let masks: usize = self.cur.iter().chain(&self.suf).map(Vec::len).sum();
+        (self.cur.len() + self.suf.len()) * std::mem::size_of::<Vec<Mask>>() + masks * per_mask
     }
 
     /// True when every bit set in this table is also set in `base` —
@@ -309,7 +310,7 @@ impl Iterator for BitIter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psketch_ir::{desugar::desugar_program, lower::lower_program, Config, Lowered};
+    use psketch_ir::{desugar::desugar_program, lower::lower_program, Config, Lowered, Op};
 
     fn lowered(src: &str) -> Lowered {
         let cfg = Config::default();

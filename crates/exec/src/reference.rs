@@ -21,8 +21,7 @@
 //! this one to match (and say so in the differential test).
 
 use crate::checker::{
-    compute_liveness, compute_match_end, early_failure_stats, CheckOutcome, CheckStats, Interrupt,
-    SearchLimits, Verdict,
+    early_failure_stats, CheckOutcome, CheckStats, Interrupt, SearchLimits, Verdict,
 };
 use crate::fingerprint::FpSet;
 use psketch_ir::{Assignment, Lowered, Lv, Op, Rv, Thread, ThreadId};
@@ -295,20 +294,13 @@ struct ExecState {
 struct RefChecker<'a> {
     l: &'a Lowered,
     holes: &'a Assignment,
-    match_end: Vec<Vec<usize>>,
-    live: Vec<Vec<Vec<u64>>>,
 }
 
 type FireResult = Result<Vec<(ThreadId, usize)>, (Vec<(ThreadId, usize)>, Failure)>;
 
 impl<'a> RefChecker<'a> {
     fn new(l: &'a Lowered, holes: &'a Assignment) -> RefChecker<'a> {
-        RefChecker {
-            l,
-            holes,
-            match_end: l.workers.iter().map(compute_match_end).collect(),
-            live: l.workers.iter().map(compute_liveness).collect(),
-        }
+        RefChecker { l, holes }
     }
 
     fn initial_workers(&self, store: RefStore) -> ExecState {
@@ -482,7 +474,6 @@ impl<'a> RefChecker<'a> {
         let tid = self.trace_tid(w);
         let mut executed = Vec::new();
         let pc = state.workers[w].pc;
-        let step = &thread.steps[pc];
         let fail = |mut executed: Vec<(ThreadId, usize)>, kind, ix: usize| {
             executed.push((tid, ix));
             (
@@ -495,10 +486,9 @@ impl<'a> RefChecker<'a> {
                 },
             )
         };
-        match &step.op {
-            Op::AtomicBegin(_) => {
+        match thread.atomic_end(pc) {
+            Some(end) => {
                 executed.push((tid, pc));
-                let end = self.match_end[w][pc];
                 for ix in pc + 1..end {
                     let s = &thread.steps[ix];
                     let g = eval_rv(
@@ -525,9 +515,9 @@ impl<'a> RefChecker<'a> {
                 executed.push((tid, end));
                 state.workers[w].pc = end + 1;
             }
-            _ => {
+            None => {
                 exec_op(
-                    &step.op,
+                    &thread.steps[pc].op,
                     &mut state.store,
                     &mut state.workers[w].locals,
                     self.holes,
@@ -584,15 +574,8 @@ impl<'a> RefChecker<'a> {
             v.extend_from_slice(h);
         }
         v.extend(state.store.allocs.iter().map(|&a| a as i64));
-        for (wix, w) in state.workers.iter().enumerate() {
-            let live = &self.live[wix];
-            let mask = live.get(w.pc).or_else(|| live.last());
-            for (i, &val) in w.locals.iter().enumerate() {
-                let alive = mask
-                    .map(|m| m[i / 64] & (1u64 << (i % 64)) != 0)
-                    .unwrap_or(false);
-                v.push(if alive { val } else { 0 });
-            }
+        for (w, thread) in state.workers.iter().zip(&self.l.workers) {
+            v.extend(thread.live_values(w.pc, &w.locals));
         }
         v
     }

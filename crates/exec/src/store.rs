@@ -194,6 +194,12 @@ impl StateLayout {
     pub fn state_len(&self) -> usize {
         self.state_len
     }
+
+    /// Words before the first worker record: the globals, heap and
+    /// allocation counters every thread shares.
+    pub(crate) fn shared_len(&self) -> usize {
+        self.worker_off.first().copied().unwrap_or(self.state_len)
+    }
 }
 
 /// The flat execution state: one contiguous word vector addressed

@@ -598,6 +598,16 @@ mod tests {
         }
     }
 
+    /// `n` int locals named `l0`, `l1`, …
+    fn int_locals(n: usize) -> Vec<crate::step::LocalSlot> {
+        (0..n)
+            .map(|i| crate::step::LocalSlot {
+                name: format!("l{i}"),
+                kind: crate::step::ScalarKind::Int,
+            })
+            .collect()
+    }
+
     fn eq(a: Rv, b: Rv) -> Rv {
         Rv::Binary(BinOp::Eq, Arc::new(a), Arc::new(b))
     }
@@ -672,9 +682,9 @@ mod tests {
     #[test]
     fn const_prop_resolves_dynamic_index_to_cell() {
         // l0 = 2; x = g[l0]  — the read resolves to cell base+2.
-        let thread = Thread {
-            name: "t".into(),
-            steps: vec![
+        let thread = Thread::new(
+            "t".into(),
+            vec![
                 Step::new(
                     Rv::Const(1),
                     Op::Assign(Lv::Local(0), Rv::Const(2)),
@@ -686,17 +696,8 @@ mod tests {
                     Span::default(),
                 ),
             ],
-            locals: vec![
-                crate::step::LocalSlot {
-                    name: "l0".into(),
-                    kind: crate::step::ScalarKind::Int,
-                },
-                crate::step::LocalSlot {
-                    name: "l1".into(),
-                    kind: crate::step::ScalarKind::Int,
-                },
-            ],
-        };
+            int_locals(2),
+        );
         let fps = thread_footprints(&thread, &Config::default());
         assert_eq!(fps[1].reads, vec![Loc::Global(2)]);
         // Without the environment, the same read widens to the region.
@@ -707,9 +708,9 @@ mod tests {
     #[test]
     fn conditional_assign_merges_conservatively() {
         // Under a non-constant guard, l0 = 2 must not be trusted.
-        let thread = Thread {
-            name: "t".into(),
-            steps: vec![
+        let thread = Thread::new(
+            "t".into(),
+            vec![
                 Step::new(
                     Rv::Hole(0),
                     Op::Assign(Lv::Local(0), Rv::Const(2)),
@@ -721,17 +722,8 @@ mod tests {
                     Span::default(),
                 ),
             ],
-            locals: vec![
-                crate::step::LocalSlot {
-                    name: "l0".into(),
-                    kind: crate::step::ScalarKind::Int,
-                },
-                crate::step::LocalSlot {
-                    name: "l1".into(),
-                    kind: crate::step::ScalarKind::Int,
-                },
-            ],
-        };
+            int_locals(2),
+        );
         let fps = thread_footprints(&thread, &Config::default());
         assert_eq!(fps[1].reads, vec![Loc::GlobalRegion { base: 0, len: 4 }]);
     }
@@ -741,9 +733,9 @@ mod tests {
         // l0 = ??; l1 = g[l0] — static analysis must keep the region
         // (any hole value is possible), but under a concrete
         // assignment the read resolves to one cell.
-        let thread = Thread {
-            name: "t".into(),
-            steps: vec![
+        let thread = Thread::new(
+            "t".into(),
+            vec![
                 Step::new(
                     Rv::Const(1),
                     Op::Assign(Lv::Local(0), Rv::Hole(0)),
@@ -755,17 +747,8 @@ mod tests {
                     Span::default(),
                 ),
             ],
-            locals: vec![
-                crate::step::LocalSlot {
-                    name: "l0".into(),
-                    kind: crate::step::ScalarKind::Int,
-                },
-                crate::step::LocalSlot {
-                    name: "l1".into(),
-                    kind: crate::step::ScalarKind::Int,
-                },
-            ],
-        };
+            int_locals(2),
+        );
         let cfg = Config::default();
         let wide = thread_footprints(&thread, &cfg);
         assert_eq!(wide[1].reads, vec![Loc::GlobalRegion { base: 0, len: 4 }]);
@@ -837,18 +820,15 @@ mod tests {
         // guard `??(2) == 1` with the hole assigned 0: the guarded
         // read disappears from the sharpened table but stays (merged
         // conservatively) in the static one.
-        let thread = Thread {
-            name: "t".into(),
-            steps: vec![Step::new(
+        let thread = Thread::new(
+            "t".into(),
+            vec![Step::new(
                 eq(Rv::Hole(0), Rv::Const(1)),
                 Op::Assign(Lv::Local(0), Rv::Global(2)),
                 Span::default(),
             )],
-            locals: vec![crate::step::LocalSlot {
-                name: "l0".into(),
-                kind: crate::step::ScalarKind::Int,
-            }],
-        };
+            int_locals(1),
+        );
         let cfg = Config::default();
         let wide = thread_footprints(&thread, &cfg);
         assert_eq!(wide[0].reads, vec![Loc::Global(2)]);

@@ -259,11 +259,7 @@ impl ThreadCtx {
     }
 
     fn into_thread(self) -> Thread {
-        Thread {
-            name: self.name,
-            steps: self.steps,
-            locals: self.locals,
-        }
+        Thread::new(self.name, self.steps, self.locals)
     }
 }
 

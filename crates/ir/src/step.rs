@@ -256,14 +256,7 @@ impl Step {
     /// it names.
     pub fn for_each_expr<'a>(&'a self, mut f: impl FnMut(&'a Rv)) {
         f(&self.guard);
-        let (dst, loc) = match &self.op {
-            Op::Assign(dst, _) | Op::Alloc { dst, .. } => (Some(dst), None),
-            Op::Swap { dst, loc, .. }
-            | Op::Cas { dst, loc, .. }
-            | Op::FetchAdd { dst, loc, .. } => (Some(dst), Some(loc)),
-            Op::Assert(_) | Op::AtomicBegin(_) | Op::AtomicEnd => (None, None),
-        };
-        for lv in dst.into_iter().chain(loc) {
+        for lv in self.lvalues() {
             match lv {
                 Lv::Global(_) | Lv::Local(_) => {}
                 Lv::GlobalDyn { ix, .. } | Lv::LocalDyn { ix, .. } => f(ix),
@@ -279,6 +272,46 @@ impl Step {
             }
             Op::Alloc { inits, .. } => inits.iter().for_each(|(_, v)| f(v)),
             Op::FetchAdd { .. } | Op::AtomicEnd => {}
+        }
+    }
+
+    /// The l-values the step writes through: its destination, then the
+    /// location an atomic updates.
+    fn lvalues(&self) -> impl Iterator<Item = &Lv> {
+        let (dst, loc) = match &self.op {
+            Op::Assign(dst, _) | Op::Alloc { dst, .. } => (Some(dst), None),
+            Op::Swap { dst, loc, .. }
+            | Op::Cas { dst, loc, .. }
+            | Op::FetchAdd { dst, loc, .. } => (Some(dst), Some(loc)),
+            Op::Assert(_) | Op::AtomicBegin(_) | Op::AtomicEnd => (None, None),
+        };
+        dst.into_iter().chain(loc)
+    }
+
+    /// Calls `f` on every local the step reads: each `Local` in its
+    /// expressions, and every slot of a local array region it indexes,
+    /// for a read or a write (a dynamic index keeps the whole region
+    /// live). Skips the shared expression nodes in `seen`, and adds
+    /// each one it walks.
+    fn for_each_local_read(&self, seen: &mut HashSet<*const Rv>, mut f: impl FnMut(LocalId)) {
+        let mut stack: Vec<&Rv> = Vec::new();
+        self.for_each_expr(|rv| stack.push(rv));
+        for lv in self.lvalues() {
+            if let Lv::LocalDyn { base, len, .. } = lv {
+                (*base..base + len).for_each(&mut f);
+            }
+        }
+        while let Some(rv) = stack.pop() {
+            match rv {
+                Rv::Local(x) => f(*x),
+                Rv::LocalDyn { base, len, .. } => (*base..base + len).for_each(&mut f),
+                _ => {}
+            }
+            stack.extend(
+                rv.children()
+                    .filter(|c| seen.insert(Arc::as_ptr(c)))
+                    .map(|c| &**c),
+            );
         }
     }
 
@@ -301,8 +334,11 @@ impl Step {
 /// `1..=n` are the forked workers, `n + 1` is the epilogue.
 pub type ThreadId = usize;
 
-/// One straight-line thread.
-#[derive(Clone, Debug, Default)]
+/// One straight-line thread, with two facts of its steps that every
+/// engine reads at each pc, computed once by [`Thread::new`] (the only
+/// way to build one): where each atomic section ends, and which locals
+/// are still live.
+#[derive(Clone, Debug)]
 pub struct Thread {
     /// Diagnostic name ("prologue", "worker 0", …).
     pub name: String,
@@ -310,6 +346,87 @@ pub struct Thread {
     pub steps: Vec<Step>,
     /// Local slot layout.
     pub locals: Vec<LocalSlot>,
+    /// `section_end[pc]`: the last step of the transition fired from
+    /// `pc` — the matching `AtomicEnd` of an `AtomicBegin`, `pc`
+    /// itself for any other step.
+    section_end: Vec<usize>,
+    /// `live_until[i]`: one past the last step that reads local `i` (0
+    /// when no step does). Local `i` is live at `pc` — a step at `pc`
+    /// or later reads it — exactly when `pc < live_until[i]`, so this
+    /// one number per local is the live-locals mask of every pc in
+    /// `0..=steps.len()`: on a straight line, masks only grow toward
+    /// pc 0.
+    live_until: Vec<usize>,
+}
+
+impl Thread {
+    /// Builds a thread, computing its atomic-section ends and its
+    /// locals' liveness.
+    ///
+    /// # Panics
+    ///
+    /// When an `AtomicBegin` has no later `AtomicEnd` (lowering always
+    /// emits one; atomic sections do not nest).
+    pub fn new(name: String, steps: Vec<Step>, locals: Vec<LocalSlot>) -> Thread {
+        let section_end = (0..steps.len())
+            .map(|pc| match steps[pc].op {
+                Op::AtomicBegin(_) => steps[pc + 1..]
+                    .iter()
+                    .position(|s| matches!(s.op, Op::AtomicEnd))
+                    .map(|off| pc + 1 + off)
+                    .expect("lowering emits matching AtomicEnd"),
+                _ => pc,
+            })
+            .collect();
+        // Backwards, a local's first read is its last, and every local
+        // below a node seen at a later step is already set: each shared
+        // expression node is walked once.
+        let mut live_until = vec![0; locals.len()];
+        let mut seen = HashSet::new();
+        for (pc, step) in steps.iter().enumerate().rev() {
+            step.for_each_local_read(&mut seen, |x| {
+                if live_until[x] == 0 {
+                    live_until[x] = pc + 1;
+                }
+            });
+        }
+        Thread {
+            name,
+            steps,
+            locals,
+            section_end,
+            live_until,
+        }
+    }
+
+    /// The `AtomicEnd` matching the `AtomicBegin` at `pc`; `None` when
+    /// step `pc` begins no atomic section.
+    pub fn atomic_end(&self, pc: usize) -> Option<usize> {
+        let end = self.section_end[pc];
+        (end != pc).then_some(end)
+    }
+
+    /// Does a step at `pc` or later (`pc <= steps.len()`) read local
+    /// `local`?
+    #[inline]
+    fn is_live(&self, pc: usize, local: LocalId) -> bool {
+        pc < self.live_until[local]
+    }
+
+    /// `locals`, this thread's local values at `pc`, with every dead
+    /// local read as 0: the form in which the engines compare states,
+    /// so states that differ only in dead locals are one state.
+    pub fn live_values<'a>(
+        &'a self,
+        pc: usize,
+        locals: &'a [i64],
+    ) -> impl Iterator<Item = i64> + 'a {
+        debug_assert_eq!(locals.len(), self.locals.len());
+        locals
+            .iter()
+            .enumerate()
+            .map(move |(i, &v)| if self.is_live(pc, i) { v } else { 0 })
+    }
 }
 
 /// A fully lowered program: the common input of the model checker
@@ -384,7 +501,8 @@ impl Lowered {
 
     /// Heap bytes the program has in use: each expression allocation
     /// once (the node and its two reference counts), and each thread's
-    /// steps and allocation initializers by length.
+    /// steps, allocation initializers, atomic-section ends and locals'
+    /// liveness by length.
     pub fn heap_bytes(&self) -> usize {
         let node = std::mem::size_of::<Rv>() + 2 * std::mem::size_of::<usize>();
         let steps: usize = (0..self.num_threads())
@@ -397,7 +515,11 @@ impl Lowered {
                 std::mem::size_of::<Step>() + inits * std::mem::size_of::<(FieldId, Rv)>()
             })
             .sum();
-        self.expr_nodes() * node + steps
+        let facts: usize = (0..self.num_threads())
+            .map(|tid| self.thread(tid))
+            .map(|t| (t.section_end.len() + t.live_until.len()) * std::mem::size_of::<usize>())
+            .sum();
+        self.expr_nodes() * node + steps + facts
     }
 }
 
@@ -467,13 +589,155 @@ mod tests {
         assert!(alloc.shared);
     }
 
+    /// Asserts that masks only grow toward pc 0 and that nothing is
+    /// live once the thread has finished.
+    fn assert_masks_shrink_to_empty(t: &Thread) {
+        let n = t.steps.len();
+        for x in 0..t.locals.len() {
+            for pc in 0..n {
+                assert!(!t.is_live(pc + 1, x) || t.is_live(pc, x), "l{x} at {pc}");
+            }
+            assert!(!t.is_live(n, x), "l{x} live past the end");
+        }
+    }
+
+    #[test]
+    fn thread_facts_pair_atomics_and_track_last_reads() {
+        let rv = |x| Arc::new(Rv::Local(x));
+        let step = |guard, op| Step::new(guard, op, Span::default());
+        let one = || Rv::Const(1);
+        let steps = vec![
+            // 0: l0 read in a guard.
+            step(
+                Rv::Binary(BinOp::Eq, rv(0), Arc::new(one())),
+                Op::Assign(Lv::Local(7), one()),
+            ),
+            step(one(), Op::AtomicBegin(None)),
+            // 2: l1 read in an operand.
+            step(one(), Op::Assign(Lv::Global(0), Rv::Local(1))),
+            step(one(), Op::AtomicEnd),
+            // 4: l2 read in an index expression.
+            step(
+                one(),
+                Op::Assign(
+                    Lv::GlobalDyn {
+                        base: 1,
+                        len: 2,
+                        ix: Rv::Local(2),
+                    },
+                    one(),
+                ),
+            ),
+            // 5: l3 read in an object expression.
+            step(
+                one(),
+                Op::Assign(
+                    Lv::Field {
+                        sid: 0,
+                        fid: 0,
+                        obj: Rv::Local(3),
+                    },
+                    one(),
+                ),
+            ),
+            // 6: l4 read in a blocking condition.
+            step(one(), Op::AtomicBegin(Some(Rv::Local(4)))),
+            // 7: the region l5..=l6 read through a dynamic index.
+            step(
+                one(),
+                Op::Assign(
+                    Lv::Local(7),
+                    Rv::LocalDyn {
+                        base: 5,
+                        len: 2,
+                        ix: Arc::new(one()),
+                    },
+                ),
+            ),
+            step(one(), Op::AtomicEnd),
+            // 9: the same region written through a dynamic index; l7
+            // is written but never read.
+            step(
+                one(),
+                Op::Assign(
+                    Lv::LocalDyn {
+                        base: 5,
+                        len: 2,
+                        ix: Rv::Const(0),
+                    },
+                    one(),
+                ),
+            ),
+        ];
+        let locals = (0..8)
+            .map(|x| LocalSlot {
+                name: format!("l{x}"),
+                kind: ScalarKind::Int,
+            })
+            .collect();
+        let t = Thread::new("t".into(), steps, locals);
+        let ends: Vec<_> = (0..t.steps.len()).map(|pc| t.atomic_end(pc)).collect();
+        let mut want = vec![None; 10];
+        want[1] = Some(3);
+        want[6] = Some(8);
+        assert_eq!(ends, want);
+        // Each local's last reading step.
+        for (x, last) in [(0, 0), (1, 2), (2, 4), (3, 5), (4, 6), (5, 9), (6, 9)] {
+            for pc in 0..=t.steps.len() {
+                assert_eq!(t.is_live(pc, x), pc <= last, "l{x} at pc {pc}");
+            }
+        }
+        assert!((0..=t.steps.len()).all(|pc| !t.is_live(pc, 7)));
+        assert_masks_shrink_to_empty(&t);
+        let values: Vec<i64> = t
+            .live_values(5, &[10, 11, 12, 13, 14, 15, 16, 17])
+            .collect();
+        assert_eq!(values, [0, 0, 0, 13, 14, 15, 16, 0]);
+    }
+
+    #[test]
+    fn lowered_threads_carry_their_facts() {
+        let cfg = Config::default();
+        let p = psketch_lang::check_program(
+            "int g;
+             harness void main() {
+                 fork (i; 2) { int t = g; atomic { g = t + 1; } int u = 0; }
+             }",
+        )
+        .unwrap();
+        let (sk, holes) = crate::desugar::desugar_program(&p, &cfg).unwrap();
+        let l = crate::lower::lower_program(&sk, holes, &cfg).unwrap();
+        for tid in 0..l.num_threads() {
+            assert_masks_shrink_to_empty(l.thread(tid));
+        }
+        for w in &l.workers {
+            let begins: Vec<usize> = (0..w.steps.len())
+                .filter(|&pc| matches!(w.steps[pc].op, Op::AtomicBegin(_)))
+                .collect();
+            let ends: Vec<usize> = (0..w.steps.len())
+                .filter(|&pc| matches!(w.steps[pc].op, Op::AtomicEnd))
+                .collect();
+            assert_eq!(begins.len(), 1);
+            assert_eq!(ends.len(), 1);
+            assert_eq!(w.atomic_end(begins[0]), Some(ends[0]));
+            assert!((0..w.steps.len()).all(|pc| pc == begins[0] || w.atomic_end(pc).is_none()));
+            // `t` is last read inside the section; `u` is never read.
+            let slot = |name: &str| w.locals.iter().position(|s| s.name == name).unwrap();
+            let (t, u) = (slot("t"), slot("u"));
+            let last_read = (0..ends[0])
+                .rev()
+                .find(|&pc| matches!(&w.steps[pc].op, Op::Assign(Lv::Global(_), _)))
+                .unwrap();
+            for pc in 0..=w.steps.len() {
+                assert_eq!(w.is_live(pc, t), pc <= last_read, "t at pc {pc}");
+                assert!(!w.is_live(pc, u), "u at pc {pc}");
+            }
+        }
+    }
+
     #[test]
     fn thread_indexing() {
-        let mk = |name: &str| Thread {
-            name: name.into(),
-            steps: vec![],
-            locals: vec![],
-        };
+        let mk = |name: &str| Thread::new(name.into(), vec![], vec![]);
         let l = Lowered {
             config: Config::default(),
             globals: vec![],
