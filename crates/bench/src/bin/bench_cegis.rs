@@ -104,7 +104,7 @@ fn main() {
                  sketch. Every run verifies one candidate per iteration \
                  on one thread. secs_median/secs_min time the whole run; \
                  every other column is the last sample's run totals, \
-                 named as in the run report (schema 15). compile_us is \
+                 named as in the run report (schema 16). compile_us is \
                  the cumulative candidate-sealing time, every candidate \
                  sealed fresh. peak_memory is the cell's own peak RSS: \
                  each cell runs in a process of its own"

@@ -424,9 +424,15 @@ impl Synthesis {
                     s_solve_secs: s_solve.as_secs_f64(),
                     v_solve_secs: v_solve.as_secs_f64(),
                     s_model_secs: observed.encode_time.as_secs_f64(),
+                    s_model_eval_secs: observed.eval_time.as_secs_f64(),
+                    s_model_encode_secs: observed.tseitin_time.as_secs_f64(),
                     projected_steps: observed.projected_steps,
                     resumed_steps: observed.resumed_steps,
                     new_nodes: observed.new_nodes,
+                    new_vars: observed.new_vars,
+                    new_clauses: observed.new_clauses,
+                    field_reads: observed.field_reads,
+                    field_read_hits: observed.field_read_hits,
                     traced_steps: observed.traced_steps,
                     trace_end: observed.trace_end,
                     failure,

@@ -256,9 +256,15 @@ pub struct IterationRecord {
     /// Wall time of this candidate's verification call, seconds.
     pub v_solve_secs: f64,
     /// Time spent encoding the observation this candidate fed back to
-    /// the synthesizer, seconds. This and the next five are 0 when
+    /// the synthesizer, seconds. This and the next eleven are 0 when
     /// it fed none (a correct candidate, or an unknown verdict).
     pub s_model_secs: f64,
+    /// The part of `s_model_secs` spent projecting the trace and
+    /// evaluating it symbolically, seconds.
+    pub s_model_eval_secs: f64,
+    /// The part of `s_model_secs` spent Tseitin-encoding the
+    /// observation's `¬fail` into the solver, seconds.
+    pub s_model_encode_secs: f64,
     /// Steps in that observation's projected order.
     pub projected_steps: usize,
     /// Leading steps of that order resumed from the previous trace's
@@ -266,6 +272,16 @@ pub struct IterationRecord {
     pub resumed_steps: usize,
     /// Circuit nodes the observation added.
     pub new_nodes: usize,
+    /// Solver variables the observation added: the next record's
+    /// `sat_vars` less this record's.
+    pub new_vars: usize,
+    /// Problem clauses the observation added to the solver.
+    pub new_clauses: u64,
+    /// Field reads of the observation's symbolic evaluation.
+    pub field_reads: usize,
+    /// Those field reads that took the value a read of the same field
+    /// through the same reference had built, the pool unchanged since.
+    pub field_read_hits: usize,
     /// Steps its counterexample trace executed (0 for an input).
     pub traced_steps: usize,
     /// Position in the projected order just past the trace's last
@@ -299,8 +315,9 @@ impl IterationRecord {
         out.push(("candidate".to_string(), Json::u64_array(&self.candidate)));
         out.push(("verdict".to_string(), Json::Str(self.verdict.clone())));
         out.extend(nums!("", self;
-            s_solve_secs, v_solve_secs, s_model_secs, projected_steps, resumed_steps, new_nodes,
-            traced_steps, trace_end));
+            s_solve_secs, v_solve_secs, s_model_secs, s_model_eval_secs, s_model_encode_secs,
+            projected_steps, resumed_steps, new_nodes, new_vars, new_clauses, field_reads,
+            field_read_hits, traced_steps, trace_end));
         out.push((
             "failure".to_string(),
             self.failure
@@ -405,7 +422,14 @@ impl RunReport {
     /// bytes after its verification (`seal_bytes`; the run's is the
     /// records' maximum, also at most `peak_memory` with
     /// `lowered_bytes`).
-    pub const SCHEMA: u32 = 15;
+    ///
+    /// v16: each record splits `s_model_secs` into its projection and
+    /// symbolic evaluation (`s_model_eval_secs`) and its Tseitin
+    /// encoding (`s_model_encode_secs`), and carries the solver
+    /// variables and problem clauses its observation added
+    /// (`new_vars`, `new_clauses`) and its evaluation's field reads
+    /// and cache hits (`field_reads`, `field_read_hits`).
+    pub const SCHEMA: u32 = 16;
 
     /// Serialises the report as a JSON object (two-space indented).
     pub fn to_json(&self) -> String {

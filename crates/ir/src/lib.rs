@@ -42,6 +42,7 @@
 pub mod config;
 pub mod desugar;
 pub mod footprint;
+pub mod hash;
 pub mod hole;
 pub mod lower;
 pub mod resolve;

@@ -9,6 +9,7 @@
 //! of one candidate can be replayed against all of them.
 
 use crate::config::Config;
+use crate::hash::BuildWordHasher;
 use crate::hole::{HoleId, HoleTable};
 use psketch_lang::ast::{BinOp, UnOp};
 use psketch_lang::error::Span;
@@ -24,6 +25,10 @@ pub type FieldId = usize;
 pub type GlobalId = usize;
 /// Index of a thread-local slot.
 pub type LocalId = usize;
+
+/// Expression nodes already walked, by address: each is an allocation
+/// of the lowerer's, so the set hashes them with [`BuildWordHasher`].
+type NodeSet = HashSet<*const Rv, BuildWordHasher>;
 
 /// Scalar value kinds stored in slots, fields and cells.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -293,7 +298,7 @@ impl Step {
     /// for a read or a write (a dynamic index keeps the whole region
     /// live). Skips the shared expression nodes in `seen`, and adds
     /// each one it walks.
-    fn for_each_local_read(&self, seen: &mut HashSet<*const Rv>, mut f: impl FnMut(LocalId)) {
+    fn for_each_local_read(&self, seen: &mut NodeSet, mut f: impl FnMut(LocalId)) {
         let mut stack: Vec<&Rv> = Vec::new();
         self.for_each_expr(|rv| stack.push(rv));
         for lv in self.lvalues() {
@@ -382,7 +387,7 @@ impl Thread {
         // below a node seen at a later step is already set: each shared
         // expression node is walked once.
         let mut live_until = vec![0; locals.len()];
-        let mut seen = HashSet::new();
+        let mut seen = NodeSet::default();
         for (pc, step) in steps.iter().enumerate().rev() {
             step.for_each_local_read(&mut seen, |x| {
                 if live_until[x] == 0 {
@@ -482,7 +487,7 @@ impl Lowered {
     /// root expressions, each counted once however many expressions
     /// share it.
     pub fn expr_nodes(&self) -> usize {
-        let mut seen: HashSet<*const Rv> = HashSet::new();
+        let mut seen = NodeSet::default();
         let mut stack: Vec<&Rv> = Vec::new();
         for tid in 0..self.num_threads() {
             for step in &self.thread(tid).steps {

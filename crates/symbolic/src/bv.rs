@@ -2,6 +2,7 @@
 
 use crate::circuit::{Circuit, NodeRef};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// The widest bitvector: the widest `int` the front end accepts.
 const MAX_WIDTH: usize = 62;
@@ -15,6 +16,14 @@ const MAX_WIDTH: usize = 62;
 pub struct Bv {
     bits: [NodeRef; MAX_WIDTH],
     width: u8,
+}
+
+/// Hashes the bits within the width: the slots past it are all
+/// `NodeRef::FALSE`, so equal bitvectors still hash alike.
+impl Hash for Bv {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.bits().hash(state);
+    }
 }
 
 impl fmt::Debug for Bv {

@@ -160,6 +160,11 @@ impl Circuit {
     }
 
     /// Conjunction with constant folding and structural hashing.
+    ///
+    /// Most calls fold (a constant input, or `x ∧ x`, or `x ∧ ¬x`), so
+    /// the folds are inlined into the caller and only the table probe
+    /// is a call.
+    #[inline]
     pub fn and(&mut self, a: NodeRef, b: NodeRef) -> NodeRef {
         match (a.as_const(), b.as_const()) {
             (Some(false), _) | (_, Some(false)) => return NodeRef::FALSE,
@@ -173,6 +178,13 @@ impl Circuit {
         if a == b.not() {
             return NodeRef::FALSE;
         }
+        self.and_node(a, b)
+    }
+
+    /// The AND node of two distinct, non-constant, non-complementary
+    /// inputs: the existing one, or a new one.
+    #[inline(never)]
+    fn and_node(&mut self, a: NodeRef, b: NodeRef) -> NodeRef {
         let key = if a.0 <= b.0 { Node(a, b) } else { Node(b, a) };
         let mut i = self.slot(key);
         if self.table[i] != 0 {
@@ -189,11 +201,13 @@ impl Circuit {
     }
 
     /// Disjunction.
+    #[inline]
     pub fn or(&mut self, a: NodeRef, b: NodeRef) -> NodeRef {
         self.and(a.not(), b.not()).not()
     }
 
     /// Exclusive or.
+    #[inline]
     pub fn xor(&mut self, a: NodeRef, b: NodeRef) -> NodeRef {
         let n1 = self.and(a, b.not());
         let n2 = self.and(a.not(), b);
@@ -201,11 +215,13 @@ impl Circuit {
     }
 
     /// Equivalence.
+    #[inline]
     pub fn iff(&mut self, a: NodeRef, b: NodeRef) -> NodeRef {
         self.xor(a, b).not()
     }
 
     /// If-then-else.
+    #[inline]
     pub fn ite(&mut self, c: NodeRef, t: NodeRef, e: NodeRef) -> NodeRef {
         match c.as_const() {
             Some(true) => return t,

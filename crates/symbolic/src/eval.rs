@@ -18,9 +18,17 @@
 //! the old one: the state is rolled back to the common prefix and
 //! `fail` is rebuilt from the logged disjuncts. Hash-consing makes the
 //! result the circuit a fresh evaluation builds, node for node.
+//!
+//! A field read builds a mux chain over its struct's whole pool, and a
+//! projection reads the same fields through the same references again
+//! and again. Each pool keeps the value of every field read since any
+//! of its slots last changed. The circuit only grows and is
+//! hash-consed, so the chain a repeated read would rebuild is exactly
+//! the cached value, and taking it adds no node.
 
 use crate::bv::Bv;
 use crate::circuit::{Circuit, NodeRef};
+use psketch_ir::hash::BuildWordHasher;
 use psketch_ir::{Lowered, Lv, Op, Rv, ThreadId};
 use psketch_lang::ast::{BinOp, UnOp};
 use std::collections::{BTreeSet, HashMap};
@@ -33,6 +41,11 @@ struct Mark {
     disjuncts: usize,
     running: NodeRef,
 }
+
+/// The field reads of one struct pool since any of its slots last
+/// changed: `(field, reference)` to the value read. Keys are circuit
+/// node refs, so they hash with [`BuildWordHasher`].
+type FieldReads = HashMap<(usize, Bv), Bv, BuildWordHasher>;
 
 /// Symbolic execution of projected traces.
 pub struct SymEval<'a> {
@@ -63,6 +76,11 @@ pub struct SymEval<'a> {
     /// Field values of the object an `Alloc` step creates (kept to
     /// reuse its buffer).
     fields: Vec<Bv>,
+    /// Each struct pool's field reads while the pool is unchanged.
+    field_cache: Vec<FieldReads>,
+    /// Field reads so far, and those the cache answered.
+    field_reads: usize,
+    field_read_hits: usize,
 }
 
 impl<'a> SymEval<'a> {
@@ -120,6 +138,9 @@ impl<'a> SymEval<'a> {
             writes: Vec::new(),
             disjuncts: Vec::new(),
             fields: Vec::new(),
+            field_cache: vec![FieldReads::default(); l.structs.len()],
+            field_reads: 0,
+            field_read_hits: 0,
         }
     }
 
@@ -216,6 +237,19 @@ impl<'a> SymEval<'a> {
         self.fail
     }
 
+    /// Field reads so far, and how many of them the cache answered.
+    pub(crate) fn field_reads(&self) -> (usize, usize) {
+        (self.field_reads, self.field_read_hits)
+    }
+
+    /// Forgets every cached field read: the slots are about to be
+    /// rolled back or forward.
+    fn forget_field_reads(&mut self) {
+        for reads in &mut self.field_cache {
+            reads.clear();
+        }
+    }
+
     /// ORs the logged disjuncts `from..to` into `fail`, in order.
     fn replay_disjuncts(&mut self, c: &mut Circuit, from: usize, to: usize) {
         for &d in &self.disjuncts[from..to] {
@@ -227,6 +261,7 @@ impl<'a> SymEval<'a> {
     /// entry keeps the value it displaces, so [`SymEval::redo_writes`]
     /// over the same range puts them back.
     fn undo_writes(&mut self, from: usize, to: usize) {
+        self.forget_field_reads();
         for (slot, v) in self.writes[from..to].iter_mut().rev() {
             std::mem::swap(&mut self.slots[*slot], v);
         }
@@ -235,6 +270,7 @@ impl<'a> SymEval<'a> {
     /// Reapplies the journaled writes `from..to` that
     /// [`SymEval::undo_writes`] took back, first first.
     fn redo_writes(&mut self, from: usize, to: usize) {
+        self.forget_field_reads();
         for (slot, v) in &mut self.writes[from..to] {
             std::mem::swap(&mut self.slots[*slot], v);
         }
@@ -496,7 +532,9 @@ impl<'a> SymEval<'a> {
     }
 
     /// Reads field `fid` of object `obj`; null reads 0 (after
-    /// recording the null failure).
+    /// recording the null failure). The reference and its failure are
+    /// evaluated on every read; the mux chain over the pool only when
+    /// the pool's cache does not already hold it.
     fn read_field(
         &mut self,
         c: &mut Circuit,
@@ -508,6 +546,11 @@ impl<'a> SymEval<'a> {
     ) -> Bv {
         let o = self.eval_rv(c, tid, obj, demand);
         self.null_fail(c, &o, demand);
+        self.field_reads += 1;
+        if let Some(v) = self.field_cache[sid].get(&(fid, o)) {
+            self.field_read_hits += 1;
+            return *v;
+        }
         let nf = self.l.structs[sid].fields.len();
         let base = self.heap_base[sid];
         let mut acc = Bv::constant(c, 0, self.w);
@@ -516,6 +559,7 @@ impl<'a> SymEval<'a> {
             let here = Bv::eq(c, &o, &kk);
             acc = Bv::mux(c, here, &self.slots[base + k * nf + fid], &acc);
         }
+        self.field_cache[sid].insert((fid, o), acc);
         acc
     }
 
@@ -548,13 +592,28 @@ impl<'a> SymEval<'a> {
     }
 
     /// `slot = cond ? v : slot`, journaling the old value if it
-    /// changed.
+    /// changed. A change to a pool's slot forgets the pool's field
+    /// reads.
     fn write_slot(&mut self, c: &mut Circuit, slot: usize, v: &Bv, cond: NodeRef) {
         let new = Bv::mux(c, cond, v, &self.slots[slot]);
         let old = std::mem::replace(&mut self.slots[slot], new);
         if old != new {
             self.writes.push((slot, old));
+            if let Some(sid) = self.pool_of(slot) {
+                self.field_cache[sid].clear();
+            }
         }
+    }
+
+    /// The struct whose pool holds `slot`, if any: pools lie between
+    /// the globals and the allocation counts, in struct order.
+    fn pool_of(&self, slot: usize) -> Option<usize> {
+        if slot >= self.alloc_base {
+            return None;
+        }
+        self.heap_base
+            .partition_point(|&b| b <= slot)
+            .checked_sub(1)
     }
 
     fn write(&mut self, c: &mut Circuit, tid: ThreadId, lv: &Lv, v: &Bv, cond: NodeRef) {
@@ -601,5 +660,127 @@ impl<'a> SymEval<'a> {
             let wc = c.and(cond, here);
             self.write_slot(c, first + k, v, wc);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use psketch_ir::{desugar::desugar_program, lower, Config};
+
+    /// One `Node` pool: the prologue allocates object 1 into `a`, sets
+    /// its `val` to 7, allocates object 2 into `b`, then enters an
+    /// atomic section on `a.val == 7`.
+    const SKETCH: &str = "struct Node { int val = 3; int next = 0; }
+         Node a; Node b; int g;
+         harness void main() {
+             a = new Node(); a.val = 7; b = new Node();
+             atomic (a.val == 7) { g = ??(2); }
+         }";
+
+    fn lowered() -> Lowered {
+        let cfg = Config::default();
+        let p = psketch_lang::check_program(SKETCH).unwrap();
+        let (sk, holes) = desugar_program(&p, &cfg).unwrap();
+        lower::lower_program(&sk, holes, &cfg).unwrap()
+    }
+
+    /// Field `fid` of `Node` object `obj`, read where it is demanded.
+    fn read(ev: &mut SymEval, c: &mut Circuit, fid: usize, obj: &Rv) -> Bv {
+        ev.read_field(c, 0, 0, fid, obj, NodeRef::TRUE)
+    }
+
+    /// `val` of `obj` under a constant candidate.
+    fn val(ev: &mut SymEval, c: &mut Circuit, obj: &Rv) -> i64 {
+        read(ev, c, 0, obj).as_const().expect("concrete")
+    }
+
+    /// The first prologue step from `from` on whose op `is` accepts.
+    fn step_of(l: &Lowered, from: usize, is: impl Fn(&Op) -> bool) -> usize {
+        from + l.prologue.steps[from..]
+            .iter()
+            .position(|s| is(&s.op))
+            .unwrap()
+    }
+
+    #[test]
+    fn a_repeated_field_read_adds_no_node() {
+        let l = lowered();
+        let mut c = Circuit::new();
+        // The hole is the reference: every object, or null.
+        let holes = [Bv::input(&mut c, l.config.int_width as usize)];
+        let mut ev = SymEval::new(&mut c, &l, &holes, &HashMap::new());
+        for ix in 0..l.prologue.steps.len() {
+            ev.step(&mut c, 0, ix);
+        }
+        let obj = Rv::Hole(0);
+        let (reads, hits) = ev.field_reads();
+        let before = c.len();
+        let first = read(&mut ev, &mut c, 0, &obj);
+        let after = c.len();
+        assert!(after > before, "a symbolic reference builds a mux chain");
+        assert_eq!(read(&mut ev, &mut c, 0, &obj), first);
+        assert_eq!(c.len(), after, "the second read adds no node");
+        assert_eq!(ev.field_reads(), (reads + 2, hits + 1));
+        // The value taken is the one the chain builds again, and
+        // building it again adds no node either.
+        ev.forget_field_reads();
+        assert_eq!(read(&mut ev, &mut c, 0, &obj), first);
+        assert_eq!(c.len(), after);
+        // Another field through the same reference is its own read.
+        assert_ne!(read(&mut ev, &mut c, 1, &obj), first);
+        assert_eq!(ev.field_reads(), (reads + 4, hits + 1));
+    }
+
+    #[test]
+    fn field_writes_and_allocations_forget_the_pools_reads() {
+        let l = lowered();
+        let mut c = Circuit::new();
+        let holes = [Bv::constant(&mut c, 0, l.config.int_width as usize)];
+        let mut ev = SymEval::new(&mut c, &l, &holes, &HashMap::new());
+        let assign = step_of(&l, 0, |op| matches!(op, Op::Assign(Lv::Field { .. }, _)));
+        let second_alloc = step_of(&l, assign, |op| matches!(op, Op::Alloc { .. }));
+        let a = Rv::Global(0);
+        let second = Rv::Const(2);
+
+        (0..assign).for_each(|ix| ev.step(&mut c, 0, ix));
+        assert_eq!(val(&mut ev, &mut c, &a), 3);
+        assert_eq!(val(&mut ev, &mut c, &a), 3);
+        assert_eq!(ev.field_reads(), (2, 1));
+
+        // `a.val = 7` between two reads of `a.val`.
+        ev.step(&mut c, 0, assign);
+        assert_eq!(val(&mut ev, &mut c, &a), 7);
+
+        // Allocating object 2 between two reads of its `val`.
+        assert_eq!(val(&mut ev, &mut c, &second), 0, "not allocated yet");
+        (assign + 1..=second_alloc).for_each(|ix| ev.step(&mut c, 0, ix));
+        assert_eq!(val(&mut ev, &mut c, &second), 3);
+        assert_eq!(ev.field_reads(), (5, 1));
+    }
+
+    #[test]
+    fn rollbacks_forget_the_reads_they_roll_past() {
+        let l = lowered();
+        let mut c = Circuit::new();
+        let holes = [Bv::constant(&mut c, 0, l.config.int_width as usize)];
+        let mut ev = SymEval::new(&mut c, &l, &holes, &HashMap::new());
+        let assign = step_of(&l, 0, |op| matches!(op, Op::Assign(Lv::Field { .. }, _)));
+        let atomic = step_of(&l, assign, |op| matches!(op, Op::AtomicBegin(Some(_))));
+        let order: Vec<_> = (0..l.prologue.steps.len()).map(|ix| (0, ix)).collect();
+        let none = BTreeSet::new();
+        let a = Rv::Global(0);
+        ev.resume(&mut c, &order, &none, order.len());
+        assert_eq!(val(&mut ev, &mut c, &a), 7);
+        // Re-checking a deadlock on the atomic before `a.val = 7`
+        // rolls the state back there and forward again: the check
+        // reads 3, so the atomic is blocked, and then `a.val` is 7.
+        let deadlock = BTreeSet::from([(0, atomic)]);
+        assert_eq!(ev.resume(&mut c, &order, &deadlock, assign), order.len());
+        assert_eq!(ev.fail(), NodeRef::TRUE);
+        assert_eq!(val(&mut ev, &mut c, &a), 7);
+        // An order that stops before `a.val = 7` rolls back past it.
+        assert_eq!(ev.resume(&mut c, &order[..assign], &none, assign), assign);
+        assert_eq!(val(&mut ev, &mut c, &a), 3);
     }
 }

@@ -53,6 +53,12 @@ pub enum CandidateBatch {
 pub struct Observation {
     /// Time spent encoding it: its share of the paper's `Smodel`.
     pub encode_time: Duration,
+    /// The part of `encode_time` spent projecting the trace and
+    /// evaluating the order symbolically.
+    pub eval_time: Duration,
+    /// The part of `encode_time` spent Tseitin-encoding its `¬fail`
+    /// node into the solver.
+    pub tseitin_time: Duration,
     /// Steps in the order it evaluated.
     pub projected_steps: usize,
     /// Leading steps of that order shared with the previous trace's,
@@ -60,12 +66,31 @@ pub struct Observation {
     pub resumed_steps: usize,
     /// Circuit nodes it added.
     pub new_nodes: usize,
+    /// Solver variables it added.
+    pub new_vars: usize,
+    /// Problem clauses it added to the solver.
+    pub new_clauses: u64,
+    /// Field reads its evaluation made.
+    pub field_reads: usize,
+    /// Those of its field reads that found the value already built,
+    /// read through the same reference since the pool last changed.
+    pub field_read_hits: usize,
     /// Steps the counterexample trace executed (0 for an input).
     pub traced_steps: usize,
     /// Position in the projected order just past the trace's last
     /// traced step, where its deadlock set is checked (0 for an
     /// input). Steps from here on only add failure disjuncts.
     pub trace_end: usize,
+}
+
+/// The clock and the sizes an observation starts from
+/// ([`Synthesizer::observed`]).
+#[derive(Clone, Copy)]
+struct Sizes {
+    at: Instant,
+    nodes: usize,
+    vars: usize,
+    clauses: u64,
 }
 
 /// Work counters for one synthesis session.
@@ -282,8 +307,8 @@ impl<'l> Synthesizer<'l> {
     /// the previous trace's; the circuit and the clauses are those a
     /// fresh evaluation would build.
     pub fn add_trace(&mut self, cex: &CexTrace) -> Observation {
-        let t0 = Instant::now();
-        let nodes = self.circuit.len();
+        let before = self.sizes();
+        let (reads, hits) = self.trace_eval.field_reads();
         let order = project(self.l, cex);
         let deadlock: BTreeSet<_> = cex.deadlock.iter().copied().collect();
         let deadlock_at = trace_end_position(&order, cex);
@@ -291,19 +316,22 @@ impl<'l> Synthesizer<'l> {
             .trace_eval
             .resume(&mut self.circuit, &order, &deadlock, deadlock_at);
         let fail = self.trace_eval.fail();
+        let evaluated = Instant::now();
         self.circuit.assert_true(fail.not(), &mut self.solver);
+        let (all_reads, all_hits) = self.trace_eval.field_reads();
         Observation {
             traced_steps: cex.steps.len(),
             trace_end: deadlock_at,
-            ..self.observed(t0, nodes, order.len(), resumed)
+            field_reads: all_reads - reads,
+            field_read_hits: all_hits - hits,
+            ..self.observed(before, evaluated, order.len(), resumed)
         }
     }
 
     /// Adds a concrete-input observation (sequential CEGIS, §5):
     /// `values[i]` initializes the `i`-th `is_input` global slot.
     pub fn add_input(&mut self, values: &[i64]) -> Observation {
-        let t0 = Instant::now();
-        let nodes = self.circuit.len();
+        let before = self.sizes();
         let w = self.l.config.int_width as usize;
         let mut inputs = HashMap::new();
         let mut vi = 0;
@@ -315,25 +343,53 @@ impl<'l> Synthesizer<'l> {
             }
         }
         let order = sequential_order(self.l);
-        let ev = SymEval::new(&mut self.circuit, self.l, &self.hole_bvs, &inputs);
-        let fail = ev.run(&mut self.circuit, &order, &BTreeSet::new(), order.len());
-        self.circuit.assert_true(fail.not(), &mut self.solver);
-        self.observed(t0, nodes, order.len(), 0)
+        let mut ev = SymEval::new(&mut self.circuit, self.l, &self.hole_bvs, &inputs);
+        ev.resume(&mut self.circuit, &order, &BTreeSet::new(), order.len());
+        let evaluated = Instant::now();
+        self.circuit.assert_true(ev.fail().not(), &mut self.solver);
+        let (field_reads, field_read_hits) = ev.field_reads();
+        Observation {
+            field_reads,
+            field_read_hits,
+            ..self.observed(before, evaluated, order.len(), 0)
+        }
     }
 
-    /// Counts an observation that started at `t0` with `nodes` circuit
-    /// nodes and evaluated `steps` steps, the first `resumed` of them
-    /// shared with the previous trace.
-    fn observed(&mut self, t0: Instant, nodes: usize, steps: usize, resumed: usize) -> Observation {
-        let encode_time = t0.elapsed();
+    /// When an observation starts, and the sizes it will grow.
+    fn sizes(&self) -> Sizes {
+        Sizes {
+            at: Instant::now(),
+            nodes: self.circuit.len(),
+            vars: self.solver.num_vars(),
+            clauses: self.solver.stats().clauses,
+        }
+    }
+
+    /// Counts an observation that started at `before`, finished its
+    /// symbolic evaluation at `evaluated` and has just been encoded,
+    /// and evaluated `steps` steps, the first `resumed` of them shared
+    /// with the previous trace.
+    fn observed(
+        &mut self,
+        before: Sizes,
+        evaluated: Instant,
+        steps: usize,
+        resumed: usize,
+    ) -> Observation {
+        let done = Instant::now();
+        let encode_time = done - before.at;
         self.stats.observations += 1;
         self.stats.nodes = self.circuit.len();
         self.stats.encode_time += encode_time;
         Observation {
             encode_time,
+            eval_time: evaluated - before.at,
+            tseitin_time: done - evaluated,
             projected_steps: steps,
             resumed_steps: resumed,
-            new_nodes: self.stats.nodes - nodes,
+            new_nodes: self.stats.nodes - before.nodes,
+            new_vars: self.solver.num_vars() - before.vars,
+            new_clauses: self.solver.stats().clauses - before.clauses,
             ..Observation::default()
         }
     }
