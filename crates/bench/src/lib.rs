@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Benchmark support for the PSKETCH reproduction.
 //!
 //! The benches under `benches/` are plain `harness = false` binaries

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! PSKETCH: counterexample-guided inductive synthesis (CEGIS) for
 //! concurrent data structures.
 //!

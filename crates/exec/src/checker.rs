@@ -297,21 +297,17 @@ fn replay_to_end(ck: &Checker<'_>, schedule: &[usize]) -> (Option<CexTrace>, Sta
             .map(|ix| queue.remove(ix))
             .or_else(|| (0..ck.nworkers()).find(|&t| ck.enabled(&buf, t)));
         let Some(t) = pick else {
-            let end = ck.terminal(&mut buf, &mut j, &mut CheckStats::default());
+            let end = ck.terminal(&mut buf, &mut j, &mut CheckStats::default(), &mut trace);
             break end.map(|stuck| stuck.cex(trace, fired));
         };
         fired.push(t as u32);
-        match ck.fire(&mut buf, &mut j, t) {
-            Ok(steps) => trace.extend(steps),
-            Err((steps, failure)) => {
-                trace.extend(steps);
-                break Some(CexTrace {
-                    steps: trace,
-                    failure,
-                    deadlock: vec![],
-                    schedule: fired,
-                });
-            }
+        if let Err(failure) = ck.fire(&mut buf, &mut j, t, &mut trace) {
+            break Some(CexTrace {
+                steps: trace,
+                failure,
+                deadlock: vec![],
+                schedule: fired,
+            });
         }
     };
     (cex, buf)
@@ -319,25 +315,75 @@ fn replay_to_end(ck: &Checker<'_>, schedule: &[usize]) -> (Option<CexTrace>, Sta
 
 /// A failure where no worker is enabled (see [`Checker::terminal`]).
 pub(crate) struct Stuck {
-    /// Epilogue steps executed, the failing one included (empty for a
-    /// deadlock).
-    steps: Vec<(ThreadId, usize)>,
     failure: Failure,
     /// The blocked workers' positions (empty when the epilogue failed).
     deadlock: Vec<(ThreadId, usize)>,
 }
 
 impl Stuck {
-    /// The counterexample of an execution that ran `trace` under
+    /// The counterexample of an execution that ran `trace` (ending
+    /// with the epilogue steps [`Checker::terminal`] appended) under
     /// `schedule` and got stuck here.
-    pub(crate) fn cex(self, mut trace: Vec<(ThreadId, usize)>, schedule: Vec<u32>) -> CexTrace {
-        trace.extend(self.steps);
+    pub(crate) fn cex(self, trace: Vec<(ThreadId, usize)>, schedule: Vec<u32>) -> CexTrace {
         CexTrace {
             steps: trace,
             failure: self.failure,
             deadlock: self.deadlock,
             schedule,
         }
+    }
+}
+
+/// The cells one transition has written, for finding each cell's
+/// first journal entry in O(1): one generation stamp per state word,
+/// so that nothing is cleared between transitions.
+struct FirstWrites {
+    stamp: Vec<u64>,
+    gen: u64,
+}
+
+impl FirstWrites {
+    fn new(state_len: usize) -> FirstWrites {
+        FirstWrites {
+            stamp: vec![0; state_len],
+            gen: 0,
+        }
+    }
+
+    /// Begins a transition: no cell is written yet.
+    fn begin(&mut self) {
+        self.gen += 1;
+    }
+
+    /// Marks cell `o` written; true at its first write of the
+    /// transition.
+    fn first(&mut self, o: usize) -> bool {
+        std::mem::replace(&mut self.stamp[o], self.gen) != self.gen
+    }
+
+    /// Has the transition written cell `o`?
+    fn written(&self, o: usize) -> bool {
+        self.stamp[o] == self.gen
+    }
+}
+
+/// The failure of step `ix` of `thread` (trace id `tid`), its step
+/// appended to `steps` as the witness: the projection must replay the
+/// failing statement at its observed position so that `fail(Sk_t[c])`
+/// fires for the candidate that produced the trace.
+fn witness(
+    steps: &mut Vec<(ThreadId, usize)>,
+    thread: &Thread,
+    tid: ThreadId,
+    ix: usize,
+    kind: FailureKind,
+) -> Failure {
+    steps.push((tid, ix));
+    Failure {
+        kind,
+        tid,
+        step: ix,
+        span: thread.steps[ix].span,
     }
 }
 
@@ -352,8 +398,6 @@ pub(crate) struct Checker<'a> {
     /// thread id like `l`'s threads.
     code: &'a [ThreadCode],
 }
-
-pub(crate) type FireResult = Result<Vec<(ThreadId, usize)>, (Vec<(ThreadId, usize)>, Failure)>;
 
 impl<'a> Checker<'a> {
     /// A checker over a sealed [`CompiledProgram`]: the hot path runs
@@ -418,20 +462,22 @@ impl<'a> Checker<'a> {
         exec_cop(&self.cstep(tid, ix).op, buf, lb, j, &self.l.config)
     }
 
-    /// Runs a sequential phase (prologue/epilogue) to completion. The
-    /// phase's locals live in scratch space pushed onto `buf` for the
-    /// duration of the call; shared-state writes are journaled, so the
-    /// caller can undo the phase (the terminal-state epilogue) or keep
-    /// it (the prologue).
+    /// Runs a sequential phase (prologue/epilogue) to completion,
+    /// appending the steps it executes to `steps`. The phase's locals
+    /// live in scratch space pushed onto `buf` for the duration of the
+    /// call; shared-state writes are journaled, so the caller can undo
+    /// the phase (the terminal-state epilogue) or keep it (the
+    /// prologue).
     fn run_seq(
         &self,
         tid: ThreadId,
         thread: &Thread,
         buf: &mut StateBuf,
         j: &mut UndoJournal,
-    ) -> FireResult {
+        steps: &mut Vec<(ThreadId, usize)>,
+    ) -> Result<(), Failure> {
         let lb = buf.push_scratch(thread.locals.len());
-        let r = self.run_seq_at(tid, thread, buf, j, lb);
+        let r = self.run_seq_at(tid, thread, buf, j, lb, steps);
         buf.pop_scratch(lb);
         r
     }
@@ -443,137 +489,91 @@ impl<'a> Checker<'a> {
         buf: &mut StateBuf,
         j: &mut UndoJournal,
         lb: usize,
-    ) -> FireResult {
-        let mut steps = Vec::new();
-        for (ix, step) in thread.steps.iter().enumerate() {
+        steps: &mut Vec<(ThreadId, usize)>,
+    ) -> Result<(), Failure> {
+        for ix in 0..thread.steps.len() {
             let cs = self.cstep(tid, ix);
-            // On failure the failing step itself is appended to the
-            // trace: the projection must replay the witness statement
-            // at its observed position so that `fail(Sk_t[c])` fires
-            // for the candidate that produced the trace.
-            let g = match cs.guard.eval(buf, lb, &self.l.config) {
-                Ok(v) => v != 0,
-                Err(kind) => {
-                    steps.push((tid, ix));
-                    return Err((
-                        steps,
-                        Failure {
-                            kind,
-                            tid,
-                            step: ix,
-                            span: step.span,
-                        },
-                    ));
-                }
-            };
-            if !g {
+            let g = cs
+                .guard
+                .eval(buf, lb, &self.l.config)
+                .map_err(|kind| witness(steps, thread, tid, ix, kind))?;
+            if g == 0 {
                 continue;
             }
             if let COp::AtomicBegin(Some(cond)) = &cs.op {
-                let c = match cond.eval(buf, lb, &self.l.config) {
-                    Ok(v) => v != 0,
-                    Err(kind) => {
-                        steps.push((tid, ix));
-                        return Err((
-                            steps,
-                            Failure {
-                                kind,
-                                tid,
-                                step: ix,
-                                span: step.span,
-                            },
-                        ));
-                    }
-                };
-                if !c {
+                let c = cond
+                    .eval(buf, lb, &self.l.config)
+                    .map_err(|kind| witness(steps, thread, tid, ix, kind))?;
+                if c == 0 {
                     // Blocking with no peers: immediate deadlock.
-                    return Err((
-                        steps,
-                        Failure {
-                            kind: FailureKind::Deadlock,
-                            tid,
-                            step: ix,
-                            span: step.span,
-                        },
-                    ));
-                }
-            }
-            if let Err(kind) = exec_cop(&cs.op, buf, lb, j, &self.l.config) {
-                steps.push((tid, ix));
-                return Err((
-                    steps,
-                    Failure {
-                        kind,
+                    return Err(Failure {
+                        kind: FailureKind::Deadlock,
                         tid,
                         step: ix,
-                        span: step.span,
-                    },
-                ));
+                        span: thread.steps[ix].span,
+                    });
+                }
             }
+            exec_cop(&cs.op, buf, lb, j, &self.l.config)
+                .map_err(|kind| witness(steps, thread, tid, ix, kind))?;
             steps.push((tid, ix));
         }
-        Ok(steps)
+        Ok(())
     }
 
-    /// Advances worker `w` past disabled and invisible steps.
-    fn advance(&self, buf: &mut StateBuf, j: &mut UndoJournal, w: usize) -> FireResult {
+    /// Advances worker `w` past disabled and invisible steps, appending
+    /// the steps it executes to `steps`.
+    fn advance(
+        &self,
+        buf: &mut StateBuf,
+        j: &mut UndoJournal,
+        w: usize,
+        steps: &mut Vec<(ThreadId, usize)>,
+    ) -> Result<(), Failure> {
         let thread = &self.l.workers[w];
         let tid = self.trace_tid(w);
         let lb = self.lay.worker_locals(w);
-        let mut executed = Vec::new();
         loop {
             let pc = self.pc(buf, w);
             let Some(step) = thread.steps.get(pc) else {
-                return Ok(executed);
+                return Ok(());
             };
             let g = self
                 .cstep(tid, pc)
                 .guard
                 .eval(buf, lb, &self.l.config)
-                .map_err(|kind| {
-                    let mut with_witness = executed.clone();
-                    with_witness.push((tid, pc));
-                    (
-                        with_witness,
-                        Failure {
-                            kind,
-                            tid,
-                            step: pc,
-                            span: step.span,
-                        },
-                    )
-                })?;
+                .map_err(|kind| witness(steps, thread, tid, pc, kind))?;
             if g == 0 {
                 self.set_pc(buf, w, pc + 1, j);
                 continue;
             }
             if step.shared || !self.l.config.reduce_local_steps {
-                return Ok(executed);
+                return Ok(());
             }
-            self.exec_step(tid, pc, buf, lb, j).map_err(|kind| {
-                let mut with_witness = executed.clone();
-                with_witness.push((tid, pc));
-                (
-                    with_witness,
-                    Failure {
-                        kind,
-                        tid,
-                        step: pc,
-                        span: step.span,
-                    },
-                )
-            })?;
-            executed.push((tid, pc));
+            self.exec_step(tid, pc, buf, lb, j)
+                .map_err(|kind| witness(steps, thread, tid, pc, kind))?;
+            steps.push((tid, pc));
             self.set_pc(buf, w, pc + 1, j);
         }
     }
 
-    fn advance_all(&self, buf: &mut StateBuf, j: &mut UndoJournal) -> FireResult {
-        let mut all = Vec::new();
+    /// Advances every worker in turn, appending their steps to
+    /// `steps`. On a failure, `steps` keeps only the failing worker's
+    /// steps of those: the workers before it are dropped.
+    fn advance_all(
+        &self,
+        buf: &mut StateBuf,
+        j: &mut UndoJournal,
+        steps: &mut Vec<(ThreadId, usize)>,
+    ) -> Result<(), Failure> {
+        let base = steps.len();
         for w in 0..self.nworkers() {
-            all.extend(self.advance(buf, j, w)?);
+            let start = steps.len();
+            self.advance(buf, j, w, steps).inspect_err(|_| {
+                steps.drain(base..start);
+            })?;
         }
-        Ok(all)
+        Ok(())
     }
 
     /// The root of every execution: a fresh state with the prologue
@@ -587,51 +587,45 @@ impl<'a> Checker<'a> {
         j: &mut UndoJournal,
     ) -> (StateBuf, Result<Vec<(ThreadId, usize)>, CexTrace>) {
         let mut buf = self.initial_buf();
-        let root = self
-            .run_seq(0, &self.l.prologue, &mut buf, j)
-            .and_then(|mut steps| match self.advance_all(&mut buf, j) {
-                Ok(more) => {
-                    steps.extend(more);
-                    Ok(steps)
-                }
-                Err((more, failure)) => {
-                    steps.extend(more);
-                    Err((steps, failure))
-                }
-            })
-            .map_err(|(steps, failure)| CexTrace {
+        let mut steps = Vec::new();
+        let root = match self
+            .run_seq(0, &self.l.prologue, &mut buf, j, &mut steps)
+            .and_then(|()| self.advance_all(&mut buf, j, &mut steps))
+        {
+            Ok(()) => Ok(steps),
+            Err(failure) => Err(CexTrace {
                 steps,
                 failure,
                 deadlock: vec![],
                 schedule: vec![],
-            });
+            }),
+        };
         (buf, root)
     }
 
     /// The step at a state where no worker is enabled. When every
     /// worker has finished, counts a terminal state and runs the
-    /// epilogue, whose writes stay in `buf` for the caller to undo or
-    /// abandon; otherwise the blocked workers deadlock. `None` when
-    /// the epilogue passes.
+    /// epilogue, appending its steps to `steps` and leaving its writes
+    /// in `buf`, for the caller to undo or abandon; otherwise the
+    /// blocked workers deadlock. `None` when the epilogue passes.
     pub(crate) fn terminal(
         &self,
         buf: &mut StateBuf,
         j: &mut UndoJournal,
         stats: &mut CheckStats,
+        steps: &mut Vec<(ThreadId, usize)>,
     ) -> Option<Stuck> {
         if !self.all_finished(buf) {
             return Some(Stuck {
-                steps: vec![],
                 failure: self.deadlock_failure(buf),
                 deadlock: self.blocked_positions(buf),
             });
         }
         stats.terminal_states += 1;
-        let (steps, failure) = self
-            .run_seq(self.l.epilogue_tid(), &self.l.epilogue, buf, j)
+        let failure = self
+            .run_seq(self.l.epilogue_tid(), &self.l.epilogue, buf, j, steps)
             .err()?;
         Some(Stuck {
-            steps,
             failure,
             deadlock: vec![],
         })
@@ -648,9 +642,16 @@ impl<'a> Checker<'a> {
     /// Applies partial-order reduction at the current state: the
     /// ample subset of `enabled` to expand, or `None` when no proper
     /// ample set exists (full expansion). The caller guarantees at
-    /// most 64 workers and at least two enabled bits. Deterministic in
+    /// most 64 workers and at least two enabled bits, and owns
+    /// `masks`, the scratch of [`PorTable::ample`]. Deterministic in
     /// the state, so every engine reduces to the same state graph.
-    pub(crate) fn ample(&self, buf: &StateBuf, enabled: u64, por: &PorTable) -> Option<u64> {
+    pub(crate) fn ample(
+        &self,
+        buf: &StateBuf,
+        enabled: u64,
+        por: &PorTable,
+        masks: &mut Vec<u64>,
+    ) -> Option<u64> {
         let n = self.nworkers();
         let mut pcs = [0usize; 64];
         let mut active = 0u64;
@@ -660,7 +661,7 @@ impl<'a> Checker<'a> {
                 active |= 1 << w;
             }
         }
-        por.ample(&pcs[..n], enabled, active)
+        por.ample(&pcs[..n], enabled, active, masks)
     }
 
     /// The POR table a search under `limits` reduces with, built on
@@ -694,59 +695,49 @@ impl<'a> Checker<'a> {
     }
 
     /// Fires one transition of worker `w`: the visible step at its pc
-    /// (a whole atomic section if it is an AtomicBegin), then advances.
-    /// All writes — including pc bumps — go through the journal, so the
-    /// caller can revert the whole transition with one `undo_to`.
-    pub(crate) fn fire(&self, buf: &mut StateBuf, j: &mut UndoJournal, w: usize) -> FireResult {
+    /// (a whole atomic section if it is an AtomicBegin), then advances,
+    /// appending the steps it executes to `steps` (on failure, the
+    /// failing step too). All writes — including pc bumps — go through
+    /// the journal, so the caller can revert the whole transition with
+    /// one `undo_to`.
+    pub(crate) fn fire(
+        &self,
+        buf: &mut StateBuf,
+        j: &mut UndoJournal,
+        w: usize,
+        steps: &mut Vec<(ThreadId, usize)>,
+    ) -> Result<(), Failure> {
         let thread = &self.l.workers[w];
         let tid = self.trace_tid(w);
         let lb = self.lay.worker_locals(w);
-        let mut executed = Vec::new();
         let pc = self.pc(buf, w);
-        let fail = |mut executed: Vec<(ThreadId, usize)>, kind, ix: usize| {
-            executed.push((tid, ix));
-            (
-                executed,
-                Failure {
-                    kind,
-                    tid,
-                    step: ix,
-                    span: thread.steps[ix].span,
-                },
-            )
-        };
         match thread.atomic_end(pc) {
             Some(end) => {
-                executed.push((tid, pc));
+                steps.push((tid, pc));
                 for ix in pc + 1..end {
                     let g = self
                         .cstep(tid, ix)
                         .guard
                         .eval(buf, lb, &self.l.config)
-                        .map_err(|k| fail(executed.clone(), k, ix))?;
+                        .map_err(|k| witness(steps, thread, tid, ix, k))?;
                     if g == 0 {
                         continue;
                     }
                     self.exec_step(tid, ix, buf, lb, j)
-                        .map_err(|k| fail(executed.clone(), k, ix))?;
-                    executed.push((tid, ix));
+                        .map_err(|k| witness(steps, thread, tid, ix, k))?;
+                    steps.push((tid, ix));
                 }
-                executed.push((tid, end));
+                steps.push((tid, end));
                 self.set_pc(buf, w, end + 1, j);
             }
             None => {
                 self.exec_step(tid, pc, buf, lb, j)
-                    .map_err(|k| fail(executed.clone(), k, pc))?;
-                executed.push((tid, pc));
+                    .map_err(|k| witness(steps, thread, tid, pc, k))?;
+                steps.push((tid, pc));
                 self.set_pc(buf, w, pc + 1, j);
             }
         }
-        executed.extend(self.advance(buf, j, w).map_err(|(mut sofar, f)| {
-            let mut all = executed.clone();
-            all.append(&mut sofar);
-            (all, f)
-        })?);
-        Ok(executed)
+        self.advance(buf, j, w, steps)
     }
 
     fn blocked_positions(&self, buf: &StateBuf) -> Vec<(ThreadId, usize)> {
@@ -780,13 +771,18 @@ impl<'a> Checker<'a> {
         acc
     }
 
-    /// Worker `w`'s fingerprint contribution: its pc (keyed past the
-    /// end of the state so it collides with no real cell) XORed with
-    /// its locals, dead slots hashed as 0 — exactly the values
+    /// The key worker `w`'s pc is hashed under: past the end of the
+    /// state, so it collides with no real cell.
+    fn pc_key(&self, w: usize) -> u64 {
+        (self.lay.state_len() + w) as u64
+    }
+
+    /// Worker `w`'s fingerprint contribution: its pc XORed with its
+    /// locals, dead slots hashed as 0 — exactly the values
     /// [`Checker::materialize_canonical`] writes for this worker.
     fn worker_contrib(&self, buf: &StateBuf, w: usize) -> u64 {
         let pc = self.pc(buf, w);
-        let mut acc = cell_hash((self.lay.state_len() + w) as u64, pc as i64);
+        let mut acc = cell_hash(self.pc_key(w), pc as i64);
         let thread = &self.l.workers[w];
         let lb = self.lay.worker_locals(w);
         let locals = buf.slice(lb, thread.locals.len());
@@ -796,13 +792,65 @@ impl<'a> Checker<'a> {
         acc
     }
 
+    /// What a transition of worker `w` from `pc0` changed in the
+    /// fingerprint, read off its journal `entries`: the XOR delta of
+    /// the shared cells it wrote, and that of `w`'s contribution — the
+    /// pc's move, the first entry of each local it wrote (hashed
+    /// live-or-0 at `pc0` and at the new pc), and the locals the move
+    /// left dead without writing them. O(writes + dying locals), not
+    /// O(locals). Repeat writes to one cell telescope: only a cell's
+    /// first entry (its value before the transition) pairs with its
+    /// current value; `firsts` finds that entry.
+    fn transition_delta(
+        &self,
+        buf: &StateBuf,
+        entries: &[(u32, i64)],
+        w: usize,
+        pc0: usize,
+        firsts: &mut FirstWrites,
+    ) -> (u64, u64) {
+        let thread = &self.l.workers[w];
+        let lb = self.lay.worker_locals(w);
+        let shared_len = self.lay.shared_len();
+        let pc1 = self.pc(buf, w);
+        firsts.begin();
+        let mut shared = 0u64;
+        let mut contrib =
+            cell_hash(self.pc_key(w), pc0 as i64) ^ cell_hash(self.pc_key(w), pc1 as i64);
+        for &(off, old) in entries {
+            let o = off as usize;
+            if !firsts.first(o) {
+                continue;
+            }
+            let hash = |v| cell_hash(o as u64, v);
+            if o < shared_len {
+                shared ^= hash(old) ^ hash(buf.get(o));
+            } else if o >= lb {
+                // One of `w`'s locals: `fire(w)` writes no other
+                // worker's record, and its pc is hashed above.
+                let i = o - lb;
+                let live = |pc, v| if thread.is_live(pc, i) { v } else { 0 };
+                contrib ^= hash(live(pc0, old)) ^ hash(live(pc1, buf.get(o)));
+            }
+        }
+        for &i in thread.dying(pc0, pc1) {
+            let o = lb + i;
+            if !firsts.written(o) {
+                contrib ^= cell_hash(o as u64, buf.get(o)) ^ cell_hash(o as u64, 0);
+            }
+        }
+        (shared, contrib)
+    }
+
     /// Zobrist-style fingerprint of the live state: the XOR of
     /// position-keyed cell hashes over the shared segment plus every
     /// worker's contribution, finished by [`Checker::finish_fp`].
     /// Dead locals are masked to 0 during hashing; no canonical vector
     /// is ever materialized. Being a XOR of per-cell terms, the
     /// sequential DFS maintains it *incrementally* from the undo
-    /// journal — O(writes) per transition instead of O(state).
+    /// journal and the dying-locals index — O(cells changed) per
+    /// transition instead of O(state) (see
+    /// [`Checker::transition_terms`]).
     ///
     /// Must stay in sync with [`Checker::materialize_canonical`]: two
     /// states with equal canonical vectors must fingerprint equally
@@ -842,7 +890,7 @@ impl<'a> Checker<'a> {
     fn run(&self, limits: &SearchLimits) -> CheckOutcome {
         let mut j = UndoJournal::new();
         let (buf, root) = self.root(&mut j);
-        let prefix = match root {
+        let trail = match root {
             Ok(steps) => steps,
             Err(cex) => {
                 // The candidate failed before any interleaving exists;
@@ -860,7 +908,7 @@ impl<'a> Checker<'a> {
         // The root state is permanent: nothing undoes past it.
         j.reset();
         let mut stats = CheckStats::default();
-        let mut out = self.dfs(buf, &mut j, prefix, limits, &mut stats);
+        let mut out = self.dfs(buf, &mut j, trail, limits, &mut stats);
         out.stats.journal_writes = j.total_writes();
         out
     }
@@ -868,19 +916,23 @@ impl<'a> Checker<'a> {
     /// Fire/undo DFS. Invariant: `buf` always holds exactly the state
     /// of the top stack frame; a frame's `mark` is the journal position
     /// *before* the transition that created it, so `undo_to(mark)`
-    /// reverts `buf` to the parent frame's state. One live state, zero
-    /// clones.
+    /// reverts `buf` to the parent frame's state. `trail` holds the
+    /// steps executed to reach that state: the root's, then each
+    /// frame's from its `start`. One live state, zero clones, and no
+    /// allocation per transition.
     fn dfs(
         &self,
         mut buf: StateBuf,
         j: &mut UndoJournal,
-        prefix: Vec<(ThreadId, usize)>,
+        mut trail: Vec<(ThreadId, usize)>,
         limits: &SearchLimits,
         stats: &mut CheckStats,
     ) -> CheckOutcome {
         struct Frame {
             mark: usize,
-            executed: Vec<(ThreadId, usize)>,
+            /// Where the creating transition's steps begin on the
+            /// trail.
+            start: usize,
             next_choice: usize,
             /// Bit `w` = worker `w` was enabled when the frame was
             /// entered. Valid for the whole frame: choices are only
@@ -908,10 +960,11 @@ impl<'a> Checker<'a> {
             outcome(Verdict::Unknown(why), stats)
         };
         let por = self.por_table(limits);
+        let mut ample_masks = Vec::new();
         let mut visited = FpSet::new();
         let mut stack = vec![Frame {
             mark: j.mark(),
-            executed: Vec::new(),
+            start: trail.len(),
             next_choice: 0,
             enabled: 0,
             prev_acc: 0,
@@ -920,28 +973,20 @@ impl<'a> Checker<'a> {
         }];
         // Incremental fingerprinting state: `acc` is the XOR of cell
         // hashes of the current `buf` (see `fingerprint_state`), and
-        // `worker_acc[w]` caches worker `w`'s contribution so one
-        // transition only re-hashes the fired worker plus the shared
-        // cells its journal entries name.
+        // `worker_acc[w]` caches worker `w`'s contribution, so one
+        // transition only re-hashes what it changed (see
+        // `transition_delta`).
         let mut worker_acc: Vec<u64> = (0..self.nworkers())
             .map(|w| self.worker_contrib(&buf, w))
             .collect();
         let mut acc = self.shared_acc(&buf) ^ worker_acc.iter().fold(0, |a, &c| a ^ c);
+        let mut firsts = FirstWrites::new(self.lay.state_len());
         visited.insert_fp_with(self.finish_fp(acc), || self.materialize_canonical(&buf));
         stats.states = visited.len();
         if visited.len() > limits.max_states {
             return unknown(Interrupt::StateLimit, stats);
         }
 
-        let build_trace =
-            |stack: &[Frame], extra: Vec<(ThreadId, usize)>| -> Vec<(ThreadId, usize)> {
-                let mut t = prefix.clone();
-                for f in stack {
-                    t.extend(f.executed.iter().copied());
-                }
-                t.extend(extra);
-                t
-            };
         // The transition-level schedule to the current state: each
         // non-root frame records the worker whose fire created it;
         // `extra` is the failing fire not yet on the stack.
@@ -954,7 +999,6 @@ impl<'a> Checker<'a> {
         };
 
         let nworkers = self.nworkers();
-        let shared_len = self.lay.shared_len();
         let mut tick = 0usize;
         while let Some(top_ix) = stack.len().checked_sub(1) {
             tick += 1;
@@ -979,7 +1023,7 @@ impl<'a> Checker<'a> {
                 // above) always sees the *full* set.
                 if let Some(por) = por {
                     if mask.count_ones() >= 2 {
-                        match self.ample(&buf, mask, por) {
+                        match self.ample(&buf, mask, por, &mut ample_masks) {
                             Some(a) => {
                                 stats.por_ample_hits += 1;
                                 stats.states_pruned +=
@@ -992,15 +1036,16 @@ impl<'a> Checker<'a> {
                 }
                 stack[top_ix].enabled = mask;
                 if !any_enabled {
-                    // A passing epilogue is undone at once; the frame,
-                    // with no choice to try, is then popped below.
-                    let emark = j.mark();
-                    if let Some(stuck) = self.terminal(&mut buf, j, stats) {
-                        let cex =
-                            stuck.cex(build_trace(&stack, vec![]), build_schedule(&stack, None));
+                    // A passing epilogue is undone at once, writes and
+                    // steps; the frame, with no choice to try, is then
+                    // popped below.
+                    let (emark, estart) = (j.mark(), trail.len());
+                    if let Some(stuck) = self.terminal(&mut buf, j, stats, &mut trail) {
+                        let cex = stuck.cex(trail, build_schedule(&stack, None));
                         return outcome(Verdict::Fail(cex), stats);
                     }
                     j.undo_to(emark, &mut buf);
+                    trail.truncate(estart);
                 }
             }
             // Try the next enabled worker: fire in place, keep the
@@ -1017,75 +1062,59 @@ impl<'a> Checker<'a> {
                 if !en {
                     continue;
                 }
-                let mark = j.mark();
+                let (mark, start) = (j.mark(), trail.len());
+                let pc0 = self.pc(&buf, w);
                 stats.transitions += 1;
-                match self.fire(&mut buf, j, w) {
-                    Ok(executed) => {
-                        // Incremental fingerprint: fire(w) only writes
-                        // shared cells (named by its journal entries)
-                        // and worker w's own pc/locals, so update those
-                        // terms and keep every other worker's cached
-                        // contribution. Repeat writes to one cell
-                        // telescope — only the first journal entry per
-                        // offset (its pre-transition value) pairs with
-                        // the cell's current value.
-                        let entries = j.entries_since(mark);
-                        let mut delta = 0u64;
-                        'entries: for (i, &(off, old)) in entries.iter().enumerate() {
-                            let o = off as usize;
-                            if o >= shared_len {
-                                continue; // worker-region write: re-hashed below
-                            }
-                            for &(p, _) in &entries[..i] {
-                                if p == off {
-                                    continue 'entries;
-                                }
-                            }
-                            delta ^= cell_hash(off as u64, old) ^ cell_hash(off as u64, buf.get(o));
-                        }
-                        let new_contrib = self.worker_contrib(&buf, w);
-                        let child_acc = acc ^ delta ^ worker_acc[w] ^ new_contrib;
-                        let fresh = visited.insert_fp_with(self.finish_fp(child_acc), || {
-                            self.materialize_canonical(&buf)
-                        });
-                        if fresh {
-                            stats.states = visited.len();
-                            // Claim-based bound, checked at insert
-                            // time: claiming slot max_states + 1 stops
-                            // the search (see [`SearchLimits`]).
-                            if visited.len() > limits.max_states {
-                                return unknown(Interrupt::StateLimit, stats);
-                            }
-                            stack.push(Frame {
-                                mark,
-                                executed,
-                                next_choice: 0,
-                                enabled: 0,
-                                prev_acc: acc,
-                                fired: w,
-                                prev_contrib: worker_acc[w],
-                            });
-                            acc = child_acc;
-                            worker_acc[w] = new_contrib;
-                            fired = true;
-                            break;
-                        }
-                        j.undo_to(mark, &mut buf);
-                    }
-                    Err((executed, failure)) => {
-                        let cex = CexTrace {
-                            steps: build_trace(&stack, executed),
-                            failure,
-                            deadlock: vec![],
-                            schedule: build_schedule(&stack, Some(w)),
-                        };
-                        return outcome(Verdict::Fail(cex), stats);
-                    }
+                if let Err(failure) = self.fire(&mut buf, j, w, &mut trail) {
+                    let cex = CexTrace {
+                        steps: trail,
+                        failure,
+                        deadlock: vec![],
+                        schedule: build_schedule(&stack, Some(w)),
+                    };
+                    return outcome(Verdict::Fail(cex), stats);
                 }
+                // Incremental fingerprint: fire(w) only writes shared
+                // cells and worker w's own pc and locals, so update
+                // those terms and keep every other worker's cached
+                // contribution.
+                let (shared, contrib) =
+                    self.transition_delta(&buf, j.entries_since(mark), w, pc0, &mut firsts);
+                let new_contrib = worker_acc[w] ^ contrib;
+                debug_assert_eq!(new_contrib, self.worker_contrib(&buf, w));
+                let child_acc = acc ^ shared ^ contrib;
+                let fresh = visited.insert_fp_with(self.finish_fp(child_acc), || {
+                    self.materialize_canonical(&buf)
+                });
+                if fresh {
+                    stats.states = visited.len();
+                    // Claim-based bound, checked at insert time:
+                    // claiming slot max_states + 1 stops the search
+                    // (see [`SearchLimits`]).
+                    if visited.len() > limits.max_states {
+                        return unknown(Interrupt::StateLimit, stats);
+                    }
+                    stack.push(Frame {
+                        mark,
+                        start,
+                        next_choice: 0,
+                        enabled: 0,
+                        prev_acc: acc,
+                        fired: w,
+                        prev_contrib: worker_acc[w],
+                    });
+                    acc = child_acc;
+                    worker_acc[w] = new_contrib;
+                    fired = true;
+                    break;
+                }
+                j.undo_to(mark, &mut buf);
+                trail.truncate(start);
             }
             if !fired {
                 let f = stack.pop().expect("top frame exists");
                 j.undo_to(f.mark, &mut buf);
+                trail.truncate(f.start);
                 acc = f.prev_acc;
                 if let Some(c) = worker_acc.get_mut(f.fired) {
                     *c = f.prev_contrib;
@@ -1368,6 +1397,50 @@ mod tests {
                 _ => unreachable!("verdicts already compared"),
             }
         }
+    }
+
+    #[test]
+    fn liveness_ending_mid_transition_keeps_the_fingerprint() {
+        // `t` dies unwritten in the transition of `int v = g`: its
+        // advance skips the false guard that is `t`'s last read. `v`
+        // dies unwritten inside the atomic section, beside `u`, which
+        // the section both writes and last reads. The debug assertion
+        // checks each incremental contribution against a full re-hash;
+        // a wrong one would also split states the oracle merges.
+        let l = lowered(
+            "int g; int h;
+             harness void main() {
+                 fork (i; 2) {
+                     int t = g;
+                     int v = g;
+                     if (t > 100) { h = 1; }
+                     atomic { int u = h; h = u + v; }
+                     g = g + 1;
+                 }
+                 assert g >= 1;
+             }",
+        );
+        let w = &l.workers[0];
+        let slot = |name: &str| w.locals.iter().position(|s| s.name == name).unwrap();
+        let begin = (0..w.steps.len())
+            .find(|&pc| w.atomic_end(pc).is_some())
+            .expect("an atomic section");
+        let end = w.atomic_end(begin).unwrap();
+        assert!(w.dying(begin, end + 1).contains(&slot("v")));
+        assert!(w.dying(begin, end + 1).contains(&slot("u")));
+        assert!(w.dying(0, begin).contains(&slot("t")));
+        let a = l.holes.identity_assignment();
+        let cp = CompiledProgram::compile(&l, &a);
+        let full = SearchLimits {
+            por: false,
+            ..SearchLimits::default()
+        };
+        let new = check_compiled(&cp, &full);
+        let old = crate::reference::check_ref(&l, &a);
+        assert!(new.is_ok() && old.is_ok());
+        assert_eq!(new.stats.states, old.stats.states, "states differ");
+        assert_eq!(new.stats.transitions, old.stats.transitions);
+        assert!(check_compiled(&cp, &SearchLimits::default()).is_ok());
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! The PSKETCH verifier: a concrete evaluator over the guarded-step IR
 //! and an explicit-state bounded model checker.
 //!

@@ -248,12 +248,20 @@ impl PorTable {
     /// enabled-worker bitmask, `active` the not-yet-finished bitmask
     /// (`enabled ⊆ active`; blocked = `active & !enabled`). Requires
     /// at most 64 workers and at least two enabled (the caller
-    /// guards). Deterministic in its arguments, so every search of one
+    /// guards). `masks` holds the candidate set's read and write
+    /// masks; the search owns it, so no call allocates once it has
+    /// grown. Deterministic in its arguments, so every search of one
     /// artifact reduces to the identical state graph.
-    pub(crate) fn ample(&self, pcs: &[usize], enabled: u64, active: u64) -> Option<u64> {
+    pub(crate) fn ample(
+        &self,
+        pcs: &[usize],
+        enabled: u64,
+        active: u64,
+        masks: &mut Vec<u64>,
+    ) -> Option<u64> {
         let nwords = self.nwords;
-        let mut cur_r = vec![0u64; nwords];
-        let mut cur_w = vec![0u64; nwords];
+        masks.resize(2 * nwords, 0);
+        let (cur_r, cur_w) = masks.split_at_mut(nwords);
         'seed: for seed in BitIter(enabled) {
             cur_r.fill(0);
             cur_w.fill(0);
@@ -263,19 +271,19 @@ impl PorTable {
                     cw[k] |= m.w[k];
                 }
             };
-            join(&mut cur_r, &mut cur_w, &self.cur[seed][pcs[seed]]);
+            join(cur_r, cur_w, &self.cur[seed][pcs[seed]]);
             let mut set = 1u64 << seed;
             loop {
                 let mut grew = false;
                 for v in BitIter(active & !set) {
-                    if self.conflict(&cur_r, &cur_w, &self.suf[v][pcs[v]]) {
+                    if self.conflict(cur_r, cur_w, &self.suf[v][pcs[v]]) {
                         if enabled & (1 << v) == 0 {
                             // Conflict with a blocked worker's future:
                             // it cannot join the ample set, so this
                             // seed is unusable.
                             continue 'seed;
                         }
-                        join(&mut cur_r, &mut cur_w, &self.cur[v][pcs[v]]);
+                        join(cur_r, cur_w, &self.cur[v][pcs[v]]);
                         set |= 1 << v;
                         grew = true;
                     }
@@ -333,7 +341,9 @@ mod tests {
         let t = PorTable::new(&l);
         let pcs = [0usize, 0usize];
         assert!(t.independent(&pcs, 0, 1));
-        let ample = t.ample(&pcs, 0b11, 0b11).expect("reduction applies");
+        let ample = t
+            .ample(&pcs, 0b11, 0b11, &mut Vec::new())
+            .expect("reduction applies");
         assert_eq!(ample.count_ones(), 1);
     }
 
@@ -359,8 +369,9 @@ mod tests {
         assert!(!t.independent(&[read_pc, write_pc], 0, 1));
         // But no ample subset exists even at the read/read state: each
         // worker's *future* still writes g.
-        assert_eq!(t.ample(&[read_pc, read_pc], 0b11, 0b11), None);
-        assert_eq!(t.ample(&[read_pc, write_pc], 0b11, 0b11), None);
+        let masks = &mut Vec::new();
+        assert_eq!(t.ample(&[read_pc, read_pc], 0b11, 0b11, masks), None);
+        assert_eq!(t.ample(&[read_pc, write_pc], 0b11, 0b11, masks), None);
     }
 
     #[test]
@@ -391,6 +402,6 @@ mod tests {
             .position(|s| s.shared)
             .expect("visible step");
         let pcs = [pc0, pc1];
-        assert_eq!(t.ample(&pcs, 0b01, 0b11), None);
+        assert_eq!(t.ample(&pcs, 0b01, 0b11, &mut Vec::new()), None);
     }
 }

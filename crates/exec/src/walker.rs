@@ -14,6 +14,7 @@
 use crate::checker::Checker;
 use crate::compiled::CompiledProgram;
 use crate::store::{Failure, StateBuf, UndoJournal};
+use psketch_ir::ThreadId;
 
 /// A single live execution state that can fire worker transitions,
 /// snapshot, and rewind — the unit the commutation property is checked
@@ -22,6 +23,8 @@ pub struct Walker<'a> {
     ck: Checker<'a>,
     buf: StateBuf,
     journal: UndoJournal,
+    /// Scratch for the steps a fire executes, which no caller reads.
+    steps: Vec<(ThreadId, usize)>,
 }
 
 impl<'a> Walker<'a> {
@@ -34,7 +37,12 @@ impl<'a> Walker<'a> {
         let mut journal = UndoJournal::new();
         let (buf, root) = ck.root(&mut journal);
         root.map_err(|cex| cex.failure)?;
-        Ok(Walker { ck, buf, journal })
+        Ok(Walker {
+            ck,
+            buf,
+            journal,
+            steps: Vec::new(),
+        })
     }
 
     /// Workers able to take a transition now.
@@ -62,10 +70,9 @@ impl<'a> Walker<'a> {
     /// state then holds whatever the failing transition wrote before
     /// failing (rewind with a pre-fire [`Walker::mark`]).
     pub fn fire(&mut self, w: usize) -> Result<(), Failure> {
+        self.steps.clear();
         self.ck
-            .fire(&mut self.buf, &mut self.journal, w)
-            .map(|_| ())
-            .map_err(|(_, f)| f)
+            .fire(&mut self.buf, &mut self.journal, w, &mut self.steps)
     }
 
     /// Journal position; pass to [`Walker::rewind`] to revert.

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! The PSKETCH middle end.
 //!
 //! This crate turns a type-checked [`psketch_lang::Program`] into the

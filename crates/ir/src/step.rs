@@ -339,10 +339,10 @@ impl Step {
 /// `1..=n` are the forked workers, `n + 1` is the epilogue.
 pub type ThreadId = usize;
 
-/// One straight-line thread, with two facts of its steps that every
-/// engine reads at each pc, computed once by [`Thread::new`] (the only
-/// way to build one): where each atomic section ends, and which locals
-/// are still live.
+/// One straight-line thread, with facts of its steps that every engine
+/// reads at each pc, computed once by [`Thread::new`] (the only way to
+/// build one): where each atomic section ends, which locals are still
+/// live, and which locals a move between two pcs leaves dead.
 #[derive(Clone, Debug)]
 pub struct Thread {
     /// Diagnostic name ("prologue", "worker 0", …).
@@ -362,11 +362,16 @@ pub struct Thread {
     /// `0..=steps.len()`: on a straight line, masks only grow toward
     /// pc 0.
     live_until: Vec<usize>,
+    /// Every local, ordered by `live_until` (then by id).
+    by_death: Vec<LocalId>,
+    /// `death_off[pc]`: how many locals are dead at `pc` (indexed
+    /// `0..=steps.len()`); they are `by_death[..death_off[pc]]`.
+    death_off: Vec<usize>,
 }
 
 impl Thread {
-    /// Builds a thread, computing its atomic-section ends and its
-    /// locals' liveness.
+    /// Builds a thread, computing its atomic-section ends, its locals'
+    /// liveness and the order in which they die.
     ///
     /// # Panics
     ///
@@ -395,12 +400,25 @@ impl Thread {
                 }
             });
         }
+        let mut by_death: Vec<LocalId> = (0..locals.len()).collect();
+        by_death.sort_by_key(|&x| live_until[x]);
+        let mut dead = 0;
+        let death_off = (0..=steps.len())
+            .map(|pc| {
+                while by_death.get(dead).is_some_and(|&x| live_until[x] <= pc) {
+                    dead += 1;
+                }
+                dead
+            })
+            .collect();
         Thread {
             name,
             steps,
             locals,
             section_end,
             live_until,
+            by_death,
+            death_off,
         }
     }
 
@@ -414,8 +432,16 @@ impl Thread {
     /// Does a step at `pc` or later (`pc <= steps.len()`) read local
     /// `local`?
     #[inline]
-    fn is_live(&self, pc: usize, local: LocalId) -> bool {
+    pub fn is_live(&self, pc: usize, local: LocalId) -> bool {
         pc < self.live_until[local]
+    }
+
+    /// The locals live at `pc0` and dead at `pc1`
+    /// (`pc0 <= pc1 <= steps.len()`), in the order they die: those a
+    /// move from `pc0` to `pc1` drops from the live state.
+    #[inline]
+    pub fn dying(&self, pc0: usize, pc1: usize) -> &[LocalId] {
+        &self.by_death[self.death_off[pc0]..self.death_off[pc1]]
     }
 
     /// `locals`, this thread's local values at `pc`, with every dead
@@ -506,8 +532,8 @@ impl Lowered {
 
     /// Heap bytes the program has in use: each expression allocation
     /// once (the node and its two reference counts), and each thread's
-    /// steps, allocation initializers, atomic-section ends and locals'
-    /// liveness by length.
+    /// steps, allocation initializers, atomic-section ends, locals'
+    /// liveness and dying-locals index by length.
     pub fn heap_bytes(&self) -> usize {
         let node = std::mem::size_of::<Rv>() + 2 * std::mem::size_of::<usize>();
         let steps: usize = (0..self.num_threads())
@@ -522,7 +548,11 @@ impl Lowered {
             .sum();
         let facts: usize = (0..self.num_threads())
             .map(|tid| self.thread(tid))
-            .map(|t| (t.section_end.len() + t.live_until.len()) * std::mem::size_of::<usize>())
+            .map(|t| {
+                let words =
+                    t.section_end.len() + t.live_until.len() + t.by_death.len() + t.death_off.len();
+                words * std::mem::size_of::<usize>()
+            })
             .sum();
         self.expr_nodes() * node + steps + facts
     }
@@ -604,6 +634,24 @@ mod tests {
             }
             assert!(!t.is_live(n, x), "l{x} live past the end");
         }
+    }
+
+    /// Asserts that `dying(pc0, pc1)` holds exactly the locals live at
+    /// `pc0` and dead at `pc1`, in the order they die.
+    fn assert_dying_matches_liveness(t: &Thread, pc0: usize, pc1: usize) {
+        let dying = t.dying(pc0, pc1);
+        let mut got = dying.to_vec();
+        got.sort_unstable();
+        let want: Vec<LocalId> = (0..t.locals.len())
+            .filter(|&x| t.is_live(pc0, x) && !t.is_live(pc1, x))
+            .collect();
+        assert_eq!(got, want, "dying({pc0}, {pc1})");
+        assert!(
+            dying
+                .windows(2)
+                .all(|p| t.live_until[p[0]] <= t.live_until[p[1]]),
+            "dying({pc0}, {pc1}) out of order"
+        );
     }
 
     #[test]
@@ -694,6 +742,12 @@ mod tests {
         }
         assert!((0..=t.steps.len()).all(|pc| !t.is_live(pc, 7)));
         assert_masks_shrink_to_empty(&t);
+        for pc0 in 0..=t.steps.len() {
+            for pc1 in pc0..=t.steps.len() {
+                assert_dying_matches_liveness(&t, pc0, pc1);
+            }
+        }
+        assert_eq!(t.dying(0, t.steps.len()).len(), 7, "every read local dies");
         let values: Vec<i64> = t
             .live_values(5, &[10, 11, 12, 13, 14, 15, 16, 17])
             .collect();
@@ -726,6 +780,10 @@ mod tests {
             assert_eq!(ends.len(), 1);
             assert_eq!(w.atomic_end(begins[0]), Some(ends[0]));
             assert!((0..w.steps.len()).all(|pc| pc == begins[0] || w.atomic_end(pc).is_none()));
+            for pc in 0..w.steps.len() {
+                assert_dying_matches_liveness(w, pc, pc + 1);
+            }
+            assert_dying_matches_liveness(w, begins[0], ends[0] + 1);
             // `t` is last read inside the section; `u` is never read.
             let slot = |name: &str| w.locals.iter().position(|s| s.name == name).unwrap();
             let (t, u) = (slot("t"), slot("u"));

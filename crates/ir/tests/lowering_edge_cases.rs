@@ -182,6 +182,17 @@ fn errors_for_unsupported_shapes() {
          }"
     )
     .contains("non-constant"));
+    // A hole is no constant divisor either: the symbolic evaluator's
+    // constant-divisor `expect`s cannot be reached from source.
+    for op in ["/", "%"] {
+        assert!(lower_err(&format!(
+            "int g;
+             harness void main() {{
+                 int x = g {op} ??(2);
+             }}"
+        ))
+        .contains("division by a non-constant is not supported"));
+    }
     assert!(lower_err(
         "struct Lock { int owner; }
          Lock lk;

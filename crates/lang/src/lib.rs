@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! The PSKETCH surface language.
 //!
 //! This crate implements the front end for the sketch language of

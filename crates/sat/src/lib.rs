@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 //! A conflict-driven clause-learning (CDCL) SAT solver.
 //!
 //! This crate is the decision engine behind the PSKETCH inductive

@@ -667,6 +667,9 @@ impl Solver {
             level: self.decision_level(),
         };
         self.trail.push(l);
+        // `propagate` scans `l`'s watch list when it dequeues `l`:
+        // start loading it now, while the queue ahead of `l` is worked.
+        prefetch(&self.watches[l.index()]);
     }
 
     fn cancel_until(&mut self, level: u32) {
@@ -1109,6 +1112,25 @@ impl Solver {
             }
         }
     }
+}
+
+/// Asks the CPU to start loading the cache line that holds `*p`. On
+/// targets other than x86_64 it does nothing: stable Rust has no
+/// portable prefetch.
+#[inline(always)]
+fn prefetch<T>(p: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint. It reads nothing the program
+    // observes and cannot fault on any address (`p` is a live
+    // reference besides), and SSE, which provides it, is part of the
+    // x86_64 baseline.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
+            (p as *const T).cast::<i8>(),
+        );
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
 }
 
 /// The Luby restart sequence scaled by `y`.

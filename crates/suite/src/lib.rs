@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! The PSKETCH benchmark suite.
 //!
 //! Reproduces the evaluation of *Sketching Concurrent Data

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! The PSKETCH inductive synthesizer.
 //!
 //! Implements the synthesis half of the concurrent CEGIS loop of

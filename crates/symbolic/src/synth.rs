@@ -293,11 +293,11 @@ impl<'l> Synthesizer<'l> {
                         as_bool(c, n)
                     }
                     BinOp::Div | BinOp::Mod => {
-                        panic!("division in hole constraints is not supported")
+                        unreachable!("desugaring adds only `!=` between two hole refs")
                     }
                 }
             }
-            other => panic!("unsupported constraint expression: {other:?}"),
+            other => unreachable!("desugaring adds only `!=` between two hole refs: {other:?}"),
         }
     }
 

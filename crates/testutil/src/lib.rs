@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Deterministic random-testing support with no external dependencies.
 //!
 //! The container this repository builds in has no crates.io access, so

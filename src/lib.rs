@@ -5,6 +5,8 @@
 //! `README.md` for the repository tour and `DESIGN.md` for the
 //! paper-to-module map.
 
+#![forbid(unsafe_code)]
+
 pub use psketch_core as core;
 pub use psketch_exec as exec;
 pub use psketch_ir as ir;
