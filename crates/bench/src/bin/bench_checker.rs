@@ -189,6 +189,7 @@ fn main() {
             // prescreen or bank, so those columns read 0.
             let cost = VerifyCost {
                 check: out.stats,
+                check_time: m.median,
                 ..if sealed {
                     VerifyCost::sealed(cp)
                 } else {

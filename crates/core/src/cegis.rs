@@ -475,6 +475,7 @@ impl Synthesis {
         stats.sat_heap = synth.solver().heap_bytes();
         stats.circuit_bytes = synth.circuit().heap_bytes();
         stats.lowered_bytes = self.lowered.heap_bytes();
+        stats.symbolic_bytes = synth.symbolic_bytes();
         stats.ir_nodes = self.lowered.expr_nodes();
         stats.total = t0.elapsed();
         stats.peak_memory = mem::peak_rss_bytes();
@@ -568,7 +569,9 @@ impl Synthesis {
                     // returning its trace is sound; a miss just falls
                     // through.
                     if let Some(bank) = bank {
+                        let t = Instant::now();
                         let (hit, bs) = bank.prescreen_compiled(&cp);
+                        cost.prescreen_time = t.elapsed();
                         cost.prescreen_replays = bs.replays;
                         cost.bank_size = bs.size;
                         if let Some(cex) = hit {
@@ -576,7 +579,9 @@ impl Synthesis {
                             break 'verify VerifyResult::Trace(cex);
                         }
                     }
+                    let t = Instant::now();
                     let out = check_compiled(&cp, limits);
+                    cost.check_time = t.elapsed();
                     cost.check = out.stats;
                     match out.verdict {
                         Verdict::Pass => VerifyResult::Correct,
@@ -596,12 +601,18 @@ impl Synthesis {
                 (result, cost)
             }
             Mode::Equivalence(_) => {
-                let result = match verify_sequential_limits(
+                let t = Instant::now();
+                let checked = verify_sequential_limits(
                     &self.lowered,
                     candidate,
                     limits.deadline,
                     limits.cancel.clone(),
-                ) {
+                );
+                let cost = VerifyCost {
+                    check_time: t.elapsed(),
+                    ..VerifyCost::default()
+                };
+                let result = match checked {
                     SeqVerify::Equivalent => VerifyResult::Correct,
                     SeqVerify::Counterexample(x) => VerifyResult::Input(x),
                     SeqVerify::Interrupted => {
@@ -616,7 +627,7 @@ impl Synthesis {
                         })
                     }
                 };
-                (result, VerifyCost::default())
+                (result, cost)
             }
         }
     }

@@ -41,6 +41,13 @@ pub fn render_stats(name: &str, test: &str, outcome: &Outcome) -> String {
     );
     let _ = writeln!(
         out,
+        "  Vsolve (s): seal {:.2}  prescreen {:.2}  check {:.2}",
+        cost.compile_us as f64 * 1e-6,
+        cost.prescreen_time.as_secs_f64(),
+        cost.check_time.as_secs_f64(),
+    );
+    let _ = writeln!(
+        out,
         "  checker: transitions = {}  terminal = {}",
         cost.check.transitions, cost.check.terminal_states
     );
@@ -67,12 +74,13 @@ pub fn render_stats(name: &str, test: &str, outcome: &Outcome) -> String {
     let heap = &st.sat_heap;
     let _ = writeln!(
         out,
-        "  heap in use (MiB): solver {} (clauses {}  watches {}  vars {})  circuit {}  program {}",
+        "  heap in use (MiB): solver {} (clauses {}  watches {}  vars {})  circuit {}  symbolic {}  program {}",
         mib(heap.total()),
         mib(heap.clause_bytes),
         mib(heap.watch_bytes),
         mib(heap.var_bytes),
         mib(st.circuit_bytes),
+        mib(st.symbolic_bytes),
         mib(st.lowered_bytes)
     );
     if let Some(trip) = &outcome.budget_trip {

@@ -89,6 +89,13 @@ pub struct VerifyCost {
     pub bank_size: u64,
     /// Microseconds spent sealing candidates into execution artifacts.
     pub compile_us: u64,
+    /// Time spent replaying banked schedules against the candidates
+    /// (`prescreen_secs`).
+    pub prescreen_time: Duration,
+    /// Time spent in the exhaustive checks, or in a sequential
+    /// sketch's SAT equivalence checks (`check_secs`). With
+    /// `compile_us` and `prescreen_time` it splits Vsolve.
+    pub check_time: Duration,
     /// Heap bytes of the sealed candidate after its verification
     /// ([`CompiledProgram::heap_bytes`]; the maximum, when summed).
     pub seal_bytes: usize,
@@ -123,6 +130,8 @@ impl VerifyCost {
         self.prescreen_replays += other.prescreen_replays;
         self.bank_size = self.bank_size.max(other.bank_size);
         self.compile_us += other.compile_us;
+        self.prescreen_time += other.prescreen_time;
+        self.check_time += other.check_time;
         self.seal_bytes = self.seal_bytes.max(other.seal_bytes);
     }
 
@@ -133,6 +142,12 @@ impl VerifyCost {
             por_ample_hits, por_fallbacks, states_pruned));
         out.extend(nums!("", self;
             prescreen_hits, prescreen_replays, bank_size, compile_us, seal_bytes));
+        for (key, d) in [
+            ("prescreen_secs", self.prescreen_time),
+            ("check_secs", self.check_time),
+        ] {
+            out.push((key.to_string(), Json::Num(d.as_secs_f64())));
+        }
     }
 }
 
@@ -171,8 +186,8 @@ pub struct CegisStats {
     /// per-variable arrays. The report names them `sat_clause_bytes`,
     /// `sat_watch_bytes` and `sat_var_bytes`, and their sum
     /// `sat_bytes`. Bytes in use have all been written, so they,
-    /// `circuit_bytes` and `lowered_bytes` are resident and sum to at
-    /// most `peak_memory`.
+    /// `circuit_bytes`, `lowered_bytes` and `symbolic_bytes` are
+    /// resident and sum to at most `peak_memory`.
     pub sat_heap: HeapBytes,
     /// Heap bytes the synthesizer's circuit has in use at the end: its
     /// nodes, Tseitin map and AND table.
@@ -181,6 +196,11 @@ pub struct CegisStats {
     /// allocation once, and every thread's steps
     /// ([`psketch_ir::Lowered::heap_bytes`]).
     pub lowered_bytes: usize,
+    /// Heap bytes the synthesizer's symbolic state has in use at the
+    /// end: the trace evaluator's slots, write journal, marks, order,
+    /// disjuncts and cached field reads
+    /// ([`psketch_symbolic::Synthesizer::symbolic_bytes`]).
+    pub symbolic_bytes: usize,
     /// Expression allocations in the lowered program: its structurally
     /// distinct subexpressions ([`psketch_ir::Lowered::expr_nodes`]).
     pub ir_nodes: usize,
@@ -233,7 +253,7 @@ impl CegisStats {
             Json::Num(self.sat_heap.total() as f64),
         ));
         out.extend(nums!("sat_", self.sat_heap; clause_bytes, watch_bytes, var_bytes));
-        out.extend(nums!("", self; circuit_bytes, lowered_bytes, ir_nodes));
+        out.extend(nums!("", self; circuit_bytes, lowered_bytes, symbolic_bytes, ir_nodes));
         self.cost.write_json(out);
     }
 }
@@ -429,7 +449,13 @@ impl RunReport {
     /// variables and problem clauses its observation added
     /// (`new_vars`, `new_clauses`) and its evaluation's field reads
     /// and cache hits (`field_reads`, `field_read_hits`).
-    pub const SCHEMA: u32 = 16;
+    ///
+    /// v17: the run and each record split Vsolve: beside the seal's
+    /// `compile_us`, the prescreen's time (`prescreen_secs`) and the
+    /// check's (`check_secs`); the run carries the symbolic state's
+    /// heap bytes (`symbolic_bytes`, also at most `peak_memory` with
+    /// `sat_bytes`, `circuit_bytes` and `lowered_bytes`).
+    pub const SCHEMA: u32 = 17;
 
     /// Serialises the report as a JSON object (two-space indented).
     pub fn to_json(&self) -> String {
@@ -994,9 +1020,28 @@ mod tests {
             .iter()
             .all(|r| r.get("seal_bytes").and_then(Json::as_f64) > Some(0.0)));
         // Bytes in use have been written, so they are resident.
+        assert!(bytes("symbolic_bytes") > 0.0);
         if let Some(peak) = run.get("peak_memory").and_then(Json::as_f64) {
-            assert!(bytes("sat_bytes") + bytes("circuit_bytes") + bytes("lowered_bytes") <= peak);
+            let owned = [
+                "sat_bytes",
+                "circuit_bytes",
+                "lowered_bytes",
+                "symbolic_bytes",
+            ];
+            assert!(owned.iter().map(|&key| bytes(key)).sum::<f64>() <= peak);
             assert!(bytes("lowered_bytes") + bytes("seal_bytes") <= peak);
+        }
+        // Vsolve splits into sealing, prescreen and check, timed inside
+        // each record's verification; `compile_us` is truncated to
+        // whole microseconds.
+        for r in records {
+            let secs = |key| r.get(key).and_then(Json::as_f64).unwrap();
+            let split = secs("compile_us") * 1e-6 + secs("prescreen_secs") + secs("check_secs");
+            assert!(split <= secs("v_solve_secs") + 1e-6, "{r:?}");
+            assert!(
+                secs("check_secs") > 0.0 || secs("prescreen_hits") == 1.0,
+                "{r:?}"
+            );
         }
     }
 

@@ -270,10 +270,12 @@ pub struct Solver {
     var_inc: f64,
     cla_inc: f64,
 
-    // Reused buffers: the clause being added, and the clause being
-    // learnt.
+    // Reused buffers: the clause being added, the clause being learnt,
+    // and the watchers `propagate` moves off the list it scans, each
+    // with the literal whose list it joins.
     added: Vec<Lit>,
     learnt: Vec<Lit>,
+    moved: Vec<(Lit, Watcher)>,
 
     // Problem status.
     ok: bool,
@@ -318,6 +320,7 @@ impl Solver {
             cla_inc: 1.0,
             added: Vec::new(),
             learnt: Vec::new(),
+            moved: Vec::new(),
             ok: true,
             model: Vec::new(),
             stats: SolverStats::default(),
@@ -477,6 +480,39 @@ impl Solver {
                 true
             }
         }
+    }
+
+    /// Creates a variable `v` defined as `a ∧ b` by the clauses
+    /// `[¬v, a]`, `[¬v, b]` and `[v, ¬a, ¬b]`, leaving the watchers,
+    /// the arena and the counters as those three
+    /// [`Solver::add_clause`] calls would.
+    ///
+    /// When `a` and `b` are older variables than `v`, distinct and
+    /// unassigned, the clauses go in directly: `v` is the newest
+    /// variable, so each clause is already sorted with `v`'s literal
+    /// last, and none of its literals is repeated, false or true. Any
+    /// other gate takes `add_clause`.
+    pub fn add_and(&mut self, a: Lit, b: Lit) -> Var {
+        let v = self.new_var();
+        let direct = self.ok
+            && a.var() < v
+            && b.var() < v
+            && a.var() != b.var()
+            && self.lit_value(a) == LBool::Undef
+            && self.lit_value(b) == LBool::Undef;
+        if direct {
+            debug_assert_eq!(self.decision_level(), 0);
+            self.watch(BINARY, a, Lit::neg(v));
+            self.watch(BINARY, b, Lit::neg(v));
+            let cref = self.alloc_clause(&[(!a).min(!b), (!a).max(!b), Lit::pos(v)], false);
+            self.attach_clause(cref);
+            self.stats.clauses += 3;
+        } else {
+            self.add_clause([Lit::neg(v), a]);
+            self.add_clause([Lit::neg(v), b]);
+            self.add_clause([Lit::pos(v), !a, !b]);
+        }
+        v
     }
 
     /// Solves the formula. Clauses and learnt clauses are kept, so a
@@ -693,8 +729,17 @@ impl Solver {
 
     // ----- propagation -----
 
+    /// Propagates the queued literals. Each literal's watch list is
+    /// scanned in place. A watcher that moves to another literal is
+    /// queued and pushed after the scan, in the order it moved, and the
+    /// literals the scan enqueued have their lists prefetched then, so
+    /// the lists end as they would if each push had been made at once:
+    /// no moved watcher joins the list being scanned (it watches a
+    /// literal that is not false, and `!p` is), and the scan reads no
+    /// other list.
     fn propagate(&mut self) -> Option<Conflict> {
         let mut conflict = None;
+        let mut moved = std::mem::take(&mut self.moved);
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -708,14 +753,17 @@ impl Solver {
             {
                 self.limits_tripped();
             }
-            let mut list = std::mem::replace(&mut self.watches[p.index()], WatchList::EMPTY);
+            let queued = self.trail.len();
+            let level = self.decision_level();
+            let list = &mut self.watches[p.index()];
             let ws = list.as_mut_slice();
             let mut keep = 0;
             let mut i = 0;
             while i < ws.len() {
                 let w = ws[i];
                 i += 1;
-                let blocker = self.lit_value(w.blocker);
+                let blocker =
+                    self.assigns[w.blocker.var().index()].under_sign(w.blocker.is_positive());
                 if blocker == LBool::True {
                     ws[keep] = w;
                     keep += 1;
@@ -743,10 +791,14 @@ impl Solver {
                         if let Some(k) = found {
                             c.swap(1, k + 2);
                             let nw = Lit(c[1]);
-                            self.watches[(!nw).index()].push(Watcher {
-                                tagged: cref.0,
-                                blocker: first,
-                            });
+                            debug_assert_ne!(!nw, p, "a moved watcher joins the scanned list");
+                            moved.push((
+                                !nw,
+                                Watcher {
+                                    tagged: cref.0,
+                                    blocker: first,
+                                },
+                            ));
                             continue;
                         }
                     }
@@ -759,7 +811,13 @@ impl Solver {
                 keep += 1;
                 match value {
                     LBool::True => {}
-                    LBool::Undef => self.unchecked_enqueue(first, reason),
+                    LBool::Undef => {
+                        // `unchecked_enqueue`, with the prefetch after
+                        // the scan.
+                        self.assigns[first.var().index()] = LBool::from_bool(first.is_positive());
+                        self.vardata[first.var().index()] = VarInfo { reason, level };
+                        self.trail.push(first);
+                    }
                     LBool::False => {
                         // No new watch: the clause is conflicting.
                         conflict = Some(match reason.as_clause() {
@@ -775,14 +833,17 @@ impl Solver {
                 }
             }
             list.truncate(keep);
-            // A new watch is never on `p`'s list: it watches a literal
-            // that is not false, and `!p` is.
-            debug_assert!(matches!(self.watches[p.index()], WatchList::Inline(0, _)));
-            self.watches[p.index()] = list;
+            for (l, w) in moved.drain(..) {
+                self.watches[l.index()].push(w);
+            }
             if conflict.is_some() {
                 break;
             }
+            for l in &self.trail[queued..] {
+                prefetch(&self.watches[l.index()]);
+            }
         }
+        self.moved = moved;
         conflict
     }
 
@@ -956,11 +1017,18 @@ impl Solver {
         self.activity[a.index()] > self.activity[b.index()]
     }
 
+    /// Pushes `v` and sifts it up. Activities are never negative
+    /// (bumps add, rescales multiply by 1e-100), so a variable of
+    /// activity 0 never passes its parent, and it skips the sift.
     fn heap_insert(&mut self, v: Var) {
+        let activity = self.activity[v.index()];
+        debug_assert!(activity >= 0.0, "negative activity {activity}");
         self.heap.push(v);
         let ix = self.heap.len() - 1;
         self.heap_index[v.index()] = ix as i32;
-        self.heap_sift_up(ix);
+        if activity > 0.0 {
+            self.heap_sift_up(ix);
+        }
     }
 
     fn heap_sift_up(&mut self, mut ix: usize) {

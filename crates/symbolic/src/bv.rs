@@ -4,43 +4,52 @@ use crate::circuit::{Circuit, NodeRef};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-/// The widest bitvector: the widest `int` the front end accepts.
-const MAX_WIDTH: usize = 62;
+/// The capacity of the narrow class: every `int` of at most 16 bits.
+pub const NARROW: usize = 16;
 
-/// A bitvector, least-significant bit first.
+/// The capacity of the wide class: the widest `int` the front end
+/// accepts.
+pub const WIDE: usize = 62;
+
+/// Whether an `int` of `width` bits fits the narrow class. An
+/// evaluation picks its class once, from the sketch's `int_width`.
+pub(crate) fn is_narrow(width: usize) -> bool {
+    width <= NARROW
+}
+
+/// A bitvector of at most `N` bits, least-significant bit first.
 ///
 /// The bits live inline, so a `Bv` is `Copy` and building one never
-/// allocates. Slots past the width hold `NodeRef::FALSE`, so two
-/// bitvectors are equal exactly when their bits are.
+/// allocates; `N` is one of the two width classes, [`NARROW`] or
+/// [`WIDE`]. Slots past the width hold `NodeRef::FALSE`, so two
+/// bitvectors are equal exactly when their bits are, and every
+/// operation makes the same circuit calls whatever its class.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub struct Bv {
-    bits: [NodeRef; MAX_WIDTH],
+pub struct Bv<const N: usize> {
+    bits: [NodeRef; N],
     width: u8,
 }
 
 /// Hashes the bits within the width: the slots past it are all
 /// `NodeRef::FALSE`, so equal bitvectors still hash alike.
-impl Hash for Bv {
+impl<const N: usize> Hash for Bv<N> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.bits().hash(state);
     }
 }
 
-impl fmt::Debug for Bv {
+impl<const N: usize> fmt::Debug for Bv<N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_tuple("Bv").field(&self.bits()).finish()
     }
 }
 
-impl Bv {
+impl<const N: usize> Bv<N> {
     /// A bitvector of `width` bits whose bit `k` is `bit(k)`, asked
     /// for in order from bit 0.
-    pub(crate) fn from_fn(width: usize, mut bit: impl FnMut(usize) -> NodeRef) -> Bv {
-        assert!(
-            width <= MAX_WIDTH,
-            "bitvector of {width} bits is wider than {MAX_WIDTH}"
-        );
-        let mut bits = [NodeRef::FALSE; MAX_WIDTH];
+    pub(crate) fn from_fn(width: usize, mut bit: impl FnMut(usize) -> NodeRef) -> Bv<N> {
+        assert!(width <= N, "bitvector of {width} bits is wider than {N}");
+        let mut bits = [NodeRef::FALSE; N];
         for (k, b) in bits[..width].iter_mut().enumerate() {
             *b = bit(k);
         }
@@ -62,12 +71,12 @@ impl Bv {
 
     /// A constant bitvector of `width` bits (two's complement,
     /// truncating).
-    pub fn constant(c: &mut Circuit, value: i64, width: usize) -> Bv {
+    pub fn constant(c: &mut Circuit, value: i64, width: usize) -> Bv<N> {
         Bv::from_fn(width, |k| c.constant((value >> k) & 1 == 1))
     }
 
     /// Fresh unconstrained inputs.
-    pub fn input(c: &mut Circuit, width: usize) -> Bv {
+    pub fn input(c: &mut Circuit, width: usize) -> Bv<N> {
         Bv::from_fn(width, |_| c.input())
     }
 
@@ -90,7 +99,7 @@ impl Bv {
     }
 
     /// A single-bit boolean lifted to this width (0 or 1).
-    pub fn from_bool(c: &mut Circuit, b: NodeRef, width: usize) -> Bv {
+    pub fn from_bool(c: &mut Circuit, b: NodeRef, width: usize) -> Bv<N> {
         Bv::from_fn(width, |k| if k == 0 { b } else { c.constant(false) })
     }
 
@@ -100,13 +109,13 @@ impl Bv {
     }
 
     /// Bitwise mux: `cond ? a : b` (widths must match).
-    pub fn mux(c: &mut Circuit, cond: NodeRef, a: &Bv, b: &Bv) -> Bv {
+    pub fn mux(c: &mut Circuit, cond: NodeRef, a: &Bv<N>, b: &Bv<N>) -> Bv<N> {
         assert_eq!(a.width(), b.width());
         Bv::from_fn(a.width(), |k| c.ite(cond, a.bits[k], b.bits[k]))
     }
 
     /// Addition (wrapping).
-    pub fn add(c: &mut Circuit, a: &Bv, b: &Bv) -> Bv {
+    pub fn add(c: &mut Circuit, a: &Bv<N>, b: &Bv<N>) -> Bv<N> {
         assert_eq!(a.width(), b.width());
         let mut carry = c.constant(false);
         Bv::from_fn(a.width(), |k| {
@@ -121,20 +130,20 @@ impl Bv {
     }
 
     /// Negation (two's complement).
-    pub fn neg(c: &mut Circuit, a: &Bv) -> Bv {
+    pub fn neg(c: &mut Circuit, a: &Bv<N>) -> Bv<N> {
         let inverted = Bv::from_fn(a.width(), |k| a.bits[k].not());
         let one = Bv::constant(c, 1, a.width());
         Bv::add(c, &inverted, &one)
     }
 
     /// Subtraction (wrapping).
-    pub fn sub(c: &mut Circuit, a: &Bv, b: &Bv) -> Bv {
+    pub fn sub(c: &mut Circuit, a: &Bv<N>, b: &Bv<N>) -> Bv<N> {
         let nb = Bv::neg(c, b);
         Bv::add(c, a, &nb)
     }
 
     /// Multiplication (wrapping shift-and-add).
-    pub fn mul(c: &mut Circuit, a: &Bv, b: &Bv) -> Bv {
+    pub fn mul(c: &mut Circuit, a: &Bv<N>, b: &Bv<N>) -> Bv<N> {
         let w = a.width();
         let mut acc = Bv::constant(c, 0, w);
         for k in 0..w {
@@ -153,14 +162,14 @@ impl Bv {
     }
 
     /// Equality.
-    pub fn eq(c: &mut Circuit, a: &Bv, b: &Bv) -> NodeRef {
+    pub fn eq(c: &mut Circuit, a: &Bv<N>, b: &Bv<N>) -> NodeRef {
         assert_eq!(a.width(), b.width());
-        let same = Bv::from_fn(a.width(), |k| c.iff(a.bits[k], b.bits[k]));
+        let same = Bv::<N>::from_fn(a.width(), |k| c.iff(a.bits[k], b.bits[k]));
         c.and_all(same.bits().iter().copied())
     }
 
     /// Signed less-than.
-    pub fn slt(c: &mut Circuit, a: &Bv, b: &Bv) -> NodeRef {
+    pub fn slt(c: &mut Circuit, a: &Bv<N>, b: &Bv<N>) -> NodeRef {
         // a < b  <=>  (a - b) overflows into "negative" correctly:
         // compute via sign comparison: if signs differ, a<b iff a
         // negative; else compare magnitude via subtraction sign.
@@ -176,12 +185,12 @@ impl Bv {
     }
 
     /// Signed less-or-equal.
-    pub fn sle(c: &mut Circuit, a: &Bv, b: &Bv) -> NodeRef {
+    pub fn sle(c: &mut Circuit, a: &Bv<N>, b: &Bv<N>) -> NodeRef {
         Bv::slt(c, b, a).not()
     }
 
     /// Unsigned less-than (for array bounds).
-    pub fn ult(c: &mut Circuit, a: &Bv, b: &Bv) -> NodeRef {
+    pub fn ult(c: &mut Circuit, a: &Bv<N>, b: &Bv<N>) -> NodeRef {
         let w = a.width();
         let mut lt = c.constant(false);
         for k in 0..w {
@@ -194,18 +203,18 @@ impl Bv {
     }
 
     /// Division by a non-zero constant (restoring long division).
-    pub fn div_const(c: &mut Circuit, a: &Bv, divisor: i64) -> Bv {
+    pub fn div_const(c: &mut Circuit, a: &Bv<N>, divisor: i64) -> Bv<N> {
         Bv::divmod_const(c, a, divisor).0
     }
 
     /// Remainder by a non-zero constant.
-    pub fn rem_const(c: &mut Circuit, a: &Bv, divisor: i64) -> Bv {
+    pub fn rem_const(c: &mut Circuit, a: &Bv<N>, divisor: i64) -> Bv<N> {
         Bv::divmod_const(c, a, divisor).1
     }
 
     /// Signed division/remainder by a constant, truncated toward zero
     /// (Rust semantics).
-    fn divmod_const(c: &mut Circuit, a: &Bv, divisor: i64) -> (Bv, Bv) {
+    fn divmod_const(c: &mut Circuit, a: &Bv<N>, divisor: i64) -> (Bv<N>, Bv<N>) {
         assert!(divisor != 0, "constant divisor must be non-zero");
         let w = a.width();
         // |a| via conditional negation.
@@ -249,6 +258,8 @@ impl Bv {
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    type Bv = super::Bv<NARROW>;
 
     const W: usize = 8;
 

@@ -283,13 +283,7 @@ impl Circuit {
                         stack.push(b.node());
                     }
                     if !need_a && !need_b {
-                        let v = solver.new_var();
-                        let la = self.ref_lit(a);
-                        let lb = self.ref_lit(b);
-                        // v <-> la & lb
-                        solver.add_clause([Lit::neg(v), la]);
-                        solver.add_clause([Lit::neg(v), lb]);
-                        solver.add_clause([Lit::pos(v), !la, !lb]);
+                        let v = solver.add_and(self.ref_lit(a), self.ref_lit(b));
                         self.vars[n as usize] = v.index() as u32;
                         stack.pop();
                     }

@@ -45,18 +45,18 @@ struct Mark {
 /// The field reads of one struct pool since any of its slots last
 /// changed: `(field, reference)` to the value read. Keys are circuit
 /// node refs, so they hash with [`BuildWordHasher`].
-type FieldReads = HashMap<(usize, Bv), Bv, BuildWordHasher>;
+type FieldReads<const N: usize> = HashMap<(usize, Bv<N>), Bv<N>, BuildWordHasher>;
 
 /// Symbolic execution of projected traces.
-pub struct SymEval<'a> {
+pub struct SymEval<'a, const N: usize> {
     l: &'a Lowered,
     w: usize,
     /// Hole values, one W-wide bitvector per hole.
-    holes: Vec<Bv>,
+    holes: Vec<Bv<N>>,
     /// The whole state: the globals, then each struct's pool (object
     /// by object, field by field), then each struct's allocation
     /// count, then each thread's locals.
-    slots: Vec<Bv>,
+    slots: Vec<Bv<N>>,
     /// First slot of each struct's pool.
     heap_base: Vec<usize>,
     /// Slot of struct 0's allocation count.
@@ -70,20 +70,20 @@ pub struct SymEval<'a> {
     /// One mark per position of `order`, plus one for its end.
     marks: Vec<Mark>,
     /// Each write that changed a slot, with the slot's old value.
-    writes: Vec<(usize, Bv)>,
+    writes: Vec<(usize, Bv<N>)>,
     /// Each non-false failure disjunct a step ORed into `fail`.
     disjuncts: Vec<NodeRef>,
     /// Field values of the object an `Alloc` step creates (kept to
     /// reuse its buffer).
-    fields: Vec<Bv>,
+    fields: Vec<Bv<N>>,
     /// Each struct pool's field reads while the pool is unchanged.
-    field_cache: Vec<FieldReads>,
+    field_cache: Vec<FieldReads<N>>,
     /// Field reads so far, and those the cache answered.
     field_reads: usize,
     field_read_hits: usize,
 }
 
-impl<'a> SymEval<'a> {
+impl<'a, const N: usize> SymEval<'a, N> {
     /// Creates an evaluator with the given hole encodings.
     ///
     /// `inputs` overrides the initial value of `is_input` global slots
@@ -93,12 +93,12 @@ impl<'a> SymEval<'a> {
     pub fn new(
         c: &mut Circuit,
         l: &'a Lowered,
-        holes: &[Bv],
-        inputs: &HashMap<usize, Bv>,
-    ) -> SymEval<'a> {
+        holes: &[Bv<N>],
+        inputs: &HashMap<usize, Bv<N>>,
+    ) -> SymEval<'a, N> {
         let w = l.config.int_width as usize;
         let zero = Bv::constant(c, 0, w);
-        let mut slots: Vec<Bv> = l
+        let mut slots: Vec<Bv<N>> = l
             .globals
             .iter()
             .enumerate()
@@ -240,6 +240,26 @@ impl<'a> SymEval<'a> {
     /// Field reads so far, and how many of them the cache answered.
     pub(crate) fn field_reads(&self) -> (usize, usize) {
         (self.field_reads, self.field_read_hits)
+    }
+
+    /// Heap bytes in use, every array by its length: the hole values,
+    /// the slots and their bases, the journal (order, marks, writes
+    /// and disjuncts), the `Alloc` buffer, and each pool's cached
+    /// field reads, by their entries.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::{size_of, size_of_val};
+        let reads: usize = self.field_cache.iter().map(HashMap::len).sum();
+        size_of_val(&self.holes[..])
+            + size_of_val(&self.slots[..])
+            + size_of_val(&self.heap_base[..])
+            + size_of_val(&self.local_base[..])
+            + size_of_val(&self.order[..])
+            + size_of_val(&self.marks[..])
+            + size_of_val(&self.writes[..])
+            + size_of_val(&self.disjuncts[..])
+            + size_of_val(&self.fields[..])
+            + size_of_val(&self.field_cache[..])
+            + reads * size_of::<((usize, Bv<N>), Bv<N>)>()
     }
 
     /// Forgets every cached field read: the slots are about to be
@@ -405,7 +425,7 @@ impl<'a> SymEval<'a> {
         v.nonzero(c)
     }
 
-    fn eval_rv(&mut self, c: &mut Circuit, tid: ThreadId, rv: &Rv, demand: NodeRef) -> Bv {
+    fn eval_rv(&mut self, c: &mut Circuit, tid: ThreadId, rv: &Rv, demand: NodeRef) -> Bv<N> {
         match rv {
             Rv::Const(v) => Bv::constant(c, *v, self.w),
             Rv::Global(g) => self.slots[*g],
@@ -448,7 +468,7 @@ impl<'a> SymEval<'a> {
         a: &Rv,
         b: &Rv,
         demand: NodeRef,
-    ) -> Bv {
+    ) -> Bv<N> {
         match op {
             BinOp::And => {
                 let av = self.eval_bool(c, tid, a, demand);
@@ -519,7 +539,7 @@ impl<'a> SymEval<'a> {
         len: usize,
         ix: &Rv,
         demand: NodeRef,
-    ) -> Bv {
+    ) -> Bv<N> {
         let i = self.eval_rv(c, tid, ix, demand);
         self.bounds_fail(c, &i, len, demand);
         let mut acc = Bv::constant(c, 0, self.w);
@@ -543,7 +563,7 @@ impl<'a> SymEval<'a> {
         fid: usize,
         obj: &Rv,
         demand: NodeRef,
-    ) -> Bv {
+    ) -> Bv<N> {
         let o = self.eval_rv(c, tid, obj, demand);
         self.null_fail(c, &o, demand);
         self.field_reads += 1;
@@ -563,7 +583,7 @@ impl<'a> SymEval<'a> {
         acc
     }
 
-    fn bounds_fail(&mut self, c: &mut Circuit, i: &Bv, len: usize, demand: NodeRef) {
+    fn bounds_fail(&mut self, c: &mut Circuit, i: &Bv<N>, len: usize, demand: NodeRef) {
         let lenv = Bv::constant(c, len as i64, self.w);
         // Unsigned compare covers negative indices (they become large).
         let inb = Bv::ult(c, i, &lenv);
@@ -571,14 +591,14 @@ impl<'a> SymEval<'a> {
         self.record_fail(c, bad);
     }
 
-    fn null_fail(&mut self, c: &mut Circuit, obj: &Bv, demand: NodeRef) {
+    fn null_fail(&mut self, c: &mut Circuit, obj: &Bv<N>, demand: NodeRef) {
         let zero = Bv::constant(c, 0, self.w);
         let isnull = Bv::eq(c, obj, &zero);
         let bad = c.and(demand, isnull);
         self.record_fail(c, bad);
     }
 
-    fn read_lv(&mut self, c: &mut Circuit, tid: ThreadId, lv: &Lv, demand: NodeRef) -> Bv {
+    fn read_lv(&mut self, c: &mut Circuit, tid: ThreadId, lv: &Lv, demand: NodeRef) -> Bv<N> {
         match lv {
             Lv::Global(g) => self.slots[*g],
             Lv::Local(x) => self.slots[self.local_base[tid] + x],
@@ -594,7 +614,7 @@ impl<'a> SymEval<'a> {
     /// `slot = cond ? v : slot`, journaling the old value if it
     /// changed. A change to a pool's slot forgets the pool's field
     /// reads.
-    fn write_slot(&mut self, c: &mut Circuit, slot: usize, v: &Bv, cond: NodeRef) {
+    fn write_slot(&mut self, c: &mut Circuit, slot: usize, v: &Bv<N>, cond: NodeRef) {
         let new = Bv::mux(c, cond, v, &self.slots[slot]);
         let old = std::mem::replace(&mut self.slots[slot], new);
         if old != new {
@@ -616,7 +636,7 @@ impl<'a> SymEval<'a> {
             .checked_sub(1)
     }
 
-    fn write(&mut self, c: &mut Circuit, tid: ThreadId, lv: &Lv, v: &Bv, cond: NodeRef) {
+    fn write(&mut self, c: &mut Circuit, tid: ThreadId, lv: &Lv, v: &Bv<N>, cond: NodeRef) {
         match lv {
             Lv::Global(g) => self.write_slot(c, *g, v, cond),
             Lv::Local(x) => self.write_slot(c, self.local_base[tid] + x, v, cond),
@@ -649,7 +669,7 @@ impl<'a> SymEval<'a> {
         first: usize,
         len: usize,
         ix: &Rv,
-        v: &Bv,
+        v: &Bv<N>,
         cond: NodeRef,
     ) {
         let i = self.eval_rv(c, tid, ix, cond);
@@ -666,7 +686,10 @@ impl<'a> SymEval<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bv::NARROW;
     use psketch_ir::{desugar::desugar_program, lower, Config};
+
+    type Eval<'a> = SymEval<'a, NARROW>;
 
     /// One `Node` pool: the prologue allocates object 1 into `a`, sets
     /// its `val` to 7, allocates object 2 into `b`, then enters an
@@ -686,12 +709,12 @@ mod tests {
     }
 
     /// Field `fid` of `Node` object `obj`, read where it is demanded.
-    fn read(ev: &mut SymEval, c: &mut Circuit, fid: usize, obj: &Rv) -> Bv {
+    fn read(ev: &mut Eval, c: &mut Circuit, fid: usize, obj: &Rv) -> Bv<NARROW> {
         ev.read_field(c, 0, 0, fid, obj, NodeRef::TRUE)
     }
 
     /// `val` of `obj` under a constant candidate.
-    fn val(ev: &mut SymEval, c: &mut Circuit, obj: &Rv) -> i64 {
+    fn val(ev: &mut Eval, c: &mut Circuit, obj: &Rv) -> i64 {
         read(ev, c, 0, obj).as_const().expect("concrete")
     }
 

@@ -8,7 +8,7 @@
 //! values consistent with every observation so far;
 //! [`NoCandidate::Exhausted`] means the sketch cannot be resolved.
 
-use crate::bv::Bv;
+use crate::bv::{is_narrow, Bv, NARROW, WIDE};
 use crate::circuit::{Circuit, NodeRef};
 use crate::eval::SymEval;
 use crate::project::{project, sequential_order, trace_end_position};
@@ -111,13 +111,40 @@ pub struct Synthesizer<'l> {
     l: &'l Lowered,
     circuit: Circuit,
     solver: Solver,
-    hole_bvs: Vec<Bv>,
     hole_vars: Vec<Vec<Var>>,
-    /// Evaluates each counterexample trace from where its projection
-    /// leaves the previous one's.
-    trace_eval: SymEval<'l>,
+    /// The hole values and the trace evaluator, in the width class of
+    /// the sketch's `int_width`.
+    encoder: Encoders<'l>,
     /// Statistics.
     pub stats: SynthStats,
+}
+
+/// The hole values and the evaluator of counterexample traces, as
+/// bitvectors of capacity `N`.
+struct Encoder<'l, const N: usize> {
+    hole_bvs: Vec<Bv<N>>,
+    /// Evaluates each counterexample trace from where its projection
+    /// leaves the previous one's.
+    trace_eval: SymEval<'l, N>,
+}
+
+/// An [`Encoder`] of either width class. Both make the same circuit
+/// calls in the same order, so the circuit, the clauses and every
+/// search are the same in either.
+enum Encoders<'l> {
+    Narrow(Encoder<'l, NARROW>),
+    Wide(Encoder<'l, WIDE>),
+}
+
+/// Evaluates `$body` with `$e` bound to the encoder in `$encoders`,
+/// whichever its class.
+macro_rules! with_encoder {
+    ($encoders:expr, $e:ident => $body:expr) => {
+        match $encoders {
+            Encoders::Narrow($e) => $body,
+            Encoders::Wide($e) => $body,
+        }
+    };
 }
 
 impl<'l> Synthesizer<'l> {
@@ -125,59 +152,35 @@ impl<'l> Synthesizer<'l> {
     /// asserts domain bounds and the sketch's static validity
     /// constraints (e.g. reorder permutation-ness).
     pub fn new(l: &'l Lowered) -> Synthesizer<'l> {
+        Synthesizer::with_class(l, is_narrow(l.config.int_width as usize))
+    }
+
+    /// [`Synthesizer::new`] with bitvectors of the narrow class or the
+    /// wide one. Tests force the wide class on a narrow sketch.
+    fn with_class(l: &'l Lowered, narrow: bool) -> Synthesizer<'l> {
         let t0 = Instant::now();
         let mut circuit = Circuit::new();
         let mut solver = Solver::new();
-        let w = l.config.int_width as usize;
-        let nholes = l.holes.num_holes();
-        let mut hole_bvs = Vec::with_capacity(nholes);
-        let mut hole_vars = Vec::with_capacity(nholes);
-        for h in 0..nholes {
-            let domain = l.holes.domain(h as HoleId);
-            let nbits = (64 - (domain - 1).leading_zeros()).max(1) as usize;
-            let nbits = nbits.min(w);
-            let mut vars = Vec::with_capacity(nbits);
-            let bv = Bv::from_fn(w, |k| {
-                if k < nbits {
-                    let b = circuit.input();
-                    vars.push(solver.new_var());
-                    b
-                } else {
-                    circuit.constant(false)
-                }
-            });
-            // Domain bound when not a power of two.
-            if domain != (1u64 << nbits.min(63)) {
-                let dom = Bv::constant(&mut circuit, domain as i64, w);
-                let inb = Bv::ult(&mut circuit, &bv, &dom);
-                circuit.assert_true(inb, &mut solver);
-            }
-            hole_bvs.push(bv);
-            hole_vars.push(vars);
-        }
-        let trace_eval = SymEval::new(&mut circuit, l, &hole_bvs, &HashMap::new());
-        let mut s = Synthesizer {
+        let (encoder, hole_vars) = if narrow {
+            let (e, vars) = Encoder::new(l, &mut circuit, &mut solver);
+            (Encoders::Narrow(e), vars)
+        } else {
+            let (e, vars) = Encoder::new(l, &mut circuit, &mut solver);
+            (Encoders::Wide(e), vars)
+        };
+        let stats = SynthStats {
+            encode_time: t0.elapsed(),
+            nodes: circuit.len(),
+            ..SynthStats::default()
+        };
+        Synthesizer {
             l,
             circuit,
             solver,
-            hole_bvs,
             hole_vars,
-            trace_eval,
-            stats: SynthStats::default(),
-        };
-        // Force-encode the hole bits so decoding can read them, and
-        // tie each input node to its reserved variable.
-        s.bind_hole_bits();
-        // Static constraints from desugaring.
-        let constraints: Vec<Expr> = s.l.holes.constraints().to_vec();
-        for cexpr in &constraints {
-            let v = s.eval_constraint(cexpr);
-            let node = v.nonzero(&mut s.circuit);
-            s.circuit.assert_true(node, &mut s.solver);
+            encoder,
+            stats,
         }
-        s.stats.encode_time += t0.elapsed();
-        s.stats.nodes = s.circuit.len();
-        s
     }
 
     /// The lowered program under synthesis.
@@ -210,97 +213,6 @@ impl<'l> Synthesizer<'l> {
         &self.circuit
     }
 
-    fn bind_hole_bits(&mut self) {
-        // The circuit allocates Tseitin vars lazily; we reserved
-        // solver vars for the hole bits up front so the mapping is
-        // stable. Encode each input node and link it to the reserved
-        // var by equivalence clauses.
-        for h in 0..self.hole_bvs.len() {
-            let bv = self.hole_bvs[h];
-            for (k, &bit) in bv.bits().iter().enumerate() {
-                if bit.as_const().is_some() {
-                    continue;
-                }
-                let lit = self.circuit.lit(bit, &mut self.solver);
-                let reserved = self.hole_vars[h][k];
-                let rl = psketch_sat::Lit::pos(reserved);
-                self.solver.add_clause([!lit, rl]);
-                self.solver.add_clause([lit, !rl]);
-            }
-        }
-    }
-
-    /// Evaluates a static constraint expression over hole bits.
-    fn eval_constraint(&mut self, e: &Expr) -> Bv {
-        let w = self.l.config.int_width as usize;
-        let c = &mut self.circuit;
-        match e {
-            Expr::HoleRef(h, _, _) => self.hole_bvs[*h as usize],
-            Expr::Int(v, _) => Bv::constant(c, *v, w),
-            Expr::Bool(b, _) => Bv::constant(c, i64::from(*b), w),
-            Expr::Unary(UnOp::Not, a, _) => {
-                let av = self.eval_constraint(a);
-                let nz = av.nonzero(&mut self.circuit);
-                Bv::from_bool(&mut self.circuit, nz.not(), w)
-            }
-            Expr::Unary(UnOp::Neg, a, _) => {
-                let av = self.eval_constraint(a);
-                Bv::neg(&mut self.circuit, &av)
-            }
-            Expr::Binary(op, a, b, _) => {
-                let x = self.eval_constraint(a);
-                let y = self.eval_constraint(b);
-                let c = &mut self.circuit;
-                let as_bool = |c: &mut Circuit, n: NodeRef| Bv::from_bool(c, n, w);
-                match op {
-                    BinOp::Add => Bv::add(c, &x, &y),
-                    BinOp::Sub => Bv::sub(c, &x, &y),
-                    BinOp::Mul => Bv::mul(c, &x, &y),
-                    BinOp::Eq => {
-                        let n = Bv::eq(c, &x, &y);
-                        as_bool(c, n)
-                    }
-                    BinOp::Ne => {
-                        let n = Bv::eq(c, &x, &y).not();
-                        as_bool(c, n)
-                    }
-                    BinOp::Lt => {
-                        let n = Bv::slt(c, &x, &y);
-                        as_bool(c, n)
-                    }
-                    BinOp::Le => {
-                        let n = Bv::sle(c, &x, &y);
-                        as_bool(c, n)
-                    }
-                    BinOp::Gt => {
-                        let n = Bv::slt(c, &y, &x);
-                        as_bool(c, n)
-                    }
-                    BinOp::Ge => {
-                        let n = Bv::sle(c, &y, &x);
-                        as_bool(c, n)
-                    }
-                    BinOp::And => {
-                        let nx = x.nonzero(c);
-                        let ny = y.nonzero(c);
-                        let n = c.and(nx, ny);
-                        as_bool(c, n)
-                    }
-                    BinOp::Or => {
-                        let nx = x.nonzero(c);
-                        let ny = y.nonzero(c);
-                        let n = c.or(nx, ny);
-                        as_bool(c, n)
-                    }
-                    BinOp::Div | BinOp::Mod => {
-                        unreachable!("desugaring adds only `!=` between two hole refs")
-                    }
-                }
-            }
-            other => unreachable!("desugaring adds only `!=` between two hole refs: {other:?}"),
-        }
-    }
-
     /// Adds a counterexample-trace observation (concurrent CEGIS).
     ///
     /// The projected order is evaluated from its common prefix with
@@ -308,22 +220,24 @@ impl<'l> Synthesizer<'l> {
     /// fresh evaluation would build.
     pub fn add_trace(&mut self, cex: &CexTrace) -> Observation {
         let before = self.sizes();
-        let (reads, hits) = self.trace_eval.field_reads();
         let order = project(self.l, cex);
         let deadlock: BTreeSet<_> = cex.deadlock.iter().copied().collect();
         let deadlock_at = trace_end_position(&order, cex);
-        let resumed = self
-            .trace_eval
-            .resume(&mut self.circuit, &order, &deadlock, deadlock_at);
-        let fail = self.trace_eval.fail();
+        let (fail, resumed, (reads, hits)) = with_encoder!(&mut self.encoder, e => {
+            let (reads, hits) = e.trace_eval.field_reads();
+            let resumed = e
+                .trace_eval
+                .resume(&mut self.circuit, &order, &deadlock, deadlock_at);
+            let (all_reads, all_hits) = e.trace_eval.field_reads();
+            (e.trace_eval.fail(), resumed, (all_reads - reads, all_hits - hits))
+        });
         let evaluated = Instant::now();
         self.circuit.assert_true(fail.not(), &mut self.solver);
-        let (all_reads, all_hits) = self.trace_eval.field_reads();
         Observation {
             traced_steps: cex.steps.len(),
             trace_end: deadlock_at,
-            field_reads: all_reads - reads,
-            field_read_hits: all_hits - hits,
+            field_reads: reads,
+            field_read_hits: hits,
             ..self.observed(before, evaluated, order.len(), resumed)
         }
     }
@@ -333,26 +247,34 @@ impl<'l> Synthesizer<'l> {
     pub fn add_input(&mut self, values: &[i64]) -> Observation {
         let before = self.sizes();
         let w = self.l.config.int_width as usize;
-        let mut inputs = HashMap::new();
-        let mut vi = 0;
-        for (ix, g) in self.l.globals.iter().enumerate() {
-            if g.is_input {
-                let v = values.get(vi).copied().unwrap_or(0);
-                inputs.insert(ix, Bv::constant(&mut self.circuit, v, w));
-                vi += 1;
-            }
-        }
         let order = sequential_order(self.l);
-        let mut ev = SymEval::new(&mut self.circuit, self.l, &self.hole_bvs, &inputs);
-        ev.resume(&mut self.circuit, &order, &BTreeSet::new(), order.len());
+        let (fail, (field_reads, field_read_hits)) = with_encoder!(&self.encoder, e => {
+            let mut inputs = HashMap::new();
+            let mut vi = 0;
+            for (ix, g) in self.l.globals.iter().enumerate() {
+                if g.is_input {
+                    let v = values.get(vi).copied().unwrap_or(0);
+                    inputs.insert(ix, Bv::constant(&mut self.circuit, v, w));
+                    vi += 1;
+                }
+            }
+            let mut ev = SymEval::new(&mut self.circuit, self.l, &e.hole_bvs, &inputs);
+            ev.resume(&mut self.circuit, &order, &BTreeSet::new(), order.len());
+            (ev.fail(), ev.field_reads())
+        });
         let evaluated = Instant::now();
-        self.circuit.assert_true(ev.fail().not(), &mut self.solver);
-        let (field_reads, field_read_hits) = ev.field_reads();
+        self.circuit.assert_true(fail.not(), &mut self.solver);
         Observation {
             field_reads,
             field_read_hits,
             ..self.observed(before, evaluated, order.len(), 0)
         }
+    }
+
+    /// Heap bytes the symbolic state has in use: the trace evaluator's
+    /// ([`SymEval::heap_bytes`]).
+    pub fn symbolic_bytes(&self) -> usize {
+        with_encoder!(&self.encoder, e => e.trace_eval.heap_bytes())
     }
 
     /// When an observation starts, and the sizes it will grow.
@@ -455,17 +377,164 @@ impl<'l> Synthesizer<'l> {
     }
 }
 
+impl<'l, const N: usize> Encoder<'l, N> {
+    /// Allocates the hole bits and asserts their domain bounds, binds
+    /// each bit to its reserved variable, and asserts the sketch's
+    /// static constraints. Returns the encoder and each hole's
+    /// variables.
+    fn new(
+        l: &'l Lowered,
+        circuit: &mut Circuit,
+        solver: &mut Solver,
+    ) -> (Encoder<'l, N>, Vec<Vec<Var>>) {
+        let w = l.config.int_width as usize;
+        let nholes = l.holes.num_holes();
+        let mut hole_bvs = Vec::with_capacity(nholes);
+        let mut hole_vars = Vec::with_capacity(nholes);
+        for h in 0..nholes {
+            let domain = l.holes.domain(h as HoleId);
+            let nbits = (64 - (domain - 1).leading_zeros()).max(1) as usize;
+            let nbits = nbits.min(w);
+            let mut vars = Vec::with_capacity(nbits);
+            let bv = Bv::from_fn(w, |k| {
+                if k < nbits {
+                    let b = circuit.input();
+                    vars.push(solver.new_var());
+                    b
+                } else {
+                    circuit.constant(false)
+                }
+            });
+            // Domain bound when not a power of two.
+            if domain != (1u64 << nbits.min(63)) {
+                let dom = Bv::constant(circuit, domain as i64, w);
+                let inb = Bv::ult(circuit, &bv, &dom);
+                circuit.assert_true(inb, solver);
+            }
+            hole_bvs.push(bv);
+            hole_vars.push(vars);
+        }
+        let trace_eval = SymEval::new(circuit, l, &hole_bvs, &HashMap::new());
+        let e = Encoder {
+            hole_bvs,
+            trace_eval,
+        };
+        // Force-encode the hole bits so decoding can read them, and
+        // tie each input node to its reserved variable.
+        e.bind_hole_bits(circuit, solver, &hole_vars);
+        // Static constraints from desugaring.
+        for cexpr in l.holes.constraints() {
+            let v = e.eval_constraint(circuit, w, cexpr);
+            let node = v.nonzero(circuit);
+            circuit.assert_true(node, solver);
+        }
+        (e, hole_vars)
+    }
+
+    fn bind_hole_bits(&self, circuit: &mut Circuit, solver: &mut Solver, hole_vars: &[Vec<Var>]) {
+        // The circuit allocates Tseitin vars lazily; we reserved
+        // solver vars for the hole bits up front so the mapping is
+        // stable. Encode each input node and link it to the reserved
+        // var by equivalence clauses.
+        for (bv, vars) in self.hole_bvs.iter().zip(hole_vars) {
+            for (k, &bit) in bv.bits().iter().enumerate() {
+                if bit.as_const().is_some() {
+                    continue;
+                }
+                let lit = circuit.lit(bit, solver);
+                let rl = psketch_sat::Lit::pos(vars[k]);
+                solver.add_clause([!lit, rl]);
+                solver.add_clause([lit, !rl]);
+            }
+        }
+    }
+
+    /// Evaluates a static constraint expression over hole bits.
+    fn eval_constraint(&self, c: &mut Circuit, w: usize, e: &Expr) -> Bv<N> {
+        match e {
+            Expr::HoleRef(h, _, _) => self.hole_bvs[*h as usize],
+            Expr::Int(v, _) => Bv::constant(c, *v, w),
+            Expr::Bool(b, _) => Bv::constant(c, i64::from(*b), w),
+            Expr::Unary(UnOp::Not, a, _) => {
+                let av = self.eval_constraint(c, w, a);
+                let nz = av.nonzero(c);
+                Bv::from_bool(c, nz.not(), w)
+            }
+            Expr::Unary(UnOp::Neg, a, _) => {
+                let av = self.eval_constraint(c, w, a);
+                Bv::neg(c, &av)
+            }
+            Expr::Binary(op, a, b, _) => {
+                let x = self.eval_constraint(c, w, a);
+                let y = self.eval_constraint(c, w, b);
+                let as_bool = |c: &mut Circuit, n: NodeRef| Bv::from_bool(c, n, w);
+                match op {
+                    BinOp::Add => Bv::add(c, &x, &y),
+                    BinOp::Sub => Bv::sub(c, &x, &y),
+                    BinOp::Mul => Bv::mul(c, &x, &y),
+                    BinOp::Eq => {
+                        let n = Bv::eq(c, &x, &y);
+                        as_bool(c, n)
+                    }
+                    BinOp::Ne => {
+                        let n = Bv::eq(c, &x, &y).not();
+                        as_bool(c, n)
+                    }
+                    BinOp::Lt => {
+                        let n = Bv::slt(c, &x, &y);
+                        as_bool(c, n)
+                    }
+                    BinOp::Le => {
+                        let n = Bv::sle(c, &x, &y);
+                        as_bool(c, n)
+                    }
+                    BinOp::Gt => {
+                        let n = Bv::slt(c, &y, &x);
+                        as_bool(c, n)
+                    }
+                    BinOp::Ge => {
+                        let n = Bv::sle(c, &y, &x);
+                        as_bool(c, n)
+                    }
+                    BinOp::And => {
+                        let nx = x.nonzero(c);
+                        let ny = y.nonzero(c);
+                        let n = c.and(nx, ny);
+                        as_bool(c, n)
+                    }
+                    BinOp::Or => {
+                        let nx = x.nonzero(c);
+                        let ny = y.nonzero(c);
+                        let n = c.or(nx, ny);
+                        as_bool(c, n)
+                    }
+                    BinOp::Div | BinOp::Mod => {
+                        unreachable!("desugaring adds only `!=` between two hole refs")
+                    }
+                }
+            }
+            other => unreachable!("desugaring adds only `!=` between two hole refs: {other:?}"),
+        }
+    }
+}
+
 /// Soundness probe: does the projection of `cex` reproduce its failure
 /// under the candidate that generated it? CEGIS progress relies on
 /// this — a trace that does not refute its own candidate would make
 /// the loop propose that candidate forever. Used by tests and
 /// debugging tools.
 pub fn trace_reproduces(l: &Lowered, cex: &CexTrace, candidate: &Assignment) -> bool {
-    let w = l.config.int_width as usize;
+    if is_narrow(l.config.int_width as usize) {
+        reproduces::<NARROW>(l, cex, candidate)
+    } else {
+        reproduces::<WIDE>(l, cex, candidate)
+    }
+}
+
+/// [`trace_reproduces`] with bitvectors of capacity `N`.
+fn reproduces<const N: usize>(l: &Lowered, cex: &CexTrace, candidate: &Assignment) -> bool {
     let mut circuit = Circuit::new();
-    let holes: Vec<Bv> = (0..l.holes.num_holes())
-        .map(|h| Bv::constant(&mut circuit, candidate.value(h as HoleId) as i64, w))
-        .collect();
+    let holes: Vec<Bv<N>> = constant_holes(&mut circuit, l, candidate);
     let order = crate::project::project(l, cex);
     let deadlock: BTreeSet<_> = cex.deadlock.iter().copied().collect();
     let deadlock_at = trace_end_position(&order, cex);
@@ -476,6 +545,18 @@ pub fn trace_reproduces(l: &Lowered, cex: &CexTrace, candidate: &Assignment) -> 
         Some(b) => b,
         None => circuit.eval(fail, &HashMap::new()),
     }
+}
+
+/// The candidate's hole values as constant bitvectors.
+fn constant_holes<const N: usize>(
+    circuit: &mut Circuit,
+    l: &Lowered,
+    candidate: &Assignment,
+) -> Vec<Bv<N>> {
+    let w = l.config.int_width as usize;
+    (0..l.holes.num_holes())
+        .map(|h| Bv::constant(circuit, candidate.value(h as HoleId) as i64, w))
+        .collect()
 }
 
 /// Result of an interruptible sequential verification
@@ -510,13 +591,25 @@ pub fn verify_sequential_limits(
     deadline: Option<Instant>,
     cancel: Option<Arc<AtomicBool>>,
 ) -> SeqVerify {
+    if is_narrow(l.config.int_width as usize) {
+        verify_sequential_in::<NARROW>(l, candidate, deadline, cancel)
+    } else {
+        verify_sequential_in::<WIDE>(l, candidate, deadline, cancel)
+    }
+}
+
+/// [`verify_sequential_limits`] with bitvectors of capacity `N`.
+fn verify_sequential_in<const N: usize>(
+    l: &Lowered,
+    candidate: &Assignment,
+    deadline: Option<Instant>,
+    cancel: Option<Arc<AtomicBool>>,
+) -> SeqVerify {
     let w = l.config.int_width as usize;
     let mut circuit = Circuit::new();
     let mut solver = Solver::new();
     solver.set_limits(deadline, cancel);
-    let holes: Vec<Bv> = (0..l.holes.num_holes())
-        .map(|h| Bv::constant(&mut circuit, candidate.value(h as HoleId) as i64, w))
-        .collect();
+    let holes: Vec<Bv<N>> = constant_holes(&mut circuit, l, candidate);
     let mut inputs = HashMap::new();
     let mut input_slots = Vec::new();
     for (ix, g) in l.globals.iter().enumerate() {
@@ -756,6 +849,60 @@ mod tests {
         assert_eq!(seen, vec![0, 1]);
     }
 
+    /// Two workers lock `a` and `b` twice; the holes choose lock
+    /// orders, or which locks are released before they are taken
+    /// again. Wrong candidates deadlock at varying points of projected
+    /// orders that share long prefixes.
+    const LOCK_SKETCH: &str = "struct Lock { int owner = -1; }
+         Lock a; Lock b; int g;
+         void lock(Lock l) { atomic (l.owner == -1) { l.owner = pid(); } }
+         void unlock(Lock l) { l.owner = -1; }
+         harness void main() {
+             a = new Lock(); b = new Lock();
+             fork (i; 2) { BODY }
+             assert g == 4;
+         }";
+
+    const LOCK_BODIES: [&str; 2] = [
+        "if (i == ??(2)) { lock(a); lock(b); } else { lock(b); lock(a); }
+         g = g + 1;
+         if (??(1) == 1) { unlock(a); unlock(b); }
+         if (i == ??(2)) { lock(a); lock(b); } else { lock(b); lock(a); }
+         g = g + 1;
+         unlock(a); unlock(b);",
+        "lock(a); lock(b);
+         g = g + 1;
+         if (??(1) == 1) { unlock(b); }
+         if (??(1) == 1) { unlock(a); }
+         lock(a); lock(b);
+         g = g + 1;
+         unlock(a); unlock(b);",
+    ];
+
+    impl Synthesizer<'_> {
+        /// The `fail` node of the last trace evaluated.
+        fn fail(&self) -> NodeRef {
+            with_encoder!(&self.encoder, e => e.trace_eval.fail())
+        }
+
+        /// Drops the trace evaluation, so the next trace is evaluated
+        /// from the empty prefix.
+        fn evaluate_afresh(&mut self) {
+            with_encoder!(&mut self.encoder, e => {
+                e.trace_eval = SymEval::new(&mut self.circuit, self.l, &e.hole_bvs, &HashMap::new());
+            });
+        }
+    }
+
+    /// Asserts that two synthesizers hold the same circuit, `fail`
+    /// node, variables and clauses.
+    fn assert_same_encoding(a: &Synthesizer, b: &Synthesizer, src: &str) {
+        assert_eq!(a.circuit.len(), b.circuit.len(), "{src}");
+        assert_eq!(a.fail(), b.fail(), "{src}");
+        assert_eq!(a.solver.num_vars(), b.solver.num_vars(), "{src}");
+        assert_eq!(a.solver.stats().clauses, b.solver.stats().clauses, "{src}");
+    }
+
     /// Feeds a sketch's counterexamples to two synthesizers: one
     /// resumes each trace's evaluation from the previous trace's, the
     /// other evaluates every projected order from a fresh evaluator
@@ -764,40 +911,13 @@ mod tests {
     /// same next candidate.
     #[test]
     fn resumed_evaluation_equals_fresh_evaluation() {
-        // Two workers lock `a` and `b` twice; the holes choose lock
-        // orders, or which locks are released before they are taken
-        // again. Wrong candidates deadlock at varying points of
-        // projected orders that share long prefixes.
-        const SKETCH: &str = "struct Lock { int owner = -1; }
-             Lock a; Lock b; int g;
-             void lock(Lock l) { atomic (l.owner == -1) { l.owner = pid(); } }
-             void unlock(Lock l) { l.owner = -1; }
-             harness void main() {
-                 a = new Lock(); b = new Lock();
-                 fork (i; 2) { BODY }
-                 assert g == 4;
-             }";
-        let bodies = [
-            "if (i == ??(2)) { lock(a); lock(b); } else { lock(b); lock(a); }
-             g = g + 1;
-             if (??(1) == 1) { unlock(a); unlock(b); }
-             if (i == ??(2)) { lock(a); lock(b); } else { lock(b); lock(a); }
-             g = g + 1;
-             unlock(a); unlock(b);",
-            "lock(a); lock(b);
-             g = g + 1;
-             if (??(1) == 1) { unlock(b); }
-             if (??(1) == 1) { unlock(a); }
-             lock(a); lock(b);
-             g = g + 1;
-             unlock(a); unlock(b);",
-        ];
         // A first trace; a deadlock re-checked inside the prefix the
         // trace shares with the previous one; one re-checked at or
         // after a non-empty shared prefix.
         let mut cases = [false; 3];
-        for body in bodies {
-            let l = lowered(&SKETCH.replace("BODY", body));
+        for body in LOCK_BODIES {
+            let src = LOCK_SKETCH.replace("BODY", body);
+            let l = lowered(&src);
             let mut resumed = Synthesizer::new(&l);
             let mut fresh = Synthesizer::new(&l);
             loop {
@@ -809,14 +929,9 @@ mod tests {
                     break;
                 };
                 let k = resumed.add_trace(cex).resumed_steps;
-                fresh.trace_eval =
-                    SymEval::new(&mut fresh.circuit, &l, &fresh.hole_bvs, &HashMap::new());
+                fresh.evaluate_afresh();
                 assert_eq!(fresh.add_trace(cex).resumed_steps, 0);
-                assert_eq!(resumed.circuit.len(), fresh.circuit.len(), "{body}");
-                assert_eq!(resumed.trace_eval.fail(), fresh.trace_eval.fail(), "{body}");
-                assert_eq!(resumed.solver.num_vars(), fresh.solver.num_vars(), "{body}");
-                let clauses = |s: &Synthesizer| s.solver.stats().clauses;
-                assert_eq!(clauses(&resumed), clauses(&fresh), "{body}");
+                assert_same_encoding(&resumed, &fresh, body);
                 assert!(!cex.deadlock.is_empty(), "every trace deadlocks");
                 let deadlock_at = trace_end_position(&project(&l, cex), cex);
                 cases[0] |= k == 0;
@@ -825,6 +940,54 @@ mod tests {
             }
         }
         assert_eq!(cases, [true; 3], "first, inside, after the prefix");
+    }
+
+    /// Feeds every counterexample of the lock sketches above, and of a
+    /// heap sketch whose workers read fields through a reference a
+    /// hole picks, to a synthesizer of each width class. After every
+    /// trace both must hold the same circuit, `fail` node, variables
+    /// and clauses, and propose the same next candidate.
+    #[test]
+    fn width_classes_build_the_same_circuit() {
+        const HEAP_SKETCH: &str = "struct Node { int val; Node next; }
+             Node head;
+             harness void main() {
+                 head = new Node(); head.next = new Node(); head.next.val = 5;
+                 fork (i; 2) {
+                     Node p = head;
+                     if (??(1) == 1) { p = p.next; }
+                     if (??(1) == 1) { int t = p.val; p.val = t + 1; }
+                     else { atomic { p.val = p.val + 1; } }
+                 }
+                 assert head.next.val == 7;
+             }";
+        let mut sketches: Vec<String> = LOCK_BODIES
+            .iter()
+            .map(|body| LOCK_SKETCH.replace("BODY", body))
+            .collect();
+        sketches.push(HEAP_SKETCH.to_string());
+        for src in &sketches {
+            let l = lowered(src);
+            let mut narrow = Synthesizer::with_class(&l, true);
+            let mut wide = Synthesizer::with_class(&l, false);
+            assert!(matches!(narrow.encoder, Encoders::Narrow(_)));
+            assert!(matches!(wide.encoder, Encoders::Wide(_)));
+            assert_same_encoding(&narrow, &wide, src);
+            let mut traces = 0;
+            loop {
+                let candidate = narrow.next_candidate();
+                assert_eq!(candidate, wide.next_candidate(), "{src}");
+                let out = check(&l, &candidate.expect("resolvable"));
+                let Some(cex) = out.counterexample() else {
+                    break;
+                };
+                narrow.add_trace(cex);
+                wide.add_trace(cex);
+                assert_same_encoding(&narrow, &wide, src);
+                traces += 1;
+            }
+            assert!(traces > 0, "{src}");
+        }
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Property tests: bitvector circuits against native `i8` reference
 //! arithmetic, over random operand pairs.
 
-use psketch_symbolic::bv::Bv;
+use psketch_symbolic::bv::NARROW;
 use psketch_symbolic::circuit::Circuit;
 use psketch_testutil::cases;
 use std::collections::HashMap;
 
 const W: usize = 8;
+
+type Bv = psketch_symbolic::bv::Bv<NARROW>;
 
 fn eval_bv(c: &Circuit, bv: &Bv, inputs: &HashMap<u32, bool>) -> i64 {
     let mut v: i64 = 0;

@@ -10,7 +10,7 @@
 
 use psketch_exec::check;
 use psketch_ir::{desugar::desugar_program, lower::lower_program, Assignment, Config, Lowered};
-use psketch_symbolic::bv::Bv;
+use psketch_symbolic::bv::{Bv, NARROW};
 use psketch_symbolic::circuit::Circuit;
 use psketch_symbolic::eval::SymEval;
 use psketch_symbolic::project::sequential_order;
@@ -28,7 +28,7 @@ fn lowered(src: &str, cfg: &Config) -> Lowered {
 fn symbolic_fails(l: &Lowered, a: &Assignment) -> bool {
     let w = l.config.int_width as usize;
     let mut c = Circuit::new();
-    let holes: Vec<Bv> = (0..l.holes.num_holes())
+    let holes: Vec<Bv<NARROW>> = (0..l.holes.num_holes())
         .map(|h| Bv::constant(&mut c, a.value(h as u32) as i64, w))
         .collect();
     let order = sequential_order(l);

@@ -9,7 +9,7 @@
 //! * under-approximation: observations never eliminate a candidate
 //!   that the checker accepts.
 
-use psketch_repro::core::{Options, Synthesis};
+use psketch_repro::core::{Config, Options, Synthesis};
 use psketch_repro::exec::check;
 use psketch_repro::ir::{Assignment, HoleTable, Lowered};
 use psketch_repro::symbolic::synth::{trace_reproduces, Synthesizer};
@@ -257,6 +257,60 @@ fn sequential_equivalence_cross_validation() {
     assert_eq!(good[0].value(0), 4);
     let out = synth.run();
     assert_eq!(out.resolution.unwrap().assignment.value(0), 4);
+}
+
+/// Options for an `int` of `int_width` bits.
+fn at_width(int_width: u32) -> Options {
+    Options {
+        config: Config {
+            int_width,
+            ..Config::default()
+        },
+        ..Options::default()
+    }
+}
+
+/// Widths past 16 bits take the synthesizer's wide bitvector class. A
+/// harness sketch at 40 and 62 bits runs the loop, each of its traces
+/// refuting its own candidate (`add_trace`, `trace_reproduces`), and
+/// an `implements` sketch at 32 bits runs `verify_sequential` and
+/// `add_input`.
+#[test]
+fn wide_programs_resolve() {
+    let harness = "int g; harness void main() { g = ??(4) * 100000; assert g == 700000; }";
+    for width in [40, 62] {
+        let s = Synthesis::new(harness, at_width(width)).unwrap();
+        let l = s.lowered();
+        let mut synth = Synthesizer::new(l);
+        let mut traces = 0;
+        let resolved = loop {
+            let cand = synth.next_candidate().expect("resolvable");
+            let Some(cex) = check(l, &cand).counterexample().cloned() else {
+                break cand;
+            };
+            assert!(trace_reproduces(l, &cex, &cand), "width {width}: {cand}");
+            synth.add_trace(&cex);
+            traces += 1;
+        };
+        assert_eq!(resolved.value(0), 7, "width {width}");
+        assert!(traces > 0, "width {width}");
+        let out = s.run();
+        let source = out.resolution.expect("resolves").source;
+        assert!(source.contains("g = 700000;"), "width {width}:\n{source}");
+    }
+    let seq = "int s(int x) { return x * 4; }
+               int f(int x) implements s { return x * ??(3); }";
+    let s = Synthesis::new(seq, at_width(32)).unwrap();
+    let l = s.lowered();
+    assert!(
+        psketch_repro::symbolic::verify_sequential(l, &Assignment::from_values(vec![4])).is_none()
+    );
+    let cex = psketch_repro::symbolic::verify_sequential(l, &Assignment::from_values(vec![3]));
+    let x = cex.expect("x * 3 differs from x * 4")[0];
+    assert_ne!((x * 3) as i32, (x * 4) as i32, "{x} is no counterexample");
+    let out = s.run();
+    assert!(out.stats.iterations >= 2, "an input was observed");
+    assert_eq!(out.resolution.expect("resolves").assignment.value(0), 4);
 }
 
 #[test]

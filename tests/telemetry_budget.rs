@@ -49,6 +49,9 @@ fn run_report_json_round_trips() {
         "sat_propagations",
         "sat_conflicts",
         "sat_restarts",
+        "symbolic_bytes",
+        "prescreen_secs",
+        "check_secs",
         "records",
     ] {
         assert!(v.get(key).is_some(), "missing key '{key}'");
@@ -196,6 +199,8 @@ fn pretty_report_covers_new_fields() {
         "restarts",
         "watches",
         "circuit",
+        "symbolic",
+        "prescreen",
     ] {
         assert!(pretty.contains(needle), "missing '{needle}' in:\n{pretty}");
     }
