@@ -248,6 +248,17 @@ impl Synthesis {
         &self.mode
     }
 
+    /// The program `a` resolves the sketch to, printed: holes
+    /// substituted, then constants folded at the run's int width, as
+    /// the lowered program computes them.
+    pub fn resolution_source(&self, a: &Assignment) -> String {
+        let resolved = resolve::resolve_program(&self.sketch, a);
+        psketch_lang::pretty::print_program(&resolve::simplify_program(
+            resolved,
+            &self.lowered.config,
+        ))
+    }
+
     /// |C| for this sketch (Table 1).
     pub fn candidate_space(&self) -> u128 {
         self.lowered.holes.candidate_space()
@@ -400,12 +411,11 @@ impl Synthesis {
                     VerifyResult::Trace(cex) => (Some(cex.failure.kind), cex.schedule.len()),
                     _ => (None, 0),
                 };
-                let (verdict, observed) = match result {
+                let (verdict, observation) = match result {
                     VerifyResult::Correct => {
-                        let resolved = resolve::resolve_program(&self.sketch, &candidate);
                         resolution = Some(Resolution {
+                            source: self.resolution_source(&candidate),
                             assignment: candidate,
-                            source: psketch_lang::pretty::print_program(&resolved),
                         });
                         ("correct".to_string(), Observation::default())
                     }
@@ -423,18 +433,7 @@ impl Synthesis {
                     trace_set,
                     s_solve_secs: s_solve.as_secs_f64(),
                     v_solve_secs: v_solve.as_secs_f64(),
-                    s_model_secs: observed.encode_time.as_secs_f64(),
-                    s_model_eval_secs: observed.eval_time.as_secs_f64(),
-                    s_model_encode_secs: observed.tseitin_time.as_secs_f64(),
-                    projected_steps: observed.projected_steps,
-                    resumed_steps: observed.resumed_steps,
-                    new_nodes: observed.new_nodes,
-                    new_vars: observed.new_vars,
-                    new_clauses: observed.new_clauses,
-                    field_reads: observed.field_reads,
-                    field_read_hits: observed.field_read_hits,
-                    traced_steps: observed.traced_steps,
-                    trace_end: observed.trace_end,
+                    observation,
                     failure,
                     schedule_len,
                     sat_vars,
@@ -650,11 +649,10 @@ impl Synthesis {
             };
             match self.verify_once(&candidate, &self.base_limits(), None).0 {
                 VerifyResult::Correct => {
-                    let resolved = resolve::resolve_program(&self.sketch, &candidate);
                     synth.block(&candidate);
                     found.push(Resolution {
+                        source: self.resolution_source(&candidate),
                         assignment: candidate,
-                        source: psketch_lang::pretty::print_program(&resolved),
                     });
                 }
                 VerifyResult::Trace(cex) => {
@@ -673,7 +671,7 @@ impl Synthesis {
     /// (e.g. just `Enqueue`, like the paper's Figure 2).
     pub fn resolve_function(&self, name: &str, a: &Assignment) -> Option<String> {
         let f = self.sketch.function(name)?;
-        let resolved = resolve::resolve_fn(f, a);
+        let resolved = resolve::simplify_fn(resolve::resolve_fn(f, a), &self.lowered.config);
         let mut out = String::new();
         psketch_lang::pretty::print_fn(&mut out, &resolved);
         Some(out)

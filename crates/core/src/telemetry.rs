@@ -18,6 +18,7 @@
 
 use psketch_exec::{CheckStats, CompiledProgram, FailureKind};
 use psketch_sat::{HeapBytes, SolverStats};
+use psketch_symbolic::Observation;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -275,39 +276,13 @@ pub struct IterationRecord {
     pub s_solve_secs: f64,
     /// Wall time of this candidate's verification call, seconds.
     pub v_solve_secs: f64,
-    /// Time spent encoding the observation this candidate fed back to
-    /// the synthesizer, seconds. This and the next eleven are 0 when
-    /// it fed none (a correct candidate, or an unknown verdict).
-    pub s_model_secs: f64,
-    /// The part of `s_model_secs` spent projecting the trace and
-    /// evaluating it symbolically, seconds.
-    pub s_model_eval_secs: f64,
-    /// The part of `s_model_secs` spent Tseitin-encoding the
-    /// observation's `¬fail` into the solver, seconds.
-    pub s_model_encode_secs: f64,
-    /// Steps in that observation's projected order.
-    pub projected_steps: usize,
-    /// Leading steps of that order resumed from the previous trace's
-    /// symbolic evaluation instead of evaluated again.
-    pub resumed_steps: usize,
-    /// Circuit nodes the observation added.
-    pub new_nodes: usize,
-    /// Solver variables the observation added: the next record's
-    /// `sat_vars` less this record's.
-    pub new_vars: usize,
-    /// Problem clauses the observation added to the solver.
-    pub new_clauses: u64,
-    /// Field reads of the observation's symbolic evaluation.
-    pub field_reads: usize,
-    /// Those field reads that took the value a read of the same field
-    /// through the same reference had built, the pool unchanged since.
-    pub field_read_hits: usize,
-    /// Steps its counterexample trace executed (0 for an input).
-    pub traced_steps: usize,
-    /// Position in the projected order just past the trace's last
-    /// traced step (0 for an input), at most `projected_steps`: the
-    /// steps from here on only add failure disjuncts.
-    pub trace_end: usize,
+    /// The observation this candidate fed back to the synthesizer:
+    /// what encoding it cost and added. All zero when it fed none (a
+    /// correct candidate, or an unknown verdict). The report writes its
+    /// times as `s_model_secs` (`encode_time`), `s_model_eval_secs`
+    /// (`eval_time`) and `s_model_encode_secs` (`tseitin_time`), and
+    /// its counts under their own names.
+    pub observation: Observation,
     /// What went wrong in the counterexample trace this candidate fed
     /// back, `None` when it fed none.
     pub failure: Option<FailureKind>,
@@ -334,8 +309,16 @@ impl IterationRecord {
         let mut out = Vec::from(nums!("", self; iteration, trace_set));
         out.push(("candidate".to_string(), Json::u64_array(&self.candidate)));
         out.push(("verdict".to_string(), Json::Str(self.verdict.clone())));
-        out.extend(nums!("", self;
-            s_solve_secs, v_solve_secs, s_model_secs, s_model_eval_secs, s_model_encode_secs,
+        out.extend(nums!("", self; s_solve_secs, v_solve_secs));
+        let o = &self.observation;
+        for (key, d) in [
+            ("s_model_secs", o.encode_time),
+            ("s_model_eval_secs", o.eval_time),
+            ("s_model_encode_secs", o.tseitin_time),
+        ] {
+            out.push((key.to_string(), Json::Num(d.as_secs_f64())));
+        }
+        out.extend(nums!("", o;
             projected_steps, resumed_steps, new_nodes, new_vars, new_clauses, field_reads,
             field_read_hits, traced_steps, trace_end));
         out.push((
@@ -1073,17 +1056,18 @@ mod tests {
             .expect("the first candidate deadlocks");
         assert!(!cex.schedule.is_empty());
         assert_eq!(first.schedule_len, cex.schedule.len());
-        assert_eq!(first.traced_steps, cex.steps.len());
+        let seen = &first.observation;
+        assert_eq!(seen.traced_steps, cex.steps.len());
         let order = psketch_symbolic::project(synthesis.lowered(), &cex);
-        assert_eq!(first.projected_steps, order.len());
+        assert_eq!(seen.projected_steps, order.len());
         assert_eq!(
-            first.trace_end,
-            psketch_symbolic::project::trace_end_position(&order, &cex)
+            seen.trace_end,
+            psketch_symbolic::project::trace_end_position(synthesis.lowered(), &order, &cex)
         );
-        assert!(0 < first.trace_end && first.trace_end <= first.projected_steps);
+        assert!(0 < seen.trace_end && seen.trace_end <= seen.projected_steps);
         let last = report.records.last().unwrap();
         assert_eq!((last.failure, last.schedule_len), (None, 0));
-        assert_eq!((last.traced_steps, last.trace_end), (0, 0));
+        assert_eq!(last.observation, Observation::default());
         let run = Json::parse(&report.to_json()).unwrap();
         let records = run.get("records").and_then(Json::as_arr).unwrap();
         assert_eq!(
@@ -1100,10 +1084,7 @@ mod tests {
             count(&records[0], "traced_steps"),
             Some(cex.steps.len() as f64)
         );
-        assert_eq!(
-            count(&records[0], "trace_end"),
-            Some(first.trace_end as f64)
-        );
+        assert_eq!(count(&records[0], "trace_end"), Some(seen.trace_end as f64));
         assert_eq!(count(records.last().unwrap(), "trace_end"), Some(0.0));
     }
 

@@ -73,9 +73,10 @@ pub struct SearchLimits {
     pub cancel: Option<Arc<AtomicBool>>,
     /// Ample-set partial-order reduction (on by default): expand only
     /// a provably sufficient subset of the enabled workers per state
-    /// (see [`crate::por`]). Verdict-preserving — pass/fail/deadlock
-    /// cannot change — but a failing run may report a different
-    /// (equally real) counterexample, and fewer states are explored.
+    /// (the crate's `por` module). Verdict-preserving —
+    /// pass/fail/deadlock cannot change — but a failing run may report
+    /// a different (equally real) counterexample, and fewer states are
+    /// explored.
     pub por: bool,
     /// Unused: the checker has no symmetry reduction. Kept so existing
     /// struct literals that name the field still compile.
@@ -316,7 +317,8 @@ fn replay_to_end(ck: &Checker<'_>, schedule: &[usize]) -> (Option<CexTrace>, Sta
 /// A failure where no worker is enabled (see [`Checker::terminal`]).
 pub(crate) struct Stuck {
     failure: Failure,
-    /// The blocked workers' positions (empty when the epilogue failed).
+    /// The blocked workers' positions, or the epilogue's blocked step
+    /// (empty when the epilogue failed otherwise).
     deadlock: Vec<(ThreadId, usize)>,
 }
 
@@ -405,6 +407,12 @@ impl<'a> Checker<'a> {
     /// atomic-section ends and liveness off the program's threads —
     /// construction copies no table and builds none.
     pub(crate) fn from_compiled(cp: &'a CompiledProgram<'a>) -> Checker<'a> {
+        // Lowering allows at most 16 workers; the enabled and active
+        // sets are one `u64` bit each.
+        assert!(
+            cp.program().workers.len() <= 64,
+            "worker sets are 64-bit masks"
+        );
         Checker {
             l: cp.program(),
             cp,
@@ -595,8 +603,8 @@ impl<'a> Checker<'a> {
             Ok(()) => Ok(steps),
             Err(failure) => Err(CexTrace {
                 steps,
+                deadlock: failure.sequential_deadlock(),
                 failure,
-                deadlock: vec![],
                 schedule: vec![],
             }),
         };
@@ -626,8 +634,8 @@ impl<'a> Checker<'a> {
             .run_seq(self.l.epilogue_tid(), &self.l.epilogue, buf, j, steps)
             .err()?;
         Some(Stuck {
+            deadlock: failure.sequential_deadlock(),
             failure,
-            deadlock: vec![],
         })
     }
 
@@ -642,9 +650,9 @@ impl<'a> Checker<'a> {
     /// Applies partial-order reduction at the current state: the
     /// ample subset of `enabled` to expand, or `None` when no proper
     /// ample set exists (full expansion). The caller guarantees at
-    /// most 64 workers and at least two enabled bits, and owns
-    /// `masks`, the scratch of [`PorTable::ample`]. Deterministic in
-    /// the state, so every engine reduces to the same state graph.
+    /// least two enabled bits, and owns `masks`, the scratch of
+    /// [`PorTable::ample`]. Deterministic in the state, so every
+    /// engine reduces to the same state graph.
     pub(crate) fn ample(
         &self,
         buf: &StateBuf,
@@ -666,11 +674,10 @@ impl<'a> Checker<'a> {
 
     /// The POR table a search under `limits` reduces with, built on
     /// first use: `None` when reduction is off or cannot apply (it
-    /// needs at least two workers to ever trim anything, and the
-    /// enabled bitmask caps it at 64), so such searches never pay the
-    /// footprint pass.
+    /// needs at least two workers to ever trim anything), so such
+    /// searches never pay the footprint pass.
     pub(crate) fn por_table(&self, limits: &SearchLimits) -> Option<&'a PorTable> {
-        if limits.por && (2..=64).contains(&self.nworkers()) {
+        if limits.por && self.nworkers() >= 2 {
             self.cp.por_table()
         } else {
             None
@@ -937,8 +944,7 @@ impl<'a> Checker<'a> {
             /// Bit `w` = worker `w` was enabled when the frame was
             /// entered. Valid for the whole frame: choices are only
             /// tried with `buf` holding the frame's state, so
-            /// enabledness cannot drift. Workers past 64 (never seen
-            /// in practice) fall back to re-evaluating.
+            /// enabledness cannot drift.
             enabled: u64,
             /// Fingerprint accumulator of the *parent* state, restored
             /// on pop (the incremental fingerprinting state).
@@ -1010,13 +1016,12 @@ impl<'a> Checker<'a> {
             // handle terminal states.
             if stack[top_ix].next_choice == 0 {
                 let mut mask = 0u64;
-                for w in 0..nworkers.min(64) {
+                for w in 0..nworkers {
                     if self.enabled(&buf, w) {
                         mask |= 1 << w;
                     }
                 }
-                let any_enabled =
-                    mask != 0 || (nworkers > 64 && (64..nworkers).any(|w| self.enabled(&buf, w)));
+                let any_enabled = mask != 0;
                 // Partial-order reduction: replace the full enabled
                 // set with an ample subset where one exists. Terminal
                 // and deadlock detection (`any_enabled`, computed
@@ -1054,12 +1059,7 @@ impl<'a> Checker<'a> {
             while stack[top_ix].next_choice < nworkers {
                 let w = stack[top_ix].next_choice;
                 stack[top_ix].next_choice += 1;
-                let en = if w < 64 {
-                    stack[top_ix].enabled & (1 << w) != 0
-                } else {
-                    self.enabled(&buf, w)
-                };
-                if !en {
+                if stack[top_ix].enabled & (1 << w) == 0 {
                     continue;
                 }
                 let (mark, start) = (j.mark(), trail.len());
@@ -1113,12 +1113,15 @@ impl<'a> Checker<'a> {
             }
             if !fired {
                 let f = stack.pop().expect("top frame exists");
+                if stack.is_empty() {
+                    // The root: the search is over, and no transition
+                    // created it, so there is nothing to restore.
+                    break;
+                }
                 j.undo_to(f.mark, &mut buf);
                 trail.truncate(f.start);
                 acc = f.prev_acc;
-                if let Some(c) = worker_acc.get_mut(f.fired) {
-                    *c = f.prev_contrib;
-                }
+                worker_acc[f.fired] = f.prev_contrib;
             }
         }
         stats.states = visited.len();

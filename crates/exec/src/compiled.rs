@@ -27,10 +27,9 @@
 //!   jumps, no tree recursion and no hole table on the hot path;
 //! - the POR conflict bitmasks are rebuilt from a *hole-aware
 //!   footprint pass* over the original program
-//!   ([`psketch_ir::thread_footprints_sharpened`]), so fork-indexed
-//!   cells whose index was a hole (directly or through a local)
-//!   resolve to exact locations the static
-//!   [`psketch_ir::FootprintTable`] had to widen —
+//!   ([`psketch_ir::thread_footprints`] with the candidate), so
+//!   fork-indexed cells whose index was a hole (directly or through a
+//!   local) resolve to exact locations the static pass had to widen —
 //!   candidate-sharpened ample sets, never coarser than the static
 //!   ones. The footprint pass and the table are lazy: only a search
 //!   that reduces builds them, so a candidate the prescreen or a
@@ -54,8 +53,8 @@
 use crate::por::PorTable;
 use crate::store::{EvalResult, FailureKind, StateBuf, StateLayout, UndoJournal};
 use psketch_ir::{
-    fold_const_binop, fold_const_unop, thread_footprints_sharpened, Assignment, Footprint, Loc,
-    Lowered, Lv, Op, Rv, Thread,
+    fold_const_binop, fold_const_unop, thread_footprints, Assignment, Footprint, Loc, Lowered, Lv,
+    Op, Rv, Thread,
 };
 use psketch_lang::ast::{BinOp, UnOp};
 use std::mem::size_of;
@@ -971,9 +970,8 @@ fn compile_thread(t: &Thread, l: &Lowered, lay: &StateLayout, holes: &Assignment
 
 /// Candidate-sharpened per-worker footprints (`thread_fps[w]` = worker
 /// `w`, one [`Footprint`] per step) and the POR table derived from
-/// them (`None` outside the 2..=64 worker range POR supports: the mask
-/// words are `u64`). Kept as one unit so the lazy cell forces both
-/// together.
+/// them (`None` with fewer than two workers, where no reduction can
+/// apply). Kept as one unit so the lazy cell forces both together.
 #[derive(Clone)]
 struct FpsPor {
     thread_fps: Vec<Vec<Footprint>>,
@@ -984,12 +982,9 @@ fn fps_por(l: &Lowered, candidate: &Assignment) -> FpsPor {
     let thread_fps: Vec<Vec<Footprint>> = l
         .workers
         .iter()
-        .map(|w| thread_footprints_sharpened(w, &l.config, candidate))
+        .map(|w| thread_footprints(w, &l.config, Some(candidate)))
         .collect();
-    let por = (2..=64).contains(&l.workers.len()).then(|| {
-        let slices: Vec<&[Footprint]> = thread_fps.iter().map(Vec::as_slice).collect();
-        PorTable::from_footprints(l, &slices)
-    });
+    let por = (l.workers.len() >= 2).then(|| PorTable::from_footprints(l, &thread_fps));
     FpsPor { thread_fps, por }
 }
 
@@ -1109,9 +1104,8 @@ impl<'l> CompiledProgram<'l> {
         self.fps_por.get_or_init(|| fps_por(self.l, &self.holes))
     }
 
-    /// The candidate-sharpened POR table (`None` outside the 2..=64
-    /// worker range POR supports), forcing the footprint pass on first
-    /// use.
+    /// The candidate-sharpened POR table (`None` with fewer than two
+    /// workers), forcing the footprint pass on first use.
     pub(crate) fn por_table(&self) -> Option<&PorTable> {
         self.fps_por_forced().por.as_ref()
     }

@@ -6,7 +6,8 @@
 //! independent pair reaches the same states as exploring both. This
 //! module computes, per state, a provably sufficient subset of the
 //! enabled workers — a *persistent set* in Godefroid's sense — from
-//! the static [`FootprintTable`] of the lowered program.
+//! the workers' footprints ([`psketch_ir::thread_footprints`]). These
+//! bitmasks are the one conflict relation any engine uses.
 //!
 //! # The reduction
 //!
@@ -39,7 +40,7 @@
 //! preserved; *traces* are not — a reduced search may report a
 //! different (equally real) interleaving of the same failure.
 
-use psketch_ir::{Footprint, FootprintTable, Loc, Lowered};
+use psketch_ir::{thread_footprints, Footprint, Loc, Lowered};
 
 /// One transition's read/write bit sets.
 #[derive(Clone, Debug, PartialEq)]
@@ -119,19 +120,22 @@ pub(crate) struct PorTable {
 }
 
 impl PorTable {
+    /// The static (candidate-independent) table.
     pub(crate) fn new(l: &Lowered) -> PorTable {
-        let fps = FootprintTable::new(l);
-        let per_worker: Vec<&[Footprint]> =
-            (0..l.workers.len()).map(|w| fps.thread(w + 1)).collect();
-        PorTable::from_footprints(l, &per_worker)
+        let fps: Vec<Vec<Footprint>> = l
+            .workers
+            .iter()
+            .map(|w| thread_footprints(w, &l.config, None))
+            .collect();
+        PorTable::from_footprints(l, &fps)
     }
 
-    /// Builds the table from externally supplied per-worker footprints
-    /// (`fps[w]` holds worker `w`'s step footprints in program order).
-    /// The bit layout depends only on globals and structs, so static
-    /// and candidate-sharpened tables built this way are directly
+    /// Builds the table from per-worker footprints (`fps[w]` holds
+    /// worker `w`'s step footprints in program order). The bit layout
+    /// depends only on globals and structs, so static and
+    /// candidate-sharpened tables built this way are directly
     /// comparable with [`PorTable::refines`].
-    pub(crate) fn from_footprints(l: &Lowered, fps: &[&[Footprint]]) -> PorTable {
+    pub(crate) fn from_footprints(l: &Lowered, fps: &[Vec<Footprint>]) -> PorTable {
         let bits = LocBits::new(l);
         let nwords = bits.nwords();
         let empty = || Mask {
@@ -325,6 +329,37 @@ mod tests {
         let p = psketch_lang::check_program(src).unwrap();
         let (sk, holes) = desugar_program(&p, &cfg).unwrap();
         lower_program(&sk, holes, &cfg).unwrap()
+    }
+
+    #[test]
+    fn loc_bits_overlap_as_the_locations_do() {
+        let l = lowered(
+            "struct E { int a; int b; } struct F { int c; }
+             int[4] g; E e; F f;
+             harness void main() { e = new E(1, 2); f = new F(3); }",
+        );
+        let sid = |name: &str| l.structs.iter().position(|s| s.name == name).unwrap();
+        let (e, f) = (sid("E"), sid("F"));
+        let bits = LocBits::new(&l);
+        let mask = |loc: Loc| {
+            let mut m = vec![0u64; bits.nwords()];
+            bits.set(&loc, &mut m, &l);
+            m
+        };
+        let meet = |a: Loc, b: Loc| mask(a).iter().zip(mask(b)).any(|(x, y)| x & y != 0);
+        let region = |base, len| Loc::GlobalRegion { base, len };
+        assert!(meet(Loc::Global(2), Loc::Global(2)));
+        assert!(!meet(Loc::Global(2), Loc::Global(3)));
+        assert!(meet(Loc::Global(2), region(1, 3)));
+        assert!(!meet(Loc::Global(4), region(1, 3)));
+        assert!(meet(region(1, 3), region(3, 2)));
+        assert!(!meet(region(1, 3), region(4, 2)));
+        let field = |sid, fid| Loc::Field { sid, fid };
+        assert!(meet(field(e, 0), field(e, 0)));
+        assert!(!meet(field(e, 0), field(e, 1)));
+        assert!(meet(Loc::Alloc(e), field(e, 1)));
+        assert!(!meet(Loc::Alloc(f), field(e, 1)));
+        assert!(!meet(field(e, 0), Loc::Global(2)));
     }
 
     #[test]

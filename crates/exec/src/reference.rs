@@ -590,8 +590,8 @@ impl<'a> RefChecker<'a> {
                 return CheckOutcome {
                     verdict: Verdict::Fail(CexTrace {
                         steps,
+                        deadlock: failure.sequential_deadlock(),
                         failure,
-                        deadlock: vec![],
                         schedule: vec![],
                     }),
                     stats,
@@ -701,8 +701,8 @@ impl<'a> RefChecker<'a> {
                                 return CheckOutcome {
                                     verdict: Verdict::Fail(CexTrace {
                                         steps,
+                                        deadlock: failure.sequential_deadlock(),
                                         failure,
-                                        deadlock: vec![],
                                         schedule,
                                     }),
                                     stats: *stats,

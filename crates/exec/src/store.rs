@@ -33,7 +33,8 @@ pub enum FailureKind {
     OutOfBounds,
     /// A struct pool ran out of objects.
     PoolExhausted,
-    /// All unfinished threads were blocked on conditional atomics.
+    /// All unfinished threads were blocked on conditional atomics, or
+    /// one blocked in the prologue or the epilogue.
     Deadlock,
 }
 
@@ -76,6 +77,20 @@ pub struct Failure {
     pub span: Span,
 }
 
+impl Failure {
+    /// The deadlock set of a failure in a sequential phase (the
+    /// prologue or the epilogue): the blocked step itself when a
+    /// conditional atomic blocked there, where no other thread can
+    /// run; empty for every other failure.
+    pub(crate) fn sequential_deadlock(&self) -> Vec<(ThreadId, usize)> {
+        if self.kind == FailureKind::Deadlock {
+            vec![(self.tid, self.step)]
+        } else {
+            Vec::new()
+        }
+    }
+}
+
 impl fmt::Display for Failure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -96,7 +111,8 @@ pub struct CexTrace {
     /// The failure that ended the execution.
     pub failure: Failure,
     /// For deadlocks: the blocked position `(thread, step)` of every
-    /// unfinished thread (the paper's deadlock set `D`).
+    /// unfinished worker (the paper's deadlock set `D`), or the blocked
+    /// step of the prologue or epilogue.
     pub deadlock: Vec<(ThreadId, usize)>,
     /// The transition-level worker schedule that reached the failure:
     /// the 0-based worker index of every `fire` after the prologue and
@@ -268,9 +284,9 @@ impl StateBuf {
 }
 
 /// The undo log: `(offset, old value)` pairs recorded by
-/// [`StateBuf::set`]. Reverting to a [`UndoJournal::mark`] replays the
-/// log backwards, restoring the exact prior state in O(writes since
-/// the mark).
+/// `StateBuf::set`. Reverting to a mark (`UndoJournal::mark`) replays
+/// the log backwards, restoring the exact prior state in O(writes
+/// since the mark).
 #[derive(Default)]
 pub struct UndoJournal {
     entries: Vec<(u32, i64)>,

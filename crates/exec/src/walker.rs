@@ -55,7 +55,7 @@ impl<'a> Walker<'a> {
     /// Does the candidate's POR table classify the *current*
     /// transitions of workers `a` and `b` as independent (may not
     /// conflict)? Always false when the candidate has no table (fewer
-    /// than two or more than 64 workers): no pair is ever reduced.
+    /// than two workers): no pair is ever reduced.
     pub fn independent(&self, a: usize, b: usize) -> bool {
         let Some(por) = self.ck.cp.por_table() else {
             return false;

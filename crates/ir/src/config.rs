@@ -34,8 +34,6 @@ pub struct Config {
     pub pool: usize,
     /// `reorder` encoding.
     pub reorder: ReorderEncoding,
-    /// Cap on the number of strings a single generator may enumerate.
-    pub gen_cap: usize,
     /// Maximum function-inlining depth (recursion guard).
     pub inline_depth: usize,
     /// Partial-order reduction: absorb purely thread-local steps into
@@ -55,7 +53,6 @@ impl Default for Config {
             hole_width: 3,
             pool: 8,
             reorder: ReorderEncoding::Quadratic,
-            gen_cap: 4096,
             inline_depth: 16,
             reduce_local_steps: true,
         }

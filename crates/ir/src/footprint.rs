@@ -1,12 +1,12 @@
 //! Static effect footprints over shared state.
 //!
-//! Every [`Op`]/[`Rv`]/[`Lv`] yields a [`Footprint`]: the set of shared
+//! Every guarded [`Step`] yields a [`Footprint`]: the set of shared
 //! locations it may read and may write, plus synchronization effects.
 //! Footprints are the single definition of "this step interacts with
-//! other threads" — [`Step::new`] derives its `shared` flag from
+//! other threads": [`Step::new`] derives its `shared` flag from
 //! [`Footprint::is_shared`], and the model checker's partial-order
-//! reduction derives its independence relation from
-//! [`Footprint::may_conflict`].
+//! reduction compiles them into per-transition read/write bitmasks,
+//! which are the one conflict relation any engine uses.
 //!
 //! Locations are *abstract*: a dynamic array access whose index cannot
 //! be resolved statically widens to the whole region, a heap field
@@ -16,27 +16,26 @@
 //! always conservative: if two concrete executions can touch the same
 //! cell, their footprints overlap.
 //!
-//! [`FootprintTable`] sharpens the per-step footprints with a forward
-//! constant propagation over each thread's locals. This is what makes
-//! the relation useful on lowered programs: fork instantiation turns
-//! the fork variable into a constant-initialized local
-//! (`l<i> = Const(t)`), so per-thread array accesses like `senses[th]`
-//! only resolve to distinct cells once that constant is propagated
-//! into the index expression. In the *static* table hole values are
-//! never propagated — a footprint must hold for every candidate. The
-//! *candidate-sharpened* table ([`FootprintTable::sharpened`],
-//! [`thread_footprints_sharpened`]) additionally resolves holes
-//! against one fixed [`Assignment`]: hole constants flow through the
-//! same per-local propagation (`int k = ??(2); a[k+i]` resolves to an
-//! exact cell), statically dead guards empty their steps, and branches
-//! an evaluable condition never demands are pruned. Sharpened
-//! footprints are only sound for that one candidate; the partial-order
-//! reduction builds its per-candidate conflict masks from them.
+//! [`thread_footprints`] sharpens the per-step footprints with a
+//! forward constant propagation over each thread's locals. This is
+//! what makes the relation useful on lowered programs: fork
+//! instantiation turns the fork variable into a constant-initialized
+//! local (`l<i> = Const(t)`), so per-thread array accesses like
+//! `senses[th]` only resolve to distinct cells once that constant is
+//! propagated into the index expression. Without an assignment, hole
+//! values are never propagated: a footprint must hold for every
+//! candidate. With one, holes resolve to its values: hole constants
+//! flow through the same per-local propagation (`int k = ??(2);
+//! a[k+i]` resolves to an exact cell), statically dead guards empty
+//! their steps, and branches an evaluable condition never demands are
+//! pruned. Such footprints are only sound for that one candidate; the
+//! partial-order reduction builds its per-candidate conflict masks
+//! from them.
 
 use crate::config::Config;
 use crate::hole::Assignment;
 use crate::lower::{fold_const_binop, fold_const_unop};
-use crate::step::{FieldId, GlobalId, Lowered, Lv, Op, Rv, Step, StructId, Thread, ThreadId};
+use crate::step::{FieldId, GlobalId, Lv, Op, Rv, Step, StructId, Thread};
 use psketch_lang::ast::BinOp;
 
 /// An abstract shared location.
@@ -66,27 +65,7 @@ pub enum Loc {
     Alloc(StructId),
 }
 
-impl Loc {
-    /// Can the two abstract locations name a common concrete cell?
-    pub fn overlaps(&self, other: &Loc) -> bool {
-        match (*self, *other) {
-            (Loc::Global(a), Loc::Global(b)) => a == b,
-            (Loc::Global(a), Loc::GlobalRegion { base, len })
-            | (Loc::GlobalRegion { base, len }, Loc::Global(a)) => base <= a && a < base + len,
-            (Loc::GlobalRegion { base: a, len: al }, Loc::GlobalRegion { base: b, len: bl }) => {
-                a < b + bl && b < a + al
-            }
-            (Loc::Field { sid: a, fid: af }, Loc::Field { sid: b, fid: bf }) => a == b && af == bf,
-            (Loc::Alloc(a), Loc::Alloc(b)) => a == b,
-            (Loc::Alloc(a), Loc::Field { sid, .. }) | (Loc::Field { sid, .. }, Loc::Alloc(a)) => {
-                a == sid
-            }
-            _ => false,
-        }
-    }
-}
-
-/// The static effect footprint of a step, operation or expression.
+/// The static effect footprint of a step.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Footprint {
     /// Shared locations that may be read (including every cell whose
@@ -107,20 +86,6 @@ impl Footprint {
     /// The empty footprint.
     pub fn empty() -> Footprint {
         Footprint::default()
-    }
-
-    /// Footprint of evaluating an r-value (reads only).
-    pub fn of_rv(rv: &Rv) -> Footprint {
-        let mut fp = Footprint::empty();
-        Collector::plain().reads_of(rv, &mut fp);
-        fp
-    }
-
-    /// Footprint of an operation (guard excluded).
-    pub fn of_op(op: &Op) -> Footprint {
-        let mut fp = Footprint::empty();
-        Collector::plain().op_of(op, &mut fp);
-        fp
     }
 
     /// Footprint of a guarded step: the guard's reads plus the
@@ -145,31 +110,6 @@ impl Footprint {
         !self.reads.is_empty() || !self.writes.is_empty() || self.sync
     }
 
-    /// Conservative dependence: true when the two footprints may touch
-    /// a common location with at least one write. Two steps of
-    /// *different* threads with `!a.may_conflict(b)` commute: either
-    /// execution order yields the same state, the same failures and
-    /// the same enabledness (locals are thread-private and guards are
-    /// pure over locals and holes, so only shared locations carry
-    /// cross-thread effects).
-    pub fn may_conflict(&self, other: &Footprint) -> bool {
-        overlaps_any(&self.writes, &other.writes)
-            || overlaps_any(&self.writes, &other.reads)
-            || overlaps_any(&other.writes, &self.reads)
-    }
-
-    /// Unions `other` into `self`.
-    pub fn absorb(&mut self, other: &Footprint) {
-        for l in &other.reads {
-            add_loc(&mut self.reads, *l);
-        }
-        for l in &other.writes {
-            add_loc(&mut self.writes, *l);
-        }
-        self.sync |= other.sync;
-        self.blocking |= other.blocking;
-    }
-
     fn read(&mut self, l: Loc) {
         add_loc(&mut self.reads, l);
     }
@@ -183,10 +123,6 @@ fn add_loc(v: &mut Vec<Loc>, l: Loc) {
     if !v.contains(&l) {
         v.push(l);
     }
-}
-
-fn overlaps_any(a: &[Loc], b: &[Loc]) -> bool {
-    a.iter().any(|x| b.iter().any(|y| x.overlaps(y)))
 }
 
 /// Best-effort static evaluation of a pure expression under a
@@ -433,73 +369,20 @@ impl<'a> Collector<'a> {
     }
 }
 
-/// Per-thread, per-step footprints for a whole lowered program,
-/// sharpened by forward constant propagation over each thread's
-/// locals. Computed once per [`Lowered`]; candidate-independent (hole
-/// values never propagate).
-#[derive(Clone, Debug)]
-pub struct FootprintTable {
-    per_thread: Vec<Vec<Footprint>>,
-}
-
-impl FootprintTable {
-    /// Computes the table for every thread (prologue, workers,
-    /// epilogue).
-    pub fn new(l: &Lowered) -> FootprintTable {
-        let per_thread = (0..l.num_threads())
-            .map(|tid| thread_footprints(l.thread(tid), &l.config))
-            .collect();
-        FootprintTable { per_thread }
-    }
-
-    /// Footprint of step `ix` of thread `tid`.
-    pub fn step(&self, tid: ThreadId, ix: usize) -> &Footprint {
-        &self.per_thread[tid][ix]
-    }
-
-    /// All step footprints of one thread, in program order.
-    pub fn thread(&self, tid: ThreadId) -> &[Footprint] {
-        &self.per_thread[tid]
-    }
-
-    /// Computes the candidate-sharpened table: same analysis as
-    /// [`FootprintTable::new`], but with every hole resolved to its
-    /// value under `holes`, so hole constants propagate through locals
-    /// and statically-settled branches stop contributing reads. Every
-    /// footprint refines the corresponding static one (the analysis
-    /// only gains constants, never loses any).
-    pub fn sharpened(l: &Lowered, holes: &Assignment) -> FootprintTable {
-        let per_thread = (0..l.num_threads())
-            .map(|tid| thread_footprints_sharpened(l.thread(tid), &l.config, holes))
-            .collect();
-        FootprintTable { per_thread }
-    }
-}
-
-/// The constant environment holds, for each local slot, a value the
-/// slot is guaranteed to contain whenever control reaches the current
-/// step — under every schedule and every candidate. Assignments under
-/// non-constant guards merge (keep only an agreeing value); any write
-/// whose value or destination cannot be resolved kills the affected
-/// slots.
-fn thread_footprints(thread: &Thread, config: &Config) -> Vec<Footprint> {
-    thread_footprints_with(thread, config, None)
-}
-
-/// Candidate-sharpened variant of [`thread_footprints`]: holes resolve
-/// to their assigned values, so `int k = ??(2); a[k+i]` sharpens
-/// exactly like a hole written directly in the index. The guarantee
-/// narrows from "every candidate" to "this candidate", which is what
-/// the per-candidate POR tables need.
-pub fn thread_footprints_sharpened(
-    thread: &Thread,
-    config: &Config,
-    holes: &Assignment,
-) -> Vec<Footprint> {
-    thread_footprints_with(thread, config, Some(holes))
-}
-
-fn thread_footprints_with(
+/// The footprint of every step of `thread`, in program order,
+/// sharpened by forward constant propagation over its locals. The
+/// constant environment holds, for each local slot, a value the slot
+/// is guaranteed to contain whenever control reaches the current step
+/// — under every schedule, and under every candidate when `holes` is
+/// `None`. Assignments under non-constant guards merge (keep only an
+/// agreeing value); any write whose value or destination cannot be
+/// resolved kills the affected slots. With `holes`, every hole
+/// resolves to its value, so `int k = ??(2); a[k+i]` sharpens exactly
+/// like a hole written directly in the index, and the guarantee
+/// narrows to that one candidate, which is what the per-candidate POR
+/// tables need. Every such footprint refines the one computed without
+/// `holes`: the analysis only gains constants, never loses any.
+pub fn thread_footprints(
     thread: &Thread,
     config: &Config,
     holes: Option<&Assignment>,
@@ -613,38 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn loc_overlap_rules() {
-        let g2 = Loc::Global(2);
-        let r = Loc::GlobalRegion { base: 1, len: 3 };
-        assert!(g2.overlaps(&g2));
-        assert!(!g2.overlaps(&Loc::Global(3)));
-        assert!(g2.overlaps(&r) && r.overlaps(&g2));
-        assert!(!Loc::Global(4).overlaps(&r));
-        assert!(r.overlaps(&Loc::GlobalRegion { base: 3, len: 2 }));
-        assert!(!r.overlaps(&Loc::GlobalRegion { base: 4, len: 2 }));
-        let f00 = Loc::Field { sid: 0, fid: 0 };
-        let f01 = Loc::Field { sid: 0, fid: 1 };
-        assert!(f00.overlaps(&f00) && !f00.overlaps(&f01));
-        assert!(Loc::Alloc(0).overlaps(&f01));
-        assert!(!Loc::Alloc(1).overlaps(&f01));
-        assert!(!f00.overlaps(&g2));
-    }
-
-    #[test]
-    fn conflict_needs_a_write() {
-        let mut a = Footprint::empty();
-        a.read(Loc::Global(0));
-        let mut b = Footprint::empty();
-        b.read(Loc::Global(0));
-        assert!(!a.may_conflict(&b), "read/read never conflicts");
-        b.write(Loc::Global(0));
-        assert!(a.may_conflict(&b) && b.may_conflict(&a));
-        let mut c = Footprint::empty();
-        c.write(Loc::Global(1));
-        assert!(!a.may_conflict(&c));
-    }
-
-    #[test]
     fn step_footprints_match_shared_flag() {
         let cases = [
             Step::new(
@@ -698,7 +549,7 @@ mod tests {
             ],
             int_locals(2),
         );
-        let fps = thread_footprints(&thread, &Config::default());
+        let fps = thread_footprints(&thread, &Config::default(), None);
         assert_eq!(fps[1].reads, vec![Loc::Global(2)]);
         // Without the environment, the same read widens to the region.
         let wide = Footprint::of_step(&thread.steps[1]);
@@ -724,7 +575,7 @@ mod tests {
             ],
             int_locals(2),
         );
-        let fps = thread_footprints(&thread, &Config::default());
+        let fps = thread_footprints(&thread, &Config::default(), None);
         assert_eq!(fps[1].reads, vec![Loc::GlobalRegion { base: 0, len: 4 }]);
     }
 
@@ -750,10 +601,10 @@ mod tests {
             int_locals(2),
         );
         let cfg = Config::default();
-        let wide = thread_footprints(&thread, &cfg);
+        let wide = thread_footprints(&thread, &cfg, None);
         assert_eq!(wide[1].reads, vec![Loc::GlobalRegion { base: 0, len: 4 }]);
         let holes = crate::hole::Assignment::from_values(vec![3]);
-        let sharp = thread_footprints_sharpened(&thread, &cfg, &holes);
+        let sharp = thread_footprints(&thread, &cfg, Some(&holes));
         assert_eq!(sharp[1].reads, vec![Loc::Global(3)]);
     }
 
@@ -775,13 +626,14 @@ mod tests {
             crate::desugar::desugar_program(&p, &cfg).expect("test source must desugar");
         let l = crate::lower::lower_program(&sk, holes, &cfg).expect("test source must lower");
         let a = crate::hole::Assignment::from_values(vec![1; l.holes.num_holes()]);
-        let stat = FootprintTable::new(&l);
-        let sharp = FootprintTable::sharpened(&l, &a);
         let mut regions_static = 0usize;
         let mut cells = Vec::new();
-        for w in 0..l.workers.len() {
-            let tid = w + 1;
-            for (ix, sfp) in stat.thread(tid).iter().enumerate() {
+        for (w, thread) in l.workers.iter().enumerate() {
+            let sharp = thread_footprints(thread, &l.config, Some(&a));
+            for (ix, sfp) in thread_footprints(thread, &l.config, None)
+                .iter()
+                .enumerate()
+            {
                 let wide = sfp
                     .reads
                     .iter()
@@ -794,7 +646,7 @@ mod tests {
                 regions_static += wide;
                 // The sharpened footprint of the same step must have
                 // resolved every region access to a single cell.
-                let nfp = sharp.step(tid, ix);
+                let nfp = &sharp[ix];
                 for loc in nfp.reads.iter().chain(&nfp.writes) {
                     assert!(
                         matches!(loc, Loc::Global(_)),
@@ -830,16 +682,16 @@ mod tests {
             int_locals(1),
         );
         let cfg = Config::default();
-        let wide = thread_footprints(&thread, &cfg);
+        let wide = thread_footprints(&thread, &cfg, None);
         assert_eq!(wide[0].reads, vec![Loc::Global(2)]);
         let holes = crate::hole::Assignment::from_values(vec![0]);
-        let sharp = thread_footprints_sharpened(&thread, &cfg, &holes);
+        let sharp = thread_footprints(&thread, &cfg, Some(&holes));
         assert!(
             sharp[0].reads.is_empty(),
             "dead step must contribute nothing"
         );
         let taken = crate::hole::Assignment::from_values(vec![1]);
-        let live = thread_footprints_sharpened(&thread, &cfg, &taken);
+        let live = thread_footprints(&thread, &cfg, Some(&taken));
         assert_eq!(live[0].reads, vec![Loc::Global(2)]);
     }
 

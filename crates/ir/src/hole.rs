@@ -99,7 +99,6 @@ fn factorial(k: usize) -> u128 {
 #[derive(Clone, Debug)]
 struct HoleInfo {
     domain: u64,
-    site: SiteId,
     span: Span,
 }
 
@@ -166,7 +165,7 @@ impl HoleTable {
     pub fn new_hole(&mut self, site: SiteId, domain: u64, span: Span) -> HoleId {
         assert!(domain > 0, "hole domain must be non-empty");
         let id = self.holes.len() as HoleId;
-        self.holes.push(HoleInfo { domain, site, span });
+        self.holes.push(HoleInfo { domain, span });
         self.sites[site as usize].holes.push(id);
         id
     }
@@ -199,11 +198,6 @@ impl HoleTable {
     /// Declaration span of a hole.
     pub fn span(&self, h: HoleId) -> Span {
         self.holes[h as usize].span
-    }
-
-    /// The site a hole belongs to.
-    pub fn site_of(&self, h: HoleId) -> SiteId {
-        self.holes[h as usize].site
     }
 
     /// All sites.

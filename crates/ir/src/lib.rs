@@ -50,7 +50,7 @@ pub mod resolve;
 pub mod step;
 
 pub use config::{Config, ReorderEncoding};
-pub use footprint::{thread_footprints_sharpened, Footprint, FootprintTable, Loc};
+pub use footprint::{thread_footprints, Footprint, Loc};
 pub use hole::{Assignment, HoleId, HoleTable, SiteId, SiteKind};
 pub use lower::{fold_const_binop, fold_const_unop};
 pub use step::{GlobalSlot, Lowered, Lv, Op, Rv, ScalarKind, Step, StructLayout, Thread, ThreadId};

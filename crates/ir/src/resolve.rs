@@ -1,11 +1,16 @@
 //! Resolution: mapping a solved hole [`Assignment`] back onto the
-//! desugared sketch and simplifying, to print the synthesized
-//! implementation (reproducing the paper's Figures 2, 4 and 6).
+//! desugared sketch ([`resolve_program`]) and simplifying the result
+//! at the run's int width ([`simplify_program`]), to print the
+//! synthesized implementation (reproducing the paper's Figures 2, 4
+//! and 6).
 
+use crate::config::Config;
 use crate::hole::Assignment;
-use psketch_lang::ast::{BinOp, Expr, FnDef, Program, Stmt, UnOp};
+use crate::lower::const_expr;
+use psketch_lang::ast::{Expr, FnDef, Program, Stmt, UnOp};
 
-/// Substitutes hole values into a desugared program and simplifies.
+/// Substitutes hole values into a desugared program: each hole
+/// becomes its value's literal and each choice its chosen alternative.
 pub fn resolve_program(sketch: &Program, assignment: &Assignment) -> Program {
     Program {
         structs: sketch.structs.clone(),
@@ -18,12 +23,28 @@ pub fn resolve_program(sketch: &Program, assignment: &Assignment) -> Program {
     }
 }
 
-/// Substitutes hole values into one function and simplifies.
+/// Substitutes hole values into one function.
 pub fn resolve_fn(f: &FnDef, assignment: &Assignment) -> FnDef {
     FnDef {
-        body: simplify_stmt(&subst_stmt(&f.body, assignment)),
+        body: subst_stmt(&f.body, assignment),
         ..f.clone()
     }
+}
+
+/// Simplifies every function of a hole-free program, folding
+/// constants as lowering does at `config`'s int width.
+pub fn simplify_program(mut p: Program, config: &Config) -> Program {
+    for f in &mut p.functions {
+        f.body = simplify_stmt(&f.body, config);
+    }
+    p
+}
+
+/// Simplifies one function: folds constants at `config`'s int width,
+/// drops dead branches and flattens blocks.
+pub fn simplify_fn(mut f: FnDef, config: &Config) -> FnDef {
+    f.body = simplify_stmt(&f.body, config);
+    f
 }
 
 fn subst_stmt(s: &Stmt, a: &Assignment) -> Stmt {
@@ -97,73 +118,58 @@ fn subst_expr(e: &Expr, a: &Assignment) -> Expr {
     }
 }
 
-/// Constant value of an expression, if it folds.
-fn const_of(e: &Expr) -> Option<i64> {
-    match e {
-        Expr::Int(v, _) => Some(*v),
-        Expr::Bool(b, _) => Some(i64::from(*b)),
-        Expr::Unary(UnOp::Not, x, _) => Some(i64::from(const_of(x)? == 0)),
-        Expr::Unary(UnOp::Neg, x, _) => Some(-const_of(x)?),
-        Expr::Binary(op, l, r, _) => {
-            let (l, r) = (const_of(l)?, const_of(r)?);
-            Some(match op {
-                BinOp::Add => l + r,
-                BinOp::Sub => l - r,
-                BinOp::Mul => l * r,
-                BinOp::Div => l.checked_div(r)?,
-                BinOp::Mod => l.checked_rem(r)?,
-                BinOp::Eq => i64::from(l == r),
-                BinOp::Ne => i64::from(l != r),
-                BinOp::Lt => i64::from(l < r),
-                BinOp::Le => i64::from(l <= r),
-                BinOp::Gt => i64::from(l > r),
-                BinOp::Ge => i64::from(l >= r),
-                BinOp::And => i64::from(l != 0 && r != 0),
-                BinOp::Or => i64::from(l != 0 || r != 0),
-            })
-        }
-        _ => None,
-    }
-}
-
-fn simplify_expr(e: &Expr) -> Expr {
+fn simplify_expr(e: &Expr, cfg: &Config) -> Expr {
     let e = match e {
-        Expr::Unary(op, x, sp) => Expr::Unary(*op, Box::new(simplify_expr(x)), *sp),
+        Expr::Unary(op, x, sp) => Expr::Unary(*op, Box::new(simplify_expr(x, cfg)), *sp),
         Expr::Binary(op, l, r, sp) => Expr::Binary(
             *op,
-            Box::new(simplify_expr(l)),
-            Box::new(simplify_expr(r)),
+            Box::new(simplify_expr(l, cfg)),
+            Box::new(simplify_expr(r, cfg)),
             *sp,
         ),
-        Expr::Field(b, f, sp) => Expr::Field(Box::new(simplify_expr(b)), f.clone(), *sp),
-        Expr::Index(b, i, sp) => {
-            Expr::Index(Box::new(simplify_expr(b)), Box::new(simplify_expr(i)), *sp)
-        }
-        Expr::Call(f, args, sp) => {
-            Expr::Call(f.clone(), args.iter().map(simplify_expr).collect(), *sp)
-        }
-        Expr::New(t, args, sp) => {
-            Expr::New(t.clone(), args.iter().map(simplify_expr).collect(), *sp)
-        }
+        Expr::Field(b, f, sp) => Expr::Field(Box::new(simplify_expr(b, cfg)), f.clone(), *sp),
+        Expr::Index(b, i, sp) => Expr::Index(
+            Box::new(simplify_expr(b, cfg)),
+            Box::new(simplify_expr(i, cfg)),
+            *sp,
+        ),
+        Expr::Call(f, args, sp) => Expr::Call(
+            f.clone(),
+            args.iter().map(|a| simplify_expr(a, cfg)).collect(),
+            *sp,
+        ),
+        Expr::New(t, args, sp) => Expr::New(
+            t.clone(),
+            args.iter().map(|a| simplify_expr(a, cfg)).collect(),
+            *sp,
+        ),
         other => other.clone(),
     };
-    match const_of(&e) {
-        Some(v) if matches!(e, Expr::Binary(op, ..) if op.is_boolean_result()) => {
+    if matches!(e, Expr::Int(..) | Expr::Bool(..) | Expr::Null(..)) {
+        return e;
+    }
+    match const_expr(&e, cfg) {
+        Some(v)
+            if matches!(&e, Expr::Unary(UnOp::Not, ..))
+                || matches!(&e, Expr::Binary(op, ..) if op.is_boolean_result()) =>
+        {
             Expr::Bool(v != 0, e.span())
         }
-        Some(v) if !matches!(e, Expr::Int(..) | Expr::Bool(..)) => Expr::Int(v, e.span()),
-        _ => e,
+        Some(v) => Expr::Int(v, e.span()),
+        None => e,
     }
 }
 
-/// Simplifies a statement: folds constant conditions, drops dead
-/// branches and flattens blocks.
-pub fn simplify_stmt(s: &Stmt) -> Stmt {
+/// Simplifies a statement at `cfg`'s int width: folds constant
+/// conditions, drops dead branches and flattens blocks.
+fn simplify_stmt(s: &Stmt, cfg: &Config) -> Stmt {
+    let expr = |e: &Expr| simplify_expr(e, cfg);
+    let stmt = |s: &Stmt| simplify_stmt(s, cfg);
     match s {
         Stmt::Block(ss) => {
             let mut out = Vec::new();
             for s in ss {
-                match simplify_stmt(s) {
+                match stmt(s) {
                     Stmt::Block(inner) => out.extend(inner),
                     other => out.push(other),
                 }
@@ -171,16 +177,16 @@ pub fn simplify_stmt(s: &Stmt) -> Stmt {
             Stmt::Block(out)
         }
         Stmt::If(c, t, e, sp) => {
-            let c = simplify_expr(c);
-            match const_of(&c) {
-                Some(v) if v != 0 => simplify_stmt(t),
+            let c = expr(c);
+            match const_expr(&c, cfg) {
+                Some(v) if v != 0 => stmt(t),
                 Some(_) => match e {
-                    Some(e) => simplify_stmt(e),
+                    Some(e) => stmt(e),
                     None => Stmt::Block(vec![]),
                 },
                 None => {
-                    let t = simplify_stmt(t);
-                    let e = e.as_ref().map(|e| simplify_stmt(e));
+                    let t = stmt(t);
+                    let e = e.as_ref().map(|e| stmt(e));
                     let e = match e {
                         Some(Stmt::Block(ref ss)) if ss.is_empty() => None,
                         other => other,
@@ -194,46 +200,40 @@ pub fn simplify_stmt(s: &Stmt) -> Stmt {
             }
         }
         Stmt::While(c, b, sp) => {
-            let c = simplify_expr(c);
-            if const_of(&c) == Some(0) {
+            let c = expr(c);
+            if const_expr(&c, cfg) == Some(0) {
                 Stmt::Block(vec![])
             } else {
-                Stmt::While(c, Box::new(simplify_stmt(b)), *sp)
+                Stmt::While(c, Box::new(stmt(b)), *sp)
             }
         }
         Stmt::Decl(t, n, init, sp) => {
-            Stmt::Decl(t.clone(), n.clone(), init.as_ref().map(simplify_expr), *sp)
+            Stmt::Decl(t.clone(), n.clone(), init.as_ref().map(expr), *sp)
         }
-        Stmt::Assign(l, r, sp) => Stmt::Assign(simplify_expr(l), simplify_expr(r), *sp),
-        Stmt::Return(e, sp) => Stmt::Return(e.as_ref().map(simplify_expr), *sp),
-        Stmt::Assert(e, sp) => Stmt::Assert(simplify_expr(e), *sp),
-        Stmt::Expr(e, sp) => Stmt::Expr(simplify_expr(e), *sp),
-        Stmt::Atomic(c, b, sp) => Stmt::Atomic(
-            c.as_ref().map(simplify_expr),
-            Box::new(simplify_stmt(b)),
-            *sp,
-        ),
-        Stmt::Reorder(ss, sp) => Stmt::Reorder(ss.iter().map(simplify_stmt).collect(), *sp),
-        Stmt::Fork(v, n, b, sp) => {
-            Stmt::Fork(v.clone(), simplify_expr(n), Box::new(simplify_stmt(b)), *sp)
-        }
-        Stmt::Repeat(n, b, sp) => Stmt::Repeat(simplify_expr(n), Box::new(simplify_stmt(b)), *sp),
+        Stmt::Assign(l, r, sp) => Stmt::Assign(expr(l), expr(r), *sp),
+        Stmt::Return(e, sp) => Stmt::Return(e.as_ref().map(expr), *sp),
+        Stmt::Assert(e, sp) => Stmt::Assert(expr(e), *sp),
+        Stmt::Expr(e, sp) => Stmt::Expr(expr(e), *sp),
+        Stmt::Atomic(c, b, sp) => Stmt::Atomic(c.as_ref().map(expr), Box::new(stmt(b)), *sp),
+        Stmt::Reorder(ss, sp) => Stmt::Reorder(ss.iter().map(stmt).collect(), *sp),
+        Stmt::Fork(v, n, b, sp) => Stmt::Fork(v.clone(), expr(n), Box::new(stmt(b)), *sp),
+        Stmt::Repeat(n, b, sp) => Stmt::Repeat(expr(n), Box::new(stmt(b)), *sp),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
     use crate::desugar::desugar_program;
     use psketch_lang::pretty::print_program;
 
     fn resolve(src: &str, values: Vec<u64>) -> String {
+        let cfg = Config::default();
         let p = psketch_lang::check_program(src).unwrap();
-        let (sk, table) = desugar_program(&p, &Config::default()).unwrap();
+        let (sk, table) = desugar_program(&p, &cfg).unwrap();
         let a = Assignment::from_values(values);
         assert!(a.validate(&table), "assignment out of domain");
-        print_program(&resolve_program(&sk, &a))
+        print_program(&simplify_program(resolve_program(&sk, &a), &cfg))
     }
 
     #[test]
@@ -287,8 +287,16 @@ mod tests {
     }
 
     #[test]
+    fn folding_wraps_to_the_int_width() {
+        // (0 + 4) * 40 = 160 wraps to -96 at the default 8 bits.
+        let src = "int g; void f() { if ((??(3) + 4) * 40 > 100) { g = 1; } else { g = 2; } }";
+        let out = resolve(src, vec![0]);
+        assert!(out.contains("g = 2;") && !out.contains("g = 1;"), "{out}");
+    }
+
+    #[test]
     fn simplify_folds_nested_blocks() {
         let s = Stmt::Block(vec![Stmt::Block(vec![Stmt::Block(vec![])])]);
-        assert_eq!(simplify_stmt(&s), Stmt::Block(vec![]));
+        assert_eq!(simplify_stmt(&s, &Config::default()), Stmt::Block(vec![]));
     }
 }

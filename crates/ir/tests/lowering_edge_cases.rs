@@ -205,6 +205,12 @@ fn errors_for_unsupported_shapes() {
     .contains("pure"));
 }
 
+/// Does evaluating `rv` read shared state?
+fn reads_shared(rv: &Rv) -> bool {
+    matches!(rv, Rv::Global(_) | Rv::GlobalDyn { .. } | Rv::Field { .. })
+        || rv.children().any(|c| reads_shared(c))
+}
+
 #[test]
 fn guards_never_read_shared_state() {
     // The key lowering invariant for trace projection (§6): guards
@@ -226,7 +232,7 @@ fn guards_never_read_shared_state() {
     for tid in 0..l.num_threads() {
         for (ix, step) in l.thread(tid).steps.iter().enumerate() {
             assert!(
-                !psketch_ir::Footprint::of_rv(&step.guard).is_shared(),
+                !reads_shared(&step.guard),
                 "thread {tid} step {ix} guard reads shared: {}",
                 step.guard
             );

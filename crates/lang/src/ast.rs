@@ -20,13 +20,6 @@ pub enum Type {
     Array(Box<Type>, usize),
 }
 
-impl Type {
-    /// True for `Ref` types (nullable pointers).
-    pub fn is_ref(&self) -> bool {
-        matches!(self, Type::Ref(_))
-    }
-}
-
 impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

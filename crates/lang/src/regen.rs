@@ -11,6 +11,10 @@ use crate::error::{Phase, SourceError, SourceResult, Span};
 use crate::token::{Tok, Token};
 use std::fmt;
 
+/// The most strings one generator's language may hold: a cap that
+/// defends against accidentally enormous generators.
+pub const GENERATOR_CAP: usize = 4096;
+
 /// A regular expression over language tokens.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Regex {

@@ -375,7 +375,9 @@ pub fn generator_alternatives(
     expected: Option<&Type>,
     span: Span,
 ) -> SourceResult<Vec<Expr>> {
-    let strings = re.enumerate(4096).map_err(|e| terr(span, e.to_string()))?;
+    let strings = re
+        .enumerate(crate::regen::GENERATOR_CAP)
+        .map_err(|e| terr(span, e.to_string()))?;
     let mut alts = Vec::new();
     for toks in strings {
         let tokens: Vec<crate::token::Token> = toks

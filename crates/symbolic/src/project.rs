@@ -10,7 +10,9 @@
 //!    straight-line after if-conversion, so this is a total order per
 //!    thread);
 //! 3. when the trace exposed a deadlock with set `D`, the unexecuted
-//!    suffixes of deadlocked threads sort after everything else.
+//!    suffixes of deadlocked threads sort after everything else (a
+//!    blocked prologue or epilogue is alone in its phase, so its steps
+//!    keep their place).
 //!
 //! Unexecuted steps are placed immediately before their thread's next
 //! executed step — which is exactly where a guard-false step "ran" in
@@ -73,9 +75,20 @@ pub fn project(l: &Lowered, cex: &CexTrace) -> Vec<(ThreadId, usize)> {
     keyed.into_iter().map(|(_, _, t, j)| (t, j)).collect()
 }
 
-/// The merged-order position just past the last traced step: where the
-/// deadlock set (if any) is re-evaluated during symbolic replay.
-pub fn trace_end_position(order: &[(ThreadId, usize)], cex: &CexTrace) -> usize {
+/// The merged-order position where the trace ends, and where its
+/// deadlock set (if any) is re-evaluated during symbolic replay: just
+/// past the last traced step, or, for a conditional atomic that
+/// blocked in the prologue or the epilogue, that blocked step's own
+/// position, after every earlier step of its phase.
+pub fn trace_end_position(l: &Lowered, order: &[(ThreadId, usize)], cex: &CexTrace) -> usize {
+    if let [blocked @ (tid, _)] = cex.deadlock[..] {
+        if tid == 0 || tid == l.epilogue_tid() {
+            return order
+                .iter()
+                .position(|&s| s == blocked)
+                .expect("the projection orders every step");
+        }
+    }
     let traced: std::collections::HashSet<(ThreadId, usize)> = cex.steps.iter().copied().collect();
     order
         .iter()

@@ -77,9 +77,11 @@ pub struct Observation {
     pub field_read_hits: usize,
     /// Steps the counterexample trace executed (0 for an input).
     pub traced_steps: usize,
-    /// Position in the projected order just past the trace's last
-    /// traced step, where its deadlock set is checked (0 for an
-    /// input). Steps from here on only add failure disjuncts.
+    /// Position in the projected order where the trace ends and its
+    /// deadlock set is checked (0 for an input): just past its last
+    /// traced step, or at the step that blocked in the prologue or the
+    /// epilogue ([`crate::project::trace_end_position`]). Steps from
+    /// here on only add failure disjuncts.
     pub trace_end: usize,
 }
 
@@ -222,7 +224,7 @@ impl<'l> Synthesizer<'l> {
         let before = self.sizes();
         let order = project(self.l, cex);
         let deadlock: BTreeSet<_> = cex.deadlock.iter().copied().collect();
-        let deadlock_at = trace_end_position(&order, cex);
+        let deadlock_at = trace_end_position(self.l, &order, cex);
         let (fail, resumed, (reads, hits)) = with_encoder!(&mut self.encoder, e => {
             let (reads, hits) = e.trace_eval.field_reads();
             let resumed = e
@@ -537,7 +539,7 @@ fn reproduces<const N: usize>(l: &Lowered, cex: &CexTrace, candidate: &Assignmen
     let holes: Vec<Bv<N>> = constant_holes(&mut circuit, l, candidate);
     let order = crate::project::project(l, cex);
     let deadlock: BTreeSet<_> = cex.deadlock.iter().copied().collect();
-    let deadlock_at = trace_end_position(&order, cex);
+    let deadlock_at = trace_end_position(l, &order, cex);
     let inputs = HashMap::new();
     let ev = SymEval::new(&mut circuit, l, &holes, &inputs);
     let fail = ev.run(&mut circuit, &order, &deadlock, deadlock_at);
@@ -933,7 +935,7 @@ mod tests {
                 assert_eq!(fresh.add_trace(cex).resumed_steps, 0);
                 assert_same_encoding(&resumed, &fresh, body);
                 assert!(!cex.deadlock.is_empty(), "every trace deadlocks");
-                let deadlock_at = trace_end_position(&project(&l, cex), cex);
+                let deadlock_at = trace_end_position(&l, &project(&l, cex), cex);
                 cases[0] |= k == 0;
                 cases[1] |= deadlock_at < k;
                 cases[2] |= k > 0 && deadlock_at >= k;

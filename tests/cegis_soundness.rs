@@ -3,7 +3,8 @@
 //!
 //! * progress: every counterexample trace refutes the candidate that
 //!   produced it (otherwise the loop would cycle);
-//! * soundness of "yes": a resolved candidate passes the model checker;
+//! * soundness of "yes": a resolved candidate passes the model checker,
+//!   and so does the program printed for it;
 //! * soundness of "NO": when the synthesizer answers unresolvable,
 //!   exhaustive enumeration confirms every candidate fails;
 //! * under-approximation: observations never eliminate a candidate
@@ -58,8 +59,7 @@ fn satisfies_constraints(l: &Lowered, a: &Assignment) -> bool {
 
 /// Runs brute-force ground truth vs. the CEGIS answer on one sketch.
 fn cross_validate(src: &str) {
-    let opts = Options::default();
-    let s = Synthesis::new(src, opts).unwrap_or_else(|e| panic!("{e}"));
+    let s = Synthesis::new(src, Options::default()).unwrap_or_else(|e| panic!("{e}"));
     let l = s.lowered();
     assert!(
         l.holes.candidate_space() <= 4096,
@@ -91,6 +91,12 @@ fn cross_validate(src: &str) {
                             trace_reproduces(l, cex, &cand),
                             "trace fails to refute its own candidate {cand} in {src}"
                         );
+                        for good in &correct {
+                            assert!(
+                                !trace_reproduces(l, cex, good),
+                                "the trace of {cand} refutes the correct {good} in {src}"
+                            );
+                        }
                         synth.add_trace(cex);
                     }
                 }
@@ -102,6 +108,15 @@ fn cross_validate(src: &str) {
             assert!(
                 check(l, cand).is_ok(),
                 "CEGIS returned a bad candidate for {src}"
+            );
+            // The program printed for it, lowered again, passes too.
+            let source = s.resolution_source(cand);
+            let printed = Synthesis::new(&source, Options::default())
+                .unwrap_or_else(|e| panic!("{e}\n{source}"));
+            let p = printed.lowered();
+            assert!(
+                check(p, &p.holes.identity_assignment()).is_ok(),
+                "the printed resolution of {cand} fails:\n{source}"
             );
         }
         (None, true) => {} // both say unresolvable
@@ -126,6 +141,15 @@ fn cross_validation_constants() {
     // A full-width hole: candidate 200 means -56 at int width 8, as
     // the literal 200 does, in the synthesizer and the checker alike.
     cross_validate("int g; harness void main() { g = ??(8); assert g == -56; }");
+    // (0 + 4) * 40 = 160 wraps to -96 at int width 8: the printed
+    // resolution keeps the else branch, as the checker does.
+    cross_validate(
+        "int g;
+         harness void main() {
+             if ((??(3) + 4) * 40 > 100) { g = 1; } else { g = 2; }
+             assert g == 2;
+         }",
+    );
 }
 
 #[test]
@@ -237,6 +261,32 @@ fn cross_validation_deadlocks() {
                  g = g + 1;
                  unlock(y); unlock(x);
              }
+             assert g == 2;
+         }",
+    );
+    // A conditional atomic that blocks in the prologue: no other
+    // thread can run, so the trace must refute its candidate by the
+    // blocked step alone.
+    cross_validate(
+        "int g; harness void main() { g = ??(1); atomic (g == 1) { g = 2; } assert g == 2; }",
+    );
+    // The blocked step is checked after the untraced `g = 1` before
+    // it, which unblocks it for every candidate with the second hole 1.
+    cross_validate(
+        "int g;
+         harness void main() {
+             g = ??(1);
+             if (??(1) == 1) { g = 1; }
+             atomic (g == 1) { g = 2; }
+             assert g == 2;
+         }",
+    );
+    // The same in the epilogue, after every worker has run.
+    cross_validate(
+        "int g;
+         harness void main() {
+             fork (i; 2) { g = ??(1); }
+             atomic (g == 1) { g = 2; }
              assert g == 2;
          }",
     );

@@ -20,34 +20,38 @@ fn records_split_smodel_and_count_what_each_trace_added() {
     assert!(traces.count() > 1, "the row feeds several traces back");
     for r in &report.records {
         let label = format!("iteration {}", r.iteration);
-        // The two phases are timed back to back inside the whole;
-        // seconds are rounded from whole nanoseconds.
+        let o = &r.observation;
+        // The two phases are timed back to back inside the whole.
         assert!(
-            r.s_model_eval_secs + r.s_model_encode_secs <= r.s_model_secs + 1e-9,
-            "{label}: {} + {} > {}",
-            r.s_model_eval_secs,
-            r.s_model_encode_secs,
-            r.s_model_secs
+            o.eval_time + o.tseitin_time <= o.encode_time,
+            "{label}: {:?} + {:?} > {:?}",
+            o.eval_time,
+            o.tseitin_time,
+            o.encode_time
         );
-        assert!(r.field_read_hits <= r.field_reads, "{label}");
+        assert!(o.field_read_hits <= o.field_reads, "{label}");
         if r.verdict != "trace" {
-            assert_eq!((r.field_reads, r.new_vars, r.new_clauses), (0, 0, 0));
+            assert_eq!((o.field_reads, o.new_vars, o.new_clauses), (0, 0, 0));
         }
     }
-    let hits: usize = report.records.iter().map(|r| r.field_read_hits).sum();
+    let hits: usize = report
+        .records
+        .iter()
+        .map(|r| r.observation.field_read_hits)
+        .sum();
     assert!(hits > 0, "the row's projections repeat field reads");
     // Between two solves the solver grows by exactly the observation
     // fed back in between.
     for w in report.records.windows(2) {
         assert_eq!(
             w[1].sat_vars,
-            w[0].sat_vars + w[0].new_vars,
+            w[0].sat_vars + w[0].observation.new_vars,
             "{}",
             w[0].iteration
         );
         assert_eq!(
             w[1].sat_clauses,
-            w[0].sat_clauses + w[0].new_clauses,
+            w[0].sat_clauses + w[0].observation.new_clauses,
             "{}",
             w[0].iteration
         );
